@@ -39,7 +39,8 @@
 //! class or expected performance changes.
 
 use hrdm_bench::gate::{
-    baseline_json, compare, measure_median_ns, parse_baseline, to_json_with_metrics, BenchResult,
+    baseline_json, compare, measure_median_ns, parse_baseline, ratio, to_json_with_metrics,
+    BenchResult,
 };
 use hrdm_core::prelude::*;
 use hrdm_query::{evaluate, evaluate_planned, parse_query, Query};
@@ -84,7 +85,23 @@ const GATED: &[&str] = &[
     // fsync in the loop), so stable enough to gate on one runner class.
     "net_query_throughput_8c",
     "net_write_p99_8c",
+    // One commit + publish into a relation a snapshot shares: CPU-bound
+    // (detached, no fsync), and gated a second way — see
+    // [`COMMIT_SCALING_MAX`].
+    "commit_publish_1k",
+    "commit_publish_100k",
 ];
+
+/// The most `commit_publish_100k` may cost relative to `commit_publish_1k`
+/// in one run: a commit after a publish copies O(log n) of the state the
+/// snapshot shares, so a hundredfold larger relation must not cost a
+/// hundredfold more. Unlike the baseline comparison this bound does not
+/// depend on the runner class.
+const COMMIT_SCALING_MAX: f64 = 3.0;
+
+/// Single-op commits timed per `commit_publish_*` sample: few enough that
+/// the preloaded relation stays near its nominal size.
+const COMMITS_PER_SAMPLE: i64 = 200;
 
 /// Per-bench tolerance overrides written into the baseline. Tail-latency
 /// benches under scheduler pressure (a p99 across 8 threads on a small
@@ -173,8 +190,8 @@ fn run_tracked() -> Vec<BenchResult> {
         }),
     );
 
-    // Snapshot publication cost — the heart of the concurrency model:
-    // O(relations), never O(tuples).
+    // Taking the published snapshot — the heart of the concurrency
+    // model: one reference-count bump, whatever the database holds.
     track(
         "snapshot_take_10k",
         measure_median_ns(SAMPLES, sample_time(), || {
@@ -349,6 +366,36 @@ fn run_tracked() -> Vec<BenchResult> {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    // What a published snapshot costs the next write: one single-op
+    // commit through a detached `ConcurrentDatabase` (no fsync) holding
+    // 1k / 100k tuples, a snapshot published after each and the previous
+    // one still held by a reader. Structure sharing keeps the two within
+    // a small factor of each other ([`COMMIT_SCALING_MAX`]).
+    for (name, preload) in [
+        ("commit_publish_1k", 1_000),
+        ("commit_publish_100k", 100_000),
+    ] {
+        use hrdm_bench::partition_fixture::{populated, tup as part_tup, SPAN_LOG2};
+        use hrdm_storage::PartitionPolicy;
+        let db = populated(PartitionPolicy::SpanLog2(SPAN_LOG2), preload);
+        let mut next_key = preload;
+        let mut sample_means: Vec<f64> = (0..=SAMPLES)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                for _ in 0..COMMITS_PER_SAMPLE {
+                    let held = db.snapshot();
+                    db.insert("r", part_tup(next_key)).unwrap();
+                    next_key += 1;
+                    std::hint::black_box(held);
+                }
+                started.elapsed().as_nanos() as f64 / COMMITS_PER_SAMPLE as f64
+            })
+            .skip(1) // warm-up
+            .collect();
+        sample_means.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        track(name, sample_means[sample_means.len() / 2]);
+    }
+
     // Durable single write (fsync per op) vs an 8-op group-commit batch
     // (one fsync), reported per op.
     {
@@ -443,6 +490,7 @@ fn registry_metrics() -> Vec<(String, f64)> {
         "hrdm_query_index_scans_total",
         "hrdm_query_seq_scans_total",
         "hrdm_snapshot_publish_total",
+        "hrdm_storage_index_folds_total",
         "hrdm_checkpoint_dirty_partitions_total",
         "hrdm_checkpoint_linked_partitions_total",
         "hrdm_pool_hits_total",
@@ -472,6 +520,7 @@ fn registry_metrics() -> Vec<(String, f64)> {
         "hrdm_wal_append_ns",
         "hrdm_wal_fsync_ns",
         "hrdm_checkpoint_ns",
+        "hrdm_storage_index_fold_ns",
     ] {
         if let Some(snap) = g.histogram_snapshot(name) {
             out.push((format!("{name}_count"), snap.count() as f64));
@@ -593,6 +642,19 @@ fn main() {
              cargo run --release -p hrdm-bench --bin bench-json -- --write-baseline"
         );
         std::process::exit(1);
+    }
+    match ratio(&results, "commit_publish_100k", "commit_publish_1k") {
+        Some(r) if r <= COMMIT_SCALING_MAX => {
+            eprintln!("bench-json: commit_publish 100k/1k = {r:.2} (max {COMMIT_SCALING_MAX})")
+        }
+        found => {
+            eprintln!(
+                "bench-json: FAILED — commit_publish 100k/1k = {found:?}, above the \
+                 {COMMIT_SCALING_MAX} scaling bound (or not measured): a commit after a \
+                 publish is copying state in proportion to the relation again"
+            );
+            std::process::exit(1);
+        }
     }
     eprintln!("bench-json: OK");
 }

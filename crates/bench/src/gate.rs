@@ -150,6 +150,18 @@ pub fn compare(
     outcome
 }
 
+/// `numerator`'s median over `denominator`'s within one run — the shape of
+/// a scaling bound ("100k may cost at most 3× what 1k costs"), which
+/// holds or fails on any runner class. `None` when either bench is
+/// missing from `results` or the denominator is not positive.
+pub fn ratio(results: &[BenchResult], numerator: &str, denominator: &str) -> Option<f64> {
+    let median = |name: &str| results.iter().find(|r| r.name == name).map(|r| r.median_ns);
+    match (median(numerator)?, median(denominator)?) {
+        (n, d) if d > 0.0 => Some(n / d),
+        _ => None,
+    }
+}
+
 /// Renders results as the artifact JSON (see the module docs).
 pub fn to_json(results: &[BenchResult]) -> String {
     to_json_with_metrics(results, &[])
@@ -468,6 +480,18 @@ mod tests {
             std::hint::black_box(x);
         });
         assert!(ns > 0.0);
+    }
+
+    #[test]
+    fn ratio_divides_medians_and_reports_missing_benches() {
+        assert_eq!(ratio(&results(), "b", "a"), Some(20.0));
+        assert_eq!(ratio(&results(), "b", "gone"), None);
+        assert_eq!(ratio(&results(), "gone", "a"), None);
+        let zero = vec![BenchResult {
+            name: "z".into(),
+            median_ns: 0.0,
+        }];
+        assert_eq!(ratio(&zero, "z", "z"), None);
     }
 
     #[test]

@@ -42,8 +42,7 @@ pub fn tup_at(k: i64, lo: i64) -> Tuple {
 ///
 /// Populates a **detached** `Database` (unshared → in-place index and
 /// partition-map maintenance), then wraps it: driving `n` inserts through
-/// `ConcurrentDatabase` would publish a snapshot per op and pay the
-/// copy-on-write toll `n` times.
+/// `ConcurrentDatabase` would publish a snapshot per op, `n` times.
 pub fn populated(policy: PartitionPolicy, n: i64) -> ConcurrentDatabase {
     let mut db = Database::new();
     db.set_partition_policy(policy);

@@ -55,6 +55,7 @@ pub mod consistency;
 pub mod constraints;
 mod domain;
 mod errors;
+mod pvec;
 mod relation;
 mod scheme;
 mod temporal;
@@ -65,6 +66,7 @@ pub use algebra::predicate;
 pub use attribute::Attribute;
 pub use domain::{HistoricalDomain, ValueKind};
 pub use errors::{HrdmError, Result};
+pub use pvec::PVec;
 pub use relation::Relation;
 pub use scheme::{AttributeDef, Scheme, SchemeBuilder};
 pub use temporal::TemporalValue;

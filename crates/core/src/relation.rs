@@ -3,13 +3,14 @@
 
 use crate::attribute::Attribute;
 use crate::errors::{HrdmError, Result};
+use crate::pvec::{self, PVec};
 use crate::scheme::Scheme;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use hrdm_time::{Chronon, Lifespan};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A historical relation `r` on a scheme `R`: a finite set of tuples such
 /// that no two tuples ever share a key value — the paper's condition
@@ -25,28 +26,29 @@ use std::sync::Arc;
 ///
 /// ## Sharing and copy-on-write
 ///
-/// The tuple vector is held behind an [`Arc`], so [`Relation::clone`] is
-/// O(1) in the number of tuples — cloning a relation (as snapshots and the
-/// query evaluator do on every base-relation scan) shares storage instead of
-/// copying it. Mutation goes through [`Arc::make_mut`]: a relation whose
-/// storage is shared with a live snapshot copies the vector once per write
-/// burst (once per commit batch under a concurrent writer that republishes
-/// after every batch) — cheaply, since tuples themselves are `Arc`-backed,
-/// so the copy is `n` pointer bumps, not `n` deep value-map copies; an
-/// unshared relation mutates in place with no overhead. Readers holding the
-/// old `Arc` keep seeing exactly the state they snapshotted.
+/// The tuples live in a [`PVec`] — an append-only persistent vector of
+/// `Arc`'d 64-tuple leaves — and the scheme behind an [`Arc`], so
+/// [`Relation::clone`] is three reference-count bumps whatever the
+/// relation holds. Snapshots, the query evaluator (which clones on every
+/// base-relation scan) and batch undo all take clones freely.
+///
+/// Appending to a relation whose storage a clone still shares copies the
+/// 64-tuple tail and, once per 64 appends, the few branch nodes above the
+/// new leaf: O(log n) pointer copies, never the whole vector. A relation
+/// nothing else shares mutates in place. Either way a clone taken earlier
+/// keeps seeing exactly the tuples it had.
 #[derive(Clone, Debug)]
 pub struct Relation {
-    scheme: Scheme,
-    tuples: Arc<Vec<Tuple>>,
+    scheme: Arc<Scheme>,
+    tuples: PVec<Tuple>,
 }
 
 impl Relation {
     /// An empty relation on `scheme`.
     pub fn new(scheme: Scheme) -> Relation {
         Relation {
-            scheme,
-            tuples: Arc::new(Vec::new()),
+            scheme: Arc::new(scheme),
+            tuples: PVec::new(),
         }
     }
 
@@ -73,16 +75,26 @@ impl Relation {
     where
         I: IntoIterator<Item = Tuple>,
     {
-        let mut seen: HashSet<Tuple> = HashSet::new();
-        let mut out = Vec::new();
+        let tuples = tuples.into_iter();
+        let expected = tuples.size_hint().0;
+        let mut seen: HashSet<Tuple> = HashSet::with_capacity(expected);
+        let mut out = Vec::with_capacity(expected);
         for t in tuples {
             if seen.insert(t.clone()) {
                 out.push(t);
             }
         }
+        Relation::from_distinct_unchecked(scheme, out)
+    }
+
+    /// Assembles a relation from tuples the caller knows to be pairwise
+    /// distinct — [`Relation::from_parts_unchecked`] without its
+    /// deduplication pass, which hashes every tuple whole. For loaders
+    /// re-reading tuples that a relation (a set already) wrote out.
+    pub fn from_distinct_unchecked(scheme: Scheme, tuples: Vec<Tuple>) -> Relation {
         Relation {
-            scheme,
-            tuples: Arc::new(out),
+            scheme: Arc::new(scheme),
+            tuples: PVec::from(tuples),
         }
     }
 
@@ -91,28 +103,16 @@ impl Relation {
         &self.scheme
     }
 
-    /// The tuples, in insertion order.
-    pub fn tuples(&self) -> &[Tuple] {
-        self.tuples.as_slice()
-    }
-
-    /// The shared tuple storage. Cloning the returned [`Arc`] pins the
-    /// current contents: later mutations of this relation copy-on-write and
-    /// leave the pinned vector untouched (snapshot isolation's storage-level
-    /// guarantee).
-    pub fn tuples_shared(&self) -> Arc<Vec<Tuple>> {
-        Arc::clone(&self.tuples)
-    }
-
-    /// Is the tuple storage currently shared with a snapshot or clone?
-    /// (Diagnostic; a shared relation pays one O(n) pointer-copy on its next
-    /// mutation.)
-    pub fn is_storage_shared(&self) -> bool {
-        Arc::strong_count(&self.tuples) > 1
+    /// The tuples, in insertion order. Cloning the returned vector pins
+    /// the current contents in O(1): later appends to this relation leave
+    /// the clone untouched (snapshot isolation's storage-level guarantee).
+    /// Scans read it leaf by leaf through [`PVec::slices`].
+    pub fn tuples(&self) -> &PVec<Tuple> {
+        &self.tuples
     }
 
     /// Iterates the tuples.
-    pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
+    pub fn iter(&self) -> pvec::Iter<'_, Tuple> {
         self.tuples.iter()
     }
 
@@ -144,8 +144,8 @@ impl Relation {
     /// so the subset needs no dedup pass of its own.
     pub fn subset_at_positions(&self, positions: &[usize]) -> Relation {
         Relation {
-            scheme: self.scheme.clone(),
-            tuples: Arc::new(self.scan_positions(positions).cloned().collect()),
+            scheme: Arc::clone(&self.scheme),
+            tuples: self.scan_positions(positions).cloned().collect(),
         }
     }
 
@@ -167,8 +167,8 @@ impl Relation {
     pub fn insert(&mut self, tuple: Tuple) -> Result<()> {
         tuple.validate(&self.scheme)?;
         if self.scheme.key().is_empty() {
-            if !self.tuples.contains(&tuple) {
-                Arc::make_mut(&mut self.tuples).push(tuple);
+            if !self.contains_tuple(&tuple) {
+                self.tuples.push(tuple);
             }
             return Ok(());
         }
@@ -190,19 +190,16 @@ impl Relation {
                 });
             }
         }
-        Arc::make_mut(&mut self.tuples).push(tuple);
+        self.tuples.push(tuple);
         Ok(())
     }
 
     /// Truncates to the first `len` tuples (a no-op when the relation is
-    /// already that short). Storage-level batch undo: inserts are
-    /// append-only, so cutting back to a pre-batch length restores exactly
-    /// the pre-batch contents. Copy-on-write like every mutation — a
-    /// snapshot sharing the storage keeps the untruncated vector.
+    /// already that short). Inserts are append-only, so cutting back to
+    /// an earlier length restores exactly the earlier contents. A clone
+    /// sharing the storage keeps the untruncated vector.
     pub fn truncate(&mut self, len: usize) {
-        if len < self.tuples.len() {
-            Arc::make_mut(&mut self.tuples).truncate(len);
-        }
+        self.tuples.truncate(len);
     }
 
     /// Appends a tuple **without** re-running validation or the key check.
@@ -213,7 +210,7 @@ impl Relation {
     /// [`Relation::from_parts_unchecked`]. Inserting an invalid or
     /// key-duplicate tuple through this door breaks the relation invariant.
     pub fn push_unchecked(&mut self, tuple: Tuple) {
-        Arc::make_mut(&mut self.tuples).push(tuple);
+        self.tuples.push(tuple);
     }
 
     /// `LS(r)` — the lifespan of the relation: "just
@@ -234,7 +231,7 @@ impl Relation {
 
     /// Does the relation contain an identical tuple?
     pub fn contains_tuple(&self, tuple: &Tuple) -> bool {
-        self.tuples.contains(tuple)
+        self.tuples.iter().any(|t| t == tuple)
     }
 
     /// The classical snapshot of the relation at time `s`: one row per tuple
@@ -292,6 +289,15 @@ impl Relation {
                     .sum::<usize>()
             })
             .sum()
+    }
+}
+
+impl Default for &PVec<Tuple> {
+    /// The empty tuple vector, so `Option<&PVec<Tuple>>::unwrap_or_default()`
+    /// reads like the `Option<&[Tuple]>` it replaced.
+    fn default() -> Self {
+        static EMPTY: OnceLock<PVec<Tuple>> = OnceLock::new();
+        EMPTY.get_or_init(PVec::new)
     }
 }
 

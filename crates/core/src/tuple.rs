@@ -5,7 +5,7 @@ use crate::errors::{HrdmError, Result};
 use crate::scheme::Scheme;
 use crate::temporal::TemporalValue;
 use crate::value::Value;
-use hrdm_time::{Chronon, Lifespan};
+use hrdm_time::{Chronon, Interval, Lifespan};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -156,8 +156,15 @@ impl Tuple {
                     });
                 }
             }
-            let vls = self.repr.lifespan.intersect(def.lifespan());
-            if !vls.contains_lifespan(&tv.domain()) {
+            // The value's domain must lie in vls = t.l ∩ ALS. A segment is
+            // one interval, so it lies in the intersection exactly when it
+            // lies in a run of each — checked in place, segment by segment,
+            // without materializing either lifespan (this runs for every
+            // tuple inserted, replayed or loaded).
+            let within_vls = |iv: &Interval| {
+                self.repr.lifespan.contains_interval(iv) && def.lifespan().contains_interval(iv)
+            };
+            if !tv.segments().iter().all(|(iv, _)| within_vls(iv)) {
                 return Err(HrdmError::ValueOutsideLifespan {
                     attribute: attr.clone(),
                 });

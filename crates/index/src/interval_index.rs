@@ -1,31 +1,61 @@
 //! An interval index over tuple lifespans with incremental appends.
 
 use hrdm_time::{Chronon, Interval, Lifespan};
+use std::sync::Arc;
+
+/// How many entries the pending run may hold before it becomes a run of
+/// its own: what a query filters linearly and a clone copies.
+const PENDING_MAX: usize = 64;
 
 /// An interval index over the lifespans of a relation's tuples.
 ///
 //  Representation: every maximal interval of every lifespan becomes one
-//  `(lo, hi, position)` entry; entries are sorted by `lo` and an implicit
-//  segment tree over the `hi` values stores subtree maxima.
+//  `(lo, hi, position)` entry; a run holds entries sorted by `lo` and an
+//  implicit segment tree over the `hi` values storing subtree maxima.
 /// Queries follow the classic augmented-tree pruning argument:
 ///
 /// * only the prefix of entries with `lo ≤ b` can overlap `[a, b]`
 ///   (binary search), and
 /// * within that prefix, any subtree whose `max(hi) < a` is pruned whole,
 ///
-/// which yields `O(log n + k)` per query for `k` reported entries. Because
+/// which yields `O(log n + k)` per run for `k` reported entries. Because
 /// one lifespan may contribute several intervals, results are deduplicated
 /// before being returned; positions come back sorted ascending.
 ///
-/// Appends ([`LifespanIndex::insert`]) go to a small **sorted pending run**
-/// that queries merge on the fly; once the run outgrows a threshold
-/// (√ of the main run, logarithmic-method style) it is merged into the main
-/// sorted arrays and the segment tree is rebuilt. This keeps per-insert
-/// cost amortized sub-linear while queries stay `O(log n + √n + k)` — so a
-/// database can maintain the index *incrementally* across inserts instead
-/// of invalidating and rebuilding it wholesale.
+/// [`LifespanIndex::build`] yields a single run. Appends
+/// ([`LifespanIndex::insert`]) go to a small **sorted pending run** that
+/// queries filter on the fly; once it outgrows 64 entries it
+/// becomes an immutable run on top of the stack, and runs are merged
+/// (logarithmic method) so that each is at least twice the size of the
+/// next. Every entry is merged `O(log n)` times over the index's life, so
+/// an insert costs amortized `O(log n)` with an occasional long merge
+/// ([`LifespanIndex::merges`] counts them), and a query probes at most
+/// `log₂(n / 64) + 1` runs — so a database can maintain the index
+/// *incrementally* across inserts instead of invalidating and rebuilding
+/// it wholesale.
+///
+/// ## Sharing and copy-on-write
+///
+/// Runs sit behind [`Arc`]s and are never edited — a merge builds the
+/// merged run beside its inputs — so [`LifespanIndex::clone`] bumps one
+/// reference count per run and copies only the pending run (at most
+/// 64 entries). A clone is unaffected by later inserts and
+/// merges.
 #[derive(Clone, Debug, Default)]
 pub struct LifespanIndex {
+    /// Oldest (largest) first; each at least twice the size of the next.
+    runs: Vec<Arc<Run>>,
+    /// Recently appended `(lo, hi, position)` entries, sorted by `lo`.
+    pending: Vec<(i64, i64, u32)>,
+    /// Number of indexed tuples (positions are `< tuple_count`).
+    tuple_count: usize,
+    /// Run merges performed so far.
+    merges: u64,
+}
+
+/// One immutable sorted run of a [`LifespanIndex`].
+#[derive(Debug)]
+struct Run {
     /// Entry lower bounds, sorted ascending.
     los: Vec<i64>,
     /// Entry upper bounds, parallel to `los`.
@@ -34,11 +64,6 @@ pub struct LifespanIndex {
     positions: Vec<u32>,
     /// `max_hi[node]` for an implicit binary segment tree over `his`.
     max_hi: Vec<i64>,
-    /// Recently appended `(lo, hi, position)` entries, sorted by `lo`;
-    /// merged into the main arrays once larger than [`Self::pending_limit`].
-    pending: Vec<(i64, i64, u32)>,
-    /// Number of indexed tuples (positions are `< tuple_count`).
-    tuple_count: usize,
 }
 
 impl LifespanIndex {
@@ -57,17 +82,16 @@ impl LifespanIndex {
             tuple_count += 1;
         }
         entries.sort_unstable();
-        let los: Vec<i64> = entries.iter().map(|e| e.0).collect();
-        let his: Vec<i64> = entries.iter().map(|e| e.1).collect();
-        let positions: Vec<u32> = entries.iter().map(|e| e.2).collect();
-        let max_hi = build_max_tree(&his);
+        let runs = if entries.is_empty() {
+            Vec::new()
+        } else {
+            vec![Arc::new(Run::from_sorted(entries.into_iter()))]
+        };
         LifespanIndex {
-            los,
-            his,
-            positions,
-            max_hi,
+            runs,
             pending: Vec::new(),
             tuple_count,
+            merges: 0,
         }
     }
 
@@ -76,7 +100,7 @@ impl LifespanIndex {
     /// relation order.
     ///
     /// The entries land in the sorted pending run; when that run exceeds
-    /// the `√n` pending limit it is merged into the main arrays.
+    /// 64 entries it is frozen into a run and the stack is re-merged.
     pub fn insert(&mut self, pos: usize, ls: &Lifespan) {
         assert_eq!(
             pos, self.tuple_count,
@@ -89,58 +113,50 @@ impl LifespanIndex {
             self.pending.insert(at, entry);
         }
         self.tuple_count += 1;
-        if self.pending.len() > self.pending_limit() {
-            self.merge_pending();
+        if self.pending.len() > PENDING_MAX {
+            let frozen = Run::from_sorted(std::mem::take(&mut self.pending).into_iter());
+            self.runs.push(Arc::new(frozen));
+            self.merge_runs();
         }
     }
 
-    /// How large the pending run may grow before it is merged: the square
-    /// root of the main run (amortized `O(n √n)` total merge work over `n`
-    /// appends, `O(√n)` extra work per query), floored so tiny indexes
-    /// don't merge constantly.
-    fn pending_limit(&self) -> usize {
-        let n = self.los.len();
-        ((n as f64).sqrt() as usize).max(64)
-    }
-
-    /// Merges the pending run into the main sorted arrays and rebuilds the
-    /// segment-tree maxima. Idempotent; cheap when the run is empty.
-    pub fn merge_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let total = self.los.len() + self.pending.len();
-        let mut los = Vec::with_capacity(total);
-        let mut his = Vec::with_capacity(total);
-        let mut positions = Vec::with_capacity(total);
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.los.len() || j < self.pending.len() {
-            let take_main = j >= self.pending.len()
-                || (i < self.los.len()
-                    && (self.los[i], self.his[i], self.positions[i]) <= self.pending[j]);
-            if take_main {
-                los.push(self.los[i]);
-                his.push(self.his[i]);
-                positions.push(self.positions[i]);
-                i += 1;
-            } else {
-                let (lo, hi, p) = self.pending[j];
-                los.push(lo);
-                his.push(hi);
-                positions.push(p);
-                j += 1;
+    /// Merges runs from the top down while one is less than twice the size
+    /// of the run above it. Inputs are left to whoever still shares them.
+    fn merge_runs(&mut self) {
+        while let [.., older, newer] = self.runs.as_slice() {
+            if older.len() >= 2 * newer.len() {
+                break;
             }
+            let merged = Run::from_sorted(MergeSorted {
+                a: older.entries().peekable(),
+                b: newer.entries().peekable(),
+            });
+            self.runs.truncate(self.runs.len() - 2);
+            self.runs.push(Arc::new(merged));
+            self.merges += 1;
         }
-        self.max_hi = build_max_tree(&his);
-        self.los = los;
-        self.his = his;
-        self.positions = positions;
-        self.pending.clear();
     }
 
-    /// Number of interval entries in the index (main run + pending run).
+    /// How many run merges this index (and the indexes it was cloned
+    /// from) has performed — each one a long insert.
+    pub fn merges(&self) -> u64 {
+        self.merges
+    }
+
+    /// Number of runs a query probes besides the pending run.
+    pub fn run_count(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Do `self` and `other` hold the same allocation as run `i` (oldest
+    /// first)? What the structural-sharing tests assert on.
+    pub fn shares_run_with(&self, other: &LifespanIndex, i: usize) -> bool {
+        matches!((self.runs.get(i), other.runs.get(i)), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+    }
+
+    /// Number of interval entries in the index (runs + pending run).
     pub fn entry_count(&self) -> usize {
-        self.los.len() + self.pending.len()
+        self.runs.iter().map(|r| r.len()).sum::<usize>() + self.pending.len()
     }
 
     /// Number of indexed tuples.
@@ -150,7 +166,7 @@ impl LifespanIndex {
 
     /// Is the index empty (no intervals at all)?
     pub fn is_empty(&self) -> bool {
-        self.los.is_empty() && self.pending.is_empty()
+        self.runs.is_empty() && self.pending.is_empty()
     }
 
     /// Chronon stabbing: positions of tuples alive at `t`, sorted ascending.
@@ -181,21 +197,82 @@ impl LifespanIndex {
     /// Pushes (possibly duplicate, unsorted) positions of entries
     /// overlapping `[a, b]` onto `out`.
     fn report(&self, a: i64, b: i64, out: &mut Vec<usize>) {
-        // Prefix of entries that can overlap: lo <= b.
-        let prefix = self.los.partition_point(|&lo| lo <= b);
-        if prefix > 0 {
-            // Descend the implicit segment tree over [0, prefix), pruning
-            // subtrees whose max hi < a.
-            self.descend(1, 0, self.los.len(), prefix, a, out);
+        for run in &self.runs {
+            // Prefix of entries that can overlap: lo <= b.
+            let prefix = run.los.partition_point(|&lo| lo <= b);
+            if prefix > 0 {
+                // Descend the implicit segment tree over [0, prefix),
+                // pruning subtrees whose max hi < a.
+                run.descend(1, 0, run.len(), prefix, a, out);
+            }
         }
         // The pending run is sorted by lo too: same prefix argument, but
-        // it is short (≤ pending_limit), so a linear filter suffices.
+        // it is short (≤ PENDING_MAX), so a linear filter suffices.
         let pending_prefix = self.pending.partition_point(|e| e.0 <= b);
         for &(_, hi, pos) in &self.pending[..pending_prefix] {
             if hi >= a {
                 out.push(pos as usize);
             }
         }
+    }
+}
+
+/// Merges two sorted entry streams into one.
+struct MergeSorted<A: Iterator, B: Iterator> {
+    a: std::iter::Peekable<A>,
+    b: std::iter::Peekable<B>,
+}
+
+impl<A, B> Iterator for MergeSorted<A, B>
+where
+    A: Iterator<Item = (i64, i64, u32)>,
+    B: Iterator<Item = (i64, i64, u32)>,
+{
+    type Item = (i64, i64, u32);
+
+    fn next(&mut self) -> Option<(i64, i64, u32)> {
+        match (self.a.peek(), self.b.peek()) {
+            (Some(x), Some(y)) if x <= y => self.a.next(),
+            (_, Some(_)) => self.b.next(),
+            (_, None) => self.a.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let (a, b) = (self.a.size_hint().0, self.b.size_hint().0);
+        (a + b, None)
+    }
+}
+
+impl Run {
+    /// Builds a run from entries already sorted ascending.
+    fn from_sorted(entries: impl Iterator<Item = (i64, i64, u32)>) -> Run {
+        let n = entries.size_hint().0;
+        let (mut los, mut his, mut positions) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
+        for (lo, hi, pos) in entries {
+            los.push(lo);
+            his.push(hi);
+            positions.push(pos);
+        }
+        Run {
+            max_hi: build_max_tree(&his),
+            los,
+            his,
+            positions,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.los.len()
+    }
+
+    /// The run's entries, ascending.
+    fn entries(&self) -> impl Iterator<Item = (i64, i64, u32)> + '_ {
+        (0..self.len()).map(|i| (self.los[i], self.his[i], self.positions[i]))
     }
 
     /// Visits tree node `node` covering entry range `[lo, hi)`, restricted
@@ -349,7 +426,7 @@ mod tests {
     /// every prefix — across the pending run, merges, and fresh appends.
     #[test]
     fn incremental_matches_rebuild_at_every_prefix() {
-        // Enough tuples to force several merges past the 64-entry floor.
+        // Enough tuples to freeze the pending run and merge runs several times.
         let spans: Vec<Vec<(i64, i64)>> = (0..300)
             .map(|i| {
                 let base = (i * 7) % 200;
@@ -381,15 +458,31 @@ mod tests {
         }
     }
 
+    /// A clone answers as of its own moment however many inserts and run
+    /// merges the original goes through afterwards, and the stack stays
+    /// logarithmic.
     #[test]
-    fn merge_pending_is_idempotent_and_preserves_answers() {
-        let mut i = idx(&[&[(0, 9)], &[(5, 20)]]);
-        i.insert(2, &Lifespan::interval(15, 30));
-        let before = i.overlapping(&Lifespan::interval(0, 40));
-        i.merge_pending();
-        i.merge_pending();
-        assert_eq!(i.overlapping(&Lifespan::interval(0, 40)), before);
-        assert_eq!(i.entry_count(), 3);
+    fn clones_are_unaffected_by_later_inserts_and_merges() {
+        let lifespans: Vec<Lifespan> = (0..5_000i64)
+            .map(|i| Lifespan::interval((i * 37) % 900, (i * 37) % 900 + i % 40))
+            .collect();
+        let mut live = LifespanIndex::build(lifespans[..1_000].iter());
+        let frozen = live.clone();
+        for (pos, ls) in lifespans.iter().enumerate().skip(1_000) {
+            live.insert(pos, ls);
+        }
+        assert!(live.merges() > 10, "merged {} times", live.merges());
+        assert!(live.run_count() <= 8, "{} runs", live.run_count());
+        assert!(!live.shares_run_with(&frozen, 0), "the bulk run was merged");
+        let at_clone = LifespanIndex::build(lifespans[..1_000].iter());
+        let rebuilt = LifespanIndex::build(lifespans.iter());
+        for lo in (0..950).step_by(13) {
+            let w = Lifespan::interval(lo, lo + 9);
+            assert_eq!(frozen.overlapping(&w), at_clone.overlapping(&w));
+            assert_eq!(live.overlapping(&w), rebuilt.overlapping(&w));
+        }
+        assert_eq!(frozen.tuple_count(), 1_000);
+        assert_eq!(live.entry_count(), rebuilt.entry_count());
     }
 
     #[test]

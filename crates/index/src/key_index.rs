@@ -2,6 +2,34 @@
 
 use hrdm_core::{Attribute, Relation, Tuple, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
+
+/// How many entries the newest tier may hold and still be copied rather
+/// than frozen when a clone shares it: the per-commit copy a published
+/// snapshot costs the next insert.
+const COPY_LIMIT: usize = 32;
+
+/// The positions filed under one key: one, except in relations the
+/// paper's *uncorrected* set operators produced.
+#[derive(Clone, Debug)]
+enum Positions {
+    One(usize),
+    Many(Vec<usize>),
+}
+
+impl Positions {
+    fn as_slice(&self) -> &[usize] {
+        match self {
+            Positions::One(pos) => std::slice::from_ref(pos),
+            Positions::Many(all) => all,
+        }
+    }
+}
+
+/// One hash map of the index. An entry holds **every** position of its
+/// key up to the moment it was written, so the newest tier that knows a
+/// key answers for all older ones.
+type Tier = HashMap<Arc<[Value]>, Positions>;
 
 /// A hash index over a relation's (constant-valued) key attributes.
 ///
@@ -10,14 +38,44 @@ use std::collections::HashMap;
 /// §3), so a key value is one atomic [`Value`] per key attribute and never
 /// varies over time — exactly what a classical hash index can serve.
 ///
-/// The map goes from key vectors to **tuple positions**. A well-formed
-/// relation has at most one position per key, but relations produced by the
-/// paper's *uncorrected* set operators may violate the key constraint, so
-/// each key maps to a (usually singleton) position list.
+/// The map goes from key vectors to **tuple positions**, ascending. A
+/// well-formed relation has at most one position per key, but relations
+/// produced by the paper's *uncorrected* set operators may violate the key
+/// constraint, so each key maps to a (usually singleton) position list.
+///
+/// ## Sharing and copy-on-write
+///
+/// The index is a short stack of `Arc`'d hash maps — *tiers*, oldest
+/// first, each at least twice the size of the next — so
+/// [`KeyIndex::clone`] is one reference-count bump per tier, and an insert
+/// never copies more than the newest tier:
+///
+/// * [`KeyIndex::build`] yields exactly one tier, and while no clone
+///   shares the newest tier, inserts go into it in place: an index that
+///   is never cloned stays one map and one probe per lookup, however
+///   large it grows.
+/// * When a clone (a published snapshot) shares the newest tier, an
+///   insert copies it if it holds at most 32 entries;
+///   otherwise it leaves it frozen — the clone keeps it, uncopied — and
+///   opens a fresh tier on top.
+/// * Freezing restores the size rule by *folding*: while a tier is less
+///   than twice the one above it, the two are merged into one map. Each
+///   entry is re-filed O(log n) times over the index's life, so inserts
+///   stay amortized O(log n) with an occasional long fold
+///   ([`KeyIndex::folds`] counts them), instead of the O(n) copy per
+///   commit a single shared map costs.
+///
+/// [`KeyIndex::lookup`] probes tiers newest-first and returns the first
+/// hit; with `k` tiers (`k ≤ log₂(n / 32) + 2`) a miss costs `k`
+/// probes. A clone is never affected by later inserts or folds: shared
+/// tiers are only ever read.
 #[derive(Clone, Debug)]
 pub struct KeyIndex {
     attrs: Vec<Attribute>,
-    map: HashMap<Vec<Value>, Vec<usize>>,
+    /// Oldest first; never empty.
+    tiers: Vec<Arc<Tier>>,
+    distinct_keys: usize,
+    folds: u64,
 }
 
 impl KeyIndex {
@@ -29,12 +87,22 @@ impl KeyIndex {
         if attrs.is_empty() {
             return None;
         }
-        let mut map: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(r.len());
+        let mut tier: Tier = HashMap::with_capacity(r.len());
         for (pos, t) in r.iter().enumerate() {
             let key = t.key_values(r.scheme()).ok()?;
-            map.entry(key).or_default().push(pos);
+            tier.entry(key.into())
+                .and_modify(|held| match held {
+                    Positions::One(first) => *held = Positions::Many(vec![*first, pos]),
+                    Positions::Many(all) => all.push(pos),
+                })
+                .or_insert(Positions::One(pos));
         }
-        Some(KeyIndex { attrs, map })
+        Some(KeyIndex {
+            attrs,
+            distinct_keys: tier.len(),
+            tiers: vec![Arc::new(tier)],
+            folds: 0,
+        })
     }
 
     /// Registers the tuple at `pos` under its constant key value.
@@ -45,12 +113,48 @@ impl KeyIndex {
     /// [`KeyIndex::build`] returning `None` for such relations).
     #[must_use]
     pub fn insert(&mut self, pos: usize, tuple: &Tuple) -> bool {
-        match self.probe_key_of(tuple) {
-            Some(key) => {
-                self.map.entry(key).or_default().push(pos);
-                true
+        let Some(key) = self.probe_key_of(tuple) else {
+            return false;
+        };
+        let entry = match self.lookup(&key) {
+            [] => {
+                self.distinct_keys += 1;
+                Positions::One(pos)
             }
-            None => false,
+            earlier => Positions::Many(earlier.iter().copied().chain([pos]).collect()),
+        };
+        self.writable_tier().insert(key.into(), entry);
+        true
+    }
+
+    /// The newest tier, made writable: in place when nothing shares it,
+    /// by copy when it is small, else by freezing it under a fresh tier.
+    fn writable_tier(&mut self) -> &mut Tier {
+        let frozen = self
+            .tiers
+            .last_mut()
+            .is_some_and(|t| Arc::get_mut(t).is_none() && t.len() > COPY_LIMIT);
+        if frozen {
+            self.fold();
+            self.tiers.push(Arc::default());
+        }
+        let newest = self.tiers.len() - 1;
+        Arc::make_mut(&mut self.tiers[newest])
+    }
+
+    /// Merges tiers from the top down while one is less than twice the
+    /// size of the tier above it. A tier a clone shares is copied before
+    /// it absorbs its neighbour, so the clone's tiers stay as they were.
+    fn fold(&mut self) {
+        while let [.., older, newer] = self.tiers.as_slice() {
+            if older.len() >= 2 * newer.len() {
+                break;
+            }
+            let newer = self.tiers.pop().unwrap_or_default();
+            if let Some(older) = self.tiers.last_mut() {
+                Arc::make_mut(older).extend(newer.iter().map(|(k, v)| (Arc::clone(k), v.clone())));
+            }
+            self.folds += 1;
         }
     }
 
@@ -60,9 +164,13 @@ impl KeyIndex {
     }
 
     /// Positions of tuples whose key equals `key` (one value per key
-    /// attribute, in key order). Empty when no tuple matches.
+    /// attribute, in key order), ascending. Empty when no tuple matches.
     pub fn lookup(&self, key: &[Value]) -> &[usize] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
+        self.tiers
+            .iter()
+            .rev()
+            .find_map(|tier| tier.get(key))
+            .map_or(&[], Positions::as_slice)
     }
 
     /// Extracts `tuple`'s constant values for the indexed attributes, when
@@ -76,7 +184,24 @@ impl KeyIndex {
 
     /// Number of distinct key values.
     pub fn distinct_keys(&self) -> usize {
-        self.map.len()
+        self.distinct_keys
+    }
+
+    /// How many tier merges this index (and the indexes it was cloned
+    /// from) has performed — each one a long insert.
+    pub fn folds(&self) -> u64 {
+        self.folds
+    }
+
+    /// Number of tiers a lookup may have to probe.
+    pub fn tier_count(&self) -> usize {
+        self.tiers.len()
+    }
+
+    /// Do `self` and `other` hold the same allocation as tier `i`
+    /// (oldest first)? What the structural-sharing tests assert on.
+    pub fn shares_tier_with(&self, other: &KeyIndex, i: usize) -> bool {
+        matches!((self.tiers.get(i), other.tiers.get(i)), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
     }
 }
 

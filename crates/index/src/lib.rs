@@ -43,6 +43,17 @@ use hrdm_core::{Relation, Tuple};
 /// access method current, so `hrdm-storage::Database` never has to drop
 /// them across inserts (wholesale replacement of a relation still rebuilds
 /// via [`RelationIndexes::build`]).
+///
+/// ## Sharing and copy-on-write
+///
+/// A clone shares everything large with its original: the key index's
+/// hash-map tiers and the lifespan index's sorted runs are `Arc`'d and
+/// never edited while shared, so cloning costs a few reference-count bumps
+/// plus the lifespan index's short pending run, and an insert after a clone
+/// copies at most one small tier — never a whole map (see [`KeyIndex`] and
+/// [`LifespanIndex`]). What a published snapshot costs the next insert is
+/// therefore bounded, and paid back by occasional merges that
+/// [`RelationIndexes::folds`] counts.
 #[derive(Clone, Debug)]
 pub struct RelationIndexes {
     lifespan: LifespanIndex,
@@ -65,8 +76,9 @@ impl RelationIndexes {
     /// append-only).
     ///
     /// The lifespan index absorbs the tuple through its pending run; the
-    /// key index is updated in place, or dropped if the tuple carries no
-    /// constant key value (then key probes are no longer answerable).
+    /// key index files it in its newest tier, or is dropped if the tuple
+    /// carries no constant key value (then key probes are no longer
+    /// answerable).
     pub fn insert(&mut self, pos: usize, tuple: &Tuple) {
         assert_eq!(
             pos, self.tuple_count,
@@ -95,6 +107,13 @@ impl RelationIndexes {
     /// Number of tuples the indexes were built over.
     pub fn tuple_count(&self) -> usize {
         self.tuple_count
+    }
+
+    /// How many amortizing merges the inserts so far have triggered: key
+    /// tier folds plus lifespan run merges. An insert that bumps
+    /// this did O(n)-ish work on behalf of the cheap ones before it.
+    pub fn folds(&self) -> u64 {
+        self.lifespan.merges() + self.key.as_ref().map_or(0, KeyIndex::folds)
     }
 }
 

@@ -1020,17 +1020,18 @@ pub fn read_frame_after_len(r: &mut impl Read, len: u32) -> Result<(u64, u128, F
 }
 
 /// Reassembles a streamed relation result: header scheme + chunked
-/// tuples. Tuples are validated against the scheme (the transport is not
-/// trusted to uphold model invariants) and the key constraint is
-/// re-checked by [`Relation::with_tuples`].
+/// tuples. Each tuple is validated against the scheme (the transport is
+/// not trusted to uphold model invariants); the key constraint is *not*
+/// re-imposed, because a query result need not satisfy it — the paper's
+/// plain `UNION` legitimately yields tuples sharing a key (Fig. 11).
+/// Linear in the result size.
 pub fn assemble_relation(scheme: Scheme, tuples: Vec<Tuple>) -> Result<Relation, WireError> {
     for t in &tuples {
         t.validate(&scheme).map_err(|e| {
             WireError::Protocol(format!("streamed tuple violates the result scheme: {e}"))
         })?;
     }
-    Relation::with_tuples(scheme, tuples)
-        .map_err(|e| WireError::Protocol(format!("streamed tuples do not form a relation: {e}")))
+    Ok(Relation::from_parts_unchecked(scheme, tuples))
 }
 
 #[cfg(test)]

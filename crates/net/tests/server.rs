@@ -517,6 +517,73 @@ fn racing_remote_materializations_both_succeed() {
     server.shutdown();
 }
 
+/// The paper's plain `UNION` keeps both operands' tuples, so the union of
+/// two overlapping TIME-SLICEs holds two tuples per object — same key,
+/// different lifespans (Fig. 11's "counter-intuitive" result). The client
+/// must hand that relation over as the server computed it, not reject it
+/// for violating a key constraint query results are not subject to.
+#[test]
+fn query_returns_a_union_whose_tuples_share_keys() {
+    let (server, db) = spawn_server(ServerConfig::default());
+    db.create_relation("emp", scheme()).unwrap();
+    for k in [1, 2, 3] {
+        db.insert("emp", tup(k)).unwrap(); // alive on [k, k + 50]
+    }
+    let text = "TIMESLICE [0..30] (emp) UNION TIMESLICE [20..60] (emp)";
+    let expected = match hrdm_query::run_query_on_snapshot(text, &*db.snapshot()).unwrap() {
+        QueryResult::Relation(r) => r,
+        other => panic!("expected relation, got {other:?}"),
+    };
+    assert_eq!(expected.len(), 6, "two slices of each of three objects");
+    assert!(expected.check_key_constraint().is_err());
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    match client.query(text).unwrap() {
+        QueryResult::Relation(r) => assert_eq!(r, expected),
+        other => panic!("expected relation, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+/// Assembling a streamed result is linear in its size: doubling a scan
+/// from 12 500 to 25 000 rows must about double the time of
+/// `Client::query`, not quadruple it (the keyed re-insert it used to do
+/// scanned every earlier tuple for each arriving one). The bound is a
+/// ratio of best-of-three timings on the same machine, not a wall-clock
+/// constant.
+#[test]
+fn query_assembles_a_25k_row_scan_in_linear_time() {
+    let (server, db) = spawn_server(ServerConfig::default());
+    for (name, n) in [("half", 12_500i64), ("full", 25_000)] {
+        db.create_relation(name, scheme()).unwrap();
+        let tuples: Vec<Tuple> = (0..n).map(tup).collect();
+        db.put_relation(name, Relation::from_parts_unchecked(scheme(), tuples))
+            .unwrap();
+    }
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut best_of_three = |name: &str, rows: usize| {
+        (0..3)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                match client.query(name).unwrap() {
+                    QueryResult::Relation(r) => assert_eq!(r.len(), rows),
+                    other => panic!("expected relation, got {other:?}"),
+                }
+                started.elapsed()
+            })
+            .min()
+            .unwrap()
+    };
+    let half = best_of_three("half", 12_500);
+    let full = best_of_three("full", 25_000);
+    let ratio = full.as_secs_f64() / half.as_secs_f64();
+    assert!(
+        ratio < 3.0,
+        "25k rows took {full:?}, 12.5k rows {half:?}: ratio {ratio:.2} (linear ≈ 2, quadratic ≈ 4)"
+    );
+    server.shutdown();
+}
+
 /// The cancel-latency acceptance scenario: on a 100 000-row scan, a
 /// `Cancel` that lands while the stream is live aborts it mid-scan — the
 /// client receives a partial row count and a structured `Cancelled`, not

@@ -44,7 +44,7 @@ use hrdm_core::algebra::{
     cartesian_product, difference, difference_o, intersection, intersection_o, natural_join,
     theta_join, time_join, union, union_o, Comparator, Predicate, Quantifier,
 };
-use hrdm_core::{Attribute, HrdmError, Relation, Scheme, Tuple};
+use hrdm_core::{Attribute, HrdmError, PVec, Relation, Scheme, Tuple};
 use hrdm_index::RelationIndexes;
 use hrdm_time::Lifespan;
 use std::fmt;
@@ -467,8 +467,8 @@ fn scan_next_batch(state: &mut ScanState, batch_rows: usize) -> Option<RowBatch>
             }
         }
         None => {
-            if let Some(slice) = state.relation.tuples().get(state.cursor..end) {
-                rows.extend_from_slice(slice);
+            for leaf in state.relation.tuples().slices(state.cursor..end) {
+                rows.extend_from_slice(leaf);
             }
         }
     }
@@ -830,7 +830,7 @@ struct GatherRuntime {
 
 /// The shared, immutable context of one parallel scan.
 struct GatherJob {
-    tuples: Arc<Vec<Tuple>>,
+    tuples: PVec<Tuple>,
     morsels: Vec<Morsel>,
     next_morsel: AtomicUsize,
     ops: Vec<TupleOp>,
@@ -858,14 +858,12 @@ fn gather_worker(job: &GatherJob, tx: &SyncSender<Result<Vec<Tuple>, HrdmError>>
         let Some(morsel) = job.morsels.get(m) else {
             break;
         };
-        let positions: &mut dyn Iterator<Item = usize> = match morsel {
-            Morsel::Range(lo, hi) => &mut (*lo..*hi),
-            Morsel::Positions(p) => &mut p.iter().copied(),
+        // A range walks whole leaves; a position set descends per tuple.
+        let tuples: &mut dyn Iterator<Item = &Tuple> = match morsel {
+            Morsel::Range(lo, hi) => &mut job.tuples.slices(*lo..*hi).flatten(),
+            Morsel::Positions(p) => &mut p.iter().filter_map(|&pos| job.tuples.get(pos)),
         };
-        for pos in positions {
-            let Some(t) = job.tuples.get(pos) else {
-                continue;
-            };
+        for t in tuples {
             match apply_chain(&job.ops, t) {
                 Ok(Some(t2)) => {
                     batch.push(t2);
@@ -945,7 +943,7 @@ impl QueryExecutor for GatherExec<'_> {
             let workers = self.workers.min(morsels.len()).max(1);
             let stop = Arc::new(AtomicBool::new(false));
             let job = Arc::new(GatherJob {
-                tuples: r.tuples_shared(),
+                tuples: r.tuples().clone(),
                 morsels,
                 next_morsel: AtomicUsize::new(0),
                 ops,

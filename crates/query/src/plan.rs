@@ -66,7 +66,8 @@ impl IndexSource for hrdm_storage::Database {
 /// Snapshots carry their relations *and* the matching frozen indexes, so a
 /// planned query against a snapshot uses index scans whose positions are
 /// valid by construction — the index and tuple vector were published
-/// together, and concurrent writers copy-on-write instead of mutating them.
+/// together, and concurrent writers copy what they change of them instead
+/// of mutating it.
 impl IndexSource for hrdm_storage::DbSnapshot {
     fn indexes(&self, name: &str) -> Option<&RelationIndexes> {
         hrdm_storage::DbSnapshot::indexes(self, name)

@@ -315,7 +315,7 @@ fn interleaved_inserts_keep_index_scans_and_equivalence() {
             .unwrap();
         db.insert("r", t).unwrap();
 
-        // No `ensure_indexes`, no rebuild: the write path alone must have
+        // No rebuild: the write path alone must have
         // kept the indexes live.
         for q in &queries {
             let e = parse_expr(q).unwrap();

@@ -382,11 +382,32 @@ impl<'a> Decoder<'a> {
 
     /// A tuple.
     pub fn get_tuple(&mut self) -> Result<Tuple, CodecError> {
+        self.get_tuple_naming(|name| Attribute::new(name))
+    }
+
+    /// A tuple of a relation on `scheme`: attribute names the scheme
+    /// knows are shared with it (a reference-count bump) instead of
+    /// allocated afresh for every tuple — what loaders of whole
+    /// relations use.
+    pub fn get_tuple_in(&mut self, scheme: &Scheme) -> Result<Tuple, CodecError> {
+        self.get_tuple_naming(|name| {
+            scheme
+                .attr_names()
+                .find(|a| a.name() == name)
+                .cloned()
+                .unwrap_or_else(|| Attribute::new(name))
+        })
+    }
+
+    fn get_tuple_naming(
+        &mut self,
+        attribute: impl Fn(&str) -> Attribute,
+    ) -> Result<Tuple, CodecError> {
         let lifespan = self.get_lifespan()?;
         let n = self.get_u64()? as usize;
         let mut values = BTreeMap::new();
         for _ in 0..n {
-            let a = Attribute::new(self.get_str()?);
+            let a = attribute(self.get_str()?);
             let tv = self.get_temporal_value()?;
             values.insert(a, tv);
         }
@@ -399,7 +420,7 @@ impl<'a> Decoder<'a> {
         let n = self.get_u64()? as usize;
         let mut tuples = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
-            let t = self.get_tuple()?;
+            let t = self.get_tuple_in(&scheme)?;
             t.validate(&scheme)
                 .map_err(|e| CodecError::Model(e.to_string()))?;
             tuples.push(t);

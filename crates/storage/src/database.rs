@@ -31,8 +31,9 @@ use crate::catalog::Catalog;
 use crate::codec::{CodecError, Decoder, Encoder};
 use crate::heap::HeapFile;
 use crate::page::crc32;
-use crate::partition::{PartitionMap, PartitionPolicy};
+use crate::partition::{birth_of, position_u32, PartitionMap, PartitionPolicy};
 use crate::snapshot::DbSnapshot;
+use crate::table::{Table, Tables};
 use crate::wal::{Wal, WalRecord};
 use hrdm_core::{Attribute, HistoricalDomain, HrdmError, Relation, Scheme, Tuple};
 use hrdm_index::RelationIndexes;
@@ -121,24 +122,12 @@ struct Attachment {
     poisoned: bool,
 }
 
-/// What a failed batch fsync must restore (see [`Database::undo_point`]).
-enum BatchUndo {
-    /// Insert-only batch: pre-batch tuple counts of the touched relations.
-    InsertLens {
-        /// Relation → tuple count before the batch.
-        lens: BTreeMap<String, usize>,
-        /// The mutation counter before the batch.
-        ops_applied: u64,
-    },
-    /// Batch with catalog- or wholesale-relation ops: the pinned pre-batch
-    /// state.
-    Full {
-        catalog: Arc<Catalog>,
-        relations: BTreeMap<String, Relation>,
-        indexes: BTreeMap<String, Arc<RelationIndexes>>,
-        partitions: BTreeMap<String, Arc<PartitionMap>>,
-        ops_applied: u64,
-    },
+/// What a failed batch fsync must restore: the pinned pre-batch state (see
+/// [`Database::undo_point`]).
+struct BatchUndo {
+    catalog: Arc<Catalog>,
+    tables: Tables,
+    ops_applied: u64,
 }
 
 /// How a pre-validated insert should be applied.
@@ -159,35 +148,33 @@ enum InsertDisposition {
 /// path that [`crate::ConcurrentDatabase`] drives from many threads. The
 /// single-op methods ([`Database::insert`], …) are one-element batches.
 ///
-/// Committed state is cheap to snapshot ([`Database::snapshot`]): relations
-/// are copy-on-write and indexes are `Arc`-shared, so a [`DbSnapshot`] costs
-/// O(relations), never O(tuples).
+/// ## Sharing and copy-on-write
+///
+/// Each relation's tuples, indexes (`hrdm-index`) and chronon-range
+/// partition map live together in one `Arc`'d table, maintained
+/// **incrementally** by inserts and rebuilt in bulk by
+/// `put_relation`/`create_relation`/[`Database::load`]. Taking a
+/// [`DbSnapshot`] ([`Database::snapshot`]) bumps one reference count per
+/// relation. The insert that follows finds its table shared and copies
+/// what it is about to change — the tuple vector's 64-slot tail, the key
+/// index's newest tier (at most 32 entries), the lifespan index's short
+/// pending run, and the one partition the tuple lands in — O(log n) in
+/// all, never the relation. With no snapshot (or batch undo point)
+/// outstanding, inserts mutate in place.
 #[derive(Default)]
 pub struct Database {
     /// Copy-on-write: snapshots share the catalog via this `Arc`, and the
     /// rare catalog-changing ops (create, evolution) clone it first.
     catalog: Arc<Catalog>,
-    relations: BTreeMap<String, Relation>,
-    /// Access methods per relation (`hrdm-index`), maintained
-    /// **incrementally**: `insert` updates them (copy-on-write when a
-    /// snapshot shares them), `put_relation`/`create_relation`/
-    /// [`Database::load`] (re)build them. An absent entry (only possible
-    /// after out-of-band mutation through [`Database::relation`]-adjacent
-    /// APIs) makes the planner fall back to sequential scans;
-    /// [`Database::ensure_indexes`] rebuilds it.
-    indexes: BTreeMap<String, Arc<RelationIndexes>>,
+    /// Per relation: tuples plus the access paths over them. Checkpoints
+    /// persist one heap file per partition and rewrite only the dirty
+    /// ones.
+    tables: Tables,
     /// `Some` when attached to a directory (durable mode).
     attachment: Option<Attachment>,
     /// Monotone count of applied mutations — the version stamped onto
     /// snapshots, so readers can order the states they observe.
     ops_applied: u64,
-    /// Chronon-range partition map per relation (`hrdm-storage`'s
-    /// [`partition`](crate::partition) module): pure physical metadata
-    /// over the flat tuple vectors, maintained incrementally alongside
-    /// `indexes` and `Arc`-shared into snapshots, so readers keep a
-    /// frozen map across repartitions. Checkpoints persist one heap file
-    /// per partition and rewrite only the dirty ones.
-    partitions: BTreeMap<String, Arc<PartitionMap>>,
     /// The boundary policy new partition maps are built under. Persisted
     /// in the catalog (header v3) at checkpoint; **not** WAL-logged —
     /// partitioning is physical, so a policy change between checkpoints
@@ -250,21 +237,12 @@ impl Database {
             .create_relation(name, scheme.clone())
             // lint: no-panic-ok(stage() validated the name is fresh against this exact state; divergence is a logic bug where crashing beats corrupting)
             .expect("pre-validated: relation name is fresh");
-        let relation = Relation::new(scheme);
-        self.indexes.insert(
-            name.to_string(),
-            Arc::new(RelationIndexes::build(&relation)),
-        );
-        self.partitions.insert(
-            name.to_string(),
-            Arc::new(PartitionMap::build(&relation, self.partition_policy)),
-        );
-        self.relations.insert(name.to_string(), relation);
+        self.apply_put_unchecked(name, Relation::new(scheme));
     }
 
     /// The relation named `name`.
     pub fn relation(&self, name: &str) -> Option<&Relation> {
-        self.relations.get(name)
+        self.tables.get(name).map(|t| &t.relation)
     }
 
     /// Replaces the contents of `name` (e.g. with a query result),
@@ -286,15 +264,8 @@ impl Database {
     }
 
     fn apply_put_unchecked(&mut self, name: &str, relation: Relation) {
-        self.indexes.insert(
-            name.to_string(),
-            Arc::new(RelationIndexes::build(&relation)),
-        );
-        self.partitions.insert(
-            name.to_string(),
-            Arc::new(PartitionMap::build(&relation, self.partition_policy)),
-        );
-        self.relations.insert(name.to_string(), relation);
+        let table = Table::build(relation, self.partition_policy);
+        self.tables.insert(name.into(), Arc::new(table));
     }
 
     /// Inserts a tuple into `name`, maintaining the relation's indexes
@@ -344,7 +315,7 @@ impl Database {
             // `&self`, so every call yields the same poisoned-WAL error.
             return ops.iter().map(|_| self.check_writable()).collect();
         }
-        let undo = self.attachment.as_ref().map(|_| self.undo_point(&ops));
+        let undo = self.attachment.as_ref().map(|_| self.undo_point());
         let mut results: Vec<Result<(), DbError>> = Vec::with_capacity(ops.len());
         let mut payloads: Vec<Vec<u8>> = Vec::new();
         for op in &ops {
@@ -391,80 +362,26 @@ impl Database {
         results
     }
 
-    /// Captures what a failed batch fsync would need to restore.
-    ///
-    /// Insert-only batches (the overwhelmingly common case) record just the
-    /// pre-batch tuple counts: inserts are append-only, so undo is
-    /// truncation plus an index rebuild of the touched relations — nothing
-    /// is `Arc`-pinned, so the happy path pays no copy-on-write toll.
-    /// Batches carrying catalog or wholesale-relation ops pin the whole
-    /// pre-batch state instead (O(relations) `Arc` bumps; the touched
-    /// relations pay one pointer-copy on mutation).
-    fn undo_point(&self, ops: &[WalRecord]) -> BatchUndo {
-        let insert_only = ops.iter().all(|op| matches!(op, WalRecord::Insert { .. }));
-        if insert_only {
-            let mut lens = BTreeMap::new();
-            for op in ops {
-                if let WalRecord::Insert { relation, .. } = op {
-                    if let Some(rel) = self.relations.get(relation) {
-                        lens.entry(relation.clone()).or_insert(rel.len());
-                    }
-                }
-            }
-            BatchUndo::InsertLens {
-                lens,
-                ops_applied: self.ops_applied,
-            }
-        } else {
-            BatchUndo::Full {
-                catalog: Arc::clone(&self.catalog),
-                relations: self.relations.clone(),
-                indexes: self.indexes.clone(),
-                partitions: self.partitions.clone(),
-                ops_applied: self.ops_applied,
-            }
+    /// Pins the pre-batch state for a failed batch fsync to restore: one
+    /// reference-count bump per relation. The first op of the batch to
+    /// touch a relation then copies what it changes of that relation's
+    /// table (O(log n), see [`Table`]), exactly as after a snapshot.
+    fn undo_point(&self) -> BatchUndo {
+        BatchUndo {
+            catalog: Arc::clone(&self.catalog),
+            tables: self.tables.clone(),
+            ops_applied: self.ops_applied,
         }
     }
 
     /// Restores the state captured by [`Database::undo_point`] — memory
     /// returns to exactly the pre-batch (durable) state, so a write that
     /// returned `Err` never becomes visible, not even through a later
-    /// checkpoint.
+    /// checkpoint. Partition dirty flags come back as they were.
     fn rollback(&mut self, undo: BatchUndo) {
-        match undo {
-            BatchUndo::InsertLens { lens, ops_applied } => {
-                for (name, old_len) in lens {
-                    let Some(rel) = self.relations.get_mut(&name) else {
-                        continue;
-                    };
-                    if rel.len() > old_len {
-                        rel.truncate(old_len);
-                        let rebuilt = RelationIndexes::build(rel);
-                        let policy = self.partition_policy;
-                        // Rebuild marks every partition dirty —
-                        // conservative (the next checkpoint rewrites
-                        // more), never incorrect.
-                        self.partitions
-                            .insert(name.clone(), Arc::new(PartitionMap::build(rel, policy)));
-                        self.indexes.insert(name, Arc::new(rebuilt));
-                    }
-                }
-                self.ops_applied = ops_applied;
-            }
-            BatchUndo::Full {
-                catalog,
-                relations,
-                indexes,
-                partitions,
-                ops_applied,
-            } => {
-                self.catalog = catalog;
-                self.relations = relations;
-                self.indexes = indexes;
-                self.partitions = partitions;
-                self.ops_applied = ops_applied;
-            }
-        }
+        self.catalog = undo.catalog;
+        self.tables = undo.tables;
+        self.ops_applied = undo.ops_applied;
     }
 
     /// Validates one operation against the current in-memory state and, if
@@ -556,10 +473,11 @@ impl Database {
     /// WAL append so the log only records applicable mutations. Uses the
     /// maintained key index for an `O(1)` duplicate probe where possible.
     fn validate_insert(&self, name: &str, tuple: &Tuple) -> Result<InsertDisposition, DbError> {
-        let rel = self
-            .relations
+        let table = self
+            .tables
             .get(name)
             .ok_or_else(|| DbError::Model(HrdmError::UnknownRelation(name.to_string())))?;
+        let rel = &table.relation;
         tuple.validate(rel.scheme()).map_err(DbError::Model)?;
         if rel.scheme().key().is_empty() {
             if rel.contains_tuple(tuple) {
@@ -568,7 +486,7 @@ impl Database {
             return Ok(InsertDisposition::Apply);
         }
         let key = tuple.key_values(rel.scheme()).map_err(DbError::Model)?;
-        let duplicate = match self.indexes.get(name).and_then(|idx| idx.key()) {
+        let duplicate = match table.indexes.key() {
             Some(key_idx) => !key_idx.lookup(&key).is_empty(),
             None => rel.find_by_key(&key).is_some(),
         };
@@ -588,16 +506,10 @@ impl Database {
 
     fn apply_insert_unchecked(&mut self, name: &str, tuple: Tuple) {
         // lint: no-panic-ok(stage() validated the relation exists in this exact state; divergence is a logic bug where crashing beats corrupting)
-        let rel = self.relations.get_mut(name).expect("pre-validated");
-        if let Some(idx) = self.indexes.get_mut(name) {
-            // Copy-on-write: shared with a snapshot → clone once, then
-            // mutate our private copy; unshared → in-place.
-            Arc::make_mut(idx).insert(rel.len(), &tuple);
-        }
-        if let Some(parts) = self.partitions.get_mut(name) {
-            Arc::make_mut(parts).insert(rel.len(), &tuple);
-        }
-        rel.push_unchecked(tuple);
+        let table = self.tables.get_mut(name).expect("pre-validated");
+        // Shared with a snapshot or an undo point → a cheap clone of the
+        // table (which shares its bulk), mutated; unshared → in place.
+        Arc::make_mut(table).push(tuple);
     }
 
     /// Adds a fresh attribute to `relation`, write-ahead logged when
@@ -661,7 +573,7 @@ impl Database {
         let Some(scheme) = self.catalog.scheme(name) else {
             return;
         };
-        let Some(rel) = self.relations.get(name) else {
+        let Some(rel) = self.relation(name) else {
             return;
         };
         if rel.scheme() == scheme {
@@ -669,53 +581,28 @@ impl Database {
         }
         let scheme = scheme.clone();
         let tuples: Vec<Tuple> = rel.iter().map(|t| t.clipped_to_scheme(&scheme)).collect();
-        let rebuilt = Relation::from_parts_unchecked(scheme, tuples);
         // Positions, lifespans, and (constant) key values are untouched by
         // clipping, but rebuild for clarity — evolution is rare.
-        self.indexes
-            .insert(name.to_string(), Arc::new(RelationIndexes::build(&rebuilt)));
-        self.partitions.insert(
-            name.to_string(),
-            Arc::new(PartitionMap::build(&rebuilt, self.partition_policy)),
-        );
-        self.relations.insert(name.to_string(), rebuilt);
+        self.apply_put_unchecked(name, Relation::from_parts_unchecked(scheme, tuples));
     }
 
-    /// The current, valid indexes of `name`, if built. `None` means an
-    /// unknown relation (or an index dropped out-of-band) — callers
-    /// (the query planner) must fall back to a sequential scan.
+    /// The current indexes of `name`; `None` means an unknown relation.
     pub fn indexes(&self, name: &str) -> Option<&RelationIndexes> {
-        self.indexes.get(name).map(Arc::as_ref)
+        self.tables.get(name).map(|t| &t.indexes)
     }
 
-    /// Ensures `name`'s indexes exist and are current, building if needed.
-    pub fn ensure_indexes(&mut self, name: &str) -> hrdm_core::Result<&RelationIndexes> {
-        if !self.relations.contains_key(name) {
-            return Err(HrdmError::UnknownRelation(name.to_string()));
-        }
-        if !self.indexes.contains_key(name) {
-            let built = RelationIndexes::build(&self.relations[name]);
-            self.indexes.insert(name.to_string(), Arc::new(built));
-        }
-        Ok(self.indexes[name].as_ref())
-    }
-
-    /// (Re)builds indexes — and the partition maps — for every relation.
+    /// Rebuilds the indexes — and the partition maps — of every relation
+    /// in bulk.
     pub fn build_indexes(&mut self) {
-        let names: Vec<String> = self.relations.keys().cloned().collect();
-        for name in names {
-            let built = RelationIndexes::build(&self.relations[&name]);
-            let parts = PartitionMap::build(&self.relations[&name], self.partition_policy);
-            self.indexes.insert(name.clone(), Arc::new(built));
-            self.partitions.insert(name, Arc::new(parts));
+        for table in self.tables.values_mut() {
+            *table = Arc::new(Table::build(table.relation.clone(), self.partition_policy));
         }
     }
 
-    /// The chronon-range partition map of `name`, if built. `None` means
-    /// an unknown relation — callers (the query planner) fall back to the
-    /// relation-wide indexes.
+    /// The chronon-range partition map of `name`; `None` means an unknown
+    /// relation.
     pub fn partitions(&self, name: &str) -> Option<&PartitionMap> {
-        self.partitions.get(name).map(Arc::as_ref)
+        self.tables.get(name).map(|t| &t.partitions)
     }
 
     /// The boundary policy new partition maps are built under.
@@ -736,34 +623,32 @@ impl Database {
             return;
         }
         self.partition_policy = policy;
-        let names: Vec<String> = self.relations.keys().cloned().collect();
-        for name in names {
-            let parts = PartitionMap::build(&self.relations[&name], policy);
-            self.partitions.insert(name, Arc::new(parts));
+        for table in self.tables.values_mut() {
+            let table = Arc::make_mut(table);
+            table.partitions = PartitionMap::build(&table.relation, policy);
         }
     }
 
     /// Marks every relation's partitions clean — the on-disk epoch now
     /// carries exactly their membership.
     fn mark_partitions_clean(&mut self) {
-        for parts in self.partitions.values_mut() {
-            Arc::make_mut(parts).mark_clean();
+        for table in self.tables.values_mut() {
+            Arc::make_mut(table).partitions.mark_clean();
         }
     }
 
     /// An immutable, cheaply-taken snapshot of the committed state.
     ///
-    /// Cost is O(relations): relations share their copy-on-write tuple
-    /// storage and indexes are `Arc`-shared, so no tuple is copied. The
-    /// snapshot is wholly unaffected by later mutations, checkpoints, or
-    /// WAL rotation — readers can evaluate whole query pipelines against
-    /// it without any lock.
+    /// Cost is one reference-count bump per relation (plus the catalog's):
+    /// no tuple, scheme, index entry or partition is copied, here or by
+    /// the writes that follow (they copy O(log n) of what they change —
+    /// see the type docs). The snapshot is wholly unaffected by later
+    /// mutations, checkpoints, or WAL rotation — readers can evaluate
+    /// whole query pipelines against it without any lock.
     pub fn snapshot(&self) -> DbSnapshot {
         DbSnapshot::new(
             Arc::clone(&self.catalog),
-            self.relations.clone(),
-            self.indexes.clone(),
-            self.partitions.clone(),
+            self.tables.clone(),
             self.epoch(),
             self.ops_applied,
         )
@@ -777,7 +662,7 @@ impl Database {
 
     /// The registered relation names.
     pub fn relation_names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.relations.keys().map(String::as_str)
+        self.tables.keys().map(|name| &**name)
     }
 
     /// Refuses durable writes once the WAL is poisoned (a failed append
@@ -802,12 +687,12 @@ impl Database {
             Some((db, epoch)) => (db, epoch),
             None => (Database::new(), 0),
         };
-        // Build indexes over the checkpointed state *before* replay: the
-        // replayed inserts then maintain them incrementally (O(1) key
-        // probes instead of a linear scan per replayed record).
-        db.build_indexes();
-        // The freshly built partition maps mirror the checkpoint's heap
-        // files exactly; only the WAL tail replayed below dirties them.
+        // The checkpointed tables come with indexes built in bulk, so the
+        // replayed inserts maintain them incrementally (O(1) key probes
+        // instead of a linear scan per replayed record) and in place —
+        // nothing shares the tables yet. Their partition maps mirror the
+        // checkpoint's heap files exactly; only the WAL tail replayed
+        // below dirties them.
         db.mark_partitions_clean();
         let wal_file = wal_path(dir, epoch);
         if wal_file.exists() {
@@ -993,17 +878,8 @@ impl Database {
     fn write_state(&self, dir: &Path, epoch: u64, link_from: Option<u64>) -> Result<(), DbError> {
         let mut linked = 0u64;
         let mut rewritten = 0u64;
-        for (name, rel) in &self.relations {
-            // Relations normally carry a live partition map; build one on
-            // the fly for out-of-band states (defensive, not a hot path).
-            let fallback;
-            let parts = match self.partitions.get(name) {
-                Some(p) => p.as_ref(),
-                None => {
-                    fallback = PartitionMap::build(rel, self.partition_policy);
-                    &fallback
-                }
-            };
+        for (name, table) in &self.tables {
+            let (rel, parts) = (&table.relation, &table.partitions);
             let mut any_dirty = false;
             for (id, part) in parts.iter() {
                 let final_path = partition_heap_path(dir, name, epoch, id);
@@ -1039,17 +915,11 @@ impl Database {
                     link_partition_file(&btree_path(dir, name, old), &btx_final)
                 });
             if !carried {
-                let mut entries: Vec<(i64, u32)> = Vec::new();
-                for (pos, tuple) in rel.iter().enumerate() {
-                    // Same birth rule as `PartitionMap::insert`: empty
-                    // lifespans are treated as born at chronon 0.
-                    let birth = tuple.lifespan().first().unwrap_or(Chronon::new(0)).tick();
-                    entries.push((
-                        birth,
-                        // lint: no-panic-ok(record ids are u32 on disk, so an in-memory relation can never reach u32::MAX rows)
-                        u32::try_from(pos).expect("relation fits in u32 positions"),
-                    ));
-                }
+                let mut entries: Vec<(i64, u32)> = rel
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, tuple)| (birth_of(tuple).tick(), position_u32(pos)))
+                    .collect();
                 let tmp_path = tmp_sibling(&btx_final);
                 LifespanBTree::build(
                     &tmp_path,
@@ -1066,16 +936,9 @@ impl Database {
         let mut enc = Encoder::new();
         self.catalog.encode(&mut enc);
         self.partition_policy.encode(&mut enc);
-        enc.put_u64(self.relations.len() as u64);
-        for (name, rel) in &self.relations {
-            let fallback;
-            let parts = match self.partitions.get(name) {
-                Some(p) => p.as_ref(),
-                None => {
-                    fallback = PartitionMap::build(rel, self.partition_policy);
-                    &fallback
-                }
-            };
+        enc.put_u64(self.tables.len() as u64);
+        for (name, table) in &self.tables {
+            let parts = &table.partitions;
             enc.put_str(name);
             enc.put_u64(parts.partition_count() as u64);
             for (id, part) in parts.iter() {
@@ -1134,11 +997,9 @@ impl Database {
                 )))
             }
         };
-        // Indexes and partition maps are derived data: rebuild rather
-        // than persist (before replay, so replayed inserts maintain them
-        // incrementally) — a load always starts with valid access paths
-        // for every relation.
-        db.build_indexes();
+        // Indexes and partition maps are derived data: `read_checkpoint`
+        // rebuilt them in bulk rather than loading them, so the replayed
+        // inserts maintain them incrementally.
         let wal_file = wal_path(dir, epoch);
         if wal_file.exists() {
             let (records, _torn) = Wal::replay(&wal_file)?;
@@ -1247,7 +1108,7 @@ fn read_checkpoint(dir: &Path) -> Result<Option<(Database, u64)>, DbError> {
         relations: manifest,
     } = manifest;
 
-    let mut relations = BTreeMap::new();
+    let mut tables = Tables::new();
     let names: Vec<String> = catalog.relations().map(str::to_string).collect();
     for name in names {
         let Some(scheme) = catalog.scheme(&name).cloned() else {
@@ -1263,16 +1124,16 @@ fn read_checkpoint(dir: &Path) -> Result<Option<(Database, u64)>, DbError> {
             )));
         };
         let mut tuples = Vec::new();
+        let mut any_clipped = false;
         for &(id, count, _, _) in parts {
             let path = partition_heap_path(dir, &name, epoch, id);
             let heap = HeapFile::open(&path).map_err(|e| io_with_path(&path, e))?;
             let mut in_partition = 0u64;
             for item in heap.scan() {
                 let (_, rec) = item.map_err(|e| io_with_path(&path, e))?;
-                // Clip to the (possibly evolved) scheme: values outside a
-                // shrunk ALS become invisible, not invalid.
-                let tuple = Decoder::new(&rec).get_tuple()?.clipped_to_scheme(&scheme);
-                tuple.validate(&scheme).map_err(DbError::Model)?;
+                let (tuple, clipped) =
+                    conform_to_scheme(Decoder::new(&rec).get_tuple_in(&scheme)?, &scheme)?;
+                any_clipped |= clipped;
                 tuples.push(tuple);
                 in_partition += 1;
             }
@@ -1283,18 +1144,42 @@ fn read_checkpoint(dir: &Path) -> Result<Option<(Database, u64)>, DbError> {
                 )));
             }
         }
-        relations.insert(name, Relation::from_parts_unchecked(scheme, tuples));
+        // A checkpoint holds what a relation — a set — wrote out, so the
+        // tuples are distinct as read; only clipping can make two equal.
+        let relation = if any_clipped {
+            Relation::from_parts_unchecked(scheme, tuples)
+        } else {
+            Relation::from_distinct_unchecked(scheme, tuples)
+        };
+        tables.insert(name.into(), Arc::new(Table::build(relation, policy)));
     }
     let db = Database {
         catalog: Arc::new(catalog),
-        relations,
-        indexes: BTreeMap::new(),
+        tables,
         attachment: None,
         ops_applied: 0,
-        partitions: BTreeMap::new(),
         partition_policy: policy,
     };
     Ok(Some((db, epoch)))
+}
+
+/// Brings a tuple read from a checkpoint under the catalog's (possibly
+/// evolved) scheme: values outside a since-shrunk ALS become invisible,
+/// not invalid, so a tuple that fails validation only for that is clipped
+/// and validated again. Returns the conforming tuple and whether it had
+/// to be clipped. A tuple that validates as read — every tuple of a
+/// checkpoint taken after the last evolution — is returned as is:
+/// clipping to a lifespan that already contains a value is the identity.
+pub(crate) fn conform_to_scheme(tuple: Tuple, scheme: &Scheme) -> Result<(Tuple, bool), DbError> {
+    match tuple.validate(scheme) {
+        Ok(()) => Ok((tuple, false)),
+        Err(HrdmError::ValueOutsideLifespan { .. }) => {
+            let clipped = tuple.clipped_to_scheme(scheme);
+            clipped.validate(scheme).map_err(DbError::Model)?;
+            Ok((clipped, true))
+        }
+        Err(e) => Err(DbError::Model(e)),
+    }
 }
 
 /// Wraps an I/O error with the path it concerns, so `Database::open` /
@@ -1664,13 +1549,8 @@ mod tests {
     }
 
     #[test]
-    fn ensure_indexes_unknown_relation_errors() {
-        let mut db = Database::new();
-        assert!(matches!(
-            db.ensure_indexes("ghost"),
-            Err(HrdmError::UnknownRelation(_))
-        ));
-        assert!(db.indexes("ghost").is_none());
+    fn unknown_relation_has_no_indexes() {
+        assert!(Database::new().indexes("ghost").is_none());
     }
 
     #[test]
@@ -1867,11 +1747,10 @@ mod tests {
         assert!(db.commit_batch(Vec::new()).is_empty());
     }
 
-    /// The batch-undo machinery restores exactly the pre-batch state:
-    /// insert-only batches roll back by truncation (indexes rebuilt and
-    /// consistent), mixed batches by the pinned full state. This is the
-    /// path a failed batch fsync takes — a write that returned `Err` must
-    /// never become visible.
+    /// The batch-undo machinery restores exactly the pre-batch state, for
+    /// insert-only and catalog-changing batches alike, from the pinned
+    /// pre-batch tables. This is the path a failed batch fsync takes — a
+    /// write that returned `Err` must never become visible.
     #[test]
     fn rollback_restores_pre_batch_state() {
         let mut db = Database::new();
@@ -1879,7 +1758,6 @@ mod tests {
         db.insert("emp", emp("John", 0, 20, 25_000)).unwrap();
         let version_before = db.version();
 
-        // Insert-only undo: truncation + index rebuild.
         let batch = vec![
             WalRecord::Insert {
                 relation: "emp".into(),
@@ -1890,8 +1768,7 @@ mod tests {
                 tuple: emp("Igor", 8, 25, 27_000),
             },
         ];
-        let undo = db.undo_point(&batch);
-        assert!(matches!(undo, BatchUndo::InsertLens { .. }));
+        let undo = db.undo_point();
         for r in db.commit_batch(batch) {
             r.unwrap();
         }
@@ -1903,15 +1780,18 @@ mod tests {
         assert_eq!(idx.tuple_count(), 1);
         assert!(idx.key().unwrap().lookup(&[Value::str("Mary")]).is_empty());
         assert_eq!(idx.key().unwrap().lookup(&[Value::str("John")]).len(), 1);
+        assert_eq!(db.partitions("emp").unwrap().tuple_count(), 1);
+        // The undone inserts are gone for good: their keys are free again.
+        db.insert("emp", emp("Mary", 5, 30, 31_000)).unwrap();
+        assert_eq!(db.relation("emp").unwrap().len(), 2);
+        let version_before = db.version();
 
-        // A batch touching the catalog pins the full state.
         let batch = vec![WalRecord::DropAttribute {
             relation: "emp".into(),
             attribute: "SALARY".into(),
             at: Chronon::new(50),
         }];
-        let undo = db.undo_point(&batch);
-        assert!(matches!(undo, BatchUndo::Full { .. }));
+        let undo = db.undo_point();
         for r in db.commit_batch(batch) {
             r.unwrap();
         }
@@ -2015,6 +1895,43 @@ mod tests {
         let back = Database::open(&dir).unwrap();
         assert_eq!(back.relation("emp").unwrap().len(), 2);
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// A tuple read back under an unchanged scheme passes through as is;
+    /// one whose values stray past a since-shrunk ALS is clipped to it
+    /// (and reported, so the loader knows to deduplicate); anything else
+    /// wrong with it is an error, as before.
+    #[test]
+    fn conform_clips_only_what_a_shrunk_als_requires() {
+        let t = emp("John", 0, 80, 25_000);
+        let (same, clipped) = conform_to_scheme(t.clone(), &emp_scheme()).unwrap();
+        assert!(!clipped);
+        assert_eq!(same, t);
+
+        let mut catalog = Catalog::default();
+        catalog.create_relation("emp", emp_scheme()).unwrap();
+        catalog
+            .drop_attribute("emp", &"SALARY".into(), Chronon::new(50))
+            .unwrap();
+        let shrunk = catalog.scheme("emp").unwrap().clone();
+        let (conformed, clipped) = conform_to_scheme(t.clone(), &shrunk).unwrap();
+        assert!(clipped);
+        assert_eq!(conformed, t.clipped_to_scheme(&shrunk));
+        conformed.validate(&shrunk).unwrap();
+
+        let alien = Scheme::builder()
+            .key_attr("NAME", ValueKind::Str, Lifespan::interval(0, 100))
+            .attr(
+                "SALARY",
+                HistoricalDomain::string(),
+                Lifespan::interval(0, 100),
+            )
+            .build()
+            .unwrap();
+        assert!(matches!(
+            conform_to_scheme(t, &alien),
+            Err(DbError::Model(HrdmError::DomainMismatch { .. }))
+        ));
     }
 
     #[test]

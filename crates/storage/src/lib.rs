@@ -25,7 +25,7 @@
 //! * [`partition`] — **lifespan-based horizontal partitioning**: each
 //!   relation's tuple store is cut into chronon-range partitions with
 //!   per-partition heap files, min/max lifespan summaries, and
-//!   per-partition access methods, so time-bounded queries and
+//!   per-partition lifespan indexes, so time-bounded queries and
 //!   checkpoints touch only the partitions they need;
 //! * [`wal`] — a checksummed write-ahead log with torn-tail recovery;
 //! * [`database`] — a named collection of historical relations built on
@@ -33,9 +33,11 @@
 //!   save/load snapshots, and a durable **attached** mode
 //!   ([`Database::open`]) that write-ahead logs every mutation and
 //!   checkpoints atomically ([`Database::checkpoint`]);
-//! * [`snapshot`] — immutable, O(relations)-cheap views of the committed
-//!   state ([`DbSnapshot`]) that whole query pipelines run against with
-//!   zero locks;
+//! * [`snapshot`] — immutable views of the committed state
+//!   ([`DbSnapshot`]) that whole query pipelines run against with zero
+//!   locks; taking one is a reference-count bump per relation, and the
+//!   write that follows copies O(log n) of the structures it shares, not
+//!   the structures;
 //! * [`concurrent`] — [`ConcurrentDatabase`]: snapshot-isolated readers
 //!   plus a leader/follower **group-commit** writer that batches
 //!   concurrent mutations into single fsync'd WAL frames.
@@ -55,6 +57,7 @@ pub mod paged;
 pub mod partition;
 pub mod pool;
 pub mod snapshot;
+mod table;
 pub mod wal;
 
 pub use btree::LifespanBTree;

@@ -27,6 +27,12 @@ pub(crate) struct StorageObs {
     pub checkpoint_linked_partitions: Arc<Counter>,
     /// Snapshots published by concurrent databases.
     pub snapshot_publish: Arc<Counter>,
+    /// Amortizing index merges triggered by inserts: key-index tier folds
+    /// plus relation-wide lifespan run merges.
+    pub index_folds: Arc<Counter>,
+    /// Durations of the inserts that carried those merges — the long
+    /// commits that pay for the cheap ones around them.
+    pub index_fold_ns: Arc<Histogram>,
     /// Buffer-pool page requests served from a resident frame.
     pub pool_hits: Arc<Counter>,
     /// Buffer-pool page requests that faulted the page in from disk.
@@ -69,6 +75,14 @@ pub(crate) fn storage_obs() -> &'static StorageObs {
             snapshot_publish: r.counter(
                 "hrdm_snapshot_publish_total",
                 "Snapshots published by concurrent databases",
+            ),
+            index_folds: r.counter(
+                "hrdm_storage_index_folds_total",
+                "Index merges (key tier folds, lifespan run merges) triggered by inserts",
+            ),
+            index_fold_ns: r.histogram(
+                "hrdm_storage_index_fold_ns",
+                "Wall time of inserts that triggered an index merge, nanoseconds",
             ),
             pool_hits: r.counter(
                 "hrdm_pool_hits_total",

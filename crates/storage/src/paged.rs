@@ -36,15 +36,16 @@ use crate::btree::LifespanBTree;
 use crate::catalog::Catalog;
 use crate::codec::Decoder;
 use crate::database::{
-    btree_path, io_with_path, partition_heap_path, read_catalog_manifest, wal_path, DbError,
+    btree_path, conform_to_scheme, io_with_path, partition_heap_path, read_catalog_manifest,
+    wal_path, DbError,
 };
 use crate::heap::HeapFile;
 use crate::partition::{PartitionMap, PartitionPolicy};
 use crate::pool::BufferPool;
 use crate::snapshot::DbSnapshot;
+use crate::table::{Table, Tables};
 use crate::wal::{Wal, WalRecord};
 use hrdm_core::{Relation, Scheme, Tuple};
-use hrdm_index::RelationIndexes;
 use hrdm_time::Lifespan;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -126,7 +127,7 @@ impl PagedDatabase {
             let btree = Arc::new(
                 LifespanBTree::open(&btx, Arc::clone(&pool)).map_err(|e| io_with_path(&btx, e))?,
             );
-            let map = PartitionMap::from_manifest(policy, scheme.clone(), rows, &btree);
+            let map = PartitionMap::from_manifest(policy, rows, &btree);
             let checkpoint_count = map.tuple_count();
             rels.insert(
                 name,
@@ -150,8 +151,7 @@ impl PagedDatabase {
                 match record {
                     WalRecord::CreateRelation { name, scheme } => {
                         catalog.create_relation(&name, scheme.clone())?;
-                        let map =
-                            PartitionMap::from_manifest(policy, scheme.clone(), &[], &no_btree());
+                        let map = PartitionMap::from_manifest(policy, &[], &no_btree());
                         rels.insert(
                             name,
                             PagedRelation {
@@ -261,24 +261,18 @@ impl PagedDatabase {
     /// The snapshot is sound for any query whose observable tuples all
     /// intersect `window` (see `hrdm-query`'s `materialization_window`).
     pub fn window_snapshot(&self, window: Option<&Lifespan>) -> Result<DbSnapshot, DbError> {
-        let mut relations = BTreeMap::new();
-        let mut indexes = BTreeMap::new();
-        let mut partitions = BTreeMap::new();
+        let mut tables = Tables::new();
         for (name, pr) in &self.rels {
             let rel = self.materialize(name, pr, window)?;
-            indexes.insert(name.clone(), Arc::new(RelationIndexes::build(&rel)));
-            partitions.insert(
-                name.clone(),
-                Arc::new(PartitionMap::build(&rel, self.policy)),
+            tables.insert(
+                name.as_str().into(),
+                Arc::new(Table::build(rel, self.policy)),
             );
-            relations.insert(name.clone(), rel);
         }
         let version = self.rels.values().map(|r| r.tail.len() as u64).sum();
         Ok(DbSnapshot::new(
             Arc::clone(&self.catalog),
-            relations,
-            indexes,
-            partitions,
+            tables,
             Some(self.epoch),
             version,
         ))
@@ -293,6 +287,7 @@ impl PagedDatabase {
         window: Option<&Lifespan>,
     ) -> Result<Relation, DbError> {
         let mut picked: Vec<(usize, Tuple)> = Vec::new();
+        let mut any_clipped = false;
         let ids: Vec<i64> = match window {
             Some(w) => pr.map.overlapping_ids(w),
             None => pr.map.iter().map(|(id, _)| id).collect(),
@@ -317,13 +312,10 @@ impl PagedDatabase {
                     )));
                 };
                 at += 1;
-                // Clip to the (possibly evolved) scheme: values outside a
-                // shrunk ALS become invisible, not invalid.
-                let tuple = Decoder::new(&rec)
-                    .get_tuple()?
-                    .clipped_to_scheme(&pr.scheme);
+                let tuple = Decoder::new(&rec).get_tuple_in(&pr.scheme)?;
                 if window.is_none_or(|w| tuple.lifespan().intersects(w)) {
-                    tuple.validate(&pr.scheme).map_err(DbError::Model)?;
+                    let (tuple, clipped) = conform_to_scheme(tuple, &pr.scheme)?;
+                    any_clipped |= clipped;
                     picked.push((pos, tuple));
                 }
             }
@@ -345,7 +337,13 @@ impl PagedDatabase {
         // byte.
         picked.sort_by_key(|&(pos, _)| pos);
         let tuples: Vec<Tuple> = picked.into_iter().map(|(_, t)| t).collect();
-        Ok(Relation::from_parts_unchecked(pr.scheme.clone(), tuples))
+        // Distinct positions of a relation (a set) are distinct tuples;
+        // only clipping can make two equal.
+        Ok(if any_clipped {
+            Relation::from_parts_unchecked(pr.scheme.clone(), tuples)
+        } else {
+            Relation::from_distinct_unchecked(pr.scheme.clone(), tuples)
+        })
     }
 
     /// The heap of partition `id`, opened on first use.

@@ -6,14 +6,16 @@
 //! the partition holding its **birth chronon** (the first chronon of its
 //! lifespan), and each partition keeps
 //!
-//! * the member tuples' **positions** into the relation's flat tuple
+//! * the member tuples' **positions** into the relation's tuple
 //!   vector (the in-memory layout is untouched — partitioning is pure
 //!   physical metadata, so every existing operator and index keeps
 //!   working),
 //! * a **min/max lifespan summary** covering every member tuple's
 //!   lifespan whole (persisted in the catalog, header v3), and
-//! * its own [`RelationIndexes`] over the member tuples, so a pruned
-//!   query probes a handful of small indexes instead of one big one.
+//! * its own [`LifespanIndex`] over the member tuples, so a pruned
+//!   query probes a handful of small indexes instead of one big one
+//!   (key probes go through the relation-wide key index, so partitions
+//!   keep none).
 //!
 //! ## Pruning
 //!
@@ -44,8 +46,8 @@
 //! epoch by hard link.
 
 use crate::btree::LifespanBTree;
-use hrdm_core::{Relation, Scheme, Tuple};
-use hrdm_index::RelationIndexes;
+use hrdm_core::{PVec, Relation, Tuple};
+use hrdm_index::LifespanIndex;
 use hrdm_time::{Chronon, Interval, Lifespan};
 use std::collections::BTreeMap;
 use std::io;
@@ -140,15 +142,16 @@ impl PartitionPolicy {
 /// Where a partition's members live.
 #[derive(Clone, Debug)]
 enum Members {
-    /// In-memory members: positions plus per-partition access methods —
-    /// what [`PartitionMap::build`] / [`PartitionMap::insert`] produce.
+    /// In-memory members: positions plus the partition's own lifespan
+    /// index — what [`PartitionMap::build`] / [`PartitionMap::insert`]
+    /// produce.
     Resident {
         /// Member positions into the relation's tuple vector, in
         /// insertion order (ascending — positions are append-only).
-        positions: Vec<u32>,
-        /// Access methods over the member tuples; positions returned by
-        /// these indexes are **local** (indices into `positions`).
-        indexes: Arc<RelationIndexes>,
+        positions: PVec<u32>,
+        /// Interval index over the member lifespans; the positions it
+        /// returns are **local** (indices into `positions`).
+        lifespans: LifespanIndex,
     },
     /// Disk-resident members, served on demand from the relation's
     /// on-disk B+tree: the members are exactly the entries whose birth
@@ -162,7 +165,11 @@ enum Members {
 }
 
 /// One chronon-range partition: member positions, lifespan summary, its own
-/// access methods, and the dirty flag the incremental checkpoint reads.
+/// lifespan index, and the dirty flag the incremental checkpoint reads.
+///
+/// Cloning one is cheap whatever it holds (the position list and the
+/// index share their bulk with the original), which is what lets
+/// [`PartitionMap::insert`] copy just the partition it lands in.
 #[derive(Clone, Debug)]
 pub struct Partition {
     members: Members,
@@ -179,45 +186,48 @@ pub struct Partition {
 }
 
 impl Partition {
-    fn new(scheme: &Scheme) -> Partition {
-        Partition {
+    /// A resident partition over `members` — `(position, lifespan)` pairs
+    /// in ascending position order. Starts dirty.
+    fn resident(members: &[(u32, &Lifespan)]) -> Partition {
+        let mut part = Partition {
             members: Members::Resident {
-                positions: Vec::new(),
-                indexes: Arc::new(RelationIndexes::build(&Relation::new(scheme.clone()))),
+                positions: members.iter().map(|&(pos, _)| pos).collect(),
+                lifespans: LifespanIndex::build(members.iter().map(|&(_, ls)| ls)),
             },
-            count: 0,
+            count: members.len(),
             min_lo: i64::MAX,
             max_hi: i64::MIN,
             dirty: true,
+        };
+        for (_, ls) in members {
+            part.widen_summary(ls);
+        }
+        part
+    }
+
+    fn widen_summary(&mut self, ls: &Lifespan) {
+        if let (Some(first), Some(last)) = (ls.first(), ls.last()) {
+            self.min_lo = self.min_lo.min(first.tick());
+            self.max_hi = self.max_hi.max(last.tick());
         }
     }
 
-    fn add(&mut self, pos: usize, tuple: &Tuple) {
-        let Members::Resident { positions, indexes } = &mut self.members else {
+    fn add(&mut self, pos: u32, tuple: &Tuple) {
+        let Members::Resident {
+            positions,
+            lifespans,
+        } = &mut self.members
+        else {
             // Cold partitions are read-only checkpoint views; the paged
             // read path never routes inserts here.
             debug_assert!(false, "insert into a cold partition");
             return;
         };
-        let local = positions.len();
-        positions
-            // lint: no-panic-ok(record ids are u32 on disk, so an in-memory relation can never reach u32::MAX rows)
-            .push(u32::try_from(pos).expect("relation fits in u32 positions"));
-        if let (Some(first), Some(last)) = (tuple.lifespan().first(), tuple.lifespan().last()) {
-            self.min_lo = self.min_lo.min(first.tick());
-            self.max_hi = self.max_hi.max(last.tick());
-        }
-        Arc::make_mut(indexes).insert(local, tuple);
+        lifespans.insert(positions.len(), tuple.lifespan());
+        positions.push(pos);
+        self.widen_summary(tuple.lifespan());
         self.count += 1;
         self.dirty = true;
-    }
-
-    /// Resident member positions, ascending (empty slice when cold).
-    fn resident_positions(&self) -> &[u32] {
-        match &self.members {
-            Members::Resident { positions, .. } => positions,
-            Members::Cold { .. } => &[],
-        }
     }
 
     /// Member positions into the relation's tuple vector, ascending.
@@ -225,16 +235,18 @@ impl Partition {
     /// Cold partitions yield nothing here — their members live on disk;
     /// use [`Partition::try_positions`], which can fault.
     pub fn positions(&self) -> impl Iterator<Item = usize> + '_ {
-        self.resident_positions().iter().map(|&p| p as usize)
+        let resident = match &self.members {
+            Members::Resident { positions, .. } => Some(positions),
+            Members::Cold { .. } => None,
+        };
+        resident.into_iter().flatten().map(|&p| p as usize)
     }
 
     /// Member positions, ascending, faulting the on-disk B+tree in for
     /// cold partitions.
     pub fn try_positions(&self) -> io::Result<Vec<usize>> {
         match &self.members {
-            Members::Resident { positions, .. } => {
-                Ok(positions.iter().map(|&p| p as usize).collect())
-            }
+            Members::Resident { .. } => Ok(self.positions().collect()),
             Members::Cold {
                 btree,
                 birth_lo,
@@ -284,16 +296,6 @@ impl Partition {
         (self.min_lo, self.max_hi)
     }
 
-    /// The partition's own access methods (positions are local — map them
-    /// through [`Partition::positions`]). `None` for cold partitions,
-    /// whose only access method is the on-disk B+tree.
-    pub fn indexes(&self) -> Option<&RelationIndexes> {
-        match &self.members {
-            Members::Resident { indexes, .. } => Some(indexes),
-            Members::Cold { .. } => None,
-        }
-    }
-
     /// Has membership changed since the last checkpoint?
     pub fn is_dirty(&self) -> bool {
         self.dirty
@@ -301,33 +303,45 @@ impl Partition {
 }
 
 /// The partition map of one relation: partition id → [`Partition`],
-/// derived metadata over the relation's flat tuple vector.
+/// derived metadata over the relation's tuple vector.
 ///
-/// `Database` holds one per relation behind an `Arc`, so snapshots share
-/// it for free and writers copy-on-write — a reader holding a
-/// pre-repartition snapshot keeps planning against its frozen map.
+/// ## Sharing and copy-on-write
+///
+/// Partitions sit behind `Arc`s, so cloning the map costs one
+/// reference-count bump per partition, and [`PartitionMap::insert`] on a
+/// map whose partitions a clone (a published snapshot) still shares
+/// copies only the one partition the tuple lands in — itself a cheap copy,
+/// see [`Partition`]. Every other partition stays the very allocation the
+/// clone holds. A reader holding a pre-repartition snapshot keeps planning
+/// against its frozen map.
 #[derive(Clone, Debug)]
 pub struct PartitionMap {
     policy: PartitionPolicy,
-    scheme: Scheme,
-    parts: BTreeMap<i64, Partition>,
+    parts: BTreeMap<i64, Arc<Partition>>,
     tuple_count: usize,
 }
 
 impl PartitionMap {
-    /// Builds the map over `r` under `policy`. Every partition starts
-    /// dirty (nothing is known to be on disk).
+    /// Builds the map over `r` under `policy` in bulk: members are grouped
+    /// by partition first, then each partition's position list and index
+    /// are built once. Every partition starts dirty (nothing is known to
+    /// be on disk).
     pub fn build(r: &Relation, policy: PartitionPolicy) -> PartitionMap {
-        let mut map = PartitionMap {
-            policy,
-            scheme: r.scheme().clone(),
-            parts: BTreeMap::new(),
-            tuple_count: 0,
-        };
+        let mut members: BTreeMap<i64, Vec<(u32, &Lifespan)>> = BTreeMap::new();
         for (pos, t) in r.iter().enumerate() {
-            map.insert(pos, t);
+            members
+                .entry(policy.partition_id(birth_of(t)))
+                .or_default()
+                .push((position_u32(pos), t.lifespan()));
         }
-        map
+        PartitionMap {
+            policy,
+            parts: members
+                .into_iter()
+                .map(|(id, members)| (id, Arc::new(Partition::resident(&members))))
+                .collect(),
+            tuple_count: r.len(),
+        }
     }
 
     /// Rebuilds a **cold** map from a checkpoint manifest: per-partition
@@ -338,13 +352,11 @@ impl PartitionMap {
     /// partitions start clean (they mirror what is on disk).
     pub fn from_manifest(
         policy: PartitionPolicy,
-        scheme: Scheme,
         manifest: &[(i64, u64, i64, i64)],
         btree: &Arc<LifespanBTree>,
     ) -> PartitionMap {
         let mut map = PartitionMap {
             policy,
-            scheme,
             parts: BTreeMap::new(),
             tuple_count: 0,
         };
@@ -353,7 +365,7 @@ impl PartitionMap {
             let count = count as usize;
             map.parts.insert(
                 id,
-                Partition {
+                Arc::new(Partition {
                     members: Members::Cold {
                         btree: Arc::clone(btree),
                         birth_lo,
@@ -363,7 +375,7 @@ impl PartitionMap {
                     min_lo,
                     max_hi,
                     dirty: false,
-                },
+                }),
             );
             map.tuple_count += count;
         }
@@ -372,18 +384,18 @@ impl PartitionMap {
 
     /// Registers the tuple just appended to the relation at position `pos`
     /// (which must equal [`PartitionMap::tuple_count`] — append-only, like
-    /// the indexes it contains).
+    /// the indexes it contains). Copies the partition the tuple lands in
+    /// if a clone of the map shares it, and no other.
     pub fn insert(&mut self, pos: usize, tuple: &Tuple) {
         assert_eq!(
             pos, self.tuple_count,
             "PartitionMap::insert positions are append-only"
         );
-        let birth = tuple.lifespan().first().unwrap_or(Chronon::new(0));
-        let id = self.policy.partition_id(birth);
-        self.parts
-            .entry(id)
-            .or_insert_with(|| Partition::new(&self.scheme))
-            .add(pos, tuple);
+        let part = self
+            .parts
+            .entry(self.policy.partition_id(birth_of(tuple)))
+            .or_insert_with(|| Arc::new(Partition::resident(&[])));
+        Arc::make_mut(part).add(position_u32(pos), tuple);
         self.tuple_count += 1;
     }
 
@@ -404,12 +416,18 @@ impl PartitionMap {
 
     /// The partition with id `id`, if populated.
     pub fn partition(&self, id: i64) -> Option<&Partition> {
-        self.parts.get(&id)
+        self.parts.get(&id).map(Arc::as_ref)
+    }
+
+    /// Do `self` and `other` hold the same allocation as partition `id`?
+    /// What the structural-sharing tests assert on.
+    pub fn shares_partition_with(&self, other: &PartitionMap, id: i64) -> bool {
+        matches!((self.parts.get(&id), other.parts.get(&id)), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
     }
 
     /// Iterates `(id, partition)` in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (i64, &Partition)> + '_ {
-        self.parts.iter().map(|(&id, p)| (id, p))
+        self.parts.iter().map(|(&id, p)| (id, &**p))
     }
 
     /// Ids of partitions whose summary overlaps `window` — the partitions
@@ -477,7 +495,10 @@ impl PartitionMap {
             };
             let chunk_start = out.len();
             match &p.members {
-                Members::Resident { positions, indexes } => {
+                Members::Resident {
+                    positions,
+                    lifespans,
+                } => {
                     if window.contains_interval(&summary) {
                         // Every member tuple lives inside the summary, and
                         // the whole summary is inside the window: all
@@ -485,8 +506,7 @@ impl PartitionMap {
                         out.extend(p.positions());
                     } else if window.intersects_interval(&summary) {
                         out.extend(
-                            indexes
-                                .lifespan()
+                            lifespans
                                 .overlapping(window)
                                 .into_iter()
                                 .map(|local| positions[local] as usize),
@@ -524,12 +544,24 @@ impl PartitionMap {
     }
 
     /// Marks every partition clean — called after a checkpoint has written
-    /// (or linked) every partition's heap file under the new epoch.
+    /// (or linked) every partition's heap file under the new epoch. Only
+    /// the dirty partitions are touched (and copied, if shared).
     pub(crate) fn mark_clean(&mut self) {
-        for p in self.parts.values_mut() {
-            p.dirty = false;
+        for p in self.parts.values_mut().filter(|p| p.dirty) {
+            Arc::make_mut(p).dirty = false;
         }
     }
+}
+
+/// The chronon whose partition holds `tuple`: its birth, or chronon 0 for
+/// an empty lifespan. The on-disk B+tree files tuples under the same rule.
+pub(crate) fn birth_of(tuple: &Tuple) -> Chronon {
+    tuple.lifespan().first().unwrap_or(Chronon::new(0))
+}
+
+pub(crate) fn position_u32(pos: usize) -> u32 {
+    // lint: no-panic-ok(record ids are u32 on disk, so an in-memory relation can never reach u32::MAX rows)
+    u32::try_from(pos).expect("relation fits in u32 positions")
 }
 
 /// The shared summary-overlap predicate of the pruning queries: a
@@ -572,7 +604,7 @@ impl SummaryProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hrdm_core::{HistoricalDomain, TemporalValue, Value, ValueKind};
+    use hrdm_core::{HistoricalDomain, Scheme, TemporalValue, Value, ValueKind};
 
     fn scheme() -> Scheme {
         // The ALS reaches below zero so negative-chronon tuples are valid.

@@ -1,33 +1,44 @@
 //! Immutable snapshots of a database's committed state.
 //!
 //! A [`DbSnapshot`] is the reader half of the concurrency model: taking one
-//! costs O(relations) (relations are copy-on-write, indexes `Arc`-shared —
-//! no tuple is ever copied), and once taken it is completely decoupled from
+//! bumps one reference count per relation — no tuple, scheme, index entry
+//! or partition is copied — and once taken it is completely decoupled from
 //! the live database. Writers committing new batches, `checkpoint()`
 //! rotating epochs, even the old WAL file being deleted — none of it
 //! changes what the snapshot's holder sees. Whole query pipelines
 //! (optimizer → access-path planner → evaluator) run against a snapshot
 //! with zero locks.
+//!
+//! ## Sharing and copy-on-write
+//!
+//! A snapshot holds the same `Arc`'d per-relation tables the database
+//! held when it was taken. What that sharing costs the *writer* is
+//! bounded too: the next insert into a shared relation copies the 64-slot
+//! tail of the tuple vector, the newest (≤ 32-entry) tier of the key
+//! index, the lifespan index's short pending run and the one partition
+//! the tuple lands in — O(log n), not the O(n) a flat vector and hash map
+//! would cost — and leaves every other leaf, tier and partition as the
+//! very allocation the snapshot holds. Two consecutive snapshots
+//! therefore share all but the path the writes between them touched.
 
 use crate::catalog::Catalog;
 use crate::partition::PartitionMap;
+use crate::table::Tables;
 use hrdm_core::Relation;
 use hrdm_index::RelationIndexes;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// An immutable view of a database's committed state at one commit point.
 ///
 /// `hrdm-query` implements its `RelationSource` / `IndexSource` traits for
 /// this type, so a snapshot drops into every query entry point that accepts
-/// a `Database`. Snapshots are [`Clone`] (O(relations)) and `Send + Sync`:
-/// hand them to as many reader threads as you like.
+/// a `Database`. Snapshots are [`Clone`] (a reference-count bump per
+/// relation) and `Send + Sync`: hand them to as many reader threads as
+/// you like.
 #[derive(Clone, Debug)]
 pub struct DbSnapshot {
     catalog: Arc<Catalog>,
-    relations: BTreeMap<String, Relation>,
-    indexes: BTreeMap<String, Arc<RelationIndexes>>,
-    partitions: BTreeMap<String, Arc<PartitionMap>>,
+    tables: Tables,
     epoch: Option<u64>,
     version: u64,
 }
@@ -35,17 +46,13 @@ pub struct DbSnapshot {
 impl DbSnapshot {
     pub(crate) fn new(
         catalog: Arc<Catalog>,
-        relations: BTreeMap<String, Relation>,
-        indexes: BTreeMap<String, Arc<RelationIndexes>>,
-        partitions: BTreeMap<String, Arc<PartitionMap>>,
+        tables: Tables,
         epoch: Option<u64>,
         version: u64,
     ) -> DbSnapshot {
         DbSnapshot {
             catalog,
-            relations,
-            indexes,
-            partitions,
+            tables,
             epoch,
             version,
         }
@@ -53,7 +60,7 @@ impl DbSnapshot {
 
     /// The relation named `name`, as of the snapshot's commit point.
     pub fn relation(&self, name: &str) -> Option<&Relation> {
-        self.relations.get(name)
+        self.tables.get(name).map(|t| &t.relation)
     }
 
     /// The access methods of `name`, frozen with the snapshot. Positions
@@ -61,7 +68,7 @@ impl DbSnapshot {
     /// snapshot by construction — the index and the tuple vector were
     /// published together.
     pub fn indexes(&self, name: &str) -> Option<&RelationIndexes> {
-        self.indexes.get(name).map(Arc::as_ref)
+        self.tables.get(name).map(|t| &t.indexes)
     }
 
     /// The chronon-range partition map of `name`, frozen with the
@@ -69,7 +76,7 @@ impl DbSnapshot {
     /// maps and leaves this one untouched, so positions it yields stay
     /// valid against [`DbSnapshot::relation`] of the same snapshot.
     pub fn partitions(&self, name: &str) -> Option<&PartitionMap> {
-        self.partitions.get(name).map(Arc::as_ref)
+        self.tables.get(name).map(|t| &t.partitions)
     }
 
     /// The catalog (schemes + evolution log) as of the snapshot.
@@ -79,7 +86,7 @@ impl DbSnapshot {
 
     /// The registered relation names.
     pub fn relation_names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.relations.keys().map(String::as_str)
+        self.tables.keys().map(|name| &**name)
     }
 
     /// The checkpoint epoch the database was on when the snapshot was

@@ -114,6 +114,15 @@ proptest! {
         let mut e = Encoder::new();
         e.put_tuple(&t);
         let bytes = e.finish();
-        prop_assert_eq!(Decoder::new(&bytes).get_tuple().unwrap(), t);
+        prop_assert_eq!(Decoder::new(&bytes).get_tuple().unwrap(), t.clone());
+        // Decoding against a scheme only changes where attribute names
+        // are stored — whether or not the scheme knows them.
+        for name in ["A", "B"] {
+            let scheme = Scheme::builder()
+                .attr(name, HistoricalDomain::int(), Lifespan::interval(0, 10))
+                .build()
+                .unwrap();
+            prop_assert_eq!(Decoder::new(&bytes).get_tuple_in(&scheme).unwrap(), t.clone());
+        }
     }
 }

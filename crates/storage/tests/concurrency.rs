@@ -78,7 +78,9 @@ fn readers_observe_contiguous_prefixes_of_a_sequential_writer() {
                 let mut last_version = 0u64;
                 let mut last_len = 0usize;
                 let mut checks = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                // Check, then look at the flag: every reader observes at
+                // least once however fast the writer finishes.
+                loop {
                     let snap = db.snapshot();
                     let keys = observed_keys(&snap);
                     let len = keys.len();
@@ -94,6 +96,9 @@ fn readers_observe_contiguous_prefixes_of_a_sequential_writer() {
                     last_version = snap.version();
                     last_len = len;
                     checks += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 checks
             })
@@ -242,7 +247,8 @@ fn readers_keep_frozen_partition_maps_across_a_repartition() {
             std::thread::spawn(move || {
                 let mut last_len = 0usize;
                 let mut checks = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                // Check, then look at the flag (see above).
+                loop {
                     let snap = db.snapshot();
                     let keys = observed_keys(&snap);
                     let len = keys.len();
@@ -271,6 +277,9 @@ fn readers_keep_frozen_partition_maps_across_a_repartition() {
                         .collect();
                     assert_eq!(parts.prune_positions(&w), expect, "frozen map diverged");
                     checks += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 checks
             })
