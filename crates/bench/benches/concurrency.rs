@@ -20,7 +20,7 @@
 //! Set `HRDM_BENCH_FAST=1` for the CI smoke mode.
 
 use hrdm_core::prelude::*;
-use hrdm_query::{evaluate_planned, parse_query, Query};
+use hrdm_query::{parse_query, run_query, Query};
 use hrdm_storage::{ConcurrentDatabase, Database};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -125,7 +125,7 @@ fn read_throughput(readers: usize) -> f64 {
                     let snap = db.snapshot();
                     let q = &queries[qi % queries.len()];
                     qi += 1;
-                    std::hint::black_box(evaluate_planned(q, &*snap).unwrap());
+                    std::hint::black_box(run_query(q, &*snap).unwrap());
                     n += 1;
                 }
                 total_reads.fetch_add(n, Ordering::Relaxed);

@@ -18,7 +18,9 @@ use hrdm_bench::{gen_relation, WorkloadSpec};
 use hrdm_core::algebra::{natural_join, select_if, timeslice, Predicate, Quantifier};
 use hrdm_core::prelude::*;
 use hrdm_index::RelationIndexes;
-use hrdm_query::{eval_plan, optimize, parse_expr, plan, IndexedRelations};
+use hrdm_query::{
+    build_executor, optimize, parse_expr, plan, ExecOptions, IndexedRelations, Plan, QueryStream,
+};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 
@@ -40,6 +42,15 @@ fn spec(tuples: usize) -> WorkloadSpec {
         fragments: 2,
         ..Default::default()
     }
+}
+
+/// Runs a physical plan through its executor tree and collects the answer.
+fn execute(p: &Plan, src: &IndexedRelations) -> Relation {
+    let opts = ExecOptions::default();
+    QueryStream::new(build_executor(p, src, &opts), &opts)
+        .unwrap()
+        .collect_relation()
+        .unwrap()
 }
 
 /// A narrow early window: tuple lifespans start at jittered offsets, so
@@ -85,7 +96,7 @@ fn bench_indexed_select(c: &mut Criterion) {
             b.iter(|| black_box(select_if(black_box(&r), &pred, Quantifier::Exists, None).unwrap()))
         });
         group.bench_with_input(BenchmarkId::new("indexed", n), &n, |b, _| {
-            b.iter(|| black_box(eval_plan(black_box(&planned), &src).unwrap()))
+            b.iter(|| black_box(execute(black_box(&planned), &src)))
         });
     }
     group.finish();
@@ -127,7 +138,7 @@ fn bench_indexed_join(c: &mut Criterion) {
             b.iter(|| black_box(natural_join(black_box(&left), black_box(&right)).unwrap()))
         });
         group.bench_with_input(BenchmarkId::new("indexed", n), &n, |b, _| {
-            b.iter(|| black_box(eval_plan(black_box(&planned), &src).unwrap()))
+            b.iter(|| black_box(execute(black_box(&planned), &src)))
         });
     }
     group.finish();

@@ -18,7 +18,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hrdm_bench::partition_fixture::{populated, scheme, tup, tup_at, SPAN_LOG2};
-use hrdm_query::{evaluate_planned, parse_query, Query};
+use hrdm_query::{parse_query, run_query, Query};
 use hrdm_storage::{Database, PartitionPolicy};
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -50,10 +50,10 @@ fn bench_pruned_timeslice(c: &mut Criterion) {
     for parts in [1u32, 4, 16, 64] {
         let q = window_query(parts);
         group.bench_with_input(BenchmarkId::new("pruned", parts), &parts, |b, _| {
-            b.iter(|| black_box(evaluate_planned(black_box(&q), &*psnap).unwrap()))
+            b.iter(|| black_box(run_query(black_box(&q), &*psnap).unwrap()))
         });
         group.bench_with_input(BenchmarkId::new("unpartitioned", parts), &parts, |b, _| {
-            b.iter(|| black_box(evaluate_planned(black_box(&q), &*fsnap).unwrap()))
+            b.iter(|| black_box(run_query(black_box(&q), &*fsnap).unwrap()))
         });
     }
     group.finish();

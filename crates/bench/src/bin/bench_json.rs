@@ -1,7 +1,3 @@
-// The legacy materializing evaluator stays the reference oracle for the
-// streaming executor, so this file uses it deliberately.
-#![allow(deprecated)]
-
 //! `bench-json` — run the tracked benches, emit `BENCH_8.json`, gate on
 //! regressions.
 //!
@@ -43,7 +39,7 @@ use hrdm_bench::gate::{
     BenchResult,
 };
 use hrdm_core::prelude::*;
-use hrdm_query::{evaluate, evaluate_planned, parse_query, Query};
+use hrdm_query::{parse_query, run_query, Query};
 use hrdm_storage::{ConcurrentDatabase, Database, WalRecord};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -76,6 +72,8 @@ const GATED: &[&str] = &[
     "timeslice_pruned_100k",
     "exec_stream_timeslice_100k",
     "parallel_scan_8c",
+    "when_scan_50k",
+    "count_slice_50k",
     "checkpoint_dirty_partitions",
     // Buffer-pool read path: CPU-bound (hits) and OS-page-cache-bound
     // (misses) — no fsync in either loop.
@@ -168,25 +166,31 @@ fn run_tracked() -> Vec<BenchResult> {
     let snap = db.snapshot();
     let parse = |q: &str| -> Query { parse_query(q).unwrap() };
 
-    // Planned (index) vs unplanned (seq) timeslice over the snapshot.
+    // The same timeslice with the lifespan index and — planned against a
+    // bare relation map, which has no access methods — by sequential scan.
+    let bare = |snap: &hrdm_storage::DbSnapshot| -> std::collections::BTreeMap<String, Relation> {
+        let r = snap.relation("r").expect("the fixture relation").clone();
+        [("r".to_string(), r)].into()
+    };
     let q = parse("TIMESLICE [100..140] (r)");
     track(
         "timeslice_indexed_10k",
         measure_median_ns(SAMPLES, sample_time(), || {
-            std::hint::black_box(evaluate_planned(&q, &*snap).unwrap());
+            std::hint::black_box(run_query(&q, &*snap).unwrap());
         }),
     );
+    let unindexed = bare(&snap);
     track(
         "timeslice_seqscan_10k",
         measure_median_ns(SAMPLES, sample_time(), || {
-            std::hint::black_box(evaluate(&q, &*snap).unwrap());
+            std::hint::black_box(run_query(&q, &unindexed).unwrap());
         }),
     );
     let q = parse("SELECT-WHEN (K = 4217) (r)");
     track(
         "select_when_key_probe_10k",
         measure_median_ns(SAMPLES, sample_time(), || {
-            std::hint::black_box(evaluate_planned(&q, &*snap).unwrap());
+            std::hint::black_box(run_query(&q, &*snap).unwrap());
         }),
     );
 
@@ -217,19 +221,20 @@ fn run_tracked() -> Vec<BenchResult> {
         track(
             "timeslice_pruned_100k",
             measure_median_ns(SAMPLES, sample_time(), || {
-                std::hint::black_box(evaluate_planned(&q, &*pruned).unwrap());
+                std::hint::black_box(run_query(&q, &*pruned).unwrap());
             }),
         );
         track(
             "timeslice_flat_index_100k",
             measure_median_ns(SAMPLES, sample_time(), || {
-                std::hint::black_box(evaluate_planned(&q, &*flat).unwrap());
+                std::hint::black_box(run_query(&q, &*flat).unwrap());
             }),
         );
+        let unindexed = bare(&flat);
         track(
             "timeslice_unpartitioned_100k",
             measure_median_ns(SAMPLES, sample_time(), || {
-                std::hint::black_box(evaluate(&q, &*flat).unwrap());
+                std::hint::black_box(run_query(&q, &unindexed).unwrap());
             }),
         );
 
@@ -276,6 +281,33 @@ fn run_tracked() -> Vec<BenchResult> {
             "parallel_scan_8c",
             measure_median_ns(SAMPLES, sample_time(), || {
                 stream_collect(&flat, scan, &parallel);
+            }),
+        );
+    }
+
+    // The lifespan and aggregate sorts through the planned executor, at
+    // the benchmark's relation size: a selective `WHEN` over a full scan
+    // (lifespan-only select, one n-ary union) and a `COUNT` over a literal
+    // slice (an index scan over the few overlapping tuples). Either falling
+    // back to restricting and materializing all 50k tuples shows up here
+    // as a many-fold regression.
+    {
+        use hrdm_bench::partition_fixture::{populated, SPAN_LOG2};
+        use hrdm_storage::PartitionPolicy;
+        let snap = populated(PartitionPolicy::SpanLog2(SPAN_LOG2), 50_000).snapshot();
+        let q = parse("WHEN (SELECT-WHEN (V >= 49500) (r))");
+        track(
+            "when_scan_50k",
+            measure_median_ns(SAMPLES, sample_time(), || {
+                std::hint::black_box(run_query(&q, &*snap).unwrap());
+            }),
+        );
+        let lo = 32i64 << SPAN_LOG2;
+        let q = parse(&format!("COUNT V (TIMESLICE [{lo}..{}] (r))", lo + 50));
+        track(
+            "count_slice_50k",
+            measure_median_ns(SAMPLES, sample_time(), || {
+                std::hint::black_box(run_query(&q, &*snap).unwrap());
             }),
         );
     }

@@ -415,7 +415,6 @@ fn figure_12() {
     db.insert("emp", emp("John", &[(0, 20)], 25_000)).unwrap();
     db.insert("emp", emp("Mary", &[(5, 30)], 30_000)).unwrap();
     db.insert("emp", emp("Igor", &[(25, 40)], 27_000)).unwrap();
-    db.build_indexes();
 
     let idx = db.indexes("emp").unwrap();
     println!(
@@ -439,7 +438,8 @@ fn figure_12() {
         let (optimized, _) = hrdm_query::optimize(&e);
         let plan = hrdm_query::plan(&optimized, &db);
         println!("  {caption}: {query}");
-        for line in hrdm_query::explain_plan(&plan).lines() {
+        let opts = hrdm_query::ExecOptions::default();
+        for line in hrdm_query::explain_stream_plan(&plan, &db, &opts).lines() {
             println!("    {line}");
         }
     }

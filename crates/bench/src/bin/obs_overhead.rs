@@ -25,7 +25,7 @@
 
 use hrdm_bench::gate::measure_median_ns;
 use hrdm_bench::partition_fixture::{populated, SPAN_LOG2};
-use hrdm_query::{evaluate_planned, parse_query};
+use hrdm_query::{parse_query, run_query};
 use hrdm_storage::PartitionPolicy;
 use std::time::Duration;
 
@@ -55,7 +55,7 @@ fn main() {
         hrdm_obs::set_enabled(on);
         measure_median_ns(1, sample_time(), || {
             let started = std::time::Instant::now();
-            std::hint::black_box(evaluate_planned(&q, &*snap).unwrap());
+            std::hint::black_box(run_query(&q, &*snap).unwrap());
             requests.add(1);
             latency.record(started.elapsed().as_nanos() as u64);
             if hrdm_obs::enabled() {

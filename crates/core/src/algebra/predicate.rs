@@ -284,91 +284,66 @@ impl Predicate {
     /// The set of times (within the tuple's lifespan) where the predicate is
     /// *certainly true*. Computed segment-wise, never per chronon.
     pub fn when_true(&self, t: &Tuple) -> Result<Lifespan> {
-        Ok(self.truth_spans(t)?.0)
+        self.when(t, true)
     }
 
     /// The set of times where the predicate is *certainly false*.
     pub fn when_false(&self, t: &Tuple) -> Result<Lifespan> {
-        Ok(self.truth_spans(t)?.1)
+        self.when(t, false)
     }
 
-    /// `(certainly-true, certainly-false)` spans, both within `t.l`.
-    fn truth_spans(&self, t: &Tuple) -> Result<(Lifespan, Lifespan)> {
+    /// The span, within `t.l`, on which the predicate certainly has the
+    /// truth value `holds`. Only the asked-for span is computed: a
+    /// comparison is certainly false exactly where its negated comparator
+    /// is certainly true (both sides defined either way), so a selection
+    /// that discards a tuple allocates nothing for it.
+    fn when(&self, t: &Tuple, holds: bool) -> Result<Lifespan> {
         match self {
-            Predicate::True => Ok((t.lifespan().clone(), Lifespan::empty())),
-            Predicate::Cmp { left, op, right } => cmp_spans(t, left, *op, right),
-            Predicate::And(p, q) => {
-                let (pt, pf) = p.truth_spans(t)?;
-                let (qt, qf) = q.truth_spans(t)?;
-                Ok((pt.intersect(&qt), pf.union(&qf)))
+            Predicate::True if holds => Ok(t.lifespan().clone()),
+            Predicate::True => Ok(Lifespan::empty()),
+            Predicate::Cmp { left, op, right } => {
+                let op = if holds { *op } else { op.negated() };
+                cmp_span(t, left, op, right)
             }
-            Predicate::Or(p, q) => {
-                let (pt, pf) = p.truth_spans(t)?;
-                let (qt, qf) = q.truth_spans(t)?;
-                Ok((pt.union(&qt), pf.intersect(&qf)))
+            // ∧ holds where both do and fails where either does; ∨ dually.
+            Predicate::And(p, q) | Predicate::Or(p, q) => {
+                let (a, b) = (p.when(t, holds)?, q.when(t, holds)?);
+                if matches!(self, Predicate::And(..)) == holds {
+                    Ok(a.intersect(&b))
+                } else {
+                    Ok(a.union(&b))
+                }
             }
-            Predicate::Not(p) => {
-                let (pt, pf) = p.truth_spans(t)?;
-                Ok((pf, pt))
-            }
+            Predicate::Not(p) => p.when(t, !holds),
         }
     }
 }
 
-/// Truth spans of one atomic comparison, segment-wise.
-fn cmp_spans(
-    t: &Tuple,
-    left: &Operand,
-    op: Comparator,
-    right: &Operand,
-) -> Result<(Lifespan, Lifespan)> {
-    use crate::temporal::TemporalValue;
+/// The span on which one atomic comparison certainly holds, segment-wise.
+fn cmp_span(t: &Tuple, left: &Operand, op: Comparator, right: &Operand) -> Result<Lifespan> {
     match (left, right) {
-        (Operand::Const(l), Operand::Const(r)) => {
-            let holds = op.test(l.try_cmp(r)?);
-            if holds {
-                Ok((t.lifespan().clone(), Lifespan::empty()))
-            } else {
-                Ok((Lifespan::empty(), t.lifespan().clone()))
-            }
-        }
-        (Operand::Attr(a), Operand::Const(c)) => {
-            let f = t.value(a).cloned().unwrap_or_else(TemporalValue::empty);
-            attr_const_spans(&f, op, c)
-        }
-        (Operand::Const(c), Operand::Attr(a)) => {
-            let f = t.value(a).cloned().unwrap_or_else(TemporalValue::empty);
-            attr_const_spans(&f, op.flipped(), c)
-        }
-        (Operand::Attr(a), Operand::Attr(b)) => {
-            let empty = TemporalValue::empty();
-            let f = t.value(a).unwrap_or(&empty);
-            let g = t.value(b).unwrap_or(&empty);
-            let truth = f.when_compare(g, |ord| op.test(ord))?;
-            let falsity = f.when_compare(g, |ord| !op.test(ord))?;
-            Ok((truth, falsity))
-        }
+        (Operand::Const(l), Operand::Const(r)) => Ok(if op.test(l.try_cmp(r)?) {
+            t.lifespan().clone()
+        } else {
+            Lifespan::empty()
+        }),
+        (Operand::Attr(a), Operand::Const(c)) => attr_const_span(t, a, op, c),
+        (Operand::Const(c), Operand::Attr(a)) => attr_const_span(t, a, op.flipped(), c),
+        (Operand::Attr(a), Operand::Attr(b)) => match (t.value(a), t.value(b)) {
+            (Some(f), Some(g)) => f.when_compare(g, |ord| op.test(ord)),
+            _ => Ok(Lifespan::empty()),
+        },
     }
 }
 
-fn attr_const_spans(
-    f: &crate::temporal::TemporalValue,
-    op: Comparator,
-    c: &Value,
-) -> Result<(Lifespan, Lifespan)> {
-    let mut truth = Vec::new();
-    let mut falsity = Vec::new();
-    for (iv, v) in f.segments() {
+fn attr_const_span(t: &Tuple, attr: &Attribute, op: Comparator, c: &Value) -> Result<Lifespan> {
+    let mut span = Vec::new();
+    for (iv, v) in t.value(attr).map_or(&[][..], |f| f.segments()) {
         if op.test(v.try_cmp(c)?) {
-            truth.push(*iv);
-        } else {
-            falsity.push(*iv);
+            span.push(*iv);
         }
     }
-    Ok((
-        Lifespan::from_intervals(truth),
-        Lifespan::from_intervals(falsity),
-    ))
+    Ok(Lifespan::from_intervals(span))
 }
 
 impl fmt::Display for Predicate {
@@ -546,6 +521,14 @@ mod tests {
             ),
             Predicate::eq_value("SALARY", 30_000i64).and(Predicate::eq_value("NAME", "John")),
             Predicate::eq_value("SALARY", 25_000i64).negate(),
+            Predicate::eq_value("SALARY", 28_000i64).or(Predicate::attr_op_value(
+                "BUDGET",
+                Comparator::Lt,
+                0i64,
+            )),
+            Predicate::attr_op_value("SALARY", Comparator::Ge, 28_000i64)
+                .and(Predicate::eq_value("NAME", "John").negate())
+                .negate(),
         ];
         for p in &preds {
             let wt = p.when_true(&t).unwrap();

@@ -10,7 +10,7 @@ use crate::value::Value;
 use hrdm_time::{Chronon, Lifespan};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A historical relation `r` on a scheme `R`: a finite set of tuples such
 /// that no two tuples ever share a key value — the paper's condition
@@ -215,11 +215,10 @@ impl Relation {
 
     /// `LS(r)` — the lifespan of the relation: "just
     /// `t1.l ∪ t2.l ∪ … ∪ tn.l`" (paper §3). This is also the result of the
-    /// WHEN operator Ω.
+    /// WHEN operator Ω. One n-ary union ([`Lifespan::union_all`]: sort and
+    /// sweep every run once), not a per-tuple fold of the binary one.
     pub fn lifespan(&self) -> Lifespan {
-        self.tuples
-            .iter()
-            .fold(Lifespan::empty(), |acc, t| acc.union(t.lifespan()))
+        Lifespan::union_all(self.tuples.iter().map(Tuple::lifespan))
     }
 
     /// Finds the tuple with the given (constant) key value, if any.
@@ -289,15 +288,6 @@ impl Relation {
                     .sum::<usize>()
             })
             .sum()
-    }
-}
-
-impl Default for &PVec<Tuple> {
-    /// The empty tuple vector, so `Option<&PVec<Tuple>>::unwrap_or_default()`
-    /// reads like the `Option<&[Tuple]>` it replaced.
-    fn default() -> Self {
-        static EMPTY: OnceLock<PVec<Tuple>> = OnceLock::new();
-        EMPTY.get_or_init(PVec::new)
     }
 }
 

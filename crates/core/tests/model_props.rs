@@ -212,6 +212,31 @@ proptest! {
         }
     }
 
+    /// `LS(r)` is computed as one n-ary union; it must equal the paper's
+    /// `t1.l ∪ t2.l ∪ … ∪ tn.l` taken as a left fold — on the empty
+    /// relation and over empty and single-chronon tuple lifespans too.
+    #[test]
+    fn relation_lifespan_equals_left_fold(
+        tuples in prop::collection::vec(tuple_strategy(1), 0..10),
+        point in LO..=HI,
+    ) {
+        let s = scheme();
+        let mut tuples = tuples;
+        tuples.push(
+            Tuple::builder(Lifespan::point(point))
+                .constant("K", 99i64)
+                .finish(&s)
+                .unwrap(),
+        );
+        for n in [0, tuples.len() - 1, tuples.len()] {
+            let r = Relation::from_parts_unchecked(s.clone(), tuples[..n].to_vec());
+            let folded = r
+                .iter()
+                .fold(Lifespan::empty(), |acc, t| acc.union(t.lifespan()));
+            prop_assert_eq!(r.lifespan(), folded);
+        }
+    }
+
     #[test]
     fn clipping_to_scheme_is_idempotent_and_validating(t in tuple_strategy(1)) {
         let s = scheme();

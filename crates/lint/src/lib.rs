@@ -4,11 +4,11 @@
 //! atomics are only sound in the metrics crate, locks must be acquired in
 //! a consistent order across the group-commit core, library code on the
 //! storage/net paths must not panic, the 19-kind wire protocol must stay
-//! exhaustively wired, and decode-side allocations must be capped before
-//! trusting wire- or disk-derived lengths. This crate scans the workspace
-//! with a masking lexer (no `syn`; string literals, comments, and
-//! `#[cfg(test)]` regions are excluded) and enforces those invariants as
-//! five rules, with inline `// lint: <rule>-ok(<reason>)` waivers and a
+//! exhaustively wired, decode-side allocations must be capped before
+//! trusting wire- or disk-derived lengths, and the reference evaluator must
+//! stay a test-side oracle. This crate scans the workspace with a masking
+//! lexer (no `syn`; string literals, comments, and `#[cfg(test)]` regions
+//! are excluded) and enforces those invariants as six rules, with inline `// lint: <rule>-ok(<reason>)` waivers and a
 //! checked-in `lint.allow` prefix allowlist for sanctioned exceptions.
 //!
 //! Run it with `cargo run -p hrdm-lint`; it exits non-zero on any
@@ -77,6 +77,9 @@ pub struct LintConfig {
     pub frame_file: String,
     /// The proptest strategy-coverage pin for the wire format.
     pub coverage_file: String,
+    /// The reference evaluator: the differential oracle only test code
+    /// may reach.
+    pub oracle_file: String,
 }
 
 impl LintConfig {
@@ -113,6 +116,7 @@ impl LintConfig {
             ],
             frame_file: "crates/net/src/frame.rs".into(),
             coverage_file: "crates/net/tests/protocol.rs".into(),
+            oracle_file: "crates/query/src/eval.rs".into(),
         }
     }
 }

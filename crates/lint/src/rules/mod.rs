@@ -7,6 +7,7 @@
 //! | `no-panic` | no `unwrap`/`expect`/`panic!` in engine library code |
 //! | `wire-exhaustiveness` | every frame kind fully wired end to end |
 //! | `bounded-alloc` | decode-side allocations capped before trust |
+//! | `oracle-only` | the reference evaluator is reachable from tests only |
 //!
 //! Each rule scans the pre-lexed workspace and returns raw violations;
 //! the engine in [`crate::run`] applies waivers and the allowlist.
@@ -15,6 +16,7 @@ pub mod atomic_ordering;
 pub mod bounded_alloc;
 pub mod lock_order;
 pub mod no_panic;
+pub mod oracle_only;
 pub mod wire_exhaustive;
 
 use std::collections::BTreeMap;
@@ -47,5 +49,6 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(no_panic::NoPanic),
         Box::new(wire_exhaustive::WireExhaustive),
         Box::new(bounded_alloc::BoundedAlloc),
+        Box::new(oracle_only::OracleOnly),
     ]
 }

@@ -6,12 +6,13 @@ use std::path::PathBuf;
 
 use hrdm_lint::{run, LintConfig, Report};
 
-const ALL_RULES: [&str; 5] = [
+const ALL_RULES: [&str; 6] = [
     "atomic-ordering",
     "lock-order",
     "no-panic",
     "wire-exhaustiveness",
     "bounded-alloc",
+    "oracle-only",
 ];
 
 fn lint_fixture(which: &str) -> Report {
@@ -126,6 +127,23 @@ fn bounded_alloc_flags_the_uncapped_decode_allocation() {
 }
 
 #[test]
+fn oracle_only_flags_serve_path_calls_and_the_allow_but_not_tests() {
+    let report = lint_fixture("bad");
+    // The `#[allow(deprecated)]` (line 5), the `eval::` path and the
+    // `evaluate(` call on line 7, `eval_lifespan` (line 11) — NOT the
+    // look-alike names on line 15 and NOT the test module's oracle call.
+    assert_eq!(
+        sites(&report, "oracle-only"),
+        vec![
+            ("crates/query/src/serve.rs", 5),
+            ("crates/query/src/serve.rs", 7),
+            ("crates/query/src/serve.rs", 7),
+            ("crates/query/src/serve.rs", 11),
+        ]
+    );
+}
+
+#[test]
 fn clean_fixture_passes_with_waivers_accounted() {
     let report = lint_fixture("clean");
     assert!(
@@ -138,6 +156,7 @@ fn clean_fixture_passes_with_waivers_accounted() {
     let waived: BTreeSet<&str> = report.waived.iter().map(|v| v.rule).collect();
     assert!(waived.contains("atomic-ordering"), "waived: {waived:?}");
     assert!(waived.contains("lock-order"), "waived: {waived:?}");
+    assert!(waived.contains("oracle-only"), "waived: {waived:?}");
 }
 
 #[test]

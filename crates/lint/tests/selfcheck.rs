@@ -42,6 +42,11 @@ fn workspace_is_lint_clean() {
         "{:?}",
         report.rule_stats
     );
+    assert!(
+        report.rule_stats["oracle-only"] >= 40,
+        "{:?}",
+        report.rule_stats
+    );
 
     // Waivers exist and every one of them is load-bearing evidence the
     // waiver machinery is exercised by the real workspace.

@@ -444,17 +444,13 @@ fn explain_analyze(shell: &mut Shell, line: &str) {
     match &shell.remote {
         Some(_) => match remote_call(shell, |c| c.explain(line)) {
             Some(Ok(text)) => print!("{text}"),
-            Some(Err(NetError::Remote(hrdm_net::WireError::Unsupported(_)))) => {
-                println!("(only relation-sorted queries have a relational plan)")
-            }
             Some(Err(e)) => println!("{e}"),
             None => {}
         },
         None => {
             let query = strip_explain_analyze(line).expect("dispatch matched the prefix");
             match explain_analyze_query_text(query, &*shell.local.snapshot()) {
-                Ok(Some(text)) => print!("{text}"),
-                Ok(None) => println!("(only relation-sorted queries have a relational plan)"),
+                Ok(text) => print!("{text}"),
                 Err(PipelineError::Parse(e)) => println!("parse error: {e}"),
                 Err(e) => println!("{e}"),
             }
@@ -466,15 +462,11 @@ fn explain(shell: &mut Shell, text: &str) {
     match &shell.remote {
         Some(_) => match remote_call(shell, |c| c.explain(text)) {
             Some(Ok(plan)) => println!("{plan}"),
-            Some(Err(NetError::Remote(hrdm_net::WireError::Unsupported(_)))) => {
-                println!("(only relation-sorted queries have a relational plan)")
-            }
             Some(Err(e)) => println!("{e}"),
             None => {}
         },
         None => match explain_query_text(text, &*shell.local.snapshot()) {
-            Ok(Some(plan)) => println!("{plan}"),
-            Ok(None) => println!("(only relation-sorted queries have a relational plan)"),
+            Ok(plan) => println!("{plan}"),
             Err(PipelineError::Parse(e)) => println!("parse error: {e}"),
             Err(e) => println!("{e}"),
         },

@@ -105,7 +105,7 @@ pub enum WireError {
     /// (connection limit reached, shutting down).
     Unavailable(String),
     /// The request is well-formed but the server does not serve it (e.g.
-    /// EXPLAIN of a non-relation-sorted query).
+    /// materializing a query whose result is not a relation).
     Unsupported(String),
 }
 

@@ -901,9 +901,7 @@ fn serve(
             let plan = slow_text
                 .as_deref()
                 .filter(|_| kind == "query")
-                .and_then(|text| {
-                    explain_query_text(text, &*shared.db.snapshot()).unwrap_or_default()
-                });
+                .and_then(|text| explain_query_text(text, &*shared.db.snapshot()).ok());
             let text = slow_text.unwrap_or_default();
             recorder().record(
                 EventKind::SlowQuery,
@@ -1103,12 +1101,7 @@ fn serve_prepare(shared: &Arc<Shared>, stream: &mut TcpStream, req: u64, text: &
         None => explain_query_text(text, &*snap),
     };
     let response = match outcome {
-        Ok(Some(text)) => Frame::PlanText { text },
-        Ok(None) => Frame::Error {
-            error: WireError::Unsupported(
-                "only relation-sorted queries have a relational plan".into(),
-            ),
-        },
+        Ok(text) => Frame::PlanText { text },
         Err(e) => Frame::Error {
             error: pipeline_error(&e),
         },

@@ -6,9 +6,10 @@
 //! and attaches it to its parent — so nested `Span::enter` calls build
 //! the same tree as the call graph. Collection only happens inside
 //! [`with_trace`]; outside it (or with observability disabled) a span
-//! is one thread-local read and no allocation, which is what lets the
-//! planner leave spans permanently in `eval_plan` without a
-//! measurable cost in production paths.
+//! is one thread-local read and no allocation, so a layer can leave its
+//! spans in place permanently without a measurable cost in production
+//! paths. (The query executor does not use spans: its operators keep
+//! their own `ExecStats`, which is what `EXPLAIN ANALYZE` renders.)
 
 use std::cell::RefCell;
 use std::time::Instant;

@@ -1,6 +1,18 @@
-//! Evaluation of algebra expressions against a source of named relations.
+//! The reference evaluator: the algebra's semantics written down as
+//! directly as possible — no plans, no indexes, no batches; every
+//! intermediate relation is materialized with the `hrdm_core::algebra`
+//! function of its operator.
+//!
+//! It is the **differential oracle**, and only that. Every query the engine
+//! answers runs through [`crate::plan_query`] and the executor tree of
+//! [`crate::exec`]; the test suites (`streaming`, `planner_equivalence`,
+//! `differential`, `paged_differential`, `optimizer_equivalence`) evaluate
+//! the same queries here and demand equal answers. Nothing under a crate's
+//! `src/` may call it — `hrdm-lint`'s `oracle-only` rule enforces that.
 
 use crate::ast::{Expr, LifespanExpr, Query};
+use crate::pipeline::QueryResult;
+use crate::plan::RelationSource;
 use hrdm_core::algebra::{
     cartesian_product, difference, difference_o, intersection, intersection_o, natural_join,
     project, select_if, select_when, theta_join, time_join, timeslice, timeslice_dynamic, union,
@@ -9,60 +21,7 @@ use hrdm_core::algebra::{
 use hrdm_core::{HrdmError, Relation, Result};
 use hrdm_time::Lifespan;
 
-/// Anything that can resolve relation names — a database, a test map, …
-pub trait RelationSource {
-    /// The relation bound to `name`, if any.
-    fn relation(&self, name: &str) -> Option<&Relation>;
-}
-
-impl RelationSource for hrdm_storage::Database {
-    fn relation(&self, name: &str) -> Option<&Relation> {
-        hrdm_storage::Database::relation(self, name)
-    }
-}
-
-/// A snapshot is the preferred query target under concurrency: the whole
-/// pipeline (optimize → plan → evaluate) runs against one immutable state,
-/// with zero locks and unaffected by concurrent writers.
-impl RelationSource for hrdm_storage::DbSnapshot {
-    fn relation(&self, name: &str) -> Option<&Relation> {
-        hrdm_storage::DbSnapshot::relation(self, name)
-    }
-}
-
-impl RelationSource for std::collections::BTreeMap<String, Relation> {
-    fn relation(&self, name: &str) -> Option<&Relation> {
-        self.get(name)
-    }
-}
-
-impl RelationSource for std::collections::HashMap<String, Relation> {
-    fn relation(&self, name: &str) -> Option<&Relation> {
-        self.get(name)
-    }
-}
-
-/// The result of a query: one of the algebra's sorts (plus the aggregate
-/// extension's time-varying values).
-#[derive(Clone, PartialEq, Debug)]
-pub enum QueryResult {
-    /// A historical relation.
-    Relation(Relation),
-    /// A lifespan.
-    Lifespan(Lifespan),
-    /// A time-varying value (aggregate extension).
-    Function(hrdm_core::TemporalValue),
-}
-
-/// Evaluates a top-level query by materializing every intermediate
-/// relation.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the streaming executor API instead: `stream_query_on_snapshot` \
-            (or `run_query_on_snapshot` to collect) runs the same algebra \
-            through bounded batches with per-batch caps and cancellation"
-)]
-#[allow(deprecated)]
+/// Evaluates a top-level query of any sort.
 pub fn evaluate(q: &Query, src: &dyn RelationSource) -> Result<QueryResult> {
     match q {
         Query::Relation(e) => Ok(QueryResult::Relation(eval_expr(e, src)?)),
@@ -76,16 +35,7 @@ pub fn evaluate(q: &Query, src: &dyn RelationSource) -> Result<QueryResult> {
     }
 }
 
-/// Evaluates a relation-sorted expression, materializing every
-/// intermediate relation.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the streaming executor API instead: plan the expression and \
-            drive `crate::exec::build_executor`'s tree (or call \
-            `stream_query_on_snapshot`) for bounded-memory, cancellable \
-            evaluation"
-)]
-#[allow(deprecated)]
+/// Evaluates a relation-sorted expression.
 pub fn eval_expr(e: &Expr, src: &dyn RelationSource) -> Result<Relation> {
     match e {
         Expr::Relation(name) => src
@@ -133,10 +83,7 @@ pub fn eval_expr(e: &Expr, src: &dyn RelationSource) -> Result<Relation> {
     }
 }
 
-/// Evaluates a lifespan-sorted expression. Lifespans are scalar-sized, so
-/// this is not deprecated — the streaming executor itself uses it to
-/// resolve lifespan parameters at `open`.
-#[allow(deprecated)] // WHEN embeds a relation expression.
+/// Evaluates a lifespan-sorted expression.
 pub fn eval_lifespan(l: &LifespanExpr, src: &dyn RelationSource) -> Result<Lifespan> {
     match l {
         LifespanExpr::Literal(ls) => Ok(ls.clone()),
@@ -150,7 +97,6 @@ pub fn eval_lifespan(l: &LifespanExpr, src: &dyn RelationSource) -> Result<Lifes
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the materialized entry points stay covered until removal
 mod tests {
     use super::*;
     use crate::parser::{parse_expr, parse_query};

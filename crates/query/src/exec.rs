@@ -1,14 +1,28 @@
-//! The streaming executor: pull-based, batch-at-a-time query evaluation.
+//! The streaming executor: pull-based, batch-at-a-time query evaluation —
+//! the one interpreter of physical plans, whatever sort the query has.
 //!
-//! [`crate::plan()`] turns an optimized expression into a [`Plan`];
-//! this module turns that plan into a tree of [`QueryExecutor`]s — one
-//! executor per physical operator — that is driven Volcano-style:
-//! `open()` prepares the operator (and returns its output [`Scheme`]),
-//! `next_batch()` yields bounded [`RowBatch`]es of `Arc`-backed tuples,
-//! `close()` releases resources. Row caps and cancellation are enforced
-//! *per batch* at the stream root ([`QueryStream`]), so a runaway scan is
-//! cut off within one batch boundary instead of after full
-//! materialization.
+//! [`crate::plan_query()`] turns a query into a [`QueryPlan`]; this module
+//! turns that plan into a tree of [`QueryExecutor`]s — one executor per
+//! physical operator — that is driven Volcano-style: `open()` prepares the
+//! operator (and returns its output [`Scheme`]), `next_batch()` yields
+//! bounded [`RowBatch`]es of `Arc`-backed tuples, `close()` releases
+//! resources. Row caps and cancellation are enforced *per batch* at the
+//! root, so a runaway scan is cut off within one batch boundary instead of
+//! after full materialization.
+//!
+//! ## Roots
+//!
+//! * A relation-sorted query ends in a [`QueryStream`], which hands the
+//!   batches on to the caller.
+//! * A lifespan-sorted query ends in a [`LifespanExec`]: each `WHEN` leaf
+//!   pulls batches from its (planned, pruned, cancellable, row-capped)
+//!   child and coalesces the runs of every `t.l` **once**, by sort and
+//!   sweep. The per-tuple unaries directly under a `WHEN` run in a
+//!   *lifespan-only* mode (`chain_lifespan`) that never builds the
+//!   restricted tuple. Computed `TIMESLICE` windows and `SELECT-IF`
+//!   bounds (`Ω(e)`) run through the same root when their operator opens.
+//! * An aggregate ends in an [`AggregateExec`], which drains its bounded
+//!   child and aggregates over time.
 //!
 //! ## Operator classes
 //!
@@ -18,9 +32,9 @@
 //! * **Blocking** — joins, products, and the six set operators consume
 //!   their children fully at `open()` (checking cancellation between
 //!   input batches), compute their result with the *exact same* algebra
-//!   functions the materializing evaluator uses, then stream it out in
-//!   batches. Planned ≡ unplanned ≡ streamed equivalence is asserted by
-//!   the workspace's differential suites.
+//!   functions the reference evaluator ([`crate::eval`]) uses, then stream
+//!   it out in batches. Reference ≡ streamed equivalence is asserted by the
+//!   workspace's differential suites.
 //! * **`Gather`** — a parallel leaf: a `SeqScan` (plus any
 //!   stack of per-tuple unaries directly above it) over a relation of at
 //!   least [`ExecOptions::parallel_min_rows`] rows is fused into one
@@ -35,18 +49,21 @@
 //! inclusive wall time); `EXPLAIN ANALYZE` renders the executor tree with
 //! those numbers.
 
-use crate::eval::eval_lifespan;
+use crate::ast::LifespanExpr;
 use crate::plan::{
-    indexed_natural_join, indexed_time_join, node_label, probe_line, record_scan_access,
-    unary_label, valid_partitions, AccessPath, BinaryOp, IndexSource, Plan, UnaryOp,
+    fmt_window, indexed_natural_join, indexed_time_join, node_label, plan_lifespan, probe_line,
+    record_scan_access, unary_label, valid_partitions, AccessPath, BinaryOp, IndexSource,
+    LifespanPlan, LifespanSetOp, Plan, QueryPlan, UnaryOp,
 };
 use hrdm_core::algebra::{
-    cartesian_product, difference, difference_o, intersection, intersection_o, natural_join,
-    theta_join, time_join, union, union_o, Comparator, Predicate, Quantifier,
+    aggregate_over_time, cartesian_product, difference, difference_o, intersection, intersection_o,
+    natural_join, theta_join, time_join, union, union_o, AggregateOp, Comparator, Predicate,
+    Quantifier,
 };
-use hrdm_core::{Attribute, HrdmError, PVec, Relation, Scheme, Tuple};
+use hrdm_core::{Attribute, HrdmError, PVec, Relation, Scheme, TemporalValue, Tuple};
 use hrdm_index::RelationIndexes;
-use hrdm_time::Lifespan;
+use hrdm_time::{Interval, Lifespan};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -109,7 +126,7 @@ impl RowBatch {
 #[derive(Clone, PartialEq, Debug)]
 pub enum ExecError {
     /// An operator failed (unknown relation, type error, …) — exactly the
-    /// errors the materializing evaluator reports.
+    /// errors the reference evaluator reports.
     Eval(HrdmError),
     /// The stream's [`CancelProbe`] fired; the stream stopped within one
     /// batch boundary.
@@ -156,10 +173,14 @@ pub struct ExecOptions {
 
 impl Default for ExecOptions {
     fn default() -> ExecOptions {
+        // Asked once: Linux answers from cgroup files, ~20 µs a call — more
+        // than a key probe costs — and every query builds its options.
+        static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
         ExecOptions {
             batch_rows: DEFAULT_BATCH_ROWS,
             max_rows: None,
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            workers: *CORES
+                .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
             parallel_min_rows: 32_768,
             cancel: None,
         }
@@ -186,7 +207,7 @@ impl ExecOptions {
 
 /// Per-operator runtime statistics: output rows, output batches, and
 /// inclusive wall time (an operator's clock runs while its children work
-/// for it, mirroring the span semantics of the materializing evaluator).
+/// for it).
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct ExecStats {
     /// Rows this operator emitted.
@@ -246,6 +267,17 @@ fn annotation(stats: &ExecStats, annotate: bool) -> String {
     }
 }
 
+/// Renders a fused chain (outermost-first), one ever-deeper line per
+/// operator, and returns the depth of whatever the chain is stacked on.
+fn render_chain(chain: &[UnaryOp], depth: usize, out: &mut String) -> usize {
+    for (i, op) in chain.iter().enumerate() {
+        indent(out, depth + i);
+        out.push_str(&unary_label(op));
+        out.push('\n');
+    }
+    depth + chain.len()
+}
+
 fn cancelled(probe: &Option<CancelProbe>) -> bool {
     probe.as_ref().is_some_and(|c| c())
 }
@@ -270,15 +302,31 @@ enum TupleOp {
     Project(Vec<Attribute>),
 }
 
+/// Evaluates the lifespan parameter of a unary operator (τ's window, σIF's
+/// bound) through [`LifespanExec`], the root a top-level `WHEN` uses, so a
+/// computed `Ω(e)` sees the same index scans, row cap and cancellation.
+fn eval_lifespan_param(
+    l: &LifespanExpr,
+    src: &dyn IndexSource,
+    opts: &ExecOptions,
+) -> Result<Lifespan, ExecError> {
+    match l {
+        // The common case — every literal TIMESLICE — needs no executor.
+        LifespanExpr::Literal(window) => Ok(window.clone()),
+        computed => LifespanExec::build(&plan_lifespan(computed, src), src, opts).run(),
+    }
+}
+
 /// Compiles `op` against its input scheme: evaluates lifespan parameters
 /// through `src`, typechecks predicates, and derives the output scheme.
-/// The checks run in the same order as the materializing evaluator so
-/// error behaviour matches.
+/// The checks run in the same order as the reference evaluator so error
+/// behaviour matches.
 fn compile_op(
     op: &UnaryOp,
     in_scheme: &Scheme,
     src: &dyn IndexSource,
-) -> Result<(TupleOp, Scheme), HrdmError> {
+    opts: &ExecOptions,
+) -> Result<(TupleOp, Scheme), ExecError> {
     match op {
         UnaryOp::Project(attrs) => {
             let scheme = in_scheme.project(attrs)?;
@@ -294,7 +342,7 @@ fn compile_op(
             lifespan,
         } => {
             let bound = match lifespan {
-                Some(l) => Some(eval_lifespan(l, src)?),
+                Some(l) => Some(eval_lifespan_param(l, src, opts)?),
                 None => None,
             };
             predicate.typecheck(in_scheme)?;
@@ -308,17 +356,34 @@ fn compile_op(
             ))
         }
         UnaryOp::TimeSlice(lifespan) => {
-            let window = eval_lifespan(lifespan, src)?;
+            let window = eval_lifespan_param(lifespan, src, opts)?;
             Ok((TupleOp::TimeSlice(window), in_scheme.clone()))
         }
         UnaryOp::TimeSliceDynamic(attr) => {
             let dom = in_scheme.dom(attr)?;
             if !dom.is_time_valued() {
-                return Err(HrdmError::NotTimeValued(attr.clone()));
+                return Err(HrdmError::NotTimeValued(attr.clone()).into());
             }
             Ok((TupleOp::TimeSliceDynamic(attr.clone()), in_scheme.clone()))
         }
     }
+}
+
+/// Compiles a fused chain (given outermost-first, applied innermost-first)
+/// bottom-up against the scheme of what it is stacked on.
+fn compile_chain(
+    chain: &[UnaryOp],
+    mut scheme: Scheme,
+    src: &dyn IndexSource,
+    opts: &ExecOptions,
+) -> Result<(Vec<TupleOp>, Scheme), ExecError> {
+    let mut ops = Vec::with_capacity(chain.len());
+    for op in chain.iter().rev() {
+        let (compiled, out_scheme) = compile_op(op, &scheme, src, opts)?;
+        ops.push(compiled);
+        scheme = out_scheme;
+    }
+    Ok((ops, scheme))
 }
 
 /// Applies one compiled unary to one tuple. The bodies replicate the
@@ -375,14 +440,60 @@ fn apply_chain(ops: &[TupleOp], t: &Tuple) -> Result<Option<Tuple>, HrdmError> {
     Ok(Some(cur))
 }
 
+/// The lifespan [`apply_chain`] would leave on its output tuple (`None`
+/// where the chain drops `t`), computed without building any restricted
+/// tuple — all a `WHEN` root needs of a row.
+///
+/// The chain's intermediate tuple is always `t|_cur` for some `cur ⊆ t.l`,
+/// and predicates are evaluated pointwise, so `when_true(t|_cur)` is
+/// `when_true(t) ∩ cur`: tracking `cur` alone is enough.
+fn chain_lifespan<'t>(
+    ops: &[TupleOp],
+    t: &'t Tuple,
+) -> Result<Option<Cow<'t, Lifespan>>, HrdmError> {
+    let mut cur = Cow::Borrowed(t.lifespan());
+    for op in ops {
+        let sliced = match op {
+            TupleOp::TimeSlice(window) => cur.intersect(window),
+            TupleOp::TimeSliceDynamic(attr) => match t.value(attr) {
+                Some(tv) => tv.restrict(&cur).image_lifespan()?.intersect(&cur),
+                None => Lifespan::empty(),
+            },
+            TupleOp::SelectWhen(predicate) => predicate.when_true(t)?.intersect(&cur),
+            TupleOp::SelectIf {
+                predicate,
+                quantifier,
+                bound,
+            } => {
+                let truth = predicate.when_true(t)?.intersect(&cur);
+                let selected = match (quantifier, bound) {
+                    (Quantifier::Exists, Some(l)) => l.intersect(&cur).intersects(&truth),
+                    (Quantifier::Exists, None) => !truth.is_empty(),
+                    (Quantifier::Forall, Some(l)) => truth.contains_lifespan(&l.intersect(&cur)),
+                    (Quantifier::Forall, None) => truth == *cur,
+                };
+                if !selected {
+                    return Ok(None);
+                }
+                continue; // σIF passes the tuple through whole
+            }
+            TupleOp::Project(_) => continue, // π leaves lifespans alone
+        };
+        if sliced.is_empty() {
+            return Ok(None);
+        }
+        cur = Cow::Owned(sliced);
+    }
+    Ok(Some(cur))
+}
+
 // ---------------------------------------------------------------------------
 // Scan
 // ---------------------------------------------------------------------------
 
-/// A serial base-relation scan honouring its planned [`AccessPath`], with
-/// the same degradation rules as the materializing evaluator: a missing or
-/// stale index at `open` time falls back to reading everything, never to
-/// an error.
+/// A serial base-relation scan honouring its planned [`AccessPath`]: a
+/// missing or stale index at `open` time degrades to reading everything,
+/// never to an error.
 struct ScanExec<'a> {
     name: String,
     access: AccessPath,
@@ -423,8 +534,11 @@ impl<'a> ScanExec<'a> {
     }
 }
 
-/// Candidate positions for `access` over `r`, mirroring
-/// `plan::eval_scan`'s index/partition selection exactly.
+/// Candidate positions for `access` over `r` (`None` = every position):
+/// partition-pruned when the source keeps a current partition map — skip
+/// partitions whose summary misses the window, take fully-covered ones
+/// whole, probe the rest through their own small indexes — and from the
+/// relation-wide index otherwise.
 fn scan_positions(
     access: &AccessPath,
     src: &dyn IndexSource,
@@ -476,6 +590,25 @@ fn scan_next_batch(state: &mut ScanState, batch_rows: usize) -> Option<RowBatch>
     Some(RowBatch::new(rows))
 }
 
+/// The next batch out of `state` (none once drained, or when the operator
+/// is not open), counted and timed into `stats`.
+fn emit_batch(
+    state: &mut Option<ScanState>,
+    batch_rows: usize,
+    stats: &mut ExecStats,
+) -> Option<RowBatch> {
+    let started = Instant::now();
+    let out = state
+        .as_mut()
+        .and_then(|state| scan_next_batch(state, batch_rows));
+    if let Some(b) = &out {
+        stats.rows += b.len() as u64;
+        stats.batches += 1;
+    }
+    stats.wall_ns += started.elapsed().as_nanos() as u64;
+    out
+}
+
 impl QueryExecutor for ScanExec<'_> {
     fn open(&mut self) -> Result<Scheme, ExecError> {
         let started = Instant::now();
@@ -496,17 +629,11 @@ impl QueryExecutor for ScanExec<'_> {
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>, ExecError> {
-        let started = Instant::now();
-        let out = match &mut self.state {
-            Some(state) => scan_next_batch(state, self.batch_rows),
-            None => None,
-        };
-        if let Some(b) = &out {
-            self.stats.rows += b.len() as u64;
-            self.stats.batches += 1;
-        }
-        self.stats.wall_ns += started.elapsed().as_nanos() as u64;
-        Ok(out)
+        Ok(emit_batch(
+            &mut self.state,
+            self.batch_rows,
+            &mut self.stats,
+        ))
     }
 
     fn close(&mut self) {
@@ -543,7 +670,7 @@ struct FilterExec<'a> {
     label: String,
     src: &'a dyn IndexSource,
     child: Box<dyn QueryExecutor + 'a>,
-    cancel: Option<CancelProbe>,
+    opts: ExecOptions,
     compiled: Option<TupleOp>,
     stats: ExecStats,
 }
@@ -552,7 +679,7 @@ impl QueryExecutor for FilterExec<'_> {
     fn open(&mut self) -> Result<Scheme, ExecError> {
         let started = Instant::now();
         let in_scheme = self.child.open()?;
-        let result = compile_op(&self.op, &in_scheme, self.src);
+        let result = compile_op(&self.op, &in_scheme, self.src, &self.opts);
         self.stats.wall_ns += started.elapsed().as_nanos() as u64;
         let (compiled, out_scheme) = result?;
         self.compiled = Some(compiled);
@@ -583,7 +710,7 @@ impl QueryExecutor for FilterExec<'_> {
                     // A fully-filtered batch yields nothing: check for
                     // cancellation before pulling the next one, since no
                     // output reaches the stream root's per-batch gate.
-                    if cancelled(&self.cancel) {
+                    if cancelled(&self.opts.cancel) {
                         break Err(ExecError::Cancelled);
                     }
                 }
@@ -639,8 +766,8 @@ enum BlockingKind {
 
 /// Joins, products, and set operators: children are drained fully at
 /// `open` (cancellation is checked between input batches), the result is
-/// computed by the same algebra functions the materializing evaluator
-/// calls, then streamed out in batches.
+/// computed by the same algebra functions the reference evaluator calls,
+/// then streamed out in batches.
 struct BlockingExec<'a> {
     kind: BlockingKind,
     label: String,
@@ -653,26 +780,57 @@ struct BlockingExec<'a> {
     stats: ExecStats,
 }
 
+/// Opens `child`, closing it again if that fails.
+fn open_child(child: &mut dyn QueryExecutor) -> Result<Scheme, ExecError> {
+    child.open().inspect_err(|_| child.close())
+}
+
+/// Pulls an opened `child` dry, handing each batch to `sink` (which returns
+/// how many rows it kept) — behind the gate a [`QueryStream`] applies:
+/// `cancel` is probed before every pull and `max_rows` checked after every
+/// batch, so a blocking operator or a `WHEN`/aggregate root also stops
+/// within one batch and never returns a silent partial result. Kept rows
+/// and batches are counted into `stats`; the child is closed on every path.
+fn drain(
+    child: &mut dyn QueryExecutor,
+    cancel: &Option<CancelProbe>,
+    max_rows: Option<u64>,
+    stats: &mut ExecStats,
+    mut sink: impl FnMut(RowBatch) -> Result<u64, HrdmError>,
+) -> Result<(), ExecError> {
+    let result = (|| loop {
+        if cancelled(cancel) {
+            return Err(ExecError::Cancelled);
+        }
+        let Some(batch) = child.next_batch()? else {
+            return Ok(());
+        };
+        stats.batches += 1;
+        stats.rows += sink(batch)?;
+        if let Some(max) = max_rows.filter(|&max| stats.rows > max) {
+            return Err(ExecError::RowLimit(max));
+        }
+    })();
+    child.close();
+    result
+}
+
 /// Drains `child` into a materialized relation (set semantics, like every
-/// intermediate of the materializing evaluator), checking `cancel`
-/// between batches.
+/// intermediate of the reference evaluator), counting what it pulled into
+/// `stats`.
 fn drain_child(
     child: &mut dyn QueryExecutor,
     cancel: &Option<CancelProbe>,
+    max_rows: Option<u64>,
+    stats: &mut ExecStats,
 ) -> Result<Relation, ExecError> {
-    let scheme = child.open()?;
+    let scheme = open_child(child)?;
     let mut rows: Vec<Tuple> = Vec::new();
-    loop {
-        if cancelled(cancel) {
-            child.close();
-            return Err(ExecError::Cancelled);
-        }
-        match child.next_batch()? {
-            Some(batch) => rows.extend(batch.into_rows()),
-            None => break,
-        }
-    }
-    child.close();
+    drain(child, cancel, max_rows, stats, |batch| {
+        let n = batch.len() as u64;
+        rows.extend(batch.into_rows());
+        Ok(n)
+    })?;
     Ok(Relation::from_parts_unchecked(scheme, rows))
 }
 
@@ -680,7 +838,15 @@ impl BlockingExec<'_> {
     fn compute(&mut self) -> Result<Relation, ExecError> {
         let mut inputs = Vec::new();
         for child in &mut self.children {
-            inputs.push(drain_child(child.as_mut(), &self.cancel)?);
+            // A blocking operator's inputs are not the result: no row cap,
+            // and the operator's own stats count what it emits.
+            let mut pulled = ExecStats::default();
+            inputs.push(drain_child(
+                child.as_mut(),
+                &self.cancel,
+                None,
+                &mut pulled,
+            )?);
         }
         let result = match (&self.kind, inputs.as_slice()) {
             (BlockingKind::Binary(op), [a, b]) => match op {
@@ -741,17 +907,7 @@ impl QueryExecutor for BlockingExec<'_> {
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>, ExecError> {
-        let started = Instant::now();
-        let out = match &mut self.out {
-            Some(state) => scan_next_batch(state, self.batch_rows),
-            None => None,
-        };
-        if let Some(b) = &out {
-            self.stats.rows += b.len() as u64;
-            self.stats.batches += 1;
-        }
-        self.stats.wall_ns += started.elapsed().as_nanos() as u64;
-        Ok(out)
+        Ok(emit_batch(&mut self.out, self.batch_rows, &mut self.stats))
     }
 
     fn close(&mut self) {
@@ -806,14 +962,10 @@ enum Morsel {
 /// waiting for the scan to finish.
 struct GatherExec<'a> {
     scan_name: String,
-    access: AccessPath,
+    /// The fused unaries, outermost-first.
     chain: Vec<UnaryOp>,
-    /// Labels for rendering: fused unaries outermost-first, scan last.
-    fused_labels: Vec<String>,
     src: &'a dyn IndexSource,
-    workers: usize,
-    batch_rows: usize,
-    cancel: Option<CancelProbe>,
+    opts: ExecOptions,
     running: Option<GatherRuntime>,
     spawned: usize,
     morsel_count: usize,
@@ -925,31 +1077,25 @@ impl GatherExec<'_> {
 impl QueryExecutor for GatherExec<'_> {
     fn open(&mut self) -> Result<Scheme, ExecError> {
         let started = Instant::now();
-        record_scan_access(&self.access);
+        record_scan_access(&AccessPath::SeqScan);
         let result = (|| -> Result<(Scheme, GatherRuntime, usize, usize), ExecError> {
             let r = self
                 .src
                 .relation(&self.scan_name)
                 .ok_or_else(|| HrdmError::UnknownRelation(self.scan_name.clone()))?;
-            // Compile the fused unaries bottom-up against the scan scheme.
-            let mut scheme = r.scheme().clone();
-            let mut ops = Vec::new();
-            for op in self.chain.iter().rev() {
-                let (compiled, out_scheme) = compile_op(op, &scheme, self.src)?;
-                ops.push(compiled);
-                scheme = out_scheme;
-            }
+            let (ops, scheme) =
+                compile_chain(&self.chain, r.scheme().clone(), self.src, &self.opts)?;
             let morsels = plan_morsels(self.src, &self.scan_name, r);
-            let workers = self.workers.min(morsels.len()).max(1);
+            let workers = self.opts.workers.min(morsels.len()).max(1);
             let stop = Arc::new(AtomicBool::new(false));
             let job = Arc::new(GatherJob {
                 tuples: r.tuples().clone(),
                 morsels,
                 next_morsel: AtomicUsize::new(0),
                 ops,
-                batch_rows: self.batch_rows,
+                batch_rows: self.opts.batch_rows_clamped(),
                 stop: Arc::clone(&stop),
-                cancel: self.cancel.clone(),
+                cancel: self.opts.cancel.clone(),
             });
             let morsel_count = job.morsels.len();
             let (tx, rx) = std::sync::mpsc::sync_channel(workers * 2);
@@ -998,7 +1144,7 @@ impl QueryExecutor for GatherExec<'_> {
             // truncated result masquerade as a complete `Done`.
             None => {
                 self.shutdown();
-                if cancelled(&self.cancel) {
+                if cancelled(&self.opts.cancel) {
                     Err(ExecError::Cancelled)
                 } else {
                     Ok(None)
@@ -1023,18 +1169,17 @@ impl QueryExecutor for GatherExec<'_> {
 
     fn render(&self, depth: usize, annotate: bool, out: &mut String) {
         indent(out, depth);
-        out.push_str(&format!(
-            "Gather(workers: {}, morsels: {})",
-            self.spawned.max(1),
-            self.morsel_count
-        ));
+        // Before `open` the worker and morsel counts are not known yet:
+        // print the pool the scan may use.
+        out.push_str(&match self.spawned {
+            0 => format!("Gather(workers: {})", self.opts.workers),
+            spawned => format!("Gather(workers: {spawned}, morsels: {})", self.morsel_count),
+        });
         out.push_str(&annotation(&self.stats, annotate));
         out.push('\n');
-        for (i, label) in self.fused_labels.iter().enumerate() {
-            indent(out, depth + 1 + i);
-            out.push_str(label);
-            out.push('\n');
-        }
+        let depth = render_chain(&self.chain, depth + 1, out);
+        indent(out, depth);
+        out.push_str(&format!("Scan {} [SeqScan]\n", self.scan_name));
     }
 }
 
@@ -1045,62 +1190,279 @@ impl Drop for GatherExec<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Pre-materialized results
+// Roots of the lifespan and aggregate sorts
 // ---------------------------------------------------------------------------
 
-/// Streams an already-materialized relation (the defensive path for
-/// results produced outside the executor tree).
-struct PreMaterialized {
-    label: String,
-    batch_rows: usize,
-    relation: Option<Relation>,
-    state: Option<ScanState>,
+/// One `Ω(e)`: pulls the planned child dry and coalesces the runs of every
+/// tuple lifespan once, by sort and sweep.
+///
+/// The per-tuple unaries at the top of `e`'s plan are not built as
+/// executors: they are applied here in lifespan-only mode
+/// ([`chain_lifespan`]), so no restricted tuple is allocated just to read
+/// its lifespan back. Rows are counted — and capped by `max_rows` — *after*
+/// the chain: what a tuple-building child would have handed the root.
+struct WhenExec<'a> {
+    /// The peeled unaries, outermost-first.
+    chain: Vec<UnaryOp>,
+    child: Box<dyn QueryExecutor + 'a>,
+    src: &'a dyn IndexSource,
+    opts: ExecOptions,
     stats: ExecStats,
 }
 
-impl QueryExecutor for PreMaterialized {
-    fn open(&mut self) -> Result<Scheme, ExecError> {
-        let Some(r) = self.relation.take() else {
-            return Err(ExecError::Eval(HrdmError::UnknownRelation(
-                self.label.clone(),
-            )));
+impl<'a> WhenExec<'a> {
+    fn build(p: &Plan, src: &'a dyn IndexSource, opts: &ExecOptions) -> WhenExec<'a> {
+        let (chain, bottom) = unary_chain(p);
+        let child: Box<dyn QueryExecutor + 'a> = match bottom {
+            // Reading a lifespan off a tuple is a few nanoseconds of work:
+            // a serial scan beats shipping rows through `Gather`'s channel.
+            Plan::Scan {
+                relation, access, ..
+            } => Box::new(ScanExec::build(
+                relation,
+                access,
+                node_label(bottom),
+                src,
+                opts,
+            )),
+            _ => build_executor(bottom, src, opts),
         };
-        let scheme = r.scheme().clone();
-        self.state = Some(ScanState {
-            relation: r,
-            positions: None,
-            cursor: 0,
-        });
-        Ok(scheme)
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RowBatch>, ExecError> {
-        let started = Instant::now();
-        let out = match &mut self.state {
-            Some(state) => scan_next_batch(state, self.batch_rows),
-            None => None,
-        };
-        if let Some(b) = &out {
-            self.stats.rows += b.len() as u64;
-            self.stats.batches += 1;
+        WhenExec {
+            chain: chain.into_iter().cloned().collect(),
+            child,
+            src,
+            opts: opts.clone(),
+            stats: ExecStats::default(),
         }
+    }
+
+    fn run(&mut self) -> Result<Lifespan, ExecError> {
+        let started = Instant::now();
+        let result = self.union_of_lifespans();
         self.stats.wall_ns += started.elapsed().as_nanos() as u64;
-        Ok(out)
+        result
     }
 
-    fn close(&mut self) {
-        self.state = None;
-    }
-
-    fn stats(&self) -> ExecStats {
-        self.stats
+    fn union_of_lifespans(&mut self) -> Result<Lifespan, ExecError> {
+        let scheme = open_child(self.child.as_mut())?;
+        let (ops, _) = compile_chain(&self.chain, scheme, self.src, &self.opts)
+            .inspect_err(|_| self.child.close())?;
+        let mut runs: Vec<Interval> = Vec::new();
+        drain(
+            self.child.as_mut(),
+            &self.opts.cancel,
+            self.opts.max_rows,
+            &mut self.stats,
+            |batch| {
+                let mut kept = 0;
+                for t in batch.rows() {
+                    if let Some(l) = chain_lifespan(&ops, t)? {
+                        kept += 1;
+                        runs.extend_from_slice(l.intervals());
+                    }
+                }
+                Ok(kept)
+            },
+        )?;
+        Ok(Lifespan::from_intervals(runs))
     }
 
     fn render(&self, depth: usize, annotate: bool, out: &mut String) {
         indent(out, depth);
-        out.push_str(&self.label);
+        out.push_str("When");
         out.push_str(&annotation(&self.stats, annotate));
         out.push('\n');
+        let depth = render_chain(&self.chain, depth + 1, out);
+        self.child.render(depth, annotate, out);
+    }
+}
+
+/// The root of a lifespan-sorted query (and of every computed `TIMESLICE`
+/// window or `SELECT-IF` bound): the executor of a [`LifespanPlan`].
+/// [`run`](LifespanExec::run) it once; the tree stays renderable afterwards
+/// with the statistics of the run.
+pub struct LifespanExec<'a>(LifespanNode<'a>);
+
+enum LifespanNode<'a> {
+    Literal(Lifespan),
+    When(Box<WhenExec<'a>>),
+    Binary {
+        op: LifespanSetOp,
+        left: Box<LifespanNode<'a>>,
+        right: Box<LifespanNode<'a>>,
+    },
+}
+
+impl<'a> LifespanNode<'a> {
+    fn build(p: &LifespanPlan, src: &'a dyn IndexSource, opts: &ExecOptions) -> LifespanNode<'a> {
+        match p {
+            LifespanPlan::Literal(l) => LifespanNode::Literal(l.clone()),
+            LifespanPlan::When(e) => LifespanNode::When(Box::new(WhenExec::build(e, src, opts))),
+            LifespanPlan::Binary { op, left, right } => LifespanNode::Binary {
+                op: *op,
+                left: Box::new(LifespanNode::build(left, src, opts)),
+                right: Box::new(LifespanNode::build(right, src, opts)),
+            },
+        }
+    }
+
+    fn run(&mut self) -> Result<Lifespan, ExecError> {
+        match self {
+            LifespanNode::Literal(l) => Ok(l.clone()),
+            LifespanNode::When(w) => w.run(),
+            LifespanNode::Binary { op, left, right } => {
+                let (a, b) = (left.run()?, right.run()?);
+                Ok(match op {
+                    LifespanSetOp::Union => a.union(&b),
+                    LifespanSetOp::Intersect => a.intersect(&b),
+                    LifespanSetOp::Minus => a.difference(&b),
+                })
+            }
+        }
+    }
+
+    /// Rows that reached the `WHEN` leaves.
+    fn rows(&self) -> u64 {
+        match self {
+            LifespanNode::Literal(_) => 0,
+            LifespanNode::When(w) => w.stats.rows,
+            LifespanNode::Binary { left, right, .. } => left.rows() + right.rows(),
+        }
+    }
+
+    fn render(&self, depth: usize, annotate: bool, out: &mut String) {
+        match self {
+            LifespanNode::Literal(l) => {
+                indent(out, depth);
+                out.push_str(&format!("Lifespan {}\n", fmt_window(l)));
+            }
+            LifespanNode::When(w) => w.render(depth, annotate, out),
+            LifespanNode::Binary { op, left, right } => {
+                indent(out, depth);
+                out.push_str(&format!("Lifespan-{op:?}\n"));
+                left.render(depth + 1, annotate, out);
+                right.render(depth + 1, annotate, out);
+            }
+        }
+    }
+}
+
+impl<'a> LifespanExec<'a> {
+    /// Builds the executor tree of `p`; nothing is opened until
+    /// [`run`](LifespanExec::run).
+    pub fn build(p: &LifespanPlan, src: &'a dyn IndexSource, opts: &ExecOptions) -> Self {
+        LifespanExec(LifespanNode::build(p, src, opts))
+    }
+
+    /// Evaluates the lifespan. A cancelled or row-capped `WHEN` is an
+    /// error, never a partial lifespan.
+    pub fn run(&mut self) -> Result<Lifespan, ExecError> {
+        self.0.run()
+    }
+}
+
+/// The root of an aggregate query: drains its (planned, row-capped,
+/// cancellable) child into a relation and aggregates it over time.
+pub struct AggregateExec<'a> {
+    op: AggregateOp,
+    attr: Attribute,
+    child: Box<dyn QueryExecutor + 'a>,
+    opts: ExecOptions,
+    stats: ExecStats,
+}
+
+impl AggregateExec<'_> {
+    /// Evaluates the aggregate.
+    pub fn run(&mut self) -> Result<TemporalValue, ExecError> {
+        let started = Instant::now();
+        let result = drain_child(
+            self.child.as_mut(),
+            &self.opts.cancel,
+            self.opts.max_rows,
+            &mut self.stats,
+        )
+        .and_then(|r| Ok(aggregate_over_time(&r, &self.attr, self.op)?));
+        self.stats.wall_ns += started.elapsed().as_nanos() as u64;
+        result
+    }
+}
+
+/// The executor of a planned query of any sort, built but not yet opened.
+pub enum QueryRoot<'a> {
+    /// A relation-sorted query: hand it to [`QueryStream::new`].
+    Rows(Box<dyn QueryExecutor + 'a>),
+    /// A lifespan-sorted query.
+    Lifespan(LifespanExec<'a>),
+    /// An aggregate query.
+    Aggregate(AggregateExec<'a>),
+}
+
+impl QueryRoot<'_> {
+    /// Runs the tree to completion under `opts`' row cap and cancellation
+    /// probe and drops the result, keeping the statistics — what
+    /// `EXPLAIN ANALYZE` is after.
+    pub fn run_to_completion(&mut self, opts: &ExecOptions) -> Result<(), ExecError> {
+        match self {
+            QueryRoot::Rows(root) => {
+                open_child(root.as_mut())?;
+                let mut streamed = ExecStats::default();
+                drain(
+                    root.as_mut(),
+                    &opts.cancel,
+                    opts.max_rows,
+                    &mut streamed,
+                    |batch| Ok(batch.len() as u64),
+                )
+            }
+            QueryRoot::Lifespan(e) => e.run().map(drop),
+            QueryRoot::Aggregate(e) => e.run().map(drop),
+        }
+    }
+
+    /// Renders the executor tree, optionally annotated with the measured
+    /// per-operator stats of a finished run (`EXPLAIN ANALYZE`'s body).
+    pub fn render(&self, annotate: bool) -> String {
+        let mut out = String::new();
+        match self {
+            QueryRoot::Rows(root) => root.render(0, annotate, &mut out),
+            QueryRoot::Lifespan(e) => e.0.render(0, annotate, &mut out),
+            QueryRoot::Aggregate(e) => {
+                out.push_str(&format!("Aggregate {} {}", e.op, e.attr));
+                out.push_str(&annotation(&e.stats, annotate));
+                out.push('\n');
+                e.child.render(1, annotate, &mut out);
+            }
+        }
+        out
+    }
+
+    /// Rows that reached the root so far: streamed out of a relation root,
+    /// consumed by a lifespan or aggregate one.
+    pub fn rows(&self) -> u64 {
+        match self {
+            QueryRoot::Rows(root) => root.stats().rows,
+            QueryRoot::Lifespan(e) => e.0.rows(),
+            QueryRoot::Aggregate(e) => e.stats.rows,
+        }
+    }
+}
+
+/// Builds the executor of a planned query of any sort.
+pub fn build_query_executor<'a>(
+    p: &QueryPlan,
+    src: &'a dyn IndexSource,
+    opts: &ExecOptions,
+) -> QueryRoot<'a> {
+    match p {
+        QueryPlan::Relation(p) => QueryRoot::Rows(build_executor(p, src, opts)),
+        QueryPlan::Lifespan(l) => QueryRoot::Lifespan(LifespanExec::build(l, src, opts)),
+        QueryPlan::Aggregate { op, attr, input } => QueryRoot::Aggregate(AggregateExec {
+            op: *op,
+            attr: attr.clone(),
+            child: build_executor(input, src, opts),
+            opts: opts.clone(),
+            stats: ExecStats::default(),
+        }),
     }
 }
 
@@ -1120,54 +1482,43 @@ fn unary_chain(p: &Plan) -> (Vec<&UnaryOp>, &Plan) {
     (ops, cur)
 }
 
-/// `Some(workers)` when [`build_executor`] would root a [`GatherExec`] at
-/// `p`: the node heads a (possibly empty) chain of per-tuple unaries over
-/// a full `SeqScan` of a relation big enough to amortize thread spawns.
-/// EXPLAIN uses the same predicate, so the printed plan always matches
-/// what execution does.
-fn gather_at(p: &Plan, src: &dyn IndexSource, opts: &ExecOptions) -> Option<usize> {
-    if opts.workers < 2 {
-        return None;
-    }
-    let (_, bottom) = unary_chain(p);
+/// The fused chain (outermost-first) and the relation, when
+/// [`build_executor`] roots a [`GatherExec`] at `p`: the node heads a
+/// (possibly empty) chain of per-tuple unaries over a full `SeqScan` of a
+/// relation big enough to amortize thread spawns.
+fn gather_at<'p>(
+    p: &'p Plan,
+    src: &dyn IndexSource,
+    opts: &ExecOptions,
+) -> Option<(Vec<&'p UnaryOp>, &'p str)> {
+    let (chain, bottom) = unary_chain(p);
     let Plan::Scan {
         relation,
         access: AccessPath::SeqScan,
+        ..
     } = bottom
     else {
         return None;
     };
-    let r = src.relation(relation)?;
-    (r.len() >= opts.parallel_min_rows).then_some(opts.workers)
+    let big = |r: &Relation| r.len() >= opts.parallel_min_rows;
+    (opts.workers >= 2 && src.relation(relation).is_some_and(big)).then_some((chain, relation))
 }
 
 /// Builds the executor tree for a physical plan. Construction is
 /// infallible — relation resolution, typechecks, and lifespan-parameter
 /// evaluation all happen at `open`, in the same bottom-up order as the
-/// materializing evaluator, so error behaviour matches.
+/// reference evaluator, so error behaviour matches.
 pub fn build_executor<'a>(
     p: &Plan,
     src: &'a dyn IndexSource,
     opts: &ExecOptions,
 ) -> Box<dyn QueryExecutor + 'a> {
-    if gather_at(p, src, opts).is_some() {
-        let (ops, bottom) = unary_chain(p);
-        let (name, access) = match bottom {
-            Plan::Scan { relation, access } => (relation.as_str(), access),
-            // unreachable in practice: gather_at only fires on scans.
-            _ => ("", &AccessPath::SeqScan),
-        };
-        let mut fused_labels: Vec<String> = ops.iter().map(|op| unary_label(op)).collect();
-        fused_labels.push(node_label(bottom));
+    if let Some((chain, relation)) = gather_at(p, src, opts) {
         return Box::new(GatherExec {
-            scan_name: name.to_string(),
-            access: access.clone(),
-            chain: ops.into_iter().cloned().collect(),
-            fused_labels,
+            scan_name: relation.to_string(),
+            chain: chain.into_iter().cloned().collect(),
             src,
-            workers: opts.workers,
-            batch_rows: opts.batch_rows_clamped(),
-            cancel: opts.cancel.clone(),
+            opts: opts.clone(),
             running: None,
             spawned: 0,
             morsel_count: 0,
@@ -1176,84 +1527,59 @@ pub fn build_executor<'a>(
         });
     }
     match p {
-        Plan::Scan { relation, access } => {
-            Box::new(ScanExec::build(relation, access, node_label(p), src, opts))
-        }
+        Plan::Scan {
+            relation, access, ..
+        } => Box::new(ScanExec::build(relation, access, node_label(p), src, opts)),
         Plan::Unary { op, input } => Box::new(FilterExec {
             op: op.clone(),
             label: node_label(p),
             src,
             child: build_executor(input, src, opts),
-            cancel: opts.cancel.clone(),
+            opts: opts.clone(),
             compiled: None,
             stats: ExecStats::default(),
         }),
-        Plan::Binary { op, left, right } => blocking(
-            BlockingKind::Binary(*op),
-            p,
-            vec![
-                build_executor(left, src, opts),
-                build_executor(right, src, opts),
-            ],
-            src,
-            opts,
-        ),
+        Plan::Binary { op, left, right } => {
+            blocking(BlockingKind::Binary(*op), p, &[left, right], src, opts)
+        }
         Plan::ThetaJoin {
             left,
             right,
             a,
             op,
             b,
-        } => blocking(
-            BlockingKind::Theta {
+        } => {
+            let kind = BlockingKind::Theta {
                 a: a.clone(),
                 op: *op,
                 b: b.clone(),
-            },
-            p,
-            vec![
-                build_executor(left, src, opts),
-                build_executor(right, src, opts),
-            ],
-            src,
-            opts,
-        ),
-        Plan::TimeJoin { left, right, attr } => blocking(
-            BlockingKind::TimeJoin { attr: attr.clone() },
-            p,
-            vec![
-                build_executor(left, src, opts),
-                build_executor(right, src, opts),
-            ],
-            src,
-            opts,
-        ),
-        Plan::IndexedNaturalJoin { left, right } => blocking(
-            BlockingKind::IndexedNaturalJoin {
+            };
+            blocking(kind, p, &[left, right], src, opts)
+        }
+        Plan::TimeJoin { left, right, attr } => {
+            let kind = BlockingKind::TimeJoin { attr: attr.clone() };
+            blocking(kind, p, &[left, right], src, opts)
+        }
+        Plan::IndexedNaturalJoin { left, right } => {
+            let kind = BlockingKind::IndexedNaturalJoin {
                 right: right.clone(),
-            },
-            p,
-            vec![build_executor(left, src, opts)],
-            src,
-            opts,
-        ),
-        Plan::IndexedTimeJoin { left, right, attr } => blocking(
-            BlockingKind::IndexedTimeJoin {
+            };
+            blocking(kind, p, &[left], src, opts)
+        }
+        Plan::IndexedTimeJoin { left, right, attr } => {
+            let kind = BlockingKind::IndexedTimeJoin {
                 right: right.clone(),
                 attr: attr.clone(),
-            },
-            p,
-            vec![build_executor(left, src, opts)],
-            src,
-            opts,
-        ),
+            };
+            blocking(kind, p, &[left], src, opts)
+        }
     }
 }
 
 fn blocking<'a>(
     kind: BlockingKind,
     p: &Plan,
-    children: Vec<Box<dyn QueryExecutor + 'a>>,
+    inputs: &[&Plan],
     src: &'a dyn IndexSource,
     opts: &ExecOptions,
 ) -> Box<dyn QueryExecutor + 'a> {
@@ -1262,7 +1588,10 @@ fn blocking<'a>(
         label: node_label(p),
         probe: probe_line(p),
         src,
-        children,
+        children: inputs
+            .iter()
+            .map(|input| build_executor(input, src, opts))
+            .collect(),
         cancel: opts.cancel.clone(),
         batch_rows: opts.batch_rows_clamped(),
         out: None,
@@ -1270,56 +1599,15 @@ fn blocking<'a>(
     })
 }
 
-/// Renders the streaming plan for `p` without running it: the same
-/// indented tree as the materializing EXPLAIN, except that chains a
-/// `Gather` would absorb render under a `Gather(workers: k)` node.
+/// Renders the plan for `p` without running it: the executor tree
+/// [`build_executor`] would run, one line per operator with the chosen
+/// access path on every scan — chains a `Gather` absorbs render under a
+/// `Gather(workers: k)` node. `EXPLAIN` prints what execution does by
+/// construction.
 pub fn explain_stream_plan(p: &Plan, src: &dyn IndexSource, opts: &ExecOptions) -> String {
     let mut out = String::new();
-    render_plan_node(p, src, opts, 0, &mut out);
+    build_executor(p, src, opts).render(0, false, &mut out);
     out
-}
-
-fn render_plan_node(
-    p: &Plan,
-    src: &dyn IndexSource,
-    opts: &ExecOptions,
-    depth: usize,
-    out: &mut String,
-) {
-    use std::fmt::Write;
-    if let Some(workers) = gather_at(p, src, opts) {
-        indent(out, depth);
-        let _ = writeln!(out, "Gather(workers: {workers})");
-        let (ops, bottom) = unary_chain(p);
-        let mut d = depth + 1;
-        for op in ops {
-            indent(out, d);
-            let _ = writeln!(out, "{}", unary_label(op));
-            d += 1;
-        }
-        indent(out, d);
-        let _ = writeln!(out, "{}", node_label(bottom));
-        return;
-    }
-    indent(out, depth);
-    let _ = writeln!(out, "{}", node_label(p));
-    match p {
-        Plan::Scan { .. } => {}
-        Plan::Unary { input, .. } => render_plan_node(input, src, opts, depth + 1, out),
-        Plan::Binary { left, right, .. }
-        | Plan::ThetaJoin { left, right, .. }
-        | Plan::TimeJoin { left, right, .. } => {
-            render_plan_node(left, src, opts, depth + 1, out);
-            render_plan_node(right, src, opts, depth + 1, out);
-        }
-        Plan::IndexedNaturalJoin { left, .. } | Plan::IndexedTimeJoin { left, .. } => {
-            render_plan_node(left, src, opts, depth + 1, out);
-        }
-    }
-    if let Some(probe) = probe_line(p) {
-        indent(out, depth + 1);
-        let _ = writeln!(out, "{probe}");
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1329,8 +1617,8 @@ fn render_plan_node(
 /// A live, pull-driven query result: the opened executor tree plus
 /// per-batch enforcement of the row cap and cancellation.
 ///
-/// Obtain one from [`crate::stream_query_on_snapshot`]; iterate it (it is
-/// an [`Iterator`] of `Result<RowBatch, ExecError>`), or call
+/// Obtain one from [`crate::stream_query_on_snapshot`]; pull it with
+/// [`next_batch`](QueryStream::next_batch), or call
 /// [`collect_relation`](QueryStream::collect_relation) to materialize the
 /// whole result with set semantics.
 pub struct QueryStream<'a> {
@@ -1369,21 +1657,6 @@ impl<'a> QueryStream<'a> {
         })
     }
 
-    /// Streams an already-materialized relation (used for results computed
-    /// outside the executor tree).
-    pub fn from_relation(r: Relation, opts: &ExecOptions) -> Result<QueryStream<'a>, ExecError> {
-        QueryStream::new(
-            Box::new(PreMaterialized {
-                label: "Materialized".to_string(),
-                batch_rows: opts.batch_rows_clamped(),
-                relation: Some(r),
-                state: None,
-                stats: ExecStats::default(),
-            }),
-            opts,
-        )
-    }
-
     pub(crate) fn set_plan_ns(&mut self, ns: u64) {
         self.plan_ns = ns;
     }
@@ -1417,39 +1690,31 @@ impl<'a> QueryStream<'a> {
         if self.done {
             return Ok(None);
         }
-        if cancelled(&self.cancel) {
+        let result = self.pull();
+        if !matches!(result, Ok(Some(_))) {
             self.done = true;
             self.root.close();
+        }
+        result
+    }
+
+    fn pull(&mut self) -> Result<Option<RowBatch>, ExecError> {
+        if cancelled(&self.cancel) {
             return Err(ExecError::Cancelled);
         }
-        match self.root.next_batch() {
-            Ok(Some(batch)) => {
-                self.rows += batch.len() as u64;
-                self.batches += 1;
-                if let Some(max) = self.max_rows {
-                    if self.rows > max {
-                        self.done = true;
-                        self.root.close();
-                        return Err(ExecError::RowLimit(max));
-                    }
-                }
-                Ok(Some(batch))
-            }
-            Ok(None) => {
-                self.done = true;
-                self.root.close();
-                Ok(None)
-            }
-            Err(e) => {
-                self.done = true;
-                self.root.close();
-                Err(e)
-            }
+        let Some(batch) = self.root.next_batch()? else {
+            return Ok(None);
+        };
+        self.rows += batch.len() as u64;
+        self.batches += 1;
+        match self.max_rows.filter(|&max| self.rows > max) {
+            Some(max) => Err(ExecError::RowLimit(max)),
+            None => Ok(Some(batch)),
         }
     }
 
     /// Drains the stream into a materialized relation with set semantics
-    /// (duplicates collapse), which is exactly what the materializing
+    /// (duplicates collapse), which is exactly what the reference
     /// evaluator's operators produce.
     pub fn collect_relation(mut self) -> Result<Relation, ExecError> {
         let mut rows: Vec<Tuple> = Vec::new();
@@ -1468,18 +1733,6 @@ impl<'a> QueryStream<'a> {
     }
 }
 
-impl Iterator for QueryStream<'_> {
-    type Item = Result<RowBatch, ExecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.next_batch() {
-            Ok(Some(b)) => Some(Ok(b)),
-            Ok(None) => None,
-            Err(e) => Some(Err(e)),
-        }
-    }
-}
-
 impl Drop for QueryStream<'_> {
     fn drop(&mut self) {
         self.root.close();
@@ -1490,7 +1743,7 @@ impl Drop for QueryStream<'_> {
 mod tests {
     use super::*;
     use crate::parser::parse_query;
-    use crate::plan::{plan, IndexedRelations};
+    use crate::plan::{plan_query, IndexedRelations};
     use hrdm_core::prelude::*;
     use std::collections::BTreeMap;
     use std::sync::atomic::AtomicUsize;
@@ -1523,43 +1776,19 @@ mod tests {
         IndexedRelations::new(map)
     }
 
+    /// The (optimized) physical plan of a relation-sorted query.
+    fn planned(text: &str, src: &IndexedRelations) -> Plan {
+        match plan_query(&parse_query(text).unwrap(), src) {
+            QueryPlan::Relation(p) => p,
+            other => panic!("expected a relation-sorted query, got {other:?}"),
+        }
+    }
+
     fn collect(text: &str, src: &IndexedRelations, opts: &ExecOptions) -> Relation {
-        let q = parse_query(text).unwrap();
-        let e = match q {
-            crate::ast::Query::Relation(e) => e,
-            other => panic!("expected relation query, got {other:?}"),
-        };
-        let (optimized, _) = crate::optimizer::optimize(&e);
-        let p = plan(&optimized, src);
-        QueryStream::new(build_executor(&p, src, opts), opts)
+        QueryStream::new(build_executor(&planned(text, src), src, opts), opts)
             .unwrap()
             .collect_relation()
             .unwrap()
-    }
-
-    #[test]
-    fn streaming_matches_materialized_eval() {
-        let src = source(500);
-        let opts = ExecOptions {
-            batch_rows: 64,
-            ..ExecOptions::default()
-        };
-        for text in [
-            "r",
-            "TIMESLICE [10..20] (r)",
-            "SELECT-WHEN (V >= 100) (r)",
-            "PROJECT [V] (TIMESLICE [0..31] (r))",
-            "TIMESLICE [5..9] (r) UNION TIMESLICE [9..12] (r)",
-        ] {
-            let q = parse_query(text).unwrap();
-            #[allow(deprecated)]
-            let reference = match crate::eval::evaluate(&q, &src).unwrap() {
-                crate::eval::QueryResult::Relation(r) => r,
-                other => panic!("expected relation, got {other:?}"),
-            };
-            let streamed = collect(text, &src, &opts);
-            assert_eq!(streamed, reference, "{text}");
-        }
     }
 
     #[test]
@@ -1581,13 +1810,7 @@ mod tests {
         assert_eq!(a, b);
 
         // The plan renders a Gather node exactly when it parallelizes.
-        let q = parse_query(text).unwrap();
-        let e = match q {
-            crate::ast::Query::Relation(e) => e,
-            other => panic!("unexpected {other:?}"),
-        };
-        let (optimized, _) = crate::optimizer::optimize(&e);
-        let p = plan(&optimized, &src);
+        let p = planned(text, &src);
         let plan_text = explain_stream_plan(&p, &src, &parallel);
         assert!(plan_text.contains("Gather(workers: 4)"), "{plan_text}");
         assert!(plan_text.contains("Scan r [SeqScan]"), "{plan_text}");
@@ -1606,12 +1829,7 @@ mod tests {
             cancel: Some(Arc::new(move || probe.fetch_add(1, Ordering::SeqCst) >= 2)),
             ..ExecOptions::default()
         };
-        let q = parse_query("r").unwrap();
-        let e = match q {
-            crate::ast::Query::Relation(e) => e,
-            other => panic!("unexpected {other:?}"),
-        };
-        let p = plan(&e, &src);
+        let p = planned("r", &src);
         let mut s = QueryStream::new(build_executor(&p, &src, &opts), &opts).unwrap();
         let mut rows = 0u64;
         let err = loop {
@@ -1643,12 +1861,7 @@ mod tests {
             cancel: Some(Arc::new(move || probe.load(Ordering::SeqCst) != 0)),
             ..ExecOptions::default()
         };
-        let q = parse_query("r").unwrap();
-        let e = match q {
-            crate::ast::Query::Relation(e) => e,
-            other => panic!("unexpected {other:?}"),
-        };
-        let p = plan(&e, &src);
+        let p = planned("r", &src);
         let mut root = build_executor(&p, &src, &opts);
         root.open().unwrap();
         // Raise the probe while workers are mid-scan; in-flight batches
@@ -1680,12 +1893,7 @@ mod tests {
             ..ExecOptions::default()
         };
         // V = k*10 >= 0 for every row: the predicate matches nothing.
-        let q = parse_query("SELECT-WHEN (V < 0) (r)").unwrap();
-        let e = match q {
-            crate::ast::Query::Relation(e) => e,
-            other => panic!("unexpected {other:?}"),
-        };
-        let p = plan(&e, &src);
+        let p = planned("SELECT-WHEN (V < 0) (r)", &src);
         let mut s = QueryStream::new(build_executor(&p, &src, &opts), &opts).unwrap();
         match s.next_batch() {
             Err(ExecError::Cancelled) => {}
@@ -1705,12 +1913,7 @@ mod tests {
             max_rows: Some(100),
             ..ExecOptions::default()
         };
-        let q = parse_query("r").unwrap();
-        let e = match q {
-            crate::ast::Query::Relation(e) => e,
-            other => panic!("unexpected {other:?}"),
-        };
-        let p = plan(&e, &src);
+        let p = planned("r", &src);
         let mut s = QueryStream::new(build_executor(&p, &src, &opts), &opts).unwrap();
         let err = loop {
             match s.next_batch() {
@@ -1726,12 +1929,7 @@ mod tests {
     fn open_reports_unknown_relations() {
         let src = source(1);
         let opts = ExecOptions::default();
-        let q = parse_query("ghost").unwrap();
-        let e = match q {
-            crate::ast::Query::Relation(e) => e,
-            other => panic!("unexpected {other:?}"),
-        };
-        let p = plan(&e, &src);
+        let p = planned("ghost", &src);
         match QueryStream::new(build_executor(&p, &src, &opts), &opts) {
             Err(ExecError::Eval(HrdmError::UnknownRelation(name))) => assert_eq!(name, "ghost"),
             Err(other) => panic!("expected UnknownRelation, got {other:?}"),

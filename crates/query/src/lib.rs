@@ -1,4 +1,4 @@
-//! # hrdm-query — an algebra language, evaluator, and optimizer for HRDM
+//! # hrdm-query — an algebra language, optimizer, planner and executor for HRDM
 //!
 //! The paper defines its algebra mathematically; this crate makes it
 //! *runnable as text*:
@@ -52,23 +52,25 @@ pub mod pipeline;
 pub mod plan;
 
 pub use ast::{Expr, LifespanExpr, Query};
-#[allow(deprecated)]
-pub use eval::{eval_expr, eval_lifespan, evaluate, QueryResult, RelationSource};
+// The reference evaluator: for differential tests, not for answering queries.
+#[doc(hidden)]
+// lint: oracle-only-ok(the one door through which the integration tests reach the oracle)
+pub use eval::{eval_expr, eval_lifespan, evaluate};
 pub use exec::{
-    build_executor, explain_stream_plan, CancelProbe, ExecError, ExecOptions, ExecStats,
-    QueryExecutor, QueryStream, RowBatch, DEFAULT_BATCH_ROWS,
+    build_executor, build_query_executor, explain_stream_plan, AggregateExec, CancelProbe,
+    ExecError, ExecOptions, ExecStats, LifespanExec, QueryExecutor, QueryRoot, QueryStream,
+    RowBatch, DEFAULT_BATCH_ROWS,
 };
 pub use explain::{explain, explain_optimized};
 pub use lexer::{lex, LexError, Token};
 pub use optimizer::{optimize, Rewrite};
 pub use parser::{parse_expr, parse_query, ParseError};
 pub use pipeline::{
-    explain_analyze_query_text, explain_query_text, paged_snapshot_for_query, run_query_on_paged,
-    run_query_on_snapshot, run_query_on_snapshot_timed, stream_query_on_paged,
-    stream_query_on_snapshot, strip_explain_analyze, PagedQueryError, PipelineError,
-    PipelineTiming, StreamedQuery, EXPLAIN_ANALYZE_PREFIX,
+    explain_analyze_query_text, explain_query_text, paged_snapshot_for_query, run_query,
+    run_query_on_paged, run_query_on_snapshot, stream_query_on_snapshot, strip_explain_analyze,
+    PagedQueryError, PipelineError, PipelineTiming, QueryResult, StreamedQuery,
 };
 pub use plan::{
-    eval_plan, evaluate_planned, explain_plan, explain_plan_analyzed, explain_with_access,
-    materialization_window, plan, AccessPath, IndexSource, IndexedRelations, Plan,
+    explain_with_access, materialization_window, plan, plan_lifespan, plan_query, AccessPath,
+    IndexSource, IndexedRelations, LifespanPlan, LifespanSetOp, Plan, QueryPlan, RelationSource,
 };

@@ -1,22 +1,37 @@
-//! The textual query pipeline as one call: parse → optimize → plan →
-//! evaluate against a snapshot (or any other [`IndexSource`]).
+//! The query pipeline as one call: parse → optimize → plan → execute
+//! against a snapshot (or any other [`IndexSource`]).
 //!
 //! Every front end that accepts *query text* — the `hrdmq` shell, the
 //! `hrdmd` network server, the examples — runs the identical pipeline:
-//! parse the text, rewrite-optimize relation-sorted expressions, select
-//! access paths against the source's indexes, evaluate. This module is
-//! that glue, written once, so the front ends cannot drift apart in how
-//! they treat a query.
+//! parse the text, rewrite-optimize every relational expression in it,
+//! select access paths against the source's indexes
+//! ([`crate::plan_query`]), build the executor tree and run it
+//! ([`crate::exec`]). All three query sorts take that one path: a `WHEN` or
+//! an aggregate differs from a relation query only in the root its
+//! executor tree ends in. This module is that glue, written once, so the
+//! front ends cannot drift apart in how they treat a query.
 
-use crate::eval::QueryResult;
-use crate::exec::{build_executor, ExecError, ExecOptions, QueryStream};
+use crate::ast::Query;
+use crate::exec::{build_query_executor, ExecError, ExecOptions, QueryRoot, QueryStream};
 use crate::parser::{parse_query, ParseError};
-use crate::plan::IndexSource;
-use hrdm_core::HrdmError;
+use crate::plan::{plan_query, IndexSource};
+use hrdm_core::{HrdmError, Relation, TemporalValue};
 use hrdm_storage::{DbError, PagedDatabase};
 use hrdm_time::Lifespan;
 use std::fmt;
 use std::time::Instant;
+
+/// The result of a query: one of the algebra's sorts (plus the aggregate
+/// extension's time-varying values).
+#[derive(Clone, PartialEq, Debug)]
+pub enum QueryResult {
+    /// A historical relation.
+    Relation(Relation),
+    /// A lifespan.
+    Lifespan(Lifespan),
+    /// A time-varying value (aggregate extension).
+    Function(TemporalValue),
+}
 
 /// Everything that can go wrong running query *text* end to end: the text
 /// may not parse, the (planned) evaluation may fail, or the stream may be
@@ -84,9 +99,9 @@ pub struct PipelineTiming {
 }
 
 /// Runs query text end to end against `src`: parse → optimize → plan →
-/// evaluate. Relation-sorted queries go through the rewrite optimizer and
-/// the index-aware access-path planner (index scans, partition pruning);
-/// lifespan- and aggregate-sorted queries evaluate directly.
+/// execute, whatever the query's sort — a `WHEN` or an aggregate gets the
+/// same rewrite optimizer and index-aware access paths (index scans,
+/// partition pruning) under its root as a relation-sorted query.
 ///
 /// This is the single entry point shared by the `hrdmq` shell and the
 /// `hrdmd` server — both answer exactly what this function returns.
@@ -94,41 +109,13 @@ pub fn run_query_on_snapshot(
     text: &str,
     src: &dyn IndexSource,
 ) -> Result<QueryResult, PipelineError> {
-    run_query_on_snapshot_timed(text, src).map(|(result, _)| result)
-}
-
-/// [`run_query_on_snapshot`], also reporting where the time went.
-///
-/// The planning half covers parse + rewrite optimization + access-path
-/// selection (everything before the first tuple is touched); the
-/// execution half is the planned evaluation itself. Non-relation sorts
-/// (lifespan, aggregate) have no physical plan — for those, planning is
-/// the parse and execution is the direct evaluation.
-pub fn run_query_on_snapshot_timed(
-    text: &str,
-    src: &dyn IndexSource,
-) -> Result<(QueryResult, PipelineTiming), PipelineError> {
-    match stream_query_on_snapshot(text, src, &ExecOptions::default())? {
-        StreamedQuery::Rows(stream) => {
-            let plan_ns = stream.plan_ns();
-            let exec_started = Instant::now();
-            let r = stream.collect_relation()?;
-            Ok((
-                QueryResult::Relation(r),
-                PipelineTiming {
-                    plan_ns,
-                    exec_ns: exec_started.elapsed().as_nanos() as u64,
-                },
-            ))
-        }
-        StreamedQuery::Lifespan { value, timing } => Ok((QueryResult::Lifespan(value), timing)),
-        StreamedQuery::Function { value, timing } => Ok((QueryResult::Function(value), timing)),
-    }
+    stream_query_on_snapshot(text, src, &ExecOptions::default())?.collect()
 }
 
 /// A streamed query outcome: relation-sorted queries come back as a live
 /// [`QueryStream`] (no materialization has happened yet); lifespan- and
-/// aggregate-sorted results are scalar-sized and arrive complete.
+/// aggregate-sorted results are scalar-sized and arrive complete, their
+/// executor tree already run.
 pub enum StreamedQuery<'a> {
     /// A relation-sorted result, pulled batch by batch.
     Rows(QueryStream<'a>),
@@ -142,57 +129,77 @@ pub enum StreamedQuery<'a> {
     /// An aggregate-sorted, time-varying result (already complete).
     Function {
         /// The time-varying value.
-        value: hrdm_core::TemporalValue,
+        value: TemporalValue,
         /// Where the wall time went.
         timing: PipelineTiming,
     },
+}
+
+impl StreamedQuery<'_> {
+    /// Drains a relation-sorted stream into a relation; the scalar sorts
+    /// are complete already.
+    pub fn collect(self) -> Result<QueryResult, PipelineError> {
+        Ok(match self {
+            StreamedQuery::Rows(stream) => QueryResult::Relation(stream.collect_relation()?),
+            StreamedQuery::Lifespan { value, .. } => QueryResult::Lifespan(value),
+            StreamedQuery::Function { value, .. } => QueryResult::Function(value),
+        })
+    }
 }
 
 /// The streaming front door: parse → optimize → plan → *open* an executor
 /// tree, without materializing relation results. The returned
 /// [`QueryStream`] enforces `opts`' row cap and cancellation probe per
 /// batch, so front ends (the server's `RowChunk` loop, the shell) observe
-/// Cancel within one batch boundary instead of after full evaluation.
+/// Cancel within one batch boundary instead of after full evaluation; the
+/// roots of the scalar sorts apply the same gate to what they consume, so a
+/// cancelled or row-capped `WHEN` or aggregate is an error, never a partial
+/// value.
 ///
 /// [`run_query_on_snapshot`] is the collect-to-`Relation` wrapper over
-/// this for callers that want the
-/// materialized answer.
+/// this for callers that want the materialized answer.
 pub fn stream_query_on_snapshot<'a>(
     text: &str,
     src: &'a dyn IndexSource,
     opts: &ExecOptions,
 ) -> Result<StreamedQuery<'a>, PipelineError> {
     let plan_started = Instant::now();
-    match parse_query(text)? {
-        crate::ast::Query::Relation(e) => {
-            let (optimized, _trace) = crate::optimizer::optimize(&e);
-            let p = crate::plan::plan(&optimized, src);
-            let root = build_executor(&p, src, opts);
-            let plan_ns = plan_started.elapsed().as_nanos() as u64;
+    let q = parse_query(text)?;
+    stream_planned(&q, src, opts, plan_started)
+}
+
+/// [`run_query_on_snapshot`] for an already-parsed query — the entry point
+/// for callers that parse once and run many times.
+pub fn run_query(q: &Query, src: &dyn IndexSource) -> Result<QueryResult, PipelineError> {
+    stream_planned(q, src, &ExecOptions::default(), Instant::now())?.collect()
+}
+
+fn stream_planned<'a>(
+    q: &Query,
+    src: &'a dyn IndexSource,
+    opts: &ExecOptions,
+    plan_started: Instant,
+) -> Result<StreamedQuery<'a>, PipelineError> {
+    let root = build_query_executor(&plan_query(q, src), src, opts);
+    let plan_ns = plan_started.elapsed().as_nanos() as u64;
+    let exec_started = Instant::now();
+    let timing = || PipelineTiming {
+        plan_ns,
+        exec_ns: exec_started.elapsed().as_nanos() as u64,
+    };
+    match root {
+        QueryRoot::Rows(root) => {
             let mut stream = QueryStream::new(root, opts)?;
             stream.set_plan_ns(plan_ns);
             Ok(StreamedQuery::Rows(stream))
         }
-        other => {
-            let plan_ns = plan_started.elapsed().as_nanos() as u64;
-            let exec_started = Instant::now();
-            #[allow(deprecated)]
-            let result = crate::eval::evaluate(&other, src)?;
-            let timing = PipelineTiming {
-                plan_ns,
-                exec_ns: exec_started.elapsed().as_nanos() as u64,
-            };
-            match result {
-                QueryResult::Lifespan(value) => Ok(StreamedQuery::Lifespan { value, timing }),
-                QueryResult::Function(value) => Ok(StreamedQuery::Function { value, timing }),
-                // Unreachable (the parser sorts relation queries above),
-                // but stream it rather than fail if it ever happens.
-                QueryResult::Relation(r) => {
-                    let mut stream = QueryStream::from_relation(r, opts)?;
-                    stream.set_plan_ns(plan_ns);
-                    Ok(StreamedQuery::Rows(stream))
-                }
-            }
+        QueryRoot::Lifespan(mut root) => {
+            let (value, timing) = (root.run()?, timing());
+            Ok(StreamedQuery::Lifespan { value, timing })
+        }
+        QueryRoot::Aggregate(mut root) => {
+            let (value, timing) = (root.run()?, timing());
+            Ok(StreamedQuery::Function { value, timing })
         }
     }
 }
@@ -270,42 +277,24 @@ pub fn run_query_on_paged(text: &str, db: &PagedDatabase) -> Result<QueryResult,
     run_query_on_snapshot(text, &snap).map_err(PagedQueryError::from)
 }
 
-/// The streaming counterpart of [`run_query_on_paged`]: materializes the
-/// query's window, opens the stream over it, and hands the live
-/// [`StreamedQuery`] to `f`. Scoped as a callback because the stream
-/// borrows the window snapshot, which lives on this frame.
-pub fn stream_query_on_paged<T>(
-    text: &str,
-    db: &PagedDatabase,
-    opts: &ExecOptions,
-    f: impl FnOnce(StreamedQuery<'_>) -> Result<T, PipelineError>,
-) -> Result<T, PagedQueryError> {
-    let (snap, _window) = paged_snapshot_for_query(text, db)?;
-    let streamed = stream_query_on_snapshot(text, &snap, opts)?;
-    f(streamed).map_err(PagedQueryError::from)
+/// Parses and EXPLAINs query text against `src`: the physical plan with
+/// access paths — the operator tree under the root of the query's sort —
+/// preceded, for a relation-sorted query, by the optimizer's rewrite trace.
+pub fn explain_query_text(text: &str, src: &dyn IndexSource) -> Result<String, PipelineError> {
+    Ok(match parse_query(text)? {
+        Query::Relation(e) => crate::plan::explain_with_access(&e, src),
+        q => {
+            let root = build_query_executor(&plan_query(&q, src), src, &ExecOptions::default());
+            format!("== access paths ==\n{}", root.render(false))
+        }
+    })
 }
-
-/// Parses and EXPLAINs query text against `src`: the optimizer's rewrite
-/// trace plus the physical plan with access paths. Only relation-sorted
-/// queries have a relational plan; other sorts return `Ok(None)`.
-pub fn explain_query_text(
-    text: &str,
-    src: &dyn IndexSource,
-) -> Result<Option<String>, PipelineError> {
-    match parse_query(text)? {
-        crate::ast::Query::Relation(e) => Ok(Some(crate::plan::explain_with_access(&e, src))),
-        _ => Ok(None),
-    }
-}
-
-/// The query-text prefix selecting the analyzed-explain mode.
-pub const EXPLAIN_ANALYZE_PREFIX: &str = "EXPLAIN ANALYZE";
 
 /// Strips a leading `EXPLAIN ANALYZE` from `text`, returning the query
 /// proper — the front ends' dispatch test for the analyzed mode.
 pub fn strip_explain_analyze(text: &str) -> Option<&str> {
     let trimmed = text.trim_start();
-    let rest = trimmed.strip_prefix(EXPLAIN_ANALYZE_PREFIX)?;
+    let rest = trimmed.strip_prefix("EXPLAIN ANALYZE")?;
     // Require a separator so a relation named e.g. `EXPLAIN ANALYZER`
     // cannot be mistaken for the mode keyword.
     if rest.starts_with(char::is_whitespace) || rest.starts_with('(') {
@@ -315,12 +304,12 @@ pub fn strip_explain_analyze(text: &str) -> Option<&str> {
     }
 }
 
-/// `EXPLAIN ANALYZE`: runs the query for real through the streaming
-/// executor and renders the executor tree annotated with measured
-/// per-operator wall times, output row/batch counts, and (on bounded
-/// scans) partition-pruning counts, followed by planning/execution
-/// totals. Only relation-sorted queries have a relational plan; other
-/// sorts return `Ok(None)`.
+/// `EXPLAIN ANALYZE`: runs the query for real through the executor and
+/// renders the executor tree — under a `When` or `Aggregate` root for
+/// those sorts — annotated with measured per-operator wall times, output
+/// row/batch counts, and (on bounded scans) partition-pruning counts,
+/// followed by planning/execution totals and the rows that reached the
+/// root.
 ///
 /// The per-operator numbers are the executors' own [`crate::exec::ExecStats`];
 /// with observability disabled (`HRDM_OBS_OFF`) the plan still renders,
@@ -328,18 +317,14 @@ pub fn strip_explain_analyze(text: &str) -> Option<&str> {
 pub fn explain_analyze_query_text(
     text: &str,
     src: &dyn IndexSource,
-) -> Result<Option<String>, PipelineError> {
+) -> Result<String, PipelineError> {
     let opts = ExecOptions::default();
-    let mut stream = match stream_query_on_snapshot(text, src, &opts)? {
-        StreamedQuery::Rows(stream) => stream,
-        _ => return Ok(None),
-    };
-    let plan_ns = stream.plan_ns();
+    let plan_started = Instant::now();
+    let q = parse_query(text)?;
+    let mut root = build_query_executor(&plan_query(&q, src), src, &opts);
+    let plan_ns = plan_started.elapsed().as_nanos() as u64;
     let exec_started = Instant::now();
-    let mut rows: u64 = 0;
-    while let Some(batch) = stream.next_batch()? {
-        rows += batch.len() as u64;
-    }
+    root.run_to_completion(&opts)?;
     let exec_ns = exec_started.elapsed().as_nanos() as u64;
 
     let mut out = String::from("== explain analyze ==\n");
@@ -349,19 +334,20 @@ pub fn explain_analyze_query_text(
     if let Some(trace) = hrdm_obs::trace::current() {
         out.push_str(&format!("trace: {}\n", hrdm_obs::trace::render(trace)));
     }
-    out.push_str(&stream.render_plan(hrdm_obs::enabled()));
+    out.push_str(&root.render(hrdm_obs::enabled()));
     out.push_str(&format!(
-        "planning: {}\nexecution: {}\nrows: {rows}\n",
+        "planning: {}\nexecution: {}\nrows: {}\n",
         crate::plan::fmt_ns(plan_ns),
         crate::plan::fmt_ns(exec_ns),
+        root.rows(),
     ));
-    Ok(Some(out))
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{evaluate_planned, IndexedRelations};
+    use crate::plan::IndexedRelations;
     use hrdm_core::prelude::*;
     use std::collections::BTreeMap;
 
@@ -415,25 +401,25 @@ mod tests {
     }
 
     #[test]
-    fn timing_is_reported_for_both_phases() {
-        let src = source();
-        let (_, timing) =
-            run_query_on_snapshot_timed("SELECT-WHEN (SALARY = 30000) (emp)", &src).unwrap();
-        // Both phases ran; wall clocks are positive on any real machine.
-        assert!(timing.plan_ns > 0);
-        assert!(timing.exec_ns > 0);
-    }
-
-    #[test]
     fn explain_text_reports_access_paths() {
         let src = source();
-        let out = explain_query_text("SELECT-WHEN (NAME = \"John\") (emp)", &src)
-            .unwrap()
-            .expect("relation-sorted");
+        let out = explain_query_text("SELECT-WHEN (NAME = \"John\") (emp)", &src).unwrap();
         assert!(out.contains("== access paths =="), "{out}");
         assert!(out.contains("IndexScan(key"), "{out}");
-        // Non-relation sorts have no relational plan.
-        assert_eq!(explain_query_text("WHEN (emp)", &src).unwrap(), None);
+        // The other sorts print their operator tree under a root of the sort.
+        let out = explain_query_text("WHEN (TIMESLICE [0..9] (emp)) | [30..40]", &src).unwrap();
+        assert_eq!(
+            out,
+            "== access paths ==\n\
+             Lifespan-Union\n\
+             \x20 When\n\
+             \x20   TimeSlice [0..9]\n\
+             \x20     Scan emp [IndexScan(lifespan, [0..9])]\n\
+             \x20 Lifespan [30..40]\n"
+        );
+        let out = explain_query_text("COUNT SALARY (TIMESLICE [0..9] (emp))", &src).unwrap();
+        assert!(out.contains("Aggregate COUNT SALARY\n"), "{out}");
+        assert!(out.contains("IndexScan(lifespan, [0..9])"), "{out}");
     }
 
     #[test]
@@ -453,9 +439,7 @@ mod tests {
     #[test]
     fn explain_analyze_annotates_every_operator() {
         let src = source();
-        let out = explain_analyze_query_text("TIMESLICE [0..9] (emp)", &src)
-            .unwrap()
-            .expect("relation-sorted");
+        let out = explain_analyze_query_text("TIMESLICE [0..9] (emp)", &src).unwrap();
         assert!(out.contains("== explain analyze =="), "{out}");
         // Both the slice and the scan under it carry actual-run stats.
         assert_eq!(out.matches("(actual time=").count(), 2, "{out}");
@@ -463,26 +447,19 @@ mod tests {
         assert!(out.contains("planning: "), "{out}");
         assert!(out.contains("execution: "), "{out}");
         assert!(out.contains("rows: 1"), "{out}");
-        // Non-relation sorts have no relational plan to analyze.
-        assert_eq!(
-            explain_analyze_query_text("WHEN (emp)", &src).unwrap(),
-            None
+        // A WHEN is analyzed like any other query: its root and the scan
+        // under it report what they did; the select between them was
+        // evaluated in lifespan-only mode inside the root.
+        let out =
+            explain_analyze_query_text("WHEN (SELECT-WHEN (SALARY = 30000) (emp))", &src).unwrap();
+        assert!(out.contains("When (actual time="), "{out}");
+        assert!(out.contains("  Select-When SALARY = 30000\n"), "{out}");
+        assert_eq!(out.matches("(actual time=").count(), 2, "{out}");
+        assert!(out.contains("rows: 1"), "{out}");
+        let out = explain_analyze_query_text("COUNT SALARY (emp)", &src).unwrap();
+        assert!(
+            out.contains("Aggregate COUNT SALARY (actual time="),
+            "{out}"
         );
-    }
-
-    #[test]
-    fn pipeline_matches_evaluate_planned() {
-        let src = source();
-        let text = "TIMESLICE [0..9] (emp)";
-        let via_helper = match run_query_on_snapshot(text, &src).unwrap() {
-            QueryResult::Relation(r) => r,
-            other => panic!("expected relation, got {other:?}"),
-        };
-        let q = parse_query(text).unwrap();
-        let direct = match evaluate_planned(&q, &src).unwrap() {
-            QueryResult::Relation(r) => r,
-            other => panic!("expected relation, got {other:?}"),
-        };
-        assert_eq!(via_helper, direct);
     }
 }

@@ -14,19 +14,23 @@
 //!   nested-loop joins probing the right side's key / lifespan index;
 //! * everything else stays a sequential scan.
 //!
-//! Indexes only ever produce *candidate positions*; every operator
-//! re-applies its exact semantics on the candidates, so a planned query
-//! returns exactly what the unplanned evaluator returns (the workspace
-//! test-suite asserts this equivalence on random inputs). A missing or
-//! invalidated index at execution time degrades to a sequential scan, never
-//! to an error.
+//! All three query sorts are planned: [`plan_query`] wraps the relational
+//! plans of a query in a root for its sort — a [`LifespanPlan`] whose
+//! `WHEN` leaves each hold the plan of their relational subexpression, or
+//! an aggregate over one — so `WHEN (…)` and `COUNT A (…)` get the same
+//! index scans and partition pruning a relation-sorted query does.
+//!
+//! A plan is only a description: [`crate::exec`] is the one interpreter
+//! that runs it. Indexes only ever produce *candidate positions*; every
+//! operator re-applies its exact semantics on the candidates, so a planned
+//! query returns exactly what the reference evaluator ([`crate::eval`])
+//! returns (the workspace test-suite asserts this equivalence on random
+//! inputs). A missing or invalidated index at execution time degrades to a
+//! sequential scan, never to an error.
 
-use crate::ast::{Expr, LifespanExpr};
-use crate::eval::{eval_lifespan, RelationSource};
+use crate::ast::{Expr, LifespanExpr, Query};
 use hrdm_core::algebra::{
-    cartesian_product, difference, difference_o, intersection, intersection_o, natural_join,
-    natural_join_pair, project, select_if, select_when, theta_join, time_join, time_join_pair,
-    timeslice, timeslice_dynamic, union, union_o, Comparator, Operand, Predicate, Quantifier,
+    natural_join_pair, time_join_pair, AggregateOp, Comparator, Operand, Predicate, Quantifier,
 };
 use hrdm_core::{Attribute, HrdmError, Relation, Result, Tuple, Value};
 use hrdm_index::RelationIndexes;
@@ -34,6 +38,33 @@ use hrdm_storage::PartitionMap;
 use hrdm_time::Lifespan;
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Anything that can resolve relation names — a database, a test map, …
+pub trait RelationSource {
+    /// The relation bound to `name`, if any.
+    fn relation(&self, name: &str) -> Option<&Relation>;
+}
+
+impl RelationSource for hrdm_storage::Database {
+    fn relation(&self, name: &str) -> Option<&Relation> {
+        hrdm_storage::Database::relation(self, name)
+    }
+}
+
+/// A snapshot is the preferred query target under concurrency: the whole
+/// pipeline (optimize → plan → execute) runs against one immutable state,
+/// with zero locks and unaffected by concurrent writers.
+impl RelationSource for hrdm_storage::DbSnapshot {
+    fn relation(&self, name: &str) -> Option<&Relation> {
+        hrdm_storage::DbSnapshot::relation(self, name)
+    }
+}
+
+impl RelationSource for BTreeMap<String, Relation> {
+    fn relation(&self, name: &str) -> Option<&Relation> {
+        self.get(name)
+    }
+}
 
 /// A source of named relations that can also hand out their access methods.
 ///
@@ -112,6 +143,15 @@ impl IndexSource for IndexedRelations {
     }
 }
 
+/// A bare relation map has no access methods: every scan planned against
+/// it is sequential. The baseline the index benches and the planner tests
+/// compare index scans against.
+impl IndexSource for BTreeMap<String, Relation> {
+    fn indexes(&self, _: &str) -> Option<&RelationIndexes> {
+        None
+    }
+}
+
 /// Plan-time partition-pruning statistics for one lifespan-bounded scan:
 /// how many of the relation's partitions the bound actually touches.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -180,7 +220,7 @@ impl fmt::Display for AccessPath {
 }
 
 /// Renders a lifespan in the query language's `[lo..hi, …]` style.
-fn fmt_window(l: &Lifespan) -> String {
+pub(crate) fn fmt_window(l: &Lifespan) -> String {
     let parts: Vec<String> = l
         .intervals()
         .iter()
@@ -205,6 +245,10 @@ pub enum Plan {
         relation: String,
         /// How its tuples are fetched.
         access: AccessPath,
+        /// The lifespan bound that reached the scan, whether or not an
+        /// index could use it: tuples disjoint from it cannot affect the
+        /// result (`None` = any tuple may).
+        bound: Option<Lifespan>,
     },
     /// A unary operator over a sub-plan.
     Unary {
@@ -312,107 +356,157 @@ pub fn plan(expr: &Expr, src: &dyn IndexSource) -> Plan {
     plan_bounded(expr, src, None)
 }
 
+/// The physical plan of a query of any sort: the relational [`Plan`]s it
+/// contains, under a root for the sort of its result.
+#[derive(Clone, PartialEq, Debug)]
+pub enum QueryPlan {
+    /// A relation-sorted query.
+    Relation(Plan),
+    /// A lifespan-sorted query.
+    Lifespan(LifespanPlan),
+    /// A time-varying aggregate of `attr` over a planned input.
+    Aggregate {
+        /// The aggregate operator.
+        op: AggregateOp,
+        /// The aggregated attribute.
+        attr: Attribute,
+        /// The plan of the input relation.
+        input: Plan,
+    },
+}
+
+/// The physical plan of a lifespan expression: `Ω(e)` leaves carry the plan
+/// of `e`, so index scans and partition pruning apply under `WHEN` exactly
+/// as they do at a relation root.
+#[derive(Clone, PartialEq, Debug)]
+pub enum LifespanPlan {
+    /// A literal lifespan.
+    Literal(Lifespan),
+    /// `Ω(e)` over the plan of `e`.
+    When(Box<Plan>),
+    /// A set operation on two lifespans.
+    Binary {
+        /// The operation.
+        op: LifespanSetOp,
+        /// Left operand.
+        left: Box<LifespanPlan>,
+        /// Right operand.
+        right: Box<LifespanPlan>,
+    },
+}
+
+/// The set operations of the lifespan sort (paper §2).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum LifespanSetOp {
+    /// `L1 ∪ L2`.
+    Union,
+    /// `L1 ∩ L2`.
+    Intersect,
+    /// `L1 − L2`.
+    Minus,
+}
+
+/// Optimizes and plans a query of any sort: every relational expression in
+/// it goes through the rewrite optimizer and [`plan`].
+pub fn plan_query(q: &Query, src: &dyn IndexSource) -> QueryPlan {
+    match q {
+        Query::Relation(e) => QueryPlan::Relation(plan_optimized(e, src)),
+        Query::Lifespan(l) => QueryPlan::Lifespan(plan_lifespan(l, src)),
+        Query::Aggregate { op, attr, input } => QueryPlan::Aggregate {
+            op: *op,
+            attr: attr.clone(),
+            input: plan_optimized(input, src),
+        },
+    }
+}
+
+/// Plans a lifespan expression — a lifespan-sorted query, or the computed
+/// window of a `TIMESLICE` / bound of a `SELECT-IF`.
+pub fn plan_lifespan(l: &LifespanExpr, src: &dyn IndexSource) -> LifespanPlan {
+    let binary = |op, a: &LifespanExpr, b: &LifespanExpr| LifespanPlan::Binary {
+        op,
+        left: Box::new(plan_lifespan(a, src)),
+        right: Box::new(plan_lifespan(b, src)),
+    };
+    match l {
+        LifespanExpr::Literal(ls) => LifespanPlan::Literal(ls.clone()),
+        LifespanExpr::When(e) => LifespanPlan::When(Box::new(plan_optimized(e, src))),
+        LifespanExpr::Union(a, b) => binary(LifespanSetOp::Union, a, b),
+        LifespanExpr::Intersect(a, b) => binary(LifespanSetOp::Intersect, a, b),
+        LifespanExpr::Minus(a, b) => binary(LifespanSetOp::Minus, a, b),
+    }
+}
+
+fn plan_optimized(e: &Expr, src: &dyn IndexSource) -> Plan {
+    plan(&crate::optimizer::optimize(e).0, src)
+}
+
 /// The widest lifespan window `W` such that evaluating `expr` over a
 /// source holding **only tuples whose lifespan intersects `W`** gives the
 /// same answer as over the full source — or `None` when no such window
 /// short of all-of-`T` exists.
 ///
-/// This is the out-of-core analogue of the planner's per-leaf bound
-/// propagation (`plan_bounded`):
-/// the bound-propagation rules are mirrored exactly (introduced at a
-/// literal `τ_L`, narrowed by nesting, flowing through the unaries and
-/// set operators, cut at products and joins), and `W` is the **union of
-/// the bounds reaching every base-relation leaf**. A tuple disjoint from
-/// `W` is disjoint from its leaf's bound, so the literal time-slices
-/// above that leaf clip its whole contribution — the same argument that
-/// makes the bounded access path sound, and differentially tested the
-/// same way. One leaf reached with no bound (an unsliced scan, or a
-/// relation referenced from a computed lifespan like `Ω(e)`) forces
-/// `None`: some tuple of it could matter at any chronon.
+/// `W` is read off the plan: the planner records on every scan the bound
+/// that reached it (see `plan_bounded`), and `W` is the **union of the
+/// bounds on every scan** — the scans under computed lifespan parameters
+/// (`Ω(e)`) included. A tuple disjoint from `W` is disjoint from its
+/// scan's bound, so the literal time-slices above that scan clip its
+/// whole contribution — the very argument that makes the bounded access
+/// path sound, and differentially tested the same way. One scan without a
+/// bound forces `None`: some tuple of it could matter at any chronon.
 ///
 /// `hrdm_storage::PagedDatabase::window_snapshot` takes `W` to
 /// materialize the minimal snapshot; partitions disjoint from `W` stay
 /// cold on disk.
 pub fn materialization_window(expr: &Expr) -> Option<Lifespan> {
-    let mut acc = Some(Lifespan::empty());
-    collect_window(expr, None, &mut acc);
-    acc
+    let mut bounds = Vec::new();
+    scan_bounds(&plan_unbound(expr), &mut bounds)?;
+    Some(Lifespan::union_all(&bounds))
 }
 
-/// Folds the bound reaching each relation leaf of `expr` into `acc`
-/// (`None` = give up: some leaf is unbounded).
-fn collect_window(expr: &Expr, bound: Option<&Lifespan>, acc: &mut Option<Lifespan>) {
-    if acc.is_none() {
-        return;
-    }
-    match expr {
-        Expr::Relation(_) => match bound {
-            Some(b) => {
-                if let Some(w) = acc {
-                    *w = w.union(b);
-                }
-            }
-            None => *acc = None,
-        },
-        Expr::TimeSlice {
-            input,
-            lifespan: LifespanExpr::Literal(window),
-        } => {
-            let narrowed = match bound {
-                Some(b) => window.intersect(b),
-                None => window.clone(),
-            };
-            collect_window(input, Some(&narrowed), acc);
-        }
-        // A computed slice window may itself mention relations (Ω(e));
-        // those are read *unsliced* at run time, so they unbound W.
-        Expr::TimeSlice { input, lifespan } => {
-            lifespan_expr_relations(lifespan, acc);
-            collect_window(input, bound, acc);
-        }
-        Expr::SelectIf {
-            input, lifespan, ..
-        } => {
-            if let Some(l) = lifespan {
-                lifespan_expr_relations(l, acc);
-            }
-            collect_window(input, bound, acc);
-        }
-        Expr::SelectWhen { input, .. }
-        | Expr::Project { input, .. }
-        | Expr::TimeSliceDynamic { input, .. } => collect_window(input, bound, acc),
-        Expr::Union(a, b)
-        | Expr::Intersection(a, b)
-        | Expr::Difference(a, b)
-        | Expr::UnionO(a, b)
-        | Expr::IntersectionO(a, b)
-        | Expr::DifferenceO(a, b) => {
-            collect_window(a, bound, acc);
-            collect_window(b, bound, acc);
-        }
-        Expr::Product(a, b) | Expr::NaturalJoin(a, b) => {
-            collect_window(a, None, acc);
-            collect_window(b, None, acc);
-        }
-        Expr::TimeJoin { left, right, .. } | Expr::ThetaJoin { left, right, .. } => {
-            collect_window(left, None, acc);
-            collect_window(right, None, acc);
-        }
-    }
+/// Bounds do not depend on what the source holds: plan against nothing.
+fn plan_unbound(e: &Expr) -> Plan {
+    plan(e, &BTreeMap::new())
 }
 
-/// Relations referenced from a lifespan expression (`Ω(e)` and friends)
-/// are evaluated over the full source, never through a bounding `τ` —
-/// any such reference makes the window unusable.
-fn lifespan_expr_relations(l: &LifespanExpr, acc: &mut Option<Lifespan>) {
+/// Collects the bound on every scan of `p`; `None` if one has none.
+fn scan_bounds(p: &Plan, out: &mut Vec<Lifespan>) -> Option<()> {
+    match p {
+        Plan::Scan { bound, .. } => out.push(bound.clone()?),
+        Plan::Unary { op, input } => {
+            if let UnaryOp::TimeSlice(l)
+            | UnaryOp::SelectIf {
+                lifespan: Some(l), ..
+            } = op
+            {
+                param_bounds(l, out)?;
+            }
+            scan_bounds(input, out)?;
+        }
+        Plan::Binary { left, right, .. }
+        | Plan::ThetaJoin { left, right, .. }
+        | Plan::TimeJoin { left, right, .. } => {
+            scan_bounds(left, out)?;
+            scan_bounds(right, out)?;
+        }
+        // The probe side is read whole, per left tuple.
+        Plan::IndexedNaturalJoin { .. } | Plan::IndexedTimeJoin { .. } => return None,
+    }
+    Some(())
+}
+
+/// [`scan_bounds`] of the relational expressions a lifespan parameter
+/// evaluates (they run when the operator opens, against the same source).
+fn param_bounds(l: &LifespanExpr, out: &mut Vec<Lifespan>) -> Option<()> {
     match l {
         LifespanExpr::Literal(_) => {}
-        LifespanExpr::When(e) => collect_window(e, None, acc),
+        LifespanExpr::When(e) => scan_bounds(&plan_unbound(e), out)?,
         LifespanExpr::Union(a, b) | LifespanExpr::Intersect(a, b) | LifespanExpr::Minus(a, b) => {
-            lifespan_expr_relations(a, acc);
-            lifespan_expr_relations(b, acc);
+            param_bounds(a, out)?;
+            param_bounds(b, out)?;
         }
     }
+    Some(())
 }
 
 /// Plans `expr` under an optional **lifespan bound**: a window `B` such
@@ -427,7 +521,9 @@ fn lifespan_expr_relations(l: &LifespanExpr, acc: &mut Option<Lifespan>) {
 /// groups) without ever growing a lifespan beyond its generators. It is
 /// cut at products and joins, whose output rows combine both sides.
 ///
-/// A bounded base-relation scan becomes a [`AccessPath::LifespanIndex`]
+/// Every scan records the bound that reached it ([`materialization_window`]
+/// reads it back). A bounded scan of an indexed relation becomes a
+/// [`AccessPath::LifespanIndex`]
 /// scan, which a partitioned source serves by **partition pruning**: only
 /// partitions whose min/max summary overlaps `B` are touched. Like every
 /// access path, this yields candidates only — the timeslice above
@@ -449,6 +545,7 @@ fn plan_bounded(expr: &Expr, src: &dyn IndexSource, bound: Option<&Lifespan>) ->
             Plan::Scan {
                 relation: name.clone(),
                 access,
+                bound: bound.cloned(),
             }
         }
 
@@ -478,7 +575,7 @@ fn plan_bounded(expr: &Expr, src: &dyn IndexSource, bound: Option<&Lifespan>) ->
         // Safe because a tuple with a different (constant) key value has an
         // empty truth span for θ and would be dropped by σWHEN anyway.
         Expr::SelectWhen { input, predicate } => {
-            let scan = key_probe_scan(input, predicate, src);
+            let scan = key_probe_scan(input, predicate, src, bound);
             Plan::Unary {
                 op: UnaryOp::SelectWhen(predicate.clone()),
                 input: Box::new(scan.unwrap_or_else(|| plan_bounded(input, src, bound))),
@@ -498,7 +595,7 @@ fn plan_bounded(expr: &Expr, src: &dyn IndexSource, bound: Option<&Lifespan>) ->
             lifespan,
         } => {
             let scan = if *quantifier == Quantifier::Exists {
-                key_probe_scan(input, predicate, src)
+                key_probe_scan(input, predicate, src, bound)
             } else {
                 None
             };
@@ -605,7 +702,12 @@ fn base_with_indexes<'e>(e: &'e Expr, src: &dyn IndexSource) -> Option<&'e str> 
 
 /// A key-index scan for `input` when it is an indexed base relation and
 /// `predicate` pins its full key with equality conjuncts.
-fn key_probe_scan(input: &Expr, predicate: &Predicate, src: &dyn IndexSource) -> Option<Plan> {
+fn key_probe_scan(
+    input: &Expr,
+    predicate: &Predicate,
+    src: &dyn IndexSource,
+    bound: Option<&Lifespan>,
+) -> Option<Plan> {
     let name = base_with_indexes(input, src)?;
     src.indexes(name)?.key()?;
     let scheme = src.relation(name)?.scheme();
@@ -635,6 +737,7 @@ fn key_probe_scan(input: &Expr, predicate: &Predicate, src: &dyn IndexSource) ->
             attrs: key_attrs,
             key: key?,
         },
+        bound: bound.cloned(),
     })
 }
 
@@ -692,50 +795,6 @@ fn natural_probe_side<'e>(left: &Expr, right: &'e Expr, src: &dyn IndexSource) -
     }
 }
 
-/// Evaluates a plan. Behaviour is exactly [`crate::eval::eval_expr`] on the
-/// corresponding expression; indexes only prune candidates.
-///
-/// Every node evaluates inside an [`hrdm_obs::Span`], so running a plan
-/// under [`hrdm_obs::with_trace`] yields a trace tree mirroring the plan
-/// shape (one node per operator, inclusive wall time, output rows) —
-/// that is what `EXPLAIN ANALYZE` renders. Outside a trace the span is
-/// one thread-local read per *operator* (not per tuple).
-pub fn eval_plan(p: &Plan, src: &dyn IndexSource) -> Result<Relation> {
-    let span = hrdm_obs::Span::enter(span_name(p));
-    let r = eval_plan_inner(p, src)?;
-    span.record_rows(r.len() as u64);
-    Ok(r)
-}
-
-/// The span label for a plan node (labels identify the operator kind;
-/// the trace tree's *shape* is what ties a span back to its node).
-fn span_name(p: &Plan) -> &'static str {
-    match p {
-        Plan::Scan { .. } => "scan",
-        Plan::Unary { op, .. } => match op {
-            UnaryOp::Project(_) => "project",
-            UnaryOp::SelectIf { .. } => "select-if",
-            UnaryOp::SelectWhen(_) => "select-when",
-            UnaryOp::TimeSlice(_) => "timeslice",
-            UnaryOp::TimeSliceDynamic(_) => "timeslice-dynamic",
-        },
-        Plan::Binary { op, .. } => match op {
-            BinaryOp::Union => "union",
-            BinaryOp::Intersection => "intersection",
-            BinaryOp::Difference => "difference",
-            BinaryOp::UnionO => "union-o",
-            BinaryOp::IntersectionO => "intersection-o",
-            BinaryOp::DifferenceO => "difference-o",
-            BinaryOp::Product => "product",
-            BinaryOp::NaturalJoin => "natural-join",
-        },
-        Plan::IndexedNaturalJoin { .. } => "natural-join-indexed",
-        Plan::IndexedTimeJoin { .. } => "time-join-indexed",
-        Plan::ThetaJoin { .. } => "theta-join",
-        Plan::TimeJoin { .. } => "time-join",
-    }
-}
-
 /// The engine-wide access-path counters, registered once in the global
 /// observability registry.
 struct ScanObs {
@@ -787,109 +846,6 @@ pub(crate) fn record_scan_access(access: &AccessPath) {
             }
         }
         AccessPath::KeyIndex { .. } => obs.index_scans.inc(),
-    }
-}
-
-fn eval_plan_inner(p: &Plan, src: &dyn IndexSource) -> Result<Relation> {
-    match p {
-        Plan::Scan { relation, access } => eval_scan(relation, access, src),
-        Plan::Unary { op, input } => {
-            let r = eval_plan(input, src)?;
-            match op {
-                UnaryOp::Project(attrs) => project(&r, attrs),
-                UnaryOp::SelectIf {
-                    predicate,
-                    quantifier,
-                    lifespan,
-                } => {
-                    let bound = match lifespan {
-                        Some(l) => Some(eval_lifespan(l, src)?),
-                        None => None,
-                    };
-                    select_if(&r, predicate, *quantifier, bound.as_ref())
-                }
-                UnaryOp::SelectWhen(predicate) => select_when(&r, predicate),
-                UnaryOp::TimeSlice(lifespan) => {
-                    let l = eval_lifespan(lifespan, src)?;
-                    Ok(timeslice(&r, &l))
-                }
-                UnaryOp::TimeSliceDynamic(attr) => timeslice_dynamic(&r, attr),
-            }
-        }
-        Plan::Binary { op, left, right } => {
-            let a = eval_plan(left, src)?;
-            let b = eval_plan(right, src)?;
-            match op {
-                BinaryOp::Union => union(&a, &b),
-                BinaryOp::Intersection => intersection(&a, &b),
-                BinaryOp::Difference => difference(&a, &b),
-                BinaryOp::UnionO => union_o(&a, &b),
-                BinaryOp::IntersectionO => intersection_o(&a, &b),
-                BinaryOp::DifferenceO => difference_o(&a, &b),
-                BinaryOp::Product => cartesian_product(&a, &b),
-                BinaryOp::NaturalJoin => natural_join(&a, &b),
-            }
-        }
-        Plan::IndexedNaturalJoin { left, right } => {
-            let a = eval_plan(left, src)?;
-            let b = src
-                .relation(right)
-                .ok_or_else(|| HrdmError::UnknownRelation(right.clone()))?;
-            match src.indexes(right).and_then(RelationIndexes::key) {
-                Some(key_idx) => indexed_natural_join(&a, b, key_idx),
-                None => natural_join(&a, b), // index dropped since planning
-            }
-        }
-        Plan::IndexedTimeJoin { left, right, attr } => {
-            let a = eval_plan(left, src)?;
-            let b = src
-                .relation(right)
-                .ok_or_else(|| HrdmError::UnknownRelation(right.clone()))?;
-            match src.indexes(right) {
-                Some(idx) => indexed_time_join(&a, b, attr, idx, valid_partitions(src, right, b)),
-                None => time_join(&a, b, attr),
-            }
-        }
-        Plan::ThetaJoin {
-            left,
-            right,
-            a,
-            op,
-            b,
-        } => {
-            let l = eval_plan(left, src)?;
-            let r = eval_plan(right, src)?;
-            theta_join(&l, &r, a, *op, b)
-        }
-        Plan::TimeJoin { left, right, attr } => {
-            let l = eval_plan(left, src)?;
-            let r = eval_plan(right, src)?;
-            time_join(&l, &r, attr)
-        }
-    }
-}
-
-fn eval_scan(name: &str, access: &AccessPath, src: &dyn IndexSource) -> Result<Relation> {
-    record_scan_access(access);
-    let r = src
-        .relation(name)
-        .ok_or_else(|| HrdmError::UnknownRelation(name.to_string()))?;
-    match (access, src.indexes(name)) {
-        (AccessPath::SeqScan, _) | (_, None) => Ok(r.clone()),
-        (AccessPath::LifespanIndex { window, .. }, Some(idx)) => {
-            // Partition-pruned when the source keeps a (current) partition
-            // map: skip partitions whose summary misses the window, take
-            // fully-covered partitions whole, probe the rest through
-            // their own small indexes.
-            match valid_partitions(src, name, r) {
-                Some(parts) => Ok(r.subset_at_positions(&parts.prune_positions(window))),
-                None => Ok(r.subset_at_positions(&idx.lifespan().overlapping(window))),
-            }
-        }
-        (AccessPath::KeyIndex { key, .. }, Some(idx)) => match idx.key() {
-            Some(key_idx) => Ok(r.subset_at_positions(key_idx.lookup(key))),
-            None => Ok(r.clone()),
-        },
     }
 }
 
@@ -988,27 +944,6 @@ pub(crate) fn indexed_time_join(
     Ok(Relation::from_parts_unchecked(scheme, out))
 }
 
-/// Optimizes, plans, and evaluates a top-level query against an indexed
-/// source. Relation-sorted queries go through access-path selection;
-/// lifespan- and aggregate-sorted queries evaluate their relational
-/// subexpressions through the plain evaluator.
-pub fn evaluate_planned(
-    q: &crate::ast::Query,
-    src: &dyn IndexSource,
-) -> Result<crate::eval::QueryResult> {
-    match q {
-        crate::ast::Query::Relation(e) => {
-            let (optimized, _) = crate::optimizer::optimize(e);
-            let p = plan(&optimized, src);
-            Ok(crate::eval::QueryResult::Relation(eval_plan(&p, src)?))
-        }
-        other => {
-            #[allow(deprecated)] // non-relation sorts have no physical plan
-            crate::eval::evaluate(other, src)
-        }
-    }
-}
-
 /// The full EXPLAIN for an expression: the optimizer's before/after trees
 /// and rewrite trace, followed by the physical plan with access paths.
 pub fn explain_with_access(e: &Expr, src: &dyn IndexSource) -> String {
@@ -1024,26 +959,6 @@ pub fn explain_with_access(e: &Expr, src: &dyn IndexSource) -> String {
     out
 }
 
-/// Renders a plan as an indented tree, one line per node, with the chosen
-/// access path on every scan.
-pub fn explain_plan(p: &Plan) -> String {
-    let mut out = String::new();
-    walk(p, None, 0, &mut out);
-    out
-}
-
-/// Renders a plan annotated with a trace tree from an actual run (as
-/// produced by [`eval_plan`] under [`hrdm_obs::with_trace`]): every
-/// operator line gains `(actual time=…, rows=…)`, and bounded scans
-/// keep their plan-time `partitions: k/N pruned` counts. The trace
-/// mirrors the plan shape by construction; if it doesn't (observability
-/// disabled), the un-annotated plan renders instead.
-pub fn explain_plan_analyzed(p: &Plan, trace: Option<&hrdm_obs::TraceNode>) -> String {
-    let mut out = String::new();
-    walk(p, trace, 0, &mut out);
-    out
-}
-
 /// Renders nanoseconds at a human scale (`870ns`, `12.4µs`, `3.10ms`).
 pub(crate) fn fmt_ns(ns: u64) -> String {
     if ns < 1_000 {
@@ -1055,26 +970,15 @@ pub(crate) fn fmt_ns(ns: u64) -> String {
     }
 }
 
-fn annotation(trace: Option<&hrdm_obs::TraceNode>) -> String {
-    match trace {
-        Some(t) => {
-            let rows = t
-                .rows
-                .map(|r| r.to_string())
-                .unwrap_or_else(|| "?".to_string());
-            format!(" (actual time={}, rows={rows})", fmt_ns(t.wall_ns))
-        }
-        None => String::new(),
-    }
-}
-
 /// The one-line EXPLAIN label of a single plan node (no indentation, no
-/// annotation). Shared between the plan renderer ([`explain_plan`]) and the
-/// streaming-executor renderer ([`crate::exec`]), so EXPLAIN output stays
-/// byte-identical whichever tree produced it.
+/// annotation). Shared between the plan renderer and the executor-tree
+/// renderer of [`crate::exec`], so `EXPLAIN` and `EXPLAIN ANALYZE` print
+/// the same tree.
 pub(crate) fn node_label(p: &Plan) -> String {
     match p {
-        Plan::Scan { relation, access } => format!("Scan {relation} [{access}]"),
+        Plan::Scan {
+            relation, access, ..
+        } => format!("Scan {relation} [{access}]"),
         Plan::Unary { op, .. } => unary_label(op),
         Plan::Binary { op, .. } => format!("{op:?}"),
         Plan::IndexedNaturalJoin { .. } => "NaturalJoin (index nested loop)".to_string(),
@@ -1113,34 +1017,5 @@ pub(crate) fn probe_line(p: &Plan) -> Option<String> {
             "Probe {right} [IndexScan(lifespan, t.l ∩ image(t({attr})))]"
         )),
         _ => None,
-    }
-}
-
-fn walk(p: &Plan, trace: Option<&hrdm_obs::TraceNode>, depth: usize, out: &mut String) {
-    use std::fmt::Write;
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-    let annot = annotation(trace);
-    let child = |i: usize| trace.and_then(|t| t.children.get(i));
-    let _ = writeln!(out, "{}{annot}", node_label(p));
-    match p {
-        Plan::Scan { .. } => {}
-        Plan::Unary { input, .. } => walk(input, child(0), depth + 1, out),
-        Plan::Binary { left, right, .. }
-        | Plan::ThetaJoin { left, right, .. }
-        | Plan::TimeJoin { left, right, .. } => {
-            walk(left, child(0), depth + 1, out);
-            walk(right, child(1), depth + 1, out);
-        }
-        Plan::IndexedNaturalJoin { left, .. } | Plan::IndexedTimeJoin { left, .. } => {
-            walk(left, child(0), depth + 1, out);
-        }
-    }
-    if let Some(probe) = probe_line(p) {
-        for _ in 0..depth + 1 {
-            out.push_str("  ");
-        }
-        let _ = writeln!(out, "{probe}");
     }
 }

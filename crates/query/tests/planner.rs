@@ -1,17 +1,28 @@
-// The legacy materializing evaluator stays the reference oracle for the
-// streaming executor, so this file uses it deliberately.
-#![allow(deprecated)]
-
 //! Access-path selection: indexable queries get an `IndexScan`, everything
-//! else a `SeqScan` — and either way the results are identical to the plain
-//! evaluator's.
+//! else a `SeqScan` — and either way the executor's results are identical
+//! to the reference evaluator's.
 
 use hrdm_core::prelude::*;
 use hrdm_query::{
-    eval_expr, eval_plan, evaluate_planned, explain_plan, explain_with_access, optimize,
-    parse_expr, parse_query, plan, AccessPath, IndexedRelations, Plan, QueryResult,
+    build_executor, eval_expr, explain_stream_plan, explain_with_access, optimize, parse_expr,
+    parse_query, plan, run_query, AccessPath, ExecOptions, IndexSource, IndexedRelations, Plan,
+    QueryStream,
 };
 use std::collections::BTreeMap;
+
+/// Runs a physical plan through its executor tree and collects the answer.
+fn execute(p: &Plan, src: &dyn IndexSource) -> Relation {
+    let opts = ExecOptions::default();
+    QueryStream::new(build_executor(p, src, &opts), &opts)
+        .unwrap()
+        .collect_relation()
+        .unwrap()
+}
+
+/// The plan as `EXPLAIN` prints it.
+fn explain_plan(p: &Plan, src: &dyn IndexSource) -> String {
+    explain_stream_plan(p, src, &ExecOptions::default())
+}
 
 fn emp_scheme() -> Scheme {
     Scheme::builder()
@@ -109,19 +120,20 @@ fn indexed() -> IndexedRelations {
 fn planned(src_text: &str) -> (Plan, String) {
     let e = parse_expr(src_text).unwrap();
     let (optimized, _) = optimize(&e);
-    let p = plan(&optimized, &indexed());
-    let text = explain_plan(&p);
+    let src = indexed();
+    let p = plan(&optimized, &src);
+    let text = explain_plan(&p, &src);
     (p, text)
 }
 
-/// Asserts the planned evaluation returns exactly what the plain evaluator
-/// returns for `src_text`.
+/// Asserts the planned execution returns exactly what the reference
+/// evaluator returns for `src_text`.
 fn assert_same_results(src_text: &str) {
     let e = parse_expr(src_text).unwrap();
     let src = indexed();
     let via_plan = {
         let (optimized, _) = optimize(&e);
-        eval_plan(&plan(&optimized, &src), &src).unwrap()
+        execute(&plan(&optimized, &src), &src)
     };
     let via_scan = eval_expr(&e, &relations()).unwrap();
     assert_eq!(via_plan, via_scan, "plan and scan disagree on {src_text}");
@@ -321,13 +333,13 @@ fn interleaved_inserts_keep_index_scans_and_equivalence() {
             let e = parse_expr(q).unwrap();
             let (optimized, _) = optimize(&e);
             let p = plan(&optimized, &db);
-            let text = explain_plan(&p);
+            let text = explain_plan(&p, &db);
             assert!(
                 text.contains("IndexScan"),
                 "after {} inserts, {q} lost its index scan:\n{text}",
                 k + 1
             );
-            let via_plan = eval_plan(&p, &db).unwrap();
+            let via_plan = execute(&p, &db);
             let via_scan = eval_expr(&e, &db).unwrap();
             assert_eq!(via_plan, via_scan, "{q} after {} inserts", k + 1);
         }
@@ -337,30 +349,16 @@ fn interleaved_inserts_keep_index_scans_and_equivalence() {
 #[test]
 fn without_indexes_everything_is_seq_scan() {
     // A source that has relations but no indexes: the planner degrades.
-    struct Bare(BTreeMap<String, Relation>);
-    impl hrdm_query::RelationSource for Bare {
-        fn relation(&self, name: &str) -> Option<&Relation> {
-            self.0.get(name)
-        }
-    }
-    impl hrdm_query::IndexSource for Bare {
-        fn indexes(&self, _: &str) -> Option<&hrdm_storage::RelationIndexes> {
-            None
-        }
-    }
-    let bare = Bare(relations());
+    let bare = relations();
     let e = parse_expr("TIMESLICE [10..20] (emp)").unwrap();
     let (optimized, _) = optimize(&e);
     let p = plan(&optimized, &bare);
-    let text = explain_plan(&p);
+    let text = explain_plan(&p, &bare);
     assert!(
         !text.contains("IndexScan"),
         "IndexScan without an index:\n{text}"
     );
-    assert_eq!(
-        eval_plan(&p, &bare).unwrap(),
-        eval_expr(&e, &relations()).unwrap()
-    );
+    assert_eq!(execute(&p, &bare), eval_expr(&e, &bare).unwrap());
 }
 
 /// A literal TIME-SLICE bound propagates through the per-tuple unaries
@@ -437,13 +435,13 @@ fn partitioned_source_explains_pruning_counts() {
     let e = parse_expr("TIMESLICE [0..40] (r)").unwrap();
     let (optimized, _) = optimize(&e);
     let p = plan(&optimized, &db);
-    let text = explain_plan(&p);
+    let text = explain_plan(&p, &db);
     assert!(
         text.contains("partitions: 13/16 pruned"),
         "wrong or missing pruning counts:\n{text}"
     );
     assert_eq!(
-        eval_plan(&p, &db).unwrap(),
+        execute(&p, &db),
         eval_expr(&e, &db).unwrap(),
         "pruned scan diverged"
     );
@@ -463,22 +461,20 @@ fn explain_with_access_shows_rewrites_and_paths() {
 }
 
 #[test]
-fn evaluate_planned_matches_evaluate() {
+fn every_sort_matches_the_reference_evaluator() {
     let src = indexed();
     for q in [
         "TIMESLICE [10..20] (emp)",
         "SELECT-WHEN (NAME = \"Mary\") (emp)",
         "WHEN (SELECT-WHEN (SALARY = 30000) (emp))",
+        "WHEN (TIMESLICE [10..20] (emp)) | WHEN (SELECT-WHEN (NAME = \"Igor\") (emp)) - [75..99]",
+        "TIMESLICE (WHEN (SELECT-WHEN (NAME = \"Igor\") (emp))) (dept)",
         "COUNT SALARY (emp)",
+        "AVG SALARY (TIMESLICE [0..10] (emp))",
     ] {
         let parsed = parse_query(q).unwrap();
-        let a = evaluate_planned(&parsed, &src).unwrap();
-        let b = hrdm_query::evaluate(&parsed, &relations()).unwrap();
-        match (a, b) {
-            (QueryResult::Relation(x), QueryResult::Relation(y)) => assert_eq!(x, y, "{q}"),
-            (QueryResult::Lifespan(x), QueryResult::Lifespan(y)) => assert_eq!(x, y, "{q}"),
-            (QueryResult::Function(x), QueryResult::Function(y)) => assert_eq!(x, y, "{q}"),
-            _ => panic!("result sorts disagree for {q}"),
-        }
+        let planned = run_query(&parsed, &src).unwrap();
+        let reference = hrdm_query::evaluate(&parsed, &relations()).unwrap();
+        assert_eq!(planned, reference, "{q}");
     }
 }

@@ -1,11 +1,11 @@
-//! The whole query pipeline (optimizer → access-path planner → evaluator)
+//! The whole query pipeline (optimizer → access-path planner → executor)
 //! over a [`hrdm_storage::DbSnapshot`] agrees with the same pipeline over a
 //! single-threaded [`hrdm_storage::Database`] at the same commit point —
 //! while a concurrent writer keeps mutating the live state underneath the
 //! snapshot holder.
 
 use hrdm_core::prelude::*;
-use hrdm_query::{evaluate_planned, explain_with_access, parse_expr, parse_query, QueryResult};
+use hrdm_query::{explain_with_access, parse_expr, parse_query, run_query, QueryResult};
 use hrdm_storage::{ConcurrentDatabase, Database};
 use std::sync::Arc;
 
@@ -60,16 +60,16 @@ fn snapshot_pipeline_matches_single_threaded_oracle_under_writes() {
         "SELECT-IF (V >= 50, EXISTS) (r)",
         "PROJECT [K] (TIMESLICE [10..20] (r))",
         "r NATJOIN r",
+        "WHEN (SELECT-WHEN (V >= 50) (r))",
+        "COUNT V (TIMESLICE [0..40] (r))",
     ] {
         let parsed = parse_query(q).unwrap();
-        let via_snapshot = evaluate_planned(&parsed, &*snap).unwrap();
-        let via_oracle = evaluate_planned(&parsed, &oracle).unwrap();
-        match (via_snapshot, via_oracle) {
-            (QueryResult::Relation(a), QueryResult::Relation(b)) => {
-                assert_eq!(a, b, "snapshot diverged from oracle on {q}")
-            }
-            other => panic!("unexpected result shapes for {q}: {other:?}"),
-        }
+        let via_snapshot = run_query(&parsed, &*snap).unwrap();
+        let via_oracle = run_query(&parsed, &oracle).unwrap();
+        assert_eq!(
+            via_snapshot, via_oracle,
+            "snapshot diverged from oracle on {q}"
+        );
     }
     writer.join().unwrap();
     // The snapshot never saw the concurrent writer's 100 extra commits.
@@ -143,7 +143,7 @@ fn old_snapshots_plan_index_scans_against_their_frozen_partition_map() {
 
     // And evaluation on the frozen map returns exactly the old prefix.
     let parsed = parse_query("TIMESLICE [0..1000] (r)").unwrap();
-    match evaluate_planned(&parsed, &*old).unwrap() {
+    match run_query(&parsed, &*old).unwrap() {
         QueryResult::Relation(r) => assert_eq!(r.len(), 200),
         other => panic!("unexpected result {other:?}"),
     }

@@ -591,14 +591,6 @@ impl Database {
         self.tables.get(name).map(|t| &t.indexes)
     }
 
-    /// Rebuilds the indexes — and the partition maps — of every relation
-    /// in bulk.
-    pub fn build_indexes(&mut self) {
-        for table in self.tables.values_mut() {
-            *table = Arc::new(Table::build(table.relation.clone(), self.partition_policy));
-        }
-    }
-
     /// The chronon-range partition map of `name`; `None` means an unknown
     /// relation.
     pub fn partitions(&self, name: &str) -> Option<&PartitionMap> {
@@ -930,6 +922,10 @@ impl Database {
             }
         }
         Wal::create_empty(&wal_path(dir, epoch))?;
+        // Every file of the new epoch now has its final name; make those
+        // names durable — once, for all of them — before the catalog that
+        // refers to them can be.
+        fsync_dir(dir);
 
         // Catalog file: MAGIC | VERSION | EPOCH | payload-len | payload | crc,
         // where the v3 payload is catalog ‖ partition policy ‖ manifest.
@@ -965,7 +961,7 @@ impl Database {
             f.sync_all()?;
         }
         std::fs::rename(&tmp_path, &final_path)?;
-        // Make the renames themselves durable before reporting success.
+        // Make the commit point itself durable before reporting success.
         fsync_dir(dir);
         // Only checkpoints (link_from set) report partition-rewrite work;
         // a detached save always rewrites everything by construction.
@@ -1223,6 +1219,9 @@ fn le_u64_at(bytes: &[u8], at: usize) -> Option<u64> {
 fn fsync_dir(dir: &Path) {
     if let Ok(d) = std::fs::File::open(dir) {
         let _ = d.sync_all();
+    }
+    if hrdm_obs::enabled() {
+        crate::obs::storage_obs().dir_fsyncs.inc();
     }
 }
 

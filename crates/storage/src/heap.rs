@@ -37,16 +37,16 @@ impl HeapFile {
         Self::create_in(path, Arc::clone(BufferPool::global()))
     }
 
-    /// Creates (truncating) a heap file at `path` in `pool`, fsyncing
-    /// the parent directory so a crash right after a later catalog
-    /// commit cannot lose the file's directory entry.
+    /// Creates (truncating) a heap file at `path` in `pool`.
+    ///
+    /// [`HeapFile::sync`] makes the file's *pages* durable, not its
+    /// directory entry: a caller whose crash safety depends on the name
+    /// surviving fsyncs the parent directory once it has settled the name
+    /// (a checkpoint creates its heaps under `.tmp` names, renames them,
+    /// and syncs the directory once for all of them before its commit
+    /// point).
     pub fn create_in(path: &Path, pool: Arc<BufferPool>) -> io::Result<HeapFile> {
         let file = pool.create(path)?;
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::File::open(parent)?.sync_all()?;
-            }
-        }
         Ok(HeapFile {
             pool,
             file,

@@ -25,6 +25,9 @@ pub(crate) struct StorageObs {
     /// Partitions carried into a new checkpoint epoch as clean hard
     /// links (not rewritten).
     pub checkpoint_linked_partitions: Arc<Counter>,
+    /// Directory fsyncs issued by saves and checkpoints (two per
+    /// checkpoint, however many partitions it rewrote).
+    pub dir_fsyncs: Arc<Counter>,
     /// Snapshots published by concurrent databases.
     pub snapshot_publish: Arc<Counter>,
     /// Amortizing index merges triggered by inserts: key-index tier folds
@@ -71,6 +74,10 @@ pub(crate) fn storage_obs() -> &'static StorageObs {
             checkpoint_linked_partitions: r.counter(
                 "hrdm_checkpoint_linked_partitions_total",
                 "Clean partitions carried across checkpoints as hard links",
+            ),
+            dir_fsyncs: r.counter(
+                "hrdm_storage_dir_fsync_total",
+                "Directory fsyncs issued by saves and checkpoints",
             ),
             snapshot_publish: r.counter(
                 "hrdm_snapshot_publish_total",

@@ -172,9 +172,8 @@ fn torn_wal_tail_recovers_prefix_at_every_cut() {
         assert!(n <= 10, "cut {cut}: {n} tuples");
         for (i, t) in back
             .relation("emp")
-            .map(Relation::tuples)
-            .unwrap_or_default()
-            .iter()
+            .into_iter()
+            .flat_map(Relation::iter)
             .enumerate()
         {
             assert_eq!(t, &tup(i as i64, 0, 10 + i as i64), "cut {cut} prefix");

@@ -242,6 +242,17 @@ impl Lifespan {
         Lifespan { runs: out }
     }
 
+    /// N-ary union `L1 ∪ … ∪ Ln`: every run collected, then sorted and
+    /// coalesced **once** — O(m log m) in the total run count, where
+    /// folding [`Lifespan::union`] re-merges the accumulator per operand.
+    /// This is how `LS(r)` (and so `WHEN`) is computed.
+    pub fn union_all<'a, I>(lifespans: I) -> Lifespan
+    where
+        I: IntoIterator<Item = &'a Lifespan>,
+    {
+        Lifespan::from_intervals(lifespans.into_iter().flat_map(|l| l.runs.iter().copied()))
+    }
+
     /// Set intersection `L1 ∩ L2` (paper §2, operation 2).
     pub fn intersect(&self, other: &Lifespan) -> Lifespan {
         let mut out = Vec::new();
@@ -452,7 +463,8 @@ fn normalize(runs: &mut Vec<Interval>) {
     if runs.len() <= 1 {
         return;
     }
-    runs.sort_by_key(|iv| (iv.lo(), iv.hi()));
+    // Equal keys are equal intervals, so stability buys nothing.
+    runs.sort_unstable_by_key(|iv| (iv.lo(), iv.hi()));
     let mut out: Vec<Interval> = Vec::with_capacity(runs.len());
     for iv in runs.drain(..) {
         match out.last_mut() {

@@ -103,6 +103,23 @@ proptest! {
         );
     }
 
+    /// The n-ary union (one sort-and-sweep) equals the left fold of the
+    /// binary one, including over empty and single-chronon operands.
+    #[test]
+    fn union_all_equals_left_fold(
+        ls in prop::collection::vec(
+            prop_oneof![
+                lifespan_strategy(),
+                Just(Lifespan::empty()),
+                UNIVERSE.prop_map(Lifespan::point),
+            ],
+            0..12,
+        )
+    ) {
+        let folded = ls.iter().fold(Lifespan::empty(), |acc, l| acc.union(l));
+        prop_assert_eq!(Lifespan::union_all(&ls), folded);
+    }
+
     // ---- Boolean-algebra laws the algebra layer leans on ----
 
     #[test]

@@ -1,7 +1,3 @@
-// The legacy materializing evaluator stays the reference oracle for the
-// streaming executor, so this file uses it deliberately.
-#![allow(deprecated)]
-
 //! Enrollment: temporal referential integrity and the query language.
 //!
 //! The paper's §1 integrity example: "a student can only take a course at
@@ -16,7 +12,8 @@
 
 use hrdm::prelude::*;
 use hrdm::query::{
-    explain_optimized, optimize, parse_expr, run_query_on_snapshot, IndexedRelations, QueryResult,
+    explain_optimized, optimize, parse_expr, run_query, run_query_on_snapshot, IndexedRelations,
+    Query, QueryResult,
 };
 use std::collections::BTreeMap;
 
@@ -106,14 +103,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (optimized, trace) = optimize(&e);
     println!("{}", explain_optimized(&e, &optimized, &trace));
 
-    // Optimized and unoptimized agree, of course:
-    let a = hrdm::query::eval_expr(&e, &source)?;
-    let b = hrdm::query::eval_expr(&optimized, &source)?;
+    // However the query is written, it runs optimized — and agrees:
+    let a = run_query(&Query::Relation(e), &source)?;
+    let b = run_query(&Query::Relation(optimized), &source)?;
     assert_eq!(a, b);
-    println!(
-        "optimized plan returns the identical relation ({} tuples)",
-        b.len()
-    );
+    if let QueryResult::Relation(r) = b {
+        println!(
+            "optimized plan returns the identical relation ({} tuples)",
+            r.len()
+        );
+    }
 
     Ok(())
 }

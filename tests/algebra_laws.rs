@@ -6,6 +6,7 @@ mod common;
 
 use common::{other_relation_strategy, relation_strategy, semantically_equal};
 use hrdm_core::prelude::*;
+use hrdm_query::{parse_query, run_query, IndexedRelations, QueryResult};
 use proptest::prelude::*;
 
 fn pred_v(op: Comparator, c: i64) -> Predicate {
@@ -285,6 +286,58 @@ proptest! {
         let sliced = when(&timeslice(&r, &l));
         prop_assert!(l.contains_lifespan(&sliced));
         prop_assert_eq!(&sliced, &when(&r).intersect(&l));
+    }
+
+    /// The same law through the engine, where the two sides take different
+    /// routes: `WHEN (r1 UNION r2)` drains a blocking UNION whose output
+    /// holds key-sharing tuples (`r1` and `r2` draw their keys from the
+    /// same small range — the plain union keeps both versions of an
+    /// object), `WHEN (r1) | WHEN (r2)` unions two scans' lifespans.
+    #[test]
+    fn when_of_union_is_union_of_whens_through_the_executor(
+        r1 in relation_strategy(),
+        r2 in relation_strategy(),
+    ) {
+        let expected = when(&r1).union(&when(&r2));
+        let src = IndexedRelations::new(
+            [("r1".to_string(), r1), ("r2".to_string(), r2)].into_iter().collect(),
+        );
+        for text in ["WHEN (r1 UNION r2)", "WHEN (r1) | WHEN (r2)"] {
+            match run_query(&parse_query(text).unwrap(), &src).unwrap() {
+                QueryResult::Lifespan(l) => prop_assert_eq!(&l, &expected, "{}", text),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    // ---- COUNT -------------------------------------------------------------
+
+    /// `COUNT` is *undefined* — not 0 — at a chronon where nothing is alive:
+    /// the count is a function on `LS(r)`. Where some tuple is alive it is
+    /// the number of tuples bearing a value, which may well be 0.
+    #[test]
+    fn count_is_undefined_where_nothing_is_alive(r in relation_strategy(), l in lifespan_lit()) {
+        let mut src = std::collections::BTreeMap::new();
+        src.insert("r".to_string(), r.clone());
+        let src = IndexedRelations::new(src);
+        let window: Vec<String> = l
+            .intervals()
+            .iter()
+            .map(|iv| format!("{}..{}", iv.lo(), iv.hi()))
+            .collect();
+        let text = format!("COUNT V (TIMESLICE [{}] (r))", window.join(", "));
+        let count = match run_query(&parse_query(&text).unwrap(), &src).unwrap() {
+            QueryResult::Function(f) => f,
+            other => panic!("unexpected {other:?}"),
+        };
+        let v = Attribute::new("V");
+        for s in common::UNIVERSE.0 - 1..=common::UNIVERSE.1 + 1 {
+            let s = Chronon::new(s);
+            let alive = l.contains(s) && r.iter().any(|t| t.lifespan().contains(s));
+            let bearing = r.iter().filter(|t| l.contains(s) && t.at(&v, s).is_some()).count();
+            let expected = alive.then_some(Value::Int(bearing as i64));
+            prop_assert_eq!(count.at(s), expected.as_ref(), "at {} of {}", s, text);
+        }
     }
 
     // ---- PROJECT laws -------------------------------------------------------

@@ -1,7 +1,3 @@
-// The legacy materializing evaluator stays the reference oracle for the
-// streaming executor, so this file uses it deliberately.
-#![allow(deprecated)]
-
 //! Differential oracle: the **partitioned** engine must be observationally
 //! identical to an **unpartitioned** reference (`partition span = ∞`).
 //!
@@ -11,7 +7,8 @@
 //! * byte-equal query results for a battery of planned queries
 //!   (TIME-SLICEs, selects, joins, set ops, WHEN, aggregates),
 //! * EXPLAIN-pruning **soundness**: on the partitioned engine, the pruned
-//!   plan evaluates to exactly what the unplanned evaluator produces,
+//!   plan executes to exactly what the reference evaluator (`eval.rs`)
+//!   produces — for every sort, `WHEN` and aggregates included,
 //! * equal `\stats` op counts (the group-commit layer is unaffected),
 //! * byte-equal WALs (partitioning is physical — the log format must not
 //!   know about it), and
@@ -23,8 +20,7 @@
 
 use hrdm_core::prelude::*;
 use hrdm_query::{
-    eval_plan, evaluate, evaluate_planned, explain_with_access, optimize, parse_expr, parse_query,
-    plan, Query, QueryResult,
+    evaluate, explain_with_access, parse_expr, parse_query, run_query, PipelineError, QueryResult,
 };
 use hrdm_storage::{ConcurrentDatabase, Database, DbSnapshot, PartitionPolicy};
 use proptest::prelude::*;
@@ -101,7 +97,12 @@ const QUERIES: &[&str] = &[
     "TIMESLICE [8..40] (evt TIMEJOIN@AT r)",
     "SLICE@AT (evt)",
     "WHEN (TIMESLICE [5..95] (r))",
+    "WHEN (SELECT-WHEN (V >= 50) (r))",
+    "WHEN (TIMESLICE [0..60] (r)) | WHEN (SELECT-WHEN (K = 5) (r)) - [20..30]",
+    "TIMESLICE (WHEN (SELECT-IF (V >= 90, EXISTS) (r))) (r)",
     "COUNT V (r)",
+    "COUNT V (TIMESLICE [40..70] (r))",
+    "MAX V (TIMESLICE [4000..4090] (r))",
 ];
 
 /// Canonical byte serialization of a query result: tuple renderings sorted,
@@ -124,8 +125,8 @@ fn canonical(result: &QueryResult) -> String {
 fn assert_engines_agree(part: &DbSnapshot, reference: &DbSnapshot, ctx: &str) {
     for q in QUERIES {
         let parsed = parse_query(q).unwrap();
-        let a = evaluate_planned(&parsed, part);
-        let b = evaluate_planned(&parsed, reference);
+        let a = run_query(&parsed, part);
+        let b = run_query(&parsed, reference);
         match (&a, &b) {
             (Ok(ra), Ok(rb)) => {
                 assert_eq!(canonical(ra), canonical(rb), "{ctx}: `{q}` diverged");
@@ -138,22 +139,14 @@ fn assert_engines_agree(part: &DbSnapshot, reference: &DbSnapshot, ctx: &str) {
 }
 
 /// EXPLAIN-pruning soundness: the partitioned engine's *planned* (pruned)
-/// evaluation equals its own *unplanned* evaluation, query for query.
+/// execution equals the reference evaluator on the same snapshot, query
+/// for query — whatever the query's sort.
 fn assert_pruned_plan_sound(snap: &DbSnapshot, q: &str, ctx: &str) {
-    if let Ok(Query::Relation(e)) = parse_query(q) {
-        let (optimized, _) = optimize(&e);
-        let p = plan(&optimized, snap);
-        let pruned = eval_plan(&p, snap);
-        let unpruned = match evaluate(&parse_query(q).unwrap(), snap) {
-            Ok(QueryResult::Relation(r)) => Ok(r),
-            Ok(_) => unreachable!("relation-sorted query"),
-            Err(e) => Err(e),
-        };
-        match (pruned, unpruned) {
-            (Ok(x), Ok(y)) => assert_eq!(x, y, "{ctx}: pruned ≢ unpruned for `{q}`"),
-            (Err(x), Err(y)) => assert_eq!(x.to_string(), y.to_string(), "{ctx}: `{q}`"),
-            (x, y) => panic!("{ctx}: `{q}`: pruned {x:?} vs unpruned {y:?}"),
-        }
+    let parsed = parse_query(q).unwrap();
+    match (run_query(&parsed, snap), evaluate(&parsed, snap)) {
+        (Ok(x), Ok(y)) => assert_eq!(x, y, "{ctx}: pruned ≢ unpruned for `{q}`"),
+        (Err(PipelineError::Eval(x)), Err(y)) => assert_eq!(x, y, "{ctx}: `{q}`"),
+        (x, y) => panic!("{ctx}: `{q}`: pruned {x:?} vs unpruned {y:?}"),
     }
 }
 
@@ -366,7 +359,7 @@ fn explain_prunes_selective_timeslice_on_64_partitions() {
 
     // The pruned evaluation returns exactly the two overlapping tuples.
     let parsed = parse_query("TIMESLICE [100..120] (r)").unwrap();
-    match evaluate_planned(&parsed, &*snap).unwrap() {
+    match run_query(&parsed, &*snap).unwrap() {
         QueryResult::Relation(r) => assert_eq!(r.len(), 2),
         other => panic!("unexpected result {other:?}"),
     }

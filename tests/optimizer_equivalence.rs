@@ -1,7 +1,3 @@
-// The legacy materializing evaluator stays the reference oracle for the
-// streaming executor, so this file uses it deliberately.
-#![allow(deprecated)]
-
 //! The optimizer's rewrite rules are semantics-preserving: random
 //! expression trees evaluate identically before and after optimization.
 

@@ -1,7 +1,3 @@
-// The legacy materializing evaluator stays the reference oracle for the
-// streaming executor, so this file uses it deliberately.
-#![allow(deprecated)]
-
 //! End-to-end pipeline tests across all crates: generate → persist →
 //! reload → query (optimized) → compare against the baseline models.
 
@@ -10,7 +6,9 @@ mod common;
 use common::{build_tuple, test_scheme};
 use hrdm_baseline::{hrdm_to_cube, hrdm_to_ts, snapshot_of_hrdm, ts_to_hrdm};
 use hrdm_core::prelude::*;
-use hrdm_query::{evaluate, optimize, parse_expr, parse_query, QueryResult};
+use hrdm_query::{
+    eval_expr, optimize, parse_expr, parse_query, run_query, IndexedRelations, Query, QueryResult,
+};
 use hrdm_storage::Database;
 use proptest::prelude::*;
 
@@ -57,9 +55,13 @@ fn persist_reload_query_pipeline() {
     let e = parse_expr("TIMESLICE [0..20] (SELECT-WHEN (V >= 20) (r))").unwrap();
     let (optimized, trace) = optimize(&e);
     assert!(!trace.is_empty());
-    let direct = hrdm_query::eval_expr(&e, &db).unwrap();
-    let opt = hrdm_query::eval_expr(&optimized, &db).unwrap();
-    assert_eq!(direct, opt);
+    let direct = eval_expr(&e, &db).unwrap();
+    assert_eq!(direct, eval_expr(&optimized, &db).unwrap());
+    // The engine (optimize → plan → execute) agrees with the reference.
+    match run_query(&Query::Relation(e), &db).unwrap() {
+        QueryResult::Relation(planned) => assert_eq!(planned, direct),
+        other => panic!("unexpected {other:?}"),
+    }
 
     // Expected: object 1 matches on [10,14] (V=20), object 2 on [5,20]∩[5,30].
     assert_eq!(direct.len(), 2);
@@ -107,17 +109,18 @@ fn ts_round_trip_preserves_the_relation() {
 fn language_queries_match_direct_algebra_on_the_pipeline_relation() {
     let mut src = std::collections::BTreeMap::new();
     src.insert("r".to_string(), sample_relation());
+    let src = IndexedRelations::new(src);
 
     // WHEN through the language == Ω over select-when directly.
     let q = parse_query("WHEN (SELECT-WHEN (V = 30) (r))").unwrap();
-    match evaluate(&q, &src).unwrap() {
+    match run_query(&q, &src).unwrap() {
         QueryResult::Lifespan(l) => assert_eq!(l, Lifespan::interval(25, 40)),
         other => panic!("unexpected {other:?}"),
     }
 
     // Dynamic behaviors compose with storage-independent equality.
     let q = parse_query("PROJECT [K] (SELECT-IF (V = 20, FORALL, [10..14]) (r))").unwrap();
-    match evaluate(&q, &src).unwrap() {
+    match run_query(&q, &src).unwrap() {
         QueryResult::Relation(rel) => {
             // Object 1 earns V=20 throughout [10,14]; object 2 holds V=20
             // everywhere, so both pass the bounded ∀.

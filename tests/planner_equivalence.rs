@@ -1,67 +1,98 @@
-// The legacy materializing evaluator stays the reference oracle for the
-// streaming executor, so this file uses it deliberately.
-#![allow(deprecated)]
-
-//! The access-path planner is semantics-preserving: random expression
-//! trees over random relations evaluate identically through the plain
-//! evaluator (sequential scans everywhere) and through
-//! optimize → plan → eval_plan (index scans where available).
+//! The planned executor is semantics-preserving for every sort of the
+//! algebra: random queries — relations, lifespans (`WHEN` under `|`, `&`,
+//! `-`), aggregates, and `TIMESLICE`/`SELECT-IF` whose parameter is itself
+//! an `Ω(e)` — over random relations answer identically through the
+//! reference evaluator (`eval.rs`: sequential scans, every intermediate
+//! materialized) and through optimize → plan → executor tree, on an indexed
+//! source, a partitioned one and a bare one.
 
 mod common;
 
 use common::{other_relation_strategy, relation_strategy};
+use hrdm_core::algebra::AggregateOp;
 use hrdm_core::prelude::*;
-use hrdm_query::{eval_expr, eval_plan, optimize, plan, Expr, IndexedRelations, LifespanExpr};
+use hrdm_query::{
+    eval_expr, evaluate, run_query, Expr, IndexSource, IndexedRelations, LifespanExpr,
+    PipelineError, Query, QueryResult,
+};
+use hrdm_storage::{Database, PartitionPolicy};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Strategy: a random, well-typed expression over relations `r` (test
-/// scheme, key `K`) and `r2` (other scheme, key `K2`), exercising every
+/// `r` and `r2` in a database cut into 8-chronon partitions.
+fn partitioned(map: &BTreeMap<String, Relation>) -> Database {
+    let mut db = Database::new();
+    db.set_partition_policy(PartitionPolicy::SpanLog2(3));
+    for (name, r) in map {
+        db.create_relation(name, r.scheme().clone()).unwrap();
+        db.put_relation(name, r.clone()).unwrap();
+    }
+    db
+}
+
+fn pred_strategy() -> impl Strategy<Value = Predicate> {
+    let key_pred = (0i64..6).prop_map(|k| Predicate::eq_value("K", k));
+    let value_pred = (
+        0i64..4,
+        prop_oneof![
+            Just(Comparator::Eq),
+            Just(Comparator::Le),
+            Just(Comparator::Gt)
+        ],
+    )
+        .prop_map(|(c, op)| Predicate::attr_op_value("V", op, c));
+    let mixed_pred = (key_pred.clone(), value_pred.clone()).prop_map(|(k, v)| k.and(v));
+    prop_oneof![key_pred, value_pred, mixed_pred]
+}
+
+/// A lifespan parameter: a literal, or the `WHEN` of a select over `r` —
+/// the paper's §4.5 bridge back into the relation sort.
+fn window_strategy() -> impl Strategy<Value = LifespanExpr> {
+    prop_oneof![
+        common::lifespan_strategy().prop_map(LifespanExpr::Literal),
+        pred_strategy().prop_map(|p| LifespanExpr::When(Box::new(Expr::rel("r").select_when(p)))),
+    ]
+}
+
+/// Strategy: a random expression over relations `r` and `s` (both on the
+/// test scheme, key `K`, with overlapping keys — so the set operators see
+/// key-sharing tuples) and `r2` (other scheme, key `K2`), exercising every
 /// index-eligible shape: literal TIME-SLICEs, key-equality σWHEN/σIF,
 /// NATURAL-JOIN, plus the plain operators.
 fn expr_strategy() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        Just(Expr::rel("r")),
-        Just(Expr::rel("r2")),
-        // NATJOIN of the two base relations: no common attributes, so it
+    // Nearly always on the test scheme, so that most generated trees are
+    // well-typed (the predicates and the projection name its attributes,
+    // the set operators want equal schemes on both sides); the odd leaf on
+    // another scheme keeps the error paths compared too.
+    let mut leaves = vec![
+        Just(Expr::rel("r2")).boxed(),
+        // NATJOIN of two base relations with no common attributes
         // degenerates to a product over lifespan intersections — still a
         // good planner case (no key probe possible).
         Just(Expr::NaturalJoin(
             Box::new(Expr::rel("r")),
             Box::new(Expr::rel("r2")),
-        )),
+        ))
+        .boxed(),
     ];
+    leaves.extend((0..30).map(|_| prop_oneof![Just(Expr::rel("r")), Just(Expr::rel("s"))].boxed()));
+    let leaf = Union::new(leaves);
     leaf.prop_recursive(3, 16, 3, |inner| {
-        let key_pred = (0i64..6).prop_map(|k| Predicate::eq_value("K", k));
-        let value_pred = (
-            0i64..4,
-            prop_oneof![
-                Just(Comparator::Eq),
-                Just(Comparator::Le),
-                Just(Comparator::Gt)
-            ],
-        )
-            .prop_map(|(c, op)| Predicate::attr_op_value("V", op, c));
-        let mixed_pred = (key_pred.clone(), value_pred.clone()).prop_map(|(k, v)| k.and(v));
-        let pred = prop_oneof![key_pred, value_pred, mixed_pred];
-        let lifespan = common::lifespan_strategy().prop_map(LifespanExpr::Literal);
         prop_oneof![
-            (inner.clone(), pred.clone()).prop_map(|(e, p)| Expr::SelectWhen {
-                input: Box::new(e),
-                predicate: p,
-            }),
+            (inner.clone(), pred_strategy()).prop_map(|(e, p)| e.select_when(p)),
             (
                 inner.clone(),
-                pred.clone(),
-                prop_oneof![Just(Quantifier::Exists), Just(Quantifier::Forall)]
+                pred_strategy(),
+                prop_oneof![Just(Quantifier::Exists), Just(Quantifier::Forall)],
+                prop_oneof![Just(None), window_strategy().prop_map(Some)],
             )
-                .prop_map(|(e, p, q)| Expr::SelectIf {
+                .prop_map(|(e, p, q, l)| Expr::SelectIf {
                     input: Box::new(e),
                     predicate: p,
                     quantifier: q,
-                    lifespan: None,
+                    lifespan: l,
                 }),
-            (inner.clone(), lifespan).prop_map(|(e, l)| Expr::TimeSlice {
+            (inner.clone(), window_strategy()).prop_map(|(e, l)| Expr::TimeSlice {
                 input: Box::new(e),
                 lifespan: l,
             }),
@@ -74,31 +105,95 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
     })
 }
 
+/// A lifespan-sorted query: `WHEN`s and literals under `|`, `&`, `-`.
+fn lifespan_expr_strategy() -> impl Strategy<Value = LifespanExpr> {
+    let leaf = prop_oneof![
+        expr_strategy().prop_map(|e| LifespanExpr::When(Box::new(e))),
+        common::lifespan_strategy().prop_map(LifespanExpr::Literal),
+    ];
+    leaf.prop_recursive(2, 6, 2, |inner| {
+        (inner.clone(), inner, 0u8..3).prop_map(|(a, b, op)| {
+            let (a, b) = (Box::new(a), Box::new(b));
+            match op {
+                0 => LifespanExpr::Union(a, b),
+                1 => LifespanExpr::Intersect(a, b),
+                _ => LifespanExpr::Minus(a, b),
+            }
+        })
+    })
+}
+
+/// A query of any sort.
+fn query_strategy() -> impl Strategy<Value = Query> {
+    let op = prop_oneof![
+        Just(AggregateOp::Count),
+        Just(AggregateOp::Sum),
+        Just(AggregateOp::Max),
+    ];
+    prop_oneof![
+        expr_strategy().prop_map(Query::Relation),
+        lifespan_expr_strategy().prop_map(Query::Lifespan),
+        (op, expr_strategy()).prop_map(|(op, input)| Query::Aggregate {
+            op,
+            attr: "V".into(),
+            input,
+        }),
+    ]
+}
+
+/// Planned ≡ reference on `src`. Queries mixing the two schemes can be
+/// ill-typed (e.g. a union of incompatible schemes); both must then fail.
+fn assert_planned_matches_reference(q: &Query, src: &dyn IndexSource, ctx: &str) {
+    match (evaluate(q, src), run_query(q, src)) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "{ctx}: {q}"),
+        (Err(_), Err(PipelineError::Eval(_))) => {}
+        (reference, planned) => {
+            panic!("{ctx}: reference {reference:?} but planned {planned:?} on {q}")
+        }
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn planned_evaluation_matches_plain_evaluation(
-        e in expr_strategy(),
+    fn planned_execution_matches_the_reference_evaluator(
+        q in query_strategy(),
         r in relation_strategy(),
+        s in relation_strategy(),
         r2 in other_relation_strategy(),
     ) {
-        // Expressions mixing the two schemes can be ill-typed (e.g. union
-        // of incompatible schemes); both evaluators must then fail alike.
         let mut map = BTreeMap::new();
         map.insert("r".to_string(), r);
+        map.insert("s".to_string(), s);
         map.insert("r2".to_string(), r2);
-        let plain = eval_expr(&e, &map);
+        assert_planned_matches_reference(&q, &partitioned(&map), "partitioned");
+        assert_planned_matches_reference(&q, &IndexedRelations::new(map.clone()), "indexed");
+        assert_planned_matches_reference(&q, &map, "bare");
+    }
 
-        let src = IndexedRelations::new(map.clone());
-        let (optimized, _) = optimize(&e);
-        let planned = eval_plan(&plan(&optimized, &src), &src);
-
-        match (plain, planned) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-            (Err(_), Err(_)) => {}
-            (Ok(_), Err(err)) => panic!("plain succeeded, planner failed on {e}: {err:?}"),
-            (Err(err), Ok(_)) => panic!("planner succeeded, plain failed on {e}: {err:?}"),
+    /// `WHEN` evaluates the unaries at the top of its operand in
+    /// lifespan-only mode; a relation root builds every restricted tuple.
+    /// The two must agree: `Ω(e)` is the lifespan of `e`'s answer.
+    #[test]
+    fn lifespan_only_chains_match_tuple_building_ones(
+        e in expr_strategy(),
+        r in relation_strategy(),
+        s in relation_strategy(),
+        r2 in other_relation_strategy(),
+    ) {
+        let mut map = BTreeMap::new();
+        map.insert("r".to_string(), r);
+        map.insert("s".to_string(), s);
+        map.insert("r2".to_string(), r2);
+        let src = IndexedRelations::new(map);
+        let when = Query::Lifespan(LifespanExpr::When(Box::new(e.clone())));
+        match (run_query(&Query::Relation(e.clone()), &src), run_query(&when, &src)) {
+            (Ok(QueryResult::Relation(built)), Ok(QueryResult::Lifespan(l))) => {
+                prop_assert_eq!(built.lifespan(), l, "{}", e)
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a, b, "{}", e),
+            (built, when) => panic!("{e}: relation root {built:?} but WHEN root {when:?}"),
         }
     }
 
@@ -110,6 +205,7 @@ proptest! {
     fn equivalence_holds_under_interleaved_inserts(
         e in expr_strategy(),
         r in relation_strategy(),
+        s in relation_strategy(),
         r2 in other_relation_strategy(),
         growth in proptest::collection::vec(
             (common::lifespan_strategy(), common::segments_strategy(),
@@ -117,11 +213,14 @@ proptest! {
             1..4,
         ),
     ) {
-        let mut db = hrdm_storage::Database::new();
+        let mut db = Database::new();
         db.create_relation("r", r.scheme().clone()).unwrap();
         db.put_relation("r", r).unwrap();
+        db.create_relation("s", s.scheme().clone()).unwrap();
+        db.put_relation("s", s).unwrap();
         db.create_relation("r2", r2.scheme().clone()).unwrap();
         db.put_relation("r2", r2).unwrap();
+        let q = Query::Relation(e.clone());
 
         for (i, (life, v, w)) in growth.into_iter().enumerate() {
             // Keys 100+ never collide with relation_strategy's 0..5.
@@ -132,18 +231,17 @@ proptest! {
             db.insert("r", t).unwrap();
 
             let mut map = BTreeMap::new();
-            map.insert("r".to_string(), db.relation("r").unwrap().clone());
-            map.insert("r2".to_string(), db.relation("r2").unwrap().clone());
-            let plain = eval_expr(&e, &map);
-            let (optimized, _) = optimize(&e);
-            let planned = eval_plan(&plan(&optimized, &db), &db);
-            match (plain, planned) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "after insert {}", i),
-                (Err(_), Err(_)) => {}
-                (Ok(_), Err(err)) =>
-                    panic!("plain succeeded, planner failed on {e} after insert {i}: {err:?}"),
-                (Err(err), Ok(_)) =>
-                    panic!("planner succeeded, plain failed on {e} after insert {i}: {err:?}"),
+            for name in ["r", "s", "r2"] {
+                map.insert(name.to_string(), db.relation(name).unwrap().clone());
+            }
+            match (eval_expr(&e, &map), run_query(&q, &db)) {
+                (Ok(a), Ok(QueryResult::Relation(b))) => {
+                    prop_assert_eq!(a, b, "after insert {}", i)
+                }
+                (Err(_), Err(PipelineError::Eval(_))) => {}
+                (plain, planned) => panic!(
+                    "after insert {i}: reference {plain:?} but planned {planned:?} on {e}"
+                ),
             }
         }
     }

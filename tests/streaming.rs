@@ -1,11 +1,8 @@
-// The legacy materializing evaluator stays the reference oracle for the
-// streaming executor, so this file uses it deliberately.
-#![allow(deprecated)]
-
 //! Streaming differential oracle: the pull-based executor
 //! ([`hrdm_query::stream_query_on_snapshot`]) must be observationally
-//! identical to the materializing evaluator (`eval.rs`) — same battery of
-//! queries, same random database states, same answers — under
+//! identical to the reference evaluator (`eval.rs`) — same battery of
+//! queries of every sort, same random database states, same answers —
+//! under
 //!
 //! * the default execution options,
 //! * tiny batch sizes (1..64 rows, exercising every batch boundary), and
@@ -67,7 +64,8 @@ fn evt_tup(e: i64, lo: i64, len: i64, at: i64) -> Tuple {
 
 /// The same battery the engine-level differential oracle answers: lifespan
 /// bounds that prune, predicates that probe, operators that combine, plus
-/// the lifespan and aggregate sorts (which take the scalar stream path).
+/// the lifespan and aggregate sorts (whose executor trees end in a `WHEN`
+/// or aggregate root instead of a stream).
 const QUERIES: &[&str] = &[
     "r",
     "TIMESLICE [40..70] (r)",
@@ -85,7 +83,19 @@ const QUERIES: &[&str] = &[
     "TIMESLICE [8..40] (evt TIMEJOIN@AT r)",
     "SLICE@AT (evt)",
     "WHEN (TIMESLICE [5..95] (r))",
+    "WHEN (SELECT-WHEN (V >= 50) (r))",
+    "WHEN (SELECT-IF (V >= 10, FORALL, [16..48]) (TIMESLICE [0..300] (r)))",
+    "WHEN (PROJECT [V] (SELECT-WHEN (V >= 20) (r)))",
+    "WHEN (SLICE@AT (evt))",
+    "WHEN (TIMESLICE [0..100] (r) UNION TIMESLICE [50..200] (r))",
+    "WHEN (TIMESLICE [0..100] (r)) | WHEN (TIMESLICE [50..200] (r))",
+    "WHEN (r) - WHEN (SELECT-WHEN (K = 5) (r)) & [0..500]",
+    "TIMESLICE (WHEN (SELECT-WHEN (V >= 90) (r))) (r)",
+    "SELECT-IF (V >= 10, EXISTS, WHEN (evt)) (r)",
     "COUNT V (r)",
+    "COUNT V (TIMESLICE [40..70] (r))",
+    "SUM V (SELECT-WHEN (V >= 50) (r))",
+    "MIN V (TIMESLICE [4000..4090] (r))",
 ];
 
 /// Canonical byte serialization of a query result: tuple renderings
@@ -274,6 +284,90 @@ fn cancel_aborts_within_one_batch() {
             assert!(matches!(stream.next_batch(), Ok(None)));
         }
         _ => panic!("relation-sorted query"),
+    };
+}
+
+/// A big serial relation for the root-gate tests: `n` tuples, every one
+/// of which survives `SELECT-WHEN (V >= 0)`.
+fn big(n: i64) -> ConcurrentDatabase {
+    let db = ConcurrentDatabase::new();
+    // Distinct keys by construction: skip `with_tuples`' quadratic check.
+    let tuples = (0..n).map(|k| r_tup(k, k % 4000, 10, k)).collect();
+    db.create_relation("r", r_scheme()).unwrap();
+    db.put_relation("r", Relation::from_distinct_unchecked(r_scheme(), tuples))
+        .unwrap();
+    db
+}
+
+/// A `WHEN` root applies the gate a relation stream does: the probe is
+/// checked before every pull, so a cancelled `WHEN` over a 100k-tuple scan
+/// stops within one batch — and reports `Cancelled`, never a partial
+/// lifespan.
+#[test]
+fn when_over_a_big_scan_observes_cancel_within_one_batch() {
+    let db = big(100_000);
+    let snap = db.snapshot();
+    let probes = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let seen = Arc::clone(&probes);
+    let opts = ExecOptions {
+        batch_rows: 256,
+        // The probe fires from its third check on: two batches get through.
+        cancel: Some(Arc::new(move || {
+            seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst) >= 2
+        })),
+        ..ExecOptions::default()
+    };
+    for q in [
+        "WHEN (r)",
+        "WHEN (SELECT-WHEN (V >= 0) (r))",
+        "WHEN (SELECT-WHEN (V < 0) (r))",
+        "COUNT V (SELECT-WHEN (V >= 0) (r))",
+    ] {
+        probes.store(0, std::sync::atomic::Ordering::SeqCst);
+        match stream_query_on_snapshot(q, &*snap, &opts) {
+            Err(hrdm_query::PipelineError::Cancelled) => {}
+            Err(e) => panic!("`{q}`: expected Cancelled, got {e}"),
+            Ok(_) => panic!("`{q}`: a cancelled query returned a value"),
+        }
+        // Stopped at the third check (a parallel scan's workers probe too,
+        // once per morsel) — nowhere near the ~400 batches of a full drain.
+        let checks = probes.load(std::sync::atomic::Ordering::SeqCst);
+        assert!(checks < 40, "`{q}`: {checks} probe checks before stopping");
+    }
+}
+
+/// … and the row cap: rows reaching a `WHEN` or aggregate root count
+/// against `max_rows` like rows streamed to a client, in lifespan-only
+/// mode too. Rows the chain under the root filters away do not count.
+#[test]
+fn when_and_aggregates_honour_the_row_cap() {
+    let db = big(100_000);
+    let snap = db.snapshot();
+    let opts = ExecOptions {
+        batch_rows: 256,
+        max_rows: Some(1_000),
+        ..ExecOptions::default()
+    };
+    for q in [
+        "WHEN (r)",
+        "WHEN (SELECT-WHEN (V >= 0) (r))",
+        "WHEN (PROJECT [V] (r))",
+        "TIMESLICE (WHEN (r)) (r)",
+        "MAX V (r)",
+    ] {
+        match stream_query_on_snapshot(q, &*snap, &opts) {
+            Err(hrdm_query::PipelineError::Limit(_)) => {}
+            Err(e) => panic!("`{q}`: expected Limit, got {e}"),
+            Ok(_) => panic!("`{q}`: a row-capped query returned a value"),
+        }
+    }
+    // 500 rows reach the root; the other 99 500 never count.
+    match stream_query_on_snapshot("WHEN (SELECT-WHEN (V < 500) (r))", &*snap, &opts) {
+        Ok(StreamedQuery::Lifespan { value, .. }) => {
+            assert_eq!(value, Lifespan::interval(0, 509))
+        }
+        Ok(_) => panic!("lifespan-sorted query"),
+        Err(e) => panic!("capped although only 500 rows reach the root: {e}"),
     };
 }
 
