@@ -74,6 +74,7 @@ const GATED: &[&str] = &[
     "parallel_scan_8c",
     "when_scan_50k",
     "count_slice_50k",
+    "union_slices_50k",
     "checkpoint_dirty_partitions",
     // Buffer-pool read path: CPU-bound (hits) and OS-page-cache-bound
     // (misses) — no fsync in either loop.
@@ -308,6 +309,27 @@ fn run_tracked() -> Vec<BenchResult> {
             "count_slice_50k",
             measure_median_ns(SAMPLES, sample_time(), || {
                 std::hint::black_box(run_query(&q, &*snap).unwrap());
+            }),
+        );
+
+        // A UNION of two overlapping 4-partition slices through the
+        // executor: the build side is hashed once, the probe side streams
+        // through it, and the slices hand on their interior tuples
+        // unrebuilt. Copying and re-hashing either input shows up here.
+        use hrdm_query::{build_executor, plan, ExecOptions, Expr, QueryStream};
+        let span = 1i64 << SPAN_LOG2;
+        let slice =
+            |a: i64| Box::new(Expr::rel("r").timeslice(Lifespan::interval(a, a + 4 * span)));
+        let union = Expr::Union(slice(lo), slice(lo + 2 * span));
+        let opts = ExecOptions::default();
+        track(
+            "union_slices_50k",
+            measure_median_ns(SAMPLES, sample_time(), || {
+                let p = plan(&union, &*snap);
+                let mut s = QueryStream::new(build_executor(&p, &*snap, &opts), &opts).unwrap();
+                while let Some(batch) = s.next_batch().unwrap() {
+                    std::hint::black_box(batch);
+                }
             }),
         );
     }

@@ -37,19 +37,33 @@ pub fn theta_join(
         });
     }
     let scheme = r1.scheme().disjoint_concat(r2.scheme())?;
-    let empty = TemporalValue::empty();
     let mut out = Vec::new();
     for t1 in r1.iter() {
-        let f = t1.value(a).unwrap_or(&empty);
         for t2 in r2.iter() {
-            let g = t2.value(b).unwrap_or(&empty);
-            let l = f.when_compare(g, |ord| op.test(ord))?;
-            if !l.is_empty() {
-                out.push(t1.concat_restricted(t2, l));
+            if let Some(joined) = theta_join_pair(t1, t2, a, op, b)? {
+                out.push(joined);
             }
         }
     }
     Ok(Relation::from_parts_unchecked(scheme, out))
+}
+
+/// Joins one `(t1, t2)` pair as θ-JOIN does: the result exists on the
+/// times `t1(A) θ t2(B)` holds and is `None` when that lifespan is empty.
+/// The exact per-pair semantics of [`theta_join`], shared with the
+/// streaming executor's build/probe join.
+pub fn theta_join_pair(
+    t1: &crate::Tuple,
+    t2: &crate::Tuple,
+    a: &Attribute,
+    op: Comparator,
+    b: &Attribute,
+) -> Result<Option<crate::Tuple>> {
+    let empty = TemporalValue::empty();
+    let f = t1.value(a).unwrap_or(&empty);
+    let g = t2.value(b).unwrap_or(&empty);
+    let l = f.when_compare(g, |ord| op.test(ord))?;
+    Ok((!l.is_empty()).then(|| t1.concat_restricted(t2, l)))
 }
 
 /// `r1 [A = B] r2` — "just a special case of the general θ-JOIN" (paper
@@ -88,8 +102,8 @@ pub fn natural_join(r1: &Relation, r2: &Relation) -> Result<Relation> {
 /// and is `None` when that lifespan is empty.
 ///
 /// This is the exact per-pair semantics of [`natural_join`], exposed so
-/// index-driven join strategies (probing a key index for candidate
-/// partners instead of scanning) can reuse it unchanged.
+/// the streaming executor's build/probe join (probing a key table or
+/// index for candidate partners instead of scanning) reuses it unchanged.
 pub fn natural_join_pair(
     t1: &crate::Tuple,
     t2: &crate::Tuple,
@@ -148,9 +162,9 @@ pub fn time_join(r1: &Relation, r2: &Relation, a: &Attribute) -> Result<Relation
 /// `t1`'s time-valued join attribute: the result exists on
 /// `t1.l ∩ t2.l ∩ image` and is `None` when that lifespan is empty.
 ///
-/// The exact per-pair semantics of [`time_join`], exposed so index-driven
-/// strategies (probing a lifespan index with `t1.l ∩ image` for candidate
-/// partners) can reuse it unchanged.
+/// The exact per-pair semantics of [`time_join`], exposed so the streaming
+/// executor's build/probe join (probing a lifespan index with
+/// `t1.l ∩ image` for candidate partners) reuses it unchanged.
 pub fn time_join_pair(
     t1: &crate::Tuple,
     t2: &crate::Tuple,

@@ -35,12 +35,14 @@ pub mod when;
 
 pub use aggregate::{aggregate_over_time, AggregateOp};
 pub use join::{
-    equijoin, natural_join, natural_join_pair, theta_join, theta_join_union, time_join,
-    time_join_pair,
+    equijoin, natural_join, natural_join_pair, theta_join, theta_join_pair, theta_join_union,
+    time_join, time_join_pair,
 };
-pub use object_setops::{difference_o, intersection_o, union_o};
+pub use object_setops::{
+    difference_o, difference_o_pair, intersection_o, intersection_o_pair, union_o,
+};
 pub use predicate::{Comparator, Operand, Predicate};
-pub use product::{cartesian_product, null_volume};
+pub use product::{cartesian_product, null_volume, product_pair};
 pub use project::project;
 pub use select::{select_if, select_when, Quantifier};
 pub use setops::{difference, intersection, union};

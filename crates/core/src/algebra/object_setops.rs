@@ -6,9 +6,17 @@
 //! operators instead *merge* the tuples of corresponding objects:
 //! merge-compatible schemes (same attributes, domains, **and key**), tuples
 //! *mergable* when they share a key value and nowhere contradict each other.
+//!
+//! "t is *matched* in S if there is **some** tuple t' in S such that t is
+//! mergable with t'" — and every mergable pair contributes. An operand the
+//! plain set operators produced may hold several tuples sharing one key
+//! (Fig. 11), so a tuple can be mergable with more than one partner; the
+//! definitions below take all of them, which makes each result independent
+//! of the order tuples are stored in.
 
 use crate::errors::{HrdmError, Result};
 use crate::relation::Relation;
+use crate::scheme::Scheme;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -21,16 +29,54 @@ fn require_merge_compatible(r1: &Relation, r2: &Relation) -> Result<()> {
     }
 }
 
-/// Key-indexed view of a relation's tuples; tuples without a key value (or
-/// in keyless schemes) are unindexable and treated as matching nothing.
-fn key_index(r: &Relation) -> HashMap<Vec<Value>, &Tuple> {
-    let mut idx = HashMap::with_capacity(r.len());
+/// A relation's tuples filed by key value (in a keyless scheme every key
+/// is the empty vector). Tuples without a key value can be mergable with
+/// nothing and are left out.
+fn by_key(r: &Relation) -> HashMap<Vec<Value>, Vec<&Tuple>> {
+    let mut idx: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::with_capacity(r.len());
     for t in r.iter() {
         if let Ok(k) = t.key_values(r.scheme()) {
-            idx.insert(k, t);
+            idx.entry(k).or_default().push(t);
         }
     }
     idx
+}
+
+/// Every tuple of `idx` that `t` is mergable with.
+fn partners<'a>(
+    t: &Tuple,
+    idx: &HashMap<Vec<Value>, Vec<&'a Tuple>>,
+    scheme: &Scheme,
+) -> Vec<&'a Tuple> {
+    let candidates = match t.key_values(scheme) {
+        Ok(key) => idx.get(&key).map_or(&[][..], Vec::as_slice),
+        Err(_) => &[],
+    };
+    candidates
+        .iter()
+        .copied()
+        .filter(|c| t.mergable(c, scheme))
+        .collect()
+}
+
+/// What one mergable pair contributes to `r1 ∩ₒ r2`: the merge restricted
+/// to `t1.l ∩ t2.l`, or `None` when the lifespans are disjoint (an
+/// information-free tuple). Mergable tuples agree wherever both are
+/// defined, so that restriction is exactly their common part.
+pub fn intersection_o_pair(t1: &Tuple, t2: &Tuple) -> Result<Option<Tuple>> {
+    let l = t1.lifespan().intersect(t2.lifespan());
+    if l.is_empty() {
+        return Ok(None);
+    }
+    Ok(Some(t1.merge(t2)?.restrict(&l)))
+}
+
+/// What one mergable pair contributes to `r1 −ₒ r2`: `t1` on
+/// `t1.l − t2.l` with its values restricted, or `None` when nothing of it
+/// survives.
+pub fn difference_o_pair(t1: &Tuple, t2: &Tuple) -> Option<Tuple> {
+    let l = t1.lifespan().difference(t2.lifespan());
+    (!l.is_empty()).then(|| t1.restrict(&l))
 }
 
 /// `r1 ∪ₒ r2` — the object-based union (paper §4.1, the Fig. 11 `r1 + r2`):
@@ -45,18 +91,19 @@ fn key_index(r: &Relation) -> HashMap<Vec<Value>, &Tuple> {
 pub fn union_o(r1: &Relation, r2: &Relation) -> Result<Relation> {
     require_merge_compatible(r1, r2)?;
     let scheme = r1.scheme().combine_als(r2.scheme(), |a, b| a.union(b));
-    let idx2 = key_index(r2);
-    let idx1 = key_index(r1);
+    let (idx1, idx2) = (by_key(r1), by_key(r2));
     let mut out: Vec<Tuple> = Vec::with_capacity(r1.len() + r2.len());
     for t1 in r1.iter() {
-        if let Some(t2) = find_mergable(t1, r2, &idx2) {
-            out.push(t1.merge(t2)?);
-        } else {
+        let found = partners(t1, &idx2, r2.scheme());
+        if found.is_empty() {
             out.push(t1.clone());
+        }
+        for t2 in found {
+            out.push(t1.merge(t2)?);
         }
     }
     for t2 in r2.iter() {
-        if find_mergable(t2, r1, &idx1).is_none() {
+        if partners(t2, &idx1, r1.scheme()).is_empty() {
             out.push(t2.clone());
         }
     }
@@ -64,7 +111,8 @@ pub fn union_o(r1: &Relation, r2: &Relation) -> Result<Relation> {
 }
 
 /// `r1 ∩ₒ r2` — the object-based intersection: for each mergable pair, a
-/// tuple over `t1.l ∩ t2.l` carrying the values the two agree on.
+/// tuple over `t1.l ∩ t2.l` carrying the values the two agree on
+/// ([`intersection_o_pair`]).
 ///
 /// The paper's set-builder demands `t1.v(A)(s) = t2.v(A)(s) = t.v(A)(s)` for
 /// all `s ∈ t.l`; where attribute lifespans make one side undefined at some
@@ -75,20 +123,12 @@ pub fn union_o(r1: &Relation, r2: &Relation) -> Result<Relation> {
 pub fn intersection_o(r1: &Relation, r2: &Relation) -> Result<Relation> {
     require_merge_compatible(r1, r2)?;
     let scheme = r1.scheme().combine_als(r2.scheme(), |a, b| a.intersect(b));
-    let idx2 = key_index(r2);
+    let idx2 = by_key(r2);
     let mut out = Vec::new();
     for t1 in r1.iter() {
-        let Some(t2) = find_mergable(t1, r2, &idx2) else {
-            continue;
-        };
-        let l = t1.lifespan().intersect(t2.lifespan());
-        if l.is_empty() {
-            continue;
+        for t2 in partners(t1, &idx2, r2.scheme()) {
+            out.extend(intersection_o_pair(t1, t2)?);
         }
-        // Mergable tuples agree wherever both are defined, so restricting
-        // the merge to the lifespan intersection is exactly the common part.
-        let merged = t1.merge(t2)?;
-        out.push(merged.restrict(&l));
     }
     Ok(Relation::from_parts_unchecked(scheme, out))
 }
@@ -97,47 +137,19 @@ pub fn intersection_o(r1: &Relation, r2: &Relation) -> Result<Relation> {
 ///
 /// * tuples of `r1` not matched in `r2` pass through,
 /// * for each mergable pair, `t1` survives on `t1.l − t2.l` with its values
-///   restricted (`t.v(A) = t1.v(A)|_{t.l}`).
+///   restricted (`t.v(A) = t1.v(A)|_{t.l}`, [`difference_o_pair`]).
 pub fn difference_o(r1: &Relation, r2: &Relation) -> Result<Relation> {
     require_merge_compatible(r1, r2)?;
-    let idx2 = key_index(r2);
+    let idx2 = by_key(r2);
     let mut out = Vec::new();
     for t1 in r1.iter() {
-        match find_mergable(t1, r2, &idx2) {
-            None => out.push(t1.clone()),
-            Some(t2) => {
-                let l = t1.lifespan().difference(t2.lifespan());
-                if !l.is_empty() {
-                    out.push(t1.restrict(&l));
-                }
-            }
+        let found = partners(t1, &idx2, r2.scheme());
+        if found.is_empty() {
+            out.push(t1.clone());
         }
+        out.extend(found.into_iter().filter_map(|t2| difference_o_pair(t1, t2)));
     }
     Ok(Relation::from_parts_unchecked(r1.scheme().clone(), out))
-}
-
-/// Finds the tuple of `r` this tuple is mergable with, if any.
-///
-/// In a key-respecting relation at most one tuple can share the key, so the
-/// key index resolves the candidate in O(1); the full mergability test
-/// (value compatibility) then runs on that single candidate. Relations with
-/// empty keys fall back to a linear scan, matching the paper's definition
-/// ("there is *some* tuple t' in S").
-fn find_mergable<'a>(
-    t: &Tuple,
-    r: &'a Relation,
-    idx: &HashMap<Vec<Value>, &'a Tuple>,
-) -> Option<&'a Tuple> {
-    if r.scheme().key().is_empty() {
-        return r.iter().find(|cand| t.mergable(cand, r.scheme()));
-    }
-    let key = t.key_values(r.scheme()).ok()?;
-    let cand = idx.get(&key)?;
-    if t.mergable(cand, r.scheme()) {
-        Some(cand)
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]
@@ -275,6 +287,42 @@ mod tests {
         );
         assert!(intersection_o(&r1, &r2).is_err());
         assert!(difference_o(&r1, &r2).is_err());
+    }
+
+    /// Key-sharing operands (a plain union's output): every mergable pair
+    /// contributes, so the result does not depend on which of the tuples
+    /// sharing a key happens to be stored last.
+    #[test]
+    fn key_sharing_operands_merge_with_every_partner() {
+        let shared = union(
+            &rel(vec![tup("a", &[(0, 5)], 1)]),
+            &rel(vec![tup("a", &[(10, 15)], 2)]),
+        )
+        .unwrap();
+        let reversed = Relation::from_parts_unchecked(scheme(), {
+            let mut ts: Vec<Tuple> = shared.iter().cloned().collect();
+            ts.reverse();
+            ts
+        });
+        let probe = rel(vec![tup("a", &[(0, 15)], 1)]); // agrees with [0,5] only
+        for r2 in [&shared, &reversed] {
+            let u = union_o(&probe, r2).unwrap();
+            // The merge with [0,5]; [10,15] contradicts the probe and stays.
+            assert_eq!(u.len(), 2, "{u}");
+            assert!(u.contains_tuple(&tup("a", &[(10, 15)], 2)));
+            let d = difference_o(&probe, r2).unwrap();
+            assert_eq!(d.len(), 1);
+            assert_eq!(d.tuples()[0].lifespan(), &Lifespan::interval(6, 15));
+            let i = intersection_o(&probe, r2).unwrap();
+            assert_eq!(i.len(), 1);
+            assert_eq!(i.tuples()[0].lifespan(), &Lifespan::interval(0, 5));
+        }
+        // Both sharing tuples are mergable with a probe that is silent on V
+        // after chronon 5: the union holds one merge per partner.
+        let sparse = rel(vec![tup("a", &[(0, 5)], 1)]);
+        let u = union_o(&sparse, &shared).unwrap();
+        assert_eq!(u.len(), 2, "{u}");
+        assert!(u.iter().all(|t| t.lifespan().contains(Chronon::new(0))));
     }
 
     #[test]

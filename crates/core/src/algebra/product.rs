@@ -9,6 +9,7 @@
 
 use crate::errors::Result;
 use crate::relation::Relation;
+use crate::tuple::Tuple;
 
 /// `r1 × r2` (paper §4.1/§5): schemes must have disjoint attribute sets; each
 /// result tuple pairs `t1` and `t2` with lifespan `t1.l ∪ t2.l` and each
@@ -19,11 +20,17 @@ pub fn cartesian_product(r1: &Relation, r2: &Relation) -> Result<Relation> {
     let mut out = Vec::with_capacity(r1.len() * r2.len());
     for t1 in r1.iter() {
         for t2 in r2.iter() {
-            let l = t1.lifespan().union(t2.lifespan());
-            out.push(t1.concat_unrestricted(t2, l));
+            out.push(product_pair(t1, t2));
         }
     }
     Ok(Relation::from_parts_unchecked(scheme, out))
+}
+
+/// The product of one `(t1, t2)` pair: lifespan `t1.l ∪ t2.l`, each value
+/// on its own span. The per-pair semantics of [`cartesian_product`], shared
+/// with the streaming executor.
+pub fn product_pair(t1: &Tuple, t2: &Tuple) -> Tuple {
+    t1.concat_unrestricted(t2, t1.lifespan().union(t2.lifespan()))
 }
 
 /// The total number of "null" chronons in a relation: for every tuple and

@@ -202,7 +202,21 @@ impl Tuple {
     /// The restriction `t|_L`: lifespan clipped to `t.l ∩ L` and every value
     /// restricted accordingly. This is the tuple-level engine of TIME-SLICE
     /// and SELECT-WHEN.
+    ///
+    /// **Sharing guarantee.** When `L ⊇ t.l` the result *is* `t`: a clone
+    /// sharing its allocation (an `Arc` bump), decided by an
+    /// allocation-free subset walk. That covers every interior tuple of a
+    /// wide TIME-SLICE and every SELECT-WHEN whose truth span is all of
+    /// `t.l` (every key probe), and lets downstream set operators compare
+    /// such tuples by identity. It is exactly the deep restriction, because
+    /// temporal values are canonical by construction and a valid tuple's
+    /// lie within `t.l` (restriction (b), checked by [`Tuple::validate`]):
+    /// restricting them to `t.l` changes nothing. When `L` misses part of
+    /// `t.l`, the result is a new tuple.
     pub fn restrict(&self, span: &Lifespan) -> Tuple {
+        if span.contains_lifespan(&self.repr.lifespan) {
+            return self.clone();
+        }
         let lifespan = self.repr.lifespan.intersect(span);
         let values = self
             .repr

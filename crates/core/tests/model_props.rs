@@ -162,6 +162,23 @@ fn tuple_strategy(key: i64) -> impl Strategy<Value = Tuple> {
     })
 }
 
+/// `t|_L` rebuilt from parts, value by value: always a fresh allocation,
+/// so comparing against it is a deep comparison.
+fn rebuilt_restriction(t: &Tuple, window: &Lifespan) -> Tuple {
+    let life = t.lifespan().intersect(window);
+    let values = t
+        .values()
+        .iter()
+        .map(|(a, tv)| (a.clone(), tv.restrict(&life)))
+        .collect();
+    Tuple::from_parts(life, values)
+}
+
+/// Do two tuples share one allocation (rather than merely equal values)?
+fn shares_allocation(a: &Tuple, b: &Tuple) -> bool {
+    std::ptr::eq(a.values(), b.values())
+}
+
 proptest! {
     #[test]
     fn tuple_restrict_matches_pointwise(t in tuple_strategy(1), ls in lifespan_strategy()) {
@@ -234,6 +251,29 @@ proptest! {
                 .iter()
                 .fold(Lifespan::empty(), |acc, t| acc.union(t.lifespan()));
             prop_assert_eq!(r.lifespan(), folded);
+        }
+    }
+
+    /// `Tuple::restrict`'s sharing fast path changes nothing observable:
+    /// the result deep-equals the restriction rebuilt value by value — for
+    /// arbitrary (multi-run) windows, for windows equal to `t.l` or
+    /// covering it, for windows inside it, over values with holes — and it
+    /// shares `t`'s allocation exactly when the window covers `t.l`.
+    #[test]
+    fn restrict_equals_the_rebuilt_restriction_and_shares_iff_covering(
+        t in tuple_strategy(1),
+        ls in lifespan_strategy(),
+        pad in lifespan_strategy(),
+    ) {
+        let l = t.lifespan().clone();
+        for window in [ls.clone(), l.clone(), l.union(&pad), l.intersect(&ls), Lifespan::empty()] {
+            let fast = t.restrict(&window);
+            prop_assert_eq!(&fast, &rebuilt_restriction(&t, &window), "window {}", window);
+            prop_assert_eq!(
+                shares_allocation(&fast, &t),
+                window.contains_lifespan(&l),
+                "window {} over t.l = {}", window, l
+            );
         }
     }
 

@@ -29,12 +29,20 @@
 //! * **Streaming** — scans and the per-tuple unaries (σWHEN, σIF, π, τ,
 //!   τ@A) never hold more than one batch: each input tuple maps to at
 //!   most one output tuple independently of every other tuple.
-//! * **Blocking** — joins, products, and the six set operators consume
-//!   their children fully at `open()` (checking cancellation between
-//!   input batches), compute their result with the *exact same* algebra
-//!   functions the reference evaluator ([`crate::eval`]) uses, then stream
-//!   it out in batches. Reference ≡ streamed equivalence is asserted by the
-//!   workspace's differential suites.
+//! * **Build/probe** — joins, products and the six set operators are one
+//!   executor ([`BinaryExec`]). `open()` drains the *build* input once
+//!   (cancellable per batch) into the table the operator needs — a tuple
+//!   hash for `∪ ∩ −`, a key table for `⋈ ∪ₒ ∩ₒ −ₒ`, a lifespan index for
+//!   TIME-JOIN, plain rows for θ-JOIN and `×` — or borrows a bare indexed
+//!   base relation's own key index, lifespan index or partition map;
+//!   `next_batch()` streams the *probe* input through it batch by batch,
+//!   emitting through the per-pair kernels the algebra functions of the
+//!   reference evaluator ([`crate::eval`]) are made of. A symmetric
+//!   operator builds its smaller input (estimated from partition
+//!   summaries and index sizes); `−`, `−ₒ` and TIME-JOIN build the right
+//!   one. Each input tuple is hashed at most once, and only `∪` keeps an
+//!   emitted-set. Reference ≡ streamed equivalence — with either build
+//!   side — is asserted by the workspace's differential suites.
 //! * **`Gather`** — a parallel leaf: a `SeqScan` (plus any
 //!   stack of per-tuple unaries directly above it) over a relation of at
 //!   least [`ExecOptions::parallel_min_rows`] rows is fused into one
@@ -51,20 +59,24 @@
 
 use crate::ast::LifespanExpr;
 use crate::plan::{
-    fmt_window, indexed_natural_join, indexed_time_join, node_label, plan_lifespan, probe_line,
-    record_scan_access, unary_label, valid_partitions, AccessPath, BinaryOp, IndexSource,
-    LifespanPlan, LifespanSetOp, Plan, QueryPlan, UnaryOp,
+    fmt_window, node_label, plan_lifespan, record_scan_access, unary_label, valid_partitions,
+    AccessPath, BinaryOp, IndexSource, LifespanPlan, LifespanSetOp, Plan, QueryPlan, UnaryOp,
 };
 use hrdm_core::algebra::{
-    aggregate_over_time, cartesian_product, difference, difference_o, intersection, intersection_o,
-    natural_join, theta_join, time_join, union, union_o, AggregateOp, Comparator, Predicate,
-    Quantifier,
+    aggregate_over_time, cartesian_product, difference, difference_o, difference_o_pair,
+    intersection, intersection_o, intersection_o_pair, natural_join, natural_join_pair,
+    product_pair, theta_join, theta_join_pair, time_join, time_join_pair, union, union_o,
+    AggregateOp, Comparator, Predicate, Quantifier,
 };
-use hrdm_core::{Attribute, HrdmError, PVec, Relation, Scheme, TemporalValue, Tuple};
-use hrdm_index::RelationIndexes;
+use hrdm_core::{Attribute, HrdmError, PVec, Relation, Scheme, TemporalValue, Tuple, Value};
+use hrdm_index::{KeyIndex, LifespanIndex, RelationIndexes};
+use hrdm_storage::{Partition, PartitionMap};
 use hrdm_time::{Interval, Lifespan};
 use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
@@ -230,8 +242,8 @@ pub struct ExecStats {
 pub trait QueryExecutor {
     /// Prepares the operator (resolving relations, evaluating lifespan
     /// bounds, typechecking predicates, spawning scan workers) and
-    /// returns its output scheme. Blocking operators do their whole
-    /// computation here.
+    /// returns its output scheme. Binary operators drain their build input
+    /// here.
     fn open(&mut self) -> Result<Scheme, ExecError>;
 
     /// The next bounded batch, or `Ok(None)` once the stream is drained.
@@ -590,25 +602,6 @@ fn scan_next_batch(state: &mut ScanState, batch_rows: usize) -> Option<RowBatch>
     Some(RowBatch::new(rows))
 }
 
-/// The next batch out of `state` (none once drained, or when the operator
-/// is not open), counted and timed into `stats`.
-fn emit_batch(
-    state: &mut Option<ScanState>,
-    batch_rows: usize,
-    stats: &mut ExecStats,
-) -> Option<RowBatch> {
-    let started = Instant::now();
-    let out = state
-        .as_mut()
-        .and_then(|state| scan_next_batch(state, batch_rows));
-    if let Some(b) = &out {
-        stats.rows += b.len() as u64;
-        stats.batches += 1;
-    }
-    stats.wall_ns += started.elapsed().as_nanos() as u64;
-    out
-}
-
 impl QueryExecutor for ScanExec<'_> {
     fn open(&mut self) -> Result<Scheme, ExecError> {
         let started = Instant::now();
@@ -628,12 +621,19 @@ impl QueryExecutor for ScanExec<'_> {
         Ok(scheme)
     }
 
+    /// The next batch (none once drained, or when the scan is not open).
     fn next_batch(&mut self) -> Result<Option<RowBatch>, ExecError> {
-        Ok(emit_batch(
-            &mut self.state,
-            self.batch_rows,
-            &mut self.stats,
-        ))
+        let started = Instant::now();
+        let out = self
+            .state
+            .as_mut()
+            .and_then(|state| scan_next_batch(state, self.batch_rows));
+        if let Some(b) = &out {
+            self.stats.rows += b.len() as u64;
+            self.stats.batches += 1;
+        }
+        self.stats.wall_ns += started.elapsed().as_nanos() as u64;
+        Ok(out)
     }
 
     fn close(&mut self) {
@@ -741,56 +741,33 @@ impl QueryExecutor for FilterExec<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Blocking operators
+// Build/probe binary operators
 // ---------------------------------------------------------------------------
-
-/// Which blocking computation a [`BlockingExec`] runs at `open`.
-enum BlockingKind {
-    Binary(BinaryOp),
-    Theta {
-        a: Attribute,
-        op: Comparator,
-        b: Attribute,
-    },
-    TimeJoin {
-        attr: Attribute,
-    },
-    IndexedNaturalJoin {
-        right: String,
-    },
-    IndexedTimeJoin {
-        right: String,
-        attr: Attribute,
-    },
-}
-
-/// Joins, products, and set operators: children are drained fully at
-/// `open` (cancellation is checked between input batches), the result is
-/// computed by the same algebra functions the reference evaluator calls,
-/// then streamed out in batches.
-struct BlockingExec<'a> {
-    kind: BlockingKind,
-    label: String,
-    probe: Option<String>,
-    src: &'a dyn IndexSource,
-    children: Vec<Box<dyn QueryExecutor + 'a>>,
-    cancel: Option<CancelProbe>,
-    batch_rows: usize,
-    out: Option<ScanState>,
-    stats: ExecStats,
-}
 
 /// Opens `child`, closing it again if that fails.
 fn open_child(child: &mut dyn QueryExecutor) -> Result<Scheme, ExecError> {
     child.open().inspect_err(|_| child.close())
 }
 
+/// One pull through the gate every consumer of a child applies: the
+/// stream's [`CancelProbe`] is checked before the child is asked for its
+/// next batch.
+fn pull(
+    child: &mut dyn QueryExecutor,
+    cancel: &Option<CancelProbe>,
+) -> Result<Option<RowBatch>, ExecError> {
+    if cancelled(cancel) {
+        return Err(ExecError::Cancelled);
+    }
+    child.next_batch()
+}
+
 /// Pulls an opened `child` dry, handing each batch to `sink` (which returns
 /// how many rows it kept) — behind the gate a [`QueryStream`] applies:
 /// `cancel` is probed before every pull and `max_rows` checked after every
-/// batch, so a blocking operator or a `WHEN`/aggregate root also stops
-/// within one batch and never returns a silent partial result. Kept rows
-/// and batches are counted into `stats`; the child is closed on every path.
+/// batch, so a build side or a `WHEN`/aggregate root also stops within one
+/// batch and never returns a silent partial result. Kept rows and batches
+/// are counted into `stats`; the child is closed on every path.
 fn drain(
     child: &mut dyn QueryExecutor,
     cancel: &Option<CancelProbe>,
@@ -799,10 +776,7 @@ fn drain(
     mut sink: impl FnMut(RowBatch) -> Result<u64, HrdmError>,
 ) -> Result<(), ExecError> {
     let result = (|| loop {
-        if cancelled(cancel) {
-            return Err(ExecError::Cancelled);
-        }
-        let Some(batch) = child.next_batch()? else {
+        let Some(batch) = pull(child, cancel)? else {
             return Ok(());
         };
         stats.batches += 1;
@@ -815,106 +789,647 @@ fn drain(
     result
 }
 
-/// Drains `child` into a materialized relation (set semantics, like every
-/// intermediate of the reference evaluator), counting what it pulled into
-/// `stats`.
-fn drain_child(
+/// A binary operator of a plan, with its parameters.
+enum BinaryKind {
+    Op(BinaryOp),
+    Theta {
+        a: Attribute,
+        op: Comparator,
+        b: Attribute,
+    },
+    TimeJoin {
+        attr: Attribute,
+    },
+}
+
+impl BinaryKind {
+    /// May either operand be the build side? `−` and `−ₒ` keep the left
+    /// operand's tuples and TIME-JOIN reads its attribute off the left
+    /// one, so those build the right side; the rest are symmetric.
+    fn symmetric(&self) -> bool {
+        !matches!(
+            self,
+            BinaryKind::Op(BinaryOp::Difference | BinaryOp::DifferenceO)
+                | BinaryKind::TimeJoin { .. }
+        )
+    }
+
+    /// Does a key table serve the operator — probe tuples pair only with
+    /// build rows agreeing on some constant attribute values?
+    fn keyed(&self) -> bool {
+        matches!(
+            self,
+            BinaryKind::Op(
+                BinaryOp::NaturalJoin
+                    | BinaryOp::UnionO
+                    | BinaryOp::IntersectionO
+                    | BinaryOp::DifferenceO
+            )
+        )
+    }
+
+    /// What EXPLAIN calls the build table.
+    fn table_name(&self, indexed: bool) -> &'static str {
+        match self {
+            BinaryKind::TimeJoin { .. } if indexed => "lifespan index",
+            BinaryKind::TimeJoin { .. } => "lifespan table",
+            _ if indexed => "key index",
+            _ if self.keyed() => "key hash",
+            BinaryKind::Op(BinaryOp::Union | BinaryOp::Intersection | BinaryOp::Difference) => {
+                "tuple hash"
+            }
+            _ => "rows",
+        }
+    }
+
+    /// The result scheme over operands on `left` and `right` — typechecked
+    /// exactly as the reference evaluator checks it, because it *is* the
+    /// oracle's function, applied to empty operands.
+    fn scheme(&self, left: &Scheme, right: &Scheme) -> Result<Scheme, HrdmError> {
+        let (l, r) = (Relation::new(left.clone()), Relation::new(right.clone()));
+        let empty = match self {
+            BinaryKind::Op(op) => match op {
+                BinaryOp::Union => union(&l, &r),
+                BinaryOp::Intersection => intersection(&l, &r),
+                BinaryOp::Difference => difference(&l, &r),
+                BinaryOp::UnionO => union_o(&l, &r),
+                BinaryOp::IntersectionO => intersection_o(&l, &r),
+                BinaryOp::DifferenceO => difference_o(&l, &r),
+                BinaryOp::Product => cartesian_product(&l, &r),
+                BinaryOp::NaturalJoin => natural_join(&l, &r),
+            },
+            BinaryKind::Theta { a, op, b } => theta_join(&l, &r, a, *op, b),
+            BinaryKind::TimeJoin { attr } => time_join(&l, &r, attr),
+        }?;
+        Ok(empty.scheme().clone())
+    }
+}
+
+/// An operand position.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Side {
+    Left,
+    Right,
+}
+
+impl Side {
+    fn other(self) -> Side {
+        match self {
+            Side::Left => Side::Right,
+            Side::Right => Side::Left,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Side::Left => "left",
+            Side::Right => "right",
+        }
+    }
+}
+
+/// One input of a binary operator.
+enum Input<'a> {
+    /// A child executor.
+    Exec(Box<dyn QueryExecutor + 'a>),
+    /// A bare base relation whose own index is the build table: its tuples
+    /// are read in place, never scanned or drained.
+    Indexed(String),
+}
+
+impl Input<'_> {
+    fn open(&mut self, src: &dyn IndexSource) -> Result<Scheme, ExecError> {
+        match self {
+            Input::Exec(child) => child.open(),
+            Input::Indexed(name) => Ok(base_relation(src, name)?.scheme().clone()),
+        }
+    }
+
+    fn close(&mut self) {
+        if let Input::Exec(child) = self {
+            child.close();
+        }
+    }
+}
+
+fn base_relation<'s>(src: &'s dyn IndexSource, name: &str) -> Result<&'s Relation, HrdmError> {
+    src.relation(name)
+        .ok_or_else(|| HrdmError::UnknownRelation(name.to_string()))
+}
+
+/// A tuple with its hash, computed once by [`TupleSet::hashed`].
+#[derive(Clone)]
+struct Hashed {
+    hash: u64,
+    tuple: Tuple,
+}
+
+impl PartialEq for Hashed {
+    fn eq(&self, other: &Hashed) -> bool {
+        self.hash == other.hash && self.tuple == other.tuple
+    }
+}
+
+impl Eq for Hashed {}
+
+impl Hash for Hashed {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The hasher of a [`TupleSet`]: it hands the stored hash of a [`Hashed`]
+/// through, so a growing table moves entries without hashing any tuple
+/// again.
+#[derive(Default)]
+struct StoredHash(u64);
+
+impl Hasher for StoredHash {
+    fn write(&mut self, bytes: &[u8]) {
+        // `Hashed` writes one `u64`; this only keeps the trait total.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A set of tuples in which each tuple is hashed exactly once, by a keyed
+/// hasher (tuples are outside input: the keys keep crafted collisions out).
+#[derive(Default)]
+struct TupleSet {
+    keys: RandomState,
+    set: HashSet<Hashed, BuildHasherDefault<StoredHash>>,
+}
+
+impl TupleSet {
+    fn hashed(&self, tuple: Tuple) -> Hashed {
+        Hashed {
+            hash: self.keys.hash_one(&tuple),
+            tuple,
+        }
+    }
+}
+
+/// What a binary operator builds from its build input.
+enum Table<'a> {
+    /// `∪ ∩ −`: the build side's distinct tuples. `∪` files every tuple it
+    /// emits here as well — the one emitted-set, because `∪` is the
+    /// operator whose inputs overlap — so its output is distinct.
+    Tuples(TupleSet),
+    /// The pairwise operators: the build rows, and how a probe tuple
+    /// narrows them to its candidate partners.
+    Rows {
+        rows: PVec<Tuple>,
+        access: Access<'a>,
+    },
+}
+
+/// How a probe tuple narrows the build rows to candidate partners: a
+/// superset of the rows it pairs with — the operator's pair rule decides.
+enum Access<'a> {
+    /// Every row: θ-JOIN and product.
+    All,
+    /// Rows filed by their constant values of `attrs` (a join's common
+    /// attributes, an object operator's key). A row without constant values
+    /// for all of them is `wild`: a candidate for every probe tuple.
+    Keys {
+        attrs: Vec<Attribute>,
+        buckets: HashMap<Vec<Value>, Vec<usize>>,
+        wild: Vec<usize>,
+    },
+    /// An indexed base relation's key index.
+    KeyIndex(&'a KeyIndex),
+    /// Rows by lifespan (TIME-JOIN): an index over the drained rows, or an
+    /// indexed base relation's own.
+    Spans(Cow<'a, LifespanIndex>),
+    /// A partitioned base relation's partition map (TIME-JOIN): each probe
+    /// prunes partitions by summary first.
+    Partitions(&'a PartitionMap),
+}
+
+/// The candidate rows of one probe tuple, as build-row positions.
+enum Candidates<'t> {
+    All,
+    Listed(&'t [usize], &'t [usize]),
+    Found(Vec<usize>),
+}
+
+/// `t`'s constant value of every attribute of `attrs`, if it has them all.
+fn constant_key(t: &Tuple, attrs: &[Attribute]) -> Option<Vec<Value>> {
+    attrs
+        .iter()
+        .map(|a| t.value(a).and_then(TemporalValue::constant_value).cloned())
+        .collect()
+}
+
+impl<'a> Access<'a> {
+    /// A key table over `rows` (positions in iteration order).
+    fn keys<'t>(attrs: &[Attribute], rows: impl Iterator<Item = &'t Tuple>) -> Access<'a> {
+        let mut buckets: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+        let mut wild = Vec::new();
+        for (pos, t) in rows.enumerate() {
+            match constant_key(t, attrs) {
+                Some(key) => buckets.entry(key).or_default().push(pos),
+                None => wild.push(pos),
+            }
+        }
+        Access::Keys {
+            attrs: attrs.to_vec(),
+            buckets,
+            wild,
+        }
+    }
+
+    /// The candidates of probe tuple `p`. A lifespan access needs the
+    /// probe window (TIME-JOIN's `p.l ∩ image(p(A))`).
+    fn candidates(&self, p: &Tuple, window: Option<&Lifespan>) -> Candidates<'_> {
+        match (self, window) {
+            (
+                Access::Keys {
+                    attrs,
+                    buckets,
+                    wild,
+                },
+                _,
+            ) => match constant_key(p, attrs) {
+                Some(key) => Candidates::Listed(buckets.get(&key).map_or(&[], Vec::as_slice), wild),
+                None => Candidates::All,
+            },
+            (Access::KeyIndex(idx), _) => match idx.probe_key_of(p) {
+                Some(key) => Candidates::Listed(idx.lookup(&key), &[]),
+                None => Candidates::All,
+            },
+            (Access::Spans(idx), Some(window)) => Candidates::Found(idx.overlapping(window)),
+            (Access::Partitions(parts), Some(window)) => {
+                Candidates::Found(parts.prune_positions(window))
+            }
+            _ => Candidates::All,
+        }
+    }
+}
+
+/// Calls `f` with every candidate row (and its position).
+fn each_candidate(
+    rows: &PVec<Tuple>,
+    candidates: Candidates<'_>,
+    mut f: impl FnMut(usize, &Tuple) -> Result<(), HrdmError>,
+) -> Result<(), HrdmError> {
+    let positions: &mut dyn Iterator<Item = &usize> = match &candidates {
+        Candidates::All => return rows.iter().enumerate().try_for_each(|(pos, t)| f(pos, t)),
+        Candidates::Listed(bucket, wild) => &mut bucket.iter().chain(wild.iter()),
+        Candidates::Found(positions) => &mut positions.iter(),
+    };
+    for &pos in positions {
+        if let Some(t) = rows.get(pos) {
+            f(pos, t)?;
+        }
+    }
+    Ok(())
+}
+
+/// Drains the build input into the table `kind` needs (cancellation is
+/// probed per batch; a build side is not the result, so no row cap). `∪`
+/// queues its build side's distinct tuples into `head`: they are emitted
+/// first.
+fn drain_table<'a>(
+    kind: &BinaryKind,
     child: &mut dyn QueryExecutor,
     cancel: &Option<CancelProbe>,
-    max_rows: Option<u64>,
-    stats: &mut ExecStats,
-) -> Result<Relation, ExecError> {
-    let scheme = open_child(child)?;
+    key_attrs: &[Attribute],
+    head: &mut VecDeque<Tuple>,
+) -> Result<Table<'a>, ExecError> {
+    let mut pulled = ExecStats::default();
+    if let BinaryKind::Op(op @ (BinaryOp::Union | BinaryOp::Intersection | BinaryOp::Difference)) =
+        kind
+    {
+        let mut tuples = TupleSet::default();
+        drain(child, cancel, None, &mut pulled, |batch| {
+            let n = batch.len() as u64;
+            for t in batch.into_rows() {
+                let t = tuples.hashed(t);
+                if *op != BinaryOp::Union {
+                    tuples.set.insert(t);
+                } else if tuples.set.insert(t.clone()) {
+                    head.push_back(t.tuple);
+                }
+            }
+            Ok(n)
+        })?;
+        return Ok(Table::Tuples(tuples));
+    }
     let mut rows: Vec<Tuple> = Vec::new();
-    drain(child, cancel, max_rows, stats, |batch| {
+    drain(child, cancel, None, &mut pulled, |batch| {
         let n = batch.len() as u64;
         rows.extend(batch.into_rows());
         Ok(n)
     })?;
-    Ok(Relation::from_parts_unchecked(scheme, rows))
+    let access = match kind {
+        BinaryKind::TimeJoin { .. } => Access::Spans(Cow::Owned(LifespanIndex::build(
+            rows.iter().map(Tuple::lifespan),
+        ))),
+        _ if kind.keyed() => Access::keys(key_attrs, rows.iter()),
+        _ => Access::All,
+    };
+    Ok(Table::Rows {
+        rows: PVec::from(rows),
+        access,
+    })
 }
 
-impl BlockingExec<'_> {
-    fn compute(&mut self) -> Result<Relation, ExecError> {
-        let mut inputs = Vec::new();
-        for child in &mut self.children {
-            // A blocking operator's inputs are not the result: no row cap,
-            // and the operator's own stats count what it emits.
-            let mut pulled = ExecStats::default();
-            inputs.push(drain_child(
-                child.as_mut(),
-                &self.cancel,
-                None,
-                &mut pulled,
-            )?);
-        }
-        let result = match (&self.kind, inputs.as_slice()) {
-            (BlockingKind::Binary(op), [a, b]) => match op {
-                BinaryOp::Union => union(a, b),
-                BinaryOp::Intersection => intersection(a, b),
-                BinaryOp::Difference => difference(a, b),
-                BinaryOp::UnionO => union_o(a, b),
-                BinaryOp::IntersectionO => intersection_o(a, b),
-                BinaryOp::DifferenceO => difference_o(a, b),
-                BinaryOp::Product => cartesian_product(a, b),
-                BinaryOp::NaturalJoin => natural_join(a, b),
-            },
-            (BlockingKind::Theta { a, op, b }, [l, r]) => theta_join(l, r, a, *op, b),
-            (BlockingKind::TimeJoin { attr }, [l, r]) => time_join(l, r, attr),
-            (BlockingKind::IndexedNaturalJoin { right }, [a]) => {
-                let b = self
-                    .src
-                    .relation(right)
-                    .ok_or_else(|| HrdmError::UnknownRelation(right.clone()))?;
-                match self.src.indexes(right).and_then(RelationIndexes::key) {
-                    Some(key_idx) => indexed_natural_join(a, b, key_idx),
-                    None => natural_join(a, b), // index dropped since planning
+/// The build table of an indexed base relation: its own tuples and index,
+/// nothing drained. A key index whose attributes a probe tuple need not
+/// agree on cannot narrow; the rows are then filed by `key_attrs` instead.
+/// A dropped index degrades to comparing rows, never to an error.
+fn indexed_table<'a>(
+    kind: &BinaryKind,
+    src: &'a dyn IndexSource,
+    name: &str,
+    key_attrs: &[Attribute],
+) -> Result<Table<'a>, HrdmError> {
+    let r = base_relation(src, name)?;
+    let idx = src.indexes(name);
+    let access = match kind {
+        BinaryKind::TimeJoin { .. } => match (valid_partitions(src, name, r), idx) {
+            (Some(parts), _) => Access::Partitions(parts),
+            (None, Some(idx)) => Access::Spans(Cow::Borrowed(idx.lifespan())),
+            (None, None) => Access::All,
+        },
+        _ => match idx.and_then(RelationIndexes::key) {
+            Some(key) if key.attrs().iter().all(|a| key_attrs.contains(a)) => Access::KeyIndex(key),
+            _ => Access::keys(key_attrs, r.iter()),
+        },
+    };
+    Ok(Table::Rows {
+        rows: r.tuples().clone(),
+        access,
+    })
+}
+
+/// A binary operator mid-stream: its build table, the probe batch being
+/// worked through, and the output queued for the next batch.
+struct Probe<'a> {
+    table: Table<'a>,
+    /// `∪ₒ`: which build rows some probe tuple merged with.
+    matched: Vec<bool>,
+    /// The left operand's scheme: the object operators test mergability
+    /// under its key.
+    scheme: Scheme,
+    /// NATURAL-JOIN's common attributes.
+    common: Vec<Attribute>,
+    current: std::vec::IntoIter<Tuple>,
+    ready: VecDeque<Tuple>,
+    /// The probe side is exhausted.
+    drained: bool,
+}
+
+impl Probe<'_> {
+    /// Runs one probe tuple through the operator's rule, queueing what it
+    /// emits. `probe_is_left` orients each pair as `(left, right)`.
+    fn probe(&mut self, kind: &BinaryKind, probe_is_left: bool, p: Tuple) -> Result<(), HrdmError> {
+        let Probe {
+            table,
+            matched,
+            scheme,
+            common,
+            ready,
+            ..
+        } = self;
+        let (rows, access) = match table {
+            Table::Tuples(tuples) => {
+                let p = tuples.hashed(p);
+                let keep = match kind {
+                    BinaryKind::Op(BinaryOp::Union) => tuples.set.insert(p.clone()),
+                    BinaryKind::Op(BinaryOp::Intersection) => tuples.set.remove(&p),
+                    _ => !tuples.set.contains(&p),
+                };
+                if keep {
+                    ready.push_back(p.tuple);
                 }
+                return Ok(());
             }
-            (BlockingKind::IndexedTimeJoin { right, attr }, [a]) => {
-                let b = self
-                    .src
-                    .relation(right)
-                    .ok_or_else(|| HrdmError::UnknownRelation(right.clone()))?;
-                match self.src.indexes(right) {
-                    Some(idx) => {
-                        indexed_time_join(a, b, attr, idx, valid_partitions(self.src, right, b))
+            Table::Rows { rows, access } => (&*rows, &*access),
+        };
+        let mut found = false;
+        match kind {
+            // Built on the right: the probe tuple owns the join attribute.
+            BinaryKind::TimeJoin { attr } => {
+                let image = match p.value(attr) {
+                    Some(tv) => tv.image_lifespan()?,
+                    None => Lifespan::empty(),
+                };
+                if image.is_empty() {
+                    return Ok(());
+                }
+                let window = p.lifespan().intersect(&image);
+                each_candidate(rows, access.candidates(&p, Some(&window)), |_, row| {
+                    ready.extend(time_join_pair(&p, row, &image));
+                    Ok(())
+                })?;
+            }
+            BinaryKind::Theta { a, op, b } => {
+                each_candidate(rows, access.candidates(&p, None), |_, row| {
+                    let (l, r) = oriented(probe_is_left, &p, row);
+                    ready.extend(theta_join_pair(l, r, a, *op, b)?);
+                    Ok(())
+                })?;
+            }
+            BinaryKind::Op(op) => {
+                each_candidate(rows, access.candidates(&p, None), |pos, row| {
+                    let (l, r) = oriented(probe_is_left, &p, row);
+                    match op {
+                        BinaryOp::Product => ready.push_back(product_pair(l, r)),
+                        BinaryOp::NaturalJoin => ready.extend(natural_join_pair(l, r, common)?),
+                        _ if !p.mergable(row, scheme) => {}
+                        BinaryOp::UnionO => {
+                            found = true;
+                            matched[pos] = true;
+                            ready.push_back(l.merge(r)?);
+                        }
+                        BinaryOp::IntersectionO => ready.extend(intersection_o_pair(l, r)?),
+                        // Built on the right: `l` is the probe tuple.
+                        BinaryOp::DifferenceO => {
+                            found = true;
+                            ready.extend(difference_o_pair(l, r));
+                        }
+                        // Served by `Table::Tuples` above.
+                        BinaryOp::Union | BinaryOp::Intersection | BinaryOp::Difference => {}
                     }
-                    None => time_join(a, b, attr),
+                    Ok(())
+                })?;
+                // Unmatched probe tuples of `∪ₒ` and `−ₒ` pass through.
+                if !found && matches!(op, BinaryOp::UnionO | BinaryOp::DifferenceO) {
+                    ready.push_back(p);
                 }
             }
-            // Arity is fixed at build time; a mismatch cannot be reached
-            // through `build_executor`.
-            _ => Err(HrdmError::UnknownRelation(self.label.clone())),
-        }?;
-        Ok(result)
+        }
+        Ok(())
+    }
+
+    /// The probe side is exhausted: queue what only the whole probe side
+    /// decides — the `∪ₒ` build rows no probe tuple merged with — and free
+    /// the table.
+    fn finish(&mut self, kind: &BinaryKind) {
+        self.drained = true;
+        let table = std::mem::replace(&mut self.table, Table::Tuples(TupleSet::default()));
+        if let (BinaryKind::Op(BinaryOp::UnionO), Table::Rows { rows, .. }) = (kind, table) {
+            let unmatched = rows.iter().zip(&self.matched).filter(|(_, m)| !**m);
+            self.ready.extend(unmatched.map(|(t, _)| t.clone()));
+        }
     }
 }
 
-impl QueryExecutor for BlockingExec<'_> {
+/// A probe tuple and a build row as the operator's `(left, right)` pair.
+fn oriented<'t>(probe_is_left: bool, probe: &'t Tuple, row: &'t Tuple) -> (&'t Tuple, &'t Tuple) {
+    if probe_is_left {
+        (probe, row)
+    } else {
+        (row, probe)
+    }
+}
+
+/// Every binary operator — set operators, object set operators, joins,
+/// product — as one build/probe executor. `open` drains the build input
+/// once into the table the operator needs (or borrows an indexed base
+/// relation's own index); `next_batch` then streams the probe input batch
+/// by batch through that table, emitting through the per-pair rules the
+/// reference evaluator's functions are made of. Each input tuple is hashed
+/// at most once and nothing is materialized besides the build table.
+struct BinaryExec<'a> {
+    kind: BinaryKind,
+    label: String,
+    build: Side,
+    left: Input<'a>,
+    right: Input<'a>,
+    src: &'a dyn IndexSource,
+    cancel: Option<CancelProbe>,
+    batch_rows: usize,
+    state: Option<Probe<'a>>,
+    stats: ExecStats,
+}
+
+impl<'a> BinaryExec<'a> {
+    fn prepare(&mut self) -> Result<(Scheme, Probe<'a>), ExecError> {
+        let left = self.left.open(self.src)?;
+        let right = self.right.open(self.src)?;
+        let scheme = self.kind.scheme(&left, &right)?;
+        let common: Vec<Attribute> = left
+            .attr_names()
+            .filter(|a| right.contains(a))
+            .cloned()
+            .collect();
+        // What a key table files build rows by: the attributes a partner
+        // must agree on.
+        let key_attrs = match self.kind {
+            BinaryKind::Op(BinaryOp::NaturalJoin) => common.clone(),
+            _ => left.key().to_vec(),
+        };
+        let mut ready = VecDeque::new();
+        let build = match self.build {
+            Side::Left => &mut self.left,
+            Side::Right => &mut self.right,
+        };
+        let table = match build {
+            Input::Exec(child) => drain_table(
+                &self.kind,
+                child.as_mut(),
+                &self.cancel,
+                &key_attrs,
+                &mut ready,
+            )?,
+            Input::Indexed(name) => indexed_table(&self.kind, self.src, name, &key_attrs)?,
+        };
+        let matched = match (&self.kind, &table) {
+            (BinaryKind::Op(BinaryOp::UnionO), Table::Rows { rows, .. }) => vec![false; rows.len()],
+            _ => Vec::new(),
+        };
+        let probe = Probe {
+            table,
+            matched,
+            scheme: left,
+            common,
+            current: Vec::new().into_iter(),
+            ready,
+            drained: false,
+        };
+        Ok((scheme, probe))
+    }
+
+    /// The next output batch: queued output first, then probe tuples —
+    /// pulled through the cancel gate one batch at a time — until a batch
+    /// is full or the probe side is exhausted.
+    fn fill(&mut self) -> Result<Option<RowBatch>, ExecError> {
+        let probe_is_left = self.build == Side::Right;
+        let BinaryExec {
+            kind,
+            left,
+            right,
+            cancel,
+            batch_rows,
+            state,
+            ..
+        } = self;
+        let Some(state) = state else {
+            return Ok(None); // never opened (or already closed)
+        };
+        let Input::Exec(probe) = (if probe_is_left { left } else { right }) else {
+            return Ok(None); // the build side is the only indexed input
+        };
+        while state.ready.len() < *batch_rows {
+            if let Some(p) = state.current.next() {
+                state.probe(kind, probe_is_left, p)?;
+            } else if state.drained {
+                break;
+            } else if let Some(batch) = pull(probe.as_mut(), cancel)? {
+                state.current = batch.into_rows().into_iter();
+            } else {
+                state.finish(kind);
+            }
+        }
+        let n = state.ready.len().min(*batch_rows);
+        Ok((n > 0).then(|| RowBatch::new(state.ready.drain(..n).collect())))
+    }
+}
+
+impl QueryExecutor for BinaryExec<'_> {
     fn open(&mut self) -> Result<Scheme, ExecError> {
         let started = Instant::now();
-        let result = self.compute();
+        let result = self.prepare();
         self.stats.wall_ns += started.elapsed().as_nanos() as u64;
-        let r = result?;
-        let scheme = r.scheme().clone();
-        self.out = Some(ScanState {
-            relation: r,
-            positions: None,
-            cursor: 0,
-        });
-        Ok(scheme)
+        match result {
+            Ok((scheme, state)) => {
+                self.state = Some(state);
+                Ok(scheme)
+            }
+            Err(e) => {
+                self.close();
+                Err(e)
+            }
+        }
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>, ExecError> {
-        Ok(emit_batch(&mut self.out, self.batch_rows, &mut self.stats))
+        let started = Instant::now();
+        let result = self.fill();
+        if let Ok(Some(b)) = &result {
+            self.stats.rows += b.len() as u64;
+            self.stats.batches += 1;
+        }
+        self.stats.wall_ns += started.elapsed().as_nanos() as u64;
+        result
     }
 
     fn close(&mut self) {
-        self.out = None;
-        for child in &mut self.children {
-            child.close();
-        }
+        self.state = None;
+        self.left.close();
+        self.right.close();
     }
 
     fn stats(&self) -> ExecStats {
@@ -926,15 +1441,169 @@ impl QueryExecutor for BlockingExec<'_> {
         out.push_str(&self.label);
         out.push_str(&annotation(&self.stats, annotate));
         out.push('\n');
-        for child in &self.children {
-            child.render(depth + 1, annotate, out);
-        }
-        if let Some(probe) = &self.probe {
-            indent(out, depth + 1);
-            out.push_str(probe);
-            out.push('\n');
+        for input in [&self.left, &self.right] {
+            match input {
+                Input::Exec(child) => child.render(depth + 1, annotate, out),
+                Input::Indexed(name) => {
+                    indent(out, depth + 1);
+                    let probe = match &self.kind {
+                        BinaryKind::TimeJoin { attr } => {
+                            format!("lifespan, t.l ∩ image(t({attr}))")
+                        }
+                        _ => "key".to_string(),
+                    };
+                    out.push_str(&format!(
+                        "Scan {name} [IndexScan({probe}) per probe tuple]\n"
+                    ));
+                }
+            }
         }
     }
+}
+
+/// `p`'s relation when `p` is a bare scan of a relation whose own index can
+/// be `kind`'s build table: a key index for NATURAL-JOIN and the object
+/// operators, the lifespan index (or partition map) for TIME-JOIN.
+fn indexed_base(kind: &BinaryKind, p: &Plan, src: &dyn IndexSource) -> Option<String> {
+    let Plan::Scan {
+        relation,
+        access: AccessPath::SeqScan,
+        ..
+    } = p
+    else {
+        return None;
+    };
+    let idx = src.indexes(relation)?;
+    match kind {
+        BinaryKind::TimeJoin { .. } => Some(relation.clone()),
+        _ if kind.keyed() => idx.key().map(|_| relation.clone()),
+        _ => None,
+    }
+}
+
+/// An upper bound on the rows `p` yields, from what the source already
+/// keeps: relation sizes, key-index hits, partition summaries and sizes.
+/// It only ever picks the smaller side of a binary operator to build.
+fn estimated_rows(p: &Plan, src: &dyn IndexSource) -> usize {
+    match p {
+        Plan::Scan {
+            relation, access, ..
+        } => {
+            let Some(r) = src.relation(relation) else {
+                return 0;
+            };
+            match access {
+                AccessPath::SeqScan => r.len(),
+                AccessPath::KeyIndex { key, .. } => src
+                    .indexes(relation)
+                    .and_then(RelationIndexes::key)
+                    .map_or(r.len(), |k| k.lookup(key).len()),
+                AccessPath::LifespanIndex { window, .. } => valid_partitions(src, relation, r)
+                    .map_or(r.len(), |parts| {
+                        let overlapping = parts.overlapping_ids(window).into_iter();
+                        overlapping
+                            .filter_map(|id| parts.partition(id))
+                            .map(Partition::len)
+                            .sum()
+                    }),
+            }
+        }
+        Plan::Unary { input, .. } => estimated_rows(input, src),
+        Plan::Binary { op, left, right } => {
+            let (l, r) = (estimated_rows(left, src), estimated_rows(right, src));
+            match op {
+                BinaryOp::Union | BinaryOp::UnionO => l.saturating_add(r),
+                BinaryOp::Intersection | BinaryOp::IntersectionO => l.min(r),
+                BinaryOp::Difference | BinaryOp::DifferenceO => l,
+                BinaryOp::Product | BinaryOp::NaturalJoin => l.saturating_mul(r),
+            }
+        }
+        Plan::ThetaJoin { left, right, .. } | Plan::TimeJoin { left, right, .. } => {
+            estimated_rows(left, src).saturating_mul(estimated_rows(right, src))
+        }
+    }
+}
+
+/// Which input `kind` builds, and the relation whose own index is that
+/// build table, if any. An operator that is not symmetric builds its right
+/// side. A symmetric one builds a side whose index already exists — the
+/// larger one when both do, so that the smaller is probed — and otherwise
+/// the smaller side by [`estimated_rows`] (the right one on a tie) —
+/// unless the caller `force`s the side.
+fn build_side(
+    kind: &BinaryKind,
+    left: &Plan,
+    right: &Plan,
+    force: Option<Side>,
+    src: &dyn IndexSource,
+) -> (Side, Option<String>) {
+    if !kind.symmetric() {
+        return (Side::Right, indexed_base(kind, right, src));
+    }
+    if let Some(side) = force {
+        let input = if side == Side::Left { left } else { right };
+        return (side, indexed_base(kind, input, src));
+    }
+    let larger_left = || estimated_rows(left, src) > estimated_rows(right, src);
+    match (
+        indexed_base(kind, left, src),
+        indexed_base(kind, right, src),
+    ) {
+        (Some(name), Some(_)) if larger_left() => (Side::Left, Some(name)),
+        (Some(name), None) => (Side::Left, Some(name)),
+        (_, Some(name)) => (Side::Right, Some(name)),
+        (None, None) => {
+            let smaller_left = estimated_rows(left, src) < estimated_rows(right, src);
+            (
+                if smaller_left {
+                    Side::Left
+                } else {
+                    Side::Right
+                },
+                None,
+            )
+        }
+    }
+}
+
+/// The build/probe executor of one binary plan node.
+fn binary<'a>(
+    kind: BinaryKind,
+    p: &Plan,
+    inputs: [&Plan; 2],
+    force: Option<Side>,
+    src: &'a dyn IndexSource,
+    opts: &ExecOptions,
+) -> Box<dyn QueryExecutor + 'a> {
+    let (build, indexed) = build_side(&kind, inputs[0], inputs[1], force, src);
+    let label = format!(
+        "{}{} [build {}: {}, probe {}]",
+        node_label(p),
+        if indexed.is_some() {
+            " (index nested loop)"
+        } else {
+            ""
+        },
+        build.name(),
+        kind.table_name(indexed.is_some()),
+        build.other().name(),
+    );
+    let [left, right] = [Side::Left, Side::Right].map(|side| match &indexed {
+        Some(name) if side == build => Input::Indexed(name.clone()),
+        _ => Input::Exec(build_executor(inputs[side as usize], src, opts)),
+    });
+    Box::new(BinaryExec {
+        kind,
+        label,
+        build,
+        left,
+        right,
+        src,
+        cancel: opts.cancel.clone(),
+        batch_rows: opts.batch_rows_clamped(),
+        state: None,
+        stats: ExecStats::default(),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1375,15 +2044,29 @@ impl AggregateExec<'_> {
     /// Evaluates the aggregate.
     pub fn run(&mut self) -> Result<TemporalValue, ExecError> {
         let started = Instant::now();
-        let result = drain_child(
+        let result = self.aggregate();
+        self.stats.wall_ns += started.elapsed().as_nanos() as u64;
+        result
+    }
+
+    fn aggregate(&mut self) -> Result<TemporalValue, ExecError> {
+        let scheme = open_child(self.child.as_mut())?;
+        // An aggregate counts a tuple once, however often its input
+        // streams it.
+        let mut rows = HashSet::new();
+        drain(
             self.child.as_mut(),
             &self.opts.cancel,
             self.opts.max_rows,
             &mut self.stats,
-        )
-        .and_then(|r| Ok(aggregate_over_time(&r, &self.attr, self.op)?));
-        self.stats.wall_ns += started.elapsed().as_nanos() as u64;
-        result
+            |batch| {
+                let n = batch.len() as u64;
+                rows.extend(batch.into_rows());
+                Ok(n)
+            },
+        )?;
+        let r = Relation::from_distinct_unchecked(scheme, rows.into_iter().collect());
+        Ok(aggregate_over_time(&r, &self.attr, self.op)?)
     }
 }
 
@@ -1513,6 +2196,31 @@ pub fn build_executor<'a>(
     src: &'a dyn IndexSource,
     opts: &ExecOptions,
 ) -> Box<dyn QueryExecutor + 'a> {
+    build_forcing(p, None, src, opts)
+}
+
+/// [`build_executor`], except that a symmetric binary operator at the root
+/// of `p` builds its left input when `build_left` holds and its right one
+/// otherwise, instead of the smaller. The lever of the build-side
+/// differential test; not for answering queries.
+#[doc(hidden)]
+pub fn build_executor_building<'a>(
+    p: &Plan,
+    build_left: bool,
+    src: &'a dyn IndexSource,
+    opts: &ExecOptions,
+) -> Box<dyn QueryExecutor + 'a> {
+    let side = if build_left { Side::Left } else { Side::Right };
+    build_forcing(p, Some(side), src, opts)
+}
+
+/// [`build_executor`] with the root's build side optionally forced.
+fn build_forcing<'a>(
+    p: &Plan,
+    force: Option<Side>,
+    src: &'a dyn IndexSource,
+    opts: &ExecOptions,
+) -> Box<dyn QueryExecutor + 'a> {
     if let Some((chain, relation)) = gather_at(p, src, opts) {
         return Box::new(GatherExec {
             scan_name: relation.to_string(),
@@ -1540,7 +2248,7 @@ pub fn build_executor<'a>(
             stats: ExecStats::default(),
         }),
         Plan::Binary { op, left, right } => {
-            blocking(BlockingKind::Binary(*op), p, &[left, right], src, opts)
+            binary(BinaryKind::Op(*op), p, [left, right], force, src, opts)
         }
         Plan::ThetaJoin {
             left,
@@ -1549,54 +2257,18 @@ pub fn build_executor<'a>(
             op,
             b,
         } => {
-            let kind = BlockingKind::Theta {
+            let kind = BinaryKind::Theta {
                 a: a.clone(),
                 op: *op,
                 b: b.clone(),
             };
-            blocking(kind, p, &[left, right], src, opts)
+            binary(kind, p, [left, right], force, src, opts)
         }
         Plan::TimeJoin { left, right, attr } => {
-            let kind = BlockingKind::TimeJoin { attr: attr.clone() };
-            blocking(kind, p, &[left, right], src, opts)
-        }
-        Plan::IndexedNaturalJoin { left, right } => {
-            let kind = BlockingKind::IndexedNaturalJoin {
-                right: right.clone(),
-            };
-            blocking(kind, p, &[left], src, opts)
-        }
-        Plan::IndexedTimeJoin { left, right, attr } => {
-            let kind = BlockingKind::IndexedTimeJoin {
-                right: right.clone(),
-                attr: attr.clone(),
-            };
-            blocking(kind, p, &[left], src, opts)
+            let kind = BinaryKind::TimeJoin { attr: attr.clone() };
+            binary(kind, p, [left, right], force, src, opts)
         }
     }
-}
-
-fn blocking<'a>(
-    kind: BlockingKind,
-    p: &Plan,
-    inputs: &[&Plan],
-    src: &'a dyn IndexSource,
-    opts: &ExecOptions,
-) -> Box<dyn QueryExecutor + 'a> {
-    Box::new(BlockingExec {
-        kind,
-        label: node_label(p),
-        probe: probe_line(p),
-        src,
-        children: inputs
-            .iter()
-            .map(|input| build_executor(input, src, opts))
-            .collect(),
-        cancel: opts.cancel.clone(),
-        batch_rows: opts.batch_rows_clamped(),
-        out: None,
-        stats: ExecStats::default(),
-    })
 }
 
 /// Renders the plan for `p` without running it: the executor tree
@@ -1923,6 +2595,35 @@ mod tests {
             }
         };
         assert_eq!(err, ExecError::RowLimit(100));
+    }
+
+    /// EXPLAIN names each binary operator's build and probe side: `−`
+    /// builds its right input, a symmetric operator its smaller one.
+    #[test]
+    fn explain_names_build_and_probe_sides() {
+        let src = source(100);
+        let opts = ExecOptions {
+            workers: 1,
+            ..ExecOptions::default()
+        };
+        let text = |q: &str| explain_stream_plan(&planned(q, &src), &src, &opts);
+        for (q, label) in [
+            (
+                "SELECT-WHEN (K = 5) (r) MINUS r",
+                "Difference [build right: tuple hash, probe left]",
+            ),
+            (
+                "SELECT-WHEN (K = 5) (r) UNION r",
+                "Union [build left: tuple hash, probe right]",
+            ),
+            (
+                "r UNION SELECT-WHEN (K = 5) (r)",
+                "Union [build right: tuple hash, probe left]",
+            ),
+        ] {
+            let plan = text(q);
+            assert!(plan.contains(label), "{q}:\n{plan}");
+        }
     }
 
     #[test]

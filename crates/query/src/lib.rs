@@ -61,6 +61,9 @@ pub use exec::{
     ExecError, ExecOptions, ExecStats, LifespanExec, QueryExecutor, QueryRoot, QueryStream,
     RowBatch, DEFAULT_BATCH_ROWS,
 };
+// The build-side lever: for the differential tests, not for answering queries.
+#[doc(hidden)]
+pub use exec::build_executor_building;
 pub use explain::{explain, explain_optimized};
 pub use lexer::{lex, LexError, Token};
 pub use optimizer::{optimize, Rewrite};

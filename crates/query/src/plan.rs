@@ -10,9 +10,11 @@
 //!   index** for the tuples alive somewhere in `L`;
 //! * `σWHEN` / `σIF(…, EXISTS)` whose predicate pins the relation's full
 //!   key with equality conjuncts probes the **key index**;
-//! * `NATURAL-JOIN` / TIME-JOIN over base relations turn into index
-//!   nested-loop joins probing the right side's key / lifespan index;
 //! * everything else stays a sequential scan.
+//!
+//! Join strategy is not a plan shape: every binary operator is one
+//! build/probe executor ([`crate::exec`]), which takes a bare indexed base
+//! relation's own key or lifespan index as its build table.
 //!
 //! All three query sorts are planned: [`plan_query`] wraps the relational
 //! plans of a query in a root for its sort — a [`LifespanPlan`] whose
@@ -29,10 +31,8 @@
 //! sequential scan, never to an error.
 
 use crate::ast::{Expr, LifespanExpr, Query};
-use hrdm_core::algebra::{
-    natural_join_pair, time_join_pair, AggregateOp, Comparator, Operand, Predicate, Quantifier,
-};
-use hrdm_core::{Attribute, HrdmError, Relation, Result, Tuple, Value};
+use hrdm_core::algebra::{AggregateOp, Comparator, Operand, Predicate, Quantifier};
+use hrdm_core::{Attribute, Relation, Value};
 use hrdm_index::RelationIndexes;
 use hrdm_storage::PartitionMap;
 use hrdm_time::Lifespan;
@@ -257,7 +257,7 @@ pub enum Plan {
         /// Its input.
         input: Box<Plan>,
     },
-    /// A binary operator over two sub-plans (both sides scanned).
+    /// A binary operator over two sub-plans.
     Binary {
         /// The operator.
         op: BinaryOp,
@@ -266,24 +266,8 @@ pub enum Plan {
         /// Right input.
         right: Box<Plan>,
     },
-    /// NATURAL-JOIN probing the right relation's key index per left tuple.
-    IndexedNaturalJoin {
-        /// Left (build) side.
-        left: Box<Plan>,
-        /// Right (probe) relation name.
-        right: String,
-    },
-    /// TIME-JOIN probing the right relation's lifespan index per left tuple.
-    IndexedTimeJoin {
-        /// Left side (owns the time-valued attribute).
-        left: Box<Plan>,
-        /// Right (probe) relation name.
-        right: String,
-        /// The time-valued attribute of the left side.
-        attr: Attribute,
-    },
-    /// θ-JOIN by nested loop (no index applies to the θ comparison itself,
-    /// but both children are planned).
+    /// θ-JOIN (no index applies to the θ comparison itself, but both
+    /// children are planned).
     ThetaJoin {
         /// Left input.
         left: Box<Plan>,
@@ -296,8 +280,7 @@ pub enum Plan {
         /// Right join attribute.
         b: Attribute,
     },
-    /// TIME-JOIN by nested loop, when the right side is not an indexed
-    /// base relation (both children still planned).
+    /// TIME-JOIN at a time-valued attribute of the left side.
     TimeJoin {
         /// Left input (owns the time-valued attribute).
         left: Box<Plan>,
@@ -347,7 +330,7 @@ pub enum BinaryOp {
     DifferenceO,
     /// `×`.
     Product,
-    /// NATURAL-JOIN by nested loop.
+    /// NATURAL-JOIN.
     NaturalJoin,
 }
 
@@ -489,8 +472,6 @@ fn scan_bounds(p: &Plan, out: &mut Vec<Lifespan>) -> Option<()> {
             scan_bounds(left, out)?;
             scan_bounds(right, out)?;
         }
-        // The probe side is read whole, per left tuple.
-        Plan::IndexedNaturalJoin { .. } | Plan::IndexedTimeJoin { .. } => return None,
     }
     Some(())
 }
@@ -516,10 +497,14 @@ fn param_bounds(l: &LifespanExpr, out: &mut Vec<Lifespan>) -> Option<()> {
 ///
 /// The bound is introduced at `τ_L` with a literal `L` and propagated down
 /// through exactly the operators where pruning is sound — the per-tuple,
-/// lifespan-non-increasing unaries (σWHEN, σIF, π, τ, τ@A) and all six set
-/// operators, whose outputs derive from single input tuples (or key-merged
-/// groups) without ever growing a lifespan beyond its generators. It is
-/// cut at products and joins, whose output rows combine both sides.
+/// lifespan-non-increasing unaries (σWHEN, σIF, π, τ, τ@A) and the set
+/// operators `∪ ∩ − ∩ₒ`, whose outputs derive from single input tuples
+/// (or a mergable pair's common part) without ever growing a lifespan
+/// beyond its generators. It is cut at products and joins, whose output
+/// rows combine both sides, and at `∪ₒ` and `−ₒ`: every mergable pair
+/// contributes there, and on key-sharing operands (a plain union's
+/// output) a partner outside the window still adds its own output tuple
+/// next to the in-window partner's.
 ///
 /// Every scan records the bound that reached it ([`materialization_window`]
 /// reads it back). A bounded scan of an indexed relation becomes a
@@ -609,43 +594,12 @@ fn plan_bounded(expr: &Expr, src: &dyn IndexSource, bound: Option<&Lifespan>) ->
             }
         }
 
-        // NATURAL-JOIN with a keyed base relation on the right whose key
-        // attributes are all shared: index nested-loop join.
-        Expr::NaturalJoin(left, right) => {
-            if let Some(right_name) = natural_probe_side(left, right, src) {
-                Plan::IndexedNaturalJoin {
-                    left: Box::new(plan_bounded(left, src, None)),
-                    right: right_name.to_string(),
-                }
-            } else {
-                Plan::Binary {
-                    op: BinaryOp::NaturalJoin,
-                    left: Box::new(plan_bounded(left, src, None)),
-                    right: Box::new(plan_bounded(right, src, None)),
-                }
-            }
-        }
-
-        // TIME-JOIN with an indexed base relation on the right: probe its
-        // lifespan index with `t1.l ∩ image(t1(A))` per left tuple. On a
-        // partitioned source the probe itself prunes partitions at run
-        // time (the probe window is per-tuple, so there is no plan-time
-        // k/N to report).
-        Expr::TimeJoin { left, right, attr } => {
-            if let Some(right_name) = base_with_indexes(right, src) {
-                Plan::IndexedTimeJoin {
-                    left: Box::new(plan_bounded(left, src, None)),
-                    right: right_name.to_string(),
-                    attr: attr.clone(),
-                }
-            } else {
-                Plan::TimeJoin {
-                    left: Box::new(plan_bounded(left, src, None)),
-                    right: Box::new(plan_bounded(right, src, None)),
-                    attr: attr.clone(),
-                }
-            }
-        }
+        Expr::NaturalJoin(left, right) => binary(BinaryOp::NaturalJoin, left, right, src, None),
+        Expr::TimeJoin { left, right, attr } => Plan::TimeJoin {
+            left: Box::new(plan_bounded(left, src, None)),
+            right: Box::new(plan_bounded(right, src, None)),
+            attr: attr.clone(),
+        },
 
         Expr::Project { input, attrs } => Plan::Unary {
             op: UnaryOp::Project(attrs.clone()),
@@ -658,9 +612,9 @@ fn plan_bounded(expr: &Expr, src: &dyn IndexSource, bound: Option<&Lifespan>) ->
         Expr::Union(a, b) => binary(BinaryOp::Union, a, b, src, bound),
         Expr::Intersection(a, b) => binary(BinaryOp::Intersection, a, b, src, bound),
         Expr::Difference(a, b) => binary(BinaryOp::Difference, a, b, src, bound),
-        Expr::UnionO(a, b) => binary(BinaryOp::UnionO, a, b, src, bound),
+        Expr::UnionO(a, b) => binary(BinaryOp::UnionO, a, b, src, None),
         Expr::IntersectionO(a, b) => binary(BinaryOp::IntersectionO, a, b, src, bound),
-        Expr::DifferenceO(a, b) => binary(BinaryOp::DifferenceO, a, b, src, bound),
+        Expr::DifferenceO(a, b) => binary(BinaryOp::DifferenceO, a, b, src, None),
         Expr::Product(a, b) => binary(BinaryOp::Product, a, b, src, None),
         Expr::ThetaJoin {
             left,
@@ -764,37 +718,6 @@ fn collect_equality_conjuncts(p: &Predicate, out: &mut Vec<(Attribute, Value)>) 
     }
 }
 
-/// For `left NATJOIN right`: the right relation's name when both sides are
-/// base relations and the right side's key index can drive the probe (its
-/// key attributes are all common attributes).
-fn natural_probe_side<'e>(left: &Expr, right: &'e Expr, src: &dyn IndexSource) -> Option<&'e str> {
-    let left_name = match left {
-        Expr::Relation(n) => n,
-        _ => return None,
-    };
-    let right_name = base_with_indexes(right, src)?;
-    let key_idx = src.indexes(right_name)?.key()?;
-    let left_scheme = src.relation(left_name)?.scheme();
-    let right_scheme = src.relation(right_name)?.scheme();
-    // Probe keys come from left-tuple values and are matched by structural
-    // equality in the hash map, so the shared attributes must have the
-    // same declared kind on both sides (Int-vs-Float would compare equal
-    // semantically but miss in the map).
-    let all_key_attrs_common =
-        key_idx
-            .attrs()
-            .iter()
-            .all(|a| match (left_scheme.dom(a), right_scheme.dom(a)) {
-                (Ok(l), Ok(r)) => l.kind() == r.kind(),
-                _ => false,
-            });
-    if all_key_attrs_common && !key_idx.attrs().is_empty() {
-        Some(right_name)
-    } else {
-        None
-    }
-}
-
 /// The engine-wide access-path counters, registered once in the global
 /// observability registry.
 struct ScanObs {
@@ -860,90 +783,6 @@ pub(crate) fn valid_partitions<'s>(
     src.partitions(name).filter(|p| p.tuple_count() == r.len())
 }
 
-/// Index nested-loop NATURAL-JOIN: per left tuple, probe the right key
-/// index where possible; fall back to scanning the right side for left
-/// tuples without a constant probe key. Exact per-pair semantics come from
-/// [`natural_join_pair`].
-pub(crate) fn indexed_natural_join(
-    left: &Relation,
-    right: &Relation,
-    key_idx: &hrdm_index::KeyIndex,
-) -> Result<Relation> {
-    let common: Vec<Attribute> = left
-        .scheme()
-        .attr_names()
-        .filter(|a| right.scheme().contains(a))
-        .cloned()
-        .collect();
-    let scheme = left.scheme().natural_concat(right.scheme())?;
-    let mut out: Vec<Tuple> = Vec::new();
-    for t1 in left.iter() {
-        match key_idx.probe_key_of(t1) {
-            Some(key) => {
-                for &pos in key_idx.lookup(&key) {
-                    if let Some(t2) = right.tuple_at(pos) {
-                        if let Some(j) = natural_join_pair(t1, t2, &common)? {
-                            out.push(j);
-                        }
-                    }
-                }
-            }
-            // No constant probe key on the left tuple (e.g. an empty or
-            // time-varying shared attribute): check every right tuple.
-            None => {
-                for t2 in right.iter() {
-                    if let Some(j) = natural_join_pair(t1, t2, &common)? {
-                        out.push(j);
-                    }
-                }
-            }
-        }
-    }
-    Ok(Relation::from_parts_unchecked(scheme, out))
-}
-
-/// Index nested-loop TIME-JOIN: per left tuple, probe the right lifespan
-/// index with `t1.l ∩ image(t1(A))`. On a partitioned right side the
-/// probe prunes at partition granularity first (run-time partition
-/// pruning — each probe window is per-tuple). Exact per-pair semantics
-/// come from [`time_join_pair`].
-pub(crate) fn indexed_time_join(
-    left: &Relation,
-    right: &Relation,
-    attr: &Attribute,
-    idx: &RelationIndexes,
-    parts: Option<&PartitionMap>,
-) -> Result<Relation> {
-    let dom = left.scheme().dom(attr)?;
-    if !dom.is_time_valued() {
-        return Err(HrdmError::NotTimeValued(attr.clone()));
-    }
-    let scheme = left.scheme().disjoint_concat(right.scheme())?;
-    let mut out: Vec<Tuple> = Vec::new();
-    for t1 in left.iter() {
-        let image = match t1.value(attr) {
-            Some(tv) => tv.image_lifespan()?,
-            None => Lifespan::empty(),
-        };
-        if image.is_empty() {
-            continue;
-        }
-        let probe = t1.lifespan().intersect(&image);
-        let candidates = match parts {
-            Some(parts) => parts.prune_positions(&probe),
-            None => idx.lifespan().overlapping(&probe),
-        };
-        for pos in candidates {
-            if let Some(t2) = right.tuple_at(pos) {
-                if let Some(j) = time_join_pair(t1, t2, &image) {
-                    out.push(j);
-                }
-            }
-        }
-    }
-    Ok(Relation::from_parts_unchecked(scheme, out))
-}
-
 /// The full EXPLAIN for an expression: the optimizer's before/after trees
 /// and rewrite trace, followed by the physical plan with access paths.
 pub fn explain_with_access(e: &Expr, src: &dyn IndexSource) -> String {
@@ -981,8 +820,6 @@ pub(crate) fn node_label(p: &Plan) -> String {
         } => format!("Scan {relation} [{access}]"),
         Plan::Unary { op, .. } => unary_label(op),
         Plan::Binary { op, .. } => format!("{op:?}"),
-        Plan::IndexedNaturalJoin { .. } => "NaturalJoin (index nested loop)".to_string(),
-        Plan::IndexedTimeJoin { attr, .. } => format!("TimeJoin @{attr} (index nested loop)"),
         Plan::ThetaJoin { a, op, b, .. } => format!("ThetaJoin {a} {op} {b}"),
         Plan::TimeJoin { attr, .. } => format!("TimeJoin @{attr}"),
     }
@@ -1003,19 +840,5 @@ pub(crate) fn unary_label(op: &UnaryOp) -> String {
         UnaryOp::SelectWhen(predicate) => format!("Select-When {predicate}"),
         UnaryOp::TimeSlice(l) => format!("TimeSlice {l}"),
         UnaryOp::TimeSliceDynamic(attr) => format!("TimeSlice @{attr}"),
-    }
-}
-
-/// The synthetic probe pseudo-child line of the index nested-loop joins
-/// (they have no plan child for the probe side).
-pub(crate) fn probe_line(p: &Plan) -> Option<String> {
-    match p {
-        Plan::IndexedNaturalJoin { right, .. } => {
-            Some(format!("Probe {right} [IndexScan(key, from left tuple)]"))
-        }
-        Plan::IndexedTimeJoin { right, attr, .. } => Some(format!(
-            "Probe {right} [IndexScan(lifespan, t.l ∩ image(t({attr})))]"
-        )),
-        _ => None,
     }
 }

@@ -2,8 +2,9 @@
 //! and never panics on corrupted input.
 
 use hrdm_core::prelude::*;
-use hrdm_storage::{Decoder, Encoder};
+use hrdm_storage::{Decoder, Encoder, Wal, WalRecord};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -39,6 +40,96 @@ fn temporal_strategy() -> impl Strategy<Value = TemporalValue> {
         }
         TemporalValue::from_segments(segs).expect("disjoint by construction")
     })
+}
+
+/// The tuple `K = k` over `life`, `V` clipped to it: tuples a relation
+/// would store (values canonical and within the lifespan).
+fn stored_tuple(k: i64, life: Lifespan, tv: &TemporalValue) -> Tuple {
+    let mut values = std::collections::BTreeMap::new();
+    values.insert(
+        Attribute::new("K"),
+        TemporalValue::constant(&life, Value::Int(k)),
+    );
+    values.insert(Attribute::new("V"), tv.restrict(&life));
+    Tuple::from_parts(life, values)
+}
+
+/// `t|_L` rebuilt from parts, value by value (a fresh allocation, so
+/// comparing against it compares deeply).
+fn rebuilt_restriction(t: &Tuple, window: &Lifespan) -> Tuple {
+    let life = t.lifespan().intersect(window);
+    let values = t
+        .values()
+        .iter()
+        .map(|(a, tv)| (a.clone(), tv.restrict(&life)))
+        .collect();
+    Tuple::from_parts(life, values)
+}
+
+/// Logs one insert per tuple to a fresh WAL and replays it.
+fn wal_round_trip(tuples: &[Tuple]) -> Vec<Tuple> {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::SeqCst);
+    let dir = std::env::temp_dir().join(format!("hrdm-canonical-{}-{n}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("wal.log");
+    let mut wal = Wal::open(&path).unwrap();
+    for t in tuples {
+        wal.append(&WalRecord::Insert {
+            relation: "r".to_string(),
+            tuple: t.clone(),
+        })
+        .unwrap();
+    }
+    drop(wal);
+    let (records, _) = Wal::replay(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    records
+        .into_iter()
+        .filter_map(|r| match r {
+            WalRecord::Insert { tuple, .. } => Some(tuple),
+            _ => None,
+        })
+        .collect()
+}
+
+proptest! {
+    // Every case fsyncs its WAL once per tuple: fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every tuple the codec hands back — decoded bare, against a scheme,
+    /// or replayed from a WAL — is canonical: rebuilding its restriction
+    /// to its own lifespan value by value gives it back. `Tuple::restrict`
+    /// returns the shared tuple whenever the window covers `t.l`, and
+    /// relies on exactly this for stored tuples.
+    #[test]
+    fn decoded_tuples_are_canonical(
+        specs in prop::collection::vec((lifespan_strategy(), temporal_strategy()), 1..6),
+    ) {
+        let tuples: Vec<Tuple> = specs
+            .iter()
+            .enumerate()
+            .map(|(k, (life, tv))| stored_tuple(k as i64, life.clone(), tv))
+            .collect();
+        let scheme = Scheme::builder()
+            .key_attr("K", ValueKind::Int, Lifespan::interval(0, 10))
+            .attr("V", HistoricalDomain::int(), Lifespan::interval(0, 10))
+            .build()
+            .unwrap();
+        let mut decoded = wal_round_trip(&tuples);
+        for t in &tuples {
+            let mut e = Encoder::new();
+            e.put_tuple(t);
+            let bytes = e.finish();
+            decoded.push(Decoder::new(&bytes).get_tuple().unwrap());
+            decoded.push(Decoder::new(&bytes).get_tuple_in(&scheme).unwrap());
+        }
+        prop_assert_eq!(decoded.len(), 3 * tuples.len());
+        for t in &decoded {
+            prop_assert!(tuples.contains(t), "{} was never written", t);
+            prop_assert_eq!(&rebuilt_restriction(t, t.lifespan()), t);
+        }
+    }
 }
 
 proptest! {

@@ -159,9 +159,18 @@ impl Lifespan {
             .is_ok()
     }
 
-    /// Subset test `other ⊆ self`.
+    /// Subset test `other ⊆ self`, without allocating: one two-pointer
+    /// walk over both run lists. Because the runs are maximal, a run of
+    /// `other` is covered iff one single run of `self` contains it whole.
     pub fn contains_lifespan(&self, other: &Lifespan) -> bool {
-        other.intersect(self) == *other
+        let mut mine = self.runs.iter().peekable();
+        other.runs.iter().all(|run| {
+            // Runs of `other` ascend, so runs of mine ending before this
+            // one starts cannot cover any later run either.
+            while mine.next_if(|r| r.hi() < run.lo()).is_some() {}
+            mine.peek()
+                .is_some_and(|r| r.lo() <= run.lo() && run.hi() <= r.hi())
+        })
     }
 
     /// Do the two lifespans share at least one chronon?

@@ -29,6 +29,15 @@ fn lifespan_strategy() -> impl Strategy<Value = Lifespan> {
     })
 }
 
+/// Strategy: a multi-run lifespan, the empty one, or a single chronon.
+fn operand_strategy() -> impl Strategy<Value = Lifespan> {
+    prop_oneof![
+        lifespan_strategy(),
+        Just(Lifespan::empty()),
+        UNIVERSE.prop_map(Lifespan::point),
+    ]
+}
+
 proptest! {
     #[test]
     fn union_matches_set_model(a in lifespan_strategy(), b in lifespan_strategy()) {
@@ -103,18 +112,27 @@ proptest! {
         );
     }
 
+    /// The allocation-free subset walk agrees with the intersect-based
+    /// definition `other ∩ self = other` — over empty, single-chronon and
+    /// multi-run operands, and over operands that are subsets by
+    /// construction (two random lifespans rarely are).
+    #[test]
+    fn contains_lifespan_equals_the_intersect_definition(
+        a in operand_strategy(),
+        b in operand_strategy(),
+        c in lifespan_strategy(),
+    ) {
+        for other in [b, a.intersect(&c), a.difference(&c), a.clone(), Lifespan::empty()] {
+            prop_assert_eq!(a.contains_lifespan(&other), other.intersect(&a) == other);
+            prop_assert_eq!(other.contains_lifespan(&a), a.intersect(&other) == a);
+        }
+    }
+
     /// The n-ary union (one sort-and-sweep) equals the left fold of the
     /// binary one, including over empty and single-chronon operands.
     #[test]
     fn union_all_equals_left_fold(
-        ls in prop::collection::vec(
-            prop_oneof![
-                lifespan_strategy(),
-                Just(Lifespan::empty()),
-                UNIVERSE.prop_map(Lifespan::point),
-            ],
-            0..12,
-        )
+        ls in prop::collection::vec(operand_strategy(), 0..12)
     ) {
         let folded = ls.iter().fold(Lifespan::empty(), |acc, l| acc.union(l));
         prop_assert_eq!(Lifespan::union_all(&ls), folded);

@@ -4,7 +4,8 @@
 //! an `Ω(e)` — over random relations answer identically through the
 //! reference evaluator (`eval.rs`: sequential scans, every intermediate
 //! materialized) and through optimize → plan → executor tree, on an indexed
-//! source, a partitioned one and a bare one.
+//! source, a partitioned one and a bare one — and a binary operator answers
+//! the same whichever of its inputs it builds.
 
 mod common;
 
@@ -12,8 +13,9 @@ use common::{other_relation_strategy, relation_strategy};
 use hrdm_core::algebra::AggregateOp;
 use hrdm_core::prelude::*;
 use hrdm_query::{
-    eval_expr, evaluate, run_query, Expr, IndexSource, IndexedRelations, LifespanExpr,
-    PipelineError, Query, QueryResult,
+    build_executor_building, eval_expr, evaluate, optimize, plan, run_query, ExecError,
+    ExecOptions, Expr, IndexSource, IndexedRelations, LifespanExpr, PipelineError, Query,
+    QueryResult, QueryStream,
 };
 use hrdm_storage::{Database, PartitionPolicy};
 use proptest::prelude::*;
@@ -141,6 +143,30 @@ fn query_strategy() -> impl Strategy<Value = Query> {
     ]
 }
 
+/// A symmetric binary operator over random operands: `∪ ∩ ∪ₒ ∩ₒ ⋈` on
+/// the test scheme (operands built by plain unions share keys), θ-JOIN
+/// and × against `r2`.
+fn symmetric_strategy() -> impl Strategy<Value = Expr> {
+    (expr_strategy(), expr_strategy(), 0u8..7).prop_map(|(a, b, op)| {
+        let (a, b) = (Box::new(a), Box::new(b));
+        match op {
+            0 => Expr::Union(a, b),
+            1 => Expr::Intersection(a, b),
+            2 => Expr::UnionO(a, b),
+            3 => Expr::IntersectionO(a, b),
+            4 => Expr::NaturalJoin(a, b),
+            5 => Expr::ThetaJoin {
+                left: a,
+                right: Box::new(Expr::rel("r2")),
+                a: "V".into(),
+                op: Comparator::Le,
+                b: "X".into(),
+            },
+            _ => Expr::Product(a, Box::new(Expr::rel("r2"))),
+        }
+    })
+}
+
 /// Planned ≡ reference on `src`. Queries mixing the two schemes can be
 /// ill-typed (e.g. a union of incompatible schemes); both must then fail.
 fn assert_planned_matches_reference(q: &Query, src: &dyn IndexSource, ctx: &str) {
@@ -170,6 +196,40 @@ proptest! {
         assert_planned_matches_reference(&q, &partitioned(&map), "partitioned");
         assert_planned_matches_reference(&q, &IndexedRelations::new(map.clone()), "indexed");
         assert_planned_matches_reference(&q, &map, "bare");
+    }
+
+    /// Build/probe is an execution strategy, not semantics: forced to
+    /// build its left input and then its right one, a symmetric binary
+    /// operator answers exactly what the reference evaluator does — on
+    /// the indexed source (where a bare base operand's own key index is
+    /// the build table), the partitioned one and the bare one.
+    #[test]
+    fn either_build_side_gives_the_same_relation(
+        e in symmetric_strategy(),
+        r in relation_strategy(),
+        s in relation_strategy(),
+        r2 in other_relation_strategy(),
+    ) {
+        let mut map = BTreeMap::new();
+        map.insert("r".to_string(), r);
+        map.insert("s".to_string(), s);
+        map.insert("r2".to_string(), r2);
+        let (db, indexed) = (partitioned(&map), IndexedRelations::new(map.clone()));
+        let sources: [(&str, &dyn IndexSource); 3] =
+            [("partitioned", &db), ("indexed", &indexed), ("bare", &map)];
+        let opts = ExecOptions::default();
+        for (ctx, src) in sources {
+            let reference = eval_expr(&e, src);
+            let p = plan(&optimize(&e).0, src);
+            for build_left in [true, false] {
+                let root = build_executor_building(&p, build_left, src, &opts);
+                match (&reference, QueryStream::new(root, &opts).and_then(QueryStream::collect_relation)) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(a, &b, "{} building left={}: {}", ctx, build_left, e),
+                    (Err(_), Err(ExecError::Eval(_))) => {}
+                    (a, b) => panic!("{ctx} building left={build_left}: reference {a:?} but {b:?} on {e}"),
+                }
+            }
+        }
     }
 
     /// `WHEN` evaluates the unaries at the top of its operand in

@@ -96,6 +96,20 @@ const QUERIES: &[&str] = &[
     "COUNT V (TIMESLICE [40..70] (r))",
     "SUM V (SELECT-WHEN (V >= 50) (r))",
     "MIN V (TIMESLICE [4000..4090] (r))",
+    // Key-sharing operands — a plain UNION's output holds two tuples for
+    // every object alive in both windows (Fig. 11) — fed into the object
+    // operators and into a second UNION; the windowed ones check that no
+    // bound is pushed through `∪ₒ`/`−ₒ`.
+    "(TIMESLICE [0..100] (r) UNION TIMESLICE [50..200] (r)) UNION-O r",
+    "r MINUS-O (TIMESLICE [0..100] (r) UNION TIMESLICE [50..200] (r))",
+    "(TIMESLICE [0..100] (r) UNION TIMESLICE [50..200] (r)) MINUS-O TIMESLICE [80..120] (r)",
+    "(TIMESLICE [0..100] (r) UNION TIMESLICE [50..200] (r)) INTERSECT-O TIMESLICE [60..260] (r)",
+    "(TIMESLICE [0..100] (r) UNION TIMESLICE [50..200] (r)) UNION (TIMESLICE [60..260] (r) UNION r)",
+    "TIMESLICE [40..160] (r UNION-O (TIMESLICE [0..100] (r) UNION TIMESLICE [50..200] (r)))",
+    "TIMESLICE [40..160] ((TIMESLICE [0..100] (r) UNION TIMESLICE [50..200] (r)) MINUS-O r)",
+    "TIMESLICE [100..200] (r MINUS-O (TIMESLICE [0..99] (r) UNION TIMESLICE [90..300] (r)))",
+    "r NATJOIN (TIMESLICE [0..100] (r) UNION TIMESLICE [50..200] (r))",
+    "(SELECT-WHEN (K = 5) (r)) PRODUCT evt",
 ];
 
 /// Canonical byte serialization of a query result: tuple renderings
@@ -369,6 +383,115 @@ fn when_and_aggregates_honour_the_row_cap() {
         Ok(_) => panic!("lifespan-sorted query"),
         Err(e) => panic!("capped although only 500 rows reach the root: {e}"),
     };
+}
+
+/// 100 000 tuples in `r` and in `evt`, plus 40 in `g` (on `r`'s scheme):
+/// big enough that every input of a binary operator spans hundreds of
+/// batches. `evt`'s `AT` points into its own lifespan when `aim` holds —
+/// every tuple then joins one `g` tuple — and outside every lifespan
+/// otherwise, so that a TIMEJOIN finds no pair at all.
+fn big_binary(aim: bool) -> ConcurrentDatabase {
+    let db = big(100_000);
+    let events = (0..100_000i64)
+        .map(|e| {
+            let lo = e % 4000;
+            evt_tup(e, lo, 10, if aim { lo + 5 } else { 5000 })
+        })
+        .collect();
+    let groups = (0..40i64).map(|k| r_tup(k, k * 100, 99, k)).collect();
+    for (name, scheme, tuples) in [("evt", evt_scheme(), events), ("g", r_scheme(), groups)] {
+        db.create_relation(name, scheme.clone()).unwrap();
+        db.put_relation(name, Relation::from_distinct_unchecked(scheme, tuples))
+            .unwrap();
+    }
+    db
+}
+
+/// A binary operator pulls its probe side through the stream's gate, one
+/// batch at a time: a cancel that fires mid-probe stops a `UNION`, a
+/// `MINUS` and a `TIMEJOIN` over 100 000 tuples at that very check, with
+/// `Cancelled` — even where the probe emits nothing (every probe tuple a
+/// duplicate, removed, or unjoined), so that no batch reaches the
+/// stream's own gate — never with a silent partial `Done`.
+#[test]
+fn binary_operators_observe_cancel_within_one_probe_batch() {
+    let db = big_binary(false);
+    let snap = db.snapshot();
+    let checks = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    // 100 000 rows in batches of 256: 391 batches, plus one empty pull.
+    let (build, probe) = (392, 392);
+    for (q, fire_at) in [
+        // The build side is drained (392 checks) and streamed out first
+        // (391 root pulls); the probe side's duplicates add nothing.
+        ("r UNION r", build + 391 + probe / 2),
+        ("r MINUS r", build + 1 + probe / 2),
+        // `r`'s own lifespan index is the build table: nothing drained.
+        ("evt TIMEJOIN@AT g", 1 + probe / 2),
+    ] {
+        checks.store(0, std::sync::atomic::Ordering::SeqCst);
+        let seen = Arc::clone(&checks);
+        let opts = ExecOptions {
+            batch_rows: 256,
+            workers: 1,
+            cancel: Some(Arc::new(move || {
+                seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1 >= fire_at
+            })),
+            ..ExecOptions::default()
+        };
+        let StreamedQuery::Rows(mut stream) = stream_query_on_snapshot(q, &*snap, &opts).unwrap()
+        else {
+            panic!("`{q}` is relation-sorted");
+        };
+        let err = loop {
+            match stream.next_batch() {
+                Ok(Some(_)) => {}
+                Ok(None) => panic!("`{q}`: a cancelled stream ended as a clean Done"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err, ExecError::Cancelled, "`{q}`");
+        assert_eq!(
+            checks.load(std::sync::atomic::Ordering::SeqCst),
+            fire_at,
+            "`{q}`: the stream kept pulling after the probe fired"
+        );
+    }
+}
+
+/// … and the row cap: a `UNION`, `MINUS` or `TIMEJOIN` whose output
+/// outgrows `max_rows` mid-probe ends in `RowLimit`, having streamed no
+/// more than the cap.
+#[test]
+fn binary_operators_hit_the_row_cap_mid_probe() {
+    let db = big_binary(true);
+    let snap = db.snapshot();
+    let opts = ExecOptions {
+        batch_rows: 256,
+        max_rows: Some(50_000),
+        ..ExecOptions::default()
+    };
+    for q in [
+        "TIMESLICE [0..1999] (r) UNION TIMESLICE [2000..4096] (r)",
+        "r MINUS TIMESLICE [0..999] (r)",
+        "evt TIMEJOIN@AT g",
+    ] {
+        let StreamedQuery::Rows(mut stream) = stream_query_on_snapshot(q, &*snap, &opts).unwrap()
+        else {
+            panic!("`{q}` is relation-sorted");
+        };
+        let mut seen = 0u64;
+        let err = loop {
+            match stream.next_batch() {
+                Ok(Some(b)) => seen += b.len() as u64,
+                Ok(None) => {
+                    panic!("`{q}`: a capped stream ended as a clean Done after {seen} rows")
+                }
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err, ExecError::RowLimit(50_000), "`{q}`");
+        assert!(seen <= 50_000, "`{q}`: {seen} rows escaped the cap");
+    }
 }
 
 proptest! {
