@@ -16,10 +16,11 @@
 //!   set or the expected performance changes);
 //! * `--no-gate` — measure and emit only.
 //!
+//! The gate fails any gated bench whose median is more than [`TOLERANCE`]
+//! (+25%) above its baseline.
+//!
 //! Environment:
 //!
-//! * `HRDM_BENCH_TOLERANCE` — allowed fractional regression (default
-//!   `0.25`, i.e. fail above +25%);
 //! * `HRDM_BENCH_INJECT_SLOWDOWN` — multiply every measured median by this
 //!   factor before gating. **Test hook only**: injecting `2` must turn the
 //!   gate red, which is how the gate's wiring is verified end to end.
@@ -44,17 +45,16 @@ use hrdm_storage::{ConcurrentDatabase, Database, WalRecord};
 use std::path::PathBuf;
 use std::time::Duration;
 
-fn fast() -> bool {
-    std::env::var_os("HRDM_BENCH_FAST").is_some_and(|v| v != "0")
-}
-
 fn sample_time() -> Duration {
-    if fast() {
+    if std::env::var_os("HRDM_BENCH_FAST").is_some_and(|v| v != "0") {
         Duration::from_millis(20)
     } else {
         Duration::from_millis(120)
     }
 }
+
+/// Allowed fractional regression of a gated median over its baseline.
+const TOLERANCE: f64 = 0.25;
 
 const SAMPLES: usize = 5;
 const MEM_SIZE: i64 = 10_000;
@@ -71,7 +71,6 @@ const GATED: &[&str] = &[
     "snapshot_take_10k",
     "timeslice_pruned_100k",
     "exec_stream_timeslice_100k",
-    "parallel_scan_8c",
     "when_scan_50k",
     "count_slice_50k",
     "union_slices_50k",
@@ -80,10 +79,6 @@ const GATED: &[&str] = &[
     // (misses) — no fsync in either loop.
     "pool_hit_timeslice_100k",
     "pool_miss_cold_partition",
-    // Loopback TCP against a *detached* server: CPU/network-bound (no
-    // fsync in the loop), so stable enough to gate on one runner class.
-    "net_query_throughput_8c",
-    "net_write_p99_8c",
     // One commit + publish into a relation a snapshot shares: CPU-bound
     // (detached, no fsync), and gated a second way — see
     // [`COMMIT_SCALING_MAX`].
@@ -101,21 +96,6 @@ const COMMIT_SCALING_MAX: f64 = 3.0;
 /// Single-op commits timed per `commit_publish_*` sample: few enough that
 /// the preloaded relation stays near its nominal size.
 const COMMITS_PER_SAMPLE: i64 = 200;
-
-/// Per-bench tolerance overrides written into the baseline. Tail-latency
-/// benches under scheduler pressure (a p99 across 8 threads on a small
-/// runner) legitimately swing several-fold run to run; a wide gate still
-/// catches order-of-magnitude regressions (e.g. accidentally serializing
-/// commits) without flaking, while the stable CPU-bound medians keep the
-/// tight default.
-const TOLERANCE_OVERRIDES: &[(&str, f64)] = &[
-    ("net_query_throughput_8c", 1.0), // fail above 2× baseline
-    ("net_write_p99_8c", 3.0),        // fail above 4× baseline
-    // 8 scan workers on a small runner degrade to scheduling overhead;
-    // the wide gate still catches a serialized-scan regression while the
-    // 8-core class tracks the real ≥4× speedup over `parallel_scan_1c`.
-    ("parallel_scan_8c", 3.0), // fail above 4× baseline
-];
 
 fn scheme() -> Scheme {
     let era = Lifespan::interval(0, 1_000_000);
@@ -239,49 +219,20 @@ fn run_tracked() -> Vec<BenchResult> {
             }),
         );
 
-        // The streaming executor over the same fixtures: the pruned
+        // The streaming executor over the same fixture: the pruned
         // TIME-SLICE collected through the batch pipeline (the streaming
         // analogue of `timeslice_pruned_100k`, gated — it tracks executor
-        // overhead on a selective scan), and the morsel-parallel full
-        // scan at 1 vs 8 workers. `parallel_scan_8c / parallel_scan_1c`
-        // is the tracked speedup; the ≥4× target assumes the 8-core
-        // runner class — a smaller container measures scheduling overhead
-        // instead, which is why `parallel_scan_8c` carries a wide
-        // tolerance in the baseline.
+        // overhead on a selective scan).
         use hrdm_query::{stream_query_on_snapshot, ExecOptions, StreamedQuery};
-        let stream_collect = |src: &hrdm_storage::DbSnapshot, text: &str, opts: &ExecOptions| {
-            match stream_query_on_snapshot(text, src, opts).unwrap() {
-                StreamedQuery::Rows(s) => std::hint::black_box(s.collect_relation().unwrap()),
-                _ => unreachable!("relation-sorted query"),
-            }
-        };
         let slice = format!("TIMESLICE [{lo}..{}] (r)", lo + 50);
+        let opts = ExecOptions::default();
         track(
             "exec_stream_timeslice_100k",
             measure_median_ns(SAMPLES, sample_time(), || {
-                stream_collect(&pruned, &slice, &ExecOptions::default());
-            }),
-        );
-        let scan = "SELECT-WHEN (V >= 0) (r)";
-        let serial = ExecOptions {
-            workers: 1,
-            ..ExecOptions::default()
-        };
-        track(
-            "parallel_scan_1c",
-            measure_median_ns(SAMPLES, sample_time(), || {
-                stream_collect(&flat, scan, &serial);
-            }),
-        );
-        let parallel = ExecOptions {
-            workers: 8,
-            parallel_min_rows: 1,
-            ..ExecOptions::default()
-        };
-        track(
-            "parallel_scan_8c",
-            measure_median_ns(SAMPLES, sample_time(), || {
-                stream_collect(&flat, scan, &parallel);
+                match stream_query_on_snapshot(&slice, &*pruned, &opts).unwrap() {
+                    StreamedQuery::Rows(s) => std::hint::black_box(s.collect_relation().unwrap()),
+                    _ => unreachable!("relation-sorted query"),
+                };
             }),
         );
     }
@@ -487,47 +438,6 @@ fn run_tracked() -> Vec<BenchResult> {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    // The network layer, over a detached server on a loopback socket so
-    // the numbers are CPU/network-bound (gateable), not fsync-bound:
-    // aggregate 8-client query throughput (stored as cluster-wide ns per
-    // query, so `throughput_per_sec` is the aggregate rate) and the p99
-    // per-op latency of 8 concurrent wire writers whose inserts form
-    // group-commit batches.
-    {
-        use hrdm_bench::net_fixture::{
-            percentile, query_throughput, spawn_query_server, write_latencies,
-        };
-        let window = if fast() {
-            Duration::from_millis(150)
-        } else {
-            Duration::from_millis(1000)
-        };
-        let median3 = |mut xs: [f64; 3]| {
-            xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            xs[1]
-        };
-
-        let server = spawn_query_server(MEM_SIZE);
-        let per_query_ns = median3([(); 3].map(|()| {
-            let qps = query_throughput(server.addr(), 8, window);
-            if qps > 0.0 {
-                1e9 / qps
-            } else {
-                f64::MAX
-            }
-        }));
-        track("net_query_throughput_8c", per_query_ns);
-
-        let mut sample = 0i64;
-        let p99_ns = median3([(); 3].map(|()| {
-            sample += 1;
-            let lat = write_latencies(server.addr(), 8, window, sample * 100_000_000);
-            percentile(&lat, 0.99) as f64
-        }));
-        track("net_write_p99_8c", p99_ns);
-        server.shutdown();
-    }
-
     out
 }
 
@@ -640,8 +550,7 @@ fn main() {
             .filter(|r| GATED.contains(&r.name.as_str()))
             .cloned()
             .collect();
-        std::fs::write(&baseline_path, baseline_json(&gated, TOLERANCE_OVERRIDES))
-            .expect("write baseline");
+        std::fs::write(&baseline_path, baseline_json(&gated)).expect("write baseline");
         eprintln!(
             "bench-json: baseline refreshed at {} ({} gated bench(es))",
             baseline_path.display(),
@@ -653,10 +562,6 @@ fn main() {
         return;
     }
 
-    let tolerance: f64 = std::env::var("HRDM_BENCH_TOLERANCE")
-        .ok()
-        .and_then(|t| t.parse().ok())
-        .unwrap_or(0.25);
     let baseline_json = match std::fs::read_to_string(&baseline_path) {
         Ok(j) => j,
         Err(e) => {
@@ -669,24 +574,23 @@ fn main() {
         }
     };
     let baseline = parse_baseline(&baseline_json).expect("parse baseline");
-    let outcome = compare(&results, &baseline, tolerance);
+    let outcome = compare(&results, &baseline, TOLERANCE);
     eprintln!(
         "bench-json: compared {} bench(es) against {} (tolerance +{:.0}%)",
         outcome.compared,
         baseline_path.display(),
-        tolerance * 100.0
+        TOLERANCE * 100.0
     );
     for m in &outcome.missing {
         eprintln!("bench-json: MISSING tracked bench `{m}` (in baseline, not produced)");
     }
     for r in &outcome.regressions {
         eprintln!(
-            "bench-json: REGRESSION `{}`: {:.1} ns vs baseline {:.1} ns ({:.2}x, tolerance +{:.0}%)",
+            "bench-json: REGRESSION `{}`: {:.1} ns vs baseline {:.1} ns ({:.2}x)",
             r.name,
             r.current_ns,
             r.baseline_ns,
-            r.ratio(),
-            r.tolerance * 100.0
+            r.ratio()
         );
     }
     if !outcome.pass() {

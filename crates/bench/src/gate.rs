@@ -3,8 +3,8 @@
 //!
 //! The `bench-json` binary drives this module in CI: it runs the tracked
 //! benches, writes `BENCH_8.json`, and **fails** when any tracked bench's
-//! median regresses more than the tolerance (default 25%, override with
-//! `HRDM_BENCH_TOLERANCE`) against `bench/baseline.json`. The comparison
+//! median regresses more than the tolerance (25%) against
+//! `bench/baseline.json`. The comparison
 //! logic lives here, in library code, so the gate itself is unit-tested —
 //! including the "a 2× slowdown must fail" property.
 //!
@@ -54,28 +54,21 @@ impl BenchResult {
     }
 }
 
-/// One committed baseline entry: the reference median, plus an optional
-/// per-bench tolerance override. Wall-clock-tail benches (network p99s)
-/// carry a wider tolerance than CPU-bound medians — one global knob would
-/// either flake on tails or miss real regressions on the stable benches.
+/// One committed baseline entry: the reference median of one bench.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BaselineEntry {
     /// The bench this entry gates.
     pub name: String,
     /// Its committed median.
     pub median_ns: f64,
-    /// Per-bench tolerance override (fractional, e.g. `3.0` = fail above
-    /// 4× baseline); `None` uses the gate-wide default.
-    pub tolerance: Option<f64>,
 }
 
 impl BaselineEntry {
-    /// An entry using the gate-wide default tolerance.
+    /// An entry for `name` with committed median `median_ns`.
     pub fn new(name: impl Into<String>, median_ns: f64) -> BaselineEntry {
         BaselineEntry {
             name: name.into(),
             median_ns,
-            tolerance: None,
         }
     }
 }
@@ -89,8 +82,6 @@ pub struct Regression {
     pub baseline_ns: f64,
     /// Its measured median.
     pub current_ns: f64,
-    /// The tolerance this bench was gated with.
-    pub tolerance: f64,
 }
 
 impl Regression {
@@ -120,28 +111,21 @@ impl GateOutcome {
 }
 
 /// Compares measured results against the committed baseline. A bench
-/// regresses when `current > baseline * (1 + tolerance)`, where the
-/// tolerance is the entry's own override or `default_tolerance`. Benches
-/// present only in the current run (newly added) are ignored; benches
-/// present only in the baseline are reported as `missing`.
-pub fn compare(
-    current: &[BenchResult],
-    baseline: &[BaselineEntry],
-    default_tolerance: f64,
-) -> GateOutcome {
+/// regresses when `current > baseline * (1 + tolerance)`. Benches present
+/// only in the current run (newly added) are ignored; benches present only
+/// in the baseline are reported as `missing`.
+pub fn compare(current: &[BenchResult], baseline: &[BaselineEntry], tolerance: f64) -> GateOutcome {
     let mut outcome = GateOutcome::default();
     for entry in baseline {
         match current.iter().find(|r| r.name == entry.name) {
             None => outcome.missing.push(entry.name.clone()),
             Some(r) => {
                 outcome.compared += 1;
-                let tolerance = entry.tolerance.unwrap_or(default_tolerance);
                 if r.median_ns > entry.median_ns * (1.0 + tolerance) {
                     outcome.regressions.push(Regression {
                         name: entry.name.clone(),
                         baseline_ns: entry.median_ns,
                         current_ns: r.median_ns,
-                        tolerance,
                     });
                 }
             }
@@ -172,15 +156,7 @@ pub fn to_json(results: &[BenchResult]) -> String {
 /// along in the artifact for trend tracking. Never parsed by the gate.
 pub fn to_json_with_metrics(results: &[BenchResult], metrics: &[(String, f64)]) -> String {
     let mut out = String::from("{\n  \"schema\": 2,\n  \"benches\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let sep = if i + 1 == results.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1} }}{sep}\n",
-            r.name,
-            r.median_ns,
-            r.throughput_per_sec()
-        ));
-    }
+    push_benches(&mut out, results);
     out.push_str("  ],\n  \"metrics\": {\n");
     for (i, (name, value)) in metrics.iter().enumerate() {
         let sep = if i + 1 == metrics.len() { "" } else { "," };
@@ -195,34 +171,32 @@ pub fn to_json_with_metrics(results: &[BenchResult], metrics: &[(String, f64)]) 
     out
 }
 
-/// Renders the committed baseline: like [`to_json`] but with a
-/// `"tolerance"` field on the entries whose name appears in `overrides`,
-/// and no metrics section (the baseline gates medians, nothing else).
-pub fn baseline_json(results: &[BenchResult], overrides: &[(&str, f64)]) -> String {
+/// Renders the committed baseline: like [`to_json`] but with no metrics
+/// section (the baseline gates medians, nothing else).
+pub fn baseline_json(results: &[BenchResult]) -> String {
     let mut out = String::from("{\n  \"schema\": 2,\n  \"benches\": [\n");
+    push_benches(&mut out, results);
+    out.push_str("  ]\n}\n");
+    out
+}
+
+/// Appends one line per result to the `"benches"` array.
+fn push_benches(out: &mut String, results: &[BenchResult]) {
     for (i, r) in results.iter().enumerate() {
         let sep = if i + 1 == results.len() { "" } else { "," };
-        let tol = overrides
-            .iter()
-            .find(|(name, _)| *name == r.name)
-            .map(|(_, t)| format!(", \"tolerance\": {t:.2}"))
-            .unwrap_or_default();
         out.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1}{tol} }}{sep}\n",
+            "    {{ \"name\": \"{}\", \"median_ns\": {:.1}, \"throughput_per_sec\": {:.1} }}{sep}\n",
             r.name,
             r.median_ns,
             r.throughput_per_sec()
         ));
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// Parses baseline entries back out of the artifact/baseline JSON.
 /// Deliberately a scanner, not a JSON parser: it accepts exactly the flat
 /// shape [`to_json`]/[`baseline_json`] write (and hand-edits of them),
-/// pairing each `"name"` with the next `"median_ns"` and an optional
-/// `"tolerance"` appearing before the following entry.
+/// pairing each `"name"` with the next `"median_ns"`.
 pub fn parse_baseline(json: &str) -> Result<Vec<BaselineEntry>, String> {
     fn number_after(rest: &str, key: &str, name: &str) -> Result<(f64, usize), String> {
         let at = rest
@@ -261,23 +235,7 @@ pub fn parse_baseline(json: &str) -> Result<Vec<BaselineEntry>, String> {
 
         let (median_ns, consumed) = number_after(rest, "\"median_ns\"", &name)?;
         rest = &rest[consumed..];
-
-        // An optional tolerance belongs to this entry only if it appears
-        // before the next entry's "name".
-        let entry_end = rest.find("\"name\"").unwrap_or(rest.len());
-        let tolerance = match rest[..entry_end].find("\"tolerance\"") {
-            Some(_) => {
-                let (t, consumed) = number_after(rest, "\"tolerance\"", &name)?;
-                rest = &rest[consumed..];
-                Some(t)
-            }
-            None => None,
-        };
-        entries.push(BaselineEntry {
-            name,
-            median_ns,
-            tolerance,
-        });
+        entries.push(BaselineEntry { name, median_ns });
     }
     if entries.is_empty() {
         return Err("no benches found in baseline JSON".to_string());
@@ -328,14 +286,14 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        let json = to_json(&results());
-        let parsed = parse_baseline(&json).unwrap();
+        let expected = vec![
+            BaselineEntry::new("a", 100.0),
+            BaselineEntry::new("b", 2000.0),
+        ];
+        assert_eq!(parse_baseline(&to_json(&results())).unwrap(), expected);
         assert_eq!(
-            parsed,
-            vec![
-                BaselineEntry::new("a", 100.0),
-                BaselineEntry::new("b", 2000.0)
-            ]
+            parse_baseline(&baseline_json(&results())).unwrap(),
+            expected
         );
     }
 
@@ -361,23 +319,6 @@ mod tests {
                 BaselineEntry::new("a", 100.0),
                 BaselineEntry::new("b", 2000.0)
             ]
-        );
-    }
-
-    /// `baseline_json` carries per-bench tolerance overrides through a
-    /// parse round trip; entries without an override stay `None`.
-    #[test]
-    fn tolerance_overrides_round_trip() {
-        let json = baseline_json(&results(), &[("b", 3.0)]);
-        let parsed = parse_baseline(&json).unwrap();
-        assert_eq!(parsed[0], BaselineEntry::new("a", 100.0));
-        assert_eq!(
-            parsed[1],
-            BaselineEntry {
-                name: "b".into(),
-                median_ns: 2000.0,
-                tolerance: Some(3.0),
-            }
         );
     }
 
@@ -411,43 +352,6 @@ mod tests {
         assert!(!outcome.pass());
         assert_eq!(outcome.regressions.len(), 2);
         assert!((outcome.regressions[0].ratio() - 2.0).abs() < 1e-9);
-    }
-
-    /// A per-bench tolerance override widens that bench's gate without
-    /// loosening the others: under a 3.0 override, a 2× slowdown passes a
-    /// tail bench while the same slowdown still fails a default bench —
-    /// and a slowdown past the override still fails.
-    #[test]
-    fn tolerance_override_gates_per_bench() {
-        let baseline = vec![
-            BaselineEntry::new("a", 100.0),
-            BaselineEntry {
-                name: "b".into(),
-                median_ns: 2_000.0,
-                tolerance: Some(3.0),
-            },
-        ];
-        let slowed: Vec<BenchResult> = results()
-            .into_iter()
-            .map(|mut r| {
-                r.median_ns *= 2.0;
-                r
-            })
-            .collect();
-        let outcome = compare(&slowed, &baseline, 0.25);
-        assert_eq!(outcome.regressions.len(), 1, "{outcome:?}");
-        assert_eq!(outcome.regressions[0].name, "a");
-
-        let way_slower: Vec<BenchResult> = results()
-            .into_iter()
-            .map(|mut r| {
-                r.median_ns *= 5.0;
-                r
-            })
-            .collect();
-        let outcome = compare(&way_slower, &baseline, 0.25);
-        assert_eq!(outcome.regressions.len(), 2, "5x must fail even the tail");
-        assert_eq!(outcome.regressions[1].tolerance, 3.0);
     }
 
     /// A run that no longer produces a tracked bench must not pass green.

@@ -1,4 +1,4 @@
-//! Seeded workload generators.
+//! Seeded relation generators.
 
 use hrdm_core::prelude::*;
 use rand::rngs::StdRng;
@@ -40,28 +40,6 @@ pub fn emp_scheme(era: i64) -> Scheme {
         .key_attr("K", ValueKind::Int, span.clone())
         .attr("V", HistoricalDomain::int(), span.clone())
         .attr("W", HistoricalDomain::int(), span)
-        .build()
-        .expect("bench scheme is well-formed")
-}
-
-/// A second, attribute-disjoint scheme for joins:
-/// `grp(G*: int, X: int)`.
-pub fn second_scheme(era: i64) -> Scheme {
-    let span = Lifespan::interval(0, era);
-    Scheme::builder()
-        .key_attr("G", ValueKind::Int, span.clone())
-        .attr("X", HistoricalDomain::int(), span)
-        .build()
-        .expect("bench scheme is well-formed")
-}
-
-/// A scheme with a time-valued attribute for dynamic TIME-SLICE / TIME-JOIN:
-/// `evt(E*: int, AT: time)`.
-pub fn tt_scheme(era: i64) -> Scheme {
-    let span = Lifespan::interval(0, era);
-    Scheme::builder()
-        .key_attr("E", ValueKind::Int, span.clone())
-        .attr("AT", HistoricalDomain::time(), span)
         .build()
         .expect("bench scheme is well-formed")
 }
@@ -144,60 +122,6 @@ pub fn gen_relation(spec: &WorkloadSpec) -> Relation {
     Relation::with_tuples(scheme, tuples).expect("keys distinct by construction")
 }
 
-/// Generates a relation on [`second_scheme`]; `overlap` in `[0, 1]` controls
-/// how much of each tuple's lifespan overlaps the first relation's era
-/// prefix (drives the E7 null-volume sweep).
-pub fn gen_second_relation(spec: &WorkloadSpec, overlap: f64) -> Relation {
-    let scheme = second_scheme(spec.era);
-    let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x05EC_017D);
-    let mut tuples = Vec::with_capacity(spec.tuples);
-    let shift = ((1.0 - overlap.clamp(0.0, 1.0)) * (spec.era as f64 / 2.0)) as i64;
-    for g in 0..spec.tuples {
-        let lo = shift + rng.random_range(0..=(spec.era / 4).max(1));
-        let hi = (lo + spec.era / 2).min(spec.era);
-        if lo > hi {
-            continue;
-        }
-        let life = Lifespan::interval(lo, hi);
-        let x = gen_history(&mut rng, &life, spec.changes);
-        let t = Tuple::builder(life)
-            .constant("G", g as i64)
-            .value("X", x)
-            .finish(&scheme)
-            .expect("generated tuple is valid");
-        tuples.push(t);
-    }
-    Relation::with_tuples(scheme, tuples).expect("keys distinct by construction")
-}
-
-/// Generates a relation on [`tt_scheme`] whose `AT` values point at random
-/// chronons within the era (for dynamic TIME-SLICE / TIME-JOIN).
-pub fn gen_tt_relation(spec: &WorkloadSpec) -> Relation {
-    let scheme = tt_scheme(spec.era);
-    let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x0077_AE11);
-    let mut tuples = Vec::with_capacity(spec.tuples);
-    for e in 0..spec.tuples {
-        let life = gen_lifespan(&mut rng, spec.era, spec.fragments);
-        if life.is_empty() {
-            continue;
-        }
-        // AT: per lifespan run, point at a random chronon of the era.
-        let segments: Vec<(Interval, Value)> = life
-            .intervals()
-            .iter()
-            .map(|run| (*run, Value::time(rng.random_range(0..=spec.era))))
-            .collect();
-        let at = TemporalValue::from_segments(segments).expect("runs are disjoint");
-        let t = Tuple::builder(life)
-            .constant("E", e as i64)
-            .value("AT", at)
-            .finish(&scheme)
-            .expect("generated tuple is valid");
-        tuples.push(t);
-    }
-    Relation::with_tuples(scheme, tuples).expect("keys distinct by construction")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,11 +130,6 @@ mod tests {
     fn generation_is_deterministic() {
         let spec = WorkloadSpec::default();
         assert_eq!(gen_relation(&spec), gen_relation(&spec));
-        assert_eq!(
-            gen_second_relation(&spec, 0.5),
-            gen_second_relation(&spec, 0.5)
-        );
-        assert_eq!(gen_tt_relation(&spec), gen_tt_relation(&spec));
     }
 
     #[test]
@@ -256,19 +175,5 @@ mod tests {
         for t in r.iter() {
             assert!(t.validate(r.scheme()).is_ok());
         }
-        let tt = gen_tt_relation(&WorkloadSpec::default());
-        for t in tt.iter() {
-            assert!(t.validate(tt.scheme()).is_ok());
-        }
-    }
-
-    #[test]
-    fn overlap_parameter_shifts_lifespans() {
-        let spec = WorkloadSpec::default();
-        let near = gen_second_relation(&spec, 1.0);
-        let far = gen_second_relation(&spec, 0.0);
-        let near_start = near.lifespan().first().unwrap().tick();
-        let far_start = far.lifespan().first().unwrap().tick();
-        assert!(far_start > near_start);
     }
 }

@@ -1,19 +1,18 @@
-//! # hrdm-bench — workload generation for the HRDM experiments
+//! # hrdm-bench — paper figures and measurement gates
 //!
-//! Deterministic, parameterized generators for the experiment matrix in
-//! `DESIGN.md` (E1–E12): historical relations with controllable size,
-//! change rate, lifespan fragmentation, and overlap. Every generator is
-//! seeded, so benches and EXPERIMENTS.md numbers are reproducible.
+//! The library behind three binaries: `figures` regenerates the paper's
+//! Figs. 1–12 from live model objects, `bench-json` is the CI
+//! bench-regression tripwire ([`gate`]), and `obs-overhead` bounds what
+//! metric emission costs a query. It also exports the seeded relation
+//! generator [`gen_relation`] that the index oracle tests draw from.
+//! End-to-end performance is measured by the separate `benchmark/`
+//! package, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gate;
 pub mod gen;
-pub mod net_fixture;
 pub mod partition_fixture;
 
-pub use gen::{
-    emp_scheme, gen_relation, gen_second_relation, gen_tt_relation, second_scheme, tt_scheme,
-    WorkloadSpec,
-};
+pub use gen::{gen_relation, WorkloadSpec};

@@ -1,7 +1,6 @@
-//! The shared workload fixture of the partitioning benches: one scheme,
-//! one tuple generator, one populate routine — used by both the criterion
-//! bench (`benches/partition.rs`) and the gated `bench-json` entries, so
-//! the two can never silently measure different datasets.
+//! The shared workload fixture of the partitioned `bench-json` entries and
+//! the `obs-overhead` gate: one scheme, one tuple generator, one populate
+//! routine, so the two can never silently measure different datasets.
 
 use hrdm_core::prelude::*;
 use hrdm_storage::{ConcurrentDatabase, Database, PartitionPolicy};
@@ -24,12 +23,7 @@ pub fn scheme() -> Scheme {
 /// A tuple whose birth is spread pseudo-uniformly over the era by
 /// multiplicative jitter, living for 50 chronons.
 pub fn tup(k: i64) -> Tuple {
-    tup_at(k, (k.wrapping_mul(10_487)).rem_euclid((1 << ERA_LOG2) - 64))
-}
-
-/// A tuple born at exactly `lo` — for workloads that must target one
-/// specific partition (e.g. dirtying all 64 deterministically).
-pub fn tup_at(k: i64, lo: i64) -> Tuple {
+    let lo = (k.wrapping_mul(10_487)).rem_euclid((1 << ERA_LOG2) - 64);
     let life = Lifespan::interval(lo, lo + 50);
     Tuple::builder(life.clone())
         .constant("K", k)

@@ -1,5 +1,6 @@
-//! The figure-regeneration binary must keep producing all eleven figures
-//! with their load-bearing content (EXPERIMENTS.md §1 depends on it).
+//! The figure-regeneration binary must keep producing all twelve figures
+//! with their load-bearing content: it is the reproduction of the paper's
+//! qualitative comparisons (Figs. 1–12, against `hrdm-baseline`).
 
 use std::process::Command;
 

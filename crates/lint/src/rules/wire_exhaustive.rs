@@ -1,18 +1,16 @@
 //! `wire-exhaustiveness`: the wire protocol must stay fully wired. A new
 //! `Frame` variant has to land in four places at once — the `kind()` tag
-//! map, the `encode_frame` match (or its `encode_frame_traced` primary
-//! since the trace-context revision), the `decode_frame` tag match
-//! (likewise `decode_frame_traced`), and the
-//! proptest strategy-coverage pin in the protocol test — or a 20th frame
+//! map, the `encode_frame_traced` match, the `decode_frame_traced` tag
+//! match, and the proptest strategy-coverage pin in the protocol test — or a 20th frame
 //! kind ships half-wired: encodable but not decodable, or invisible to
 //! the roundtrip fuzzer. The compiler catches some of these (exhaustive
 //! matches) but not the cross-file ones (decode tags, the strategy pin's
 //! `[false; N]` arity), so this rule checks the whole chain:
 //!
-//! 1. every `enum Frame` variant appears in `kind()`, `encode_frame`,
-//!    and the test's `kind_index`;
+//! 1. every `enum Frame` variant appears in `kind()`,
+//!    `encode_frame_traced`, and the test's `kind_index`;
 //! 2. the tag set produced by `kind()` equals the tag set matched by
-//!    `decode_frame`;
+//!    `decode_frame_traced`;
 //! 3. the coverage pin `[false; N]` equals the variant count.
 //!
 //! The rule is silent when the configured frame file does not exist
@@ -49,7 +47,6 @@ impl Rule for WireExhaustive {
         };
         *stats.entry(self.name()).or_insert(0) += 1;
         let mut out = Vec::new();
-        let masked = &frame.lexed.masked;
 
         let Some((variants, enum_line)) = parse_enum_variants(frame, "Frame") else {
             out.push(self.at(frame, 1, "could not locate `enum Frame`".into()));
@@ -63,22 +60,13 @@ impl Rule for WireExhaustive {
         let kind_variants: BTreeSet<&str> = kind_pairs.iter().map(|(v, _)| v.as_str()).collect();
         let kind_tags: BTreeSet<u8> = kind_pairs.iter().map(|&(_, t)| t).collect();
 
-        // encode_frame / decode_frame coverage. Since the trace-context
-        // protocol revision the match arms live in the `_traced`
-        // variants and the untraced names are thin wrappers that forward
-        // to them — scan both spellings and take the union.
-        let mut encode_variants = BTreeSet::new();
-        for name in ["encode_frame", "encode_frame_traced"] {
-            if let Some(body) = fn_body(frame, name) {
-                encode_variants.extend(frame_variant_mentions(body));
-            }
-        }
-        let mut decode_tags = BTreeSet::new();
-        for name in ["decode_frame", "decode_frame_traced"] {
-            if let Some(body) = fn_body(frame, name) {
-                decode_tags.extend(tag_match_arms(body));
-            }
-        }
+        // Encode and decode coverage.
+        let encode_variants = fn_body(frame, "encode_frame_traced")
+            .map(frame_variant_mentions)
+            .unwrap_or_default();
+        let decode_tags = fn_body(frame, "decode_frame_traced")
+            .map(tag_match_arms)
+            .unwrap_or_default();
 
         for v in &variants {
             if !kind_variants.contains(v.as_str()) {
@@ -92,7 +80,7 @@ impl Rule for WireExhaustive {
                 out.push(self.at(
                     frame,
                     enum_line,
-                    format!("Frame::{v} is not handled by `encode_frame`"),
+                    format!("Frame::{v} is not handled by `encode_frame_traced`"),
                 ));
             }
         }
@@ -101,7 +89,7 @@ impl Rule for WireExhaustive {
                 out.push(self.at(
                     frame,
                     enum_line,
-                    format!("tag {tag:#04x} (Frame::{v}) has no `decode_frame` arm"),
+                    format!("tag {tag:#04x} (Frame::{v}) has no `decode_frame_traced` arm"),
                 ));
             }
         }
@@ -109,10 +97,9 @@ impl Rule for WireExhaustive {
             out.push(self.at(
                 frame,
                 enum_line,
-                format!("`decode_frame` matches tag {tag:#04x} that `kind()` never emits"),
+                format!("`decode_frame_traced` matches tag {tag:#04x} that `kind()` never emits"),
             ));
         }
-        let _ = masked;
 
         // The cross-file leg: the proptest coverage pin.
         if let Some(cov) = files.iter().find(|f| f.rel == config.coverage_file) {

@@ -17,14 +17,14 @@ impl Frame {
     }
 }
 
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+pub fn encode_frame_traced(frame: &Frame) -> Vec<u8> {
     match frame {
         Frame::Hello { version } => vec![*version as u8],
         Frame::Query { text } => text.clone().into_bytes(),
     }
 }
 
-pub fn decode_frame(body: &[u8]) -> Frame {
+pub fn decode_frame_traced(body: &[u8]) -> Frame {
     match body[0] {
         0x01 => Frame::Hello { version: 0 },
         0x02 => Frame::Query {

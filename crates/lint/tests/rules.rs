@@ -98,13 +98,13 @@ fn wire_exhaustiveness_reports_every_missing_leg() {
     assert!(
         messages
             .iter()
-            .any(|m| m.contains("Drop") && m.contains("encode_frame")),
+            .any(|m| m.contains("Drop") && m.contains("encode_frame_traced")),
         "missing encode arm not reported: {messages:?}"
     );
     assert!(
         messages
             .iter()
-            .any(|m| m.contains("0x03") && m.contains("decode_frame")),
+            .any(|m| m.contains("0x03") && m.contains("decode_frame_traced")),
         "missing decode arm not reported: {messages:?}"
     );
     assert!(

@@ -9,8 +9,8 @@
 //! request from another thread.
 
 use crate::frame::{
-    assemble_relation, read_frame_traced, write_frame, write_frame_traced, Frame, FrameError,
-    ServerStats, WireError, WireEvent, WriteOp, PROTO_VERSION,
+    assemble_relation, read_frame_traced, write_frame_traced, Frame, FrameError, ServerStats,
+    WireError, WireEvent, WriteOp, PROTO_VERSION,
 };
 use hrdm_core::{Relation, Scheme, Tuple};
 use hrdm_obs::TraceContext;
@@ -338,7 +338,7 @@ impl Canceller {
     /// already completed ignores it.
     pub fn cancel(&mut self, request_id: u64) -> Result<(), NetError> {
         let _guard = self.write_lock.lock().expect("write lock");
-        write_frame(&mut self.stream, request_id, &Frame::Cancel)?;
+        write_frame_traced(&mut self.stream, request_id, 0, &Frame::Cancel)?;
         Ok(())
     }
 }

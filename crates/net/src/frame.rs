@@ -797,12 +797,6 @@ fn get_events(d: &mut Decoder<'_>) -> Result<Vec<WireEvent>, FrameError> {
     Ok(events)
 }
 
-/// Encodes one frame with a zero (absent) trace id — the form most
-/// tests and trace-less tools use. See [`encode_frame_traced`].
-pub fn encode_frame(request_id: u64, frame: &Frame) -> Vec<u8> {
-    encode_frame_traced(request_id, 0, frame)
-}
-
 /// Encodes one frame, header included, into a single buffer. Note that
 /// one `write_all` call does **not** make the write atomic against other
 /// threads on the same socket (it may split into several `write`s when
@@ -855,12 +849,6 @@ pub fn encode_frame_traced(request_id: u64, trace: u128, frame: &Frame) -> Vec<u
     out.extend_from_slice(&trace.to_be_bytes());
     out.extend_from_slice(&payload);
     out
-}
-
-/// Decodes one frame body, discarding its trace id — the form most
-/// tests use. See [`decode_frame_traced`].
-pub fn decode_frame(body: &[u8]) -> Result<(u64, Frame), FrameError> {
-    decode_frame_traced(body).map(|(req, _, frame)| (req, frame))
 }
 
 /// Decodes one frame *body* (the `len` prefix already consumed): version
@@ -968,12 +956,6 @@ fn decode_version(d: &mut Decoder<'_>) -> Result<u32, FrameError> {
     u32::try_from(v).map_err(|_| FrameError::Protocol(format!("protocol version {v} out of range")))
 }
 
-/// Writes one frame to `w` with a single `write_all`, with a zero
-/// trace id. See [`write_frame_traced`].
-pub fn write_frame(w: &mut impl Write, request_id: u64, frame: &Frame) -> io::Result<()> {
-    write_frame_traced(w, request_id, 0, frame)
-}
-
 /// Writes one frame carrying `trace` to `w` with a single `write_all`.
 pub fn write_frame_traced(
     w: &mut impl Write,
@@ -982,12 +964,6 @@ pub fn write_frame_traced(
     frame: &Frame,
 ) -> io::Result<()> {
     w.write_all(&encode_frame_traced(request_id, trace, frame))
-}
-
-/// Reads one frame from `r`, discarding its trace id. See
-/// [`read_frame_traced`].
-pub fn read_frame(r: &mut impl Read) -> Result<(u64, Frame), FrameError> {
-    read_frame_traced(r).map(|(req, _, frame)| (req, frame))
 }
 
 /// Reads one frame from `r`: the length prefix, then exactly that many
@@ -1066,8 +1042,8 @@ mod tests {
             ),
         ];
         for (req, frame) in frames {
-            let bytes = encode_frame(req, &frame);
-            let (got_req, got) = decode_frame(&bytes[4..]).unwrap();
+            let bytes = encode_frame_traced(req, 0, &frame);
+            let (got_req, _, got) = decode_frame_traced(&bytes[4..]).unwrap();
             assert_eq!(got_req, req);
             assert_eq!(got, frame);
         }
@@ -1078,9 +1054,9 @@ mod tests {
         let frame = Frame::PlanText {
             text: "Scan emp [SeqScan]".into(),
         };
-        let bytes = encode_frame(3, &frame);
+        let bytes = encode_frame_traced(3, 0, &frame);
         let mut cursor = std::io::Cursor::new(bytes);
-        let (req, got) = read_frame(&mut cursor).unwrap();
+        let (req, _, got) = read_frame_traced(&mut cursor).unwrap();
         assert_eq!(req, 3);
         assert_eq!(got, frame);
     }
@@ -1091,17 +1067,17 @@ mod tests {
         bytes.extend_from_slice(&[0u8; 16]);
         let mut cursor = std::io::Cursor::new(bytes);
         assert!(matches!(
-            read_frame(&mut cursor),
+            read_frame_traced(&mut cursor),
             Err(FrameError::Protocol(_))
         ));
     }
 
     #[test]
     fn wrong_wire_version_is_rejected() {
-        let mut bytes = encode_frame(1, &Frame::Stats);
+        let mut bytes = encode_frame_traced(1, 0, &Frame::Stats);
         bytes[4] = WIRE_VERSION + 1;
         assert!(matches!(
-            decode_frame(&bytes[4..]),
+            decode_frame_traced(&bytes[4..]),
             Err(FrameError::Protocol(m)) if m.contains("wire version")
         ));
     }

@@ -34,7 +34,8 @@
 //! to finish — a write mid-group-commit is drained, never torn.
 
 use crate::frame::{
-    write_frame, Frame, FrameError, ServerStats, WireError, WireEvent, WriteOp, PROTO_VERSION,
+    write_frame_traced, Frame, FrameError, ServerStats, WireError, WireEvent, WriteOp,
+    PROTO_VERSION,
 };
 use hrdm_obs::{
     recorder, Counter, EventKind, Gauge, Histogram, LatencyWindow, RateWindow, Registry, SlowEntry,
@@ -547,8 +548,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         if prev >= shared.config.max_connections as i64 {
             shared.counters.active.dec();
             let mut stream = stream;
-            let _ = write_frame(
+            let _ = write_frame_traced(
                 &mut stream,
+                0,
                 0,
                 &Frame::Error {
                     error: WireError::Unavailable(format!(

@@ -5,9 +5,8 @@
 
 use hrdm_core::prelude::*;
 use hrdm_net::{
-    decode_frame, decode_frame_traced, encode_frame, encode_frame_traced, read_frame, Frame,
-    FrameError, ServerStats, WireError, WireEvent, WriteOp, MAX_FRAME_BYTES, PROTO_VERSION,
-    WIRE_VERSION,
+    decode_frame_traced, encode_frame_traced, read_frame_traced, Frame, FrameError, ServerStats,
+    WireError, WireEvent, WriteOp, MAX_FRAME_BYTES, PROTO_VERSION, WIRE_VERSION,
 };
 use proptest::prelude::*;
 
@@ -230,15 +229,14 @@ proptest! {
     /// encode ≡ decode for every frame type and request id.
     #[test]
     fn every_frame_round_trips(req in any::<u64>(), frame in frame_strategy()) {
-        let bytes = encode_frame(req, &frame);
-        let (got_req, got) = decode_frame(&bytes[4..]).expect("round trip decodes");
+        let bytes = encode_frame_traced(req, 0, &frame);
+        let (got_req, _, got) = decode_frame_traced(&bytes[4..]).expect("round trip decodes");
         prop_assert_eq!(got_req, req);
         prop_assert_eq!(got, frame);
     }
 
     /// The trace id in the frame header round-trips for every frame
-    /// type, and the untraced decoder reads the same frame (ignoring
-    /// the trace) — the wrappers and the traced path cannot drift.
+    /// type.
     #[test]
     fn trace_ids_round_trip(
         req in any::<u64>(),
@@ -250,10 +248,7 @@ proptest! {
             decode_frame_traced(&bytes[4..]).expect("traced round trip decodes");
         prop_assert_eq!(got_req, req);
         prop_assert_eq!(got_trace, trace);
-        prop_assert_eq!(&got, &frame);
-        let (untraced_req, untraced) = decode_frame(&bytes[4..]).expect("untraced decodes");
-        prop_assert_eq!(untraced_req, req);
-        prop_assert_eq!(untraced, frame);
+        prop_assert_eq!(got, frame);
     }
 
     /// The stream reader agrees with the in-memory decoder, including on
@@ -262,11 +257,11 @@ proptest! {
     fn streamed_frames_round_trip(frames in prop::collection::vec(frame_strategy(), 1..4)) {
         let mut bytes = Vec::new();
         for (i, f) in frames.iter().enumerate() {
-            bytes.extend_from_slice(&encode_frame(i as u64, f));
+            bytes.extend_from_slice(&encode_frame_traced(i as u64, 0, f));
         }
         let mut cursor = std::io::Cursor::new(bytes);
         for (i, f) in frames.iter().enumerate() {
-            let (req, got) = read_frame(&mut cursor).expect("stream decodes");
+            let (req, _, got) = read_frame_traced(&mut cursor).expect("stream decodes");
             prop_assert_eq!(req, i as u64);
             prop_assert_eq!(&got, f);
         }
@@ -276,11 +271,11 @@ proptest! {
     /// never a bogus success.
     #[test]
     fn truncations_are_errors(frame in frame_strategy()) {
-        let bytes = encode_frame(7, &frame);
+        let bytes = encode_frame_traced(7, 0, &frame);
         for cut in 0..bytes.len() {
             let mut cursor = std::io::Cursor::new(&bytes[..cut]);
             prop_assert!(
-                read_frame(&mut cursor).is_err(),
+                read_frame_traced(&mut cursor).is_err(),
                 "cut at {} of {} decoded successfully", cut, bytes.len()
             );
         }
@@ -294,7 +289,7 @@ proptest! {
         let mut bytes = (body.len() as u32).to_be_bytes().to_vec();
         bytes.extend_from_slice(&body);
         let mut cursor = std::io::Cursor::new(bytes);
-        match read_frame(&mut cursor) {
+        match read_frame_traced(&mut cursor) {
             // A random body that happens to decode must at least carry a
             // valid version byte and kind tag.
             Ok(_) => {
@@ -308,10 +303,10 @@ proptest! {
     /// Flipping the version byte of any valid frame is a protocol error.
     #[test]
     fn version_flips_are_rejected(frame in frame_strategy(), flip in 1u8..255) {
-        let mut bytes = encode_frame(1, &frame);
+        let mut bytes = encode_frame_traced(1, 0, &frame);
         bytes[4] = bytes[4].wrapping_add(flip);
         prop_assert!(matches!(
-            decode_frame(&bytes[4..]),
+            decode_frame_traced(&bytes[4..]),
             Err(FrameError::Protocol(_))
         ));
     }
@@ -376,7 +371,7 @@ fn oversized_length_declaration_is_a_protocol_error() {
     let mut bytes = (MAX_FRAME_BYTES + 1).to_be_bytes().to_vec();
     bytes.extend_from_slice(&[0u8; 32]);
     let mut cursor = std::io::Cursor::new(bytes);
-    match read_frame(&mut cursor) {
+    match read_frame_traced(&mut cursor) {
         Err(FrameError::Protocol(m)) => assert!(m.contains("cap"), "{m}"),
         other => panic!("expected protocol error, got {other:?}"),
     }
@@ -389,7 +384,7 @@ fn undersized_length_declaration_is_a_protocol_error() {
     bytes.extend_from_slice(&[WIRE_VERSION, 0x06, 0, 0]);
     let mut cursor = std::io::Cursor::new(bytes);
     assert!(matches!(
-        read_frame(&mut cursor),
+        read_frame_traced(&mut cursor),
         Err(FrameError::Protocol(_))
     ));
 }
@@ -397,17 +392,17 @@ fn undersized_length_declaration_is_a_protocol_error() {
 /// Unknown kind tags and trailing payload bytes are protocol errors.
 #[test]
 fn unknown_kind_and_trailing_bytes_are_protocol_errors() {
-    let mut bytes = encode_frame(1, &Frame::Stats);
+    let mut bytes = encode_frame_traced(1, 0, &Frame::Stats);
     bytes[5] = 0x7f; // no such kind
     assert!(matches!(
-        decode_frame(&bytes[4..]),
+        decode_frame_traced(&bytes[4..]),
         Err(FrameError::Protocol(m)) if m.contains("kind")
     ));
 
-    let mut bytes = encode_frame(1, &Frame::Stats).split_off(4);
+    let mut bytes = encode_frame_traced(1, 0, &Frame::Stats).split_off(4);
     bytes.push(0xee); // trailing garbage inside the declared length
     assert!(matches!(
-        decode_frame(&bytes),
+        decode_frame_traced(&bytes),
         Err(FrameError::Protocol(m)) if m.contains("trailing")
     ));
 }

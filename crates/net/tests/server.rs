@@ -13,8 +13,8 @@
 
 use hrdm_core::prelude::*;
 use hrdm_net::{
-    encode_frame, read_frame, write_frame, Client, Frame, NetError, Server, ServerConfig,
-    WireError, PROTO_VERSION,
+    encode_frame_traced, read_frame_traced, write_frame_traced, Client, Frame, NetError, Server,
+    ServerConfig, WireError, PROTO_VERSION,
 };
 use hrdm_query::QueryResult;
 use hrdm_storage::{ConcurrentDatabase, PartitionPolicy};
@@ -237,15 +237,16 @@ fn killed_client_leaks_no_session_slot() {
     // prefix promising more bytes than ever arrive, then drop.
     {
         let mut raw = TcpStream::connect(server.addr()).unwrap();
-        raw.write_all(&encode_frame(
+        raw.write_all(&encode_frame_traced(
             1,
+            0,
             &Frame::Hello {
                 version: PROTO_VERSION,
                 client: "doomed".into(),
             },
         ))
         .unwrap();
-        let (_, ack) = read_frame(&mut raw).unwrap();
+        let (_, _, ack) = read_frame_traced(&mut raw).unwrap();
         assert!(matches!(ack, Frame::HelloAck { .. }));
         raw.write_all(&500u32.to_be_bytes()).unwrap();
         raw.write_all(&[1, 2, 3]).unwrap();
@@ -363,16 +364,18 @@ fn result_caps_are_enforced() {
 fn cross_version_hello_fails_cleanly() {
     let (server, _db) = spawn_server(ServerConfig::default());
     let mut raw = TcpStream::connect(server.addr()).unwrap();
-    raw.write_all(&encode_frame(
+    raw.write_all(&encode_frame_traced(
         1,
+        0,
         &Frame::Hello {
             version: PROTO_VERSION + 1,
             client: "from-the-future".into(),
         },
     ))
     .unwrap();
-    match read_frame(&mut raw) {
+    match read_frame_traced(&mut raw) {
         Ok((
+            _,
             _,
             Frame::Error {
                 error: WireError::Protocol(m),
@@ -383,7 +386,7 @@ fn cross_version_hello_fails_cleanly() {
         other => panic!("expected a protocol error frame, got {other:?}"),
     }
     // The server hung up: the next read is EOF, not a hang.
-    assert!(read_frame(&mut raw).is_err());
+    assert!(read_frame_traced(&mut raw).is_err());
     server.shutdown();
 }
 
@@ -392,9 +395,10 @@ fn cross_version_hello_fails_cleanly() {
 fn non_hello_opener_is_refused() {
     let (server, _db) = spawn_server(ServerConfig::default());
     let mut raw = TcpStream::connect(server.addr()).unwrap();
-    write_frame(&mut raw, 1, &Frame::Stats).unwrap();
-    match read_frame(&mut raw) {
+    write_frame_traced(&mut raw, 1, 0, &Frame::Stats).unwrap();
+    match read_frame_traced(&mut raw) {
         Ok((
+            _,
             _,
             Frame::Error {
                 error: WireError::Protocol(m),
@@ -607,24 +611,25 @@ fn cancel_aborts_a_100k_scan_mid_stream() {
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     raw.set_nodelay(true).ok();
     raw.set_read_timeout(Some(Duration::from_secs(30))).ok();
-    write_frame(
+    write_frame_traced(
         &mut raw,
         1,
+        0,
         &Frame::Hello {
             version: PROTO_VERSION,
             client: "cancel-acceptance".into(),
         },
     )
     .unwrap();
-    match read_frame(&mut raw).unwrap() {
-        (1, Frame::HelloAck { .. }) => {}
+    match read_frame_traced(&mut raw).unwrap() {
+        (1, _, Frame::HelloAck { .. }) => {}
         other => panic!("expected HelloAck, got {other:?}"),
     }
 
-    write_frame(&mut raw, 2, &Frame::Query { text: "r".into() }).unwrap();
+    write_frame_traced(&mut raw, 2, 0, &Frame::Query { text: "r".into() }).unwrap();
     // The live executor streams before it knows the total: header first.
-    match read_frame(&mut raw).unwrap() {
-        (2, Frame::RelationHeader { rows, .. }) => {
+    match read_frame_traced(&mut raw).unwrap() {
+        (2, _, Frame::RelationHeader { rows, .. }) => {
             assert_eq!(rows, 0, "streaming headers must not pre-announce totals");
         }
         other => panic!("expected RelationHeader, got {other:?}"),
@@ -632,24 +637,25 @@ fn cancel_aborts_a_100k_scan_mid_stream() {
     // One chunk proves the scan is running; then cancel immediately, with
     // ~99.9% of the scan still ahead of the server.
     let mut received = 0usize;
-    match read_frame(&mut raw).unwrap() {
-        (2, Frame::RowChunk { tuples }) => received += tuples.len(),
+    match read_frame_traced(&mut raw).unwrap() {
+        (2, _, Frame::RowChunk { tuples }) => received += tuples.len(),
         other => panic!("expected RowChunk, got {other:?}"),
     }
-    write_frame(&mut raw, 2, &Frame::Cancel).unwrap();
+    write_frame_traced(&mut raw, 2, 0, &Frame::Cancel).unwrap();
 
     // Drain: buffered chunks may still arrive, then the executor's probe
     // fires at a batch boundary and the stream ends in `Cancelled`.
     loop {
-        match read_frame(&mut raw).unwrap() {
-            (2, Frame::RowChunk { tuples }) => received += tuples.len(),
+        match read_frame_traced(&mut raw).unwrap() {
+            (2, _, Frame::RowChunk { tuples }) => received += tuples.len(),
             (
                 2,
+                _,
                 Frame::Error {
                     error: WireError::Cancelled,
                 },
             ) => break,
-            (2, Frame::Done { .. }) => panic!("scan ran to completion despite the cancel"),
+            (2, _, Frame::Done { .. }) => panic!("scan ran to completion despite the cancel"),
             other => panic!("expected RowChunk/Cancelled, got {other:?}"),
         }
     }
@@ -659,16 +665,17 @@ fn cancel_aborts_a_100k_scan_mid_stream() {
     );
 
     // The session survives for the next request on the same socket.
-    write_frame(
+    write_frame_traced(
         &mut raw,
         3,
+        0,
         &Frame::Query {
             text: "WHEN (r)".into(),
         },
     )
     .unwrap();
-    match read_frame(&mut raw).unwrap() {
-        (3, Frame::LifespanResult { lifespan }) => assert!(!lifespan.is_empty()),
+    match read_frame_traced(&mut raw).unwrap() {
+        (3, _, Frame::LifespanResult { lifespan }) => assert!(!lifespan.is_empty()),
         other => panic!("expected LifespanResult, got {other:?}"),
     }
 

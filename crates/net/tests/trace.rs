@@ -133,16 +133,17 @@ fn mixed_proto_version_is_refused_at_hello() {
     let server = traced_server();
     let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
 
-    hrdm_net::write_frame(
+    hrdm_net::write_frame_traced(
         &mut stream,
         1,
+        0,
         &Frame::Hello {
             version: PROTO_VERSION - 1,
             client: "old-peer".to_string(),
         },
     )
     .unwrap();
-    let (_, frame) = hrdm_net::read_frame(&mut stream).unwrap();
+    let (_, _, frame) = hrdm_net::read_frame_traced(&mut stream).unwrap();
     match frame {
         Frame::Error { error } => {
             let msg = error.to_string();
@@ -152,7 +153,7 @@ fn mixed_proto_version_is_refused_at_hello() {
         other => panic!("expected a refusal, got {other:?}"),
     }
     // The session is closed: the next read hits EOF.
-    assert!(hrdm_net::read_frame(&mut stream).is_err());
+    assert!(hrdm_net::read_frame_traced(&mut stream).is_err());
 
     server.shutdown();
 }
@@ -172,14 +173,14 @@ fn old_wire_version_frames_are_refused() {
     raw.extend_from_slice(&body);
     std::io::Write::write_all(&mut stream, &raw).unwrap();
 
-    let (_, frame) = hrdm_net::read_frame(&mut stream).unwrap();
+    let (_, _, frame) = hrdm_net::read_frame_traced(&mut stream).unwrap();
     match frame {
         Frame::Error { error } => {
             assert!(error.to_string().contains("wire version"), "{error}");
         }
         other => panic!("expected a wire-version refusal, got {other:?}"),
     }
-    assert!(hrdm_net::read_frame(&mut stream).is_err());
+    assert!(hrdm_net::read_frame_traced(&mut stream).is_err());
 
     server.shutdown();
 }

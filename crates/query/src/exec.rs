@@ -30,7 +30,7 @@
 //!   τ@A) never hold more than one batch: each input tuple maps to at
 //!   most one output tuple independently of every other tuple.
 //! * **Build/probe** — joins, products and the six set operators are one
-//!   executor ([`BinaryExec`]). `open()` drains the *build* input once
+//!   executor (`BinaryExec`). `open()` drains the *build* input once
 //!   (cancellable per batch) into the table the operator needs — a tuple
 //!   hash for `∪ ∩ −`, a key table for `⋈ ∪ₒ ∩ₒ −ₒ`, a lifespan index for
 //!   TIME-JOIN, plain rows for θ-JOIN and `×` — or borrows a bare indexed
