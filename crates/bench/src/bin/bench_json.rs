@@ -74,6 +74,7 @@ const GATED: &[&str] = &[
     "when_scan_50k",
     "count_slice_50k",
     "union_slices_50k",
+    "decode_hist_50k",
     "checkpoint_dirty_partitions",
     // Buffer-pool read path: CPU-bound (hits) and OS-page-cache-bound
     // (misses) — no fsync in either loop.
@@ -281,6 +282,35 @@ fn run_tracked() -> Vec<BenchResult> {
                 while let Some(batch) = s.next_batch().unwrap() {
                     std::hint::black_box(batch);
                 }
+            }),
+        );
+    }
+
+    // Decoding stored tuples against their scheme, one record at a time —
+    // what `Database::open`, WAL recovery and a paged materialization do —
+    // over 50k tuples of the benchmark's `hist` shape. Tracks the tuple
+    // representation: every decoded tuple is allocated and kept.
+    {
+        use hrdm_bench::gen::{hist_scheme, hist_tuples};
+        use hrdm_storage::{Decoder, Encoder};
+        let era = 1 << 20;
+        let scheme = hist_scheme(era);
+        let records: Vec<Vec<u8>> = hist_tuples(50_000, era, 7)
+            .iter()
+            .map(|t| {
+                let mut e = Encoder::new();
+                e.put_tuple(t);
+                e.finish()
+            })
+            .collect();
+        track(
+            "decode_hist_50k",
+            measure_median_ns(SAMPLES, sample_time(), || {
+                let decoded: Vec<Tuple> = records
+                    .iter()
+                    .map(|r| Decoder::new(r).get_tuple_in(&scheme).unwrap())
+                    .collect();
+                std::hint::black_box(decoded);
             }),
         );
     }

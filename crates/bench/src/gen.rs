@@ -122,6 +122,61 @@ pub fn gen_relation(spec: &WorkloadSpec) -> Relation {
     Relation::with_tuples(scheme, tuples).expect("keys distinct by construction")
 }
 
+/// The benchmark's `hist(K*: Int, V: Int, W: Time)` scheme over `[0, era]`.
+pub fn hist_scheme(era: i64) -> Scheme {
+    let span = Lifespan::interval(0, era);
+    Scheme::builder()
+        .key_attr("K", ValueKind::Int, span.clone())
+        .attr("V", HistoricalDomain::int(), span.clone())
+        .attr("W", HistoricalDomain::time(), span)
+        .build()
+        .expect("hist scheme is well-formed")
+}
+
+/// `n` tuples on [`hist_scheme`] shaped like the benchmark's `hist` data:
+/// a lifespan of one run of 60–300 chronons or, one tuple in five, three
+/// runs of 40–160 chronons 200 apart; `V` takes five values over it (two,
+/// two and one per run when reincarnated) and `W` holds the chronon each
+/// became current. Needs `era > 1_000`.
+pub fn hist_tuples(n: usize, era: i64, seed: u64) -> Vec<Tuple> {
+    let scheme = hist_scheme(era);
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n as i64)
+        .map(|k| {
+            let mut lo = rng.random_range(0..era - 1_000);
+            let runs: Vec<(i64, i64)> = if rng.random_range(0..5u32) == 0 {
+                (0..3)
+                    .map(|_| {
+                        let run = (lo, lo + rng.random_range(40..=160i64));
+                        lo = run.1 + 201;
+                        run
+                    })
+                    .collect()
+            } else {
+                vec![(lo, lo + rng.random_range(60..=300i64))]
+            };
+            let pieces: &[i64] = if runs.len() == 1 { &[5] } else { &[2, 2, 1] };
+            let (mut v, mut w) = (Vec::new(), Vec::new());
+            for (&(lo, hi), &p) in runs.iter().zip(pieces) {
+                for i in 0..p {
+                    let (a, b) = (
+                        lo + (hi - lo + 1) * i / p,
+                        lo + (hi - lo + 1) * (i + 1) / p - 1,
+                    );
+                    v.push((a, b, Value::Int(rng.random_range(0..1_000i64))));
+                    w.push((a, b, Value::time(a)));
+                }
+            }
+            Tuple::builder(Lifespan::of(&runs))
+                .constant("K", k)
+                .value("V", TemporalValue::of(&v))
+                .value("W", TemporalValue::of(&w))
+                .finish(&scheme)
+                .expect("generated hist tuple is valid")
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,6 +221,21 @@ mod tests {
             ..Default::default()
         });
         assert!(frag.iter().any(|t| t.lifespan().interval_count() > 1));
+    }
+
+    #[test]
+    fn hist_tuples_have_the_benchmark_shape() {
+        let tuples = hist_tuples(500, 1 << 20, 7);
+        let scheme = hist_scheme(1 << 20);
+        let r = Relation::with_tuples(scheme, tuples).unwrap();
+        let runs: Vec<usize> = r.iter().map(|t| t.lifespan().interval_count()).collect();
+        assert!(runs.iter().all(|&n| n == 1 || n == 3));
+        assert!(runs.contains(&3) && runs.contains(&1));
+        // W's values (the chronons they start at) never repeat, so no two
+        // of its five segments merge.
+        assert!(r
+            .iter()
+            .all(|t| t.value(&"W".into()).unwrap().segment_count() == 5));
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::attribute::Attribute;
 use crate::errors::{HrdmError, Result};
 use crate::relation::Relation;
 use crate::temporal::TemporalValue;
+use crate::tuple::{Concat, Tuple};
 use hrdm_time::Lifespan;
 
 /// `r1 JOIN r2 [A θ B]` (paper §4.6): attribute sets must be disjoint; each
@@ -38,9 +39,10 @@ pub fn theta_join(
     }
     let scheme = r1.scheme().disjoint_concat(r2.scheme())?;
     let mut out = Vec::new();
+    let concat = Concat::new();
     for t1 in r1.iter() {
         for t2 in r2.iter() {
-            if let Some(joined) = theta_join_pair(t1, t2, a, op, b)? {
+            if let Some(joined) = theta_join_pair(t1, t2, a, op, b, &concat)? {
                 out.push(joined);
             }
         }
@@ -51,19 +53,21 @@ pub fn theta_join(
 /// Joins one `(t1, t2)` pair as θ-JOIN does: the result exists on the
 /// times `t1(A) θ t2(B)` holds and is `None` when that lifespan is empty.
 /// The exact per-pair semantics of [`theta_join`], shared with the
-/// streaming executor's build/probe join.
+/// streaming executor's build/probe join. Every pair of one operator goes
+/// through its one `concat`, which derives the output layout once.
 pub fn theta_join_pair(
-    t1: &crate::Tuple,
-    t2: &crate::Tuple,
+    t1: &Tuple,
+    t2: &Tuple,
     a: &Attribute,
     op: Comparator,
     b: &Attribute,
-) -> Result<Option<crate::Tuple>> {
+    concat: &Concat,
+) -> Result<Option<Tuple>> {
     let empty = TemporalValue::empty();
     let f = t1.value(a).unwrap_or(&empty);
     let g = t2.value(b).unwrap_or(&empty);
     let l = f.when_compare(g, |ord| op.test(ord))?;
-    Ok((!l.is_empty()).then(|| t1.concat_restricted(t2, l)))
+    Ok((!l.is_empty()).then(|| concat.restricted(t1, t2, l)))
 }
 
 /// `r1 [A = B] r2` — "just a special case of the general θ-JOIN" (paper
@@ -87,9 +91,10 @@ pub fn natural_join(r1: &Relation, r2: &Relation) -> Result<Relation> {
         .collect();
     let scheme = r1.scheme().natural_concat(r2.scheme())?;
     let mut out = Vec::new();
+    let concat = Concat::new();
     for t1 in r1.iter() {
         for t2 in r2.iter() {
-            if let Some(joined) = natural_join_pair(t1, t2, &common)? {
+            if let Some(joined) = natural_join_pair(t1, t2, &common, &concat)? {
                 out.push(joined);
             }
         }
@@ -105,10 +110,11 @@ pub fn natural_join(r1: &Relation, r2: &Relation) -> Result<Relation> {
 /// the streaming executor's build/probe join (probing a key table or
 /// index for candidate partners instead of scanning) reuses it unchanged.
 pub fn natural_join_pair(
-    t1: &crate::Tuple,
-    t2: &crate::Tuple,
+    t1: &Tuple,
+    t2: &Tuple,
     common: &[Attribute],
-) -> Result<Option<crate::Tuple>> {
+    concat: &Concat,
+) -> Result<Option<Tuple>> {
     let empty = TemporalValue::empty();
     let mut l = t1.lifespan().intersect(t2.lifespan());
     for attr in common {
@@ -122,7 +128,7 @@ pub fn natural_join_pair(
     if l.is_empty() {
         Ok(None)
     } else {
-        Ok(Some(t1.concat_restricted(t2, l)))
+        Ok(Some(concat.restricted(t1, t2, l)))
     }
 }
 
@@ -141,6 +147,7 @@ pub fn time_join(r1: &Relation, r2: &Relation, a: &Attribute) -> Result<Relation
     }
     let scheme = r1.scheme().disjoint_concat(r2.scheme())?;
     let mut out = Vec::new();
+    let concat = Concat::new();
     for t1 in r1.iter() {
         let image = match t1.value(a) {
             Some(tv) => tv.image_lifespan()?,
@@ -150,7 +157,7 @@ pub fn time_join(r1: &Relation, r2: &Relation, a: &Attribute) -> Result<Relation
             continue;
         }
         for t2 in r2.iter() {
-            if let Some(joined) = time_join_pair(t1, t2, &image) {
+            if let Some(joined) = time_join_pair(t1, t2, &image, &concat) {
                 out.push(joined);
             }
         }
@@ -165,16 +172,12 @@ pub fn time_join(r1: &Relation, r2: &Relation, a: &Attribute) -> Result<Relation
 /// The exact per-pair semantics of [`time_join`], exposed so the streaming
 /// executor's build/probe join (probing a lifespan index with
 /// `t1.l ∩ image` for candidate partners) reuses it unchanged.
-pub fn time_join_pair(
-    t1: &crate::Tuple,
-    t2: &crate::Tuple,
-    image: &Lifespan,
-) -> Option<crate::Tuple> {
+pub fn time_join_pair(t1: &Tuple, t2: &Tuple, image: &Lifespan, concat: &Concat) -> Option<Tuple> {
     let l = t1.lifespan().intersect(t2.lifespan()).intersect(image);
     if l.is_empty() {
         None
     } else {
-        Some(t1.concat_restricted(t2, l))
+        Some(concat.restricted(t1, t2, l))
     }
 }
 
@@ -201,6 +204,7 @@ pub fn theta_join_union(
     let scheme = r1.scheme().disjoint_concat(r2.scheme())?;
     let empty = TemporalValue::empty();
     let mut out = Vec::new();
+    let concat = Concat::new();
     for t1 in r1.iter() {
         let f = t1.value(a).unwrap_or(&empty);
         for t2 in r2.iter() {
@@ -208,7 +212,7 @@ pub fn theta_join_union(
             let holds_somewhere = !f.when_compare(g, |ord| op.test(ord))?.is_empty();
             if holds_somewhere {
                 let l = t1.lifespan().union(t2.lifespan());
-                out.push(t1.concat_unrestricted(t2, l));
+                out.push(concat.unrestricted(t1, t2, l));
             }
         }
     }

@@ -9,7 +9,7 @@
 
 use crate::errors::Result;
 use crate::relation::Relation;
-use crate::tuple::Tuple;
+use crate::tuple::{Concat, Tuple};
 
 /// `r1 × r2` (paper §4.1/§5): schemes must have disjoint attribute sets; each
 /// result tuple pairs `t1` and `t2` with lifespan `t1.l ∪ t2.l` and each
@@ -18,9 +18,10 @@ use crate::tuple::Tuple;
 pub fn cartesian_product(r1: &Relation, r2: &Relation) -> Result<Relation> {
     let scheme = r1.scheme().disjoint_concat(r2.scheme())?;
     let mut out = Vec::with_capacity(r1.len() * r2.len());
+    let concat = Concat::new();
     for t1 in r1.iter() {
         for t2 in r2.iter() {
-            out.push(product_pair(t1, t2));
+            out.push(product_pair(t1, t2, &concat));
         }
     }
     Ok(Relation::from_parts_unchecked(scheme, out))
@@ -28,9 +29,10 @@ pub fn cartesian_product(r1: &Relation, r2: &Relation) -> Result<Relation> {
 
 /// The product of one `(t1, t2)` pair: lifespan `t1.l ∪ t2.l`, each value
 /// on its own span. The per-pair semantics of [`cartesian_product`], shared
-/// with the streaming executor.
-pub fn product_pair(t1: &Tuple, t2: &Tuple) -> Tuple {
-    t1.concat_unrestricted(t2, t1.lifespan().union(t2.lifespan()))
+/// with the streaming executor; `concat` is the operator's one
+/// concatenation, which derives the output layout once.
+pub fn product_pair(t1: &Tuple, t2: &Tuple, concat: &Concat) -> Tuple {
+    concat.unrestricted(t1, t2, t1.lifespan().union(t2.lifespan()))
 }
 
 /// The total number of "null" chronons in a relation: for every tuple and

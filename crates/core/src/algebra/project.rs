@@ -3,6 +3,7 @@
 use crate::attribute::Attribute;
 use crate::errors::Result;
 use crate::relation::Relation;
+use crate::tuple::Projection;
 
 /// `π_X(r)` — "removes from r all but a specified set of attributes … It
 /// does not change the values of any of the remaining attributes, or the
@@ -13,9 +14,10 @@ use crate::relation::Relation;
 /// attribute survives the projection.
 pub fn project(r: &Relation, x: &[Attribute]) -> Result<Relation> {
     let scheme = r.scheme().project(x)?;
+    let projection = Projection::new(x);
     Ok(Relation::from_parts_unchecked(
         scheme,
-        r.iter().map(|t| t.project(x)),
+        r.iter().map(|t| projection.apply(t)),
     ))
 }
 

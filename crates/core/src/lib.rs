@@ -55,6 +55,7 @@ pub mod consistency;
 pub mod constraints;
 mod domain;
 mod errors;
+mod layout;
 mod pvec;
 mod relation;
 mod scheme;
@@ -66,11 +67,12 @@ pub use algebra::predicate;
 pub use attribute::Attribute;
 pub use domain::{HistoricalDomain, ValueKind};
 pub use errors::{HrdmError, Result};
+pub use layout::Layout;
 pub use pvec::PVec;
 pub use relation::Relation;
 pub use scheme::{AttributeDef, Scheme, SchemeBuilder};
 pub use temporal::TemporalValue;
-pub use tuple::{Tuple, TupleBuilder};
+pub use tuple::{Concat, Projection, Tuple, TupleBuilder};
 pub use value::{OrderedF64, Value};
 
 /// One-stop imports for examples and downstream code.

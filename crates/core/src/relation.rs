@@ -168,29 +168,23 @@ impl Relation {
         tuple.validate(&self.scheme)?;
         if self.scheme.key().is_empty() {
             if !self.contains_tuple(&tuple) {
-                self.tuples.push(tuple);
+                self.push_unchecked(tuple);
             }
             return Ok(());
         }
         let key = tuple.key_values(&self.scheme)?;
-        for existing in self.tuples.iter() {
-            let existing_key = existing
-                .key_values(&self.scheme)
-                // lint: no-panic-ok(every stored tuple passed the same key_values check on insert)
-                .expect("stored tuples have key values");
-            if existing_key == key {
-                return Err(HrdmError::KeyViolation {
-                    key: format!(
-                        "({})",
-                        key.iter()
-                            .map(|v| v.to_string())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ),
-                });
-            }
+        if self.find_by_key(&key).is_some() {
+            return Err(HrdmError::KeyViolation {
+                key: format!(
+                    "({})",
+                    key.iter()
+                        .map(|v| v.to_string())
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                ),
+            });
         }
-        self.tuples.push(tuple);
+        self.push_unchecked(tuple);
         Ok(())
     }
 
@@ -209,8 +203,11 @@ impl Relation {
     /// checked sibling of [`Relation::insert`], in the same spirit as
     /// [`Relation::from_parts_unchecked`]. Inserting an invalid or
     /// key-duplicate tuple through this door breaks the relation invariant.
+    ///
+    /// Either way in, a tuple naming the scheme's attributes is stored on
+    /// the scheme's one [`Scheme::layout`].
     pub fn push_unchecked(&mut self, tuple: Tuple) {
-        self.tuples.push(tuple);
+        self.tuples.push(tuple.in_layout(self.scheme.layout()));
     }
 
     /// `LS(r)` — the lifespan of the relation: "just
@@ -221,11 +218,10 @@ impl Relation {
         Lifespan::union_all(self.tuples.iter().map(Tuple::lifespan))
     }
 
-    /// Finds the tuple with the given (constant) key value, if any.
+    /// Finds the tuple with the given (constant) key value, if any. Key
+    /// values are compared in place, tuple by tuple.
     pub fn find_by_key(&self, key: &[Value]) -> Option<&Tuple> {
-        self.tuples
-            .iter()
-            .find(|t| matches!(t.key_values(&self.scheme), Ok(k) if k == key))
+        self.tuples.iter().find(|t| t.has_key(key, &self.scheme))
     }
 
     /// Does the relation contain an identical tuple?
@@ -243,8 +239,7 @@ impl Relation {
             .iter()
             .filter(|t| t.lifespan().contains(s))
             .map(|t| {
-                t.values()
-                    .iter()
+                t.entries()
                     .filter_map(|(a, tv)| tv.at(s).map(|v| (a.clone(), v.clone())))
                     .collect()
             })
@@ -281,12 +276,7 @@ impl Relation {
     pub fn segment_cells(&self) -> usize {
         self.tuples
             .iter()
-            .map(|t| {
-                t.values()
-                    .values()
-                    .map(|tv| tv.segment_count())
-                    .sum::<usize>()
-            })
+            .map(|t| t.entries().map(|(_, tv)| tv.segment_count()).sum::<usize>())
             .sum()
     }
 }

@@ -3,6 +3,7 @@
 use crate::attribute::Attribute;
 use crate::domain::{HistoricalDomain, ValueKind};
 use crate::errors::{HrdmError, Result};
+use crate::layout::Layout;
 use hrdm_time::Lifespan;
 use std::collections::HashSet;
 use std::fmt;
@@ -61,10 +62,14 @@ impl AttributeDef {
 ///
 /// `K` may be empty on *derived* schemes (e.g. a projection that drops key
 /// attributes); such relations enforce no key constraint, only set semantics.
+///
+/// A scheme also owns the [`Layout`] of its attributes — their names,
+/// sorted — which every tuple of a relation on it shares.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Scheme {
     attrs: Vec<AttributeDef>,
     key: Vec<Attribute>,
+    layout: Layout,
 }
 
 impl Scheme {
@@ -100,7 +105,18 @@ impl Scheme {
                 Some(_) => {}
             }
         }
-        Ok(Scheme { attrs, key })
+        Ok(Scheme::assemble(attrs, key))
+    }
+
+    /// A scheme from parts whose restrictions hold, with its layout.
+    fn assemble(attrs: Vec<AttributeDef>, key: Vec<Attribute>) -> Scheme {
+        let mut names: Vec<Attribute> = attrs.iter().map(|d| d.name.clone()).collect();
+        names.sort();
+        Scheme {
+            layout: Layout::from_sorted(names),
+            attrs,
+            key,
+        }
     }
 
     /// The attribute definitions, in declaration order.
@@ -116,6 +132,12 @@ impl Scheme {
     /// Number of attributes.
     pub fn arity(&self) -> usize {
         self.attrs.len()
+    }
+
+    /// The attribute names sorted by name: the positional layout of every
+    /// tuple of a relation on this scheme.
+    pub fn layout(&self) -> &Layout {
+        &self.layout
     }
 
     /// The key attributes `K`.
@@ -224,6 +246,7 @@ impl Scheme {
         Scheme {
             attrs,
             key: self.key.clone(),
+            layout: self.layout.clone(),
         }
     }
 
@@ -250,7 +273,7 @@ impl Scheme {
         } else {
             Vec::new()
         };
-        Ok(Scheme { attrs, key })
+        Ok(Scheme::assemble(attrs, key))
     }
 
     /// The scheme of a Cartesian product or θ-join: attribute sets must be
@@ -266,7 +289,7 @@ impl Scheme {
         attrs.extend(other.attrs.iter().cloned());
         let mut key = self.key.clone();
         key.extend(other.key.iter().cloned());
-        Ok(Scheme { attrs, key })
+        Ok(Scheme::assemble(attrs, key))
     }
 
     /// The scheme of a natural join: common attributes must agree on their
@@ -314,16 +337,15 @@ impl Scheme {
                 .find(|d| &d.name == k)
                 .is_some_and(|d| d.domain.is_constant())
         });
-        Ok(Scheme { attrs, key })
+        Ok(Scheme::assemble(attrs, key))
     }
 
     /// A copy of the scheme with every attribute (and key entry) renamed to
     /// `prefix.NAME` — the standard device for self-joins, which require
     /// disjoint attribute sets.
     pub fn prefixed(&self, prefix: &str) -> Scheme {
-        Scheme {
-            attrs: self
-                .attrs
+        Scheme::assemble(
+            self.attrs
                 .iter()
                 .map(|d| AttributeDef {
                     name: d.name.prefixed(prefix),
@@ -331,8 +353,8 @@ impl Scheme {
                     lifespan: d.lifespan.clone(),
                 })
                 .collect(),
-            key: self.key.iter().map(|k| k.prefixed(prefix)).collect(),
-        }
+            self.key.iter().map(|k| k.prefixed(prefix)).collect(),
+        )
     }
 }
 

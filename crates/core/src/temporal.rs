@@ -24,16 +24,19 @@ use std::fmt;
 /// Per-chronon data needs unit-width segments, so this representation loses
 /// no generality; the succinct encodings live one level down, in the
 /// representation level (`hrdm-interp`, paper Fig. 9).
+///
+/// The segments are one exact-size heap slice (16 bytes inline, no spare
+/// capacity); the nowhere-defined function allocates nothing.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct TemporalValue {
     /// Canonical `(interval, value)` segments.
-    segs: Vec<(Interval, Value)>,
+    segs: Box<[(Interval, Value)]>,
 }
 
 impl TemporalValue {
     /// The nowhere-defined function (an attribute that never has a value).
     pub fn empty() -> TemporalValue {
-        TemporalValue { segs: Vec::new() }
+        TemporalValue::default()
     }
 
     /// The constant function mapping every chronon of `span` to `value` —
@@ -59,23 +62,25 @@ impl TemporalValue {
         I: IntoIterator<Item = (Interval, Value)>,
     {
         let mut segs: Vec<(Interval, Value)> = segments.into_iter().collect();
-        segs.sort_by_key(|(iv, _)| (iv.lo(), iv.hi()));
-        let mut out: Vec<(Interval, Value)> = Vec::with_capacity(segs.len());
-        for (iv, v) in segs {
-            match out.last_mut() {
-                Some((last_iv, last_v)) if last_iv.overlaps(&iv) => {
-                    if *last_v != v {
-                        return Err(HrdmError::ConflictingSegments);
-                    }
-                    *last_iv = last_iv.hull(&iv);
-                }
-                Some((last_iv, last_v)) if last_iv.adjacent(&iv) && *last_v == v => {
-                    *last_iv = last_iv.hull(&iv);
-                }
-                _ => out.push((iv, v)),
-            }
+        let key = |(iv, _): &(Interval, Value)| (iv.lo(), iv.hi());
+        if !segs.is_sorted_by_key(key) {
+            segs.sort_by_key(key);
         }
-        Ok(TemporalValue { segs: out })
+        // Coalesce in place: canonical input (every decode) keeps its
+        // allocation, which becomes the exact-size slice as is.
+        let mut conflict = false;
+        segs.dedup_by(|(iv, v), (last_iv, last_v)| {
+            let merge = last_iv.overlaps(iv) || (last_iv.adjacent(iv) && last_v == v);
+            if merge {
+                conflict |= last_v != v;
+                *last_iv = last_iv.hull(iv);
+            }
+            merge
+        });
+        if conflict {
+            return Err(HrdmError::ConflictingSegments);
+        }
+        Ok(TemporalValue { segs: segs.into() })
     }
 
     /// Builds a function from `(lo, hi, value)` tick triples (test/example
@@ -96,7 +101,7 @@ impl TemporalValue {
     /// A function defined at a single chronon.
     pub fn at_point(t: impl Into<Chronon>, value: Value) -> TemporalValue {
         TemporalValue {
-            segs: vec![(Interval::point(t.into()), value)],
+            segs: Box::new([(Interval::point(t.into()), value)]),
         }
     }
 
@@ -171,7 +176,7 @@ impl TemporalValue {
                 }
             }
         }
-        TemporalValue { segs: out }
+        TemporalValue { segs: out.into() }
     }
 
     /// Do two partial functions agree wherever both are defined? (This is

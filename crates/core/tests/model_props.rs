@@ -1,9 +1,12 @@
 //! Property tests for the model level: temporal values and tuples are
 //! cross-checked against naive per-chronon models on a bounded universe.
 
+use hrdm_core::algebra::{natural_join_pair, product_pair};
 use hrdm_core::prelude::*;
+use hrdm_core::{Concat, Projection};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::hash::{BuildHasher, RandomState};
 
 const LO: i64 = 0;
 const HI: i64 = 30;
@@ -167,16 +170,16 @@ fn tuple_strategy(key: i64) -> impl Strategy<Value = Tuple> {
 fn rebuilt_restriction(t: &Tuple, window: &Lifespan) -> Tuple {
     let life = t.lifespan().intersect(window);
     let values = t
-        .values()
-        .iter()
+        .entries()
         .map(|(a, tv)| (a.clone(), tv.restrict(&life)))
         .collect();
     Tuple::from_parts(life, values)
 }
 
 /// Do two tuples share one allocation (rather than merely equal values)?
+/// The lifespan lives inside the shared payload, so its address decides.
 fn shares_allocation(a: &Tuple, b: &Tuple) -> bool {
-    std::ptr::eq(a.values(), b.values())
+    std::ptr::eq(a.lifespan(), b.lifespan())
 }
 
 proptest! {
@@ -292,4 +295,199 @@ proptest! {
         let dom = t.value(&"V".into()).unwrap().domain();
         prop_assert!(vls.contains_lifespan(&dom));
     }
+}
+
+// ---- representation laws ----------------------------------------------
+//
+// A tuple stores its values by position against a sorted, shared layout.
+// Whatever produced it — the builder, `from_parts`, restriction,
+// projection, concatenation, merge — it must behave as the name-keyed map
+// it replaced: `value(a)` is the map's lookup, `attributes()` its sorted
+// keys, and equality and hashing see content, not layout allocations.
+
+/// `wide(Z*, M, B, E)`, declared out of name order; `E` stays empty.
+fn wide_scheme() -> Scheme {
+    let era = Lifespan::interval(LO, HI);
+    Scheme::builder()
+        .key_attr("Z", ValueKind::Int, era.clone())
+        .attr("M", HistoricalDomain::int(), era.clone())
+        .attr("B", HistoricalDomain::int(), era.clone())
+        .attr("E", HistoricalDomain::int(), era)
+        .build()
+        .unwrap()
+}
+
+/// A tuple on `scheme` (wide, or wide prefixed) from the builder, with the
+/// name-keyed map it must behave as, computed from the inputs alone.
+fn wide_strategy(
+    prefix: Option<&'static str>,
+) -> impl Strategy<Value = (Tuple, BTreeMap<Attribute, TemporalValue>)> {
+    (
+        lifespan_strategy(),
+        temporal_strategy(),
+        temporal_strategy(),
+        0i64..4,
+    )
+        .prop_map(move |(life, m, b, z)| {
+            let name = |n: &str| match prefix {
+                Some(p) => Attribute::new(n).prefixed(p),
+                None => Attribute::new(n),
+            };
+            let scheme = match prefix {
+                Some(p) => wide_scheme().prefixed(p),
+                None => wide_scheme(),
+            };
+            let (m, b) = (m.restrict(&life), b.restrict(&life));
+            let t = Tuple::builder(life.clone())
+                .value(name("B"), b.clone())
+                .constant(name("Z"), z)
+                .value(name("M"), m.clone())
+                .finish(&scheme)
+                .unwrap();
+            let want = BTreeMap::from([
+                (name("Z"), TemporalValue::constant(&life, Value::Int(z))),
+                (name("M"), m),
+                (name("B"), b),
+                (name("E"), TemporalValue::empty()),
+            ]);
+            (t, want)
+        })
+}
+
+fn model(t: &Tuple) -> BTreeMap<Attribute, TemporalValue> {
+    t.entries().map(|(a, tv)| (a.clone(), tv.clone())).collect()
+}
+
+fn hash_of(t: &Tuple, keys: &RandomState) -> u64 {
+    keys.hash_one(t)
+}
+
+/// The three laws, for `t` against the map `want`.
+fn check_laws(t: &Tuple, want: &BTreeMap<Attribute, TemporalValue>) {
+    let names: Vec<&Attribute> = t.attributes().collect();
+    prop_assert!(
+        names.windows(2).all(|w| w[0] < w[1]),
+        "unsorted: {:?}",
+        names
+    );
+    prop_assert_eq!(names, want.keys().collect::<Vec<_>>());
+    prop_assert_eq!(t.entries().len(), want.len());
+    let absent = ["A", "N", "ZZ", "p.A"].map(Attribute::new);
+    for a in want.keys().chain(absent.iter()) {
+        prop_assert_eq!(t.value(a), want.get(a), "value({})", a);
+    }
+    // The same content on a layout allocation of its own.
+    let copy = Tuple::from_parts(t.lifespan().clone(), want.clone());
+    prop_assert!(!copy.layout().same(t.layout()));
+    prop_assert_eq!(&copy, t);
+    let keys = RandomState::new();
+    prop_assert_eq!(hash_of(&copy, &keys), hash_of(t, &keys));
+    prop_assert_eq!(copy.to_string(), t.to_string());
+}
+
+proptest! {
+    #[test]
+    fn builder_and_from_parts_tuples_behave_as_maps(case0 in wide_strategy(None)) {
+        let (t, want) = case0;
+        prop_assert!(t.layout().same(wide_scheme().layout()) || t.layout() == wide_scheme().layout());
+        check_laws(&t, &want);
+        check_laws(&Tuple::from_parts(t.lifespan().clone(), want.clone()), &want);
+    }
+
+    #[test]
+    fn restricted_tuples_behave_as_maps(case0 in wide_strategy(None), ls in lifespan_strategy()) {
+        let (t, want) = case0;
+        let life = t.lifespan().intersect(&ls);
+        let want: BTreeMap<_, _> = want.into_iter().map(|(a, tv)| (a, tv.restrict(&life))).collect();
+        let r = t.restrict(&ls);
+        prop_assert!(r.layout().same(t.layout()));
+        check_laws(&r, &want);
+    }
+
+    #[test]
+    fn projected_tuples_behave_as_maps(
+        case0 in wide_strategy(None),
+        case1 in wide_strategy(None),
+        keep in prop::collection::vec(0usize..5, 0..5),
+    ) {
+        let (t, want) = case0;
+        let (u, _) = case1;
+        let universe = ["Z", "M", "B", "E", "Q"];
+        let x: Vec<Attribute> = keep.iter().map(|&i| Attribute::new(universe[i])).collect();
+        let want: BTreeMap<_, _> = want.into_iter().filter(|(a, _)| x.contains(a)).collect();
+        check_laws(&t.project(&x), &want);
+        // One operator over tuples on the scheme's layout, a copy on a
+        // layout of its own, and a tuple naming fewer attributes.
+        let projection = Projection::new(&x);
+        let first = projection.apply(&t);
+        check_laws(&first, &want);
+        let second = projection.apply(&u);
+        prop_assert!(second.layout().same(first.layout()));
+        check_laws(&projection.apply(&Tuple::from_parts(t.lifespan().clone(), model(&t))), &want);
+        let narrow = t.project(&[Attribute::new("M")]);
+        let want_narrow: BTreeMap<_, _> = model(&narrow).into_iter().filter(|(a, _)| x.contains(a)).collect();
+        check_laws(&projection.apply(&narrow), &want_narrow);
+    }
+
+    #[test]
+    fn concatenated_tuples_behave_as_maps(
+        case0 in wide_strategy(None),
+        case1 in wide_strategy(Some("p")),
+        case2 in wide_strategy(None),
+    ) {
+        let (t1, w1) = case0;
+        let (t2, w2) = case1;
+        let (t3, w3) = case2;
+        // Product: disjoint names, every value on its own span.
+        let concat = Concat::new();
+        let mut want = w1.clone();
+        want.extend(w2.clone());
+        let p = product_pair(&t1, &t2, &concat);
+        prop_assert_eq!(p.lifespan(), &t1.lifespan().union(t2.lifespan()));
+        check_laws(&p, &want);
+        prop_assert!(product_pair(&t3, &t2, &concat).layout().same(p.layout()));
+        // Natural join: shared names, values restricted to the join span.
+        if let Some(j) = natural_join_pair(&t1, &t3, &[Attribute::new("Z")], &Concat::new()).unwrap() {
+            let l = j.lifespan().clone();
+            let mut want = BTreeMap::new();
+            for (a, tv) in w1.iter().chain(w3.iter()) {
+                want.insert(a.clone(), tv.restrict(&l));
+            }
+            check_laws(&j, &want);
+        }
+    }
+
+    #[test]
+    fn merged_tuples_behave_as_maps(case0 in wide_strategy(None), case1 in wide_strategy(None)) {
+        let (t1, w1) = case0;
+        let (t2, w2) = case1;
+        let narrow = t2.project(&[Attribute::new("Z"), Attribute::new("B")]);
+        for (other, w_other) in [(&t2, w2.clone()), (&narrow, model(&narrow))] {
+            let mut want = w1.clone();
+            let mut contradicts = false;
+            for (a, tv) in &w_other {
+                match want.get(a).map(|mine| mine.try_union(tv)) {
+                    Some(Ok(u)) => { want.insert(a.clone(), u); }
+                    Some(Err(_)) => contradicts = true,
+                    None => { want.insert(a.clone(), tv.clone()); }
+                }
+            }
+            match t1.merge(other) {
+                Ok(m) => {
+                    prop_assert!(!contradicts);
+                    check_laws(&m, &want);
+                }
+                Err(_) => prop_assert!(contradicts),
+            }
+        }
+    }
+}
+
+/// Size tripwires: a tuple is one pointer; a temporal value one exact-size
+/// slice; a lifespan keeps one run inline.
+#[test]
+fn representation_sizes() {
+    assert_eq!(std::mem::size_of::<Tuple>(), 8);
+    assert_eq!(std::mem::size_of::<TemporalValue>(), 16);
+    assert!(std::mem::size_of::<Lifespan>() <= 24);
 }

@@ -1,7 +1,9 @@
 //! A hash index over constant-valued key attributes.
 
 use hrdm_core::{Attribute, Relation, Tuple, Value};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// How many entries the newest tier may hold and still be copied rather
@@ -26,10 +28,52 @@ impl Positions {
     }
 }
 
+/// A key value as the index files it: the usual one-attribute key inline
+/// in the map entry, a composite key in one shared slice. It borrows, and
+/// hashes, exactly as the `[Value]` slice it holds, so a `&[Value]` probe
+/// finds it.
+#[derive(Clone, Debug)]
+enum Key {
+    One([Value; 1]),
+    Many(Arc<[Value]>),
+}
+
+impl Key {
+    fn new(values: Vec<Value>) -> Key {
+        match <[Value; 1]>::try_from(values) {
+            Ok(one) => Key::One(one),
+            Err(values) => Key::Many(values.into()),
+        }
+    }
+}
+
+impl Borrow<[Value]> for Key {
+    fn borrow(&self) -> &[Value] {
+        match self {
+            Key::One(one) => one,
+            Key::Many(all) => all,
+        }
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        Borrow::<[Value]>::borrow(self) == Borrow::<[Value]>::borrow(other)
+    }
+}
+
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        Borrow::<[Value]>::borrow(self).hash(state);
+    }
+}
+
 /// One hash map of the index. An entry holds **every** position of its
 /// key up to the moment it was written, so the newest tier that knows a
 /// key answers for all older ones.
-type Tier = HashMap<Arc<[Value]>, Positions>;
+type Tier = HashMap<Key, Positions>;
 
 /// A hash index over a relation's (constant-valued) key attributes.
 ///
@@ -90,7 +134,7 @@ impl KeyIndex {
         let mut tier: Tier = HashMap::with_capacity(r.len());
         for (pos, t) in r.iter().enumerate() {
             let key = t.key_values(r.scheme()).ok()?;
-            tier.entry(key.into())
+            tier.entry(Key::new(key))
                 .and_modify(|held| match held {
                     Positions::One(first) => *held = Positions::Many(vec![*first, pos]),
                     Positions::Many(all) => all.push(pos),
@@ -123,7 +167,7 @@ impl KeyIndex {
             }
             earlier => Positions::Many(earlier.iter().copied().chain([pos]).collect()),
         };
-        self.writable_tier().insert(key.into(), entry);
+        self.writable_tier().insert(Key::new(key), entry);
         true
     }
 
@@ -152,7 +196,7 @@ impl KeyIndex {
             }
             let newer = self.tiers.pop().unwrap_or_default();
             if let Some(older) = self.tiers.last_mut() {
-                Arc::make_mut(older).extend(newer.iter().map(|(k, v)| (Arc::clone(k), v.clone())));
+                Arc::make_mut(older).extend(newer.iter().map(|(k, v)| (k.clone(), v.clone())));
             }
             self.folds += 1;
         }
@@ -250,6 +294,22 @@ mod tests {
     fn keyless_scheme_builds_nothing() {
         let keyless = scheme().project(&[Attribute::new("V")]).unwrap();
         assert!(KeyIndex::build(&Relation::new(keyless)).is_none());
+    }
+
+    #[test]
+    fn composite_and_single_keys_probe_as_slices() {
+        use std::hash::BuildHasher;
+        let keys = std::collections::hash_map::RandomState::new();
+        for values in [
+            vec![Value::Int(3)],
+            vec![Value::Int(3), Value::str("x")],
+            vec![],
+        ] {
+            let key = Key::new(values.clone());
+            assert!(matches!(key, Key::One(_)) == (values.len() == 1));
+            assert_eq!(Borrow::<[Value]>::borrow(&key), values.as_slice());
+            assert_eq!(keys.hash_one(&key), keys.hash_one(values.as_slice()));
+        }
     }
 
     #[test]

@@ -1013,6 +1013,7 @@ pub fn assemble_relation(scheme: Scheme, tuples: Vec<Tuple>) -> Result<Relation,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hrdm_core::Value;
 
     #[test]
     fn simple_frames_round_trip() {
@@ -1080,6 +1081,41 @@ mod tests {
             decode_frame_traced(&bytes[4..]),
             Err(FrameError::Protocol(m)) if m.contains("wire version")
         ));
+    }
+
+    /// A `RowChunk` body built byte by byte around tuple records naming
+    /// `names[i]` in order, each function on `[0, 9]`.
+    fn row_chunk_body(rows: &[&[&str]]) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_u64(rows.len() as u64);
+        for names in rows {
+            e.put_lifespan(&Lifespan::interval(0, 9));
+            e.put_u64(names.len() as u64);
+            for name in *names {
+                e.put_str(name);
+                e.put_temporal_value(&TemporalValue::of(&[(0, 9, Value::Int(1))]));
+            }
+        }
+        let mut body = vec![WIRE_VERSION, 0x83];
+        body.extend_from_slice(&7u64.to_be_bytes());
+        body.extend_from_slice(&0u128.to_be_bytes());
+        body.extend_from_slice(&e.finish());
+        body
+    }
+
+    #[test]
+    fn row_chunk_rows_share_a_layout_and_reject_a_repeated_name() {
+        let (_, _, frame) =
+            decode_frame_traced(&row_chunk_body(&[&["K", "V"], &["K", "V"]])).unwrap();
+        let Frame::RowChunk { tuples } = frame else {
+            panic!("expected a RowChunk, got {frame:?}");
+        };
+        assert!(tuples[0].layout().same(tuples[1].layout()));
+        let err = decode_frame_traced(&row_chunk_body(&[&["K", "V"], &["K", "K"]])).unwrap_err();
+        assert!(
+            matches!(&err, FrameError::Protocol(m) if m.contains("named twice")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -68,7 +68,9 @@ use hrdm_core::algebra::{
     product_pair, theta_join, theta_join_pair, time_join, time_join_pair, union, union_o,
     AggregateOp, Comparator, Predicate, Quantifier,
 };
-use hrdm_core::{Attribute, HrdmError, PVec, Relation, Scheme, TemporalValue, Tuple, Value};
+use hrdm_core::{
+    Attribute, Concat, HrdmError, PVec, Projection, Relation, Scheme, TemporalValue, Tuple, Value,
+};
 use hrdm_index::{KeyIndex, LifespanIndex, RelationIndexes};
 use hrdm_storage::{Partition, PartitionMap};
 use hrdm_time::{Interval, Lifespan};
@@ -311,7 +313,7 @@ enum TupleOp {
         quantifier: Quantifier,
         bound: Option<Lifespan>,
     },
-    Project(Vec<Attribute>),
+    Project(Projection),
 }
 
 /// Evaluates the lifespan parameter of a unary operator (τ's window, σIF's
@@ -342,7 +344,7 @@ fn compile_op(
     match op {
         UnaryOp::Project(attrs) => {
             let scheme = in_scheme.project(attrs)?;
-            Ok((TupleOp::Project(attrs.clone()), scheme))
+            Ok((TupleOp::Project(Projection::new(attrs)), scheme))
         }
         UnaryOp::SelectWhen(predicate) => {
             predicate.typecheck(in_scheme)?;
@@ -435,7 +437,7 @@ fn apply_op(op: &TupleOp, t: &Tuple) -> Result<Option<Tuple>, HrdmError> {
             };
             Ok(selected.then(|| t.clone()))
         }
-        TupleOp::Project(attrs) => Ok(Some(t.project(attrs))),
+        TupleOp::Project(projection) => Ok(Some(projection.apply(t))),
     }
 }
 
@@ -1184,6 +1186,9 @@ struct Probe<'a> {
     scheme: Scheme,
     /// NATURAL-JOIN's common attributes.
     common: Vec<Attribute>,
+    /// The joins' and product's one concatenation: the output layout is
+    /// derived once, not once per pair.
+    concat: Concat,
     current: std::vec::IntoIter<Tuple>,
     ready: VecDeque<Tuple>,
     /// The probe side is exhausted.
@@ -1199,6 +1204,7 @@ impl Probe<'_> {
             matched,
             scheme,
             common,
+            concat,
             ready,
             ..
         } = self;
@@ -1230,14 +1236,14 @@ impl Probe<'_> {
                 }
                 let window = p.lifespan().intersect(&image);
                 each_candidate(rows, access.candidates(&p, Some(&window)), |_, row| {
-                    ready.extend(time_join_pair(&p, row, &image));
+                    ready.extend(time_join_pair(&p, row, &image, concat));
                     Ok(())
                 })?;
             }
             BinaryKind::Theta { a, op, b } => {
                 each_candidate(rows, access.candidates(&p, None), |_, row| {
                     let (l, r) = oriented(probe_is_left, &p, row);
-                    ready.extend(theta_join_pair(l, r, a, *op, b)?);
+                    ready.extend(theta_join_pair(l, r, a, *op, b, concat)?);
                     Ok(())
                 })?;
             }
@@ -1245,8 +1251,10 @@ impl Probe<'_> {
                 each_candidate(rows, access.candidates(&p, None), |pos, row| {
                     let (l, r) = oriented(probe_is_left, &p, row);
                     match op {
-                        BinaryOp::Product => ready.push_back(product_pair(l, r)),
-                        BinaryOp::NaturalJoin => ready.extend(natural_join_pair(l, r, common)?),
+                        BinaryOp::Product => ready.push_back(product_pair(l, r, concat)),
+                        BinaryOp::NaturalJoin => {
+                            ready.extend(natural_join_pair(l, r, common, concat)?)
+                        }
                         _ if !p.mergable(row, scheme) => {}
                         BinaryOp::UnionO => {
                             found = true;
@@ -1355,6 +1363,7 @@ impl<'a> BinaryExec<'a> {
             matched,
             scheme: left,
             common,
+            concat: Concat::new(),
             current: Vec::new().into_iter(),
             ready,
             drained: false,

@@ -6,11 +6,10 @@
 //! for every model object.
 
 use hrdm_core::{
-    Attribute, AttributeDef, HistoricalDomain, Relation, Scheme, TemporalValue, Tuple, Value,
-    ValueKind,
+    Attribute, AttributeDef, HistoricalDomain, Layout, Relation, Scheme, TemporalValue, Tuple,
+    Value, ValueKind,
 };
 use hrdm_time::{Chronon, Interval, Lifespan};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Errors produced while decoding.
@@ -192,11 +191,12 @@ impl Encoder {
         }
     }
 
-    /// A tuple: lifespan + value map.
+    /// A tuple: lifespan + `(name, function)` entries, ascending by name.
     pub fn put_tuple(&mut self, t: &Tuple) {
         self.put_lifespan(t.lifespan());
-        self.put_u64(t.values().len() as u64);
-        for (a, tv) in t.values() {
+        let entries = t.entries();
+        self.put_u64(entries.len() as u64);
+        for (a, tv) in entries {
             self.put_str(a.name());
             self.put_temporal_value(tv);
         }
@@ -216,12 +216,19 @@ impl Encoder {
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The layout of the last tuple decoded: the next one naming the same
+    /// attributes shares it.
+    layout: Option<Layout>,
 }
 
 impl<'a> Decoder<'a> {
     /// A decoder over `buf`.
     pub fn new(buf: &'a [u8]) -> Decoder<'a> {
-        Decoder { buf, pos: 0 }
+        Decoder {
+            buf,
+            pos: 0,
+            layout: None,
+        }
     }
 
     /// Bytes remaining.
@@ -380,38 +387,73 @@ impl<'a> Decoder<'a> {
         Scheme::new(attrs, key).map_err(|e| CodecError::Model(e.to_string()))
     }
 
-    /// A tuple.
+    /// A tuple. Consecutive tuples naming the same attributes — the rows
+    /// of one `RowChunk`, the inserts of one WAL batch — share one layout.
     pub fn get_tuple(&mut self) -> Result<Tuple, CodecError> {
-        self.get_tuple_naming(|name| Attribute::new(name))
+        self.get_tuple_on(None)
     }
 
-    /// A tuple of a relation on `scheme`: attribute names the scheme
-    /// knows are shared with it (a reference-count bump) instead of
-    /// allocated afresh for every tuple — what loaders of whole
-    /// relations use.
+    /// A tuple of a relation on `scheme`: decoded by position against the
+    /// scheme's layout, which it then shares — what loaders of whole
+    /// relations use. A tuple naming other attributes (one stored before
+    /// schema evolution added an attribute) decodes all the same, sharing
+    /// the attribute names the scheme knows.
     pub fn get_tuple_in(&mut self, scheme: &Scheme) -> Result<Tuple, CodecError> {
-        self.get_tuple_naming(|name| {
-            scheme
-                .attr_names()
-                .find(|a| a.name() == name)
-                .cloned()
-                .unwrap_or_else(|| Attribute::new(name))
-        })
+        self.get_tuple_on(Some(scheme.layout()))
     }
 
-    fn get_tuple_naming(
-        &mut self,
-        attribute: impl Fn(&str) -> Attribute,
-    ) -> Result<Tuple, CodecError> {
+    /// Decodes a tuple, by position against `expected` (or else the
+    /// previous tuple's layout) while the record names that layout's
+    /// attributes in order — what every encoder writes — and by name
+    /// otherwise. A name given twice is an error, never a silent overwrite.
+    fn get_tuple_on(&mut self, expected: Option<&Layout>) -> Result<Tuple, CodecError> {
         let lifespan = self.get_lifespan()?;
-        let n = self.get_u64()? as usize;
-        let mut values = BTreeMap::new();
-        for _ in 0..n {
-            let a = attribute(self.get_str()?);
+        let n = self.get_u64()?;
+        let layout = expected.or(self.layout.as_ref()).cloned();
+        let names = layout.as_ref().map_or(&[][..], Layout::names);
+        // `values` holds the in-order prefix; everything after the first
+        // entry off the layout goes by name.
+        let mut values = value_slots(layout.as_ref());
+        let mut off_layout: Vec<(Attribute, TemporalValue)> = Vec::new();
+        for k in 0..n {
+            let name = self.get_str()?;
             let tv = self.get_temporal_value()?;
-            values.insert(a, tv);
+            if off_layout.is_empty() && names.get(k as usize).is_some_and(|a| a.name() == name) {
+                values.push(tv);
+            } else {
+                let known = names.iter().find(|a| a.name() == name).cloned();
+                off_layout.push((known.unwrap_or_else(|| Attribute::new(name)), tv));
+            }
         }
-        Ok(Tuple::from_parts(lifespan, values))
+        if let Some(l) = layout
+            .as_ref()
+            .filter(|l| off_layout.is_empty() && values.len() == l.len())
+        {
+            let tuple = Tuple::from_layout(lifespan, l, values);
+            self.layout = layout;
+            return tuple.ok_or(CodecError::Invariant("tuple arity"));
+        }
+        let mut named: Vec<(Attribute, TemporalValue)> = names
+            .iter()
+            .cloned()
+            .zip(values)
+            .chain(off_layout)
+            .collect();
+        named.sort_by(|a, b| a.0.cmp(&b.0));
+        if named.windows(2).any(|w| w[0].0 == w[1].0) {
+            return Err(CodecError::Invariant("attribute named twice in one tuple"));
+        }
+        let (names, values): (Vec<Attribute>, Vec<TemporalValue>) = named.into_iter().unzip();
+        let layout = match [expected, self.layout.as_ref()]
+            .into_iter()
+            .flatten()
+            .find(|l| l.names() == names.as_slice())
+        {
+            Some(known) => known.clone(),
+            None => Layout::new(names).map_err(|e| CodecError::Model(e.to_string()))?,
+        };
+        self.layout = Some(layout.clone());
+        Tuple::from_layout(lifespan, &layout, values).ok_or(CodecError::Invariant("tuple arity"))
     }
 
     /// A relation. Tuples are validated against the decoded scheme.
@@ -427,6 +469,12 @@ impl<'a> Decoder<'a> {
         }
         Ok(Relation::from_parts_unchecked(scheme, tuples))
     }
+}
+
+/// The value slots of a tuple decoded against `layout`: sized from the
+/// layout, never from a count read off the wire.
+fn value_slots(layout: Option<&Layout>) -> Vec<TemporalValue> {
+    Vec::with_capacity(layout.map_or(0, Layout::len))
 }
 
 #[cfg(test)]
@@ -524,6 +572,140 @@ mod tests {
             Decoder::new(&bytes).get_kind().unwrap_err(),
             CodecError::BadTag("ValueKind", 9)
         ));
+    }
+
+    /// A scheme declared out of name order and a tuple on it with a
+    /// multi-run lifespan, an empty function and one value of each kind.
+    fn golden_tuple() -> (Scheme, Tuple) {
+        let era = Lifespan::interval(0, 100);
+        let scheme = Scheme::builder()
+            .key_attr("NAME", ValueKind::Str, era.clone())
+            .attr("SALARY", HistoricalDomain::int(), era.clone())
+            .attr("RATE", HistoricalDomain::float(), era.clone())
+            .attr(
+                "ACTIVE",
+                HistoricalDomain::new(ValueKind::Bool),
+                era.clone(),
+            )
+            .attr("HIRED", HistoricalDomain::time(), era.clone())
+            .attr("NOTE", HistoricalDomain::string(), era)
+            .build()
+            .unwrap();
+        let life = Lifespan::of(&[(0, 9), (20, 29)]);
+        let t = Tuple::builder(life.clone())
+            .constant("NAME", "Ann")
+            .value(
+                "SALARY",
+                TemporalValue::of(&[(0, 4, Value::Int(-7)), (5, 9, Value::Int(300))]),
+            )
+            .value(
+                "RATE",
+                TemporalValue::of(&[(20, 29, Value::float(1.5).unwrap())]),
+            )
+            .value(
+                "ACTIVE",
+                TemporalValue::of(&[(0, 9, Value::Bool(true)), (20, 29, Value::Bool(false))]),
+            )
+            .value("HIRED", TemporalValue::constant(&life, Value::time(-3)))
+            .finish(&scheme)
+            .unwrap();
+        (scheme, t)
+    }
+
+    /// `put_tuple`'s bytes for [`golden_tuple`], as written when tuples
+    /// were name-keyed maps: how a tuple is held in memory does not reach
+    /// the heap, WAL or wire format. Entries come out ascending by name.
+    const GOLDEN: &[u8] = &[
+        2, 0, 9, 40, 9, 6, 6, 65, 67, 84, 73, 86, 69, 2, 0, 9, 3, 1, 40, 9, 3, 0, 5, 72, 73, 82,
+        69, 68, 2, 0, 9, 4, 5, 40, 9, 4, 5, 4, 78, 65, 77, 69, 2, 0, 9, 2, 3, 65, 110, 110, 40, 9,
+        2, 3, 65, 110, 110, 4, 78, 79, 84, 69, 0, 4, 82, 65, 84, 69, 1, 40, 9, 1, 0, 0, 0, 0, 0, 0,
+        248, 63, 6, 83, 65, 76, 65, 82, 89, 2, 0, 4, 0, 13, 10, 4, 0, 216, 4,
+    ];
+
+    #[test]
+    fn tuple_bytes_match_the_golden_record() {
+        let (scheme, t) = golden_tuple();
+        let mut e = Encoder::new();
+        e.put_tuple(&t);
+        assert_eq!(e.finish(), GOLDEN);
+        assert_eq!(Decoder::new(GOLDEN).get_tuple().unwrap(), t);
+        let decoded = Decoder::new(GOLDEN).get_tuple_in(&scheme).unwrap();
+        assert_eq!(decoded, t);
+        assert!(decoded.layout().same(scheme.layout()));
+    }
+
+    /// A record of a tuple over `[0, 9]` with `names` in the given order,
+    /// every function `c` on `[0, 9]`, built byte by byte.
+    fn record(names: &[&str]) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_lifespan(&Lifespan::interval(0, 9));
+        e.put_u64(names.len() as u64);
+        for (c, name) in names.iter().enumerate() {
+            e.put_str(name);
+            e.put_temporal_value(&TemporalValue::of(&[(0, 9, Value::Int(c as i64))]));
+        }
+        e.finish()
+    }
+
+    fn vw_scheme() -> Scheme {
+        Scheme::builder()
+            .attr("V", HistoricalDomain::int(), Lifespan::interval(0, 100))
+            .attr("W", HistoricalDomain::int(), Lifespan::interval(0, 100))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn a_name_given_twice_is_rejected() {
+        let twice = CodecError::Invariant("attribute named twice in one tuple");
+        for names in [&["V", "V"][..], &["V", "W", "V"], &["W", "V", "W"]] {
+            let bytes = record(names);
+            assert_eq!(Decoder::new(&bytes).get_tuple().unwrap_err(), twice);
+            assert_eq!(
+                Decoder::new(&bytes).get_tuple_in(&vw_scheme()).unwrap_err(),
+                twice
+            );
+        }
+    }
+
+    #[test]
+    fn names_out_of_order_or_off_the_scheme_decode_by_name() {
+        let scheme = vw_scheme();
+        let sorted = Decoder::new(&record(&["V", "W"])).get_tuple().unwrap();
+        let reversed = Decoder::new(&record(&["W", "V"]))
+            .get_tuple_in(&scheme)
+            .unwrap();
+        assert_eq!(reversed.attributes().count(), 2);
+        assert_eq!(
+            reversed.at(&"W".into(), Chronon::new(3)),
+            Some(&Value::Int(0))
+        );
+        assert!(reversed.layout().same(scheme.layout()));
+        assert_ne!(reversed, sorted);
+        // A stored tuple naming fewer attributes than the scheme (written
+        // before an attribute was added) keeps its own attributes.
+        let narrow = Decoder::new(&record(&["V"])).get_tuple_in(&scheme).unwrap();
+        assert_eq!(narrow.attributes().count(), 1);
+        assert!(narrow.value(&"W".into()).is_none());
+        // Unknown names decode too; validation is the loader's business.
+        let other = Decoder::new(&record(&["A", "V"]))
+            .get_tuple_in(&scheme)
+            .unwrap();
+        assert!(other.value(&"A".into()).is_some());
+    }
+
+    #[test]
+    fn consecutive_tuples_share_one_layout() {
+        let bytes = [record(&["V", "W"]), record(&["V", "W"]), record(&["V"])].concat();
+        let mut d = Decoder::new(&bytes);
+        let (a, b, c) = (
+            d.get_tuple().unwrap(),
+            d.get_tuple().unwrap(),
+            d.get_tuple().unwrap(),
+        );
+        assert!(a.layout().same(b.layout()));
+        assert!(!c.layout().same(a.layout()));
+        assert!(d.is_done());
     }
 
     #[test]

@@ -318,7 +318,7 @@ impl Database {
         let undo = self.attachment.as_ref().map(|_| self.undo_point());
         let mut results: Vec<Result<(), DbError>> = Vec::with_capacity(ops.len());
         let mut payloads: Vec<Vec<u8>> = Vec::new();
-        for op in &ops {
+        for op in ops {
             match self.stage(op) {
                 Ok(Some(payload)) => {
                     payloads.push(payload);
@@ -347,7 +347,7 @@ impl Database {
                     // Nothing in the batch is durable, so nothing in it is
                     // acknowledged — even in-batch no-ops, whose "already
                     // present" justification may have been rolled back.
-                    return ops
+                    return results
                         .iter()
                         .map(|_| {
                             Err(DbError::Io(io::Error::new(
@@ -387,8 +387,8 @@ impl Database {
     /// Validates one operation against the current in-memory state and, if
     /// it applies, applies it and returns its WAL payload (`None` for
     /// acknowledged no-ops like duplicate set-semantics inserts).
-    fn stage(&mut self, op: &WalRecord) -> Result<Option<Vec<u8>>, DbError> {
-        let payload = match op {
+    fn stage(&mut self, op: WalRecord) -> Result<Option<Vec<u8>>, DbError> {
+        let payload = match &op {
             WalRecord::CreateRelation { name, scheme } => {
                 if self.catalog.scheme(name).is_some() {
                     return Err(DbError::Model(HrdmError::DuplicateRelation(name.clone())));
@@ -397,16 +397,12 @@ impl Database {
                 self.apply_create_unchecked(name, scheme.clone());
                 payload
             }
-            WalRecord::Insert { relation, tuple } => {
-                match self.validate_insert(relation, tuple)? {
-                    InsertDisposition::DuplicateNoop => return Ok(None),
-                    InsertDisposition::Apply => {
-                        let payload = op.payload();
-                        self.apply_insert_unchecked(relation, tuple.clone());
-                        payload
-                    }
-                }
-            }
+            // Applied below, once the record is encoded: the tuple moves
+            // into the relation whole.
+            WalRecord::Insert { relation, tuple } => match self.validate_insert(relation, tuple)? {
+                InsertDisposition::DuplicateNoop => return Ok(None),
+                InsertDisposition::Apply => op.payload(),
+            },
             WalRecord::PutRelation { relation, contents } => {
                 let Some(scheme) = self.catalog.scheme(relation) else {
                     return Err(DbError::Model(HrdmError::UnknownRelation(relation.clone())));
@@ -426,14 +422,14 @@ impl Database {
                 domain,
                 from,
                 to,
-            } => self.stage_evolution(relation, op, |cat| {
+            } => self.stage_evolution(relation, &op, |cat| {
                 cat.add_attribute(relation, attribute.clone(), *domain, *from, *to)
             })?,
             WalRecord::DropAttribute {
                 relation,
                 attribute,
                 at,
-            } => self.stage_evolution(relation, op, |cat| {
+            } => self.stage_evolution(relation, &op, |cat| {
                 cat.drop_attribute(relation, attribute, *at)
             })?,
             WalRecord::ReAddAttribute {
@@ -441,10 +437,13 @@ impl Database {
                 attribute,
                 from,
                 to,
-            } => self.stage_evolution(relation, op, |cat| {
+            } => self.stage_evolution(relation, &op, |cat| {
                 cat.re_add_attribute(relation, attribute, *from, *to)
             })?,
         };
+        if let WalRecord::Insert { relation, tuple } = op {
+            self.apply_insert_unchecked(&relation, tuple);
+        }
         self.ops_applied += 1;
         Ok(Some(payload))
     }

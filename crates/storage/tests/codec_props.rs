@@ -59,8 +59,7 @@ fn stored_tuple(k: i64, life: Lifespan, tv: &TemporalValue) -> Tuple {
 fn rebuilt_restriction(t: &Tuple, window: &Lifespan) -> Tuple {
     let life = t.lifespan().intersect(window);
     let values = t
-        .values()
-        .iter()
+        .entries()
         .map(|(a, tv)| (a.clone(), tv.restrict(&life)))
         .collect();
     Tuple::from_parts(life, values)
@@ -214,6 +213,46 @@ proptest! {
                 .build()
                 .unwrap();
             prop_assert_eq!(Decoder::new(&bytes).get_tuple_in(&scheme).unwrap(), t.clone());
+        }
+    }
+
+    /// Decoded tuples obey the representation laws of `model_props`: they
+    /// behave as the name-keyed map they were written from — `value(a)`
+    /// is its lookup, `attributes()` its sorted keys — and equality and
+    /// hashing ignore which layout allocation they hold.
+    #[test]
+    fn decoded_tuples_behave_as_maps(
+        life in lifespan_strategy(),
+        entries in prop::collection::vec(("[A-E]", temporal_strategy()), 0..6),
+    ) {
+        use std::collections::BTreeMap;
+        use std::hash::{BuildHasher, RandomState};
+        let want: BTreeMap<Attribute, TemporalValue> =
+            entries.into_iter().map(|(n, tv)| (Attribute::new(n), tv)).collect();
+        let mut e = Encoder::new();
+        e.put_tuple(&Tuple::from_parts(life.clone(), want.clone()));
+        let bytes = e.finish();
+        let scheme = Scheme::builder()
+            .attr("E", HistoricalDomain::int(), Lifespan::interval(0, 10))
+            .attr("B", HistoricalDomain::int(), Lifespan::interval(0, 10))
+            .build()
+            .unwrap();
+        let keys = RandomState::new();
+        for t in [
+            Decoder::new(&bytes).get_tuple().unwrap(),
+            Decoder::new(&bytes).get_tuple_in(&scheme).unwrap(),
+        ] {
+            let names: Vec<&Attribute> = t.attributes().collect();
+            prop_assert!(names.windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(names, want.keys().collect::<Vec<_>>());
+            for n in ["A", "B", "C", "D", "E", "Q"] {
+                let a = Attribute::new(n);
+                prop_assert_eq!(t.value(&a), want.get(&a));
+            }
+            let copy = Tuple::from_parts(life.clone(), want.clone());
+            prop_assert!(!copy.layout().same(t.layout()));
+            prop_assert_eq!(&copy, &t);
+            prop_assert_eq!(keys.hash_one(&copy), keys.hash_one(&t));
         }
     }
 }

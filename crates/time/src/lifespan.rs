@@ -2,6 +2,7 @@
 
 use crate::{Chronon, Interval};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::{BitAnd, BitOr, Sub};
 
 /// A lifespan `L ⊆ T`: "the periods of time during which the database models
@@ -25,18 +26,41 @@ use std::ops::{BitAnd, BitOr, Sub};
 /// * [`Lifespan::intervals`] doubles as the succinct "representation level"
 ///   encoding of the span.
 ///
+/// A lifespan of one run — every object never reincarnated — is stored
+/// inline (24 bytes, no heap block); two or more runs live in one
+/// exact-size heap slice.
+///
 /// The operators `|`, `&`, and `-` are overloaded as `∪`, `∩`, `−`.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Default)]
 pub struct Lifespan {
-    /// Sorted, disjoint, maximal intervals.
-    runs: Vec<Interval>,
+    runs: Runs,
+}
+
+/// The canonical run list, by how many runs it holds.
+#[derive(Clone, Default)]
+enum Runs {
+    #[default]
+    Empty,
+    One(Interval),
+    /// Two or more runs.
+    Many(Box<[Interval]>),
 }
 
 impl Lifespan {
     /// The empty lifespan `∅` (an object the database never models).
     #[inline]
     pub fn empty() -> Lifespan {
-        Lifespan { runs: Vec::new() }
+        Lifespan { runs: Runs::Empty }
+    }
+
+    /// Wraps a run list already in canonical form.
+    fn from_runs(runs: Vec<Interval>) -> Lifespan {
+        let runs = match runs.len() {
+            0 => Runs::Empty,
+            1 => Runs::One(runs[0]),
+            _ => Runs::Many(runs.into_boxed_slice()),
+        };
+        Lifespan { runs }
     }
 
     /// A single-interval lifespan `[lo, hi]` from raw ticks.
@@ -44,21 +68,17 @@ impl Lifespan {
     /// Panics if `lo > hi`; use [`Lifespan::try_interval`] for fallible
     /// construction.
     pub fn interval(lo: i64, hi: i64) -> Lifespan {
-        Lifespan {
-            runs: vec![Interval::of(lo, hi)],
-        }
+        Lifespan::from(Interval::of(lo, hi))
     }
 
     /// A single-interval lifespan, `None` when `lo > hi`.
     pub fn try_interval(lo: Chronon, hi: Chronon) -> Option<Lifespan> {
-        Interval::new(lo, hi).map(|iv| Lifespan { runs: vec![iv] })
+        Interval::new(lo, hi).map(Lifespan::from)
     }
 
     /// The singleton lifespan `{t}`.
     pub fn point(t: impl Into<Chronon>) -> Lifespan {
-        Lifespan {
-            runs: vec![Interval::point(t.into())],
-        }
+        Lifespan::from(Interval::point(t.into()))
     }
 
     /// The lifespan `[start, now]` — the paper's `[t3, NOW]` pattern
@@ -77,7 +97,7 @@ impl Lifespan {
     {
         let mut runs: Vec<Interval> = intervals.into_iter().collect();
         normalize(&mut runs);
-        Lifespan { runs }
+        Lifespan::from_runs(runs)
     }
 
     /// Builds a lifespan from `(lo, hi)` tick pairs. Panics on `lo > hi`.
@@ -96,30 +116,34 @@ impl Lifespan {
     /// The canonical run-list (sorted, disjoint, maximal intervals).
     #[inline]
     pub fn intervals(&self) -> &[Interval] {
-        &self.runs
+        match &self.runs {
+            Runs::Empty => &[],
+            Runs::One(run) => std::slice::from_ref(run),
+            Runs::Many(runs) => runs,
+        }
     }
 
     /// Number of maximal intervals (fragmentation of the lifespan).
     #[inline]
     pub fn interval_count(&self) -> usize {
-        self.runs.len()
+        self.intervals().len()
     }
 
     /// Is this the empty lifespan?
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        matches!(self.runs, Runs::Empty)
     }
 
     /// Is the lifespan a single connected interval (or empty)?
     #[inline]
     pub fn is_contiguous(&self) -> bool {
-        self.runs.len() <= 1
+        !matches!(self.runs, Runs::Many(_))
     }
 
     /// Number of chronons in the lifespan, saturating at `u64::MAX`.
     pub fn cardinality(&self) -> u64 {
-        self.runs
+        self.intervals()
             .iter()
             .fold(0u64, |acc, iv| acc.saturating_add(iv.len()))
     }
@@ -127,13 +151,13 @@ impl Lifespan {
     /// Earliest chronon, if any (the object's "birth", paper §1).
     #[inline]
     pub fn first(&self) -> Option<Chronon> {
-        self.runs.first().map(|iv| iv.lo())
+        self.intervals().first().map(|iv| iv.lo())
     }
 
     /// Latest chronon, if any (the object's most recent "death").
     #[inline]
     pub fn last(&self) -> Option<Chronon> {
-        self.runs.last().map(|iv| iv.hi())
+        self.intervals().last().map(|iv| iv.hi())
     }
 
     /// Smallest interval covering the whole lifespan.
@@ -146,7 +170,7 @@ impl Lifespan {
 
     /// Membership test `t ∈ L` (binary search over runs).
     pub fn contains(&self, t: Chronon) -> bool {
-        self.runs
+        self.intervals()
             .binary_search_by(|iv| {
                 if iv.hi() < t {
                     std::cmp::Ordering::Less
@@ -163,8 +187,8 @@ impl Lifespan {
     /// walk over both run lists. Because the runs are maximal, a run of
     /// `other` is covered iff one single run of `self` contains it whole.
     pub fn contains_lifespan(&self, other: &Lifespan) -> bool {
-        let mut mine = self.runs.iter().peekable();
-        other.runs.iter().all(|run| {
+        let mut mine = self.intervals().iter().peekable();
+        other.intervals().iter().all(|run| {
             // Runs of `other` ascend, so runs of mine ending before this
             // one starts cannot cover any later run either.
             while mine.next_if(|r| r.hi() < run.lo()).is_some() {}
@@ -176,14 +200,13 @@ impl Lifespan {
     /// Do the two lifespans share at least one chronon?
     pub fn intersects(&self, other: &Lifespan) -> bool {
         // Two-pointer scan; cheaper than materializing the intersection.
+        let (a, b) = (self.intervals(), other.intervals());
         let (mut i, mut j) = (0, 0);
-        while i < self.runs.len() && j < other.runs.len() {
-            let a = &self.runs[i];
-            let b = &other.runs[j];
-            if a.overlaps(b) {
+        while i < a.len() && j < b.len() {
+            if a[i].overlaps(&b[j]) {
                 return true;
             }
-            if a.hi() < b.hi() {
+            if a[i].hi() < b[j].hi() {
                 i += 1;
             } else {
                 j += 1;
@@ -199,8 +222,9 @@ impl Lifespan {
     pub fn intersects_interval(&self, iv: &Interval) -> bool {
         // The first run ending at or after iv.lo is the only candidate
         // that can start early enough and still reach iv.
-        let i = self.runs.partition_point(|r| r.hi() < iv.lo());
-        match self.runs.get(i) {
+        let runs = self.intervals();
+        let i = runs.partition_point(|r| r.hi() < iv.lo());
+        match runs.get(i) {
             Some(r) => r.lo() <= iv.hi(),
             None => false,
         }
@@ -210,8 +234,9 @@ impl Lifespan {
     /// Because the runs are maximal, `iv` is contained iff one single run
     /// contains it whole.
     pub fn contains_interval(&self, iv: &Interval) -> bool {
-        let i = self.runs.partition_point(|r| r.hi() < iv.hi());
-        match self.runs.get(i) {
+        let runs = self.intervals();
+        let i = runs.partition_point(|r| r.hi() < iv.hi());
+        match runs.get(i) {
             Some(r) => r.lo() <= iv.lo() && iv.hi() <= r.hi(),
             None => false,
         }
@@ -225,19 +250,26 @@ impl Lifespan {
         if other.is_empty() {
             return self.clone();
         }
-        let mut merged: Vec<Interval> = Vec::with_capacity(self.runs.len() + other.runs.len());
+        let (a, b) = (self.intervals(), other.intervals());
+        // Two single runs that touch stay one inline run.
+        if let ([x], [y]) = (a, b) {
+            if let Some(run) = x.merge(y) {
+                return Lifespan::from(run);
+            }
+        }
+        let mut merged: Vec<Interval> = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
-        while i < self.runs.len() && j < other.runs.len() {
-            if self.runs[i].lo() <= other.runs[j].lo() {
-                merged.push(self.runs[i]);
+        while i < a.len() && j < b.len() {
+            if a[i].lo() <= b[j].lo() {
+                merged.push(a[i]);
                 i += 1;
             } else {
-                merged.push(other.runs[j]);
+                merged.push(b[j]);
                 j += 1;
             }
         }
-        merged.extend_from_slice(&self.runs[i..]);
-        merged.extend_from_slice(&other.runs[j..]);
+        merged.extend_from_slice(&a[i..]);
+        merged.extend_from_slice(&b[j..]);
         // Runs are sorted by lo; coalesce in place.
         let mut out: Vec<Interval> = Vec::with_capacity(merged.len());
         for iv in merged {
@@ -248,7 +280,7 @@ impl Lifespan {
                 _ => out.push(iv),
             }
         }
-        Lifespan { runs: out }
+        Lifespan::from_runs(out)
     }
 
     /// N-ary union `L1 ∪ … ∪ Ln`: every run collected, then sorted and
@@ -259,24 +291,34 @@ impl Lifespan {
     where
         I: IntoIterator<Item = &'a Lifespan>,
     {
-        Lifespan::from_intervals(lifespans.into_iter().flat_map(|l| l.runs.iter().copied()))
+        Lifespan::from_intervals(
+            lifespans
+                .into_iter()
+                .flat_map(|l| l.intervals().iter().copied()),
+        )
     }
 
     /// Set intersection `L1 ∩ L2` (paper §2, operation 2).
     pub fn intersect(&self, other: &Lifespan) -> Lifespan {
+        let (a, b) = (self.intervals(), other.intervals());
+        // Two single runs — the common case of slicing a contiguous tuple
+        // by a window — intersect without touching the heap.
+        if let ([x], [y]) = (a, b) {
+            return x.intersect(y).map_or_else(Lifespan::empty, Lifespan::from);
+        }
         let mut out = Vec::new();
         let (mut i, mut j) = (0, 0);
-        while i < self.runs.len() && j < other.runs.len() {
-            if let Some(iv) = self.runs[i].intersect(&other.runs[j]) {
+        while i < a.len() && j < b.len() {
+            if let Some(iv) = a[i].intersect(&b[j]) {
                 out.push(iv);
             }
-            if self.runs[i].hi() < other.runs[j].hi() {
+            if a[i].hi() < b[j].hi() {
                 i += 1;
             } else {
                 j += 1;
             }
         }
-        Lifespan { runs: out }
+        Lifespan::from_runs(out)
     }
 
     /// Set difference `L1 − L2` (paper §2, operation 3).
@@ -284,17 +326,18 @@ impl Lifespan {
         if self.is_empty() || other.is_empty() {
             return self.clone();
         }
+        let subtrahend = other.intervals();
         let mut out = Vec::new();
         let mut j = 0;
-        for &run in &self.runs {
+        for &run in self.intervals() {
             let mut current = Some(run);
             // Advance past subtrahend runs that end before this run starts.
-            while j < other.runs.len() && other.runs[j].hi() < run.lo() {
+            while j < subtrahend.len() && subtrahend[j].hi() < run.lo() {
                 j += 1;
             }
             let mut k = j;
-            while let (Some(cur), true) = (current, k < other.runs.len()) {
-                let sub = other.runs[k];
+            while let (Some(cur), true) = (current, k < subtrahend.len()) {
+                let sub = subtrahend[k];
                 if sub.lo() > cur.hi() {
                     break;
                 }
@@ -309,7 +352,7 @@ impl Lifespan {
                 out.push(rest);
             }
         }
-        Lifespan { runs: out }
+        Lifespan::from_runs(out)
     }
 
     /// Symmetric difference `(L1 − L2) ∪ (L2 − L1)`.
@@ -322,30 +365,26 @@ impl Lifespan {
     /// `T` itself is unbounded, so complement is only meaningful relative to a
     /// declared universe (e.g. the lifespan of a relation).
     pub fn complement_within(&self, universe: Interval) -> Lifespan {
-        Lifespan {
-            runs: vec![universe],
-        }
-        .difference(self)
+        Lifespan::from(universe).difference(self)
     }
 
     /// Restricts the lifespan to `[lo, hi]` — a static TIME-SLICE at the
     /// lifespan level.
     pub fn clamp(&self, window: Interval) -> Lifespan {
-        self.intersect(&Lifespan { runs: vec![window] })
+        self.intersect(&Lifespan::from(window))
     }
 
     /// Translates the whole lifespan by `delta` ticks.
     pub fn shift(&self, delta: i64) -> Lifespan {
-        Lifespan {
-            runs: self
-                .runs
+        Lifespan::from_runs(
+            self.intervals()
                 .iter()
                 .map(|iv| {
                     Interval::new(iv.lo() + delta, iv.hi() + delta)
                         .expect("shift preserves ordering")
                 })
                 .collect(),
-        }
+        )
     }
 
     /// Iterates every chronon in ascending order.
@@ -353,11 +392,26 @@ impl Lifespan {
     /// Intended for small lifespans (tests, figures, model-level semantics);
     /// algebra code works on runs instead.
     pub fn iter(&self) -> LifespanIter<'_> {
+        let runs = self.intervals();
         LifespanIter {
-            runs: &self.runs,
+            runs,
             run_idx: 0,
-            next: self.runs.first().map(|iv| iv.lo()),
+            next: runs.first().map(|iv| iv.lo()),
         }
+    }
+}
+
+impl PartialEq for Lifespan {
+    fn eq(&self, other: &Lifespan) -> bool {
+        self.intervals() == other.intervals()
+    }
+}
+
+impl Eq for Lifespan {}
+
+impl Hash for Lifespan {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.intervals().hash(state);
     }
 }
 
@@ -420,7 +474,9 @@ impl FromIterator<Interval> for Lifespan {
 
 impl From<Interval> for Lifespan {
     fn from(iv: Interval) -> Self {
-        Lifespan { runs: vec![iv] }
+        Lifespan {
+            runs: Runs::One(iv),
+        }
     }
 }
 
@@ -453,11 +509,8 @@ impl fmt::Debug for Lifespan {
 
 impl fmt::Display for Lifespan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.runs.is_empty() {
-            return f.write_str("{}");
-        }
         f.write_str("{")?;
-        for (i, iv) in self.runs.iter().enumerate() {
+        for (i, iv) in self.intervals().iter().enumerate() {
             if i > 0 {
                 f.write_str(", ")?;
             }

@@ -250,7 +250,7 @@ proptest! {
             .map(|(i, t)| {
                 let mut b = Tuple::builder(t.lifespan().clone())
                     .constant("K", 1000 + i as i64);
-                for (attr, tv) in t.values() {
+                for (attr, tv) in t.entries() {
                     if attr.name() != "K" {
                         b = b.value(attr.clone(), tv.clone());
                     }

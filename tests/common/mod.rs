@@ -138,7 +138,7 @@ pub fn totalize(r: &Relation) -> Relation {
         .iter()
         .map(|t| {
             let mut defined = t.lifespan().clone();
-            for tv in t.values().values() {
+            for (_, tv) in t.entries() {
                 defined = defined.intersect(&tv.domain());
             }
             t.restrict(&defined)
@@ -167,8 +167,7 @@ pub fn semantically_equal(a: &Relation, b: &Relation) -> bool {
             .iter()
             .map(|t| {
                 let mut cells: Vec<String> = t
-                    .values()
-                    .iter()
+                    .entries()
                     .map(|(attr, tv)| format!("{attr}={tv}"))
                     .collect();
                 cells.sort();

@@ -157,7 +157,7 @@ proptest! {
             .iter()
             .map(|t| {
                 let mut defined = t.lifespan().clone();
-                for tv in t.values().values() {
+                for (_, tv) in t.entries() {
                     defined = defined.intersect(&tv.domain());
                 }
                 t.restrict(&defined)
