@@ -405,9 +405,9 @@ fn figure_11() {
     );
 }
 
-/// Beyond the paper: the `hrdm-index` access methods and the planner's
-/// access-path selection — Fig. 9's "file structures and access methods"
-/// box made concrete.
+/// Beyond the paper: the access methods — the key index and the
+/// chronon-range partition map — and the planner's access-path selection:
+/// Fig. 9's "file structures and access methods" box made concrete.
 fn figure_12() {
     heading(12, "Access paths: lifespan/key IndexScan vs SeqScan");
     let mut db = Database::new();
@@ -416,12 +416,13 @@ fn figure_12() {
     db.insert("emp", emp("Mary", &[(5, 30)], 30_000)).unwrap();
     db.insert("emp", emp("Igor", &[(25, 40)], 27_000)).unwrap();
 
-    let idx = db.indexes("emp").unwrap();
+    let parts = db.partitions("emp").unwrap();
     println!(
-        "  emp: {} tuples, {} lifespan-interval entries, {} distinct keys",
-        idx.tuple_count(),
-        idx.lifespan().entry_count(),
-        idx.key().map(|k| k.distinct_keys()).unwrap_or(0),
+        "  emp: {} tuples in {} partition(s) ({}), {} distinct keys",
+        parts.tuple_count(),
+        parts.partition_count(),
+        parts.policy(),
+        db.key_index("emp").map_or(0, |k| k.distinct_keys()),
     );
     for (caption, query) in [
         ("an indexable TIME-SLICE", "TIMESLICE [0..10] (emp)"),

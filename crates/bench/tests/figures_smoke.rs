@@ -48,6 +48,10 @@ fn figures_binary_regenerates_all_figures() {
     // Fig. 12's access-path contrast: both index kinds chosen, and a
     // sequential fallback for the non-indexable predicate.
     assert!(
+        text.contains("emp: 3 tuples in 1 partition(s) (span=2^10), 3 distinct keys"),
+        "Fig. 12 missing the access-path summary"
+    );
+    assert!(
         text.contains("IndexScan(lifespan, [0..10])"),
         "Fig. 12 missing lifespan IndexScan"
     );

@@ -20,9 +20,12 @@
 //! disjoint from a TIME-SLICE window restricts to an information-free tuple
 //! and is dropped either way; the index merely skips it up front.
 //!
-//! [`RelationIndexes`] bundles both indexes for one relation and is what
-//! `hrdm-storage::Database` maintains and `hrdm-query`'s access-path
-//! planner consumes.
+//! The engine uses the two separately: `hrdm-storage` keeps one
+//! [`KeyIndex`] per relation and one [`LifespanIndex`] per chronon-range
+//! partition — its partition map is a relation's only lifespan access
+//! path. [`RelationIndexes`] bundles a relation-wide instance of both; no
+//! engine crate holds one, and it is kept only for the benchmark
+//! package's per-layer `index.*` probes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,13 +38,13 @@ pub use key_index::KeyIndex;
 
 use hrdm_core::{Relation, Tuple};
 
-/// All access methods built for one relation.
+/// Both access methods built relation-wide — the shape the benchmark's
+/// `index.*` probes measure (see the crate docs).
 ///
 /// Positions refer to [`Relation::tuples`] order. The indexes track the
 /// relation **incrementally**: appending a tuple to the relation and
 /// calling [`RelationIndexes::insert`] with the same position keeps every
-/// access method current, so `hrdm-storage::Database` never has to drop
-/// them across inserts (wholesale replacement of a relation still rebuilds
+/// access method current (wholesale replacement of a relation rebuilds
 /// via [`RelationIndexes::build`]).
 ///
 /// ## Sharing and copy-on-write

@@ -33,8 +33,8 @@
 //!   executor (`BinaryExec`). `open()` drains the *build* input once
 //!   (cancellable per batch) into the table the operator needs — a tuple
 //!   hash for `∪ ∩ −`, a key table for `⋈ ∪ₒ ∩ₒ −ₒ`, a lifespan index for
-//!   TIME-JOIN, plain rows for θ-JOIN and `×` — or borrows a bare indexed
-//!   base relation's own key index, lifespan index or partition map;
+//!   TIME-JOIN, plain rows for θ-JOIN and `×` — or borrows a bare base
+//!   relation's own key index or partition map;
 //!   `next_batch()` streams the *probe* input through it batch by batch,
 //!   emitting through the per-pair kernels the algebra functions of the
 //!   reference evaluator ([`crate::eval`]) are made of. A symmetric
@@ -71,7 +71,7 @@ use hrdm_core::algebra::{
 use hrdm_core::{
     Attribute, Concat, HrdmError, PVec, Projection, Relation, Scheme, TemporalValue, Tuple, Value,
 };
-use hrdm_index::{KeyIndex, LifespanIndex, RelationIndexes};
+use hrdm_index::{KeyIndex, LifespanIndex};
 use hrdm_storage::{Partition, PartitionMap};
 use hrdm_time::{Interval, Lifespan};
 use std::borrow::Cow;
@@ -549,27 +549,22 @@ impl<'a> ScanExec<'a> {
 }
 
 /// Candidate positions for `access` over `r` (`None` = every position):
-/// partition-pruned when the source keeps a current partition map — skip
-/// partitions whose summary misses the window, take fully-covered ones
-/// whole, probe the rest through their own small indexes — and from the
-/// relation-wide index otherwise.
+/// a lifespan scan is partition-pruned — skip partitions whose summary
+/// misses the window, take fully-covered ones whole, probe the rest
+/// through their own small indexes — and a stale or absent partition map
+/// or key index degrades to a sequential scan.
 fn scan_positions(
     access: &AccessPath,
     src: &dyn IndexSource,
     name: &str,
     r: &Relation,
 ) -> Option<Vec<usize>> {
-    match (access, src.indexes(name)) {
-        (AccessPath::SeqScan, _) | (_, None) => None,
-        (AccessPath::LifespanIndex { window, .. }, Some(idx)) => {
-            match valid_partitions(src, name, r) {
-                Some(parts) => Some(parts.prune_positions(window)),
-                None => Some(idx.lifespan().overlapping(window)),
-            }
+    match access {
+        AccessPath::SeqScan => None,
+        AccessPath::LifespanIndex { window, .. } => {
+            valid_partitions(src, name, r).map(|parts| parts.prune_positions(window))
         }
-        (AccessPath::KeyIndex { key, .. }, Some(idx)) => {
-            idx.key().map(|key_idx| key_idx.lookup(key).to_vec())
-        }
+        AccessPath::KeyIndex { key, .. } => src.key_index(name).map(|k| k.lookup(key).to_vec()),
     }
 }
 
@@ -833,7 +828,7 @@ impl BinaryKind {
     /// What EXPLAIN calls the build table.
     fn table_name(&self, indexed: bool) -> &'static str {
         match self {
-            BinaryKind::TimeJoin { .. } if indexed => "lifespan index",
+            BinaryKind::TimeJoin { .. } if indexed => "partition map",
             BinaryKind::TimeJoin { .. } => "lifespan table",
             _ if indexed => "key index",
             _ if self.keyed() => "key hash",
@@ -1009,9 +1004,8 @@ enum Access<'a> {
     },
     /// An indexed base relation's key index.
     KeyIndex(&'a KeyIndex),
-    /// Rows by lifespan (TIME-JOIN): an index over the drained rows, or an
-    /// indexed base relation's own.
-    Spans(Cow<'a, LifespanIndex>),
+    /// Rows by lifespan (TIME-JOIN): an index over the drained rows.
+    Spans(LifespanIndex),
     /// A partitioned base relation's partition map (TIME-JOIN): each probe
     /// prunes partitions by summary first.
     Partitions(&'a PartitionMap),
@@ -1134,9 +1128,9 @@ fn drain_table<'a>(
         Ok(n)
     })?;
     let access = match kind {
-        BinaryKind::TimeJoin { .. } => Access::Spans(Cow::Owned(LifespanIndex::build(
-            rows.iter().map(Tuple::lifespan),
-        ))),
+        BinaryKind::TimeJoin { .. } => {
+            Access::Spans(LifespanIndex::build(rows.iter().map(Tuple::lifespan)))
+        }
         _ if kind.keyed() => Access::keys(key_attrs, rows.iter()),
         _ => Access::All,
     };
@@ -1146,10 +1140,11 @@ fn drain_table<'a>(
     })
 }
 
-/// The build table of an indexed base relation: its own tuples and index,
-/// nothing drained. A key index whose attributes a probe tuple need not
-/// agree on cannot narrow; the rows are then filed by `key_attrs` instead.
-/// A dropped index degrades to comparing rows, never to an error.
+/// The build table of an indexed base relation: its own tuples and key
+/// index or partition map, nothing drained. A key index whose attributes a
+/// probe tuple need not agree on cannot narrow; the rows are then filed by
+/// `key_attrs` instead. A dropped index or stale map degrades to comparing
+/// rows, never to an error.
 fn indexed_table<'a>(
     kind: &BinaryKind,
     src: &'a dyn IndexSource,
@@ -1157,14 +1152,11 @@ fn indexed_table<'a>(
     key_attrs: &[Attribute],
 ) -> Result<Table<'a>, HrdmError> {
     let r = base_relation(src, name)?;
-    let idx = src.indexes(name);
     let access = match kind {
-        BinaryKind::TimeJoin { .. } => match (valid_partitions(src, name, r), idx) {
-            (Some(parts), _) => Access::Partitions(parts),
-            (None, Some(idx)) => Access::Spans(Cow::Borrowed(idx.lifespan())),
-            (None, None) => Access::All,
-        },
-        _ => match idx.and_then(RelationIndexes::key) {
+        BinaryKind::TimeJoin { .. } => {
+            valid_partitions(src, name, r).map_or(Access::All, Access::Partitions)
+        }
+        _ => match src.key_index(name) {
             Some(key) if key.attrs().iter().all(|a| key_attrs.contains(a)) => Access::KeyIndex(key),
             _ => Access::keys(key_attrs, r.iter()),
         },
@@ -1470,9 +1462,9 @@ impl QueryExecutor for BinaryExec<'_> {
     }
 }
 
-/// `p`'s relation when `p` is a bare scan of a relation whose own index can
-/// be `kind`'s build table: a key index for NATURAL-JOIN and the object
-/// operators, the lifespan index (or partition map) for TIME-JOIN.
+/// `p`'s relation when `p` is a bare scan of a relation whose own access
+/// path can be `kind`'s build table: a key index for NATURAL-JOIN and the
+/// object operators, the partition map for TIME-JOIN.
 fn indexed_base(kind: &BinaryKind, p: &Plan, src: &dyn IndexSource) -> Option<String> {
     let Plan::Scan {
         relation,
@@ -1482,12 +1474,12 @@ fn indexed_base(kind: &BinaryKind, p: &Plan, src: &dyn IndexSource) -> Option<St
     else {
         return None;
     };
-    let idx = src.indexes(relation)?;
-    match kind {
-        BinaryKind::TimeJoin { .. } => Some(relation.clone()),
-        _ if kind.keyed() => idx.key().map(|_| relation.clone()),
-        _ => None,
-    }
+    let indexed = match kind {
+        BinaryKind::TimeJoin { .. } => src.partitions(relation).is_some(),
+        _ if kind.keyed() => src.key_index(relation).is_some(),
+        _ => false,
+    };
+    indexed.then(|| relation.clone())
 }
 
 /// An upper bound on the rows `p` yields, from what the source already
@@ -1504,8 +1496,7 @@ fn estimated_rows(p: &Plan, src: &dyn IndexSource) -> usize {
             match access {
                 AccessPath::SeqScan => r.len(),
                 AccessPath::KeyIndex { key, .. } => src
-                    .indexes(relation)
-                    .and_then(RelationIndexes::key)
+                    .key_index(relation)
                     .map_or(r.len(), |k| k.lookup(key).len()),
                 AccessPath::LifespanIndex { window, .. } => valid_partitions(src, relation, r)
                     .map_or(r.len(), |parts| {
@@ -2424,9 +2415,9 @@ impl Drop for QueryStream<'_> {
 mod tests {
     use super::*;
     use crate::parser::parse_query;
-    use crate::plan::{plan_query, IndexedRelations};
+    use crate::plan::plan_query;
     use hrdm_core::prelude::*;
-    use std::collections::BTreeMap;
+    use hrdm_storage::{Database, PartitionPolicy};
     use std::sync::atomic::AtomicUsize;
 
     fn scheme() -> Scheme {
@@ -2447,25 +2438,21 @@ mod tests {
             .unwrap()
     }
 
-    fn source(n: i64) -> IndexedRelations {
+    fn source(n: i64) -> Database {
         let tuples: Vec<Tuple> = (0..n).map(|k| tup(k, k % 64, 40, k * 10)).collect();
-        let mut map = BTreeMap::new();
-        map.insert(
-            "r".to_string(),
-            Relation::with_tuples(scheme(), tuples).unwrap(),
-        );
-        IndexedRelations::new(map)
+        let r = Relation::with_tuples(scheme(), tuples).unwrap();
+        Database::with_relations(PartitionPolicy::Unpartitioned, [("r", r)]).unwrap()
     }
 
     /// The (optimized) physical plan of a relation-sorted query.
-    fn planned(text: &str, src: &IndexedRelations) -> Plan {
+    fn planned(text: &str, src: &Database) -> Plan {
         match plan_query(&parse_query(text).unwrap(), src) {
             QueryPlan::Relation(p) => p,
             other => panic!("expected a relation-sorted query, got {other:?}"),
         }
     }
 
-    fn collect(text: &str, src: &IndexedRelations, opts: &ExecOptions) -> Relation {
+    fn collect(text: &str, src: &Database, opts: &ExecOptions) -> Relation {
         QueryStream::new(build_executor(&planned(text, src), src, opts), opts)
             .unwrap()
             .collect_relation()

@@ -4,9 +4,9 @@
 //! *runnable as text*:
 //!
 //! ```
-//! use hrdm_query::{run_query_on_snapshot, IndexedRelations, QueryResult};
+//! use hrdm_query::{run_query_on_snapshot, QueryResult};
 //! use hrdm_core::prelude::*;
-//! use std::collections::BTreeMap;
+//! use hrdm_storage::{Database, PartitionPolicy};
 //!
 //! // emp(NAME*, SALARY) with John earning 25K then 30K.
 //! let era = Lifespan::interval(0, 19);
@@ -20,15 +20,14 @@
 //!         (0, 9, Value::Int(25_000)), (10, 19, Value::Int(30_000)),
 //!     ]))
 //!     .finish(&scheme).unwrap();
-//! let mut db = BTreeMap::new();
-//! db.insert("emp".to_string(), Relation::with_tuples(scheme, vec![john]).unwrap());
+//! let emp = Relation::with_tuples(scheme, vec![john]).unwrap();
+//! let db = Database::with_relations(PartitionPolicy::default(), [("emp", emp)]).unwrap();
 //!
 //! // The paper's §4.3 example, as text. WHEN extracts the lifespan sort.
 //! // `run_query_on_snapshot` parses, optimizes, plans, and drains the
 //! // streaming executor ([`exec`]) into a materialized answer.
-//! let src = IndexedRelations::new(db);
 //! let q = "WHEN (SELECT-WHEN (NAME = \"John\" AND SALARY = 30000) (emp))";
-//! match run_query_on_snapshot(q, &src).unwrap() {
+//! match run_query_on_snapshot(q, &db).unwrap() {
 //!     QueryResult::Lifespan(l) => assert_eq!(l, Lifespan::interval(10, 19)),
 //!     _ => unreachable!(),
 //! }
@@ -75,5 +74,5 @@ pub use pipeline::{
 };
 pub use plan::{
     explain_with_access, materialization_window, plan, plan_lifespan, plan_query, AccessPath,
-    IndexSource, IndexedRelations, LifespanPlan, LifespanSetOp, Plan, QueryPlan, RelationSource,
+    IndexSource, LifespanPlan, LifespanSetOp, Plan, QueryPlan, RelationSource,
 };

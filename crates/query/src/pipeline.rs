@@ -347,11 +347,10 @@ pub fn explain_analyze_query_text(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::IndexedRelations;
     use hrdm_core::prelude::*;
-    use std::collections::BTreeMap;
+    use hrdm_storage::{Database, PartitionPolicy};
 
-    fn source() -> IndexedRelations {
+    fn source() -> Database {
         let era = Lifespan::interval(0, 19);
         let scheme = Scheme::builder()
             .key_attr("NAME", ValueKind::Str, era.clone())
@@ -366,12 +365,8 @@ mod tests {
             )
             .finish(&scheme)
             .unwrap();
-        let mut map = BTreeMap::new();
-        map.insert(
-            "emp".to_string(),
-            Relation::with_tuples(scheme, vec![john]).unwrap(),
-        );
-        IndexedRelations::new(map)
+        let emp = Relation::with_tuples(scheme, vec![john]).unwrap();
+        Database::with_relations(PartitionPolicy::Unpartitioned, [("emp", emp)]).unwrap()
     }
 
     #[test]
@@ -414,7 +409,7 @@ mod tests {
              Lifespan-Union\n\
              \x20 When\n\
              \x20   TimeSlice [0..9]\n\
-             \x20     Scan emp [IndexScan(lifespan, [0..9])]\n\
+             \x20     Scan emp [IndexScan(lifespan, [0..9]) partitions: 0/1 pruned]\n\
              \x20 Lifespan [30..40]\n"
         );
         let out = explain_query_text("COUNT SALARY (TIMESLICE [0..9] (emp))", &src).unwrap();

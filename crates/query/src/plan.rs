@@ -6,15 +6,17 @@
 //! walks the normalized tree and picks an [`AccessPath`] for every base
 //! relation scan:
 //!
-//! * `τ_L(R)` with a literal lifespan probes `R`'s **lifespan interval
-//!   index** for the tuples alive somewhere in `L`;
+//! * `τ_L(R)` with a literal lifespan probes `R`'s **partition map** —
+//!   its one lifespan access path — for the tuples alive somewhere in
+//!   `L`: partitions whose summary misses `L` are pruned, the rest probed
+//!   through their own small interval indexes;
 //! * `σWHEN` / `σIF(…, EXISTS)` whose predicate pins the relation's full
 //!   key with equality conjuncts probes the **key index**;
 //! * everything else stays a sequential scan.
 //!
 //! Join strategy is not a plan shape: every binary operator is one
-//! build/probe executor ([`crate::exec`]), which takes a bare indexed base
-//! relation's own key or lifespan index as its build table.
+//! build/probe executor ([`crate::exec`]), which takes a bare base
+//! relation's own key index or partition map as its build table.
 //!
 //! All three query sorts are planned: [`plan_query`] wraps the relational
 //! plans of a query in a root for its sort — a [`LifespanPlan`] whose
@@ -33,7 +35,7 @@
 use crate::ast::{Expr, LifespanExpr, Query};
 use hrdm_core::algebra::{AggregateOp, Comparator, Operand, Predicate, Quantifier};
 use hrdm_core::{Attribute, Relation, Value};
-use hrdm_index::RelationIndexes;
+use hrdm_index::KeyIndex;
 use hrdm_storage::PartitionMap;
 use hrdm_time::Lifespan;
 use std::collections::BTreeMap;
@@ -66,18 +68,25 @@ impl RelationSource for BTreeMap<String, Relation> {
     }
 }
 
-/// A source of named relations that can also hand out their access methods.
+/// A source of named relations that can also hand out their access methods:
+/// a key index, and a chronon-range partition map — the one lifespan
+/// access path.
 ///
-/// `hrdm_storage::Database` implements this (it maintains indexes across
-/// mutations); [`IndexedRelations`] wraps any in-memory relation map.
+/// `hrdm_storage::Database` implements this (it maintains both across
+/// mutations); a detached `Database` built with
+/// `Database::with_relations` serves any in-memory relation map with the
+/// same access paths.
 pub trait IndexSource: RelationSource {
-    /// The current, valid indexes for `name`, if any.
-    fn indexes(&self, name: &str) -> Option<&RelationIndexes>;
+    /// The current key index for `name`, if any.
+    fn key_index(&self, name: &str) -> Option<&KeyIndex> {
+        let _ = name;
+        None
+    }
 
     /// The chronon-range partition map for `name`, if the source maintains
     /// one. Lifespan-bounded scans then plan only the partitions whose
     /// min/max summary overlaps the bound (partition pruning); `None`
-    /// falls back to the relation-wide lifespan index.
+    /// plans them as sequential scans.
     fn partitions(&self, name: &str) -> Option<&PartitionMap> {
         let _ = name;
         None
@@ -85,8 +94,8 @@ pub trait IndexSource: RelationSource {
 }
 
 impl IndexSource for hrdm_storage::Database {
-    fn indexes(&self, name: &str) -> Option<&RelationIndexes> {
-        hrdm_storage::Database::indexes(self, name)
+    fn key_index(&self, name: &str) -> Option<&KeyIndex> {
+        hrdm_storage::Database::key_index(self, name)
     }
 
     fn partitions(&self, name: &str) -> Option<&PartitionMap> {
@@ -94,63 +103,27 @@ impl IndexSource for hrdm_storage::Database {
     }
 }
 
-/// Snapshots carry their relations *and* the matching frozen indexes, so a
-/// planned query against a snapshot uses index scans whose positions are
-/// valid by construction — the index and tuple vector were published
-/// together, and concurrent writers copy what they change of them instead
-/// of mutating it.
+/// Snapshots carry their relations *and* the matching frozen access paths,
+/// so a planned query against a snapshot uses index scans whose positions
+/// are valid by construction — the key index, partition map and tuple
+/// vector were published together, and concurrent writers copy what they
+/// change of them instead of mutating it. A repartition of the live
+/// database after the snapshot was taken builds new maps and leaves the
+/// snapshot's untouched.
 impl IndexSource for hrdm_storage::DbSnapshot {
-    fn indexes(&self, name: &str) -> Option<&RelationIndexes> {
-        hrdm_storage::DbSnapshot::indexes(self, name)
+    fn key_index(&self, name: &str) -> Option<&KeyIndex> {
+        hrdm_storage::DbSnapshot::key_index(self, name)
     }
 
-    /// The snapshot's frozen partition map: a repartition of the live
-    /// database after this snapshot was taken builds new maps and leaves
-    /// this one untouched.
     fn partitions(&self, name: &str) -> Option<&PartitionMap> {
         hrdm_storage::DbSnapshot::partitions(self, name)
-    }
-}
-
-/// An in-memory [`IndexSource`]: a relation map plus indexes built eagerly
-/// for every relation. Useful for tests and ad-hoc querying without a
-/// `Database`.
-pub struct IndexedRelations {
-    relations: BTreeMap<String, Relation>,
-    indexes: BTreeMap<String, RelationIndexes>,
-}
-
-impl IndexedRelations {
-    /// Builds indexes over every relation of `relations`.
-    pub fn new(relations: BTreeMap<String, Relation>) -> IndexedRelations {
-        let indexes = relations
-            .iter()
-            .map(|(name, r)| (name.clone(), RelationIndexes::build(r)))
-            .collect();
-        IndexedRelations { relations, indexes }
-    }
-}
-
-impl RelationSource for IndexedRelations {
-    fn relation(&self, name: &str) -> Option<&Relation> {
-        self.relations.get(name)
-    }
-}
-
-impl IndexSource for IndexedRelations {
-    fn indexes(&self, name: &str) -> Option<&RelationIndexes> {
-        self.indexes.get(name)
     }
 }
 
 /// A bare relation map has no access methods: every scan planned against
 /// it is sequential. The baseline the index benches and the planner tests
 /// compare index scans against.
-impl IndexSource for BTreeMap<String, Relation> {
-    fn indexes(&self, _: &str) -> Option<&RelationIndexes> {
-        None
-    }
-}
+impl IndexSource for BTreeMap<String, Relation> {}
 
 /// Plan-time partition-pruning statistics for one lifespan-bounded scan:
 /// how many of the relation's partitions the bound actually touches.
@@ -174,15 +147,14 @@ impl PartitionPruning {
 pub enum AccessPath {
     /// Read every tuple.
     SeqScan,
-    /// Probe the lifespan interval index for tuples alive somewhere in the
-    /// window — served partition-by-partition when the source maintains a
-    /// partition map (only the partitions overlapping the window are
-    /// touched).
+    /// Probe the partition map for tuples alive somewhere in the window:
+    /// only the partitions whose summary overlaps it are touched, each
+    /// through its own lifespan index.
     LifespanIndex {
         /// The stabbing/overlap window.
         window: Lifespan,
-        /// Plan-time pruning statistics, when the source is partitioned.
-        pruning: Option<PartitionPruning>,
+        /// Plan-time pruning statistics.
+        pruning: PartitionPruning,
     },
     /// Probe the key index with an equality key.
     KeyIndex {
@@ -197,13 +169,13 @@ impl fmt::Display for AccessPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AccessPath::SeqScan => f.write_str("SeqScan"),
-            AccessPath::LifespanIndex { window, pruning } => {
-                write!(f, "IndexScan(lifespan, {})", fmt_window(window))?;
-                if let Some(p) = pruning {
-                    write!(f, " partitions: {}/{} pruned", p.pruned(), p.total)?;
-                }
-                Ok(())
-            }
+            AccessPath::LifespanIndex { window, pruning } => write!(
+                f,
+                "IndexScan(lifespan, {}) partitions: {}/{} pruned",
+                fmt_window(window),
+                pruning.pruned(),
+                pruning.total
+            ),
             AccessPath::KeyIndex { attrs, key } => {
                 let probe: Vec<String> = attrs
                     .iter()
@@ -507,24 +479,24 @@ fn param_bounds(l: &LifespanExpr, out: &mut Vec<Lifespan>) -> Option<()> {
 /// next to the in-window partner's.
 ///
 /// Every scan records the bound that reached it ([`materialization_window`]
-/// reads it back). A bounded scan of an indexed relation becomes a
-/// [`AccessPath::LifespanIndex`]
-/// scan, which a partitioned source serves by **partition pruning**: only
-/// partitions whose min/max summary overlaps `B` are touched. Like every
+/// reads it back). A bounded scan of a relation with a partition map
+/// becomes a [`AccessPath::LifespanIndex`] scan, served by **partition
+/// pruning**: only partitions whose min/max summary overlaps `B` are
+/// touched. Like every
 /// access path, this yields candidates only — the timeslice above
 /// re-applies exact semantics, so planned ≡ unplanned holds (asserted by
 /// the differential suite).
 fn plan_bounded(expr: &Expr, src: &dyn IndexSource, bound: Option<&Lifespan>) -> Plan {
     match expr {
         Expr::Relation(name) => {
-            let access = match (bound, base_with_indexes(expr, src)) {
-                (Some(b), Some(_)) => AccessPath::LifespanIndex {
-                    window: b.clone(),
-                    pruning: src
-                        .partitions(name)
-                        .map(|parts| parts.pruning_counts(b))
-                        .map(|(scanned, total)| PartitionPruning { scanned, total }),
-                },
+            let access = match (bound, src.partitions(name)) {
+                (Some(b), Some(parts)) => {
+                    let (scanned, total) = parts.pruning_counts(b);
+                    AccessPath::LifespanIndex {
+                        window: b.clone(),
+                        pruning: PartitionPruning { scanned, total },
+                    }
+                }
                 _ => AccessPath::SeqScan,
             };
             Plan::Scan {
@@ -646,24 +618,18 @@ fn binary(
     }
 }
 
-/// Is `e` a bare base relation that currently has indexes?
-fn base_with_indexes<'e>(e: &'e Expr, src: &dyn IndexSource) -> Option<&'e str> {
-    match e {
-        Expr::Relation(name) if src.indexes(name).is_some() => Some(name),
-        _ => None,
-    }
-}
-
-/// A key-index scan for `input` when it is an indexed base relation and
-/// `predicate` pins its full key with equality conjuncts.
+/// A key-index scan for `input` when it is a base relation with a key
+/// index and `predicate` pins its full key with equality conjuncts.
 fn key_probe_scan(
     input: &Expr,
     predicate: &Predicate,
     src: &dyn IndexSource,
     bound: Option<&Lifespan>,
 ) -> Option<Plan> {
-    let name = base_with_indexes(input, src)?;
-    src.indexes(name)?.key()?;
+    let Expr::Relation(name) = input else {
+        return None;
+    };
+    src.key_index(name)?;
     let scheme = src.relation(name)?.scheme();
     let key_attrs: Vec<Attribute> = scheme.key().to_vec();
     if key_attrs.is_empty() {
@@ -763,18 +729,16 @@ pub(crate) fn record_scan_access(access: &AccessPath) {
         AccessPath::SeqScan => obs.seq_scans.inc(),
         AccessPath::LifespanIndex { pruning, .. } => {
             obs.index_scans.inc();
-            if let Some(p) = pruning {
-                obs.partitions_probed.add(p.scanned as u64);
-                obs.partitions_pruned.add(p.pruned() as u64);
-            }
+            obs.partitions_probed.add(pruning.scanned as u64);
+            obs.partitions_pruned.add(pruning.pruned() as u64);
         }
         AccessPath::KeyIndex { .. } => obs.index_scans.inc(),
     }
 }
 
 /// `src`'s partition map for `name`, but only when its positions are
-/// current against `r` — a stale map (out-of-band mutation) degrades to
-/// the relation-wide index, never to wrong positions.
+/// current against `r` — a stale or absent map degrades to a sequential
+/// scan, never to wrong positions.
 pub(crate) fn valid_partitions<'s>(
     src: &'s dyn IndexSource,
     name: &str,

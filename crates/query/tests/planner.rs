@@ -5,9 +5,9 @@
 use hrdm_core::prelude::*;
 use hrdm_query::{
     build_executor, eval_expr, explain_stream_plan, explain_with_access, optimize, parse_expr,
-    parse_query, plan, run_query, AccessPath, ExecOptions, IndexSource, IndexedRelations, Plan,
-    QueryStream,
+    parse_query, plan, run_query, AccessPath, ExecOptions, IndexSource, Plan, QueryStream,
 };
+use hrdm_storage::{Database, PartitionPolicy};
 use std::collections::BTreeMap;
 
 /// Runs a physical plan through its executor tree and collects the answer.
@@ -111,8 +111,10 @@ fn relations() -> BTreeMap<String, Relation> {
     m
 }
 
-fn indexed() -> IndexedRelations {
-    IndexedRelations::new(relations())
+/// The relations in one partition each: every bounded scan's EXPLAIN reads
+/// `partitions: 0/1 pruned` unless its window misses the relation whole.
+fn indexed() -> Database {
+    Database::with_relations(PartitionPolicy::Unpartitioned, relations()).unwrap()
 }
 
 /// Plans `src_text` (after optimization) and returns the plan plus its
@@ -143,9 +145,12 @@ fn assert_same_results(src_text: &str) {
 fn timeslice_uses_lifespan_index() {
     let (p, text) = planned("TIMESLICE [10..20] (emp)");
     assert!(
-        text.contains("IndexScan(lifespan, [10..20])"),
+        text.contains("IndexScan(lifespan, [10..20]) partitions: 0/1 pruned"),
         "missing index scan in:\n{text}"
     );
+    // A window past every lifespan prunes the relation's one partition.
+    let (_, text) = planned("TIMESLICE [95..99] (emp)");
+    assert!(text.contains("partitions: 1/1 pruned"), "{text}");
     match &p {
         Plan::Unary { input, .. } => assert!(matches!(
             **input,
@@ -218,11 +223,11 @@ fn non_key_predicates_stay_seq_scan() {
 #[test]
 fn optimizer_normal_form_composes_with_index() {
     // τ over σWHEN: the optimizer pushes the slice under the select, so
-    // the planner can serve the slice from the lifespan index.
+    // the planner can serve the slice from the partition map.
     let q = "TIMESLICE [0..10] (SELECT-WHEN (SALARY = 25000) (emp))";
     let (_, text) = planned(q);
     assert!(
-        text.contains("IndexScan(lifespan, [0..10])"),
+        text.contains("IndexScan(lifespan, [0..10]) partitions: 0/1 pruned"),
         "missing pushed-down index scan in:\n{text}"
     );
     assert_same_results(q);
@@ -259,7 +264,7 @@ fn theta_join_plans_children() {
     let (p, text) = planned(q);
     assert!(matches!(p, Plan::ThetaJoin { .. }));
     assert!(
-        text.contains("IndexScan(lifespan, [0..10])"),
+        text.contains("IndexScan(lifespan, [0..10]) partitions: 0/1 pruned"),
         "child index scan lost inside θ-join:\n{text}"
     );
     assert_same_results(q);
@@ -269,12 +274,12 @@ fn theta_join_plans_children() {
 #[test]
 fn time_join_with_non_base_probe_side_plans_children() {
     // The probe side is not a bare indexed relation, so no index join —
-    // but the left child's TIMESLICE still gets its lifespan index.
+    // but the left child's TIMESLICE still gets its lifespan scan.
     let q = "(TIMESLICE [0..20] (evt)) TIMEJOIN@AT (PROJECT [DEPT] (dept))";
     let (p, text) = planned(q);
     assert!(matches!(p, Plan::TimeJoin { .. }));
     assert!(
-        text.contains("IndexScan(lifespan, [0..20])"),
+        text.contains("IndexScan(lifespan, [0..20]) partitions: 0/1 pruned"),
         "child index scan lost inside TIME-JOIN:\n{text}"
     );
     assert_same_results(q);
@@ -355,7 +360,7 @@ fn without_indexes_everything_is_seq_scan() {
     let p = plan(&optimized, &bare);
     let text = explain_plan(&p, &bare);
     assert!(
-        !text.contains("IndexScan"),
+        !text.contains("IndexScan") && !text.contains("partitions:"),
         "IndexScan without an index:\n{text}"
     );
     assert_eq!(execute(&p, &bare), eval_expr(&e, &bare).unwrap());
@@ -390,7 +395,7 @@ fn timeslice_bound_propagates_to_scans_under_selects_and_set_ops() {
     let q = "TIMESLICE [0..20] (PROJECT [NAME] (TIMESLICE [10..40] (emp)))";
     let (_, text) = planned(q);
     assert!(
-        text.contains("IndexScan(lifespan, [10..20])"),
+        text.contains("IndexScan(lifespan, [10..20]) partitions: 0/1 pruned"),
         "nested bounds must intersect:\n{text}"
     );
     assert_same_results(q);
@@ -445,9 +450,6 @@ fn partitioned_source_explains_pruning_counts() {
         eval_expr(&e, &db).unwrap(),
         "pruned scan diverged"
     );
-    // An unpartitioned in-memory source renders no pruning suffix.
-    let (_, text) = planned("TIMESLICE [10..20] (emp)");
-    assert!(!text.contains("partitions:"), "{text}");
 }
 
 #[test]
@@ -457,7 +459,7 @@ fn explain_with_access_shows_rewrites_and_paths() {
     assert!(text.contains("== rewrites =="));
     assert!(text.contains("FuseTimeslice"));
     assert!(text.contains("== access paths =="));
-    assert!(text.contains("IndexScan(lifespan, [5..10])"));
+    assert!(text.contains("IndexScan(lifespan, [5..10]) partitions: 0/1 pruned"));
 }
 
 #[test]

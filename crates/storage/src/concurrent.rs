@@ -24,10 +24,10 @@
 //! Every commit batch ends in a publish, so the *next* batch always finds
 //! the state it is about to change shared with the snapshot just
 //! published. That costs it O(batch · log n), not O(n): the tuple vector,
-//! key index, lifespan index and partition map are structure-shared (see
-//! [`Database`]), so an insert copies a 64-slot vector tail, one small
-//! hash-map tier, a short pending run and the one partition it lands in,
-//! and publishing bumps one reference count per relation. The amortizing
+//! key index and partition map are structure-shared (see [`Database`]),
+//! so an insert copies a 64-slot vector tail, one small hash-map tier and
+//! the one partition it lands in (with its short pending run), and
+//! publishing bumps one reference count per relation. The amortizing
 //! index merges that pay for this show up as
 //! `hrdm_storage_index_folds_total` / `hrdm_storage_index_fold_ns` next to
 //! `hrdm_snapshot_publish_total`.
@@ -538,14 +538,18 @@ mod tests {
         let snap = db.snapshot();
         db.insert("r", tup(2)).unwrap();
 
-        // The snapshot's key index knows nothing of the later insert, and
-        // its positions resolve against the snapshot's own tuple vector.
-        let idx = snap.indexes("r").unwrap();
-        assert_eq!(idx.tuple_count(), 1);
-        let pos = idx.key().unwrap().lookup(&[Value::Int(1)]);
+        // The snapshot's key index and partition map know nothing of the
+        // later insert, and their positions resolve against the
+        // snapshot's own tuple vector.
+        let key = snap.key_index("r").unwrap();
+        assert_eq!(key.distinct_keys(), 1);
+        let pos = key.lookup(&[Value::Int(1)]);
         assert_eq!(pos.len(), 1);
         assert!(snap.relation("r").unwrap().tuple_at(pos[0]).is_some());
-        assert!(idx.key().unwrap().lookup(&[Value::Int(2)]).is_empty());
+        assert!(key.lookup(&[Value::Int(2)]).is_empty());
+        let parts = snap.partitions("r").unwrap();
+        assert_eq!(parts.tuple_count(), 1);
+        assert_eq!(parts.prune_positions(&Lifespan::interval(0, 100)), pos);
     }
 
     #[test]

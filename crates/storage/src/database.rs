@@ -36,7 +36,7 @@ use crate::snapshot::DbSnapshot;
 use crate::table::{Table, Tables};
 use crate::wal::{Wal, WalRecord};
 use hrdm_core::{Attribute, HistoricalDomain, HrdmError, Relation, Scheme, Tuple};
-use hrdm_index::RelationIndexes;
+use hrdm_index::KeyIndex;
 use hrdm_time::Chronon;
 use std::collections::BTreeMap;
 use std::io;
@@ -150,16 +150,16 @@ enum InsertDisposition {
 ///
 /// ## Sharing and copy-on-write
 ///
-/// Each relation's tuples, indexes (`hrdm-index`) and chronon-range
+/// Each relation's tuples, key index (`hrdm-index`) and chronon-range
 /// partition map live together in one `Arc`'d table, maintained
 /// **incrementally** by inserts and rebuilt in bulk by
 /// `put_relation`/`create_relation`/[`Database::load`]. Taking a
 /// [`DbSnapshot`] ([`Database::snapshot`]) bumps one reference count per
 /// relation. The insert that follows finds its table shared and copies
 /// what it is about to change — the tuple vector's 64-slot tail, the key
-/// index's newest tier (at most 32 entries), the lifespan index's short
-/// pending run, and the one partition the tuple lands in — O(log n) in
-/// all, never the relation. With no snapshot (or batch undo point)
+/// index's newest tier (at most 32 entries), and the one partition the
+/// tuple lands in (with its lifespan index's short pending run) — O(log n)
+/// in all, never the relation. With no snapshot (or batch undo point)
 /// outstanding, inserts mutate in place.
 #[derive(Default)]
 pub struct Database {
@@ -187,6 +187,22 @@ impl Database {
     /// An empty, detached database.
     pub fn new() -> Database {
         Database::default()
+    }
+
+    /// A detached database holding `relations` (each registered under its
+    /// own scheme), partitioned under `policy` — an in-memory query source
+    /// with the same access paths an opened database has.
+    pub fn with_relations<N: AsRef<str>>(
+        policy: PartitionPolicy,
+        relations: impl IntoIterator<Item = (N, Relation)>,
+    ) -> Result<Database, DbError> {
+        let mut db = Database::new();
+        db.set_partition_policy(policy);
+        for (name, relation) in relations {
+            db.create_relation(name.as_ref(), relation.scheme().clone())?;
+            db.put_relation(name.as_ref(), relation)?;
+        }
+        Ok(db)
     }
 
     /// Is this database attached to a directory (durable mode)?
@@ -485,7 +501,7 @@ impl Database {
             return Ok(InsertDisposition::Apply);
         }
         let key = tuple.key_values(rel.scheme()).map_err(DbError::Model)?;
-        let duplicate = match table.indexes.key() {
+        let duplicate = match &table.key {
             Some(key_idx) => !key_idx.lookup(&key).is_empty(),
             None => rel.find_by_key(&key).is_some(),
         };
@@ -585,13 +601,15 @@ impl Database {
         self.apply_put_unchecked(name, Relation::from_parts_unchecked(scheme, tuples));
     }
 
-    /// The current indexes of `name`; `None` means an unknown relation.
-    pub fn indexes(&self, name: &str) -> Option<&RelationIndexes> {
-        self.tables.get(name).map(|t| &t.indexes)
+    /// The current key index of `name`; `None` for an unknown relation, a
+    /// keyless scheme, or a relation holding a tuple without a constant
+    /// key value.
+    pub fn key_index(&self, name: &str) -> Option<&KeyIndex> {
+        self.tables.get(name)?.key.as_ref()
     }
 
-    /// The chronon-range partition map of `name`; `None` means an unknown
-    /// relation.
+    /// The chronon-range partition map of `name` — the relation's lifespan
+    /// access path; `None` means an unknown relation.
     pub fn partitions(&self, name: &str) -> Option<&PartitionMap> {
         self.tables.get(name).map(|t| &t.partitions)
     }
@@ -1510,29 +1528,29 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let mut db = Database::new();
         db.create_relation("emp", emp_scheme()).unwrap();
-        // Fresh relation: index exists (empty).
-        assert_eq!(db.indexes("emp").unwrap().tuple_count(), 0);
+        // Fresh relation: the access paths exist (empty).
+        assert_eq!(db.key_index("emp").unwrap().distinct_keys(), 0);
+        assert_eq!(db.partitions("emp").unwrap().tuple_count(), 0);
 
         // Insert maintains the indexes incrementally — no invalidation.
         db.insert("emp", emp("John", 0, 20, 25_000)).unwrap();
-        let idx = db.indexes("emp").expect("insert keeps indexes valid");
-        assert_eq!(idx.tuple_count(), 1);
-        let stab = idx.lifespan().stab(hrdm_time::Chronon::new(5));
-        assert_eq!(stab, vec![0]);
+        let window = Lifespan::interval(5, 5);
+        let parts = db.partitions("emp").expect("insert keeps the map valid");
+        assert_eq!(parts.tuple_count(), 1);
+        assert_eq!(parts.prune_positions(&window), vec![0]);
 
         // put_relation rebuilds eagerly.
         let rel = db.relation("emp").unwrap().clone();
         db.put_relation("emp", rel).unwrap();
-        assert_eq!(db.indexes("emp").unwrap().tuple_count(), 1);
+        assert_eq!(db.partitions("emp").unwrap().tuple_count(), 1);
 
-        // A loaded database has indexes for every relation, rebuilt from
-        // the heap files.
+        // A loaded database has access paths for every relation, rebuilt
+        // from the heap files.
         db.insert("emp", emp("Mary", 5, 30, 30_000)).unwrap();
         db.save(&dir).unwrap();
         let back = Database::load(&dir).unwrap();
-        let idx = back.indexes("emp").expect("load builds indexes");
-        assert_eq!(idx.tuple_count(), 2);
-        let key = idx.key().expect("keyed scheme has a key index");
+        assert_eq!(back.partitions("emp").unwrap().tuple_count(), 2);
+        let key = back.key_index("emp").expect("keyed scheme has a key index");
         let pos = key.lookup(&[hrdm_core::Value::str("Mary")]);
         assert_eq!(pos.len(), 1);
         assert_eq!(
@@ -1548,7 +1566,8 @@ mod tests {
 
     #[test]
     fn unknown_relation_has_no_indexes() {
-        assert!(Database::new().indexes("ghost").is_none());
+        let db = Database::new();
+        assert!(db.key_index("ghost").is_none() && db.partitions("ghost").is_none());
     }
 
     #[test]
@@ -1774,10 +1793,9 @@ mod tests {
         db.rollback(undo);
         assert_eq!(db.relation("emp").unwrap().len(), 1);
         assert_eq!(db.version(), version_before);
-        let idx = db.indexes("emp").unwrap();
-        assert_eq!(idx.tuple_count(), 1);
-        assert!(idx.key().unwrap().lookup(&[Value::str("Mary")]).is_empty());
-        assert_eq!(idx.key().unwrap().lookup(&[Value::str("John")]).len(), 1);
+        let key = db.key_index("emp").unwrap();
+        assert!(key.lookup(&[Value::str("Mary")]).is_empty());
+        assert_eq!(key.lookup(&[Value::str("John")]).len(), 1);
         assert_eq!(db.partitions("emp").unwrap().tuple_count(), 1);
         // The undone inserts are gone for good: their keys are free again.
         db.insert("emp", emp("Mary", 5, 30, 31_000)).unwrap();

@@ -26,7 +26,10 @@
 //!   relation's tuple store is cut into chronon-range partitions with
 //!   per-partition heap files, min/max lifespan summaries, and
 //!   per-partition lifespan indexes, so time-bounded queries and
-//!   checkpoints touch only the partitions they need;
+//!   checkpoints touch only the partitions they need. The partition map
+//!   is a relation's one lifespan access path — there is no
+//!   relation-wide interval index beside it — and a [`KeyIndex`] its
+//!   one key access path;
 //! * [`wal`] — a checksummed write-ahead log with torn-tail recovery;
 //! * [`database`] — a named collection of historical relations built on
 //!   all of the above, with two persistence modes: detached
@@ -73,6 +76,6 @@ pub use pool::{BufferPool, PageGuard, PoolFileId, PoolStats};
 pub use snapshot::DbSnapshot;
 pub use wal::{Wal, WalRecord};
 
-// Re-export the access-method types `Database` hands out, so downstream
-// code does not need a direct `hrdm-index` dependency for common use.
-pub use hrdm_index::{KeyIndex, LifespanIndex, RelationIndexes};
+// Re-export the key index `Database` hands out, so downstream code does
+// not need a direct `hrdm-index` dependency for common use.
+pub use hrdm_index::KeyIndex;

@@ -31,7 +31,7 @@ pub(crate) struct StorageObs {
     /// Snapshots published by concurrent databases.
     pub snapshot_publish: Arc<Counter>,
     /// Amortizing index merges triggered by inserts: key-index tier folds
-    /// plus relation-wide lifespan run merges.
+    /// plus the lifespan run merges of the partition each tuple lands in.
     pub index_folds: Arc<Counter>,
     /// Durations of the inserts that carried those merges — the long
     /// commits that pay for the cheap ones around them.
@@ -85,7 +85,7 @@ pub(crate) fn storage_obs() -> &'static StorageObs {
             ),
             index_folds: r.counter(
                 "hrdm_storage_index_folds_total",
-                "Index merges (key tier folds, lifespan run merges) triggered by inserts",
+                "Index merges (key tier folds, landing partition's lifespan run merges) triggered by inserts",
             ),
             index_fold_ns: r.histogram(
                 "hrdm_storage_index_fold_ns",

@@ -151,7 +151,8 @@ impl PagedDatabase {
                 match record {
                     WalRecord::CreateRelation { name, scheme } => {
                         catalog.create_relation(&name, scheme.clone())?;
-                        let map = PartitionMap::from_manifest(policy, &[], &no_btree());
+                        // No checkpoint image yet: an empty resident map.
+                        let map = PartitionMap::build(&Relation::new(scheme.clone()), policy);
                         rels.insert(
                             name,
                             PagedRelation {
@@ -359,23 +360,6 @@ impl PagedDatabase {
         heaps.insert(id, Arc::clone(&heap));
         Ok(heap)
     }
-}
-
-/// An empty B+tree for tail-created relations (no checkpoint image yet):
-/// every member fetch over it is trivially empty.
-fn no_btree() -> Arc<LifespanBTree> {
-    // A relation created after the checkpoint has no on-disk tree; an
-    // empty cold map never consults one, so a dangling Arc would do —
-    // but building a real empty tree in a scratch file keeps the type
-    // honest without special cases.
-    static EMPTY: std::sync::OnceLock<Arc<LifespanBTree>> = std::sync::OnceLock::new();
-    Arc::clone(EMPTY.get_or_init(|| {
-        let path = std::env::temp_dir().join(format!("hrdm-empty-{}.btx", std::process::id()));
-        let pool = BufferPool::new(1);
-        let tree = LifespanBTree::build(&path, pool, &mut Vec::new())
-            .expect("building an empty scratch B+tree in $TMPDIR"); // lint: no-panic-ok(one-shot process setup; an unwritable $TMPDIR leaves nothing to degrade to)
-        Arc::new(tree)
-    }))
 }
 
 fn record_kind(record: &WalRecord) -> &'static str {

@@ -8,14 +8,14 @@
 //!
 //! * the member tuples' **positions** into the relation's tuple
 //!   vector (the in-memory layout is untouched — partitioning is pure
-//!   physical metadata, so every existing operator and index keeps
-//!   working),
+//!   physical metadata, so every existing operator keeps working),
 //! * a **min/max lifespan summary** covering every member tuple's
 //!   lifespan whole (persisted in the catalog, header v3), and
 //! * its own [`LifespanIndex`] over the member tuples, so a pruned
-//!   query probes a handful of small indexes instead of one big one
-//!   (key probes go through the relation-wide key index, so partitions
-//!   keep none).
+//!   query probes a handful of small indexes. The map is the relation's
+//!   only lifespan access path: no relation-wide interval index exists
+//!   beside it (key probes go through the relation-wide key index, so
+//!   partitions keep none).
 //!
 //! ## Pruning
 //!
@@ -212,7 +212,8 @@ impl Partition {
         }
     }
 
-    fn add(&mut self, pos: u32, tuple: &Tuple) {
+    /// Adds a member; returns the run merges its lifespan index did.
+    fn add(&mut self, pos: u32, tuple: &Tuple) -> u64 {
         let Members::Resident {
             positions,
             lifespans,
@@ -221,13 +222,16 @@ impl Partition {
             // Cold partitions are read-only checkpoint views; the paged
             // read path never routes inserts here.
             debug_assert!(false, "insert into a cold partition");
-            return;
+            return 0;
         };
+        let merges_before = lifespans.merges();
         lifespans.insert(positions.len(), tuple.lifespan());
         positions.push(pos);
+        let merges = lifespans.merges() - merges_before;
         self.widen_summary(tuple.lifespan());
         self.count += 1;
         self.dirty = true;
+        merges
     }
 
     /// Member positions into the relation's tuple vector, ascending.
@@ -386,7 +390,10 @@ impl PartitionMap {
     /// (which must equal [`PartitionMap::tuple_count`] — append-only, like
     /// the indexes it contains). Copies the partition the tuple lands in
     /// if a clone of the map shares it, and no other.
-    pub fn insert(&mut self, pos: usize, tuple: &Tuple) {
+    ///
+    /// Returns how many run merges that partition's lifespan index did on
+    /// this insert — the amortizing work the storage fold counter reports.
+    pub fn insert(&mut self, pos: usize, tuple: &Tuple) -> u64 {
         assert_eq!(
             pos, self.tuple_count,
             "PartitionMap::insert positions are append-only"
@@ -395,8 +402,9 @@ impl PartitionMap {
             .parts
             .entry(self.policy.partition_id(birth_of(tuple)))
             .or_insert_with(|| Arc::new(Partition::resident(&[])));
-        Arc::make_mut(part).add(position_u32(pos), tuple);
+        let merges = Arc::make_mut(part).add(position_u32(pos), tuple);
         self.tuple_count += 1;
+        merges
     }
 
     /// The boundary policy the map was built under.

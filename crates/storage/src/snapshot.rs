@@ -15,17 +15,18 @@
 //! held when it was taken. What that sharing costs the *writer* is
 //! bounded too: the next insert into a shared relation copies the 64-slot
 //! tail of the tuple vector, the newest (≤ 32-entry) tier of the key
-//! index, the lifespan index's short pending run and the one partition
-//! the tuple lands in — O(log n), not the O(n) a flat vector and hash map
-//! would cost — and leaves every other leaf, tier and partition as the
-//! very allocation the snapshot holds. Two consecutive snapshots
-//! therefore share all but the path the writes between them touched.
+//! index and the one partition the tuple lands in (its lifespan index's
+//! short pending run included) — O(log n), not the O(n) a flat vector
+//! and hash map would cost — and leaves every other leaf, tier and
+//! partition as the very allocation the snapshot holds. Two consecutive
+//! snapshots therefore share all but the path the writes between them
+//! touched.
 
 use crate::catalog::Catalog;
 use crate::partition::PartitionMap;
 use crate::table::Tables;
 use hrdm_core::Relation;
-use hrdm_index::RelationIndexes;
+use hrdm_index::KeyIndex;
 use std::sync::Arc;
 
 /// An immutable view of a database's committed state at one commit point.
@@ -63,18 +64,20 @@ impl DbSnapshot {
         self.tables.get(name).map(|t| &t.relation)
     }
 
-    /// The access methods of `name`, frozen with the snapshot. Positions
-    /// they return are valid against [`DbSnapshot::relation`] of the same
+    /// The key index of `name`, frozen with the snapshot (`None` as for
+    /// [`Database::key_index`](crate::Database::key_index)). Positions it
+    /// returns are valid against [`DbSnapshot::relation`] of the same
     /// snapshot by construction — the index and the tuple vector were
     /// published together.
-    pub fn indexes(&self, name: &str) -> Option<&RelationIndexes> {
-        self.tables.get(name).map(|t| &t.indexes)
+    pub fn key_index(&self, name: &str) -> Option<&KeyIndex> {
+        self.tables.get(name)?.key.as_ref()
     }
 
-    /// The chronon-range partition map of `name`, frozen with the
-    /// snapshot — a later repartition of the live database builds new
-    /// maps and leaves this one untouched, so positions it yields stay
-    /// valid against [`DbSnapshot::relation`] of the same snapshot.
+    /// The chronon-range partition map of `name` — its lifespan access
+    /// path — frozen with the snapshot: a later repartition of the live
+    /// database builds new maps and leaves this one untouched, so
+    /// positions it yields stay valid against [`DbSnapshot::relation`] of
+    /// the same snapshot.
     pub fn partitions(&self, name: &str) -> Option<&PartitionMap> {
         self.tables.get(name).map(|t| &t.partitions)
     }

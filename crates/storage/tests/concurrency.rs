@@ -140,9 +140,8 @@ fn pre_checkpoint_snapshot_scans_correctly_after_epoch_rotation() {
     // The old snapshot still scans its 50 tuples — storage-level…
     assert_eq!(observed_keys(&old), (0..50).collect::<BTreeSet<i64>>());
     // …and through its frozen index, position for position.
-    let idx = old.indexes("r").unwrap();
-    assert_eq!(idx.tuple_count(), 50);
-    let pos = idx.key().unwrap().lookup(&[Value::Int(17)]);
+    assert_eq!(old.partitions("r").unwrap().tuple_count(), 50);
+    let pos = old.key_index("r").unwrap().lookup(&[Value::Int(17)]);
     assert_eq!(pos.len(), 1);
     let t = old.relation("r").unwrap().tuple_at(pos[0]).unwrap();
     assert_eq!(

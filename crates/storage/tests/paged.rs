@@ -169,6 +169,10 @@ fn tail_created_relation_is_visible() {
     }
     let paged = PagedDatabase::open(&dir).unwrap();
     assert_eq!(paged.tuple_count("dept"), Some(1));
+    // A tail-created relation has no on-disk tree, and the open makes
+    // none up in the temp directory either.
+    let scratch = std::env::temp_dir().join(format!("hrdm-empty-{}.btx", std::process::id()));
+    assert!(!scratch.exists(), "{} leaked", scratch.display());
     let snap = paged.snapshot().unwrap();
     assert_eq!(snap.relation("dept").unwrap().len(), 1);
     // Windowing applies to the tail too.

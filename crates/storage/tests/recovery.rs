@@ -73,8 +73,9 @@ fn kill_without_checkpoint_recovers_from_wal() {
     let rel = back.relation("emp").expect("relation recovered");
     assert_eq!(rel.len(), 50);
     assert_eq!(rel.tuples()[17], tup(17, 17, 37));
-    // The recovered database has live indexes for the planner.
-    assert_eq!(back.indexes("emp").unwrap().tuple_count(), 50);
+    // The recovered database has live access paths for the planner.
+    assert_eq!(back.partitions("emp").unwrap().tuple_count(), 50);
+    assert_eq!(back.key_index("emp").unwrap().distinct_keys(), 50);
     std::fs::remove_dir_all(dir).ok();
 }
 

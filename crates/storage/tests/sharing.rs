@@ -71,8 +71,8 @@ struct Observed {
 
 fn observe(snap: &DbSnapshot, probe_keys: &[i64]) -> Observed {
     let rel = snap.relation("r").unwrap();
-    let idx = snap.indexes("r").unwrap();
-    let key = idx.key().unwrap();
+    let key = snap.key_index("r").unwrap();
+    let parts = snap.partitions("r").unwrap();
     Observed {
         version: snap.version(),
         tuples: rel.iter().cloned().collect(),
@@ -80,15 +80,8 @@ fn observe(snap: &DbSnapshot, probe_keys: &[i64]) -> Observed {
             .iter()
             .map(|&k| key.lookup(&[Value::Int(k)]).to_vec())
             .collect(),
-        window: idx
-            .lifespan()
-            .overlapping(&Lifespan::interval(ERA / 2, ERA / 2 + 5_000)),
-        partition_sizes: snap
-            .partitions("r")
-            .unwrap()
-            .iter()
-            .map(|(id, p)| (id, p.len()))
-            .collect(),
+        window: parts.prune_positions(&Lifespan::interval(ERA / 2, ERA / 2 + 5_000)),
+        partition_sizes: parts.iter().map(|(id, p)| (id, p.len())).collect(),
     }
 }
 
@@ -152,13 +145,14 @@ fn consecutive_snapshots_share_untouched_partitions_leaves_and_tiers() {
         );
     }
 
-    // Indexes: the frozen bulk key tier and the lifespan bulk run.
-    let (idx_a, idx_b) = (before.indexes("r").unwrap(), after.indexes("r").unwrap());
-    let (key_a, key_b) = (idx_a.key().unwrap(), idx_b.key().unwrap());
+    // Key index: the frozen bulk tier.
+    let (key_a, key_b) = (
+        before.key_index("r").unwrap(),
+        after.key_index("r").unwrap(),
+    );
     assert_eq!((key_a.tier_count(), key_b.tier_count()), (2, 2));
     assert!(key_b.shares_tier_with(key_a, 0), "frozen bulk tier");
     assert!(!key_b.shares_tier_with(key_a, 1), "copied small tier");
-    assert!(idx_b.lifespan().shares_run_with(idx_a.lifespan(), 0));
 }
 
 /// A snapshot taken before a commit still answers exactly as it did —
@@ -176,23 +170,34 @@ fn an_old_snapshot_survives_commits_folds_checkpoint_and_repartition() {
     assert_eq!(expected.tuples.len(), 2_001);
     assert_eq!(expected.key_probes[3], Vec::<usize>::new(), "2001: not yet");
 
-    let folds_before = old.indexes("r").unwrap().folds();
+    let counted = || {
+        hrdm_obs::global()
+            .counter_value("hrdm_storage_index_folds_total")
+            .unwrap_or(0)
+    };
+    let (old_key, counted_before) = (old.key_index("r").unwrap(), counted());
     for k in 2_001..12_001 {
         db.insert("r", tup(k)).unwrap();
     }
     let live = db.snapshot();
-    let live_idx = live.indexes("r").unwrap();
+    let live_key = live.key_index("r").unwrap();
+    let key_folds = live_key.folds() - old_key.folds();
     assert!(
-        live_idx.folds() > folds_before + 5,
-        "the run must have folded tiers and merged pending runs ({} → {})",
-        folds_before,
-        live_idx.folds()
+        key_folds > 5,
+        "the run must have folded key tiers ({key_folds})"
     );
+    // The fold counter adds the landing partitions' run merges on top:
+    // ~156 inserts into each of 64 partitions freeze and merge runs there.
+    // (Other tests of this binary only ever add to the counter.)
+    if hrdm_obs::enabled() {
+        let counted = counted() - counted_before;
+        assert!(
+            counted > key_folds,
+            "{counted} counted, {key_folds} key folds"
+        );
+    }
     assert!(
-        !live_idx
-            .key()
-            .unwrap()
-            .shares_tier_with(old.indexes("r").unwrap().key().unwrap(), 0),
+        !live_key.shares_tier_with(old_key, 0),
         "every tier the old snapshot holds has been folded away in the live index"
     );
     db.checkpoint().unwrap();

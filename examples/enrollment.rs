@@ -12,10 +12,9 @@
 
 use hrdm::prelude::*;
 use hrdm::query::{
-    explain_optimized, optimize, parse_expr, run_query, run_query_on_snapshot, IndexedRelations,
-    Query, QueryResult,
+    explain_optimized, optimize, parse_expr, run_query, run_query_on_snapshot, Query, QueryResult,
 };
-use std::collections::BTreeMap;
+use hrdm::storage::{Database, PartitionPolicy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let era = Lifespan::interval(0, 100);
@@ -71,11 +70,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- The query language ----------------------------------------------
     // The same parse → optimize → plan → evaluate pipeline the `hrdmq`
-    // shell and the `hrdmd` server run, against an indexed source.
-    let mut relations: BTreeMap<String, Relation> = BTreeMap::new();
-    relations.insert("enrollments".into(), enrollments);
-    relations.insert("courses".into(), courses);
-    let source = IndexedRelations::new(relations);
+    // shell and the `hrdmd` server run, against a detached database.
+    let source = Database::with_relations(
+        PartitionPolicy::Unpartitioned,
+        [("enrollments", enrollments), ("courses", courses)],
+    )?;
 
     // When was anyone taking the DB course?
     if let QueryResult::Lifespan(l) = run_query_on_snapshot(

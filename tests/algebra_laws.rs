@@ -6,8 +6,14 @@ mod common;
 
 use common::{other_relation_strategy, relation_strategy, semantically_equal};
 use hrdm_core::prelude::*;
-use hrdm_query::{parse_query, run_query, IndexedRelations, QueryResult};
+use hrdm_query::{parse_query, run_query, QueryResult};
+use hrdm_storage::{Database, PartitionPolicy};
 use proptest::prelude::*;
+
+/// A detached database holding `relations` in one partition each.
+fn database<const N: usize>(relations: [(&str, Relation); N]) -> Database {
+    Database::with_relations(PartitionPolicy::Unpartitioned, relations).unwrap()
+}
 
 fn pred_v(op: Comparator, c: i64) -> Predicate {
     Predicate::attr_op_value("V", op, c)
@@ -299,9 +305,7 @@ proptest! {
         r2 in relation_strategy(),
     ) {
         let expected = when(&r1).union(&when(&r2));
-        let src = IndexedRelations::new(
-            [("r1".to_string(), r1), ("r2".to_string(), r2)].into_iter().collect(),
-        );
+        let src = database([("r1", r1), ("r2", r2)]);
         for text in ["WHEN (r1 UNION r2)", "WHEN (r1) | WHEN (r2)"] {
             match run_query(&parse_query(text).unwrap(), &src).unwrap() {
                 QueryResult::Lifespan(l) => prop_assert_eq!(&l, &expected, "{}", text),
@@ -317,9 +321,7 @@ proptest! {
     /// the number of tuples bearing a value, which may well be 0.
     #[test]
     fn count_is_undefined_where_nothing_is_alive(r in relation_strategy(), l in lifespan_lit()) {
-        let mut src = std::collections::BTreeMap::new();
-        src.insert("r".to_string(), r.clone());
-        let src = IndexedRelations::new(src);
+        let src = database([("r", r.clone())]);
         let window: Vec<String> = l
             .intervals()
             .iter()

@@ -6,10 +6,8 @@ mod common;
 use common::{build_tuple, test_scheme};
 use hrdm_baseline::{hrdm_to_cube, hrdm_to_ts, snapshot_of_hrdm, ts_to_hrdm};
 use hrdm_core::prelude::*;
-use hrdm_query::{
-    eval_expr, optimize, parse_expr, parse_query, run_query, IndexedRelations, Query, QueryResult,
-};
-use hrdm_storage::Database;
+use hrdm_query::{eval_expr, optimize, parse_expr, parse_query, run_query, Query, QueryResult};
+use hrdm_storage::{Database, PartitionPolicy};
 use proptest::prelude::*;
 
 fn sample_relation() -> Relation {
@@ -42,9 +40,7 @@ fn persist_reload_query_pipeline() {
     let r = sample_relation();
 
     // Persist through the physical level.
-    let mut db = Database::new();
-    db.create_relation("r", r.scheme().clone()).unwrap();
-    db.put_relation("r", r.clone()).unwrap();
+    let db = Database::with_relations(PartitionPolicy::default(), [("r", r.clone())]).unwrap();
     db.save(&dir).unwrap();
 
     // Reload and compare.
@@ -107,9 +103,8 @@ fn ts_round_trip_preserves_the_relation() {
 
 #[test]
 fn language_queries_match_direct_algebra_on_the_pipeline_relation() {
-    let mut src = std::collections::BTreeMap::new();
-    src.insert("r".to_string(), sample_relation());
-    let src = IndexedRelations::new(src);
+    let src = Database::with_relations(PartitionPolicy::Unpartitioned, [("r", sample_relation())])
+        .unwrap();
 
     // WHEN through the language == Ω over select-when directly.
     let q = parse_query("WHEN (SELECT-WHEN (V = 30) (r))").unwrap();
@@ -140,9 +135,7 @@ proptest! {
             std::process::id(),
             rand_suffix(&r)
         ));
-        let mut db = Database::new();
-        db.create_relation("r", r.scheme().clone()).unwrap();
-        db.put_relation("r", r.clone()).unwrap();
+        let db = Database::with_relations(PartitionPolicy::default(), [("r", r.clone())]).unwrap();
         db.save(&dir).unwrap();
         let back = Database::load(&dir).unwrap();
         prop_assert_eq!(back.relation("r").unwrap(), &r);

@@ -3,9 +3,12 @@
 //! `-`), aggregates, and `TIMESLICE`/`SELECT-IF` whose parameter is itself
 //! an `Ω(e)` — over random relations answer identically through the
 //! reference evaluator (`eval.rs`: sequential scans, every intermediate
-//! materialized) and through optimize → plan → executor tree, on an indexed
-//! source, a partitioned one and a bare one — and a binary operator answers
-//! the same whichever of its inputs it builds.
+//! materialized) and through optimize → plan → executor tree, on a
+//! database holding each relation in one partition (`indexed`), one cut
+//! into 8-chronon partitions (`partitioned`) and a bare relation map — and
+//! a binary operator answers the same whichever of its inputs it builds.
+//! The partition map being the one lifespan access path, this is the
+//! oracle for partition pruning against `eval.rs`.
 
 mod common;
 
@@ -14,22 +17,20 @@ use hrdm_core::algebra::AggregateOp;
 use hrdm_core::prelude::*;
 use hrdm_query::{
     build_executor_building, eval_expr, evaluate, optimize, plan, run_query, ExecError,
-    ExecOptions, Expr, IndexSource, IndexedRelations, LifespanExpr, PipelineError, Query,
-    QueryResult, QueryStream,
+    ExecOptions, Expr, IndexSource, LifespanExpr, PipelineError, Query, QueryResult, QueryStream,
 };
 use hrdm_storage::{Database, PartitionPolicy};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// `r` and `r2` in a database cut into 8-chronon partitions.
+/// The relations of `map` in a database, one partition each.
+fn indexed(map: &BTreeMap<String, Relation>) -> Database {
+    Database::with_relations(PartitionPolicy::Unpartitioned, map.clone()).unwrap()
+}
+
+/// The relations of `map` in a database cut into 8-chronon partitions.
 fn partitioned(map: &BTreeMap<String, Relation>) -> Database {
-    let mut db = Database::new();
-    db.set_partition_policy(PartitionPolicy::SpanLog2(3));
-    for (name, r) in map {
-        db.create_relation(name, r.scheme().clone()).unwrap();
-        db.put_relation(name, r.clone()).unwrap();
-    }
-    db
+    Database::with_relations(PartitionPolicy::SpanLog2(3), map.clone()).unwrap()
 }
 
 fn pred_strategy() -> impl Strategy<Value = Predicate> {
@@ -180,7 +181,7 @@ fn assert_planned_matches_reference(q: &Query, src: &dyn IndexSource, ctx: &str)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::from_env_or(128))]
 
     #[test]
     fn planned_execution_matches_the_reference_evaluator(
@@ -194,15 +195,15 @@ proptest! {
         map.insert("s".to_string(), s);
         map.insert("r2".to_string(), r2);
         assert_planned_matches_reference(&q, &partitioned(&map), "partitioned");
-        assert_planned_matches_reference(&q, &IndexedRelations::new(map.clone()), "indexed");
+        assert_planned_matches_reference(&q, &indexed(&map), "indexed");
         assert_planned_matches_reference(&q, &map, "bare");
     }
 
     /// Build/probe is an execution strategy, not semantics: forced to
     /// build its left input and then its right one, a symmetric binary
     /// operator answers exactly what the reference evaluator does — on
-    /// the indexed source (where a bare base operand's own key index is
-    /// the build table), the partitioned one and the bare one.
+    /// the indexed and partitioned sources (where a bare base operand's
+    /// own key index or partition map is the build table) and the bare one.
     #[test]
     fn either_build_side_gives_the_same_relation(
         e in symmetric_strategy(),
@@ -214,9 +215,9 @@ proptest! {
         map.insert("r".to_string(), r);
         map.insert("s".to_string(), s);
         map.insert("r2".to_string(), r2);
-        let (db, indexed) = (partitioned(&map), IndexedRelations::new(map.clone()));
+        let (db, one_partition) = (partitioned(&map), indexed(&map));
         let sources: [(&str, &dyn IndexSource); 3] =
-            [("partitioned", &db), ("indexed", &indexed), ("bare", &map)];
+            [("partitioned", &db), ("indexed", &one_partition), ("bare", &map)];
         let opts = ExecOptions::default();
         for (ctx, src) in sources {
             let reference = eval_expr(&e, src);
@@ -246,7 +247,7 @@ proptest! {
         map.insert("r".to_string(), r);
         map.insert("s".to_string(), s);
         map.insert("r2".to_string(), r2);
-        let src = IndexedRelations::new(map);
+        let src = indexed(&map);
         let when = Query::Lifespan(LifespanExpr::When(Box::new(e.clone())));
         match (run_query(&Query::Relation(e.clone()), &src), run_query(&when, &src)) {
             (Ok(QueryResult::Relation(built)), Ok(QueryResult::Lifespan(l))) => {
@@ -273,13 +274,9 @@ proptest! {
             1..4,
         ),
     ) {
-        let mut db = Database::new();
-        db.create_relation("r", r.scheme().clone()).unwrap();
-        db.put_relation("r", r).unwrap();
-        db.create_relation("s", s.scheme().clone()).unwrap();
-        db.put_relation("s", s).unwrap();
-        db.create_relation("r2", r2.scheme().clone()).unwrap();
-        db.put_relation("r2", r2).unwrap();
+        let mut db =
+            Database::with_relations(PartitionPolicy::default(), [("r", r), ("s", s), ("r2", r2)])
+                .unwrap();
         let q = Query::Relation(e.clone());
 
         for (i, (life, v, w)) in growth.into_iter().enumerate() {

@@ -425,7 +425,7 @@ fn binary_operators_observe_cancel_within_one_probe_batch() {
         // (391 root pulls); the probe side's duplicates add nothing.
         ("r UNION r", build + 391 + probe / 2),
         ("r MINUS r", build + 1 + probe / 2),
-        // `r`'s own lifespan index is the build table: nothing drained.
+        // `g`'s own partition map is the build table: nothing drained.
         ("evt TIMEJOIN@AT g", 1 + probe / 2),
     ] {
         checks.store(0, std::sync::atomic::Ordering::SeqCst);
