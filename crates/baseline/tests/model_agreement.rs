@@ -58,7 +58,7 @@ fn relation_strategy() -> impl Strategy<Value = Relation> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::from_env_or(48))]
 
     #[test]
     fn snapshots_agree_across_models(r in relation_strategy(), t in 0i64..=ERA) {

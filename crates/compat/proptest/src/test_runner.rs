@@ -8,16 +8,11 @@ pub struct ProptestConfig {
 }
 
 impl ProptestConfig {
-    /// A config running `cases` generated inputs.
-    pub fn with_cases(cases: u32) -> ProptestConfig {
-        ProptestConfig { cases }
-    }
-
     /// A config whose case count comes from the `PROPTEST_CASES`
     /// environment variable (mirroring real proptest), falling back to
-    /// `default_cases` when unset or unparsable. Lets CI crank suites up
-    /// (e.g. `PROPTEST_CASES=256` on the differential-oracle leg) without
-    /// touching the tests.
+    /// `default_cases` when unset or unparsable. The only constructor, so
+    /// CI can crank every suite up (e.g. `PROPTEST_CASES=256` on the
+    /// differential-oracle leg) without touching the tests.
     pub fn from_env_or(default_cases: u32) -> ProptestConfig {
         let cases = std::env::var("PROPTEST_CASES")
             .ok()

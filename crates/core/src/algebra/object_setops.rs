@@ -19,6 +19,7 @@ use crate::relation::Relation;
 use crate::scheme::Scheme;
 use crate::tuple::Tuple;
 use crate::value::Value;
+use hrdm_time::Lifespan;
 use std::collections::HashMap;
 
 fn require_merge_compatible(r1: &Relation, r2: &Relation) -> Result<()> {
@@ -59,16 +60,29 @@ fn partners<'a>(
         .collect()
 }
 
-/// What one mergable pair contributes to `r1 ∩ₒ r2`: the merge restricted
-/// to `t1.l ∩ t2.l`, or `None` when the lifespans are disjoint (an
-/// information-free tuple). Mergable tuples agree wherever both are
-/// defined, so that restriction is exactly their common part.
-pub fn intersection_o_pair(t1: &Tuple, t2: &Tuple) -> Result<Option<Tuple>> {
+/// What one mergable pair contributes to `r1 ∩ₒ r2`: a tuple over
+/// `t1.l ∩ t2.l` carrying each value where *both* operands define it (the
+/// function intersection; mergable tuples agree there), or `None` when the
+/// lifespans are disjoint (an information-free tuple). Each operand's
+/// values lie within its own attribute lifespans, so the result's lie
+/// within `ALS1 ∩ ALS2`, the result scheme's — a merge restricted to
+/// `t1.l ∩ t2.l` would keep one side's values where an evolved scheme
+/// had ended the attribute on the other. The result shares `t1`'s layout.
+pub fn intersection_o_pair(t1: &Tuple, t2: &Tuple) -> Option<Tuple> {
     let l = t1.lifespan().intersect(t2.lifespan());
     if l.is_empty() {
-        return Ok(None);
+        return None;
     }
-    Ok(Some(t1.merge(t2)?.restrict(&l)))
+    let values = t1
+        .entries()
+        .map(|(a, tv)| {
+            let both = t2
+                .value(a)
+                .map_or_else(Lifespan::empty, |o| o.domain().intersect(&l));
+            tv.restrict(&both)
+        })
+        .collect();
+    Tuple::from_layout(l, t1.layout(), values)
 }
 
 /// What one mergable pair contributes to `r1 −ₒ r2`: `t1` on
@@ -127,7 +141,7 @@ pub fn intersection_o(r1: &Relation, r2: &Relation) -> Result<Relation> {
     let mut out = Vec::new();
     for t1 in r1.iter() {
         for t2 in partners(t1, &idx2, r2.scheme()) {
-            out.extend(intersection_o_pair(t1, t2)?);
+            out.extend(intersection_o_pair(t1, t2));
         }
     }
     Ok(Relation::from_parts_unchecked(scheme, out))
@@ -160,7 +174,7 @@ mod tests {
     use crate::scheme::Scheme;
     use crate::temporal::TemporalValue;
     use crate::HistoricalDomain;
-    use hrdm_time::{Chronon, Lifespan};
+    use hrdm_time::Chronon;
 
     fn scheme() -> Scheme {
         Scheme::builder()
@@ -236,6 +250,34 @@ mod tests {
         let t = &i.tuples()[0];
         assert_eq!(t.lifespan(), &Lifespan::interval(5, 10));
         assert_eq!(t.at(&"V".into(), Chronon::new(7)), Some(&Value::Int(1)));
+        let (t1, t2) = (&r1.tuples()[0], &r2.tuples()[0]);
+        let pair = intersection_o_pair(t1, t2).unwrap();
+        assert!(pair.layout().same(t1.layout()), "a layout of its own");
+    }
+
+    #[test]
+    fn intersection_o_keeps_values_inside_both_attribute_lifespans() {
+        // `V` ends at 5 in the second operand's (evolved) scheme.
+        let ended = Scheme::builder()
+            .key_attr("K", ValueKind::Str, Lifespan::interval(0, 100))
+            .attr("V", HistoricalDomain::int(), Lifespan::interval(0, 5))
+            .build()
+            .unwrap();
+        let t2 = Tuple::builder(Lifespan::interval(0, 10))
+            .constant("K", "a")
+            .value(
+                "V",
+                TemporalValue::constant(&Lifespan::interval(0, 5), Value::Int(1)),
+            )
+            .finish(&ended)
+            .unwrap();
+        let r2 = Relation::with_tuples(ended, vec![t2]).unwrap();
+        let i = intersection_o(&rel(vec![tup("a", &[(0, 10)], 1)]), &r2).unwrap();
+        let t = &i.tuples()[0];
+        t.validate(i.scheme()).unwrap();
+        assert_eq!(t.lifespan(), &Lifespan::interval(0, 10));
+        assert_eq!(t.at(&"V".into(), Chronon::new(5)), Some(&Value::Int(1)));
+        assert_eq!(t.at(&"V".into(), Chronon::new(7)), None);
     }
 
     #[test]

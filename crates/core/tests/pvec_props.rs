@@ -45,7 +45,7 @@ fn assert_reads_like(vec: &PVec<u32>, model: &[u32]) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::from_env_or(64))]
 
     #[test]
     fn pvec_equals_vec_under_push_truncate_clone(ops in ops_strategy()) {

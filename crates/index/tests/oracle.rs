@@ -48,7 +48,7 @@ fn scan_key(r: &Relation, key: &[Value]) -> Vec<usize> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::from_env_or(48))]
 
     #[test]
     fn stab_equals_linear_scan(spec in spec_strategy(), t in -50i64..450) {

@@ -73,7 +73,7 @@ fn assert_answers_like(idx: &RelationIndexes, model: &Model, probes: &[i64]) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::from_env_or(48))]
 
     #[test]
     fn indexes_and_their_clones_answer_like_the_model(

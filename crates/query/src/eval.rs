@@ -5,10 +5,13 @@
 //!
 //! It is the **differential oracle**, and only that. Every query the engine
 //! answers runs through [`crate::plan_query`] and the executor tree of
-//! [`crate::exec`]; the test suites (`streaming`, `planner_equivalence`,
-//! `differential`, `paged_differential`, `optimizer_equivalence`) evaluate
-//! the same queries here and demand equal answers. Nothing under a crate's
-//! `src/` may call it — `hrdm-lint`'s `oracle-only` rule enforces that.
+//! [`crate::exec`]; the workspace's harness in `tests/oracle/` asks every production
+//! source — bare map, detached and attached databases, mid-history
+//! snapshots, recovered and paged databases, the stream under batch caps,
+//! row caps and cancels, `hrdmd` over loopback — the same generated and
+//! battery queries, evaluates them here on the same state and demands equal
+//! answers. Nothing under a crate's `src/` may call it — `hrdm-lint`'s
+//! `oracle-only` rule enforces that.
 
 use crate::ast::{Expr, LifespanExpr, Query};
 use crate::pipeline::QueryResult;

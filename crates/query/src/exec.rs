@@ -42,7 +42,8 @@
 //!   summaries and index sizes); `−`, `−ₒ` and TIME-JOIN build the right
 //!   one. Each input tuple is hashed at most once, and only `∪` keeps an
 //!   emitted-set. Reference ≡ streamed equivalence — with either build
-//!   side — is asserted by the workspace's differential suites.
+//!   side — is asserted by the workspace's differential oracle
+//!   (`tests/oracle/`).
 //! * **`Gather`** — a parallel leaf: a `SeqScan` (plus any
 //!   stack of per-tuple unaries directly above it) over a relation of at
 //!   least [`ExecOptions::parallel_min_rows`] rows is fused into one
@@ -402,7 +403,8 @@ fn compile_chain(
 
 /// Applies one compiled unary to one tuple. The bodies replicate the
 /// per-tuple loops of `hrdm_core::algebra::{timeslice, select, project}`
-/// exactly — the streaming differential oracle holds the two accountable.
+/// exactly — the differential oracle (`tests/oracle/`) holds the two
+/// accountable.
 fn apply_op(op: &TupleOp, t: &Tuple) -> Result<Option<Tuple>, HrdmError> {
     match op {
         TupleOp::TimeSlice(window) => {
@@ -1253,7 +1255,7 @@ impl Probe<'_> {
                             matched[pos] = true;
                             ready.push_back(l.merge(r)?);
                         }
-                        BinaryOp::IntersectionO => ready.extend(intersection_o_pair(l, r)?),
+                        BinaryOp::IntersectionO => ready.extend(intersection_o_pair(l, r)),
                         // Built on the right: `l` is the probe tuple.
                         BinaryOp::DifferenceO => {
                             found = true;

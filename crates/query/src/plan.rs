@@ -485,7 +485,7 @@ fn param_bounds(l: &LifespanExpr, out: &mut Vec<Lifespan>) -> Option<()> {
 /// touched. Like every
 /// access path, this yields candidates only — the timeslice above
 /// re-applies exact semantics, so planned ≡ unplanned holds (asserted by
-/// the differential suite).
+/// the differential oracle, `tests/oracle/`).
 fn plan_bounded(expr: &Expr, src: &dyn IndexSource, bound: Option<&Lifespan>) -> Plan {
     match expr {
         Expr::Relation(name) => {

@@ -1015,7 +1015,8 @@ impl Database {
         // inserts maintain them incrementally.
         let wal_file = wal_path(dir, epoch);
         if wal_file.exists() {
-            let (records, _torn) = Wal::replay(&wal_file)?;
+            let (records, _torn) =
+                Wal::replay(&wal_file).map_err(|e| io_with_path(&wal_file, e))?;
             for record in records {
                 db.apply_record(record)?;
             }

@@ -224,7 +224,9 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
         }
         t
     }
-    const TABLES: [[u32; 256]; 8] = tables();
+    // A `static`, not a `const`: unoptimized builds copy a `const` array
+    // (8 KiB) at every use, four times per eight bytes hashed.
+    static TABLES: [[u32; 256]; 8] = tables();
     let mut crc = !0u32;
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {

@@ -146,7 +146,8 @@ impl PagedDatabase {
         // this view to re-derive relations — the eager loader's job.
         let wal_file = wal_path(dir, epoch);
         if wal_file.exists() {
-            let (records, _torn) = Wal::replay(&wal_file)?;
+            let (records, _torn) =
+                Wal::replay(&wal_file).map_err(|e| io_with_path(&wal_file, e))?;
             for record in records {
                 match record {
                     WalRecord::CreateRelation { name, scheme } => {

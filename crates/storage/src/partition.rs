@@ -32,8 +32,9 @@
 //! Like every access method in this workspace, pruning only ever produces
 //! *candidate positions*: operators re-apply their exact semantics on the
 //! candidates, so a partitioned relation is observationally identical to
-//! an unpartitioned one (the workspace `differential` suite drives random
-//! workloads against both and asserts byte-equal results).
+//! an unpartitioned one (the workspace oracle, `tests/oracle/`, drives
+//! random write histories against both, demands byte-identical WALs and
+//! checks every query's answer from either against `eval.rs`).
 //!
 //! ## Durability
 //!
@@ -68,8 +69,8 @@ pub enum PartitionPolicy {
     /// splits every partition exactly in two.
     SpanLog2(u32),
     /// A single partition covering all of `T` (span = ∞) — the
-    /// unpartitioned reference engine the differential oracle compares
-    /// against.
+    /// unpartitioned engine the differential oracle runs beside every
+    /// partitioned one.
     Unpartitioned,
 }
 

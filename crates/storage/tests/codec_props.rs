@@ -94,7 +94,7 @@ fn wal_round_trip(tuples: &[Tuple]) -> Vec<Tuple> {
 
 proptest! {
     // Every case fsyncs its WAL once per tuple: fewer cases.
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::from_env_or(32))]
 
     /// Every tuple the codec hands back — decoded bare, against a scheme,
     /// or replayed from a WAL — is canonical: rebuilding its restriction

@@ -162,7 +162,7 @@ fn pre_checkpoint_snapshot_scans_correctly_after_epoch_rotation() {
 // ever retracted), and the final state exactly the union of all
 // acknowledged writes.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::from_env_or(8))]
 
     #[test]
     fn interleaved_writers_never_show_torn_or_retracted_state(

@@ -4,7 +4,7 @@
 //! acknowledged write.
 
 use hrdm_core::prelude::*;
-use hrdm_storage::{Database, Wal, WalRecord};
+use hrdm_storage::{Database, PagedDatabase, Wal, WalRecord};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -215,6 +215,31 @@ fn writes_continue_after_torn_tail_recovery() {
     drop(back);
     let again = Database::open(&dir).unwrap();
     assert_eq!(again.relation("emp").unwrap().len(), 3);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A WAL that cannot be read fails every open — attached, read-only and
+/// paged — with an error naming the log file.
+#[test]
+fn unreadable_wal_errors_name_the_log_file() {
+    let dir = tmp("unreadable-wal");
+    {
+        let mut db = Database::open(&dir).unwrap();
+        db.create_relation("emp", scheme()).unwrap();
+        db.checkpoint().unwrap();
+    }
+    let wal = wal_file(&dir);
+    std::fs::remove_file(&wal).unwrap();
+    std::fs::create_dir(&wal).unwrap();
+    let errors = [
+        Database::open(&dir).map(drop).unwrap_err(),
+        Database::load(&dir).map(drop).unwrap_err(),
+        PagedDatabase::open(&dir).map(drop).unwrap_err(),
+    ];
+    for err in errors {
+        let err = err.to_string();
+        assert!(err.contains(&wal.display().to_string()), "{err}");
+    }
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -480,7 +505,7 @@ fn snapshot(db: &Database) -> Snapshot {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::from_env_or(24))]
 
     #[test]
     fn random_kill_recovers_a_prefix_consistent_state(

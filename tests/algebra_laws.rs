@@ -28,7 +28,7 @@ fn lifespan_lit() -> impl Strategy<Value = Lifespan> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::from_env_or(48))]
 
     // ---- §5: "the commutativity of select" -------------------------------
 

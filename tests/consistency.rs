@@ -90,7 +90,7 @@ fn classical(scheme: &Scheme, rows: &[BTreeMap<Attribute, Value>]) -> SnapshotRe
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::from_env_or(64))]
 
     #[test]
     fn select_reduces_to_classical(rows in rows_strategy(), c in 0i64..5) {

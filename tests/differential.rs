@@ -1,375 +1,159 @@
-//! Differential oracle: the **partitioned** engine must be observationally
-//! identical to an **unpartitioned** reference (`partition span = ∞`).
-//!
-//! Identical random op/query sequences drive two attached engines that
-//! differ only in [`PartitionPolicy`]; after every phase the suite asserts
-//!
-//! * byte-equal query results for a battery of planned queries
-//!   (TIME-SLICEs, selects, joins, set ops, WHEN, aggregates),
-//! * EXPLAIN-pruning **soundness**: on the partitioned engine, the pruned
-//!   plan executes to exactly what the reference evaluator (`eval.rs`)
-//!   produces — for every sort, `WHEN` and aggregates included,
-//! * equal `\stats` op counts (the group-commit layer is unaffected),
-//! * byte-equal WALs (partitioning is physical — the log format must not
-//!   know about it), and
-//! * equal recovered states after a crash with an identically torn WAL
-//!   tail.
-//!
-//! Run with `PROPTEST_CASES=256` (the CI `partition-tests` leg) for the
-//! acceptance-level case count; the default here is already 256.
+//! The attached engines against `eval.rs` (see `oracle/mod.rs`): a
+//! partitioned and an unpartitioned engine fed one generated history,
+//! recovery from a torn WAL, racing writers, `hrdmd` over loopback, and
+//! partition pruning as EXPLAIN shows it.
 
-use hrdm_core::prelude::*;
+mod common;
+mod oracle;
+
+use hrdm_net::{Client, NetError, Server, ServerConfig, ServerHandle, WireError};
 use hrdm_query::{
-    evaluate, explain_with_access, parse_expr, parse_query, run_query, PipelineError, QueryResult,
+    evaluate, explain_with_access, parse_expr, parse_query, run_query, IndexSource, QueryResult,
 };
-use hrdm_storage::{ConcurrentDatabase, Database, DbSnapshot, PartitionPolicy};
-use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use hrdm_storage::{ConcurrentDatabase, PartitionPolicy};
+use oracle::matrix::{attached, canon, entry, failure, on, planned_on, run_matrix, Opened};
+use oracle::world::{create_relations, r_scheme, r_tup, tmp, State, World, BATTERY};
 use std::sync::Arc;
 
-static CASE: AtomicUsize = AtomicUsize::new(0);
-
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "hrdm-diff-{}-{name}-{}",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::remove_dir_all(&p).ok();
-    p
+/// Both attached engines, and the partitioned one recovered from a torn
+/// WAL, answer as `eval.rs` does after every generated history; on the
+/// way the engines acknowledge alike, count alike and write
+/// byte-identical WALs. At least 256 histories × 22 queries per engine.
+#[test]
+fn partitioned_engine_is_observationally_identical() {
+    run_matrix(
+        5_632,
+        &[
+            entry("attached", |w| attached(State::Final, w.part.snapshot())),
+            entry("attached/unpartitioned", |w| {
+                attached(State::Final, w.reference.snapshot())
+            }),
+            entry("recovered", |w| planned_on(State::Recovered, &w.recovered)),
+        ],
+    );
 }
 
-fn r_scheme() -> Scheme {
-    let era = Lifespan::interval(0, 4096);
-    Scheme::builder()
-        .key_attr("K", ValueKind::Int, era.clone())
-        .attr("V", HistoricalDomain::int(), era)
-        .build()
-        .unwrap()
-}
-
-fn evt_scheme() -> Scheme {
-    let era = Lifespan::interval(0, 4096);
-    Scheme::builder()
-        .key_attr("E", ValueKind::Int, era.clone())
-        .attr("AT", HistoricalDomain::time(), era)
-        .build()
-        .unwrap()
-}
-
-fn r_tup(k: i64, lo: i64, len: i64, v: i64) -> Tuple {
-    let life = Lifespan::interval(lo, lo + len);
-    Tuple::builder(life.clone())
-        .constant("K", k)
-        .value("V", TemporalValue::constant(&life, Value::Int(v)))
-        .finish(&r_scheme())
-        .unwrap()
-}
-
-fn evt_tup(e: i64, lo: i64, len: i64, at: i64) -> Tuple {
-    let life = Lifespan::interval(lo, lo + len);
-    Tuple::builder(life.clone())
-        .constant("E", e)
-        .value("AT", TemporalValue::constant(&life, Value::time(at)))
-        .finish(&evt_scheme())
-        .unwrap()
-}
-
-/// The query battery both engines answer after every phase: lifespan
-/// bounds that prune, predicates that probe, operators that combine, plus
-/// the lifespan and aggregate sorts.
-const QUERIES: &[&str] = &[
-    "r",
-    "TIMESLICE [40..70] (r)",
-    "TIMESLICE [0..3, 130..150] (r)",
-    "TIMESLICE [4000..4090] (r)",
-    "SELECT-WHEN (K = 5) (r)",
-    "SELECT-WHEN (V >= 50) (r)",
-    "TIMESLICE [10..90] (SELECT-WHEN (V >= 20) (r))",
-    "PROJECT [V] (TIMESLICE [5..120] (r))",
-    "TIMESLICE [0..80] (r UNION r)",
-    "(TIMESLICE [0..100] (r)) MINUS (TIMESLICE [50..200] (r))",
-    "(TIMESLICE [0..128] (r)) INTERSECT-O (TIMESLICE [64..256] (r))",
-    "SELECT-IF (V >= 10, FORALL, [16..48]) (r)",
-    "evt TIMEJOIN@AT r",
-    "TIMESLICE [8..40] (evt TIMEJOIN@AT r)",
-    "SLICE@AT (evt)",
-    "WHEN (TIMESLICE [5..95] (r))",
-    "WHEN (SELECT-WHEN (V >= 50) (r))",
-    "WHEN (TIMESLICE [0..60] (r)) | WHEN (SELECT-WHEN (K = 5) (r)) - [20..30]",
-    "TIMESLICE (WHEN (SELECT-IF (V >= 90, EXISTS) (r))) (r)",
-    "COUNT V (r)",
-    "COUNT V (TIMESLICE [40..70] (r))",
-    "MAX V (TIMESLICE [4000..4090] (r))",
-];
-
-/// Canonical byte serialization of a query result: tuple renderings sorted,
-/// so physically different tuple orders (partition-major after a reopen vs
-/// insertion order) compare byte-for-byte.
-fn canonical(result: &QueryResult) -> String {
-    match result {
-        QueryResult::Relation(r) => {
-            let mut lines: Vec<String> = r.iter().map(|t| t.to_string()).collect();
-            lines.sort();
-            format!("scheme {}\n{}", r.scheme(), lines.join("\n"))
-        }
-        QueryResult::Lifespan(l) => l.to_string(),
-        QueryResult::Function(f) => f.to_string(),
-    }
-}
-
-/// Both engines answer every battery query identically, and on the
-/// partitioned side the pruned plan ≡ the unplanned evaluator.
-fn assert_engines_agree(part: &DbSnapshot, reference: &DbSnapshot, ctx: &str) {
-    for q in QUERIES {
-        let parsed = parse_query(q).unwrap();
-        let a = run_query(&parsed, part);
-        let b = run_query(&parsed, reference);
-        match (&a, &b) {
-            (Ok(ra), Ok(rb)) => {
-                assert_eq!(canonical(ra), canonical(rb), "{ctx}: `{q}` diverged");
+/// `hrdmd` over loopback, serving the attached engine in 3-row chunks.
+fn loopback(w: &World) -> Opened<'_> {
+    /// Stops the server when the entry is done with it.
+    struct Stop(Option<ServerHandle>);
+    impl Drop for Stop {
+        fn drop(&mut self) {
+            if let Some(server) = self.0.take() {
+                server.shutdown();
             }
-            (Err(ea), Err(eb)) => assert_eq!(ea.to_string(), eb.to_string(), "{ctx}: `{q}`"),
-            _ => panic!("{ctx}: `{q}` succeeded on one engine only: {a:?} vs {b:?}"),
-        }
-        assert_pruned_plan_sound(part, q, ctx);
-    }
-}
-
-/// EXPLAIN-pruning soundness: the partitioned engine's *planned* (pruned)
-/// execution equals the reference evaluator on the same snapshot, query
-/// for query — whatever the query's sort.
-fn assert_pruned_plan_sound(snap: &DbSnapshot, q: &str, ctx: &str) {
-    let parsed = parse_query(q).unwrap();
-    match (run_query(&parsed, snap), evaluate(&parsed, snap)) {
-        (Ok(x), Ok(y)) => assert_eq!(x, y, "{ctx}: pruned ≢ unpruned for `{q}`"),
-        (Err(PipelineError::Eval(x)), Err(y)) => assert_eq!(x, y, "{ctx}: `{q}`"),
-        (x, y) => panic!("{ctx}: `{q}`: pruned {x:?} vs unpruned {y:?}"),
-    }
-}
-
-/// The single WAL file of a directory.
-fn wal_file(dir: &std::path::Path) -> PathBuf {
-    let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
-        .unwrap()
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| {
-            let name = p.file_name().unwrap().to_string_lossy();
-            name.starts_with("wal.") && name.ends_with(".log")
-        })
-        .collect();
-    assert_eq!(found.len(), 1, "exactly one WAL per epoch in {dir:?}");
-    found.pop().unwrap()
-}
-
-/// One scripted mutation, applied identically to both engines.
-#[derive(Clone, Debug)]
-enum Op {
-    InsertR { k: i64, lo: i64, len: i64, v: i64 },
-    InsertEvt { e: i64, lo: i64, len: i64, at: i64 },
-    Put { keys: Vec<i64> },
-    Checkpoint,
-    Repartition { span_log2: u32 },
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        ((0i64..40), (0i64..900), (1i64..60), (0i64..100))
-            .prop_map(|(k, lo, len, v)| Op::InsertR { k, lo, len, v }),
-        ((0i64..20), (0i64..900), (1i64..40), (0i64..950))
-            .prop_map(|(e, lo, len, at)| Op::InsertEvt { e, lo, len, at }),
-        prop::collection::vec(0i64..40, 0..6).prop_map(|keys| Op::Put { keys }),
-        Just(Op::Checkpoint),
-        (2u32..9).prop_map(|span_log2| Op::Repartition { span_log2 }),
-    ]
-}
-
-/// Applies `op` to one engine; results must match the sibling call on the
-/// other engine (checked by the caller via returned ack).
-fn apply(db: &ConcurrentDatabase, op: &Op) -> std::result::Result<(), String> {
-    match op {
-        Op::InsertR { k, lo, len, v } => db
-            .insert("r", r_tup(*k, *lo, *len, *v))
-            .map_err(|e| e.to_string()),
-        Op::InsertEvt { e, lo, len, at } => db
-            .insert("evt", evt_tup(*e, *lo, *len, *at))
-            .map_err(|e| e.to_string()),
-        Op::Put { keys } => {
-            let mut uniq = keys.clone();
-            uniq.sort_unstable();
-            uniq.dedup();
-            let tuples: Vec<Tuple> = uniq.iter().map(|&k| r_tup(k, k * 7, 10, k)).collect();
-            let contents = Relation::with_tuples(r_scheme(), tuples).unwrap();
-            db.put_relation("r", contents).map_err(|e| e.to_string())
-        }
-        Op::Checkpoint => db.checkpoint().map_err(|e| e.to_string()),
-        Op::Repartition { span_log2 } => {
-            // Only the partitioned engine's cut changes; the reference
-            // keeps span = ∞. The caller repartitions the right side.
-            db.set_partition_policy(PartitionPolicy::SpanLog2(*span_log2));
-            Ok(())
         }
     }
+    let config = ServerConfig {
+        chunk_rows: 3,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&w.part), config).unwrap();
+    let server = server.spawn().unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let stop = Stop(Some(server));
+    on(State::Final, move |_, text| {
+        // Captures `stop`: the server lives as long as this entry.
+        let _serving = &stop;
+        match client.query(text) {
+            Err(NetError::Remote(WireError::Model { message, .. })) => Some(Err(message)),
+            Err(e) => panic!("hrdmd `{text}`: {e}"),
+            Ok(r) => Some(Ok(r)),
+        }
+    })
 }
 
-fn open_pair(tag: &str) -> (ConcurrentDatabase, ConcurrentDatabase, PathBuf, PathBuf) {
-    let dir_p = tmp(&format!("{tag}-part"));
-    let dir_r = tmp(&format!("{tag}-ref"));
-    let part = ConcurrentDatabase::open(&dir_p).unwrap();
-    part.set_partition_policy(PartitionPolicy::SpanLog2(4)); // span 16
-    let reference = ConcurrentDatabase::open(&dir_r).unwrap();
-    reference.set_partition_policy(PartitionPolicy::Unpartitioned);
-    for db in [&part, &reference] {
-        db.create_relation("r", r_scheme()).unwrap();
-        db.create_relation("evt", evt_scheme()).unwrap();
-    }
-    (part, reference, dir_p, dir_r)
+/// `hrdmd` over loopback serves what `eval.rs` answers.
+#[test]
+fn wire_answers_match_the_reference_evaluator() {
+    run_matrix(1_000, &[entry("hrdmd/loopback", loopback)]);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::from_env_or(256))]
-
-    /// The oracle: random op sequences, equal answers, equal stats, equal
-    /// WAL bytes, equal recovery after an identically torn crash.
-    #[test]
-    fn partitioned_engine_is_observationally_identical(
-        ops in prop::collection::vec(op_strategy(), 1..12),
-        cut_back in 0u64..64,
-    ) {
-        let (part, reference, dir_p, dir_r) = open_pair("prop");
-        for (i, op) in ops.iter().enumerate() {
-            let a = apply(&part, op);
-            let b = match op {
-                // The reference engine never repartitions.
-                Op::Repartition { .. } => Ok(()),
-                _ => apply(&reference, op),
-            };
-            prop_assert_eq!(a, b, "op {} acked differently", i);
-        }
-        assert_engines_agree(&part.snapshot(), &reference.snapshot(), "post-ops");
-
-        // Equal `\stats` op counts: partitioning must not change what the
-        // group-commit layer acknowledges.
-        prop_assert_eq!(part.stats().ops, reference.stats().ops);
-
-        // The WAL knows nothing of partitioning: byte-identical logs.
-        let (wal_p, wal_r) = (wal_file(&dir_p), wal_file(&dir_r));
-        prop_assert_eq!(wal_p.file_name(), wal_r.file_name(), "same epoch");
-        prop_assert_eq!(
-            std::fs::read(&wal_p).unwrap(),
-            std::fs::read(&wal_r).unwrap(),
-            "WAL bytes diverged"
-        );
-
-        // Crash both engines with an identically torn WAL tail; both must
-        // recover the same state (prefix consistency is engine-agnostic).
-        drop(part);
-        drop(reference);
-        for wal in [&wal_p, &wal_r] {
-            let len = std::fs::metadata(wal).unwrap().len();
-            std::fs::OpenOptions::new()
-                .write(true)
-                .open(wal)
-                .unwrap()
-                .set_len(len.saturating_sub(cut_back))
-                .unwrap();
-        }
-        let part = Database::open(&dir_p).unwrap();
-        let reference = Database::open(&dir_r).unwrap();
-        let names_p: Vec<&str> = part.relation_names().collect();
-        let names_r: Vec<&str> = reference.relation_names().collect();
-        prop_assert_eq!(&names_p, &names_r, "recovered relation sets differ");
-        for name in names_p {
-            prop_assert_eq!(
-                part.relation(name).unwrap(),
-                reference.relation(name).unwrap(),
-                "recovered `{}` differs", name
-            );
-        }
-        assert_engines_agree(&part.snapshot(), &reference.snapshot(), "post-crash");
-        std::fs::remove_dir_all(&dir_p).ok();
-        std::fs::remove_dir_all(&dir_r).ok();
-    }
+/// The canonical answer to `text` on `src`, planned — checked on the way
+/// to equal `eval.rs`'s on the same source.
+fn checked_answer<S: IndexSource>(src: &S, text: &str) -> String {
+    let q = parse_query(text).unwrap_or_else(|e| panic!("`{text}`: {e}"));
+    let want = canon(&evaluate(&q, src));
+    assert_eq!(
+        canon(&run_query(&q, src).map_err(failure)),
+        want,
+        "`{text}` diverged from eval.rs"
+    );
+    want
 }
 
-/// Concurrency interleaving: racing writers feed both engines the same
-/// (disjoint-key) workload while readers snapshot mid-flight; the engines
-/// converge to identical answers and identical op counts.
+/// Racing writers feed both engines the same disjoint-key workload and
+/// snapshot them mid-flight: every such snapshot answers as `eval.rs`
+/// does on it, and the engines end with equal answers to the battery and
+/// equal `\stats` op counts.
 #[test]
 fn concurrent_writers_leave_identical_engines() {
-    let (part, reference, dir_p, dir_r) = open_pair("conc");
-    let part = Arc::new(part);
-    let reference = Arc::new(reference);
-    for db in [Arc::clone(&part), Arc::clone(&reference)] {
-        let handles: Vec<_> = (0..4)
-            .map(|w| {
-                let db = Arc::clone(&db);
-                std::thread::spawn(move || {
+    let dirs = [tmp("race-part"), tmp("race-ref")];
+    let policies = [PartitionPolicy::SpanLog2(4), PartitionPolicy::Unpartitioned];
+    let engines: Vec<ConcurrentDatabase> = dirs
+        .iter()
+        .zip(policies)
+        .map(|(dir, policy)| {
+            let db = ConcurrentDatabase::open(dir).unwrap();
+            db.set_partition_policy(policy);
+            create_relations(&db);
+            db
+        })
+        .collect();
+    for db in &engines {
+        std::thread::scope(|scope| {
+            for w in 0..4i64 {
+                scope.spawn(move || {
                     for i in 0..40i64 {
                         let k = w * 1000 + i;
                         db.insert("r", r_tup(k, (k * 13) % 900, 25, k)).unwrap();
                         if i % 16 == 0 {
-                            // Mid-flight reader: pruned ≡ unpruned on
-                            // whatever prefix this snapshot caught.
                             let snap = db.snapshot();
-                            for q in ["TIMESLICE [50..120] (r)", "SELECT-WHEN (V >= 10) (r)"] {
-                                assert_pruned_plan_sound(&snap, q, "mid-flight");
-                            }
+                            checked_answer(&*snap, "TIMESLICE [50..120] (r)");
+                            checked_answer(&*snap, "SELECT-WHEN (V >= 10) (r)");
                         }
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                });
+            }
+        });
     }
-    assert_engines_agree(&part.snapshot(), &reference.snapshot(), "post-race");
-    assert_eq!(part.stats().ops, reference.stats().ops);
-    std::fs::remove_dir_all(&dir_p).ok();
-    std::fs::remove_dir_all(&dir_r).ok();
+    let (part, reference) = (engines[0].snapshot(), engines[1].snapshot());
+    for (name, q) in BATTERY {
+        let answers = (checked_answer(&*part, q), checked_answer(&*reference, q));
+        assert_eq!(answers.0, answers.1, "{name} `{q}`");
+    }
+    assert_eq!(engines[0].stats().ops, engines[1].stats().ops);
+    drop(engines);
+    for dir in dirs {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }
 
-/// The acceptance scenario: a selective TIME-SLICE on a 64-partition,
-/// densely populated relation plans `partitions: k/N pruned` with `k < N`,
-/// and the pruned result is exact.
+/// A selective TIME-SLICE on a dense 64-partition relation plans
+/// `partitions: 62/64 pruned` — also under a select, whose bound the
+/// optimizer pushes down to the scan — and answers exactly.
 #[test]
 fn explain_prunes_selective_timeslice_on_64_partitions() {
     let db = ConcurrentDatabase::new();
-    db.set_partition_policy(PartitionPolicy::SpanLog2(4)); // span 16
+    db.set_partition_policy(PartitionPolicy::SpanLog2(4));
     db.create_relation("r", r_scheme()).unwrap();
-    // One tuple per 16-chronon range over [0, 1024): exactly 64 partitions,
-    // each summary confined to its own range.
-    for k in 0..64i64 {
+    for k in 0..64 {
         db.insert("r", r_tup(k, k * 16, 10, k)).unwrap();
     }
     let snap = db.snapshot();
     assert_eq!(snap.partitions("r").unwrap().partition_count(), 64);
-
-    let e = parse_expr("TIMESLICE [100..120] (r)").unwrap();
-    let text = explain_with_access(&e, &*snap);
-    assert!(
-        text.contains("partitions: 62/64 pruned"),
-        "EXPLAIN missing pruning line:\n{text}"
-    );
-    assert_pruned_plan_sound(&snap, "TIMESLICE [100..120] (r)", "64-partition");
-
-    // The pruned evaluation returns exactly the two overlapping tuples.
-    let parsed = parse_query("TIMESLICE [100..120] (r)").unwrap();
-    match run_query(&parsed, &*snap).unwrap() {
-        QueryResult::Relation(r) => assert_eq!(r.len(), 2),
-        other => panic!("unexpected result {other:?}"),
+    for q in [
+        "TIMESLICE [100..120] (r)",
+        "TIMESLICE [100..120] (SELECT-WHEN (V >= 0) (r))",
+    ] {
+        let text = explain_with_access(&parse_expr(q).unwrap(), &*snap);
+        assert!(text.contains("partitions: 62/64 pruned"), "{q}:\n{text}");
+        let parsed = parse_query(q).unwrap();
+        let answer = run_query(&parsed, &*snap).unwrap();
+        assert_eq!(answer, evaluate(&parsed, &*snap).unwrap(), "{q}");
+        match answer {
+            QueryResult::Relation(r) => assert_eq!(r.len(), 2, "{q}"),
+            other => panic!("{q}: {other:?}"),
+        }
     }
-
-    // Pruning also composes under a select (the optimizer pushes the
-    // slice down; the bound reaches the scan).
-    let e = parse_expr("TIMESLICE [100..120] (SELECT-WHEN (V >= 0) (r))").unwrap();
-    let text = explain_with_access(&e, &*snap);
-    assert!(
-        text.contains("partitions: 62/64 pruned"),
-        "bound did not reach the scan under the select:\n{text}"
-    );
 }

@@ -1,137 +1,76 @@
-//! The optimizer's rewrite rules are semantics-preserving: random
-//! expression trees evaluate identically before and after optimization.
+//! The §5 rewrites against `eval.rs` (see `oracle/mod.rs`), and the
+//! properties of the rewriter and the printer on generated queries.
 
 mod common;
+mod oracle;
 
-use common::{other_relation_strategy, relation_strategy};
-use hrdm_core::prelude::*;
-use hrdm_query::{eval_expr, optimize, Expr, LifespanExpr};
+use hrdm_query::{eval_expr, evaluate, optimize, parse_expr, parse_query, Query};
+use oracle::matrix::{entry, on, run_matrix, Opened};
+use oracle::world::{expr_strategy, query_strategy, State, World};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Strategy: a random expression over relations named `r` (test scheme) and
-/// `s` (other scheme), built to be *well-typed* by construction.
-fn expr_strategy() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![Just(Expr::rel("r")), Just(Expr::rel("r2"))];
-    leaf.prop_recursive(4, 24, 3, |inner| {
-        let pred = (
-            0i64..4,
-            prop_oneof![
-                Just(Comparator::Eq),
-                Just(Comparator::Le),
-                Just(Comparator::Gt)
-            ],
-        )
-            .prop_map(|(c, op)| Predicate::attr_op_value("V", op, c));
-        let lifespan = common::lifespan_strategy().prop_map(LifespanExpr::Literal);
-        prop_oneof![
-            // Unary operators (keep the scheme compatible for set ops).
-            (inner.clone(), pred.clone()).prop_map(|(e, p)| Expr::SelectWhen {
-                input: Box::new(e),
-                predicate: p,
-            }),
-            (inner.clone(), pred.clone()).prop_map(|(e, p)| Expr::SelectIf {
-                input: Box::new(e),
-                predicate: p,
-                quantifier: Quantifier::Exists,
-                lifespan: None,
-            }),
-            (inner.clone(), lifespan).prop_map(|(e, l)| Expr::TimeSlice {
-                input: Box::new(e),
-                lifespan: l,
-            }),
-            inner.clone().prop_map(|e| e.project(["K", "V", "W"])),
-            // Binary, scheme-compatible combinations.
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Union(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Intersection(Box::new(a), Box::new(b))),
-            (inner.clone(), inner).prop_map(|(a, b)| Expr::Difference(Box::new(a), Box::new(b))),
-        ]
+/// `eval.rs` on the tree the §5 rewrites leave, for relation-sorted
+/// queries.
+fn optimized(w: &World) -> Opened<'_> {
+    on(State::Final, move |q, _| {
+        let Query::Relation(e) = q else {
+            return None;
+        };
+        let optimized = Query::Relation(optimize(e).0);
+        Some(evaluate(&optimized, &w.states[0]).map_err(|e| e.to_string()))
     })
 }
 
+/// `eval.rs` answers an optimized tree as it answers the original, after
+/// every generated history: optimizing preserves the meaning of every
+/// relation-sorted query, whatever the planner then does with the tree.
+#[test]
+fn optimized_plans_evaluate_identically() {
+    run_matrix(1_000, &[entry("eval.rs of the optimized tree", optimized)]);
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::from_env_or(64))]
 
-    #[test]
-    fn optimized_plans_evaluate_identically(
-        e in expr_strategy(),
-        r in relation_strategy(),
-        r2 in relation_strategy(),
-    ) {
-        let mut src: BTreeMap<String, Relation> = BTreeMap::new();
-        src.insert("r".into(), r);
-        src.insert("r2".into(), r2);
-
-        let (optimized, _trace) = optimize(&e);
-        let before = eval_expr(&e, &src);
-        let after = eval_expr(&optimized, &src);
-        match (before, after) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "expr: {}", e),
-            (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),
-            (a, b) => prop_assert!(false, "divergent outcomes for {}: {:?} vs {:?}", e, a.is_ok(), b.is_ok()),
-        }
-    }
-
+    /// Fusions shrink a tree; distribution over a union duplicates at
+    /// most one slice node per union, so growth is at most linear.
     #[test]
     fn optimization_growth_is_bounded(e in expr_strategy()) {
-        // Fusion rules shrink; distribution over union duplicates at most
-        // one slice node per union, so growth is at most linear.
-        let (optimized, _trace) = optimize(&e);
-        prop_assert!(
-            optimized.size() <= e.size() * 2,
-            "{} grew to {}",
-            e,
-            optimized
-        );
+        let (once, _) = optimize(&e);
+        prop_assert!(once.size() <= e.size() * 2, "{} grew to {}", e, once);
     }
 
-    #[test]
-    fn display_parse_round_trip(e in expr_strategy()) {
-        // The textual form of any expression re-parses to the same tree —
-        // the language and the AST printer stay in lockstep.
-        let printed = e.to_string();
-        let reparsed = hrdm_query::parse_expr(&printed);
-        prop_assert_eq!(reparsed.as_ref(), Ok(&e), "printed: {}", printed);
-    }
-
+    /// A second pass finds nothing left to fire.
     #[test]
     fn optimization_is_idempotent(e in expr_strategy()) {
         let (once, _) = optimize(&e);
-        let (twice, trace2) = optimize(&once);
-        prop_assert_eq!(once, twice);
-        prop_assert!(trace2.is_empty(), "second pass still fired: {:?}", trace2);
+        let (twice, trace) = optimize(&once);
+        prop_assert_eq!(&once, &twice);
+        prop_assert!(trace.is_empty(), "second pass still fired: {:?}", trace);
     }
 
+    /// The textual form of any query, of any sort, re-parses to the same
+    /// tree: the language and the printer stay in lockstep.
+    #[test]
+    fn display_parse_round_trip(q in query_strategy()) {
+        let printed = q.to_string();
+        prop_assert_eq!(parse_query(&printed), Ok(q), "printed: {}", printed);
+    }
+
+    /// A θ-join under a select under a slice: the slice is pushed through
+    /// the select, and the rewritten tree answers as the original does.
     #[test]
     fn join_expressions_survive_optimization(
-        r in relation_strategy(),
-        s in other_relation_strategy(),
+        r in common::relation_strategy(),
+        r2 in common::other_relation_strategy(),
         c in 0i64..4,
     ) {
-        // A hand-built multi-operator query with a join (joins need
-        // distinct schemes, so they live outside the recursive strategy).
-        let e = Expr::TimeSlice {
-            input: Box::new(Expr::SelectWhen {
-                input: Box::new(Expr::ThetaJoin {
-                    left: Box::new(Expr::rel("r")),
-                    right: Box::new(Expr::rel("s")),
-                    a: "V".into(),
-                    op: Comparator::Le,
-                    b: "X".into(),
-                }),
-                predicate: Predicate::attr_op_value("W", Comparator::Ge, c),
-            }),
-            lifespan: LifespanExpr::Literal(Lifespan::interval(0, 20)),
-        };
-        let mut src: BTreeMap<String, Relation> = BTreeMap::new();
-        src.insert("r".into(), r);
-        src.insert("s".into(), s);
+        let text = format!("TIMESLICE [0..20] (SELECT-WHEN (W >= {c}) (r JOIN r2 ON V <= X))");
+        let e = parse_expr(&text).unwrap();
+        let src = BTreeMap::from([("r".to_string(), r), ("r2".to_string(), r2)]);
         let (optimized, trace) = optimize(&e);
-        prop_assert!(!trace.is_empty()); // timeslice pushes through select-when
-        prop_assert_eq!(
-            eval_expr(&e, &src).unwrap(),
-            eval_expr(&optimized, &src).unwrap()
-        );
+        prop_assert!(!trace.is_empty(), "nothing fired on {}", text);
+        prop_assert_eq!(eval_expr(&e, &src).unwrap(), eval_expr(&optimized, &src).unwrap());
     }
 }

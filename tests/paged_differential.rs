@@ -1,290 +1,93 @@
-//! Differential oracle for the out-of-core read path: the **paged**
-//! pipeline (windowed materialization through the buffer pool, pruned
-//! partitions never faulted) must answer every query byte-identically to
-//! the eager snapshot pipeline over the same directory.
-//!
-//! The suite drives random insert/checkpoint schedules, then compares
-//! the full query battery both ways — including under a deliberately
-//! tiny pool that forces eviction mid-materialization. The CI
-//! `partition-tests` leg additionally runs this file with
-//! `HRDM_POOL_PAGES=4`, so the process-global pool thrashes too.
+//! The paged (out-of-core) view against `eval.rs` (see `oracle/mod.rs`):
+//! after generated histories, on a fixed dense state, and under literal
+//! and computed windows.
 
-use hrdm_core::prelude::*;
-use hrdm_query::{
-    paged_snapshot_for_query, parse_query, run_query_on_paged, run_query_on_snapshot, QueryResult,
-};
-use hrdm_storage::{BufferPool, Database, PagedDatabase, PartitionPolicy, WalRecord};
-use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
+mod oracle;
+
+use hrdm_query::{evaluate, materialization_window, optimize, parse_query, run_query_on_paged};
+use hrdm_query::{PagedQueryError, Query};
+use hrdm_storage::{BufferPool, Database, PagedDatabase};
+use oracle::matrix::{canon, entry, failure, on, run_matrix, Opened};
+use oracle::world::{seeded, tmp, State, World, BATTERY};
 use std::sync::Arc;
 
-static CASE: AtomicUsize = AtomicUsize::new(0);
-
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "hrdm-paged-diff-{}-{name}-{}",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::remove_dir_all(&p).ok();
-    p
-}
-
-fn r_scheme() -> Scheme {
-    let era = Lifespan::interval(0, 4096);
-    Scheme::builder()
-        .key_attr("K", ValueKind::Int, era.clone())
-        .attr("V", HistoricalDomain::int(), era)
-        .build()
-        .unwrap()
-}
-
-fn evt_scheme() -> Scheme {
-    let era = Lifespan::interval(0, 4096);
-    Scheme::builder()
-        .key_attr("E", ValueKind::Int, era.clone())
-        .attr("AT", HistoricalDomain::time(), era)
-        .build()
-        .unwrap()
-}
-
-fn r_tup(k: i64, lo: i64, len: i64, v: i64) -> Tuple {
-    let life = Lifespan::interval(lo, lo + len);
-    Tuple::builder(life.clone())
-        .constant("K", k)
-        .value("V", TemporalValue::constant(&life, Value::Int(v)))
-        .finish(&r_scheme())
-        .unwrap()
-}
-
-fn evt_tup(e: i64, lo: i64, len: i64, at: i64) -> Tuple {
-    let life = Lifespan::interval(lo, lo + len);
-    Tuple::builder(life.clone())
-        .constant("E", e)
-        .value("AT", TemporalValue::constant(&life, Value::time(at)))
-        .finish(&evt_scheme())
-        .unwrap()
-}
-
-/// The same battery the partitioned-vs-unpartitioned oracle runs, plus
-/// paged-specific shapes: windows that prune almost everything, computed
-/// (`WHEN`) slice windows that must *disable* windowing, and joins whose
-/// leaves sit under different literal slices.
-const QUERIES: &[&str] = &[
-    "r",
-    "TIMESLICE [40..70] (r)",
-    "TIMESLICE [0..3, 130..150] (r)",
-    "TIMESLICE [4000..4090] (r)",
-    "SELECT-WHEN (K = 5) (r)",
-    "SELECT-WHEN (V >= 50) (r)",
-    "TIMESLICE [10..90] (SELECT-WHEN (V >= 20) (r))",
-    "PROJECT [V] (TIMESLICE [5..120] (r))",
-    "TIMESLICE [0..80] (r UNION r)",
-    "(TIMESLICE [0..100] (r)) MINUS (TIMESLICE [50..200] (r))",
-    "(TIMESLICE [0..128] (r)) INTERSECT-O (TIMESLICE [64..256] (r))",
-    "SELECT-IF (V >= 10, FORALL, [16..48]) (r)",
-    "evt TIMEJOIN@AT r",
-    "TIMESLICE [8..40] (evt TIMEJOIN@AT r)",
-    "(TIMESLICE [0..64] (evt)) TIMEJOIN@AT (TIMESLICE [0..64] (r))",
-    "SLICE@AT (evt)",
-    "WHEN (TIMESLICE [5..95] (r))",
-    "TIMESLICE (WHEN (SELECT-WHEN (K = 1) (r))) (r)",
-    "COUNT V (r)",
-];
-
-/// Canonical byte serialization (sorted tuple renderings) so physically
-/// different tuple orders compare equal.
-fn canonical(result: &QueryResult) -> String {
-    match result {
-        QueryResult::Relation(r) => {
-            let mut lines: Vec<String> = r.iter().map(|t| t.to_string()).collect();
-            lines.sort();
-            format!("scheme {}\n{}", r.scheme(), lines.join("\n"))
+/// The read-only paged view of the attached engine's directory.
+fn paged(w: &World, pool: Arc<BufferPool>) -> Opened<'_> {
+    let db = PagedDatabase::open_with_pool(&w.dir, pool).unwrap();
+    on(State::Final, move |_, text| {
+        match run_query_on_paged(text, &db) {
+            Ok(r) => Some(Ok(r)),
+            Err(PagedQueryError::Pipeline(e)) => Some(Err(failure(e))),
+            Err(e) => panic!("paged `{text}`: {e}"),
         }
-        QueryResult::Lifespan(l) => l.to_string(),
-        QueryResult::Function(f) => f.to_string(),
-    }
+    })
 }
 
-/// Every battery query answers identically through the eager snapshot
-/// and through the paged pipeline (both the global-pool entry point and
-/// an explicit thrash-sized pool).
-fn assert_paged_agrees(dir: &std::path::Path, ctx: &str) {
-    let eager = Database::load(dir).unwrap().snapshot();
-    let paged = PagedDatabase::open(dir).unwrap();
-    let tiny = PagedDatabase::open_with_pool(dir, BufferPool::new(2)).unwrap();
-    for q in QUERIES {
-        let want = run_query_on_snapshot(q, &eager);
-        let got = run_query_on_paged(q, &paged);
-        match (&want, &got) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(canonical(a), canonical(b), "{ctx}: `{q}` diverged paged");
-            }
-            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{ctx}: `{q}`"),
-            _ => panic!("{ctx}: `{q}` succeeded on one path only: {want:?} vs {got:?}"),
-        }
-        // Same query through a 2-frame pool: eviction mid-materialization
-        // must not change a byte.
-        let (snap, _w) = paged_snapshot_for_query(q, &tiny).unwrap();
-        let thrashed = run_query_on_snapshot(q, &snap);
-        match (&want, &thrashed) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(canonical(a), canonical(b), "{ctx}: `{q}` diverged thrashed");
-            }
-            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{ctx}: `{q}`"),
-            _ => panic!("{ctx}: `{q}`: {want:?} vs thrashed {thrashed:?}"),
-        }
-    }
+/// The paged view of the attached engine's directory, under the global
+/// pool and a 2-frame one, answers as `eval.rs` does after every
+/// generated history — checkpointed first where the WAL tail holds more
+/// than a paged open takes. At least 32 histories × 19 queries per pool.
+#[test]
+fn paged_pipeline_is_observationally_identical() {
+    run_matrix(
+        1_000,
+        &[
+            entry("paged/global pool", |w| {
+                paged(w, Arc::clone(BufferPool::global()))
+            }),
+            entry("paged/2-frame pool", |w| paged(w, BufferPool::new(2))),
+        ],
+    );
 }
 
-/// One scripted mutation. Schedules stay within what a paged open
-/// tolerates: inserts and checkpoints (the heavier ops are covered by
-/// the Mode-error tests in the storage crate).
-#[derive(Clone, Debug)]
-enum Op {
-    InsertR { k: i64, lo: i64, len: i64, v: i64 },
-    InsertEvt { e: i64, lo: i64, len: i64, at: i64 },
-    Checkpoint,
+/// `q` through the paged view equals `eval.rs` on the eager load.
+fn assert_paged_agrees(eager: &Database, paged: &PagedDatabase, q: &str) {
+    let want = canon(&evaluate(&parse_query(q).unwrap(), eager));
+    let got = run_query_on_paged(q, paged).map_err(|e| match e {
+        PagedQueryError::Pipeline(e) => failure(e),
+        other => panic!("paged `{q}`: {other}"),
+    });
+    assert_eq!(canon(&got), want, "paged `{q}` diverged from eval.rs");
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        ((0i64..40), (0i64..900), (1i64..60), (0i64..100))
-            .prop_map(|(k, lo, len, v)| Op::InsertR { k, lo, len, v }),
-        ((0i64..20), (0i64..900), (1i64..40), (0i64..950))
-            .prop_map(|(e, lo, len, at)| Op::InsertEvt { e, lo, len, at }),
-        Just(Op::Checkpoint),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::from_env_or(32))]
-
-    /// Random insert/checkpoint schedules: after the run (final state =
-    /// checkpoint + possibly a WAL tail of inserts), the paged pipeline
-    /// answers the whole battery identically to the eager one.
-    #[test]
-    fn paged_pipeline_is_observationally_identical(
-        ops in prop::collection::vec(op_strategy(), 1..24),
-        span_log2 in 2u32..9,
-    ) {
-        let dir = tmp("prop");
-        {
-            let mut db = Database::open(&dir).unwrap();
-            db.set_partition_policy(PartitionPolicy::SpanLog2(span_log2));
-            db.create_relation("r", r_scheme()).unwrap();
-            db.create_relation("evt", evt_scheme()).unwrap();
-            // A paged open needs at least one checkpoint.
-            db.checkpoint().unwrap();
-            for op in &ops {
-                match op {
-                    Op::InsertR { k, lo, len, v } => {
-                        db.insert("r", r_tup(*k, *lo, *len, *v)).ok();
-                    }
-                    Op::InsertEvt { e, lo, len, at } => {
-                        db.insert("evt", evt_tup(*e, *lo, *len, *at)).ok();
-                    }
-                    Op::Checkpoint => db.checkpoint().unwrap(),
-                }
-            }
-        }
-        assert_paged_agrees(&dir, "post-ops");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-/// Deterministic smoke variant (fast, runs even with PROPTEST_CASES=1):
-/// a dense seeded state with tuples in many partitions plus a WAL tail.
+/// A fixed dense state with a WAL tail on its checkpoint answers the
+/// battery through the global pool and through a 2-frame one; a literal
+/// window opens fewer than half of the partitions.
 #[test]
 fn paged_pipeline_battery_on_seeded_state() {
     let dir = tmp("seeded");
-    {
-        let mut db = Database::open(&dir).unwrap();
-        db.set_partition_policy(PartitionPolicy::SpanLog2(6)); // span 64
-        db.create_relation("r", r_scheme()).unwrap();
-        db.create_relation("evt", evt_scheme()).unwrap();
-        let mut ops = Vec::new();
-        for k in 0..200 {
-            let lo = (k * 19) % 3_900;
-            ops.push(WalRecord::Insert {
-                relation: "r".into(),
-                tuple: r_tup(k % 40, lo, 1 + k % 50, k),
-            });
-        }
-        for e in 0..60 {
-            let lo = (e * 31) % 3_900;
-            ops.push(WalRecord::Insert {
-                relation: "evt".into(),
-                tuple: evt_tup(e % 20, lo, 1 + e % 30, (e * 13) % 950),
-            });
-        }
-        for r in db.commit_batch(ops) {
-            r.ok(); // duplicate keys may be refused; both paths see the same state
-        }
-        db.checkpoint().unwrap();
-        // A WAL tail on top of the checkpoint.
-        for k in 0..25 {
-            db.insert("r", r_tup(40 + k, (k * 101) % 3_900, 15, k)).ok();
+    seeded(&dir);
+    let eager = Database::load(&dir).unwrap();
+    for pool in [Arc::clone(BufferPool::global()), BufferPool::new(2)] {
+        let paged = PagedDatabase::open_with_pool(&dir, pool).unwrap();
+        for (_, q) in BATTERY {
+            assert_paged_agrees(&eager, &paged, q);
         }
     }
-    assert_paged_agrees(&dir, "seeded");
-
-    // Witness that the battery's narrow windows actually pruned: a
-    // fresh paged view answering only the [40..70] slice must leave
-    // most partitions unopened.
-    let pool = BufferPool::new(8);
-    let paged = PagedDatabase::open_with_pool(&dir, Arc::clone(&pool)).unwrap();
-    let _ = run_query_on_snapshot(
-        "TIMESLICE [40..70] (r)",
-        &paged_snapshot_for_query("TIMESLICE [40..70] (r)", &paged)
-            .unwrap()
-            .0,
-    )
-    .unwrap();
-    let opened = paged.opened_partitions("r");
+    let paged = PagedDatabase::open_with_pool(&dir, BufferPool::new(8)).unwrap();
+    assert_paged_agrees(&eager, &paged, "TIMESLICE [4..12] (r)");
+    let opened = paged.opened_partitions("r").len();
     let total = paged.partition_map("r").unwrap().iter().count();
-    assert!(
-        opened.len() * 2 < total.max(2),
-        "narrow slice opened {}/{total} partitions",
-        opened.len()
-    );
+    assert!(opened * 2 < total, "opened {opened}/{total} partitions");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The parser/planner agree with the storage layer about windows: a
-/// query whose window is `None` (computed slice) must still answer
-/// correctly — it materializes everything rather than guessing.
+/// A computed (`WHEN`) window has no materialization window: the paged
+/// view reads every partition rather than guess, and answers exactly.
 #[test]
 fn computed_windows_disable_pruning_not_correctness() {
     let dir = tmp("computed");
-    {
-        let mut db = Database::open(&dir).unwrap();
-        db.set_partition_policy(PartitionPolicy::SpanLog2(5));
-        db.create_relation("r", r_scheme()).unwrap();
-        db.create_relation("evt", evt_scheme()).unwrap();
-        for k in 0..50 {
-            db.insert("r", r_tup(k, (k * 83) % 3_900, 20, k)).unwrap();
-        }
-        db.checkpoint().unwrap();
-    }
-    let paged = PagedDatabase::open(&dir).unwrap();
+    seeded(&dir);
     let q = "TIMESLICE (WHEN (SELECT-WHEN (K = 7) (r))) (r)";
-    let parsed = parse_query(q).unwrap();
-    if let hrdm_query::Query::Relation(e) = &parsed {
-        let (optimized, _) = hrdm_query::optimize(e);
-        assert_eq!(
-            hrdm_query::materialization_window(&optimized),
-            None,
-            "a computed slice window must force full materialization"
-        );
-    } else {
-        panic!("expected a relation query");
-    }
-    let eager = Database::load(&dir).unwrap().snapshot();
-    let want = run_query_on_snapshot(q, &eager).unwrap();
-    let got = run_query_on_paged(q, &paged).unwrap();
-    assert_eq!(canonical(&want), canonical(&got));
+    let Ok(Query::Relation(e)) = parse_query(q) else {
+        panic!("{q} is relation-sorted")
+    };
+    assert!(materialization_window(&optimize(&e).0).is_none());
+    let paged = PagedDatabase::open_with_pool(&dir, BufferPool::new(8)).unwrap();
+    assert_paged_agrees(&Database::load(&dir).unwrap(), &paged, q);
+    let opened = paged.opened_partitions("r").len();
+    let total = paged.partition_map("r").unwrap().iter().count();
+    assert_eq!(opened, total, "a computed window pruned");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -126,7 +126,7 @@ fn language_queries_match_direct_algebra_on_the_pipeline_relation() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::from_env_or(24))]
 
     #[test]
     fn storage_round_trip_is_identity(r in common::relation_strategy()) {
