@@ -2,7 +2,8 @@
 //!
 //! The group-commit core holds several locks (`inner`, `queue`,
 //! `published`, per-ticket mutexes) and the net server adds its own
-//! (`sessions`, the cancel set). A deadlock needs two threads acquiring
+//! (`sessions`, and each session's inbox, which cancel probes only
+//! `try_lock`). A deadlock needs two threads acquiring
 //! the same pair in opposite orders — invisible to any single function
 //! review once acquisition chains cross function boundaries.
 //!

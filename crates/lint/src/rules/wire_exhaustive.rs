@@ -1,6 +1,6 @@
 //! `wire-exhaustiveness`: the wire protocol must stay fully wired. A new
 //! `Frame` variant has to land in four places at once — the `kind()` tag
-//! map, the `encode_frame_traced` match, the `decode_frame_traced` tag
+//! map, the `encode_frame_into` match, the `decode_frame_traced` tag
 //! match, and the proptest strategy-coverage pin in the protocol test — or a 20th frame
 //! kind ships half-wired: encodable but not decodable, or invisible to
 //! the roundtrip fuzzer. The compiler catches some of these (exhaustive
@@ -8,7 +8,7 @@
 //! `[false; N]` arity), so this rule checks the whole chain:
 //!
 //! 1. every `enum Frame` variant appears in `kind()`,
-//!    `encode_frame_traced`, and the test's `kind_index`;
+//!    `encode_frame_into`, and the test's `kind_index`;
 //! 2. the tag set produced by `kind()` equals the tag set matched by
 //!    `decode_frame_traced`;
 //! 3. the coverage pin `[false; N]` equals the variant count.
@@ -61,7 +61,7 @@ impl Rule for WireExhaustive {
         let kind_tags: BTreeSet<u8> = kind_pairs.iter().map(|&(_, t)| t).collect();
 
         // Encode and decode coverage.
-        let encode_variants = fn_body(frame, "encode_frame_traced")
+        let encode_variants = fn_body(frame, "encode_frame_into")
             .map(frame_variant_mentions)
             .unwrap_or_default();
         let decode_tags = fn_body(frame, "decode_frame_traced")
@@ -80,7 +80,7 @@ impl Rule for WireExhaustive {
                 out.push(self.at(
                     frame,
                     enum_line,
-                    format!("Frame::{v} is not handled by `encode_frame_traced`"),
+                    format!("Frame::{v} is not handled by `encode_frame_into`"),
                 ));
             }
         }

@@ -17,7 +17,7 @@ impl Frame {
     }
 }
 
-pub fn encode_frame_traced(frame: &Frame) -> Vec<u8> {
+pub fn encode_frame_into(frame: &Frame) -> Vec<u8> {
     match frame {
         Frame::Hello { version } => vec![*version as u8],
         Frame::Query { text } => text.clone().into_bytes(),

@@ -98,7 +98,7 @@ fn wire_exhaustiveness_reports_every_missing_leg() {
     assert!(
         messages
             .iter()
-            .any(|m| m.contains("Drop") && m.contains("encode_frame_traced")),
+            .any(|m| m.contains("Drop") && m.contains("encode_frame_into")),
         "missing encode arm not reported: {messages:?}"
     );
     assert!(

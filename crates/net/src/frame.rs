@@ -803,7 +803,24 @@ fn get_events(d: &mut Decoder<'_>) -> Result<Vec<WireEvent>, FrameError> {
 /// the send buffer fills) — writers sharing a socket must serialize
 /// frame writes themselves, as [`crate::Client`] and its cancellers do.
 pub fn encode_frame_traced(request_id: u64, trace: u128, frame: &Frame) -> Vec<u8> {
-    let mut e = Encoder::new();
+    let mut out = Vec::new();
+    encode_frame_into(&mut out, request_id, trace, frame);
+    out
+}
+
+/// Appends one encoded frame, header included, to `out` (whose existing
+/// bytes are kept): the header is reserved first, the payload encoded
+/// straight after it, and the length prefix patched in last, so the
+/// payload is never copied. The appended bytes equal
+/// [`encode_frame_traced`]'s.
+pub fn encode_frame_into(out: &mut Vec<u8>, request_id: u64, trace: u128, frame: &Frame) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    out.push(WIRE_VERSION);
+    out.push(frame.kind());
+    out.extend_from_slice(&request_id.to_be_bytes());
+    out.extend_from_slice(&trace.to_be_bytes());
+    let mut e = Encoder::from_vec(std::mem::take(out));
     match frame {
         Frame::Hello { version, client } => {
             e.put_u64(u64::from(*version));
@@ -839,16 +856,9 @@ pub fn encode_frame_traced(request_id: u64, trace: u128, frame: &Frame) -> Vec<u
         Frame::StatsResult { stats } => put_stats(&mut e, stats),
         Frame::Error { error } => put_wire_error(&mut e, error),
     }
-    let payload = e.finish();
-    let body_len = BODY_HEADER + payload.len();
-    let mut out = Vec::with_capacity(4 + body_len);
-    out.extend_from_slice(&(body_len as u32).to_be_bytes());
-    out.push(WIRE_VERSION);
-    out.push(frame.kind());
-    out.extend_from_slice(&request_id.to_be_bytes());
-    out.extend_from_slice(&trace.to_be_bytes());
-    out.extend_from_slice(&payload);
-    out
+    *out = e.finish();
+    let body_len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&body_len.to_be_bytes());
 }
 
 /// Decodes one frame *body* (the `len` prefix already consumed): version
@@ -977,9 +987,19 @@ pub fn read_frame_traced(r: &mut impl Read) -> Result<(u64, u128, Frame), FrameE
 
 /// Reads the remainder of a frame whose 4-byte length prefix `len` was
 /// already consumed — for readers that take the prefix themselves (e.g.
-/// the server's idle-aware read, which must distinguish "timed out with
-/// zero bytes consumed" from "timed out mid-frame").
+/// to tell "timed out with zero bytes consumed" from "timed out
+/// mid-frame").
 pub fn read_frame_after_len(r: &mut impl Read, len: u32) -> Result<(u64, u128, Frame), FrameError> {
+    check_frame_len(len)?;
+    let mut body = vec![0u8; len.min(MAX_FRAME_BYTES) as usize];
+    r.read_exact(&mut body)?;
+    decode_frame_traced(&body)
+}
+
+/// Rejects a declared frame length above [`MAX_FRAME_BYTES`] or below
+/// the fixed header — the check every reader makes before it buffers or
+/// allocates a frame body.
+pub(crate) fn check_frame_len(len: u32) -> Result<(), FrameError> {
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::Protocol(format!(
             "declared frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"
@@ -990,9 +1010,7 @@ pub fn read_frame_after_len(r: &mut impl Read, len: u32) -> Result<(u64, u128, F
             "declared frame length {len} is shorter than the frame header"
         )));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    decode_frame_traced(&body)
+    Ok(())
 }
 
 /// Reassembles a streamed relation result: header scheme + chunked

@@ -3,9 +3,25 @@
 //!
 //! ## Execution model
 //!
-//! * Every connection gets a **session**: a reader thread that decodes
-//!   frames off the socket (and routes `Cancel` out of band) and a worker
-//!   thread that serves requests in order, writing responses back.
+//! * Every connection gets a **session**: one thread that reads requests,
+//!   serves them in order and writes the replies.
+//!   - Its **inbox** reads the socket in 16 KiB reads and splits out every
+//!     complete frame, checking the declared length before any
+//!     allocation. A `Cancel` goes straight into the session's cancelled
+//!     set; every other frame joins the pending queue. The session stops
+//!     reading while 16 requests are pending, so a client pipelining
+//!     faster than the server serves is throttled by TCP backpressure,
+//!     not by server memory.
+//!   - Every reply frame is encoded straight into one **output buffer**,
+//!     written to the socket only when the session is about to block for
+//!     input (no parsed request pending), when the buffer passes 64 KiB,
+//!     and when the session ends. A one-chunk answer costs one write,
+//!     pipelined requests share one, and a long stream leaves in pieces
+//!     of about 64 KiB.
+//!   - A running query's **cancel probe** drains the socket without
+//!     blocking, at most once per millisecond of the request's run time:
+//!     a `Cancel` stops a long scan within one batch of being read, and a
+//!     sub-millisecond request makes no extra syscall.
 //! * **Reads** (`Query`, `Prepare`, `Stats`) run against a per-request
 //!   [`DbSnapshot`](hrdm_storage::DbSnapshot) — the same snapshot-isolated,
 //!   zero-lock pipeline in-process readers use, so `EXPLAIN`, index scans,
@@ -21,21 +37,26 @@
 //! * [`ServerConfig::max_result_rows`] / [`ServerConfig::max_result_bytes`]
 //!   cap each result stream; exceeding either turns the stream into a
 //!   `Limit` error instead of unbounded output.
-//! * [`ServerConfig::read_timeout`] kills **idle** sessions (no request in
-//!   flight, nothing arriving); a session mid-request is never timed out
-//!   by its own silence.
+//! * [`ServerConfig::read_timeout`] kills **idle** sessions: it is the
+//!   socket's read timeout while the session is blocked for input, which
+//!   happens only with no request pending or in flight. A session
+//!   mid-request is never timed out by its own silence; a stall in the
+//!   middle of a frame is fatal, because a partial frame cannot be
+//!   resynchronized.
 //! * Frame length declarations above [`crate::frame::MAX_FRAME_BYTES`] are
 //!   rejected before any allocation.
 //!
 //! ## Shutdown
 //!
 //! [`ServerHandle::shutdown`] stops accepting, closes every session's read
-//! half (idle readers wake immediately), then waits for in-flight requests
-//! to finish — a write mid-group-commit is drained, never torn.
+//! half, then waits for the sessions to end. A session blocked for input
+//! wakes with EOF at once. A session mid-request finishes it — a write
+//! mid-group-commit is drained, never torn — flushes its replies, and
+//! answers any request still pending with `Unavailable`.
 
 use crate::frame::{
-    write_frame_traced, Frame, FrameError, ServerStats, WireError, WireEvent, WriteOp,
-    PROTO_VERSION,
+    check_frame_len, decode_frame_traced, encode_frame_into, write_frame_traced, Frame, FrameError,
+    ServerStats, WireError, WireEvent, WriteOp, PROTO_VERSION,
 };
 use hrdm_obs::{
     recorder, Counter, EventKind, Gauge, Histogram, LatencyWindow, RateWindow, Registry, SlowEntry,
@@ -43,16 +64,15 @@ use hrdm_obs::{
 };
 use hrdm_query::{
     explain_analyze_query_text, explain_query_text, stream_query_on_snapshot,
-    strip_explain_analyze, ExecError, ExecOptions, PipelineError, QueryResult, QueryStream,
-    StreamedQuery,
+    strip_explain_analyze, CancelProbe, ExecError, ExecOptions, PipelineError, QueryResult,
+    QueryStream, StreamedQuery,
 };
 use hrdm_storage::ConcurrentDatabase;
-use std::collections::{BTreeSet, HashMap};
-use std::io;
+use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -68,7 +88,7 @@ pub struct ServerConfig {
     /// Maximum encoded bytes one result stream may carry.
     pub max_result_bytes: u64,
     /// Tuples per streamed `RowChunk` frame (also the cancellation
-    /// granularity: the cancel flag is checked between chunks).
+    /// granularity: the cancel probe runs between batches).
     pub chunk_rows: usize,
     /// How long an **idle** session may sit before being closed. `None`
     /// disables the idle kill.
@@ -119,6 +139,8 @@ struct Counters {
     exec_ns: Arc<Counter>,
     bytes_in: Arc<Counter>,
     bytes_out: Arc<Counter>,
+    socket_reads: Arc<Counter>,
+    socket_writes: Arc<Counter>,
     rows_streamed: Arc<Counter>,
     batches_streamed: Arc<Counter>,
     request_ns: Arc<Histogram>,
@@ -181,6 +203,14 @@ impl Counters {
             "hrdm_net_bytes_out_total",
             "Response bytes written to client sockets",
         );
+        let socket_reads = registry.counter(
+            "hrdm_net_socket_reads_total",
+            "Read syscalls on client sockets, including ones that found no data",
+        );
+        let socket_writes = registry.counter(
+            "hrdm_net_socket_writes_total",
+            "Write syscalls on client sockets",
+        );
         let rows_streamed = registry.counter(
             "hrdm_net_rows_streamed_total",
             "Result rows streamed to clients from live executors",
@@ -210,6 +240,8 @@ impl Counters {
             exec_ns,
             bytes_in,
             bytes_out,
+            socket_reads,
+            socket_writes,
             rows_streamed,
             batches_streamed,
             request_ns,
@@ -250,8 +282,9 @@ pub(crate) struct Shared {
     /// Stops the HTTP metrics listener (raised *after* the drain, so
     /// `/healthz` can report 503 while sessions finish).
     http_stop: AtomicBool,
-    /// Read-half handles of live sessions, for shutdown to wake idle
-    /// readers. Keyed by session id.
+    /// Socket handles of live sessions, keyed by session id. Shutdown
+    /// closes each one's read half, which wakes a session blocked for
+    /// input with EOF.
     sessions: Mutex<HashMap<u64, TcpStream>>,
     next_session: AtomicU64,
     started: Instant,
@@ -578,348 +611,620 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// What the reader thread hands the worker: request id, the trace id
-/// the client stamped in the frame header, and the frame.
-enum SessionEvent {
-    /// Boxed: a `Frame` is large (inline payload buffers) and `Bad` is
-    /// tiny; boxing keeps the channel slots small.
-    Request(u64, u128, Box<Frame>),
-    /// The peer violated the protocol; the worker reports and closes.
-    Bad(String),
-}
+/// Bytes asked of the socket per read.
+const READ_CHUNK: usize = 16 * 1024;
 
-fn session(shared: &Arc<Shared>, stream: TcpStream, session_id: u64) {
-    let _ = stream.set_nodelay(true);
-    let reader_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    shared.sessions.lock().expect("sessions lock").insert(
-        session_id,
-        match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        },
-    );
-    let _ = reader_stream.set_read_timeout(shared.config.read_timeout);
+/// Parsed requests a session holds before it stops reading the socket.
+const MAX_PENDING: usize = 16;
 
-    // Requests the reader has handed over but the worker has not finished.
-    // The idle-timeout kill only fires when this is zero — a session busy
-    // streaming a big result must not be killed for not *sending* bytes.
-    let outstanding = Arc::new(AtomicI64::new(0));
-    // Request ids cancelled out of band; checked between result chunks.
-    let cancelled: Arc<Mutex<BTreeSet<u64>>> = Arc::new(Mutex::new(BTreeSet::new()));
+/// The output buffer is written out once it holds this many bytes.
+const FLUSH_BYTES: usize = 64 * 1024;
 
-    let (tx, rx) = mpsc::sync_channel::<SessionEvent>(16);
-    let reader_shared = Arc::clone(shared);
-    let reader_outstanding = Arc::clone(&outstanding);
-    let reader_cancelled = Arc::clone(&cancelled);
-    let reader = std::thread::spawn(move || {
-        reader_loop(
-            reader_stream,
-            &reader_shared,
-            &tx,
-            &reader_outstanding,
-            &reader_cancelled,
-        );
-    });
-
-    recorder().record(EventKind::SessionOpen, format!("session={session_id}"));
-    let mut stream = stream;
-    worker_loop(shared, &mut stream, &rx, &outstanding, &cancelled);
-    recorder().record(EventKind::SessionClose, format!("session={session_id}"));
-    // Close the socket: the peer sees EOF instead of a silent stall, and
-    // the reader (possibly parked in its read timeout) wakes immediately.
-    let _ = stream.shutdown(Shutdown::Both);
-    // Dropping the receiver unblocks the reader's next send; joining keeps
-    // the thread from outliving the session's bookkeeping.
-    drop(rx);
-    let _ = reader.join();
-}
+/// A running query drains the socket for `Cancel` frames at most once per
+/// this many nanoseconds of its run time.
+const CANCEL_POLL_NS: u64 = 1_000_000;
 
 /// Stale-cancel bound: cancels that raced past their request's
 /// completion are re-recorded; keep only the most recent few so a
 /// long-lived session cannot grow the set without bound.
 const MAX_STALE_CANCELS: usize = 64;
 
-fn reader_loop(
-    mut stream: TcpStream,
-    shared: &Arc<Shared>,
-    tx: &mpsc::SyncSender<SessionEvent>,
-    outstanding: &AtomicI64,
-    cancelled: &Mutex<BTreeSet<u64>>,
-) {
-    loop {
-        match read_frame_idle_aware(&mut stream) {
-            Ok(None) => {
-                // Timed out with zero bytes consumed — safe to retry.
-                if outstanding.load(Ordering::SeqCst) > 0 {
-                    // Busy serving — silence from the client is expected.
-                    continue;
-                }
-                return; // idle kill
+fn session(shared: &Arc<Shared>, stream: TcpStream, session_id: u64) {
+    let _ = stream.set_nodelay(true);
+    // Only a session blocked for input makes a blocking read, so this is
+    // the idle timeout.
+    let _ = stream.set_read_timeout(shared.config.read_timeout);
+    let Ok(handle) = stream.try_clone() else {
+        return;
+    };
+    shared
+        .sessions
+        .lock()
+        .expect("sessions lock")
+        .insert(session_id, handle);
+    recorder().record(EventKind::SessionOpen, format!("session={session_id}"));
+    let mut session = Session {
+        shared: Arc::clone(shared),
+        inbox: Arc::new(Mutex::new(Inbox {
+            shared: Arc::clone(shared),
+            stream,
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            end: 0,
+            pending: VecDeque::new(),
+            cancelled: BTreeSet::new(),
+            ended: None,
+        })),
+        out: Vec::new(),
+    };
+    session.run();
+    let _ = session.flush();
+    recorder().record(EventKind::SessionClose, format!("session={session_id}"));
+    // Close the socket: the peer sees EOF instead of a silent stall.
+    let _ = session.inbox().stream.shutdown(Shutdown::Both);
+}
+
+/// A parsed request: request id, the trace id the client stamped in the
+/// frame header, and the frame.
+struct Request {
+    req: u64,
+    trace: u128,
+    frame: Frame,
+}
+
+/// Why a session's input ended.
+enum Ended {
+    /// EOF, a dead peer, the idle timeout, or a stall mid-frame.
+    Closed,
+    /// The peer broke the framing, which cannot be resynchronized: the
+    /// session serves what it parsed before, reports this, and closes.
+    Protocol(String),
+}
+
+impl From<FrameError> for Ended {
+    fn from(e: FrameError) -> Ended {
+        match e {
+            FrameError::Protocol(msg) => Ended::Protocol(msg),
+            FrameError::Io(_) => Ended::Closed,
+        }
+    }
+}
+
+/// The read side of a session: the socket, bytes received but not yet
+/// parsed, requests parsed but not yet served, and the cancelled request
+/// ids. It sits behind a mutex because a running query's cancel probe —
+/// on the session thread or on a `Gather` worker — drains the socket too.
+/// Every read and write on the socket happens under that lock, so the
+/// probe's non-blocking window never overlaps a blocking call.
+struct Inbox {
+    shared: Arc<Shared>,
+    stream: TcpStream,
+    /// `buf[start..end]` is received and not yet parsed: after a parse,
+    /// at most one partial frame.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    pending: VecDeque<Request>,
+    cancelled: BTreeSet<u64>,
+    ended: Option<Ended>,
+}
+
+impl Inbox {
+    /// One read of up to [`READ_CHUNK`] bytes, then every frame it
+    /// completes is parsed. EOF ends the input. Returns the bytes read.
+    fn read_and_parse(&mut self) -> io::Result<usize> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+            // Give back the room a large frame needed.
+            if self.buf.len() > 4 * READ_CHUNK {
+                self.buf.truncate(READ_CHUNK);
+                self.buf.shrink_to_fit();
             }
-            Ok(Some((req, trace, Frame::Cancel, bytes))) => {
-                shared.counters.frames_in.inc();
-                shared.counters.bytes_in.add(bytes);
-                recorder().record_traced(trace, EventKind::Cancel, format!("req={req}"));
-                let mut set = cancelled.lock().expect("cancel set lock");
-                set.insert(req);
-                while set.len() > MAX_STALE_CANCELS {
-                    set.pop_first();
-                }
+        }
+        if self.buf.len() - self.end < READ_CHUNK {
+            // Move the partial frame to the front; grow only when it
+            // leaves no room for a full read.
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            if self.buf.len() - self.end < READ_CHUNK {
+                self.buf.resize(self.end + READ_CHUNK, 0);
             }
-            Ok(Some((req, trace, frame, bytes))) => {
-                shared.counters.frames_in.inc();
-                shared.counters.bytes_in.add(bytes);
-                outstanding.fetch_add(1, Ordering::SeqCst);
-                if tx
-                    .send(SessionEvent::Request(req, trace, Box::new(frame)))
-                    .is_err()
-                {
-                    return; // worker gone
-                }
-            }
-            // EOF, a dead peer, or a *mid-frame* stall longer than the
-            // read timeout: fatal either way — after partial frame bytes
-            // there is no way to resynchronize the stream.
-            Err(FrameError::Io(_)) => return,
-            Err(FrameError::Protocol(msg)) => {
-                // Framing is unrecoverable mid-stream; report and close.
-                let _ = tx.send(SessionEvent::Bad(msg));
+        }
+        self.shared.counters.socket_reads.inc();
+        let n = self
+            .stream
+            .read(&mut self.buf[self.end..self.end + READ_CHUNK])?;
+        if n == 0 {
+            self.ended = Some(Ended::Closed);
+        } else {
+            self.end += n;
+            self.parse();
+        }
+        Ok(n)
+    }
+
+    /// Splits every complete frame out of the unparsed bytes: a `Cancel`
+    /// into the cancelled set, anything else onto the pending queue. A
+    /// declared length is checked before the frame's body is waited for.
+    fn parse(&mut self) {
+        while self.ended.is_none() {
+            let unparsed = &self.buf[self.start..self.end];
+            let Some(prefix) = unparsed.first_chunk::<4>() else {
+                return;
+            };
+            let len = u32::from_be_bytes(*prefix);
+            if let Err(e) = check_frame_len(len) {
+                self.ended = Some(e.into());
                 return;
             }
+            let total = 4 + len as usize;
+            let Some(body) = unparsed.get(4..total) else {
+                return; // the rest of the frame has not arrived yet
+            };
+            let decoded = decode_frame_traced(body);
+            self.start += total;
+            let (req, trace, frame) = match decoded {
+                Ok(decoded) => decoded,
+                Err(e) => {
+                    self.ended = Some(e.into());
+                    return;
+                }
+            };
+            self.shared.counters.frames_in.inc();
+            self.shared.counters.bytes_in.add(total as u64);
+            if let Frame::Cancel = frame {
+                recorder().record_traced(trace, EventKind::Cancel, format!("req={req}"));
+                self.cancelled.insert(req);
+                while self.cancelled.len() > MAX_STALE_CANCELS {
+                    self.cancelled.pop_first();
+                }
+            } else {
+                self.pending.push_back(Request { req, trace, frame });
+            }
         }
+    }
+
+    /// Blocks until input arrives. Any failure ends the input: a dead
+    /// peer, the idle timeout, or a stall mid-frame.
+    fn receive(&mut self) {
+        let mut got = self.read_and_parse();
+        while matches!(&got, Err(e) if e.kind() == io::ErrorKind::Interrupted) {
+            got = self.read_and_parse();
+        }
+        if got.is_err() {
+            self.ended = Some(Ended::Closed);
+        }
+    }
+
+    /// Drains what the socket already holds, without blocking: the
+    /// cancel probe's read. Skipped while [`MAX_PENDING`] requests wait,
+    /// which keeps TCP backpressure on a client that pipelines faster
+    /// than the session serves.
+    fn poll(&mut self) {
+        if self.ended.is_some()
+            || self.pending.len() >= MAX_PENDING
+            || self.stream.set_nonblocking(true).is_err()
+        {
+            return;
+        }
+        while self.ended.is_none() && self.pending.len() < MAX_PENDING {
+            match self.read_and_parse() {
+                // A short read emptied the socket.
+                Ok(n) if n < READ_CHUNK => break,
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(_) => self.ended = Some(Ended::Closed),
+            }
+        }
+        let _ = self.stream.set_nonblocking(false);
+    }
+
+    /// Writes `out` to the socket and empties it; every `write` call is
+    /// counted.
+    fn write_out(&self, out: &mut Vec<u8>) -> io::Result<()> {
+        let mut rest = &out[..];
+        while !rest.is_empty() {
+            self.shared.counters.socket_writes.inc();
+            match (&self.stream).write(rest) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => rest = &rest[n..],
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        out.clear();
+        // Give back the room an outsized reply needed.
+        if out.capacity() > 4 * FLUSH_BYTES {
+            out.shrink_to(FLUSH_BYTES);
+        }
+        Ok(())
     }
 }
 
-/// Reads one frame, distinguishing an **idle** timeout from a mid-frame
-/// one: the first byte is read with a plain `read`, so a timeout there
-/// (`Ok(None)`) is guaranteed to have consumed nothing and the caller may
-/// safely retry. Once any byte of a frame has arrived, the remainder is
-/// read with `read_exact`, where a timeout is a fatal `Io` error — a
-/// partially consumed frame cannot be resynchronized. The last tuple
-/// element is the frame's total wire size (length prefix included), for
-/// the `bytes_in` counter.
-fn read_frame_idle_aware(
-    stream: &mut TcpStream,
-) -> Result<Option<(u64, u128, Frame, u64)>, FrameError> {
-    use std::io::Read;
-    let mut len_buf = [0u8; 4];
-    loop {
-        match stream.read(&mut len_buf[..1]) {
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::from(
-                    io::ErrorKind::UnexpectedEof,
-                )))
-            }
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Ok(None)
-            }
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    stream.read_exact(&mut len_buf[1..])?;
-    let len = u32::from_be_bytes(len_buf);
-    crate::frame::read_frame_after_len(stream, len)
-        .map(|(req, trace, frame)| Some((req, trace, frame, 4 + u64::from(len))))
+/// One connection, served on its own thread: the inbox it shares with
+/// its queries' cancel probes, and the output buffer every reply frame is
+/// encoded into.
+struct Session {
+    shared: Arc<Shared>,
+    inbox: Arc<Mutex<Inbox>>,
+    out: Vec<u8>,
 }
 
-fn worker_loop(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
-    rx: &mpsc::Receiver<SessionEvent>,
-    outstanding: &AtomicI64,
-    cancelled: &Arc<Mutex<BTreeSet<u64>>>,
-) {
-    let mut hello_done = false;
-    while let Ok(event) = rx.recv() {
-        let (req, trace, frame) = match event {
-            SessionEvent::Request(req, trace, frame) => (req, trace, *frame),
-            SessionEvent::Bad(msg) => {
-                let _ = send(
-                    shared,
-                    stream,
-                    0,
+impl Session {
+    fn inbox(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox.lock().expect("inbox lock")
+    }
+
+    /// Serves requests in arrival order until the input ends, a reply
+    /// cannot be written, or a request ends the session.
+    fn run(&mut self) {
+        let mut hello_done = false;
+        while let Some(Request { req, trace, frame }) = self.next_request() {
+            // Install the client's trace id as the thread's ambient trace:
+            // every response echoes it, and every span, event, and slowlog
+            // entry recorded while serving this request is stamped with it.
+            let _scope = hrdm_obs::trace::set_current(trace);
+            if self.shared.shutdown.load(Ordering::SeqCst) {
+                let _ = self.send(
+                    req,
                     &Frame::Error {
-                        error: WireError::Protocol(msg),
+                        error: WireError::Unavailable("server shutting down".into()),
                     },
                 );
                 return;
             }
-        };
-        // Install the client's trace id as the thread's ambient trace:
-        // every response echoes it, and every span, event, and slowlog
-        // entry recorded while serving this request is stamped with it.
-        let _scope = hrdm_obs::trace::set_current(trace);
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = send(
-                shared,
-                stream,
-                req,
-                &Frame::Error {
-                    error: WireError::Unavailable("server shutting down".into()),
-                },
-            );
-            return;
-        }
-        let ok = if !hello_done {
-            match handshake(shared, stream, req, &frame) {
-                Some(()) => {
-                    hello_done = true;
-                    true
-                }
-                None => false,
-            }
-        } else {
-            serve(shared, stream, req, frame, cancelled)
-        };
-        cancelled.lock().expect("cancel set lock").remove(&req);
-        outstanding.fetch_sub(1, Ordering::SeqCst);
-        if !ok {
-            return;
-        }
-    }
-}
-
-/// Serves the mandatory first frame. `Some(())` when the session may
-/// continue; `None` closes it (version mismatch, non-Hello opener, or a
-/// dead socket).
-fn handshake(shared: &Arc<Shared>, stream: &mut TcpStream, req: u64, frame: &Frame) -> Option<()> {
-    match frame {
-        Frame::Hello { version, .. } if *version == PROTO_VERSION => {
-            send(
-                shared,
-                stream,
-                req,
-                &Frame::HelloAck {
-                    version: PROTO_VERSION,
-                    server: shared.config.server_name.clone(),
-                },
-            )
-            .ok()?;
-            Some(())
-        }
-        Frame::Hello { version, .. } => {
-            let _ = send(shared, stream, req, &Frame::Error {
-                error: WireError::Protocol(format!(
-                    "protocol version mismatch: client speaks {version}, server speaks {PROTO_VERSION}"
-                )),
-            });
-            None
-        }
-        other => {
-            let _ = send(
-                shared,
-                stream,
-                req,
-                &Frame::Error {
-                    error: WireError::Protocol(format!(
-                        "expected Hello as the first frame, got kind {:#x}",
-                        other.kind()
-                    )),
-                },
-            );
-            None
-        }
-    }
-}
-
-/// Serves one request. `false` ends the session (socket write failed).
-fn serve(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
-    req: u64,
-    frame: Frame,
-    cancelled: &Arc<Mutex<BTreeSet<u64>>>,
-) -> bool {
-    shared.counters.requests.inc();
-    let kind = shared.counters.request_kind(&frame);
-    // Capture what the slow-query log would need before the frame is
-    // consumed by dispatch.
-    let slow_text = match &frame {
-        Frame::Query { text } | Frame::Prepare { text } => Some(text.clone()),
-        Frame::Execute { op } => Some(describe_op(op)),
-        _ => None,
-    };
-    let started = Instant::now();
-    let ok = match frame {
-        Frame::Query { text } => serve_query(shared, stream, req, &text, cancelled),
-        Frame::Prepare { text } => serve_prepare(shared, stream, req, &text),
-        Frame::Execute { op } => serve_execute(shared, stream, req, op),
-        Frame::Checkpoint => {
-            let response = match shared.db.checkpoint() {
-                Ok(()) => Frame::Ack { rows: 0 },
-                Err(e) => Frame::Error {
-                    error: WireError::from(&e),
-                },
+            let ok = if hello_done {
+                self.serve(req, frame)
+            } else {
+                hello_done = self.handshake(req, &frame);
+                hello_done
             };
-            send(shared, stream, req, &response).is_ok()
+            self.inbox().cancelled.remove(&req);
+            if !ok {
+                return;
+            }
         }
-        Frame::Stats => {
-            let stats = shared.stats();
-            send(shared, stream, req, &Frame::StatsResult { stats }).is_ok()
+        let ended = self.inbox().ended.take();
+        if let Some(Ended::Protocol(msg)) = ended {
+            let _ = self.send(
+                0,
+                &Frame::Error {
+                    error: WireError::Protocol(msg),
+                },
+            );
         }
-        Frame::Metrics => {
-            let text = shared.metrics_text();
-            send(shared, stream, req, &Frame::MetricsResult { text }).is_ok()
+    }
+
+    /// The next request to serve. With none parsed, the replies so far
+    /// are flushed — the client may be waiting on them — before the
+    /// session blocks for input. `None` once the input has ended and the
+    /// queue is empty, or when the flush fails.
+    fn next_request(&mut self) -> Option<Request> {
+        let mut inbox = self.inbox.lock().expect("inbox lock");
+        loop {
+            if let Some(request) = inbox.pending.pop_front() {
+                return Some(request);
+            }
+            if inbox.ended.is_some() {
+                return None;
+            }
+            inbox.write_out(&mut self.out).ok()?;
+            inbox.receive();
         }
-        Frame::Events { limit } => {
-            let events = recorder()
-                .snapshot(limit.min(u64::from(u32::MAX)) as usize)
-                .iter()
-                .map(WireEvent::from_record)
-                .collect();
-            send(shared, stream, req, &Frame::EventsResult { events }).is_ok()
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let inbox = self.inbox.lock().expect("inbox lock");
+        inbox.write_out(&mut self.out)
+    }
+
+    fn flush_if_full(&mut self) -> io::Result<()> {
+        if self.out.len() < FLUSH_BYTES {
+            Ok(())
+        } else {
+            self.flush()
         }
-        other => send(
-            shared,
-            stream,
+    }
+
+    /// Encodes one response frame into the output buffer, echoing the
+    /// thread's ambient trace id (installed by [`Session::run`] from the
+    /// request header) so the client can match responses to the trace it
+    /// minted. Error frames double as anomaly triggers: the flight
+    /// recorder freezes the trailing event window for each one.
+    fn send(&mut self, req: u64, frame: &Frame) -> io::Result<()> {
+        let trace = hrdm_obs::trace::current().unwrap_or(0);
+        if let Frame::Error { error } = frame {
+            recorder().record_traced(trace, EventKind::Error, format!("req={req} {error}"));
+            recorder().anomaly(format!("error frame: {error}"));
+        }
+        let before = self.out.len();
+        encode_frame_into(&mut self.out, req, trace, frame);
+        self.shared.counters.frames_out.inc();
+        self.shared
+            .counters
+            .bytes_out
+            .add((self.out.len() - before) as u64);
+        self.flush_if_full()
+    }
+
+    /// The executor's cancel probe for `req`, pulled between batches —
+    /// by several `Gather` workers at once on a parallel scan. At most
+    /// once per [`CANCEL_POLL_NS`] of the request's run time, a caller
+    /// that wins `try_lock` on the inbox drains the socket without
+    /// blocking and looks `req` up in the cancelled set; a hit is
+    /// latched.
+    fn cancel_probe(&self, req: u64) -> CancelProbe {
+        let inbox = Arc::clone(&self.inbox);
+        let started = Instant::now();
+        let next_poll_ns = AtomicU64::new(CANCEL_POLL_NS);
+        let hit = AtomicBool::new(false);
+        Arc::new(move || {
+            if hit.load(Ordering::SeqCst) {
+                return true;
+            }
+            let now = started.elapsed().as_nanos() as u64;
+            if now < next_poll_ns.load(Ordering::SeqCst) {
+                return false;
+            }
+            let Ok(mut inbox) = inbox.try_lock() else {
+                return false;
+            };
+            next_poll_ns.store(now + CANCEL_POLL_NS, Ordering::SeqCst);
+            inbox.poll();
+            let cancelled = inbox.cancelled.contains(&req);
+            hit.store(cancelled, Ordering::SeqCst);
+            cancelled
+        })
+    }
+
+    /// Serves the mandatory first frame. `true` when the session may
+    /// continue; `false` closes it (version mismatch, non-Hello opener).
+    fn handshake(&mut self, req: u64, frame: &Frame) -> bool {
+        let refusal = match frame {
+            Frame::Hello { version, .. } if *version == PROTO_VERSION => {
+                let ack = Frame::HelloAck {
+                    version: PROTO_VERSION,
+                    server: self.shared.config.server_name.clone(),
+                };
+                return self.send(req, &ack).is_ok();
+            }
+            Frame::Hello { version, .. } => format!(
+                "protocol version mismatch: client speaks {version}, server speaks {PROTO_VERSION}"
+            ),
+            other => format!(
+                "expected Hello as the first frame, got kind {:#x}",
+                other.kind()
+            ),
+        };
+        let _ = self.send(
             req,
             &Frame::Error {
-                error: WireError::Protocol(format!(
-                    "frame kind {:#x} is not a client request",
-                    other.kind()
-                )),
+                error: WireError::Protocol(refusal),
             },
-        )
-        .is_ok(),
-    };
-    let elapsed_ns = started.elapsed().as_nanos() as u64;
-    shared.counters.request_ns.record(elapsed_ns);
-    shared.counters.requests_window.add(1);
-    shared.counters.request_ns_window.record(elapsed_ns);
-    if let Some((kind, histogram)) = kind {
-        histogram.record(elapsed_ns);
-        let threshold = shared.config.slow_query_threshold.as_nanos() as u64;
-        if elapsed_ns >= threshold {
-            // The plan is re-derived from a fresh snapshot — cheap
-            // relative to a request that just cleared the threshold,
-            // and only queries have one.
-            let plan = slow_text
-                .as_deref()
-                .filter(|_| kind == "query")
-                .and_then(|text| explain_query_text(text, &*shared.db.snapshot()).ok());
-            let text = slow_text.unwrap_or_default();
-            recorder().record(
-                EventKind::SlowQuery,
-                format!("kind={kind} ns={elapsed_ns} text={text}"),
-            );
-            recorder().anomaly(format!("slowlog admission: {kind} {elapsed_ns} ns"));
-            shared.counters.slowlog.record(SlowEntry {
-                kind,
-                text,
-                total_ns: elapsed_ns,
-                plan,
-                trace: hrdm_obs::trace::current().unwrap_or(0),
-            });
+        );
+        false
+    }
+
+    /// Serves one request. `false` ends the session (socket write failed).
+    fn serve(&mut self, req: u64, frame: Frame) -> bool {
+        self.shared.counters.requests.inc();
+        let kind = self.shared.counters.request_kind(&frame);
+        // Capture what the slow-query log would need before the frame is
+        // consumed by dispatch.
+        let slow_text = match &frame {
+            Frame::Query { text } | Frame::Prepare { text } => Some(text.clone()),
+            Frame::Execute { op } => Some(describe_op(op)),
+            _ => None,
+        };
+        let started = Instant::now();
+        let ok = match frame {
+            Frame::Query { text } => self.serve_query(req, &text),
+            Frame::Prepare { text } => {
+                let response = prepare(&self.shared, &text);
+                self.send(req, &response).is_ok()
+            }
+            Frame::Execute { op } => {
+                let response = execute(&self.shared, op);
+                self.send(req, &response).is_ok()
+            }
+            Frame::Checkpoint => {
+                let response = match self.shared.db.checkpoint() {
+                    Ok(()) => Frame::Ack { rows: 0 },
+                    Err(e) => Frame::Error {
+                        error: WireError::from(&e),
+                    },
+                };
+                self.send(req, &response).is_ok()
+            }
+            Frame::Stats => {
+                let stats = self.shared.stats();
+                self.send(req, &Frame::StatsResult { stats }).is_ok()
+            }
+            Frame::Metrics => {
+                let text = self.shared.metrics_text();
+                self.send(req, &Frame::MetricsResult { text }).is_ok()
+            }
+            Frame::Events { limit } => {
+                let events = recorder()
+                    .snapshot(limit.min(u64::from(u32::MAX)) as usize)
+                    .iter()
+                    .map(WireEvent::from_record)
+                    .collect();
+                self.send(req, &Frame::EventsResult { events }).is_ok()
+            }
+            other => self
+                .send(
+                    req,
+                    &Frame::Error {
+                        error: WireError::Protocol(format!(
+                            "frame kind {:#x} is not a client request",
+                            other.kind()
+                        )),
+                    },
+                )
+                .is_ok(),
+        };
+        let shared = &self.shared;
+        let elapsed_ns = started.elapsed().as_nanos() as u64;
+        shared.counters.request_ns.record(elapsed_ns);
+        shared.counters.requests_window.add(1);
+        shared.counters.request_ns_window.record(elapsed_ns);
+        if let Some((kind, histogram)) = kind {
+            histogram.record(elapsed_ns);
+            let threshold = shared.config.slow_query_threshold.as_nanos() as u64;
+            if elapsed_ns >= threshold {
+                // The plan is re-derived from a fresh snapshot — cheap
+                // relative to a request that just cleared the threshold,
+                // and only queries have one.
+                let plan = slow_text
+                    .as_deref()
+                    .filter(|_| kind == "query")
+                    .and_then(|text| explain_query_text(text, &*shared.db.snapshot()).ok());
+                let text = slow_text.unwrap_or_default();
+                recorder().record(
+                    EventKind::SlowQuery,
+                    format!("kind={kind} ns={elapsed_ns} text={text}"),
+                );
+                recorder().anomaly(format!("slowlog admission: {kind} {elapsed_ns} ns"));
+                shared.counters.slowlog.record(SlowEntry {
+                    kind,
+                    text,
+                    total_ns: elapsed_ns,
+                    plan,
+                    trace: hrdm_obs::trace::current().unwrap_or(0),
+                });
+            }
+        }
+        ok
+    }
+
+    fn serve_query(&mut self, req: u64, text: &str) -> bool {
+        if self.inbox().cancelled.contains(&req) {
+            self.shared.counters.cancelled.inc();
+            return self
+                .send(
+                    req,
+                    &Frame::Error {
+                        error: WireError::Cancelled,
+                    },
+                )
+                .is_ok();
+        }
+        let shared = Arc::clone(&self.shared);
+        let snap = shared.db.snapshot();
+        // The executor pulls this probe between batches, so a Cancel frame
+        // aborts the scan itself — within one batch of being read — not
+        // just the chunk loop.
+        let opts = ExecOptions {
+            batch_rows: shared.config.chunk_rows.max(1),
+            max_rows: Some(shared.config.max_result_rows),
+            cancel: Some(self.cancel_probe(req)),
+            ..ExecOptions::default()
+        };
+        let ok = match stream_query_on_snapshot(text, &*snap, &opts) {
+            Ok(StreamedQuery::Rows(rows)) => {
+                shared.counters.plan_ns.add(rows.plan_ns());
+                let exec_started = Instant::now();
+                let ok = self.stream_live(req, rows);
+                shared
+                    .counters
+                    .exec_ns
+                    .add(exec_started.elapsed().as_nanos() as u64);
+                ok
+            }
+            Ok(StreamedQuery::Lifespan { value, timing }) => {
+                shared.counters.plan_ns.add(timing.plan_ns);
+                shared.counters.exec_ns.add(timing.exec_ns);
+                self.send(req, &Frame::LifespanResult { lifespan: value })
+                    .is_ok()
+            }
+            Ok(StreamedQuery::Function { value, timing }) => {
+                shared.counters.plan_ns.add(timing.plan_ns);
+                shared.counters.exec_ns.add(timing.exec_ns);
+                self.send(req, &Frame::FunctionResult { value }).is_ok()
+            }
+            Err(e) => {
+                if matches!(e, PipelineError::Cancelled) {
+                    shared.counters.cancelled.inc();
+                }
+                self.send(
+                    req,
+                    &Frame::Error {
+                        error: pipeline_error(&e),
+                    },
+                )
+                .is_ok()
+            }
+        };
+        ok
+    }
+
+    /// Streams a live executor's batches as header + chunks + done. Each
+    /// `RowChunk` is encoded from a batch as the executor produces it, so
+    /// the first chunk can leave (at the next flush) before the scan has
+    /// finished, and a Cancel (or the row cap) cuts the stream mid-scan.
+    /// The byte cap is enforced here, on actual encoded frame sizes.
+    fn stream_live(&mut self, req: u64, mut rows: QueryStream<'_>) -> bool {
+        let header = Frame::RelationHeader {
+            scheme: rows.scheme().clone(),
+            rows: 0, // unknown until the stream drains; Done is authoritative
+        };
+        if self.send(req, &header).is_err() {
+            return false;
+        }
+        let trace = hrdm_obs::trace::current().unwrap_or(0);
+        let max_bytes = self.shared.config.max_result_bytes;
+        let mut sent_rows: u64 = 0;
+        let mut sent_bytes: u64 = 0;
+        loop {
+            match rows.next_batch() {
+                Ok(Some(batch)) => {
+                    let n = batch.len() as u64;
+                    let frame = Frame::RowChunk {
+                        tuples: batch.into_rows(),
+                    };
+                    let before = self.out.len();
+                    encode_frame_into(&mut self.out, req, trace, &frame);
+                    let bytes = (self.out.len() - before) as u64;
+                    sent_bytes += bytes;
+                    if sent_bytes > max_bytes {
+                        self.out.truncate(before);
+                        let error = WireError::Limit(format!(
+                            "result stream exceeds the {max_bytes}-byte cap"
+                        ));
+                        return self.send(req, &Frame::Error { error }).is_ok();
+                    }
+                    let counters = &self.shared.counters;
+                    counters.frames_out.inc();
+                    counters.bytes_out.add(bytes);
+                    counters.rows_streamed.add(n);
+                    counters.rows_window.add(n);
+                    counters.batches_streamed.inc();
+                    sent_rows += n;
+                    if self.flush_if_full().is_err() {
+                        return false;
+                    }
+                }
+                Ok(None) => return self.send(req, &Frame::Done { rows: sent_rows }).is_ok(),
+                Err(e) => {
+                    let error = match e {
+                        ExecError::Cancelled => {
+                            self.shared.counters.cancelled.inc();
+                            WireError::Cancelled
+                        }
+                        ExecError::RowLimit(n) => WireError::Limit(format!(
+                            "result exceeds the cap of {n} rows; the stream was cut off"
+                        )),
+                        ExecError::Eval(h) => WireError::from(&h),
+                    };
+                    return self.send(req, &Frame::Error { error }).is_ok();
+                }
+            }
         }
     }
-    ok
 }
 
 /// A one-line description of a write op for the slow-query log.
@@ -931,169 +1236,8 @@ fn describe_op(op: &WriteOp) -> String {
     }
 }
 
-fn serve_query(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
-    req: u64,
-    text: &str,
-    cancelled: &Arc<Mutex<BTreeSet<u64>>>,
-) -> bool {
-    if is_cancelled(cancelled, req) {
-        shared.counters.cancelled.inc();
-        return send(
-            shared,
-            stream,
-            req,
-            &Frame::Error {
-                error: WireError::Cancelled,
-            },
-        )
-        .is_ok();
-    }
-    let snap = shared.db.snapshot();
-    // The executor pulls this probe between batches, so a Cancel frame
-    // routed out of band by the reader thread aborts the scan itself —
-    // within one batch boundary — not just the chunk loop.
-    let probe_set = Arc::clone(cancelled);
-    let opts = ExecOptions {
-        batch_rows: shared.config.chunk_rows.max(1),
-        max_rows: Some(shared.config.max_result_rows),
-        cancel: Some(Arc::new(move || {
-            probe_set
-                .lock()
-                .map(|set| set.contains(&req))
-                .unwrap_or(false)
-        })),
-        ..ExecOptions::default()
-    };
-    let ok = match stream_query_on_snapshot(text, &*snap, &opts) {
-        Ok(StreamedQuery::Rows(rows)) => {
-            shared.counters.plan_ns.add(rows.plan_ns());
-            let exec_started = Instant::now();
-            let ok = stream_live(shared, stream, req, rows);
-            shared
-                .counters
-                .exec_ns
-                .add(exec_started.elapsed().as_nanos() as u64);
-            ok
-        }
-        Ok(StreamedQuery::Lifespan { value, timing }) => {
-            shared.counters.plan_ns.add(timing.plan_ns);
-            shared.counters.exec_ns.add(timing.exec_ns);
-            send(
-                shared,
-                stream,
-                req,
-                &Frame::LifespanResult { lifespan: value },
-            )
-            .is_ok()
-        }
-        Ok(StreamedQuery::Function { value, timing }) => {
-            shared.counters.plan_ns.add(timing.plan_ns);
-            shared.counters.exec_ns.add(timing.exec_ns);
-            send(shared, stream, req, &Frame::FunctionResult { value }).is_ok()
-        }
-        Err(e) => {
-            if matches!(e, PipelineError::Cancelled) {
-                shared.counters.cancelled.inc();
-            }
-            send(
-                shared,
-                stream,
-                req,
-                &Frame::Error {
-                    error: pipeline_error(&e),
-                },
-            )
-            .is_ok()
-        }
-    };
-    ok
-}
-
-/// Streams a live executor's batches as header + chunks + done. Each
-/// `RowChunk` is encoded from a batch as the executor produces it, so the
-/// first chunk reaches the client before the scan has finished, and a
-/// Cancel (or the row cap) cuts the stream mid-scan. The byte cap is
-/// enforced here, on actual encoded frame sizes.
-fn stream_live(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
-    req: u64,
-    mut rows: QueryStream<'_>,
-) -> bool {
-    if send(
-        shared,
-        stream,
-        req,
-        &Frame::RelationHeader {
-            scheme: rows.scheme().clone(),
-            rows: 0, // unknown until the stream drains; Done is authoritative
-        },
-    )
-    .is_err()
-    {
-        return false;
-    }
-    let mut sent_rows: u64 = 0;
-    let mut sent_bytes: u64 = 0;
-    loop {
-        match rows.next_batch() {
-            Ok(Some(batch)) => {
-                let n = batch.len() as u64;
-                let frame = Frame::RowChunk {
-                    tuples: batch.into_rows(),
-                };
-                let bytes = crate::frame::encode_frame_traced(
-                    req,
-                    hrdm_obs::trace::current().unwrap_or(0),
-                    &frame,
-                );
-                sent_bytes += bytes.len() as u64;
-                if sent_bytes > shared.config.max_result_bytes {
-                    return send(
-                        shared,
-                        stream,
-                        req,
-                        &Frame::Error {
-                            error: WireError::Limit(format!(
-                                "result stream exceeds the {}-byte cap",
-                                shared.config.max_result_bytes
-                            )),
-                        },
-                    )
-                    .is_ok();
-                }
-                use std::io::Write;
-                shared.counters.frames_out.inc();
-                shared.counters.bytes_out.add(bytes.len() as u64);
-                if stream.write_all(&bytes).is_err() {
-                    return false;
-                }
-                sent_rows += n;
-                shared.counters.rows_streamed.add(n);
-                shared.counters.rows_window.add(n);
-                shared.counters.batches_streamed.inc();
-            }
-            Ok(None) => return send(shared, stream, req, &Frame::Done { rows: sent_rows }).is_ok(),
-            Err(e) => {
-                let error = match e {
-                    ExecError::Cancelled => {
-                        shared.counters.cancelled.inc();
-                        WireError::Cancelled
-                    }
-                    ExecError::RowLimit(n) => WireError::Limit(format!(
-                        "result exceeds the cap of {n} rows; the stream was cut off"
-                    )),
-                    ExecError::Eval(h) => WireError::from(&h),
-                };
-                return send(shared, stream, req, &Frame::Error { error }).is_ok();
-            }
-        }
-    }
-}
-
-fn serve_prepare(shared: &Arc<Shared>, stream: &mut TcpStream, req: u64, text: &str) -> bool {
+/// The reply to a `Prepare`: the plan of `text` on a fresh snapshot.
+fn prepare(shared: &Shared, text: &str) -> Frame {
     let snap = shared.db.snapshot();
     // `EXPLAIN ANALYZE <query>` rides the Prepare/PlanText plumbing:
     // same request frame, same response kind, but the plan comes back
@@ -1102,17 +1246,17 @@ fn serve_prepare(shared: &Arc<Shared>, stream: &mut TcpStream, req: u64, text: &
         Some(query) => explain_analyze_query_text(query, &*snap),
         None => explain_query_text(text, &*snap),
     };
-    let response = match outcome {
+    match outcome {
         Ok(text) => Frame::PlanText { text },
         Err(e) => Frame::Error {
             error: pipeline_error(&e),
         },
-    };
-    send(shared, stream, req, &response).is_ok()
+    }
 }
 
-fn serve_execute(shared: &Arc<Shared>, stream: &mut TcpStream, req: u64, op: WriteOp) -> bool {
-    let response = match op {
+/// The reply to an `Execute`: the write's outcome through group commit.
+fn execute(shared: &Shared, op: WriteOp) -> Frame {
+    match op {
         WriteOp::CreateRelation { name, scheme } => {
             match shared.db.create_relation(&name, scheme) {
                 Ok(()) => Frame::Ack { rows: 0 },
@@ -1127,9 +1271,8 @@ fn serve_execute(shared: &Arc<Shared>, stream: &mut TcpStream, req: u64, op: Wri
                 error: WireError::from(&e),
             },
         },
-        WriteOp::Materialize { name, query } => serve_materialize(shared, &name, &query),
-    };
-    send(shared, stream, req, &response).is_ok()
+        WriteOp::Materialize { name, query } => materialize(shared, &name, &query),
+    }
 }
 
 /// The wire form of the shell's `name := query`: evaluate against the
@@ -1137,7 +1280,7 @@ fn serve_execute(shared: &Arc<Shared>, stream: &mut TcpStream, req: u64, op: Wri
 /// group-commit group ([`ConcurrentDatabase::materialize`] — racing
 /// materializations both succeed, and readers never see the
 /// created-but-empty intermediate state).
-fn serve_materialize(shared: &Arc<Shared>, name: &str, query: &str) -> Frame {
+fn materialize(shared: &Shared, name: &str, query: &str) -> Frame {
     let snap = shared.db.snapshot();
     let r = match hrdm_query::run_query_on_snapshot(query, &*snap) {
         Ok(QueryResult::Relation(r)) => r,
@@ -1170,26 +1313,4 @@ fn pipeline_error(e: &PipelineError) -> WireError {
         PipelineError::Cancelled => WireError::Cancelled,
         PipelineError::Limit(m) => WireError::Limit(m.clone()),
     }
-}
-
-fn is_cancelled(cancelled: &Mutex<BTreeSet<u64>>, req: u64) -> bool {
-    cancelled.lock().expect("cancel set lock").contains(&req)
-}
-
-/// Encodes and writes one response frame, echoing the thread's ambient
-/// trace id (installed by the worker loop from the request header) so
-/// the client can match responses to the trace it minted. Error frames
-/// double as anomaly triggers: the flight recorder freezes the trailing
-/// event window for each one.
-fn send(shared: &Arc<Shared>, stream: &mut TcpStream, req: u64, frame: &Frame) -> io::Result<()> {
-    use std::io::Write;
-    let trace = hrdm_obs::trace::current().unwrap_or(0);
-    if let Frame::Error { error } = frame {
-        recorder().record_traced(trace, EventKind::Error, format!("req={req} {error}"));
-        recorder().anomaly(format!("error frame: {error}"));
-    }
-    let bytes = crate::frame::encode_frame_traced(req, trace, frame);
-    shared.counters.frames_out.inc();
-    shared.counters.bytes_out.add(bytes.len() as u64);
-    stream.write_all(&bytes)
 }

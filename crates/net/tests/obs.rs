@@ -6,11 +6,13 @@
 //! * the `Metrics` frame emits a Prometheus text exposition covering the
 //!   WAL, group-commit, query, and net metric families;
 //! * the slow-query log rides along as `# slowlog:` comment lines, with
-//!   plans, bounded FIFO.
+//!   plans, bounded FIFO;
+//! * `hrdm_net_socket_writes_total` shows a one-chunk answer leaving in
+//!   one socket write.
 
 use hrdm_core::prelude::*;
 use hrdm_net::{Client, Server, ServerConfig, ServerHandle};
-use hrdm_query::explain_analyze_query_text;
+use hrdm_query::{explain_analyze_query_text, QueryResult};
 use hrdm_storage::{ConcurrentDatabase, PartitionPolicy};
 use std::sync::Arc;
 use std::time::Duration;
@@ -89,6 +91,38 @@ fn explain_analyze_reports_pruning_and_operator_times_over_the_wire() {
     let plain = client.explain(&pruning_query()).unwrap();
     assert!(plain.contains("partitions: 62/64 pruned"), "{plain}");
     assert!(!plain.contains("actual time="), "{plain}");
+    server.shutdown();
+}
+
+/// The value of the sample line `name value` in an exposition.
+fn sample(text: &str, name: &str) -> f64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|value| value.parse().ok())
+        .unwrap_or_else(|| panic!("no sample {name} in the exposition"))
+}
+
+/// A one-chunk answer — `RelationHeader`, `RowChunk`, `Done` — leaves in
+/// one socket write: the session flushes once, when it has no request
+/// left and is about to wait for the next.
+#[test]
+fn a_one_chunk_query_costs_one_socket_write() {
+    let db = partitioned_db();
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&db), ServerConfig::default())
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let writes = "hrdm_net_socket_writes_total";
+    let before = sample(&client.metrics().unwrap(), writes);
+    match client.query(&pruning_query()).unwrap() {
+        QueryResult::Relation(r) => assert_eq!(r.len(), 2),
+        other => panic!("expected relation, got {other:?}"),
+    }
+    let after = sample(&client.metrics().unwrap(), writes);
+    // The first `Metrics` reply was encoded after its sample was taken,
+    // so one of the writes in between carried it.
+    assert_eq!(after - before - 1.0, 1.0, "socket writes for the query");
     server.shutdown();
 }
 

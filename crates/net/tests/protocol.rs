@@ -5,8 +5,9 @@
 
 use hrdm_core::prelude::*;
 use hrdm_net::{
-    decode_frame_traced, encode_frame_traced, read_frame_traced, Frame, FrameError, ServerStats,
-    WireError, WireEvent, WriteOp, MAX_FRAME_BYTES, PROTO_VERSION, WIRE_VERSION,
+    decode_frame_traced, encode_frame_into, encode_frame_traced, read_frame_traced, Frame,
+    FrameError, ServerStats, WireError, WireEvent, WriteOp, MAX_FRAME_BYTES, PROTO_VERSION,
+    WIRE_VERSION,
 };
 use proptest::prelude::*;
 
@@ -249,6 +250,25 @@ proptest! {
         prop_assert_eq!(got_req, req);
         prop_assert_eq!(got_trace, trace);
         prop_assert_eq!(got, frame);
+    }
+
+    /// Encoding in place onto a buffer that already holds bytes keeps
+    /// them and appends exactly `encode_frame_traced`'s bytes, whose
+    /// length prefix counts the rest of the frame.
+    #[test]
+    fn encode_frame_into_appends_exactly_the_traced_bytes(
+        prefix in prop::collection::vec(any::<u8>(), 1..48),
+        req in any::<u64>(),
+        trace in u128_strategy(),
+        frame in frame_strategy(),
+    ) {
+        let mut out = prefix.clone();
+        encode_frame_into(&mut out, req, trace, &frame);
+        let expected = encode_frame_traced(req, trace, &frame);
+        prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&out[prefix.len()..], &expected[..]);
+        let declared = u32::from_be_bytes(expected[..4].try_into().unwrap()) as usize;
+        prop_assert_eq!(declared, expected.len() - 4);
     }
 
     /// The stream reader agrees with the in-memory decoder, including on

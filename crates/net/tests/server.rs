@@ -7,14 +7,17 @@
 //!   same **prefix consistency** as in-process readers
 //!   (`crates/storage/tests/concurrency.rs`);
 //! * a client killed mid-request leaks no session slot;
-//! * `Cancel` aborts a long result stream;
+//! * `Cancel` aborts a long result stream, and a queued one only its
+//!   target among pipelined requests;
+//! * the idle timeout closes idle and mid-frame-stalled sessions, never
+//!   one streaming to a slow reader;
 //! * `EXPLAIN` over the wire still reports index scans and partition
 //!   pruning — planner fidelity survives the network boundary.
 
 use hrdm_core::prelude::*;
 use hrdm_net::{
     encode_frame_traced, read_frame_traced, write_frame_traced, Client, Frame, NetError, Server,
-    ServerConfig, WireError, PROTO_VERSION,
+    ServerConfig, WireError, PROTO_VERSION, WIRE_VERSION,
 };
 use hrdm_query::QueryResult;
 use hrdm_storage::{ConcurrentDatabase, PartitionPolicy};
@@ -689,5 +692,231 @@ fn cancel_aborts_a_100k_scan_mid_stream() {
         stats.rows_streamed
     );
     assert!(stats.batches_streamed > 0);
+    server.shutdown();
+}
+
+/// A raw socket past the handshake, with a read timeout long enough that
+/// only a server-side bug can trip it.
+fn raw_session(addr: std::net::SocketAddr) -> TcpStream {
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_nodelay(true).ok();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).ok();
+    write_frame_traced(
+        &mut raw,
+        1,
+        0,
+        &Frame::Hello {
+            version: PROTO_VERSION,
+            client: "raw".into(),
+        },
+    )
+    .unwrap();
+    match read_frame_traced(&mut raw).unwrap() {
+        (1, _, Frame::HelloAck { .. }) => raw,
+        other => panic!("expected HelloAck, got {other:?}"),
+    }
+}
+
+/// Reads request `req`'s answer to a relation query: the tuples it
+/// streamed and the frame that ended it (`Done` or `Error`).
+fn read_stream(raw: &mut TcpStream, req: u64) -> (Vec<Tuple>, Frame) {
+    match read_frame_traced(raw).unwrap() {
+        (r, _, Frame::RelationHeader { .. }) if r == req => {}
+        (r, _, end @ Frame::Error { .. }) if r == req => return (Vec::new(), end),
+        other => panic!("expected request {req}'s header, got {other:?}"),
+    }
+    let mut tuples = Vec::new();
+    loop {
+        match read_frame_traced(raw).unwrap() {
+            (r, _, Frame::RowChunk { tuples: chunk }) if r == req => tuples.extend(chunk),
+            (r, _, end) if r == req => return (tuples, end),
+            other => panic!("expected request {req}'s stream, got {other:?}"),
+        }
+    }
+}
+
+/// Five frames in one write — Hello, a point query, a 100 000-row scan,
+/// a `Cancel` for the scan, another point query — are answered in order:
+/// both point queries in full, the scan cut off by its cancel (or
+/// complete, had it finished first). The cancel touches nothing else.
+#[test]
+fn pipelined_requests_answer_in_order_and_a_queued_cancel_hits_only_its_target() {
+    let (server, db) = spawn_server(ServerConfig {
+        chunk_rows: 64,
+        ..ServerConfig::default()
+    });
+    db.create_relation("r", scheme()).unwrap();
+    let tuples: Vec<Tuple> = (0..100_000i64).map(tup).collect();
+    db.put_relation("r", Relation::from_parts_unchecked(scheme(), tuples))
+        .unwrap();
+
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).ok();
+    let mut burst = Vec::new();
+    for (req, frame) in [
+        (
+            1,
+            Frame::Hello {
+                version: PROTO_VERSION,
+                client: "pipelined".into(),
+            },
+        ),
+        (
+            2,
+            Frame::Query {
+                text: "SELECT-WHEN (K = 3) (r)".into(),
+            },
+        ),
+        (3, Frame::Query { text: "r".into() }),
+        (3, Frame::Cancel),
+        (
+            4,
+            Frame::Query {
+                text: "SELECT-WHEN (K = 7) (r)".into(),
+            },
+        ),
+    ] {
+        burst.extend(encode_frame_traced(req, 0, &frame));
+    }
+    raw.write_all(&burst).unwrap();
+
+    match read_frame_traced(&mut raw).unwrap() {
+        (1, _, Frame::HelloAck { .. }) => {}
+        other => panic!("expected HelloAck, got {other:?}"),
+    }
+    let key = |t: &Tuple| t.key_values(&scheme()).unwrap()[0].clone();
+    let (point, end) = read_stream(&mut raw, 2);
+    assert_eq!(end, Frame::Done { rows: 1 });
+    assert_eq!(point.iter().map(key).collect::<Vec<_>>(), [Value::Int(3)]);
+
+    match read_stream(&mut raw, 3) {
+        (
+            _,
+            Frame::Error {
+                error: WireError::Cancelled,
+            },
+        ) => {}
+        (rows, Frame::Done { rows: n }) => {
+            assert_eq!(
+                (rows.len(), n),
+                (100_000, 100_000),
+                "a finished scan is whole"
+            );
+        }
+        (_, other) => panic!("expected Cancelled or Done for the scan, got {other:?}"),
+    }
+
+    let (point, end) = read_stream(&mut raw, 4);
+    assert_eq!(end, Frame::Done { rows: 1 });
+    assert_eq!(point.iter().map(key).collect::<Vec<_>>(), [Value::Int(7)]);
+    assert!(server.stats().cancelled <= 1);
+    server.shutdown();
+}
+
+/// `read_timeout` closes a session only while it waits for a request: an
+/// idle session and one stalled in the middle of a frame are closed, but
+/// one streaming a result to a reader that pauses for longer than the
+/// timeout is not.
+#[test]
+fn idle_timeout_kills_only_idle_sessions() {
+    let timeout = Duration::from_millis(200);
+    let (server, db) = spawn_server(ServerConfig {
+        read_timeout: Some(timeout),
+        ..ServerConfig::default()
+    });
+    // 16 000 tuples sharing one 1 KiB string: about 16 MB on the wire,
+    // several times what loopback socket buffers hold, so a reader that
+    // stops reading stalls the server mid-stream.
+    let era = Lifespan::interval(0, 1_000_000);
+    let wide = Scheme::builder()
+        .key_attr("K", ValueKind::Int, era.clone())
+        .attr("S", HistoricalDomain::string(), era)
+        .build()
+        .unwrap();
+    let text: Arc<str> = "x".repeat(1024).into();
+    let life = Lifespan::interval(0, 50);
+    let tuples: Vec<Tuple> = (0..16_000i64)
+        .map(|k| {
+            Tuple::builder(life.clone())
+                .constant("K", k)
+                .value(
+                    "S",
+                    TemporalValue::constant(&life, Value::Str(Arc::clone(&text))),
+                )
+                .finish(&wide)
+                .unwrap()
+        })
+        .collect();
+    db.create_relation("wide", wide.clone()).unwrap();
+    db.put_relation("wide", Relation::from_parts_unchecked(wide, tuples))
+        .unwrap();
+
+    // Idle after the handshake: closed without a reply.
+    let mut idle = raw_session(server.addr());
+    let started = std::time::Instant::now();
+    assert!(
+        read_frame_traced(&mut idle).is_err(),
+        "idle session survived"
+    );
+    assert!(
+        started.elapsed() >= timeout / 2,
+        "closed before the timeout"
+    );
+
+    // A reader that pauses mid-stream for three timeouts still gets the
+    // whole result, and the session answers the next request.
+    let mut slow = raw_session(server.addr());
+    write_frame_traced(
+        &mut slow,
+        2,
+        0,
+        &Frame::Query {
+            text: "wide".into(),
+        },
+    )
+    .unwrap();
+    match read_frame_traced(&mut slow).unwrap() {
+        (2, _, Frame::RelationHeader { .. }) => {}
+        other => panic!("expected RelationHeader, got {other:?}"),
+    }
+    let mut received = 0;
+    match read_frame_traced(&mut slow).unwrap() {
+        (2, _, Frame::RowChunk { tuples }) => received += tuples.len(),
+        other => panic!("expected RowChunk, got {other:?}"),
+    }
+    std::thread::sleep(3 * timeout);
+    loop {
+        match read_frame_traced(&mut slow).unwrap() {
+            (2, _, Frame::RowChunk { tuples }) => received += tuples.len(),
+            (2, _, Frame::Done { rows }) => {
+                assert_eq!((received, rows), (16_000, 16_000));
+                break;
+            }
+            other => panic!("expected RowChunk/Done, got {other:?}"),
+        }
+    }
+    write_frame_traced(
+        &mut slow,
+        3,
+        0,
+        &Frame::Query {
+            text: "WHEN (wide)".into(),
+        },
+    )
+    .unwrap();
+    match read_frame_traced(&mut slow).unwrap() {
+        (3, _, Frame::LifespanResult { lifespan }) => assert!(!lifespan.is_empty()),
+        other => panic!("expected LifespanResult, got {other:?}"),
+    }
+
+    // A frame whose length prefix arrived but whose body stalls past the
+    // timeout: closed without a reply.
+    let mut stalled = raw_session(server.addr());
+    stalled.write_all(&500u32.to_be_bytes()).unwrap();
+    stalled.write_all(&[WIRE_VERSION, 0x02]).unwrap();
+    assert!(
+        read_frame_traced(&mut stalled).is_err(),
+        "mid-frame stall survived"
+    );
     server.shutdown();
 }

@@ -56,6 +56,12 @@ impl Encoder {
         Encoder::default()
     }
 
+    /// An encoder that appends to `buf`, keeping its existing bytes (the
+    /// wire layer encodes frames straight into a session's output buffer).
+    pub fn from_vec(buf: Vec<u8>) -> Encoder {
+        Encoder { buf }
+    }
+
     /// Finishes, returning the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
