@@ -75,6 +75,7 @@ const GATED: &[&str] = &[
     "count_slice_50k",
     "union_slices_50k",
     "decode_hist_50k",
+    "serve_slice_50k",
     "checkpoint_dirty_partitions",
     // Buffer-pool read path: CPU-bound (hits) and OS-page-cache-bound
     // (misses) — no fsync in either loop.
@@ -295,7 +296,8 @@ fn run_tracked() -> Vec<BenchResult> {
         use hrdm_storage::{Decoder, Encoder};
         let era = 1 << 20;
         let scheme = hist_scheme(era);
-        let records: Vec<Vec<u8>> = hist_tuples(50_000, era, 7)
+        let tuples = hist_tuples(50_000, era, 7);
+        let records: Vec<Vec<u8>> = tuples
             .iter()
             .map(|t| {
                 let mut e = Encoder::new();
@@ -311,6 +313,37 @@ fn run_tracked() -> Vec<BenchResult> {
                     .map(|r| Decoder::new(r).get_tuple_in(&scheme).unwrap())
                     .collect();
                 std::hint::black_box(decoded);
+            }),
+        );
+
+        // Serving one 50-chronon slice of the same data the way an `hrdmd`
+        // session does: stream the rows and encode each batch into a
+        // `RowChunk` buffer. The rows the window covers only in part are
+        // written as `τ_clip(t)` from the stored tuples; building their
+        // restricted tuples first shows up here.
+        use hrdm_net::encode_row_chunk_into;
+        use hrdm_query::{stream_query_on_snapshot, ExecOptions, StreamedQuery};
+        use hrdm_storage::PartitionPolicy;
+        let hist = Relation::with_tuples(scheme.clone(), tuples).unwrap();
+        let served =
+            Database::with_relations(PartitionPolicy::SpanLog2(14), [("hist", hist)]).unwrap();
+        let t = era / 2;
+        let slice = format!("TIMESLICE [{t}..{}] (hist)", t + 50);
+        let opts = ExecOptions::default();
+        let mut buf = Vec::new();
+        track(
+            "serve_slice_50k",
+            measure_median_ns(SAMPLES, sample_time(), || {
+                buf.clear();
+                let StreamedQuery::Rows(mut rows) =
+                    stream_query_on_snapshot(&slice, &served, &opts).unwrap()
+                else {
+                    unreachable!("relation-sorted query");
+                };
+                while let Some(batch) = rows.next_batch().unwrap() {
+                    encode_row_chunk_into(&mut buf, 1, 0, batch.rows());
+                }
+                std::hint::black_box(&buf);
             }),
         );
     }

@@ -62,6 +62,7 @@ mod scheme;
 mod temporal;
 mod tuple;
 mod value;
+mod view;
 
 pub use algebra::predicate;
 pub use attribute::Attribute;
@@ -71,9 +72,10 @@ pub use layout::Layout;
 pub use pvec::PVec;
 pub use relation::Relation;
 pub use scheme::{AttributeDef, Scheme, SchemeBuilder};
-pub use temporal::TemporalValue;
+pub use temporal::{ClippedSegments, TemporalValue};
 pub use tuple::{Concat, Projection, Tuple, TupleBuilder};
 pub use value::{OrderedF64, Value};
+pub use view::{ClippedTuple, TupleView};
 
 /// One-stop imports for examples and downstream code.
 pub mod prelude {

@@ -160,23 +160,27 @@ impl TemporalValue {
         }
     }
 
-    /// The restriction `f|_L` (paper §3 notation) to lifespan `L`.
+    /// The restriction `f|_L` (paper §3 notation) to lifespan `L`: the
+    /// [`clipped`](TemporalValue::clipped) segments, collected into an
+    /// exact-size slice.
     pub fn restrict(&self, span: &Lifespan) -> TemporalValue {
-        let mut out: Vec<(Interval, Value)> = Vec::new();
-        for (iv, v) in &self.segs {
-            let clipped = span.clamp(*iv);
-            for run in clipped.intervals() {
-                // Runs arrive sorted; merging with the previous output
-                // segment keeps canonical maximality across segment borders.
-                match out.last_mut() {
-                    Some((last_iv, last_v)) if last_iv.adjacent(run) && last_v == v => {
-                        *last_iv = last_iv.hull(run);
-                    }
-                    _ => out.push((*run, v.clone())),
-                }
-            }
+        let clipped = self.clipped(span);
+        let mut segs = Vec::with_capacity(clipped.clone().count());
+        segs.extend(clipped.map(|(iv, v)| (iv, v.clone())));
+        TemporalValue { segs: segs.into() }
+    }
+
+    /// The segments of `f|_L`, computed on the fly without allocating —
+    /// the one definition of a clip, shared by [`TemporalValue::restrict`]
+    /// and encoders that write a restriction without building it.
+    pub fn clipped<'a>(&'a self, span: &'a Lifespan) -> ClippedSegments<'a> {
+        ClippedSegments {
+            segs: &self.segs,
+            runs: span.intervals(),
+            i: 0,
+            j: 0,
+            pending: None,
         }
-        TemporalValue { segs: out.into() }
     }
 
     /// Do two partial functions agree wherever both are defined? (This is
@@ -272,6 +276,61 @@ impl TemporalValue {
         self.segs
             .iter()
             .flat_map(|(iv, v)| iv.chronons().map(move |t| (t, v)))
+    }
+}
+
+/// The segments of a restriction `f|_L` in canonical form: a two-pointer
+/// walk over `f`'s segments and `L`'s runs that yields each overlap, merging
+/// pieces that abut and carry equal values so the output stays maximal.
+/// Built by [`TemporalValue::clipped`]. A clone continues from the same
+/// position, so a caller can count a clone and then walk the original.
+#[derive(Clone, Debug)]
+pub struct ClippedSegments<'a> {
+    segs: &'a [(Interval, Value)],
+    runs: &'a [Interval],
+    i: usize,
+    j: usize,
+    /// The piece being grown, not yet yielded.
+    pending: Option<(Interval, &'a Value)>,
+}
+
+impl ClippedSegments<'_> {
+    /// The next overlap of a segment with a run, before merging.
+    fn next_piece(&mut self) -> Option<(Interval, usize)> {
+        while self.i < self.segs.len() && self.j < self.runs.len() {
+            let (seg, run) = (&self.segs[self.i].0, &self.runs[self.j]);
+            let (i, piece) = (self.i, seg.intersect(run));
+            if seg.hi() < run.hi() {
+                self.i += 1;
+            } else {
+                self.j += 1;
+            }
+            if let Some(piece) = piece {
+                return Some((piece, i));
+            }
+        }
+        None
+    }
+}
+
+impl<'a> Iterator for ClippedSegments<'a> {
+    type Item = (Interval, &'a Value);
+
+    fn next(&mut self) -> Option<(Interval, &'a Value)> {
+        while let Some((piece, i)) = self.next_piece() {
+            let v = &self.segs[i].1;
+            match &mut self.pending {
+                Some((last, last_v)) if last.adjacent(&piece) && *last_v == v => {
+                    *last = last.hull(&piece);
+                }
+                pending => {
+                    if let Some(done) = pending.replace((piece, v)) {
+                        return Some(done);
+                    }
+                }
+            }
+        }
+        self.pending.take()
     }
 }
 

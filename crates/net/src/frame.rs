@@ -32,7 +32,7 @@
 //! report the id the client already holds. Zero means "no trace" (the
 //! observability kill switch mints zero ids).
 
-use hrdm_core::{HrdmError, Relation, Scheme, TemporalValue, Tuple};
+use hrdm_core::{ClippedTuple, HrdmError, Relation, Scheme, TemporalValue, Tuple, TupleView};
 use hrdm_storage::{CodecError, DbError, Decoder, Encoder};
 use hrdm_time::Lifespan;
 use std::fmt;
@@ -814,14 +814,7 @@ pub fn encode_frame_traced(request_id: u64, trace: u128, frame: &Frame) -> Vec<u
 /// payload is never copied. The appended bytes equal
 /// [`encode_frame_traced`]'s.
 pub fn encode_frame_into(out: &mut Vec<u8>, request_id: u64, trace: u128, frame: &Frame) {
-    let start = out.len();
-    out.extend_from_slice(&[0; 4]);
-    out.push(WIRE_VERSION);
-    out.push(frame.kind());
-    out.extend_from_slice(&request_id.to_be_bytes());
-    out.extend_from_slice(&trace.to_be_bytes());
-    let mut e = Encoder::from_vec(std::mem::take(out));
-    match frame {
+    encode_body_into(out, request_id, trace, frame.kind(), |e| match frame {
         Frame::Hello { version, client } => {
             e.put_u64(u64::from(*version));
             e.put_str(client);
@@ -832,10 +825,10 @@ pub fn encode_frame_into(out: &mut Vec<u8>, request_id: u64, trace: u128, frame:
         | Frame::MetricsResult { text } => {
             e.put_str(text);
         }
-        Frame::Execute { op } => put_write_op(&mut e, op),
+        Frame::Execute { op } => put_write_op(e, op),
         Frame::Checkpoint | Frame::Stats | Frame::Cancel | Frame::Metrics => {}
         Frame::Events { limit } => e.put_u64(*limit),
-        Frame::EventsResult { events } => put_events(&mut e, events),
+        Frame::EventsResult { events } => put_events(e, events),
         Frame::HelloAck { version, server } => {
             e.put_u64(u64::from(*version));
             e.put_str(server);
@@ -844,18 +837,58 @@ pub fn encode_frame_into(out: &mut Vec<u8>, request_id: u64, trace: u128, frame:
             e.put_scheme(scheme);
             e.put_u64(*rows);
         }
-        Frame::RowChunk { tuples } => {
-            e.put_u64(tuples.len() as u64);
-            for t in tuples {
-                e.put_tuple(t);
-            }
-        }
+        Frame::RowChunk { tuples } => put_rows(e, tuples.iter().map(TupleView::from)),
         Frame::Done { rows } | Frame::Ack { rows } => e.put_u64(*rows),
         Frame::LifespanResult { lifespan } => e.put_lifespan(lifespan),
         Frame::FunctionResult { value } => e.put_temporal_value(value),
-        Frame::StatsResult { stats } => put_stats(&mut e, stats),
-        Frame::Error { error } => put_wire_error(&mut e, error),
+        Frame::StatsResult { stats } => put_stats(e, stats),
+        Frame::Error { error } => put_wire_error(e, error),
+    });
+}
+
+/// Appends one encoded [`Frame::RowChunk`] of `rows` to `out`: the bytes
+/// [`encode_frame_into`] writes for a chunk of the rows' restricted
+/// tuples, written segment by segment from the stored tuples
+/// ([`Encoder::put_tuple`]) without building any of them.
+pub fn encode_row_chunk_into(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    trace: u128,
+    rows: &[ClippedTuple],
+) {
+    // An empty `Vec` does not allocate: it only names the kind tag.
+    let kind = Frame::RowChunk { tuples: Vec::new() }.kind();
+    encode_body_into(out, request_id, trace, kind, |e| {
+        put_rows(e, rows.iter().map(TupleView::from));
+    });
+}
+
+/// The one `RowChunk` payload encoder: row count, then each row.
+fn put_rows<'a>(e: &mut Encoder, rows: impl ExactSizeIterator<Item = TupleView<'a>>) {
+    e.put_u64(rows.len() as u64);
+    for row in rows {
+        e.put_tuple(row);
     }
+}
+
+/// Appends a frame of kind `kind` whose payload `payload` encodes: the
+/// header is reserved first, the payload encoded straight after it, and
+/// the length prefix patched in last.
+fn encode_body_into(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    trace: u128,
+    kind: u8,
+    payload: impl FnOnce(&mut Encoder),
+) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    out.push(WIRE_VERSION);
+    out.push(kind);
+    out.extend_from_slice(&request_id.to_be_bytes());
+    out.extend_from_slice(&trace.to_be_bytes());
+    let mut e = Encoder::from_vec(std::mem::take(out));
+    payload(&mut e);
     *out = e.finish();
     let body_len = (out.len() - start - 4) as u32;
     out[start..start + 4].copy_from_slice(&body_len.to_be_bytes());
@@ -1134,6 +1167,31 @@ mod tests {
             matches!(&err, FrameError::Protocol(m) if m.contains("named twice")),
             "{err:?}"
         );
+    }
+
+    /// Clipped rows go out as the chunk of their restricted tuples, byte
+    /// for byte, and an unclipped row as its tuple.
+    #[test]
+    fn clipped_rows_encode_as_their_restricted_chunk() {
+        let life = Lifespan::of(&[(0, 9), (20, 29)]);
+        let t = Tuple::from_parts(
+            life.clone(),
+            [(
+                hrdm_core::Attribute::new("V"),
+                TemporalValue::of(&[(0, 9, Value::Int(1)), (20, 29, Value::Int(2))]),
+            )]
+            .into(),
+        );
+        let clips = [Lifespan::interval(5, 24), Lifespan::interval(0, 40)];
+        let rows: Vec<ClippedTuple> = clips
+            .iter()
+            .map(|c| ClippedTuple::new(t.clone(), c.clone()))
+            .collect();
+        let mut viewed = Vec::new();
+        encode_row_chunk_into(&mut viewed, 3, 9, &rows);
+        let tuples = clips.iter().map(|c| t.restrict(c)).collect();
+        let built = encode_frame_traced(3, 9, &Frame::RowChunk { tuples });
+        assert_eq!(viewed, built);
     }
 
     #[test]

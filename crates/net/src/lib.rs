@@ -44,7 +44,7 @@ pub mod server;
 pub use client::{Canceller, Client, NetError};
 pub use frame::{
     assemble_relation, decode_frame_traced, encode_frame_into, encode_frame_traced,
-    read_frame_traced, write_frame_traced, Frame, FrameError, ServerStats, WireError, WireEvent,
-    WriteOp, MAX_FRAME_BYTES, PROTO_VERSION, WIRE_VERSION,
+    encode_row_chunk_into, read_frame_traced, write_frame_traced, Frame, FrameError, ServerStats,
+    WireError, WireEvent, WriteOp, MAX_FRAME_BYTES, PROTO_VERSION, WIRE_VERSION,
 };
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -55,8 +55,9 @@
 //! answers any request still pending with `Unavailable`.
 
 use crate::frame::{
-    check_frame_len, decode_frame_traced, encode_frame_into, write_frame_traced, Frame, FrameError,
-    ServerStats, WireError, WireEvent, WriteOp, PROTO_VERSION,
+    check_frame_len, decode_frame_traced, encode_frame_into, encode_row_chunk_into,
+    write_frame_traced, Frame, FrameError, ServerStats, WireError, WireEvent, WriteOp,
+    PROTO_VERSION,
 };
 use hrdm_obs::{
     recorder, Counter, EventKind, Gauge, Histogram, LatencyWindow, RateWindow, Registry, SlowEntry,
@@ -1183,11 +1184,8 @@ impl Session {
             match rows.next_batch() {
                 Ok(Some(batch)) => {
                     let n = batch.len() as u64;
-                    let frame = Frame::RowChunk {
-                        tuples: batch.into_rows(),
-                    };
                     let before = self.out.len();
-                    encode_frame_into(&mut self.out, req, trace, &frame);
+                    encode_row_chunk_into(&mut self.out, req, trace, batch.rows());
                     let bytes = (self.out.len() - before) as u64;
                     sent_bytes += bytes;
                     if sent_bytes > max_bytes {

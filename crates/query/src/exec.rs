@@ -5,10 +5,10 @@
 //! turns that plan into a tree of [`QueryExecutor`]s — one executor per
 //! physical operator — that is driven Volcano-style: `open()` prepares the
 //! operator (and returns its output [`Scheme`]), `next_batch()` yields
-//! bounded [`RowBatch`]es of `Arc`-backed tuples, `close()` releases
-//! resources. Row caps and cancellation are enforced *per batch* at the
-//! root, so a runaway scan is cut off within one batch boundary instead of
-//! after full materialization.
+//! bounded [`RowBatch`]es of rows, `close()` releases resources. Row caps
+//! and cancellation are enforced *per batch* at the root, so a runaway
+//! scan is cut off within one batch boundary instead of after full
+//! materialization.
 //!
 //! ## Roots
 //!
@@ -17,18 +17,32 @@
 //! * A lifespan-sorted query ends in a [`LifespanExec`]: each `WHEN` leaf
 //!   pulls batches from its (planned, pruned, cancellable, row-capped)
 //!   child and coalesces the runs of every `t.l` **once**, by sort and
-//!   sweep. The per-tuple unaries directly under a `WHEN` run in a
-//!   *lifespan-only* mode (`chain_lifespan`) that never builds the
-//!   restricted tuple. Computed `TIMESLICE` windows and `SELECT-IF`
-//!   bounds (`Ω(e)`) run through the same root when their operator opens.
+//!   sweep. The per-tuple unaries directly under a `WHEN` run only the
+//!   clip half of the streaming kernel (`chain_lifespan`): a row's
+//!   lifespan is all the root reads. Computed `TIMESLICE` windows and
+//!   `SELECT-IF` bounds (`Ω(e)`) run through the same root when their
+//!   operator opens.
 //! * An aggregate ends in an [`AggregateExec`], which drains its bounded
 //!   child and aggregates over time.
 //!
 //! ## Operator classes
 //!
 //! * **Streaming** — scans and the per-tuple unaries (σWHEN, σIF, π, τ,
-//!   τ@A) never hold more than one batch: each input tuple maps to at
-//!   most one output tuple independently of every other tuple.
+//!   τ@A) never hold more than one batch: each input row maps to at most
+//!   one output row independently of every other row. A row is a
+//!   restriction view ([`ClippedTuple`]): an `Arc`-backed stored tuple and
+//!   the clip it is seen through. τ, τ@A, σWHEN and σIF only narrow the
+//!   clip, and π projects the stored tuple and carries the clip through —
+//!   one per-tuple kernel (`chain_row`), so no restricted tuple is built
+//!   on the way. The clip becomes a restricted tuple only where an
+//!   operator needs restricted values:
+//!   - a build/probe operator's build and probe inputs (set equality,
+//!     join concatenation, mergability);
+//!   - an [`AggregateExec`]'s input;
+//!   - [`QueryStream::collect_relation`] and [`RowBatch::into_rows`].
+//!
+//!   Everywhere else the row encoder writes `τ_clip(t)` segment by
+//!   segment from the stored tuple (`hrdm_storage::Encoder::put_tuple`).
 //! * **Build/probe** — joins, products and the six set operators are one
 //!   executor (`BinaryExec`). `open()` drains the *build* input once
 //!   (cancellable per batch) into the table the operator needs — a tuple
@@ -70,7 +84,8 @@ use hrdm_core::algebra::{
     AggregateOp, Comparator, Predicate, Quantifier,
 };
 use hrdm_core::{
-    Attribute, Concat, HrdmError, PVec, Projection, Relation, Scheme, TemporalValue, Tuple, Value,
+    Attribute, ClippedTuple, Concat, HrdmError, PVec, Projection, Relation, Scheme, TemporalValue,
+    Tuple, TupleView, Value,
 };
 use hrdm_index::{KeyIndex, LifespanIndex};
 use hrdm_storage::{Partition, PartitionMap};
@@ -103,27 +118,33 @@ const MORSEL_ROWS: usize = 4096;
 /// [`ExecError::Cancelled`] before the next batch is produced.
 pub type CancelProbe = Arc<dyn Fn() -> bool + Send + Sync>;
 
-/// A bounded batch of `Arc`-backed tuples — the unit of flow between
-/// executors and out of a [`QueryStream`].
+/// A bounded batch of rows — restriction views of `Arc`-backed tuples —
+/// the unit of flow between executors and out of a [`QueryStream`].
 #[derive(Clone, Debug, Default)]
 pub struct RowBatch {
-    rows: Vec<Tuple>,
+    rows: Vec<ClippedTuple>,
 }
 
 impl RowBatch {
     /// Wraps a row vector as a batch.
-    pub fn new(rows: Vec<Tuple>) -> RowBatch {
+    pub fn new(rows: Vec<ClippedTuple>) -> RowBatch {
         RowBatch { rows }
     }
 
-    /// The batch's tuples.
-    pub fn rows(&self) -> &[Tuple] {
+    /// The batch's rows: each a stored tuple and the clip it is seen
+    /// through. Encoders write them as they are
+    /// ([`hrdm_storage::Encoder::put_tuple`]).
+    pub fn rows(&self) -> &[ClippedTuple] {
         &self.rows
     }
 
-    /// Consumes the batch into its row vector.
+    /// Consumes the batch into its result tuples, building each clipped
+    /// row's restriction.
     pub fn into_rows(self) -> Vec<Tuple> {
         self.rows
+            .into_iter()
+            .map(ClippedTuple::into_tuple)
+            .collect()
     }
 
     /// Number of rows in the batch.
@@ -401,81 +422,43 @@ fn compile_chain(
     Ok((ops, scheme))
 }
 
-/// Applies one compiled unary to one tuple. The bodies replicate the
-/// per-tuple loops of `hrdm_core::algebra::{timeslice, select, project}`
-/// exactly — the differential oracle (`tests/oracle/`) holds the two
-/// accountable.
-fn apply_op(op: &TupleOp, t: &Tuple) -> Result<Option<Tuple>, HrdmError> {
-    match op {
-        TupleOp::TimeSlice(window) => {
-            let sliced = t.restrict(window);
-            Ok(sliced.bears_information().then_some(sliced))
-        }
-        TupleOp::TimeSliceDynamic(attr) => {
-            let image = match t.value(attr) {
-                Some(tv) => tv.image_lifespan()?,
-                None => Lifespan::empty(),
-            };
-            let sliced = t.restrict(&image);
-            Ok(sliced.bears_information().then_some(sliced))
-        }
-        TupleOp::SelectWhen(predicate) => {
-            let truth = predicate.when_true(t)?;
-            Ok((!truth.is_empty()).then(|| t.restrict(&truth)))
-        }
-        TupleOp::SelectIf {
-            predicate,
-            quantifier,
-            bound,
-        } => {
-            let domain = match bound {
-                Some(l) => l.intersect(t.lifespan()),
-                None => t.lifespan().clone(),
-            };
-            let truth = predicate.when_true(t)?;
-            let selected = match quantifier {
-                Quantifier::Exists => domain.intersects(&truth),
-                Quantifier::Forall => truth.contains_lifespan(&domain),
-            };
-            Ok(selected.then(|| t.clone()))
-        }
-        TupleOp::Project(projection) => Ok(Some(projection.apply(t))),
-    }
-}
-
-/// Runs a tuple through a fused chain of compiled unaries (in application
-/// order — innermost first). `None` means some stage dropped the tuple.
-fn apply_chain(ops: &[TupleOp], t: &Tuple) -> Result<Option<Tuple>, HrdmError> {
-    let mut cur = t.clone();
-    for op in ops {
-        match apply_op(op, &cur)? {
-            Some(next) => cur = next,
-            None => return Ok(None),
-        }
-    }
-    Ok(Some(cur))
-}
-
-/// The lifespan [`apply_chain`] would leave on its output tuple (`None`
-/// where the chain drops `t`), computed without building any restricted
-/// tuple — all a `WHEN` root needs of a row.
+/// The lifespan a fused chain of compiled unaries (in application order —
+/// innermost first) leaves on a row of `t` whose lifespan is `start`
+/// (`None` where the chain drops it), computed without building any
+/// restricted tuple. `Borrowed` means the chain left `start` as it was.
 ///
-/// The chain's intermediate tuple is always `t|_cur` for some `cur ⊆ t.l`,
-/// and predicates are evaluated pointwise, so `when_true(t|_cur)` is
-/// `when_true(t) ∩ cur`: tracking `cur` alone is enough.
+/// A row is always `t|_cur` for some `cur ⊆ t.l`, and predicates are
+/// evaluated pointwise, so `when_true(t|_cur)` is `when_true(t) ∩ cur`:
+/// tracking `cur` alone is enough. The cases replicate the per-tuple loops
+/// of `hrdm_core::algebra::{timeslice, select}` — the differential oracle
+/// (`tests/oracle/`) holds the two accountable.
 fn chain_lifespan<'t>(
     ops: &[TupleOp],
-    t: &'t Tuple,
+    t: &Tuple,
+    start: &'t Lifespan,
 ) -> Result<Option<Cow<'t, Lifespan>>, HrdmError> {
-    let mut cur = Cow::Borrowed(t.lifespan());
+    let mut cur = Cow::Borrowed(start);
     for op in ops {
         let sliced = match op {
+            // A window or truth span covering a (non-empty) row leaves it
+            // whole, as `Tuple::restrict`'s sharing fast path does: no new
+            // lifespan. An empty row is dropped below, as the algebra
+            // drops tuples that bear no information.
+            TupleOp::TimeSlice(window) if !cur.is_empty() && window.contains_lifespan(&cur) => {
+                continue
+            }
             TupleOp::TimeSlice(window) => cur.intersect(window),
             TupleOp::TimeSliceDynamic(attr) => match t.value(attr) {
                 Some(tv) => tv.restrict(&cur).image_lifespan()?.intersect(&cur),
                 None => Lifespan::empty(),
             },
-            TupleOp::SelectWhen(predicate) => predicate.when_true(t)?.intersect(&cur),
+            TupleOp::SelectWhen(predicate) => {
+                let truth = predicate.when_true(t)?;
+                if !cur.is_empty() && truth.contains_lifespan(&cur) {
+                    continue;
+                }
+                truth.intersect(&cur)
+            }
             TupleOp::SelectIf {
                 predicate,
                 quantifier,
@@ -501,6 +484,30 @@ fn chain_lifespan<'t>(
         cur = Cow::Owned(sliced);
     }
     Ok(Some(cur))
+}
+
+/// The one per-tuple kernel of the streaming unaries: the row a fused
+/// chain makes of `row` (`None` where it drops it). Restrictions only
+/// narrow the clip ([`chain_lifespan`]); π projects the stored tuple and
+/// carries the clip through, since projecting commutes with restricting.
+/// No restricted tuple is built: that happens where an operator needs
+/// restricted values, or never, when the row is encoded.
+fn chain_row(ops: &[TupleOp], row: TupleView<'_>) -> Result<Option<ClippedTuple>, HrdmError> {
+    let clip = match chain_lifespan(ops, row.tuple(), row.lifespan())? {
+        None => return Ok(None),
+        Some(Cow::Borrowed(l)) => row.clip().map(|_| l.clone()),
+        Some(Cow::Owned(l)) => Some(l),
+    };
+    let mut tuple = row.tuple().clone();
+    for op in ops {
+        if let TupleOp::Project(projection) = op {
+            tuple = projection.apply(&tuple);
+        }
+    }
+    Ok(Some(match clip {
+        Some(clip) => ClippedTuple::new(tuple, clip),
+        None => tuple.into(),
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -587,13 +594,13 @@ fn scan_next_batch(state: &mut ScanState, batch_rows: usize) -> Option<RowBatch>
         Some(positions) => {
             for pos in &positions[state.cursor..end] {
                 if let Some(t) = state.relation.tuple_at(*pos) {
-                    rows.push(t.clone());
+                    rows.push(t.clone().into());
                 }
             }
         }
         None => {
             for leaf in state.relation.tuples().slices(state.cursor..end) {
-                rows.extend_from_slice(leaf);
+                rows.extend(leaf.iter().cloned().map(ClippedTuple::from));
             }
         }
     }
@@ -693,10 +700,10 @@ impl QueryExecutor for FilterExec<'_> {
             };
             match self.child.next_batch() {
                 Ok(Some(batch)) => {
-                    let mut rows = Vec::new();
-                    for t in batch.rows() {
-                        match apply_op(op, t) {
-                            Ok(Some(t2)) => rows.push(t2),
+                    let mut rows = Vec::with_capacity(batch.len());
+                    for row in batch.rows() {
+                        match chain_row(std::slice::from_ref(op), row.into()) {
+                            Ok(Some(kept)) => rows.push(kept),
                             Ok(None) => {}
                             Err(e) => return Err(ExecError::Eval(e)),
                         }
@@ -1397,7 +1404,8 @@ impl<'a> BinaryExec<'a> {
             }
         }
         let n = state.ready.len().min(*batch_rows);
-        Ok((n > 0).then(|| RowBatch::new(state.ready.drain(..n).collect())))
+        let rows = state.ready.drain(..n).map(ClippedTuple::from).collect();
+        Ok((n > 0).then(|| RowBatch::new(rows)))
     }
 }
 
@@ -1646,7 +1654,7 @@ struct GatherExec<'a> {
 }
 
 struct GatherRuntime {
-    rx: Receiver<Result<Vec<Tuple>, HrdmError>>,
+    rx: Receiver<Result<Vec<ClippedTuple>, HrdmError>>,
     stop: Arc<AtomicBool>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -1671,8 +1679,8 @@ impl GatherJob {
 /// One scan worker: claim morsels, run tuples through the fused kernel,
 /// ship full batches. Exits on stop/cancel, on a kernel error (shipped to
 /// the consumer), or when the consumer hangs up (send fails).
-fn gather_worker(job: &GatherJob, tx: &SyncSender<Result<Vec<Tuple>, HrdmError>>) {
-    let mut batch: Vec<Tuple> = Vec::new();
+fn gather_worker(job: &GatherJob, tx: &SyncSender<Result<Vec<ClippedTuple>, HrdmError>>) {
+    let mut batch: Vec<ClippedTuple> = Vec::new();
     loop {
         if job.interrupted() {
             return;
@@ -1687,9 +1695,9 @@ fn gather_worker(job: &GatherJob, tx: &SyncSender<Result<Vec<Tuple>, HrdmError>>
             Morsel::Positions(p) => &mut p.iter().filter_map(|&pos| job.tuples.get(pos)),
         };
         for t in tuples {
-            match apply_chain(&job.ops, t) {
-                Ok(Some(t2)) => {
-                    batch.push(t2);
+            match chain_row(&job.ops, t.into()) {
+                Ok(Some(row)) => {
+                    batch.push(row);
                     if batch.len() >= job.batch_rows
                         && (job.interrupted() || tx.send(Ok(std::mem::take(&mut batch))).is_err())
                     {
@@ -1926,8 +1934,8 @@ impl<'a> WhenExec<'a> {
             &mut self.stats,
             |batch| {
                 let mut kept = 0;
-                for t in batch.rows() {
-                    if let Some(l) = chain_lifespan(&ops, t)? {
+                for row in batch.rows() {
+                    if let Some(l) = chain_lifespan(&ops, row.tuple(), row.lifespan())? {
                         kept += 1;
                         runs.extend_from_slice(l.intervals());
                     }

@@ -530,9 +530,11 @@ fn plan_bounded(expr: &Expr, src: &dyn IndexSource, bound: Option<&Lifespan>) ->
 
         // σWHEN(θ)(R) with θ pinning R's full key: probe the key index.
         // Safe because a tuple with a different (constant) key value has an
-        // empty truth span for θ and would be dropped by σWHEN anyway.
+        // empty truth span for θ and would be dropped by σWHEN anyway —
+        // also under literal slices and projections of R
+        // (an as-of read after the optimizer pushed τ below σWHEN).
         Expr::SelectWhen { input, predicate } => {
-            let scan = key_probe_scan(input, predicate, src, bound);
+            let scan = key_probe_plan(input, predicate, src, bound);
             Plan::Unary {
                 op: UnaryOp::SelectWhen(predicate.clone()),
                 input: Box::new(scan.unwrap_or_else(|| plan_bounded(input, src, bound))),
@@ -552,7 +554,7 @@ fn plan_bounded(expr: &Expr, src: &dyn IndexSource, bound: Option<&Lifespan>) ->
             lifespan,
         } => {
             let scan = if *quantifier == Quantifier::Exists {
-                key_probe_scan(input, predicate, src, bound)
+                key_probe_plan(input, predicate, src, bound)
             } else {
                 None
             };
@@ -616,6 +618,43 @@ fn binary(
         left: Box::new(plan_bounded(a, src, bound)),
         right: Box::new(plan_bounded(b, src, bound)),
     }
+}
+
+/// `input` planned over a key-index scan, when under a stack of literal
+/// time-slices and projections it is a base relation with a key index,
+/// and `predicate` pins its full key with equality conjuncts. Neither
+/// unary changes a tuple's key value, so the tuples the index leaves out
+/// still have an empty truth span for `predicate`; a projection that
+/// drops a key attribute fails `predicate`'s typecheck either way. The
+/// slices narrow the bound recorded on the scan, as in [`plan_bounded`].
+fn key_probe_plan(
+    input: &Expr,
+    predicate: &Predicate,
+    src: &dyn IndexSource,
+    bound: Option<&Lifespan>,
+) -> Option<Plan> {
+    let (op, inner, narrowed) = match input {
+        Expr::TimeSlice {
+            input: inner,
+            lifespan: lifespan @ LifespanExpr::Literal(window),
+        } => {
+            let narrowed = match bound {
+                Some(b) => window.intersect(b),
+                None => window.clone(),
+            };
+            (UnaryOp::TimeSlice(lifespan.clone()), inner, Some(narrowed))
+        }
+        Expr::Project {
+            input: inner,
+            attrs,
+        } => (UnaryOp::Project(attrs.clone()), inner, bound.cloned()),
+        _ => return key_probe_scan(input, predicate, src, bound),
+    };
+    let probe = key_probe_plan(inner, predicate, src, narrowed.as_ref())?;
+    Some(Plan::Unary {
+        op,
+        input: Box::new(probe),
+    })
 }
 
 /// A key-index scan for `input` when it is a base relation with a key

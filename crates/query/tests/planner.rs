@@ -189,6 +189,34 @@ fn select_if_exists_with_key_equality_uses_key_index() {
     assert_same_results(q);
 }
 
+/// An as-of read reaches the planner as σWHEN over τ once the optimizer
+/// has pushed the slice down: the key probe looks through the slice (and
+/// through projections), and the slice's bound stays on the scan.
+#[test]
+fn as_of_key_read_probes_the_key_index() {
+    for q in [
+        "TIMESLICE [3..30] (SELECT-WHEN (NAME = \"Mary\") (emp))",
+        "SELECT-WHEN (NAME = \"Mary\") (PROJECT [NAME, SALARY] (TIMESLICE [3..30] (emp)))",
+        "SELECT-IF (NAME = \"Igor\", EXISTS) (TIMESLICE [45..75] (emp))",
+    ] {
+        let (p, text) = planned(q);
+        assert!(text.contains("IndexScan(key, NAME = "), "{q}:\n{text}");
+        assert!(!text.contains("SeqScan"), "{q}:\n{text}");
+        let Plan::Unary { input, .. } = &p else {
+            panic!("{q}: unexpected plan {p:?}");
+        };
+        let mut scan = &**input;
+        while let Plan::Unary { input, .. } = scan {
+            scan = input;
+        }
+        assert!(
+            matches!(scan, Plan::Scan { bound: Some(_), .. }),
+            "{q}: the slice's bound is lost: {scan:?}"
+        );
+        assert_same_results(q);
+    }
+}
+
 #[test]
 fn select_if_forall_stays_seq_scan() {
     // FORALL can select vacuously (empty quantification domain), so key

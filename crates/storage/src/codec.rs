@@ -6,8 +6,8 @@
 //! for every model object.
 
 use hrdm_core::{
-    Attribute, AttributeDef, HistoricalDomain, Layout, Relation, Scheme, TemporalValue, Tuple,
-    Value, ValueKind,
+    Attribute, AttributeDef, ClippedSegments, HistoricalDomain, Layout, Relation, Scheme,
+    TemporalValue, Tuple, TupleView, Value, ValueKind,
 };
 use hrdm_time::{Chronon, Interval, Lifespan};
 use std::fmt;
@@ -166,6 +166,17 @@ impl Encoder {
         }
     }
 
+    /// A restricted temporal value `f|_L`, in the bytes of
+    /// [`put_temporal_value`](Encoder::put_temporal_value) of
+    /// `f.restrict(L)`: the clip walk is counted, then written.
+    fn put_clipped(&mut self, segments: ClippedSegments<'_>) {
+        self.put_u64(segments.clone().count() as u64);
+        for (iv, v) in segments {
+            self.put_interval(&iv);
+            self.put_value(v);
+        }
+    }
+
     /// A value kind.
     pub fn put_kind(&mut self, k: ValueKind) {
         self.put_u8(match k {
@@ -198,13 +209,23 @@ impl Encoder {
     }
 
     /// A tuple: lifespan + `(name, function)` entries, ascending by name.
-    pub fn put_tuple(&mut self, t: &Tuple) {
-        self.put_lifespan(t.lifespan());
-        let entries = t.entries();
+    ///
+    /// Takes a restriction view — a `&Tuple`, or a
+    /// [`ClippedTuple`](hrdm_core::ClippedTuple)'s
+    /// [`TupleView`] — and writes `t|_clip` segment by segment from the
+    /// stored functions: the bytes are exactly those of the restricted
+    /// tuple, which is never built.
+    pub fn put_tuple<'a>(&mut self, t: impl Into<TupleView<'a>>) {
+        let view = t.into();
+        self.put_lifespan(view.lifespan());
+        let entries = view.tuple().entries();
         self.put_u64(entries.len() as u64);
         for (a, tv) in entries {
             self.put_str(a.name());
-            self.put_temporal_value(tv);
+            match view.clip() {
+                None => self.put_temporal_value(tv),
+                Some(clip) => self.put_clipped(tv.clipped(clip)),
+            }
         }
     }
 

@@ -256,3 +256,65 @@ proptest! {
         }
     }
 }
+
+/// Runs of a lifespan or clip over the stretch the values live on.
+fn runs_strategy() -> impl Strategy<Value = Lifespan> {
+    prop::collection::vec((0i64..300, 0i64..40), 0..5).prop_map(|pairs| {
+        Lifespan::from_intervals(
+            pairs
+                .into_iter()
+                .map(|(lo, len)| Interval::of(lo, lo + len)),
+        )
+    })
+}
+
+/// Back-to-back segments over two values, each one chronon after the last
+/// or after a one-chronon gap: equal values split by a gap, the case a
+/// clip must not merge.
+fn striped_strategy() -> impl Strategy<Value = TemporalValue> {
+    prop::collection::vec((1i64..30, 0i64..2, 0i64..2), 1..10).prop_map(|raw| {
+        let mut segs = Vec::new();
+        let mut lo = 0i64;
+        for (len, gap, v) in raw {
+            segs.push((Interval::of(lo, lo + len - 1), Value::Int(v)));
+            lo += len + gap;
+        }
+        TemporalValue::from_segments(segs).expect("disjoint by construction")
+    })
+}
+
+proptest! {
+    /// A restriction view writes exactly the bytes of the restricted
+    /// tuple it stands for, over multi-run lifespans and clips, clips that
+    /// cover `t.l` or miss it, and equal values split by gaps.
+    #[test]
+    fn clipped_views_encode_as_their_restriction(
+        life in runs_strategy(),
+        v in striped_strategy(),
+        w in temporal_strategy(),
+        shape in 0u8..4,
+        random in runs_strategy(),
+    ) {
+        use hrdm_core::ClippedTuple;
+        let mut values = std::collections::BTreeMap::new();
+        values.insert(Attribute::new("V"), v.restrict(&life));
+        values.insert(Attribute::new("W"), w.restrict(&life));
+        let t = Tuple::from_parts(life.clone(), values);
+        let hull = life.hull().unwrap_or(Interval::of(0, 0));
+        let (lo, hi) = (hull.lo().tick(), hull.hi().tick());
+        let clip = match shape {
+            0 => Lifespan::interval(lo - 3, hi + 3),
+            1 => Lifespan::of(&[(lo - 50, lo - 1), (hi + 1, hi + 50)]),
+            _ => random,
+        };
+        let view = ClippedTuple::new(t.clone(), clip.clone());
+        let restricted = t.restrict(&clip);
+        let mut viewed = Encoder::new();
+        viewed.put_tuple(&view);
+        let mut built = Encoder::new();
+        built.put_tuple(&restricted);
+        prop_assert_eq!(viewed.finish(), built.finish());
+        prop_assert_eq!(view.lifespan(), restricted.lifespan());
+        prop_assert_eq!(view.into_tuple(), restricted);
+    }
+}

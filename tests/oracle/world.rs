@@ -151,6 +151,7 @@ pub const BATTERY: &[(&str, &str)] = &[
     ("two-run slice", "TIMESLICE [0..1, 20..25] (r)"),
     ("slice past the data", "TIMESLICE [4000..4090] (r)"),
     ("key probe", "SELECT-WHEN (K = 5) (s)"),
+    ("as-of key read", "TIMESLICE [3..30] (SELECT-WHEN (K = 5) (s))"),
     ("value select", "SELECT-WHEN (V >= 2) (r)"),
     ("slice of select", "TIMESLICE [3..30] (SELECT-WHEN (V >= 1) (r))"),
     ("projected slice", "PROJECT [V] (TIMESLICE [2..35] (r))"),
