@@ -386,7 +386,8 @@ fn run_tracked() -> Vec<BenchResult> {
     // checkpointed 100k-tuple partitioned relation, through the buffer
     // pool. `pool_hit` runs against a pool large enough that the second
     // and later materializations are all frame hits (pure CPU: pruning +
-    // B+tree probe + decode). `pool_miss` runs the same window through a
+    // a lifespan probe per record of the opened partitions + decoding the
+    // records the window keeps). `pool_miss` runs the same window through a
     // 2-frame pool, so every iteration re-faults its pages — reads come
     // from the OS page cache (no fsync), so both are gateable on one
     // runner class.
@@ -524,6 +525,8 @@ fn registry_metrics() -> Vec<(String, f64)> {
         "hrdm_pool_misses_total",
         "hrdm_pool_evictions_total",
         "hrdm_pool_writebacks_total",
+        "hrdm_paged_records_scanned_total",
+        "hrdm_paged_records_decoded_total",
     ] {
         if let Some(v) = g.counter_value(name) {
             out.push((name.to_string(), v as f64));

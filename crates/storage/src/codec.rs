@@ -342,6 +342,24 @@ impl<'a> Decoder<'a> {
         Ok(Lifespan::from_intervals(runs))
     }
 
+    /// Does the lifespan at the cursor share a chronon with `window`?
+    ///
+    /// The allocation-free probe of [`Decoder::get_lifespan`]: it reads
+    /// every run with the same checks, so bytes that fail one fail the
+    /// other with the same error, and leaves the cursor past the lifespan.
+    /// Every heap record starts with its tuple's lifespan, so a windowed
+    /// scan asks this of each record and decodes only those that meet the
+    /// window.
+    pub fn lifespan_meets(&mut self, window: &Lifespan) -> Result<bool, CodecError> {
+        let n = self.get_u64()?;
+        let mut meets = false;
+        for _ in 0..n {
+            let run = self.get_interval()?;
+            meets = meets || window.intersects_interval(&run);
+        }
+        Ok(meets)
+    }
+
     /// A value.
     pub fn get_value(&mut self) -> Result<Value, CodecError> {
         match self.get_u8()? {

@@ -37,7 +37,7 @@ use crate::table::{Table, Tables};
 use crate::wal::{Wal, WalRecord};
 use hrdm_core::{Attribute, HistoricalDomain, HrdmError, Relation, Scheme, Tuple};
 use hrdm_index::KeyIndex;
-use hrdm_time::Chronon;
+use hrdm_time::{Chronon, Lifespan};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -1142,21 +1142,7 @@ fn read_checkpoint(dir: &Path) -> Result<Option<(Database, u64)>, DbError> {
         for &(id, count, _, _) in parts {
             let path = partition_heap_path(dir, &name, epoch, id);
             let heap = HeapFile::open(&path).map_err(|e| io_with_path(&path, e))?;
-            let mut in_partition = 0u64;
-            for item in heap.scan() {
-                let (_, rec) = item.map_err(|e| io_with_path(&path, e))?;
-                let (tuple, clipped) =
-                    conform_to_scheme(Decoder::new(&rec).get_tuple_in(&scheme)?, &scheme)?;
-                any_clipped |= clipped;
-                tuples.push(tuple);
-                in_partition += 1;
-            }
-            if in_partition != count {
-                return Err(DbError::BadFile(format!(
-                    "{}: partition p{id} holds {in_partition} tuple(s), manifest says {count}",
-                    path.display()
-                )));
-            }
+            any_clipped |= read_partition(&heap, id, count, &scheme, None, &mut tuples)?.clipped;
         }
         // A checkpoint holds what a relation — a set — wrote out, so the
         // tuples are distinct as read; only clipping can make two equal.
@@ -1175,6 +1161,55 @@ fn read_checkpoint(dir: &Path) -> Result<Option<(Database, u64)>, DbError> {
         partition_policy: policy,
     };
     Ok(Some((db, epoch)))
+}
+
+/// What [`read_partition`] read from one partition heap.
+pub(crate) struct PartitionRead {
+    /// Records decoded in full: those whose lifespan met the window.
+    pub decoded: u64,
+    /// Did any decoded tuple have to be clipped to its scheme?
+    pub clipped: bool,
+}
+
+/// Appends to `out`, in heap order, the tuples of checkpoint partition
+/// `id` whose lifespan meets `window` (every tuple when `None`), each
+/// conformed to `scheme`. A record that misses the window is dropped after
+/// its lifespan, its first field: only hits are decoded. The heap must
+/// hold exactly `count` records, the partition manifest's count.
+pub(crate) fn read_partition(
+    heap: &HeapFile,
+    id: i64,
+    count: u64,
+    scheme: &Scheme,
+    window: Option<&Lifespan>,
+    out: &mut Vec<Tuple>,
+) -> Result<PartitionRead, DbError> {
+    let mut records = 0u64;
+    let mut read = PartitionRead {
+        decoded: 0,
+        clipped: false,
+    };
+    heap.scan(|_, record| {
+        records += 1;
+        if let Some(w) = window {
+            if !Decoder::new(record).lifespan_meets(w)? {
+                return Ok(());
+            }
+        }
+        let (tuple, clipped) =
+            conform_to_scheme(Decoder::new(record).get_tuple_in(scheme)?, scheme)?;
+        read.decoded += 1;
+        read.clipped |= clipped;
+        out.push(tuple);
+        Ok::<(), DbError>(())
+    })?;
+    if records != count {
+        return Err(DbError::BadFile(format!(
+            "{}: partition p{id} holds {records} tuple(s), manifest says {count}",
+            heap.path().display()
+        )));
+    }
+    Ok(read)
 }
 
 /// Brings a tuple read from a checkpoint under the catalog's (possibly

@@ -174,17 +174,36 @@ impl HeapFile {
         Ok(deleted)
     }
 
-    /// Iterates all live records in (page, slot) order, faulting pages
-    /// through the pool one at a time. Items are `Err` when a page
-    /// fails its checksum at fault time (lazy open defers corruption
-    /// detection to first touch).
-    pub fn scan(&self) -> Scan<'_> {
-        Scan {
-            heap: self,
-            next_page: 0,
-            buffered: Vec::new(),
-            failed: false,
+    /// Calls `visit` on every live record in (page, slot) order, lending
+    /// the record's bytes from its pinned page: nothing is copied. Pages
+    /// fault in through the pool one at a time; a page that fails its
+    /// checksum at fault time (lazy open defers corruption detection to
+    /// first touch) ends the scan with an error naming the file, and so
+    /// does the first error `visit` returns.
+    pub fn scan<E: From<io::Error>>(
+        &self,
+        mut visit: impl FnMut(RecordId, &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let with_path = |e: io::Error| {
+            E::from(io::Error::new(
+                e.kind(),
+                format!("{}: {e}", self.path.display()),
+            ))
+        };
+        for page_no in 0..self.pool.page_count(self.file).map_err(with_path)? {
+            let guard = self.pool.get(self.file, page_no).map_err(with_path)?;
+            let page = guard.read();
+            for (slot, record) in page.iter() {
+                visit(
+                    RecordId {
+                        page: page_no,
+                        slot,
+                    },
+                    record,
+                )?;
+            }
         }
+        Ok(())
     }
 
     /// Writes dirty pages back (sealed), trims, and fsyncs the file.
@@ -206,46 +225,6 @@ impl Drop for HeapFile {
     }
 }
 
-/// Iterator over a heap file's live records; see [`HeapFile::scan`].
-pub struct Scan<'a> {
-    heap: &'a HeapFile,
-    next_page: u32,
-    buffered: Vec<(RecordId, Vec<u8>)>,
-    failed: bool,
-}
-
-impl Iterator for Scan<'_> {
-    type Item = io::Result<(RecordId, Vec<u8>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(item) = self.buffered.pop() {
-                return Some(Ok(item));
-            }
-            if self.failed || u64::from(self.next_page) >= self.heap.page_count() as u64 {
-                return None;
-            }
-            let pno = self.next_page;
-            self.next_page += 1;
-            let guard = match self.heap.pool.get(self.heap.file, pno) {
-                Ok(g) => g,
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            };
-            let page = guard.read();
-            // Copy the page's live records out (bounded by one page),
-            // reversed so `pop` yields slot order.
-            self.buffered.extend(
-                page.iter()
-                    .map(|(slot, rec)| (RecordId { page: pno, slot }, rec.to_vec())),
-            );
-            self.buffered.reverse();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +241,13 @@ mod tests {
     }
 
     fn collect(h: &HeapFile) -> Vec<(RecordId, Vec<u8>)> {
-        h.scan().map(|r| r.unwrap()).collect()
+        let mut out = Vec::new();
+        h.scan(|id, rec| {
+            out.push((id, rec.to_vec()));
+            Ok::<_, io::Error>(())
+        })
+        .unwrap();
+        out
     }
 
     #[test]
@@ -313,8 +298,11 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         // Lazy open succeeds; the first fault of the bad page errors.
         let h = HeapFile::open_in(&path, p).unwrap();
-        let err = h.scan().find_map(Result::err).expect("corruption surfaces");
+        let err = h
+            .scan(|_, _| Ok::<_, io::Error>(()))
+            .expect_err("corruption surfaces");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&*path.to_string_lossy()), "{err}");
         std::fs::remove_file(path).ok();
     }
 

@@ -15,9 +15,10 @@
 //! * [`heap`] — heap files of encoded tuples over slotted pages, faulted
 //!   through the pool on demand;
 //! * [`btree`] — a bulk-loaded on-disk B+tree keyed by
-//!   (birth-chronon, position), the lifespan index for cold partitions;
-//! * [`paged`] — [`PagedDatabase`]: an out-of-core read path that
-//!   materializes only the partitions a time window touches;
+//!   (birth-chronon, position), written by every checkpoint;
+//! * [`paged`] — [`PagedDatabase`]: an out-of-core read path that scans
+//!   only the partitions a time window touches and decodes only the
+//!   records the window keeps;
 //! * [`catalog`] — the system catalog, including **schema evolution**: the
 //!   attribute-lifespan edits of the paper's Fig. 6 (drop an attribute at
 //!   `t2`, re-add it at `t3`) are first-class catalog operations with an

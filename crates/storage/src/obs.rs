@@ -44,6 +44,10 @@ pub(crate) struct StorageObs {
     pub pool_evictions: Arc<Counter>,
     /// Dirty pages written back to disk (eviction or flush).
     pub pool_writebacks: Arc<Counter>,
+    /// Heap records paged scans visited (each a lifespan probe).
+    pub paged_records_scanned: Arc<Counter>,
+    /// Heap records paged scans decoded in full (those meeting the window).
+    pub paged_records_decoded: Arc<Counter>,
 }
 
 pub(crate) fn storage_obs() -> &'static StorageObs {
@@ -106,6 +110,14 @@ pub(crate) fn storage_obs() -> &'static StorageObs {
             pool_writebacks: r.counter(
                 "hrdm_pool_writebacks_total",
                 "Dirty pages written back to disk by the buffer pool",
+            ),
+            paged_records_scanned: r.counter(
+                "hrdm_paged_records_scanned_total",
+                "Heap records visited by paged scans (a lifespan probe each)",
+            ),
+            paged_records_decoded: r.counter(
+                "hrdm_paged_records_decoded_total",
+                "Heap records decoded in full by paged scans (those meeting the window)",
             ),
         }
     })

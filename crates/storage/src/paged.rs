@@ -4,21 +4,27 @@
 //! [`Database::load`](crate::Database::load) is eager — it reassembles
 //! every relation in memory before the first query, so capacity is
 //! capped at RAM. [`PagedDatabase::open`] reads **only the catalog**
-//! (header + partition manifest, a few KiB) and leaves every heap page
-//! and B+tree node on disk. A query then calls
+//! (header + partition manifest, a few KiB) and the WAL tail, and leaves
+//! every heap page on disk. A query then calls
 //! [`PagedDatabase::window_snapshot`] with the lifespan window it needs:
 //!
 //! 1. the persisted per-partition summaries prune partitions whose
 //!    chronon range cannot intersect the window — those are never
 //!    *opened*, let alone read (the per-file fault counters of the
 //!    buffer pool prove it);
-//! 2. each surviving partition's member positions come from the
-//!    relation's on-disk B+tree ([`crate::LifespanBTree`]), and its
-//!    tuples stream in through the buffer pool, which caps resident
-//!    memory at the pool budget regardless of relation size;
-//! 3. the materialized tuples become an ordinary [`DbSnapshot`], so the
-//!    whole existing query stack — planner, pruning, streaming executor,
-//!    EXPLAIN ANALYZE — runs over it unchanged.
+//! 2. each surviving partition's heap is scanned once through the buffer
+//!    pool, which caps resident memory at the pool budget regardless of
+//!    relation size. Each record's lifespan — its first field — is
+//!    tested against the window in place on the pinned page
+//!    ([`crate::Decoder::lifespan_meets`]); only the records that meet
+//!    it are decoded ([`PagedDatabase::records_scanned`] /
+//!    [`PagedDatabase::records_decoded`] count both);
+//! 3. the kept tuples — partition by partition in ascending id order,
+//!    heap order within a partition, then the WAL tail: the order
+//!    [`Database::load`](crate::Database::load) produces — become an
+//!    ordinary [`DbSnapshot`], so the whole existing query stack —
+//!    planner, pruning, streaming executor, EXPLAIN ANALYZE — runs over
+//!    it unchanged.
 //!
 //! A windowed snapshot contains *only* tuples whose lifespan intersects
 //! the window. That is exactly the set a lifespan-bounded query can
@@ -32,14 +38,12 @@
 //! bounded by checkpoint cadence), and refuses anything heavier with a
 //! `Mode` error naming the fix: checkpoint first.
 
-use crate::btree::LifespanBTree;
 use crate::catalog::Catalog;
-use crate::codec::Decoder;
 use crate::database::{
-    btree_path, conform_to_scheme, io_with_path, partition_heap_path, read_catalog_manifest,
-    wal_path, DbError,
+    io_with_path, partition_heap_path, read_catalog_manifest, read_partition, wal_path, DbError,
 };
 use crate::heap::HeapFile;
+use crate::obs::storage_obs;
 use crate::partition::{PartitionMap, PartitionPolicy};
 use crate::pool::BufferPool;
 use crate::snapshot::DbSnapshot;
@@ -49,6 +53,7 @@ use hrdm_core::{Relation, Scheme, Tuple};
 use hrdm_time::Lifespan;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One relation of a paged database: cold partition metadata plus the
@@ -56,16 +61,30 @@ use std::sync::{Arc, Mutex};
 struct PagedRelation {
     scheme: Scheme,
     /// Cold partition map over the checkpoint manifest: pruning answers
-    /// come from persisted summaries, member positions from the B+tree.
+    /// and per-partition record counts come from persisted summaries.
     map: PartitionMap,
-    /// Tuples inserted after the checkpoint (the WAL tail), at global
-    /// positions `checkpoint_count..`.
+    /// Tuples inserted after the checkpoint (the WAL tail).
     tail: Vec<Tuple>,
-    /// Tuples in the checkpoint image (= sum of manifest counts).
-    checkpoint_count: usize,
     /// Partition heaps opened so far; absence here (plus a zero fault
     /// count) is the witness that a pruned partition was never touched.
     heaps: Mutex<BTreeMap<i64, Arc<HeapFile>>>,
+    /// Heap records the scans visited (each a lifespan probe), and those
+    /// of them decoded in full.
+    records_scanned: AtomicU64,
+    records_decoded: AtomicU64,
+}
+
+impl PagedRelation {
+    fn new(scheme: Scheme, map: PartitionMap) -> PagedRelation {
+        PagedRelation {
+            scheme,
+            map,
+            tail: Vec::new(),
+            heaps: Mutex::new(BTreeMap::new()),
+            records_scanned: AtomicU64::new(0),
+            records_decoded: AtomicU64::new(0),
+        }
+    }
 }
 
 impl std::fmt::Debug for PagedDatabase {
@@ -123,22 +142,8 @@ impl PagedDatabase {
                     dir.display()
                 )));
             };
-            let btx = btree_path(dir, &name, epoch);
-            let btree = Arc::new(
-                LifespanBTree::open(&btx, Arc::clone(&pool)).map_err(|e| io_with_path(&btx, e))?,
-            );
-            let map = PartitionMap::from_manifest(policy, rows, &btree);
-            let checkpoint_count = map.tuple_count();
-            rels.insert(
-                name,
-                PagedRelation {
-                    scheme,
-                    map,
-                    tail: Vec::new(),
-                    checkpoint_count,
-                    heaps: Mutex::new(BTreeMap::new()),
-                },
-            );
+            let map = PartitionMap::from_manifest(policy, rows);
+            rels.insert(name, PagedRelation::new(scheme, map));
         }
 
         // The WAL tail: inserts and creations stay resident; anything
@@ -154,16 +159,7 @@ impl PagedDatabase {
                         catalog.create_relation(&name, scheme.clone())?;
                         // No checkpoint image yet: an empty resident map.
                         let map = PartitionMap::build(&Relation::new(scheme.clone()), policy);
-                        rels.insert(
-                            name,
-                            PagedRelation {
-                                scheme,
-                                map,
-                                tail: Vec::new(),
-                                checkpoint_count: 0,
-                                heaps: Mutex::new(BTreeMap::new()),
-                            },
-                        );
+                        rels.insert(name, PagedRelation::new(scheme, map));
                     }
                     WalRecord::Insert { relation, tuple } => {
                         let Some(pr) = rels.get_mut(&relation) else {
@@ -226,7 +222,7 @@ impl PagedDatabase {
     pub fn tuple_count(&self, name: &str) -> Option<usize> {
         self.rels
             .get(name)
-            .map(|r| r.checkpoint_count + r.tail.len())
+            .map(|r| r.map.tuple_count() + r.tail.len())
     }
 
     /// The cold partition map of `name` — pruning metadata only.
@@ -245,6 +241,22 @@ impl PagedDatabase {
                 .copied()
                 .collect()
         })
+    }
+
+    /// Heap records of `name` that this view's scans have visited so far:
+    /// each cost a lifespan probe.
+    pub fn records_scanned(&self, name: &str) -> u64 {
+        self.rels
+            .get(name)
+            .map_or(0, |r| r.records_scanned.load(Ordering::SeqCst))
+    }
+
+    /// Heap records of `name` that this view's scans have decoded in full
+    /// so far: those whose lifespan met the window.
+    pub fn records_decoded(&self, name: &str) -> u64 {
+        self.rels
+            .get(name)
+            .map_or(0, |r| r.records_decoded.load(Ordering::SeqCst))
     }
 
     /// Materializes the whole database as a [`DbSnapshot`] — every
@@ -280,67 +292,53 @@ impl PagedDatabase {
         ))
     }
 
-    /// Reads one relation's window-intersecting tuples, ascending by
-    /// global position.
+    /// Reads one relation's window-intersecting tuples in the eager
+    /// loader's order: partitions by ascending id, heap order within one,
+    /// then the WAL tail.
     fn materialize(
         &self,
         name: &str,
         pr: &PagedRelation,
         window: Option<&Lifespan>,
     ) -> Result<Relation, DbError> {
-        let mut picked: Vec<(usize, Tuple)> = Vec::new();
+        let mut tuples: Vec<Tuple> = Vec::new();
         let mut any_clipped = false;
         let ids: Vec<i64> = match window {
             Some(w) => pr.map.overlapping_ids(w),
             None => pr.map.iter().map(|(id, _)| id).collect(),
         };
+        let (mut scanned, mut decoded) = (0u64, 0u64);
         for id in ids {
             let Some(part) = pr.map.partition(id) else {
                 continue;
             };
-            // Member positions, ascending — the order the checkpoint
-            // wrote this partition's heap records in, so the zip below
-            // pairs every record with its global position.
-            let positions = part.try_positions()?;
             let heap = self.heap(name, pr, id)?;
-            let mut at = 0usize;
-            for item in heap.scan() {
-                let (_, rec) = item.map_err(|e| io_with_path(heap.path(), e))?;
-                let Some(&pos) = positions.get(at) else {
-                    return Err(DbError::BadFile(format!(
-                        "{}: partition p{id} holds more records than the B+tree knows ({})",
-                        heap.path().display(),
-                        positions.len()
-                    )));
-                };
-                at += 1;
-                let tuple = Decoder::new(&rec).get_tuple_in(&pr.scheme)?;
-                if window.is_none_or(|w| tuple.lifespan().intersects(w)) {
-                    let (tuple, clipped) = conform_to_scheme(tuple, &pr.scheme)?;
-                    any_clipped |= clipped;
-                    picked.push((pos, tuple));
-                }
-            }
-            if at != positions.len() {
-                return Err(DbError::BadFile(format!(
-                    "{}: partition p{id} holds {at} record(s), the B+tree says {}",
-                    heap.path().display(),
-                    positions.len()
-                )));
-            }
+            let read = read_partition(
+                &heap,
+                id,
+                part.len() as u64,
+                &pr.scheme,
+                window,
+                &mut tuples,
+            )?;
+            any_clipped |= read.clipped;
+            scanned += part.len() as u64;
+            decoded += read.decoded;
         }
-        for (i, tuple) in pr.tail.iter().enumerate() {
-            if window.is_none_or(|w| tuple.lifespan().intersects(w)) {
-                picked.push((pr.checkpoint_count + i, tuple.clone()));
-            }
+        pr.records_scanned.fetch_add(scanned, Ordering::SeqCst);
+        pr.records_decoded.fetch_add(decoded, Ordering::SeqCst);
+        if hrdm_obs::enabled() {
+            storage_obs().paged_records_scanned.add(scanned);
+            storage_obs().paged_records_decoded.add(decoded);
         }
-        // Partitions interleave in position space; restore global
-        // insertion order so results match the eager loader byte for
-        // byte.
-        picked.sort_by_key(|&(pos, _)| pos);
-        let tuples: Vec<Tuple> = picked.into_iter().map(|(_, t)| t).collect();
-        // Distinct positions of a relation (a set) are distinct tuples;
-        // only clipping can make two equal.
+        tuples.extend(
+            pr.tail
+                .iter()
+                .filter(|t| window.is_none_or(|w| t.lifespan().intersects(w)))
+                .cloned(),
+        );
+        // A relation is a set: its checkpoint image and WAL tail hold
+        // distinct tuples, and only clipping can make two equal.
         Ok(if any_clipped {
             Relation::from_parts_unchecked(pr.scheme.clone(), tuples)
         } else {

@@ -46,12 +46,10 @@
 //! ([`Partition::is_dirty`]); clean partitions are carried into the new
 //! epoch by hard link.
 
-use crate::btree::LifespanBTree;
 use hrdm_core::{PVec, Relation, Tuple};
 use hrdm_index::LifespanIndex;
 use hrdm_time::{Chronon, Interval, Lifespan};
 use std::collections::BTreeMap;
-use std::io;
 use std::sync::Arc;
 
 /// Default span exponent: partitions of `2^10 = 1024` chronons.
@@ -101,22 +99,6 @@ impl PartitionPolicy {
         }
     }
 
-    /// The inclusive birth-chronon range `[lo, hi]` that partition `id`
-    /// nominally covers — the inverse of [`PartitionPolicy::partition_id`].
-    /// Saturates at the `i64` extremes for implausible manifest ids.
-    pub fn birth_range(&self, id: i64) -> (i64, i64) {
-        match self {
-            PartitionPolicy::SpanLog2(s) => {
-                let s = (*s).min(62);
-                let span = 1i128 << s;
-                let lo = (i128::from(id) * span).clamp(i128::from(i64::MIN), i128::from(i64::MAX));
-                let hi = (lo + span - 1).clamp(i128::from(i64::MIN), i128::from(i64::MAX));
-                (lo as i64, hi as i64)
-            }
-            PartitionPolicy::Unpartitioned => (i64::MIN, i64::MAX),
-        }
-    }
-
     /// Serializes the policy (one byte tag + exponent).
     pub(crate) fn encode(&self, e: &mut crate::codec::Encoder) {
         match self {
@@ -154,15 +136,10 @@ enum Members {
         /// returns are **local** (indices into `positions`).
         lifespans: LifespanIndex,
     },
-    /// Disk-resident members, served on demand from the relation's
-    /// on-disk B+tree: the members are exactly the entries whose birth
-    /// chronon falls in `[birth_lo, birth_hi]` — what
-    /// [`PartitionMap::from_manifest`] produces for cold partitions.
-    Cold {
-        btree: Arc<LifespanBTree>,
-        birth_lo: i64,
-        birth_hi: i64,
-    },
+    /// Disk-resident members: the records of the partition's heap file,
+    /// which only a paged scan reads — what
+    /// [`PartitionMap::from_manifest`] produces.
+    Cold,
 }
 
 /// One chronon-range partition: member positions, lifespan summary, its own
@@ -237,42 +214,19 @@ impl Partition {
 
     /// Member positions into the relation's tuple vector, ascending.
     ///
-    /// Cold partitions yield nothing here — their members live on disk;
-    /// use [`Partition::try_positions`], which can fault.
+    /// Cold partitions yield nothing: their members are records of a heap
+    /// file, not positions in a resident tuple vector.
     pub fn positions(&self) -> impl Iterator<Item = usize> + '_ {
         let resident = match &self.members {
             Members::Resident { positions, .. } => Some(positions),
-            Members::Cold { .. } => None,
+            Members::Cold => None,
         };
         resident.into_iter().flatten().map(|&p| p as usize)
     }
 
-    /// Member positions, ascending, faulting the on-disk B+tree in for
-    /// cold partitions.
-    pub fn try_positions(&self) -> io::Result<Vec<usize>> {
-        match &self.members {
-            Members::Resident { .. } => Ok(self.positions().collect()),
-            Members::Cold {
-                btree,
-                birth_lo,
-                birth_hi,
-            } => {
-                // The tree yields (birth, position) order; members are a
-                // position *set*, so re-sort ascending by position.
-                let mut v: Vec<usize> = btree
-                    .range_positions(*birth_lo, *birth_hi)?
-                    .into_iter()
-                    .map(|p| p as usize)
-                    .collect();
-                v.sort_unstable();
-                Ok(v)
-            }
-        }
-    }
-
-    /// Are the members disk-resident (checkpoint manifest + B+tree)?
+    /// Are the members disk-resident (a checkpoint heap file)?
     pub fn is_cold(&self) -> bool {
-        matches!(self.members, Members::Cold { .. })
+        matches!(self.members, Members::Cold)
     }
 
     /// Number of member tuples.
@@ -349,16 +303,14 @@ impl PartitionMap {
         }
     }
 
-    /// Rebuilds a **cold** map from a checkpoint manifest: per-partition
-    /// `(id, count, min_lo, max_hi)` rows plus the relation's on-disk
-    /// B+tree. No member positions are resident — pruning answers come
-    /// from the persisted summaries, and member fetches fault the tree
-    /// in through the buffer pool ([`Partition::try_positions`]). All
-    /// partitions start clean (they mirror what is on disk).
+    /// Rebuilds a **cold** map from a checkpoint manifest's per-partition
+    /// `(id, count, min_lo, max_hi)` rows. No member is resident: pruning
+    /// answers come from the persisted summaries, and the members are the
+    /// records of each partition's heap file. All partitions start clean
+    /// (they mirror what is on disk).
     pub fn from_manifest(
         policy: PartitionPolicy,
         manifest: &[(i64, u64, i64, i64)],
-        btree: &Arc<LifespanBTree>,
     ) -> PartitionMap {
         let mut map = PartitionMap {
             policy,
@@ -366,16 +318,11 @@ impl PartitionMap {
             tuple_count: 0,
         };
         for &(id, count, min_lo, max_hi) in manifest {
-            let (birth_lo, birth_hi) = policy.birth_range(id);
             let count = count as usize;
             map.parts.insert(
                 id,
                 Arc::new(Partition {
-                    members: Members::Cold {
-                        btree: Arc::clone(btree),
-                        birth_lo,
-                        birth_hi,
-                    },
+                    members: Members::Cold,
                     count,
                     min_lo,
                     max_hi,
@@ -469,29 +416,16 @@ impl PartitionMap {
 
     /// Global positions of candidate tuples whose lifespan overlaps
     /// `window`, sorted ascending and deduplicated — the pruning access
-    /// path. Infallible variant of
-    /// [`PartitionMap::try_prune_positions`] for the resident maps the
-    /// in-memory engine builds (a cold partition that fails to fault
-    /// degrades to no candidates here — the paged read path uses the
-    /// fallible form).
-    pub fn prune_positions(&self, window: &Lifespan) -> Vec<usize> {
-        self.try_prune_positions(window).unwrap_or_default()
-    }
-
-    /// Global positions of candidate tuples whose lifespan overlaps
-    /// `window`, sorted ascending and deduplicated.
+    /// path.
     ///
     /// Partitions whose summary is disjoint from `window` are skipped
-    /// whole — for cold partitions this is the payoff: a non-intersecting
-    /// partition is pruned from its catalog summary alone, without
-    /// faulting a single page. Resident partitions whose summary is
-    /// *contained* in `window` are taken whole without probing; the rest
-    /// are served from their own lifespan index. Overlapping *cold*
-    /// partitions are taken whole from the on-disk B+tree (a sound
-    /// candidate superset: operators re-apply exact semantics).
-    pub fn try_prune_positions(&self, window: &Lifespan) -> io::Result<Vec<usize>> {
+    /// whole. Partitions whose summary is *contained* in `window` are
+    /// taken whole without probing; the rest are served from their own
+    /// lifespan index. Cold partitions contribute nothing: their members
+    /// are heap records, not positions (see [`Partition::positions`]).
+    pub fn prune_positions(&self, window: &Lifespan) -> Vec<usize> {
         let Some(probe) = SummaryProbe::new(window) else {
-            return Ok(Vec::new());
+            return Vec::new();
         };
         let mut out: Vec<usize> = Vec::new();
         let mut sorted = true;
@@ -502,31 +436,25 @@ impl PartitionMap {
             let Some(summary) = p.summary() else {
                 continue;
             };
+            let Members::Resident {
+                positions,
+                lifespans,
+            } = &p.members
+            else {
+                continue;
+            };
             let chunk_start = out.len();
-            match &p.members {
-                Members::Resident {
-                    positions,
-                    lifespans,
-                } => {
-                    if window.contains_interval(&summary) {
-                        // Every member tuple lives inside the summary, and
-                        // the whole summary is inside the window: all
-                        // members overlap.
-                        out.extend(p.positions());
-                    } else if window.intersects_interval(&summary) {
-                        out.extend(
-                            lifespans
-                                .overlapping(window)
-                                .into_iter()
-                                .map(|local| positions[local] as usize),
-                        );
-                    }
-                }
-                Members::Cold { .. } => {
-                    if window.intersects_interval(&summary) {
-                        out.extend(p.try_positions()?);
-                    }
-                }
+            if window.contains_interval(&summary) {
+                // Every member tuple lives inside the summary, and the
+                // whole summary is inside the window: all members overlap.
+                out.extend(p.positions());
+            } else if window.intersects_interval(&summary) {
+                out.extend(
+                    lifespans
+                        .overlapping(window)
+                        .into_iter()
+                        .map(|local| positions[local] as usize),
+                );
             }
             // Positions are ascending within one partition's chunk;
             // across partitions they interleave only when insertions
@@ -539,7 +467,7 @@ impl PartitionMap {
             out.sort_unstable();
             out.dedup();
         }
-        Ok(out)
+        out
     }
 
     /// Ids of partitions whose membership changed since the last

@@ -105,7 +105,12 @@ proptest! {
 
         // Final full scan agrees with the model exactly (same ids, same
         // bytes, ascending order).
-        let scanned: Vec<_> = heap.scan().map(|r| r.unwrap()).collect();
+        let mut scanned = Vec::new();
+        heap.scan(|id, rec| {
+            scanned.push((id, rec.to_vec()));
+            Ok::<_, std::io::Error>(())
+        })
+        .unwrap();
         prop_assert_eq!(scanned.len(), model.len());
         for ((id, rec), (&(page, slot), bytes)) in scanned.iter().zip(model.iter()) {
             prop_assert_eq!((id.page, id.slot), (page, slot));

@@ -46,12 +46,17 @@ fn tup(k: i64, lo: i64, hi: i64) -> Tuple {
 /// A checkpointed database with `n` tuples spread over many 4096-chronon
 /// partitions: tuple `k` lives in `[k·37 mod T, +25]`.
 fn seed_db(dir: &std::path::Path, n: i64) {
+    seed_db_born(dir, n, |k| (k * 37) % (T_MAX - 30));
+}
+
+/// [`seed_db`] with tuple `k` living in `[birth(k), +25]`.
+fn seed_db_born(dir: &std::path::Path, n: i64, birth: impl Fn(i64) -> i64) {
     let mut db = Database::open(dir).unwrap();
     db.set_partition_policy(PartitionPolicy::SpanLog2(12));
     db.create_relation("emp", scheme()).unwrap();
     let ops: Vec<WalRecord> = (0..n)
         .map(|k| {
-            let lo = (k * 37) % (T_MAX - 30);
+            let lo = birth(k);
             WalRecord::Insert {
                 relation: "emp".into(),
                 tuple: tup(k, lo, lo + 25),
@@ -78,25 +83,69 @@ fn full_snapshot_matches_eager_load() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Same tuples in the same order. The second input inserts births that
+/// alternate between the partitions either side of chronon 4096, where
+/// insertion order and the loader's partition-major order differ.
 #[test]
 fn windowed_snapshot_matches_filtered_eager_load() {
-    let dir = tmp("windowed");
-    seed_db(&dir, 300);
-    let eager = Database::load(&dir).unwrap();
-    let paged = PagedDatabase::open(&dir).unwrap();
-    for (lo, hi) in [(0, 100), (5_000, 9_000), (T_MAX - 200, T_MAX), (7, 7)] {
-        let w = Lifespan::interval(lo, hi);
-        let snap = paged.window_snapshot(Some(&w)).unwrap();
-        let want: Vec<Tuple> = eager
-            .relation("emp")
-            .unwrap()
-            .iter()
-            .filter(|t| t.lifespan().intersects(&w))
-            .cloned()
-            .collect();
-        let got: Vec<Tuple> = snap.relation("emp").unwrap().iter().cloned().collect();
-        assert_eq!(got, want, "window [{lo}, {hi}]");
+    let monotone = tmp("windowed");
+    seed_db(&monotone, 300);
+    let interleaved = tmp("windowed-interleaved");
+    seed_db_born(&interleaved, 60, |k| {
+        if k % 2 == 0 {
+            4_096 - 40 + k
+        } else {
+            4_096 + k
+        }
+    });
+    let inputs = [
+        (
+            &monotone,
+            &[(0, 100), (5_000, 9_000), (T_MAX - 200, T_MAX), (7, 7)][..],
+        ),
+        (&interleaved, &[(4_000, 4_200), (4_090, 4_100)]),
+    ];
+    for (dir, windows) in inputs {
+        let eager = Database::load(dir).unwrap();
+        let paged = PagedDatabase::open(dir).unwrap();
+        for &(lo, hi) in windows {
+            let w = Lifespan::interval(lo, hi);
+            let snap = paged.window_snapshot(Some(&w)).unwrap();
+            let want: Vec<Tuple> = eager
+                .relation("emp")
+                .unwrap()
+                .iter()
+                .filter(|t| t.lifespan().intersects(&w))
+                .cloned()
+                .collect();
+            let got: Vec<Tuple> = snap.relation("emp").unwrap().iter().cloned().collect();
+            assert_eq!(got, want, "{} window [{lo}, {hi}]", dir.display());
+        }
     }
+    std::fs::remove_dir_all(&monotone).ok();
+    std::fs::remove_dir_all(&interleaved).ok();
+}
+
+/// What a window costs: every record of an opened partition is probed,
+/// and only the records the window keeps are decoded.
+#[test]
+fn a_window_decodes_only_the_records_it_keeps() {
+    let dir = tmp("waste");
+    seed_db(&dir, 2_000);
+    let paged = PagedDatabase::open(&dir).unwrap();
+    let w = Lifespan::interval(10_000, 10_100);
+    let snap = paged.window_snapshot(Some(&w)).unwrap();
+    let rows = snap.relation("emp").unwrap().len() as u64;
+    assert!(rows > 0);
+    let map = paged.partition_map("emp").unwrap();
+    let members: usize = paged
+        .opened_partitions("emp")
+        .iter()
+        .map(|&id| map.partition(id).unwrap().len())
+        .sum();
+    assert_eq!(paged.records_decoded("emp"), rows);
+    assert_eq!(paged.records_scanned("emp"), members as u64);
+    assert!(members as u64 > rows, "the probe skipped nothing");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -124,7 +173,7 @@ fn narrow_window_leaves_cold_partitions_untouched() {
         opened.len() <= 2,
         "a 4000-chronon window must open ≤ 2 span-4096 partitions, opened {opened:?}"
     );
-    // Faults are bounded by opened heaps + the B+tree — far below the
+    // Faults are bounded by the opened heaps — far below the
     // whole relation (2000 tuples ≫ 8-frame pool; a full scan would
     // fault hundreds of pages through this pool).
     let faulted = after.misses - before.misses;
@@ -290,7 +339,7 @@ fn acceptance_200k_windowed_under_small_pool() {
         "opened {} of {total} partitions for a one-partition window",
         opened.len()
     );
-    // Fault budget: the opened partitions' heap pages + B+tree pages.
+    // Fault budget: the opened partitions' heap pages.
     // 200k tuples ≈ 780+ heap pages total; a window over 1/256th of the
     // chronon domain must fault a small fraction of that.
     let faulted = (after.misses - before.misses) as usize;
