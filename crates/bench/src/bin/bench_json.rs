@@ -386,9 +386,10 @@ fn run_tracked() -> Vec<BenchResult> {
     // checkpointed 100k-tuple partitioned relation, through the buffer
     // pool. `pool_hit` runs against a pool large enough that the second
     // and later materializations are all frame hits (pure CPU: pruning +
-    // a lifespan probe per record of the opened partitions + decoding the
-    // records the window keeps). `pool_miss` runs the same window through a
-    // 2-frame pool, so every iteration re-faults its pages — reads come
+    // a lifespan probe per record of the heap pages whose zone meets the
+    // window + decoding the records the window keeps). `pool_miss` runs
+    // the same window through a 2-frame pool, so every iteration re-faults
+    // the pages it visits — reads come
     // from the OS page cache (no fsync), so both are gateable on one
     // runner class.
     {

@@ -239,6 +239,17 @@ impl Encoder {
     }
 }
 
+/// What [`Decoder::lifespan_probe`] read of one encoded lifespan.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct LifespanProbe {
+    /// Does the lifespan share a chronon with the probe's window?
+    pub meets: bool,
+    /// The lifespan's first chronon; `i64::MAX` when it is empty.
+    pub first: i64,
+    /// The lifespan's last chronon; `i64::MIN` when it is empty.
+    pub last: i64,
+}
+
 /// Streaming decoder over a byte slice.
 pub struct Decoder<'a> {
     buf: &'a [u8],
@@ -342,22 +353,33 @@ impl<'a> Decoder<'a> {
         Ok(Lifespan::from_intervals(runs))
     }
 
-    /// Does the lifespan at the cursor share a chronon with `window`?
+    /// Probes the lifespan at the cursor: does it share a chronon with
+    /// `window` (every lifespan meets an absent window), and what is its
+    /// hull?
     ///
     /// The allocation-free probe of [`Decoder::get_lifespan`]: it reads
     /// every run with the same checks, so bytes that fail one fail the
     /// other with the same error, and leaves the cursor past the lifespan.
     /// Every heap record starts with its tuple's lifespan, so a windowed
     /// scan asks this of each record and decodes only those that meet the
-    /// window.
-    pub fn lifespan_meets(&mut self, window: &Lifespan) -> Result<bool, CodecError> {
+    /// window; the hulls are what a heap page's zone summarizes.
+    pub fn lifespan_probe(
+        &mut self,
+        window: Option<&Lifespan>,
+    ) -> Result<LifespanProbe, CodecError> {
         let n = self.get_u64()?;
-        let mut meets = false;
+        let mut probe = LifespanProbe {
+            meets: window.is_none(),
+            first: i64::MAX,
+            last: i64::MIN,
+        };
         for _ in 0..n {
             let run = self.get_interval()?;
-            meets = meets || window.intersects_interval(&run);
+            probe.first = probe.first.min(run.lo().tick());
+            probe.last = probe.last.max(run.hi().tick());
+            probe.meets = probe.meets || window.is_some_and(|w| w.intersects_interval(&run));
         }
-        Ok(meets)
+        Ok(probe)
     }
 
     /// A value.

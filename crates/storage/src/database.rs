@@ -31,7 +31,7 @@ use crate::catalog::Catalog;
 use crate::codec::{CodecError, Decoder, Encoder};
 use crate::heap::HeapFile;
 use crate::page::crc32;
-use crate::partition::{birth_of, position_u32, PartitionMap, PartitionPolicy};
+use crate::partition::{birth_of, position_u32, PageZone, PartitionMap, PartitionPolicy};
 use crate::snapshot::DbSnapshot;
 use crate::table::{Table, Tables};
 use crate::wal::{Wal, WalRecord};
@@ -41,7 +41,7 @@ use hrdm_time::{Chronon, Lifespan};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const MAGIC: &[u8; 4] = b"HRDM";
 /// Catalog header version. v3 added the partition section: the boundary
@@ -879,6 +879,12 @@ impl Database {
     /// manifest) via tmp + fsync + rename — the commit point; files of a
     /// new epoch are invisible until it lands.
     ///
+    /// A rewritten partition's heap holds its members in (birth chronon,
+    /// position) order, not insertion order, so each heap page covers a
+    /// narrow birth range and a cold scan can skip the pages a window
+    /// misses (see [`crate::PagedDatabase`]). A reopened relation is
+    /// therefore partition-major and birth-ordered within a partition.
+    ///
     /// With `link_from = Some(old_epoch)` (the checkpoint path), clean
     /// partitions are hard-linked from the old epoch's files instead of
     /// rewritten; heap files are immutable once committed, so sharing the
@@ -907,7 +913,13 @@ impl Database {
                 rewritten += 1;
                 let tmp_path = tmp_sibling(&final_path);
                 let mut heap = HeapFile::create(&tmp_path)?;
-                for tuple in rel.scan_positions(&part.positions().collect::<Vec<_>>()) {
+                // Birth order (ties in position order: the sort is
+                // stable), so one heap page holds a narrow birth range and
+                // its zone can prune a narrow window.
+                let mut members: Vec<&Tuple> =
+                    part.positions().filter_map(|p| rel.tuple_at(p)).collect();
+                members.sort_by_key(|t| birth_of(t).tick());
+                for tuple in members {
                     let mut e = Encoder::new();
                     e.put_tuple(tuple);
                     heap.insert(&e.finish())?;
@@ -1142,7 +1154,8 @@ fn read_checkpoint(dir: &Path) -> Result<Option<(Database, u64)>, DbError> {
         for &(id, count, _, _) in parts {
             let path = partition_heap_path(dir, &name, epoch, id);
             let heap = HeapFile::open(&path).map_err(|e| io_with_path(&path, e))?;
-            any_clipped |= read_partition(&heap, id, count, &scheme, None, &mut tuples)?.clipped;
+            any_clipped |=
+                read_partition(&heap, id, count, &scheme, None, None, &mut tuples)?.clipped;
         }
         // A checkpoint holds what a relation — a set — wrote out, so the
         // tuples are distinct as read; only clipping can make two equal.
@@ -1165,6 +1178,9 @@ fn read_checkpoint(dir: &Path) -> Result<Option<(Database, u64)>, DbError> {
 
 /// What [`read_partition`] read from one partition heap.
 pub(crate) struct PartitionRead {
+    /// Records visited, each at the cost of a lifespan probe or a decode:
+    /// the records of every page the scan did not skip.
+    pub scanned: u64,
     /// Records decoded in full: those whose lifespan met the window.
     pub decoded: u64,
     /// Did any decoded tuple have to be clipped to its scheme?
@@ -1174,40 +1190,94 @@ pub(crate) struct PartitionRead {
 /// Appends to `out`, in heap order, the tuples of checkpoint partition
 /// `id` whose lifespan meets `window` (every tuple when `None`), each
 /// conformed to `scheme`. A record that misses the window is dropped after
-/// its lifespan, its first field: only hits are decoded. The heap must
-/// hold exactly `count` records, the partition manifest's count.
+/// its lifespan, its first field: only hits are decoded.
+///
+/// `zones` is the partition's per-page zone map, if it keeps one. Once it
+/// is set, pages whose zone misses the window are skipped without being
+/// pinned, and each page visited must hold the record count its zone
+/// recorded. Otherwise the scan is a full pass: the heap must hold exactly
+/// `count` records, the partition manifest's count, and the pass sets the
+/// zone map. The eager loader keeps no zone map and passes no window: it
+/// decodes every record without a probe.
 pub(crate) fn read_partition(
     heap: &HeapFile,
     id: i64,
     count: u64,
     scheme: &Scheme,
     window: Option<&Lifespan>,
+    zones: Option<&OnceLock<Arc<[PageZone]>>>,
     out: &mut Vec<Tuple>,
 ) -> Result<PartitionRead, DbError> {
-    let mut records = 0u64;
     let mut read = PartitionRead {
+        scanned: 0,
         decoded: 0,
         clipped: false,
     };
-    heap.scan(|_, record| {
-        records += 1;
-        if let Some(w) = window {
-            if !Decoder::new(record).lifespan_meets(w)? {
-                return Ok(());
-            }
-        }
-        let (tuple, clipped) =
-            conform_to_scheme(Decoder::new(record).get_tuple_in(scheme)?, scheme)?;
-        read.decoded += 1;
-        read.clipped |= clipped;
-        out.push(tuple);
-        Ok::<(), DbError>(())
-    })?;
-    if records != count {
+    let known = zones.and_then(OnceLock::get);
+    let pages = heap.page_count();
+    if let Some(known) = known.filter(|known| known.len() != pages) {
         return Err(DbError::BadFile(format!(
-            "{}: partition p{id} holds {records} tuple(s), manifest says {count}",
-            heap.path().display()
+            "{}: partition p{id} holds {pages} page(s), its zone map says {}",
+            heap.path().display(),
+            known.len()
         )));
+    }
+    let probe = window.is_some() || zones.is_some();
+    let mut built: Vec<PageZone> = Vec::new();
+    for page_no in (0u32..).take(pages) {
+        let known_zone = known.map(|known| known[page_no as usize]);
+        if known_zone
+            .zip(window)
+            .is_some_and(|(zone, w)| !zone.meets(w))
+        {
+            continue;
+        }
+        let mut zone = PageZone::EMPTY;
+        heap.scan_page(page_no, |_, record| {
+            let meets = if probe {
+                let probed = Decoder::new(record).lifespan_probe(window)?;
+                zone.add(probed.first, probed.last);
+                probed.meets
+            } else {
+                zone.records += 1;
+                true
+            };
+            if meets {
+                let (tuple, clipped) =
+                    conform_to_scheme(Decoder::new(record).get_tuple_in(scheme)?, scheme)?;
+                read.decoded += 1;
+                read.clipped |= clipped;
+                out.push(tuple);
+            }
+            Ok::<(), DbError>(())
+        })?;
+        read.scanned += u64::from(zone.records);
+        match known_zone {
+            Some(known) if known.records != zone.records => {
+                return Err(DbError::BadFile(format!(
+                    "{}: partition p{id} page {page_no} holds {} record(s), its zone says {}",
+                    heap.path().display(),
+                    zone.records,
+                    known.records
+                )));
+            }
+            Some(_) => {}
+            None => built.push(zone),
+        }
+    }
+    if known.is_none() {
+        if read.scanned != count {
+            return Err(DbError::BadFile(format!(
+                "{}: partition p{id} holds {} tuple(s), manifest says {count}",
+                heap.path().display(),
+                read.scanned
+            )));
+        }
+        if let Some(zones) = zones {
+            // A concurrent first scan may have set it already, to the
+            // same zones: the heap is immutable.
+            let _ = zones.set(built.into());
+        }
     }
     Ok(read)
 }
@@ -1477,6 +1547,84 @@ mod tests {
         assert_eq!(back.relation("emp").unwrap(), db.relation("emp").unwrap());
         assert_eq!(back.catalog().log().len(), 1);
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// The cold-scan kernel over a heap written in insertion order, as
+    /// checkpoints before birth-ordered writes left them: every page's zone
+    /// is wide, and zone-filtered scans still answer exactly what a full
+    /// decode filtered by the window does. A page whose record count
+    /// differs from its zone fails the scan, naming the heap.
+    #[test]
+    fn zone_filtered_scan_of_an_insertion_ordered_heap() {
+        let era = Lifespan::interval(0, 10_000);
+        let scheme = Scheme::builder()
+            .key_attr("K", ValueKind::Int, era.clone())
+            .attr("V", HistoricalDomain::int(), era)
+            .build()
+            .unwrap();
+        let path = tmp("zones.heap");
+        let mut heap = HeapFile::create_in(&path, crate::pool::BufferPool::new(4)).unwrap();
+        let n = 1_500u64;
+        for k in 0..n as i64 {
+            // Births jump about: insertion order is not birth order.
+            let lo = (k * 7_919) % 9_000;
+            let life = Lifespan::interval(lo, lo + 10 + k % 40);
+            let t = Tuple::builder(life.clone())
+                .constant("K", k)
+                .value("V", TemporalValue::constant(&life, Value::Int(k)))
+                .finish(&scheme)
+                .unwrap();
+            let mut e = Encoder::new();
+            e.put_tuple(&t);
+            heap.insert(&e.finish()).unwrap();
+        }
+        heap.sync().unwrap();
+        let read = |window: Option<&Lifespan>, zones: Option<&OnceLock<Arc<[PageZone]>>>| {
+            let mut out = Vec::new();
+            read_partition(&heap, 0, n, &scheme, window, zones, &mut out).map(|r| (out, r.scanned))
+        };
+        let (all, _) = read(None, None).unwrap();
+        assert_eq!(all.len() as u64, n);
+
+        // The first window is the full pass that sets the zone map.
+        let zones = OnceLock::new();
+        let windows = [
+            Lifespan::interval(100, 150),
+            Lifespan::interval(4_000, 4_000),
+            Lifespan::of(&[(0, 5), (8_990, 9_100)]),
+            Lifespan::interval(20_000, 20_100),
+        ];
+        for w in &windows {
+            let want: Vec<Tuple> = all
+                .iter()
+                .filter(|t| t.lifespan().intersects(w))
+                .cloned()
+                .collect();
+            assert_eq!(read(Some(w), Some(&zones)).unwrap().0, want, "{w}");
+        }
+        let map = zones.get().expect("the full pass sets the zone map");
+        assert_eq!(map.len(), heap.page_count());
+        assert!(map.len() > 3, "need several pages, got {}", map.len());
+        assert_eq!(read(None, Some(&zones)).unwrap().0, all);
+        let (past, scanned) = read(Some(&windows[3]), Some(&zones)).unwrap();
+        assert!(past.is_empty());
+        assert_eq!(scanned, 0, "a window past every zone pins no page");
+
+        let w = &windows[0];
+        let page = map.iter().position(|z| z.meets(w)).unwrap();
+        let mut wrong = map.to_vec();
+        wrong[page].records += 1;
+        let wrong = OnceLock::from(Arc::from(wrong));
+        let Err(err) = read(Some(w), Some(&wrong)) else {
+            panic!("a page holding fewer records than its zone scanned cleanly");
+        };
+        let err = err.to_string();
+        assert!(
+            err.contains(&path.display().to_string()) && err.contains("zone"),
+            "{err}"
+        );
+        drop(heap);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

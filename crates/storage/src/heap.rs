@@ -184,26 +184,47 @@ impl HeapFile {
         &self,
         mut visit: impl FnMut(RecordId, &[u8]) -> Result<(), E>,
     ) -> Result<(), E> {
-        let with_path = |e: io::Error| {
-            E::from(io::Error::new(
-                e.kind(),
-                format!("{}: {e}", self.path.display()),
-            ))
-        };
-        for page_no in 0..self.pool.page_count(self.file).map_err(with_path)? {
-            let guard = self.pool.get(self.file, page_no).map_err(with_path)?;
-            let page = guard.read();
-            for (slot, record) in page.iter() {
-                visit(
-                    RecordId {
-                        page: page_no,
-                        slot,
-                    },
-                    record,
-                )?;
-            }
+        let pages = self
+            .pool
+            .page_count(self.file)
+            .map_err(|e| self.with_path(e))?;
+        for page_no in 0..pages {
+            self.scan_page(page_no, &mut visit)?;
         }
         Ok(())
+    }
+
+    /// [`HeapFile::scan`] of page `page_no` alone: only that page is
+    /// pinned. A page past the end of the file is an error naming the
+    /// file, like a checksum failure.
+    pub fn scan_page<E: From<io::Error>>(
+        &self,
+        page_no: u32,
+        mut visit: impl FnMut(RecordId, &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let guard = self
+            .pool
+            .get(self.file, page_no)
+            .map_err(|e| self.with_path(e))?;
+        let page = guard.read();
+        for (slot, record) in page.iter() {
+            visit(
+                RecordId {
+                    page: page_no,
+                    slot,
+                },
+                record,
+            )?;
+        }
+        Ok(())
+    }
+
+    /// `e`, its message prefixed with this heap's path.
+    fn with_path<E: From<io::Error>>(&self, e: io::Error) -> E {
+        E::from(io::Error::new(
+            e.kind(),
+            format!("{}: {e}", self.path.display()),
+        ))
     }
 
     /// Writes dirty pages back (sealed), trims, and fsyncs the file.

@@ -17,7 +17,8 @@
 //! * [`btree`] — a bulk-loaded on-disk B+tree keyed by
 //!   (birth-chronon, position), written by every checkpoint;
 //! * [`paged`] — [`PagedDatabase`]: an out-of-core read path that scans
-//!   only the partitions a time window touches and decodes only the
+//!   only the partitions a time window touches, within them only the
+//!   heap pages whose lifespan zone it meets, and decodes only the
 //!   records the window keeps;
 //! * [`catalog`] — the system catalog, including **schema evolution**: the
 //!   attribute-lifespan edits of the paper's Fig. 6 (drop an attribute at
@@ -66,7 +67,7 @@ pub mod wal;
 
 pub use btree::LifespanBTree;
 pub use catalog::{Catalog, EvolutionEvent};
-pub use codec::{CodecError, Decoder, Encoder};
+pub use codec::{CodecError, Decoder, Encoder, LifespanProbe};
 pub use concurrent::{CommitStats, ConcurrentDatabase};
 pub use database::{Database, DbError};
 pub use heap::{HeapFile, RecordId};

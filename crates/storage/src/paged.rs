@@ -12,19 +12,26 @@
 //!    chronon range cannot intersect the window — those are never
 //!    *opened*, let alone read (the per-file fault counters of the
 //!    buffer pool prove it);
-//! 2. each surviving partition's heap is scanned once through the buffer
-//!    pool, which caps resident memory at the pool budget regardless of
-//!    relation size. Each record's lifespan — its first field — is
-//!    tested against the window in place on the pinned page
-//!    ([`crate::Decoder::lifespan_meets`]); only the records that meet
+//! 2. each surviving partition's heap is read through the buffer pool,
+//!    which caps resident memory at the pool budget regardless of
+//!    relation size. A checkpoint writes a partition's heap in birth
+//!    order, so each page holds a narrow birth range; the first scan of
+//!    a heap visits every page and records each page's zone — the hull
+//!    of its records' lifespans and its record count — and every later
+//!    scan skips, without pinning, the pages whose zone misses the
+//!    window. On the pages it visits, each record's lifespan — its first
+//!    field — is tested against the window in place on the pinned page
+//!    ([`crate::Decoder::lifespan_probe`]); only the records that meet
 //!    it are decoded ([`PagedDatabase::records_scanned`] /
 //!    [`PagedDatabase::records_decoded`] count both);
 //! 3. the kept tuples — partition by partition in ascending id order,
-//!    heap order within a partition, then the WAL tail: the order
+//!    birth order within a partition, then the WAL tail: the order
 //!    [`Database::load`](crate::Database::load) produces — become an
 //!    ordinary [`DbSnapshot`], so the whole existing query stack —
 //!    planner, pruning, streaming executor, EXPLAIN ANALYZE — runs over
-//!    it unchanged.
+//!    it unchanged. (A directory checkpointed before heaps were written
+//!    in birth order holds them in insertion order: the same answers,
+//!    in that heap order, with wider zones that skip fewer pages.)
 //!
 //! A windowed snapshot contains *only* tuples whose lifespan intersects
 //! the window. That is exactly the set a lifespan-bounded query can
@@ -68,8 +75,8 @@ struct PagedRelation {
     /// Partition heaps opened so far; absence here (plus a zero fault
     /// count) is the witness that a pruned partition was never touched.
     heaps: Mutex<BTreeMap<i64, Arc<HeapFile>>>,
-    /// Heap records the scans visited (each a lifespan probe), and those
-    /// of them decoded in full.
+    /// Heap records the scans visited (each a lifespan probe; records of
+    /// skipped pages are not visited), and those of them decoded in full.
     records_scanned: AtomicU64,
     records_decoded: AtomicU64,
 }
@@ -244,7 +251,8 @@ impl PagedDatabase {
     }
 
     /// Heap records of `name` that this view's scans have visited so far:
-    /// each cost a lifespan probe.
+    /// each cost a lifespan probe. The records of pages a scan skipped by
+    /// their zone are not counted.
     pub fn records_scanned(&self, name: &str) -> u64 {
         self.rels
             .get(name)
@@ -293,8 +301,8 @@ impl PagedDatabase {
     }
 
     /// Reads one relation's window-intersecting tuples in the eager
-    /// loader's order: partitions by ascending id, heap order within one,
-    /// then the WAL tail.
+    /// loader's order: partitions by ascending id, heap order (birth
+    /// order) within one, then the WAL tail.
     fn materialize(
         &self,
         name: &str,
@@ -319,10 +327,11 @@ impl PagedDatabase {
                 part.len() as u64,
                 &pr.scheme,
                 window,
+                part.page_zones(),
                 &mut tuples,
             )?;
             any_clipped |= read.clipped;
-            scanned += part.len() as u64;
+            scanned += read.scanned;
             decoded += read.decoded;
         }
         pr.records_scanned.fetch_add(scanned, Ordering::SeqCst);

@@ -41,7 +41,8 @@
 //! Partitioning is a **physical property**: the WAL format does not know
 //! about it, and replaying a log re-derives the same partition map from
 //! the tuples and the (catalog-persisted) policy. Checkpoints write one
-//! heap file per partition (`<rel>.<epoch>.p<id>.heap`) and only rewrite
+//! heap file per partition (`<rel>.<epoch>.p<id>.heap`, members in birth
+//! order, which a cold partition's page zones exploit) and only rewrite
 //! partitions whose membership changed since the last checkpoint
 //! ([`Partition::is_dirty`]); clean partitions are carried into the new
 //! epoch by hard link.
@@ -50,7 +51,7 @@ use hrdm_core::{PVec, Relation, Tuple};
 use hrdm_index::LifespanIndex;
 use hrdm_time::{Chronon, Interval, Lifespan};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default span exponent: partitions of `2^10 = 1024` chronons.
 pub const DEFAULT_SPAN_LOG2: u32 = 10;
@@ -139,7 +140,53 @@ enum Members {
     /// Disk-resident members: the records of the partition's heap file,
     /// which only a paged scan reads — what
     /// [`PartitionMap::from_manifest`] produces.
-    Cold,
+    ///
+    /// A checkpoint writes the heap in birth order, so each page holds a
+    /// narrow birth range, and the first full scan of the heap records one
+    /// [`PageZone`] per page. A committed heap is immutable, so the zone
+    /// map is set once and never changes; later windowed scans skip,
+    /// without pinning, every page whose zone misses the window.
+    Cold {
+        /// The heap's per-page zones, set by its first full scan.
+        zones: OnceLock<Arc<[PageZone]>>,
+    },
+}
+
+/// What one page of a cold partition's heap holds: the hull of its
+/// records' lifespans and how many live records it has. A page without a
+/// record whose lifespan is non-empty has the empty hull `(MAX, MIN)`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct PageZone {
+    /// Smallest first chronon over the page's record lifespans.
+    pub min_first: i64,
+    /// Largest last chronon over the page's record lifespans.
+    pub max_last: i64,
+    /// Live records on the page.
+    pub records: u32,
+}
+
+impl PageZone {
+    /// The zone of a page holding no record.
+    pub(crate) const EMPTY: PageZone = PageZone {
+        min_first: i64::MAX,
+        max_last: i64::MIN,
+        records: 0,
+    };
+
+    /// Widens the zone by one record whose lifespan hull is
+    /// `(first, last)` (`(MAX, MIN)` when empty).
+    pub(crate) fn add(&mut self, first: i64, last: i64) {
+        self.min_first = self.min_first.min(first);
+        self.max_last = self.max_last.max(last);
+        self.records += 1;
+    }
+
+    /// Can a record of this page meet `window`? `false` proves no record
+    /// does: each record's lifespan lies inside the zone's hull.
+    pub(crate) fn meets(&self, window: &Lifespan) -> bool {
+        Interval::new(Chronon::new(self.min_first), Chronon::new(self.max_last))
+            .is_some_and(|hull| window.intersects_interval(&hull))
+    }
 }
 
 /// One chronon-range partition: member positions, lifespan summary, its own
@@ -219,14 +266,23 @@ impl Partition {
     pub fn positions(&self) -> impl Iterator<Item = usize> + '_ {
         let resident = match &self.members {
             Members::Resident { positions, .. } => Some(positions),
-            Members::Cold => None,
+            Members::Cold { .. } => None,
         };
         resident.into_iter().flatten().map(|&p| p as usize)
     }
 
     /// Are the members disk-resident (a checkpoint heap file)?
     pub fn is_cold(&self) -> bool {
-        matches!(self.members, Members::Cold)
+        matches!(self.members, Members::Cold { .. })
+    }
+
+    /// The per-page zone map of a cold partition's heap (unset until the
+    /// heap's first full scan); `None` for resident members.
+    pub(crate) fn page_zones(&self) -> Option<&OnceLock<Arc<[PageZone]>>> {
+        match &self.members {
+            Members::Cold { zones } => Some(zones),
+            Members::Resident { .. } => None,
+        }
     }
 
     /// Number of member tuples.
@@ -322,7 +378,9 @@ impl PartitionMap {
             map.parts.insert(
                 id,
                 Arc::new(Partition {
-                    members: Members::Cold,
+                    members: Members::Cold {
+                        zones: OnceLock::new(),
+                    },
                     count,
                     min_lo,
                     max_hi,

@@ -321,41 +321,50 @@ proptest! {
 
 proptest! {
     /// The windowed scan's lifespan probe answers exactly what decoding
-    /// the lifespan and intersecting would: on every stored record, over
-    /// multi-run and empty lifespans and multi-run windows (a ∪ query's
-    /// window), it leaves the cursor where decoding would, errs on any cut
-    /// of the lifespan's bytes, and errs on garbage exactly when decoding
-    /// does — never panicking.
+    /// the lifespan and intersecting would, and reports its hull as
+    /// decoding's `first()`/`last()`: on every stored record, over
+    /// multi-run and empty lifespans, multi-run windows (a ∪ query's
+    /// window) and no window at all, it leaves the cursor where decoding
+    /// would, errs on any cut of the lifespan's bytes, and errs on garbage
+    /// exactly when decoding does — never panicking.
     #[test]
     fn lifespan_probe_agrees_with_decoding(
         life in lifespan_strategy(),
         tv in temporal_strategy(),
         window in prop::collection::vec((-520i64..520, 0i64..60), 0..4),
+        windowed in any::<bool>(),
         cut_frac in 0.0f64..1.0,
         garbage in prop::collection::vec(any::<u8>(), 0..64),
     ) {
-        let window = Lifespan::from_intervals(
-            window.into_iter().map(|(lo, len)| Interval::of(lo, lo + len)),
-        );
+        let window = windowed.then(|| {
+            Lifespan::from_intervals(window.into_iter().map(|(lo, len)| Interval::of(lo, lo + len)))
+        });
+        let meets = |l: &Lifespan| window.as_ref().is_none_or(|w| l.intersects(w));
         let mut e = Encoder::new();
         e.put_tuple(&stored_tuple(7, life.clone(), &tv));
         let record = e.finish();
         let mut probe = Decoder::new(&record);
         let mut decode = Decoder::new(&record);
+        let probed = probe.lifespan_probe(window.as_ref()).unwrap();
+        let decoded = decode.get_lifespan().unwrap();
+        prop_assert_eq!(probed.meets, meets(&decoded));
         prop_assert_eq!(
-            probe.lifespan_meets(&window).unwrap(),
-            decode.get_lifespan().unwrap().intersects(&window)
+            (probed.first, probed.last),
+            (
+                decoded.first().map_or(i64::MAX, |c| c.tick()),
+                decoded.last().map_or(i64::MIN, |c| c.tick())
+            )
         );
         prop_assert_eq!(probe.remaining(), decode.remaining());
 
         let lifespan_len = record.len() - decode.remaining();
         let cut = ((lifespan_len as f64) * cut_frac) as usize;
-        prop_assert!(Decoder::new(&record[..cut]).lifespan_meets(&window).is_err());
+        prop_assert!(Decoder::new(&record[..cut]).lifespan_probe(window.as_ref()).is_err());
 
-        let probed = Decoder::new(&garbage).lifespan_meets(&window);
-        let decoded = Decoder::new(&garbage)
-            .get_lifespan()
-            .map(|l| l.intersects(&window));
+        let probed = Decoder::new(&garbage)
+            .lifespan_probe(window.as_ref())
+            .map(|p| p.meets);
+        let decoded = Decoder::new(&garbage).get_lifespan().map(|l| meets(&l));
         prop_assert_eq!(probed, decoded);
     }
 }

@@ -149,6 +149,60 @@ fn a_window_decodes_only_the_records_it_keeps() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Pages a window cannot meet are skipped: one 4096-chronon partition of
+/// ≥ 20 heap pages, inserted with births out of order, is written in birth
+/// order, so after a first (full) pass builds its zone map each narrow
+/// window probes only the few pages whose births it can reach — and
+/// answers exactly what the eager loader filtered by the window does.
+#[test]
+fn a_warm_window_skips_the_pages_it_cannot_meet() {
+    let dir = tmp("zones");
+    let n = 6_400;
+    // 1 999 is prime to 4 070: births jump about the partition.
+    seed_db_born(&dir, n, |k| (k * 1_999) % 4_070);
+    let heap_bytes: u64 = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_name().to_string_lossy().ends_with(".p0.heap"))
+        .map(|e| e.metadata().unwrap().len())
+        .sum();
+    let pages = heap_bytes / PAGE_SIZE as u64;
+    assert!(pages >= 20, "partition 0 spans only {pages} page(s)");
+
+    let eager = Database::load(&dir).unwrap();
+    let paged = PagedDatabase::open_with_pool(&dir, BufferPool::new(4)).unwrap();
+    assert_eq!(paged.partition_map("emp").unwrap().partition_count(), 1);
+    paged
+        .window_snapshot(Some(&Lifespan::interval(2_000, 2_050)))
+        .unwrap();
+    for w in [
+        Lifespan::interval(0, 0),
+        Lifespan::interval(500, 550),
+        Lifespan::interval(2_000, 2_050),
+        Lifespan::of(&[(1_000, 1_005), (3_000, 3_005)]),
+        Lifespan::interval(4_050, 4_200),
+    ] {
+        let before = paged.records_scanned("emp");
+        let snap = paged.window_snapshot(Some(&w)).unwrap();
+        let probed = paged.records_scanned("emp") - before;
+        let want: Vec<Tuple> = eager
+            .relation("emp")
+            .unwrap()
+            .iter()
+            .filter(|t| t.lifespan().intersects(&w))
+            .cloned()
+            .collect();
+        let got: Vec<Tuple> = snap.relation("emp").unwrap().iter().cloned().collect();
+        assert!(!want.is_empty(), "{w} keeps nothing");
+        assert_eq!(got, want, "window {w}");
+        assert!(
+            probed * 4 < n as u64,
+            "window {w} probed {probed} of {n} records"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The tentpole witness: a narrow window opens only the partitions its
 /// chronons can live in; every other partition's heap stays cold — not
 /// merely unread, never even *opened* — and the pool faults stay bounded

@@ -104,8 +104,9 @@ pub fn create_relations(db: &ConcurrentDatabase) {
 }
 
 /// A fixed, dense state of the world in the database directory `dir`, for
-/// the named cases: cut into 4-chronon partitions, checkpointed, with a
-/// WAL tail of inserts on top — what a paged open takes. `s` shares keys
+/// the named cases: cut into 4-chronon partitions (one of them several
+/// heap pages long), checkpointed, with a WAL tail of inserts on top —
+/// what a paged open takes. `s` shares keys
 /// with `r`, and every `evt` tuple points into its own lifespan.
 #[allow(dead_code)] // only some test binaries read the fixed state
 pub fn seeded(dir: &Path) {
@@ -120,6 +121,12 @@ pub fn seeded(dir: &Path) {
     };
     for k in 0..40 {
         db.insert("r", r_tup(k, k, 2 + k % 5, k % 4)).unwrap();
+    }
+    // A crowd born in chronons 20..23, out of birth order: partition 5
+    // spans several heap pages, so a warm paged window skips some.
+    for k in 100..1_000 {
+        db.insert("r", r_tup(k, 20 + (k * 3) % 4, k % 2, k % 4))
+            .unwrap();
     }
     for k in 0..12 {
         db.insert("s", r_tup(k, 3 * k, 6, k % 3)).unwrap();

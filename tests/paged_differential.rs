@@ -7,14 +7,20 @@ mod oracle;
 
 use hrdm_query::{evaluate, materialization_window, optimize, parse_query, run_query_on_paged};
 use hrdm_query::{PagedQueryError, Query};
-use hrdm_storage::{BufferPool, Database, PagedDatabase};
+use hrdm_storage::{BufferPool, Database, PagedDatabase, PAGE_SIZE};
+use hrdm_time::Lifespan;
 use oracle::matrix::{canon, entry, failure, on, run_matrix, Opened};
 use oracle::world::{seeded, tmp, State, World, BATTERY};
 use std::sync::Arc;
 
-/// The read-only paged view of the attached engine's directory.
-fn paged(w: &World, pool: Arc<BufferPool>) -> Opened<'_> {
+/// The read-only paged view of the attached engine's directory. A `warm`
+/// view first runs one full pass, which sets every cold partition's zone
+/// map: every answer after it comes through the zone-filtered scan.
+fn paged(w: &World, pool: Arc<BufferPool>, warm: bool) -> Opened<'_> {
     let db = PagedDatabase::open_with_pool(&w.dir, pool).unwrap();
+    if warm {
+        db.window_snapshot(None).unwrap();
+    }
     on(State::Final, move |_, text| {
         match run_query_on_paged(text, &db) {
             Ok(r) => Some(Ok(r)),
@@ -25,18 +31,24 @@ fn paged(w: &World, pool: Arc<BufferPool>) -> Opened<'_> {
 }
 
 /// The paged view of the attached engine's directory, under the global
-/// pool and a 2-frame one, answers as `eval.rs` does after every
-/// generated history — checkpointed first where the WAL tail holds more
-/// than a paged open takes. At least 32 histories × 19 queries per pool.
+/// pool, a 2-frame one, and warmed (zone maps set) answers as `eval.rs`
+/// does after every generated history — checkpointed first where the WAL
+/// tail holds more than a paged open takes. At least 32 histories × 19
+/// queries per entry.
 #[test]
 fn paged_pipeline_is_observationally_identical() {
     run_matrix(
         1_000,
         &[
             entry("paged/global pool", |w| {
-                paged(w, Arc::clone(BufferPool::global()))
+                paged(w, Arc::clone(BufferPool::global()), false)
             }),
-            entry("paged/2-frame pool", |w| paged(w, BufferPool::new(2))),
+            entry("paged/2-frame pool", |w| {
+                paged(w, BufferPool::new(2), false)
+            }),
+            entry("paged/zoned", |w| {
+                paged(w, Arc::clone(BufferPool::global()), true)
+            }),
         ],
     );
 }
@@ -52,15 +64,31 @@ fn assert_paged_agrees(eager: &Database, paged: &PagedDatabase, q: &str) {
 }
 
 /// A fixed dense state with a WAL tail on its checkpoint answers the
-/// battery through the global pool and through a 2-frame one; a literal
-/// window opens fewer than half of the partitions.
+/// battery through the global pool, through a 2-frame one, and warmed
+/// (zone maps set); a literal window opens fewer than half of the
+/// partitions, and on the warm view skips pages of one it opens.
 #[test]
 fn paged_pipeline_battery_on_seeded_state() {
     let dir = tmp("seeded");
     seeded(&dir);
+    let most_pages = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_name().to_string_lossy().ends_with(".heap"))
+        .map(|e| e.metadata().unwrap().len() / PAGE_SIZE as u64)
+        .max()
+        .unwrap();
+    assert!(most_pages >= 3, "no partition spans several pages");
     let eager = Database::load(&dir).unwrap();
-    for pool in [Arc::clone(BufferPool::global()), BufferPool::new(2)] {
+    for (pool, warm) in [
+        (Arc::clone(BufferPool::global()), false),
+        (BufferPool::new(2), false),
+        (Arc::clone(BufferPool::global()), true),
+    ] {
         let paged = PagedDatabase::open_with_pool(&dir, pool).unwrap();
+        if warm {
+            paged.window_snapshot(None).unwrap();
+        }
         for (_, q) in BATTERY {
             assert_paged_agrees(&eager, &paged, q);
         }
@@ -70,6 +98,22 @@ fn paged_pipeline_battery_on_seeded_state() {
     let opened = paged.opened_partitions("r").len();
     let total = paged.partition_map("r").unwrap().iter().count();
     assert!(opened * 2 < total, "opened {opened}/{total} partitions");
+
+    paged.window_snapshot(None).unwrap();
+    let window = Lifespan::interval(0, 20);
+    let map = paged.partition_map("r").unwrap();
+    let members: usize = map
+        .overlapping_ids(&window)
+        .into_iter()
+        .map(|id| map.partition(id).unwrap().len())
+        .sum();
+    let before = paged.records_scanned("r");
+    assert_paged_agrees(&eager, &paged, "TIMESLICE [0..20] (r)");
+    let probed = paged.records_scanned("r") - before;
+    assert!(
+        (probed as usize) < members,
+        "the warm window probed {probed} of its partitions' {members} records: no page skipped"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
