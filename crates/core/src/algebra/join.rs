@@ -153,11 +153,12 @@ pub fn time_join(r1: &Relation, r2: &Relation, a: &Attribute) -> Result<Relation
             Some(tv) => tv.image_lifespan()?,
             None => Lifespan::empty(),
         };
-        if image.is_empty() {
+        let window = t1.lifespan().intersect(&image);
+        if window.is_empty() {
             continue;
         }
         for t2 in r2.iter() {
-            if let Some(joined) = time_join_pair(t1, t2, &image, &concat) {
+            if let Some(joined) = time_join_pair(t1, t2, &window, &concat) {
                 out.push(joined);
             }
         }
@@ -165,15 +166,16 @@ pub fn time_join(r1: &Relation, r2: &Relation, a: &Attribute) -> Result<Relation
     Ok(Relation::from_parts_unchecked(scheme, out))
 }
 
-/// Joins one `(t1, t2)` pair as TIME-JOIN does, for a precomputed image of
-/// `t1`'s time-valued join attribute: the result exists on
-/// `t1.l ∩ t2.l ∩ image` and is `None` when that lifespan is empty.
+/// Joins one `(t1, t2)` pair as TIME-JOIN does, for `t1`'s precomputed
+/// `window = t1.l ∩ image` (`image` being the image of its time-valued join
+/// attribute): the result exists on `window ∩ t2.l` and is `None` when that
+/// lifespan is empty. The window is computed once per `t1`, not per pair.
 ///
 /// The exact per-pair semantics of [`time_join`], exposed so the streaming
-/// executor's build/probe join (probing a lifespan index with
-/// `t1.l ∩ image` for candidate partners) reuses it unchanged.
-pub fn time_join_pair(t1: &Tuple, t2: &Tuple, image: &Lifespan, concat: &Concat) -> Option<Tuple> {
-    let l = t1.lifespan().intersect(t2.lifespan()).intersect(image);
+/// executor's build/probe join (probing a lifespan index with the same
+/// window for candidate partners) reuses it unchanged.
+pub fn time_join_pair(t1: &Tuple, t2: &Tuple, window: &Lifespan, concat: &Concat) -> Option<Tuple> {
+    let l = window.intersect(t2.lifespan());
     if l.is_empty() {
         None
     } else {

@@ -89,7 +89,8 @@ impl Relation {
 
     /// Assembles a relation from tuples the caller knows to be pairwise
     /// distinct — [`Relation::from_parts_unchecked`] without its
-    /// deduplication pass, which hashes every tuple whole. For loaders
+    /// deduplication pass, which hashes every tuple (a decoded tuple has
+    /// no cached hash yet) and files it in a set. For loaders
     /// re-reading tuples that a relation (a set already) wrote out.
     pub fn from_distinct_unchecked(scheme: Scheme, tuples: Vec<Tuple>) -> Relation {
         Relation {

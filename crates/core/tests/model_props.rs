@@ -303,7 +303,9 @@ proptest! {
 // Whatever produced it — the builder, `from_parts`, restriction,
 // projection, concatenation, merge — it must behave as the name-keyed map
 // it replaced: `value(a)` is the map's lookup, `attributes()` its sorted
-// keys, and equality and hashing see content, not layout allocations.
+// keys, and equality and hashing see content, not layout allocations. A
+// tuple caches its content hash, so equal tuples must hash alike also when
+// one side was hashed before it was cloned or re-homed.
 
 /// `wide(Z*, M, B, E)`, declared out of name order; `E` stays empty.
 fn wide_scheme() -> Scheme {
@@ -362,6 +364,16 @@ fn hash_of(t: &Tuple, keys: &RandomState) -> u64 {
     keys.hash_one(t)
 }
 
+/// `t` as a relation on `scheme` stores it: re-homed onto the scheme's
+/// layout.
+fn rehomed(t: Tuple, scheme: &Scheme) -> Tuple {
+    let mut r = Relation::new(scheme.clone());
+    r.push_unchecked(t);
+    let home = r.iter().next().unwrap().clone();
+    assert!(home.layout().same(scheme.layout()));
+    home
+}
+
 /// The three laws, for `t` against the map `want`.
 fn check_laws(t: &Tuple, want: &BTreeMap<Attribute, TemporalValue>) {
     let names: Vec<&Attribute> = t.attributes().collect();
@@ -380,9 +392,28 @@ fn check_laws(t: &Tuple, want: &BTreeMap<Attribute, TemporalValue>) {
     let copy = Tuple::from_parts(t.lifespan().clone(), want.clone());
     prop_assert!(!copy.layout().same(t.layout()));
     prop_assert_eq!(&copy, t);
+    // Hashed fresh on each side, then `t` again through a clone of its
+    // cached hash, against the same content decoded onto `t`'s layout.
     let keys = RandomState::new();
     prop_assert_eq!(hash_of(&copy, &keys), hash_of(t, &keys));
+    let values = want.values().cloned().collect();
+    let decoded = Tuple::from_layout(t.lifespan().clone(), t.layout(), values).unwrap();
+    prop_assert_eq!(&decoded, t);
+    prop_assert_eq!(hash_of(&t.clone(), &keys), hash_of(&decoded, &keys));
     prop_assert_eq!(copy.to_string(), t.to_string());
+}
+
+/// [`check_laws`], plus: `t` and a copy of it on a layout of its own, the
+/// copy hashed before it is re-homed onto `scheme`, hash alike.
+fn check_laws_on(t: &Tuple, want: &BTreeMap<Attribute, TemporalValue>, scheme: &Scheme) {
+    check_laws(t, want);
+    let keys = RandomState::new();
+    let copy = Tuple::from_parts(t.lifespan().clone(), want.clone());
+    let early = hash_of(&copy, &keys);
+    let home = rehomed(copy, scheme);
+    prop_assert_eq!(&home, t);
+    prop_assert_eq!(hash_of(&home, &keys), early);
+    prop_assert_eq!(hash_of(t, &keys), early);
 }
 
 proptest! {
@@ -390,7 +421,7 @@ proptest! {
     fn builder_and_from_parts_tuples_behave_as_maps(case0 in wide_strategy(None)) {
         let (t, want) = case0;
         prop_assert!(t.layout().same(wide_scheme().layout()) || t.layout() == wide_scheme().layout());
-        check_laws(&t, &want);
+        check_laws_on(&t, &want, &wide_scheme());
         check_laws(&Tuple::from_parts(t.lifespan().clone(), want.clone()), &want);
     }
 
@@ -401,7 +432,14 @@ proptest! {
         let want: BTreeMap<_, _> = want.into_iter().map(|(a, tv)| (a, tv.restrict(&life))).collect();
         let r = t.restrict(&ls);
         prop_assert!(r.layout().same(t.layout()));
-        check_laws(&r, &want);
+        check_laws_on(&r, &want, &wide_scheme());
+        // Two separate restrictions are equal and hash alike, the first
+        // hashed before the second exists.
+        let keys = RandomState::new();
+        let early = hash_of(&r, &keys);
+        let again = Tuple::from_parts(t.lifespan().clone(), model(&t)).restrict(&ls);
+        prop_assert_eq!(&again, &r);
+        prop_assert_eq!(hash_of(&again, &keys), early);
     }
 
     #[test]

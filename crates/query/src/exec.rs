@@ -54,10 +54,10 @@
 //!   reference evaluator ([`crate::eval`]) are made of. A symmetric
 //!   operator builds its smaller input (estimated from partition
 //!   summaries and index sizes); `−`, `−ₒ` and TIME-JOIN build the right
-//!   one. Each input tuple is hashed at most once, and only `∪` keeps an
-//!   emitted-set. Reference ≡ streamed equivalence — with either build
-//!   side — is asserted by the workspace's differential oracle
-//!   (`tests/oracle/`).
+//!   one. A tuple caches its content hash, so each stored tuple is hashed
+//!   once per process, and only `∪` keeps an emitted-set. Reference ≡
+//!   streamed equivalence — with either build side — is asserted by the
+//!   workspace's differential oracle (`tests/oracle/`).
 //! * **`Gather`** — a parallel leaf: a `SeqScan` (plus any
 //!   stack of per-tuple unaries directly above it) over a relation of at
 //!   least [`ExecOptions::parallel_min_rows`] rows is fused into one
@@ -91,10 +91,9 @@ use hrdm_index::{KeyIndex, LifespanIndex};
 use hrdm_storage::{Partition, PartitionMap};
 use hrdm_time::{Interval, Lifespan};
 use std::borrow::Cow;
-use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
@@ -923,36 +922,16 @@ fn base_relation<'s>(src: &'s dyn IndexSource, name: &str) -> Result<&'s Relatio
         .ok_or_else(|| HrdmError::UnknownRelation(name.to_string()))
 }
 
-/// A tuple with its hash, computed once by [`TupleSet::hashed`].
-#[derive(Clone)]
-struct Hashed {
-    hash: u64,
-    tuple: Tuple,
-}
-
-impl PartialEq for Hashed {
-    fn eq(&self, other: &Hashed) -> bool {
-        self.hash == other.hash && self.tuple == other.tuple
-    }
-}
-
-impl Eq for Hashed {}
-
-impl Hash for Hashed {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// The hasher of a [`TupleSet`]: it hands the stored hash of a [`Hashed`]
-/// through, so a growing table moves entries without hashing any tuple
-/// again.
+/// The hasher of a [`TupleSet`]. A tuple hashes as one `u64`, its cached
+/// content hash, which is already random and keyed (crafted collisions
+/// need the key), so this hands it through: a lookup or a growing table
+/// hashes nothing again.
 #[derive(Default)]
 struct StoredHash(u64);
 
 impl Hasher for StoredHash {
     fn write(&mut self, bytes: &[u8]) {
-        // `Hashed` writes one `u64`; this only keeps the trait total.
+        // A tuple writes one `u64`; this only keeps the trait total.
         for &b in bytes {
             self.0 = self.0.rotate_left(8) ^ u64::from(b);
         }
@@ -967,22 +946,9 @@ impl Hasher for StoredHash {
     }
 }
 
-/// A set of tuples in which each tuple is hashed exactly once, by a keyed
-/// hasher (tuples are outside input: the keys keep crafted collisions out).
-#[derive(Default)]
-struct TupleSet {
-    keys: RandomState,
-    set: HashSet<Hashed, BuildHasherDefault<StoredHash>>,
-}
-
-impl TupleSet {
-    fn hashed(&self, tuple: Tuple) -> Hashed {
-        Hashed {
-            hash: self.keys.hash_one(&tuple),
-            tuple,
-        }
-    }
-}
+/// A set of tuples filed by their cached content hashes: the `∪ ∩ −`
+/// tables and an aggregate's distinct input.
+type TupleSet = HashSet<Tuple, BuildHasherDefault<StoredHash>>;
 
 /// What a binary operator builds from its build input.
 enum Table<'a> {
@@ -1119,11 +1085,10 @@ fn drain_table<'a>(
         drain(child, cancel, None, &mut pulled, |batch| {
             let n = batch.len() as u64;
             for t in batch.into_rows() {
-                let t = tuples.hashed(t);
                 if *op != BinaryOp::Union {
-                    tuples.set.insert(t);
-                } else if tuples.set.insert(t.clone()) {
-                    head.push_back(t.tuple);
+                    tuples.insert(t);
+                } else if tuples.insert(t.clone()) {
+                    head.push_back(t);
                 }
             }
             Ok(n)
@@ -1211,14 +1176,13 @@ impl Probe<'_> {
         } = self;
         let (rows, access) = match table {
             Table::Tuples(tuples) => {
-                let p = tuples.hashed(p);
                 let keep = match kind {
-                    BinaryKind::Op(BinaryOp::Union) => tuples.set.insert(p.clone()),
-                    BinaryKind::Op(BinaryOp::Intersection) => tuples.set.remove(&p),
-                    _ => !tuples.set.contains(&p),
+                    BinaryKind::Op(BinaryOp::Union) => tuples.insert(p.clone()),
+                    BinaryKind::Op(BinaryOp::Intersection) => tuples.remove(&p),
+                    _ => !tuples.contains(&p),
                 };
                 if keep {
-                    ready.push_back(p.tuple);
+                    ready.push_back(p);
                 }
                 return Ok(());
             }
@@ -1232,12 +1196,12 @@ impl Probe<'_> {
                     Some(tv) => tv.image_lifespan()?,
                     None => Lifespan::empty(),
                 };
-                if image.is_empty() {
+                let window = p.lifespan().intersect(&image);
+                if window.is_empty() {
                     return Ok(());
                 }
-                let window = p.lifespan().intersect(&image);
                 each_candidate(rows, access.candidates(&p, Some(&window)), |_, row| {
-                    ready.extend(time_join_pair(&p, row, &image, concat));
+                    ready.extend(time_join_pair(&p, row, &window, concat));
                     Ok(())
                 })?;
             }
@@ -1309,8 +1273,9 @@ fn oriented<'t>(probe_is_left: bool, probe: &'t Tuple, row: &'t Tuple) -> (&'t T
 /// once into the table the operator needs (or borrows an indexed base
 /// relation's own index); `next_batch` then streams the probe input batch
 /// by batch through that table, emitting through the per-pair rules the
-/// reference evaluator's functions are made of. Each input tuple is hashed
-/// at most once and nothing is materialized besides the build table.
+/// reference evaluator's functions are made of. Each stored tuple is
+/// hashed once per process and nothing is materialized besides the build
+/// table.
 struct BinaryExec<'a> {
     kind: BinaryKind,
     label: String,
@@ -2063,7 +2028,7 @@ impl AggregateExec<'_> {
         let scheme = open_child(self.child.as_mut())?;
         // An aggregate counts a tuple once, however often its input
         // streams it.
-        let mut rows = HashSet::new();
+        let mut rows = TupleSet::default();
         drain(
             self.child.as_mut(),
             &self.opts.cancel,

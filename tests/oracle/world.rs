@@ -140,6 +140,15 @@ pub fn seeded(dir: &Path) {
         db.insert("r", r_tup(k, (k * 7) % 44, 3, k % 4)).unwrap();
         db.insert("evt", evt_tup(k, k - 40, 4, k - 38)).unwrap();
     }
+    // The battery's "separate cuts" queries need a tuple that `[5..20]`
+    // and `[5..30]` both cut, and cut alike: content-equal rows that are
+    // separate allocations, so set operators cannot match them by identity.
+    let (narrow, wide) = (Lifespan::interval(5, 20), Lifespan::interval(5, 30));
+    let cut_alike = |t: &Tuple| {
+        let (a, b) = (t.restrict(&narrow), t.restrict(&wide));
+        !a.lifespan().is_empty() && a.lifespan() != t.lifespan() && a == b
+    };
+    assert!(db.snapshot().relation("r").unwrap().iter().any(cut_alike));
 }
 
 // ---------------------------------------------------------------------------
@@ -201,6 +210,9 @@ pub const BATTERY: &[(&str, &str)] = &[
     ("natural join of shared keys", "r NATJOIN (TIMESLICE [0..25] (r) UNION TIMESLICE [12..40] (r))"),
     ("r, s shared keys ∪ₒ", "(r UNION s) UNION-O (s UNION r)"),
     ("r, s shared keys −ₒ", "(r UNION s) MINUS-O s"),
+    ("separate cuts ∪", "TIMESLICE [5..20] (r) UNION TIMESLICE [5..30] (r)"),
+    ("separate cuts −", "TIMESLICE [5..20] (r) MINUS TIMESLICE [5..30] (r)"),
+    ("separate cuts ∩", "TIMESLICE [5..20] (r) INTERSECT TIMESLICE [5..30] (r)"),
 ];
 
 fn pred_strategy() -> impl Strategy<Value = Predicate> {

@@ -164,8 +164,10 @@ proptest! {
     }
 }
 
-/// Deterministic per-input suffix so parallel proptest cases do not collide
-/// on a shared temp directory.
+/// A per-input suffix so parallel proptest cases do not collide on a shared
+/// temp directory. Tuples hash under a key drawn once per process, so the
+/// suffix is stable within one process only; the process id in the name
+/// keeps separate processes apart.
 fn rand_suffix(r: &Relation) -> u64 {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
