@@ -76,6 +76,7 @@ const GATED: &[&str] = &[
     "union_slices_50k",
     "decode_hist_50k",
     "serve_slice_50k",
+    "serve_scan_50k",
     "checkpoint_dirty_partitions",
     // Buffer-pool read path: CPU-bound (hits) and OS-page-cache-bound
     // (misses) — no fsync in either loop.
@@ -337,6 +338,27 @@ fn run_tracked() -> Vec<BenchResult> {
                 buf.clear();
                 let StreamedQuery::Rows(mut rows) =
                     stream_query_on_snapshot(&slice, &served, &opts).unwrap()
+                else {
+                    unreachable!("relation-sorted query");
+                };
+                while let Some(batch) = rows.next_batch().unwrap() {
+                    encode_row_chunk_into(&mut buf, 1, 0, batch.rows());
+                }
+                std::hint::black_box(&buf);
+            }),
+        );
+
+        // Serving a full scan the same way: `SELECT-WHEN (V >= 930)` reads
+        // all 50k stored tuples and writes the ~30 % whose `V` reaches 930,
+        // each clipped to when it does. Tracks the scan and the one-pass
+        // row encoder together.
+        let scan = "SELECT-WHEN (V >= 930) (hist)";
+        track(
+            "serve_scan_50k",
+            measure_median_ns(SAMPLES, sample_time(), || {
+                buf.clear();
+                let StreamedQuery::Rows(mut rows) =
+                    stream_query_on_snapshot(scan, &served, &opts).unwrap()
                 else {
                     unreachable!("relation-sorted query");
                 };

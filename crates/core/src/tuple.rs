@@ -517,7 +517,7 @@ impl ProjectPlan {
 /// PROJECT `π_X` as one operator: the output layout is derived from the
 /// first input tuple's layout and reused for every tuple on an equal
 /// layout — once per operator, not once per tuple. A tuple on another
-/// layout is projected on its own. Shareable across scan workers.
+/// layout is projected on its own.
 pub struct Projection {
     attrs: Vec<Attribute>,
     plan: OnceLock<ProjectPlan>,

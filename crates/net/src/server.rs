@@ -693,10 +693,10 @@ impl From<FrameError> for Ended {
 
 /// The read side of a session: the socket, bytes received but not yet
 /// parsed, requests parsed but not yet served, and the cancelled request
-/// ids. It sits behind a mutex because a running query's cancel probe —
-/// on the session thread or on a `Gather` worker — drains the socket too.
-/// Every read and write on the socket happens under that lock, so the
-/// probe's non-blocking window never overlaps a blocking call.
+/// ids. It sits behind a mutex because a running query's cancel probe
+/// drains the socket too, from inside the executor's pull loop. Every
+/// read and write on the socket happens under that lock, so the probe's
+/// non-blocking window never overlaps a blocking call.
 struct Inbox {
     shared: Arc<Shared>,
     stream: TcpStream,
@@ -951,9 +951,8 @@ impl Session {
         self.flush_if_full()
     }
 
-    /// The executor's cancel probe for `req`, pulled between batches —
-    /// by several `Gather` workers at once on a parallel scan. At most
-    /// once per [`CANCEL_POLL_NS`] of the request's run time, a caller
+    /// The executor's cancel probe for `req`, pulled between batches. At
+    /// most once per [`CANCEL_POLL_NS`] of the request's run time, a call
     /// that wins `try_lock` on the inbox drains the socket without
     /// blocking and looks `req` up in the cancelled set; a hit is
     /// latched.
@@ -1123,7 +1122,6 @@ impl Session {
             batch_rows: shared.config.chunk_rows.max(1),
             max_rows: Some(shared.config.max_result_rows),
             cancel: Some(self.cancel_probe(req)),
-            ..ExecOptions::default()
         };
         let ok = match stream_query_on_snapshot(text, &*snap, &opts) {
             Ok(StreamedQuery::Rows(rows)) => {

@@ -80,7 +80,6 @@ fn source(n: i64) -> Database {
 fn serve_slice(db: &Database, out: &mut Vec<u8>) -> (u64, u64, u64) {
     let opts = ExecOptions {
         batch_rows: BATCH_ROWS,
-        workers: 1,
         ..ExecOptions::default()
     };
     let before = ALLOCATIONS.load(Ordering::SeqCst);

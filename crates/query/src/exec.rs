@@ -58,15 +58,10 @@
 //!   once per process, and only `∪` keeps an emitted-set. Reference ≡
 //!   streamed equivalence — with either build side — is asserted by the
 //!   workspace's differential oracle (`tests/oracle/`).
-//! * **`Gather`** — a parallel leaf: a `SeqScan` (plus any
-//!   stack of per-tuple unaries directly above it) over a relation of at
-//!   least [`ExecOptions::parallel_min_rows`] rows is fused into one
-//!   executor that splits the scan into *morsels* (the relation's
-//!   partition-map position sets when one exists, fixed-size position
-//!   ranges otherwise), claims them from a shared atomic cursor across
-//!   `workers` threads, and funnels result batches through one bounded
-//!   channel. Batch order is nondeterministic; relations are sets, so
-//!   results are unaffected.
+//!
+//! A query runs on the thread that pulls it: every scan is one serial
+//! `ScanExec` with its unaries stacked above it as `FilterExec`s, so the
+//! rows of a batch are encoded on the core that scanned them.
 //!
 //! Every executor keeps per-operator [`ExecStats`] (rows, batches,
 //! inclusive wall time); `EXPLAIN ANALYZE` renders the executor tree with
@@ -94,10 +89,7 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// The default number of rows per [`RowBatch`].
@@ -108,13 +100,9 @@ pub const DEFAULT_BATCH_ROWS: usize = 1024;
 /// reserved.
 pub const MAX_BATCH_ROWS: usize = 65_536;
 
-/// Rows per morsel when a parallel scan has no partition map to use as its
-/// work units.
-const MORSEL_ROWS: usize = 4096;
-
-/// A cancellation probe: checked once per batch (and once per morsel by
-/// parallel scan workers). Returning `true` aborts the stream with
-/// [`ExecError::Cancelled`] before the next batch is produced.
+/// A cancellation probe: checked once per batch. Returning `true` aborts
+/// the stream with [`ExecError::Cancelled`] before the next batch is
+/// produced.
 pub type CancelProbe = Arc<dyn Fn() -> bool + Send + Sync>;
 
 /// A bounded batch of rows — restriction views of `Arc`-backed tuples —
@@ -196,27 +184,15 @@ pub struct ExecOptions {
     /// Abort with [`ExecError::RowLimit`] once more than this many rows
     /// have been streamed from the root.
     pub max_rows: Option<u64>,
-    /// Worker threads available to parallel (`Gather`)
-    /// scans. `<= 1` disables parallelism.
-    pub workers: usize,
-    /// Minimum base-relation rows before a `SeqScan` leaf is worth
-    /// parallelizing (thread spawn + channel overhead dominate below it).
-    pub parallel_min_rows: usize,
     /// Cancellation probe, checked per batch.
     pub cancel: Option<CancelProbe>,
 }
 
 impl Default for ExecOptions {
     fn default() -> ExecOptions {
-        // Asked once: Linux answers from cgroup files, ~20 µs a call — more
-        // than a key probe costs — and every query builds its options.
-        static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
         ExecOptions {
             batch_rows: DEFAULT_BATCH_ROWS,
             max_rows: None,
-            workers: *CORES
-                .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
-            parallel_min_rows: 32_768,
             cancel: None,
         }
     }
@@ -227,8 +203,6 @@ impl fmt::Debug for ExecOptions {
         f.debug_struct("ExecOptions")
             .field("batch_rows", &self.batch_rows)
             .field("max_rows", &self.max_rows)
-            .field("workers", &self.workers)
-            .field("parallel_min_rows", &self.parallel_min_rows)
             .field("cancel", &self.cancel.is_some())
             .finish()
     }
@@ -264,15 +238,14 @@ pub struct ExecStats {
 /// [`ExecStats`] remain readable — `EXPLAIN ANALYZE` renders them.
 pub trait QueryExecutor {
     /// Prepares the operator (resolving relations, evaluating lifespan
-    /// bounds, typechecking predicates, spawning scan workers) and
-    /// returns its output scheme. Binary operators drain their build input
-    /// here.
+    /// bounds, typechecking predicates) and returns its output scheme.
+    /// Binary operators drain their build input here.
     fn open(&mut self) -> Result<Scheme, ExecError>;
 
     /// The next bounded batch, or `Ok(None)` once the stream is drained.
     fn next_batch(&mut self) -> Result<Option<RowBatch>, ExecError>;
 
-    /// Releases cursors, buffers, and worker threads. Idempotent.
+    /// Releases cursors and buffers. Idempotent.
     fn close(&mut self);
 
     /// Statistics accumulated so far (valid during and after the run).
@@ -323,8 +296,8 @@ fn cancelled(probe: &Option<CancelProbe>) -> bool {
 
 /// A compiled per-tuple unary: parameters (lifespan bounds, predicate
 /// typechecks, domain checks) are resolved once at `open`, so applying it
-/// to a tuple is pure and `Send` — the same kernel runs inline in a
-/// [`FilterExec`] or fused into [`GatherExec`] scan workers.
+/// to a tuple is pure — the same kernel runs in a [`FilterExec`] and,
+/// lifespan-only, under a [`WhenExec`].
 enum TupleOp {
     TimeSlice(Lifespan),
     TimeSliceDynamic(Attribute),
@@ -1582,258 +1555,6 @@ fn binary<'a>(
 }
 
 // ---------------------------------------------------------------------------
-// Gather: morsel-parallel leaf scans
-// ---------------------------------------------------------------------------
-
-/// One unit of parallel scan work: either a contiguous position range or
-/// an explicit position set (one partition of the relation's map).
-enum Morsel {
-    Range(usize, usize),
-    Positions(Vec<usize>),
-}
-
-/// A morsel-parallel leaf: a full-relation `SeqScan` fused with the
-/// per-tuple unaries stacked directly above it, executed by `workers`
-/// threads that claim morsels from a shared cursor and push result
-/// batches through one bounded channel.
-///
-/// Morsels are the relation's partition position sets when a current
-/// partition map exists (partitions are independent position sets with
-/// min/max summaries — exactly the work-unit shape morsel scheduling
-/// wants), or fixed-size position ranges otherwise. Workers observe a
-/// stop flag and the stream's [`CancelProbe`] at morsel and batch
-/// granularity, so `close` (and cancellation) tears the pool down without
-/// waiting for the scan to finish.
-struct GatherExec<'a> {
-    scan_name: String,
-    /// The fused unaries, outermost-first.
-    chain: Vec<UnaryOp>,
-    src: &'a dyn IndexSource,
-    opts: ExecOptions,
-    running: Option<GatherRuntime>,
-    spawned: usize,
-    morsel_count: usize,
-    stats: ExecStats,
-    /// Rows-streamed leaderboard credit fires once, at first close.
-    reported: bool,
-}
-
-struct GatherRuntime {
-    rx: Receiver<Result<Vec<ClippedTuple>, HrdmError>>,
-    stop: Arc<AtomicBool>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-/// The shared, immutable context of one parallel scan.
-struct GatherJob {
-    tuples: PVec<Tuple>,
-    morsels: Vec<Morsel>,
-    next_morsel: AtomicUsize,
-    ops: Vec<TupleOp>,
-    batch_rows: usize,
-    stop: Arc<AtomicBool>,
-    cancel: Option<CancelProbe>,
-}
-
-impl GatherJob {
-    fn interrupted(&self) -> bool {
-        self.stop.load(Ordering::SeqCst) || cancelled(&self.cancel)
-    }
-}
-
-/// One scan worker: claim morsels, run tuples through the fused kernel,
-/// ship full batches. Exits on stop/cancel, on a kernel error (shipped to
-/// the consumer), or when the consumer hangs up (send fails).
-fn gather_worker(job: &GatherJob, tx: &SyncSender<Result<Vec<ClippedTuple>, HrdmError>>) {
-    let mut batch: Vec<ClippedTuple> = Vec::new();
-    loop {
-        if job.interrupted() {
-            return;
-        }
-        let m = job.next_morsel.fetch_add(1, Ordering::SeqCst);
-        let Some(morsel) = job.morsels.get(m) else {
-            break;
-        };
-        // A range walks whole leaves; a position set descends per tuple.
-        let tuples: &mut dyn Iterator<Item = &Tuple> = match morsel {
-            Morsel::Range(lo, hi) => &mut job.tuples.slices(*lo..*hi).flatten(),
-            Morsel::Positions(p) => &mut p.iter().filter_map(|&pos| job.tuples.get(pos)),
-        };
-        for t in tuples {
-            match chain_row(&job.ops, t.into()) {
-                Ok(Some(row)) => {
-                    batch.push(row);
-                    if batch.len() >= job.batch_rows
-                        && (job.interrupted() || tx.send(Ok(std::mem::take(&mut batch))).is_err())
-                    {
-                        return;
-                    }
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    let _ = tx.send(Err(e));
-                    return;
-                }
-            }
-        }
-    }
-    if !batch.is_empty() && !job.interrupted() {
-        let _ = tx.send(Ok(batch));
-    }
-}
-
-/// Splits the scan into morsels: partition position sets when a current
-/// partition map exists, fixed-size ranges otherwise.
-fn plan_morsels(src: &dyn IndexSource, name: &str, r: &Relation) -> Vec<Morsel> {
-    if let Some(parts) = valid_partitions(src, name, r) {
-        if parts.partition_count() > 1 {
-            return parts
-                .iter()
-                .filter(|(_, p)| !p.is_empty())
-                .map(|(_, p)| Morsel::Positions(p.positions().collect()))
-                .collect();
-        }
-    }
-    let mut morsels = Vec::new();
-    let mut lo = 0usize;
-    while lo < r.len() {
-        let hi = (lo + MORSEL_ROWS).min(r.len());
-        morsels.push(Morsel::Range(lo, hi));
-        lo = hi;
-    }
-    morsels
-}
-
-impl GatherExec<'_> {
-    fn shutdown(&mut self) {
-        if let Some(rt) = self.running.take() {
-            rt.stop.store(true, Ordering::SeqCst);
-            // Dropping the receiver makes every blocked `send` fail, so
-            // workers exit promptly even with a full channel.
-            drop(rt.rx);
-            for h in rt.handles {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-impl QueryExecutor for GatherExec<'_> {
-    fn open(&mut self) -> Result<Scheme, ExecError> {
-        let started = Instant::now();
-        record_scan_access(&AccessPath::SeqScan);
-        let result = (|| -> Result<(Scheme, GatherRuntime, usize, usize), ExecError> {
-            let r = self
-                .src
-                .relation(&self.scan_name)
-                .ok_or_else(|| HrdmError::UnknownRelation(self.scan_name.clone()))?;
-            let (ops, scheme) =
-                compile_chain(&self.chain, r.scheme().clone(), self.src, &self.opts)?;
-            let morsels = plan_morsels(self.src, &self.scan_name, r);
-            let workers = self.opts.workers.min(morsels.len()).max(1);
-            let stop = Arc::new(AtomicBool::new(false));
-            let job = Arc::new(GatherJob {
-                tuples: r.tuples().clone(),
-                morsels,
-                next_morsel: AtomicUsize::new(0),
-                ops,
-                batch_rows: self.opts.batch_rows_clamped(),
-                stop: Arc::clone(&stop),
-                cancel: self.opts.cancel.clone(),
-            });
-            let morsel_count = job.morsels.len();
-            let (tx, rx) = std::sync::mpsc::sync_channel(workers * 2);
-            let mut handles = Vec::new();
-            for _ in 0..workers {
-                let job = Arc::clone(&job);
-                let tx = tx.clone();
-                handles.push(std::thread::spawn(move || gather_worker(&job, &tx)));
-            }
-            drop(tx); // consumers detect end-of-stream via RecvError
-            Ok((
-                scheme,
-                GatherRuntime { rx, stop, handles },
-                workers,
-                morsel_count,
-            ))
-        })();
-        self.stats.wall_ns += started.elapsed().as_nanos() as u64;
-        let (scheme, runtime, workers, morsel_count) = result?;
-        self.running = Some(runtime);
-        self.spawned = workers;
-        self.morsel_count = morsel_count;
-        Ok(scheme)
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RowBatch>, ExecError> {
-        let started = Instant::now();
-        let received = match &self.running {
-            Some(rt) => rt.rx.recv().ok(),
-            None => None,
-        };
-        let result = match received {
-            Some(Ok(rows)) => {
-                self.stats.rows += rows.len() as u64;
-                self.stats.batches += 1;
-                Ok(Some(RowBatch::new(rows)))
-            }
-            Some(Err(e)) => {
-                self.shutdown();
-                Err(ExecError::Eval(e))
-            }
-            // Every worker finished and dropped its sender. Workers also
-            // bail out without sending when the cancel probe fires, so a
-            // disconnect with the probe raised is an aborted scan, not a
-            // drained one — reporting it as end-of-stream would let a
-            // truncated result masquerade as a complete `Done`.
-            None => {
-                self.shutdown();
-                if cancelled(&self.opts.cancel) {
-                    Err(ExecError::Cancelled)
-                } else {
-                    Ok(None)
-                }
-            }
-        };
-        self.stats.wall_ns += started.elapsed().as_nanos() as u64;
-        result
-    }
-
-    fn close(&mut self) {
-        self.shutdown();
-        if !self.reported {
-            self.reported = true;
-            hrdm_obs::window::top_relations().record(&self.scan_name, self.stats.rows);
-        }
-    }
-
-    fn stats(&self) -> ExecStats {
-        self.stats
-    }
-
-    fn render(&self, depth: usize, annotate: bool, out: &mut String) {
-        indent(out, depth);
-        // Before `open` the worker and morsel counts are not known yet:
-        // print the pool the scan may use.
-        out.push_str(&match self.spawned {
-            0 => format!("Gather(workers: {})", self.opts.workers),
-            spawned => format!("Gather(workers: {spawned}, morsels: {})", self.morsel_count),
-        });
-        out.push_str(&annotation(&self.stats, annotate));
-        out.push('\n');
-        let depth = render_chain(&self.chain, depth + 1, out);
-        indent(out, depth);
-        out.push_str(&format!("Scan {} [SeqScan]\n", self.scan_name));
-    }
-}
-
-impl Drop for GatherExec<'_> {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Roots of the lifespan and aggregate sorts
 // ---------------------------------------------------------------------------
 
@@ -1857,23 +1578,9 @@ struct WhenExec<'a> {
 impl<'a> WhenExec<'a> {
     fn build(p: &Plan, src: &'a dyn IndexSource, opts: &ExecOptions) -> WhenExec<'a> {
         let (chain, bottom) = unary_chain(p);
-        let child: Box<dyn QueryExecutor + 'a> = match bottom {
-            // Reading a lifespan off a tuple is a few nanoseconds of work:
-            // a serial scan beats shipping rows through `Gather`'s channel.
-            Plan::Scan {
-                relation, access, ..
-            } => Box::new(ScanExec::build(
-                relation,
-                access,
-                node_label(bottom),
-                src,
-                opts,
-            )),
-            _ => build_executor(bottom, src, opts),
-        };
         WhenExec {
             chain: chain.into_iter().cloned().collect(),
-            child,
+            child: build_executor(bottom, src, opts),
             src,
             opts: opts.clone(),
             stats: ExecStats::default(),
@@ -2140,28 +1847,6 @@ fn unary_chain(p: &Plan) -> (Vec<&UnaryOp>, &Plan) {
     (ops, cur)
 }
 
-/// The fused chain (outermost-first) and the relation, when
-/// [`build_executor`] roots a [`GatherExec`] at `p`: the node heads a
-/// (possibly empty) chain of per-tuple unaries over a full `SeqScan` of a
-/// relation big enough to amortize thread spawns.
-fn gather_at<'p>(
-    p: &'p Plan,
-    src: &dyn IndexSource,
-    opts: &ExecOptions,
-) -> Option<(Vec<&'p UnaryOp>, &'p str)> {
-    let (chain, bottom) = unary_chain(p);
-    let Plan::Scan {
-        relation,
-        access: AccessPath::SeqScan,
-        ..
-    } = bottom
-    else {
-        return None;
-    };
-    let big = |r: &Relation| r.len() >= opts.parallel_min_rows;
-    (opts.workers >= 2 && src.relation(relation).is_some_and(big)).then_some((chain, relation))
-}
-
 /// Builds the executor tree for a physical plan. Construction is
 /// infallible — relation resolution, typechecks, and lifespan-parameter
 /// evaluation all happen at `open`, in the same bottom-up order as the
@@ -2196,19 +1881,6 @@ fn build_forcing<'a>(
     src: &'a dyn IndexSource,
     opts: &ExecOptions,
 ) -> Box<dyn QueryExecutor + 'a> {
-    if let Some((chain, relation)) = gather_at(p, src, opts) {
-        return Box::new(GatherExec {
-            scan_name: relation.to_string(),
-            chain: chain.into_iter().cloned().collect(),
-            src,
-            opts: opts.clone(),
-            running: None,
-            spawned: 0,
-            morsel_count: 0,
-            stats: ExecStats::default(),
-            reported: false,
-        });
-    }
     match p {
         Plan::Scan {
             relation, access, ..
@@ -2248,8 +1920,7 @@ fn build_forcing<'a>(
 
 /// Renders the plan for `p` without running it: the executor tree
 /// [`build_executor`] would run, one line per operator with the chosen
-/// access path on every scan — chains a `Gather` absorbs render under a
-/// `Gather(workers: k)` node. `EXPLAIN` prints what execution does by
+/// access path on every scan. `EXPLAIN` prints what execution does by
 /// construction.
 pub fn explain_stream_plan(p: &Plan, src: &dyn IndexSource, opts: &ExecOptions) -> String {
     let mut out = String::new();
@@ -2393,7 +2064,7 @@ mod tests {
     use crate::plan::plan_query;
     use hrdm_core::prelude::*;
     use hrdm_storage::{Database, PartitionPolicy};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn scheme() -> Scheme {
         let era = Lifespan::interval(0, 4096);
@@ -2427,40 +2098,6 @@ mod tests {
         }
     }
 
-    fn collect(text: &str, src: &Database, opts: &ExecOptions) -> Relation {
-        QueryStream::new(build_executor(&planned(text, src), src, opts), opts)
-            .unwrap()
-            .collect_relation()
-            .unwrap()
-    }
-
-    #[test]
-    fn parallel_scan_matches_serial_and_spawns_workers() {
-        let src = source(5000);
-        let parallel = ExecOptions {
-            batch_rows: 128,
-            workers: 4,
-            parallel_min_rows: 1,
-            ..ExecOptions::default()
-        };
-        let serial = ExecOptions {
-            workers: 1,
-            ..ExecOptions::default()
-        };
-        let text = "SELECT-WHEN (V >= 0) (r)";
-        let a = collect(text, &src, &parallel);
-        let b = collect(text, &src, &serial);
-        assert_eq!(a, b);
-
-        // The plan renders a Gather node exactly when it parallelizes.
-        let p = planned(text, &src);
-        let plan_text = explain_stream_plan(&p, &src, &parallel);
-        assert!(plan_text.contains("Gather(workers: 4)"), "{plan_text}");
-        assert!(plan_text.contains("Scan r [SeqScan]"), "{plan_text}");
-        let serial_text = explain_stream_plan(&p, &src, &serial);
-        assert!(!serial_text.contains("Gather"), "{serial_text}");
-    }
-
     #[test]
     fn cancel_aborts_within_one_batch() {
         let src = source(5000);
@@ -2468,7 +2105,6 @@ mod tests {
         let probe = Arc::clone(&fired);
         let opts = ExecOptions {
             batch_rows: 32,
-            workers: 1,
             cancel: Some(Arc::new(move || probe.fetch_add(1, Ordering::SeqCst) >= 2)),
             ..ExecOptions::default()
         };
@@ -2486,41 +2122,6 @@ mod tests {
         assert!(rows < 5000, "cancel landed after {rows} rows");
     }
 
-    /// A gather disconnect caused by cancellation must surface as
-    /// `Cancelled`, not as a clean drain: workers that bail on the probe
-    /// drop their senders exactly like drained ones, and reporting that
-    /// as end-of-stream would pass a truncated result off as complete.
-    /// Drives the executor directly (not through `QueryStream`) so the
-    /// stream root's own probe check cannot mask the gather-level path.
-    #[test]
-    fn cancelled_gather_disconnect_is_not_a_drain() {
-        let src = source(5000);
-        let flag = Arc::new(AtomicUsize::new(0));
-        let probe = Arc::clone(&flag);
-        let opts = ExecOptions {
-            batch_rows: 128,
-            workers: 4,
-            parallel_min_rows: 1,
-            cancel: Some(Arc::new(move || probe.load(Ordering::SeqCst) != 0)),
-            ..ExecOptions::default()
-        };
-        let p = planned("r", &src);
-        let mut root = build_executor(&p, &src, &opts);
-        root.open().unwrap();
-        // Raise the probe while workers are mid-scan; in-flight batches
-        // may still arrive, then every worker exits without sending.
-        flag.store(1, Ordering::SeqCst);
-        let err = loop {
-            match root.next_batch() {
-                Ok(Some(_)) => {}
-                Ok(None) => panic!("cancelled gather reported a clean drain"),
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(err, ExecError::Cancelled);
-        root.close();
-    }
-
     /// A selective filter that discards every row produces no output
     /// batches for the stream root to gate on, so the filter itself must
     /// honor the probe between child batches on serial plans.
@@ -2531,7 +2132,6 @@ mod tests {
         let probe = Arc::clone(&fired);
         let opts = ExecOptions {
             batch_rows: 32,
-            workers: 1,
             cancel: Some(Arc::new(move || probe.fetch_add(1, Ordering::SeqCst) >= 2)),
             ..ExecOptions::default()
         };
@@ -2552,7 +2152,6 @@ mod tests {
         let src = source(5000);
         let opts = ExecOptions {
             batch_rows: 32,
-            workers: 1,
             max_rows: Some(100),
             ..ExecOptions::default()
         };
@@ -2573,10 +2172,7 @@ mod tests {
     #[test]
     fn explain_names_build_and_probe_sides() {
         let src = source(100);
-        let opts = ExecOptions {
-            workers: 1,
-            ..ExecOptions::default()
-        };
+        let opts = ExecOptions::default();
         let text = |q: &str| explain_stream_plan(&planned(q, &src), &src, &opts);
         for (q, label) in [
             (

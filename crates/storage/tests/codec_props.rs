@@ -10,7 +10,8 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
         any::<i64>().prop_map(Value::Int),
         (-1e12f64..1e12).prop_map(|f| Value::float(f).expect("finite")),
-        "[a-zA-Z0-9 ]{0,12}".prop_map(Value::str),
+        // Up to 300 bytes: lengths from 128 on take two-byte varints.
+        "[a-zA-Z0-9 ]{0,300}".prop_map(Value::str),
         any::<bool>().prop_map(Value::Bool),
         (-1_000_000i64..1_000_000).prop_map(Value::time),
     ]
@@ -317,6 +318,115 @@ proptest! {
         prop_assert_eq!(view.lifespan(), restricted.lifespan());
         prop_assert_eq!(view.into_tuple(), restricted);
     }
+}
+
+proptest! {
+    /// Views whose bytes need every wide case at once: a name longer than
+    /// a one-byte length, values and chronons of up to ten-byte varints,
+    /// and a clip that cuts a function into 128 or more pieces, so the
+    /// piece count is a two-byte varint patched in after the pieces. A
+    /// hole of one chronon never swallows a segment of two or more, so
+    /// every segment leaves at least one piece. The names, stripes (2–5
+    /// chronons each, from an arbitrary base) and values are arbitrary.
+    /// The view writes the bytes of its restriction, and they decode back
+    /// to it.
+    #[test]
+    fn wide_views_encode_as_their_restriction(
+        name in "[A-Z]{128,299}",
+        base in any::<i64>(),
+        stripes in prop::collection::vec((2i64..6, 0i64..2, any::<i64>()), 130..300),
+        holes in prop::collection::vec(1i64..259, 1..6),
+        s in "[a-z]{0,300}",
+    ) {
+        use hrdm_core::ClippedTuple;
+        // Room above the base for the ≤ 300 × 6 chronons of stripes.
+        let base = base.min(i64::MAX - 4096);
+        let mut segs = Vec::new();
+        let mut lo = base;
+        for (len, gap, v) in stripes {
+            segs.push((Interval::of(lo, lo + len - 1), Value::Int(v)));
+            lo += len + gap;
+        }
+        let f = TemporalValue::from_segments(segs).expect("disjoint by construction");
+        let life = Lifespan::interval(base, lo);
+        let mut values = std::collections::BTreeMap::new();
+        values.insert(Attribute::new(name.as_str()), f);
+        values.insert(
+            Attribute::new("S"),
+            TemporalValue::constant(&life, Value::str(s.as_str())),
+        );
+        let t = Tuple::from_parts(life.clone(), values);
+        let holes = holes.iter().map(|&h| Interval::of(base + h, base + h));
+        let clip = life.difference(&Lifespan::from_intervals(holes));
+        prop_assert!(clip.interval_count() > 1);
+        let view = ClippedTuple::new(t.clone(), clip.clone());
+        let restricted = t.restrict(&clip);
+        let pieces = restricted.value(&Attribute::new(name.as_str())).unwrap();
+        prop_assert!(pieces.segment_count() >= 128);
+        let mut viewed = Encoder::new();
+        viewed.put_tuple(&view);
+        let mut built = Encoder::new();
+        built.put_tuple(&restricted);
+        let bytes = viewed.finish();
+        prop_assert_eq!(&bytes, &built.finish());
+        let mut d = Decoder::new(&bytes);
+        prop_assert_eq!(d.get_tuple().unwrap(), restricted);
+        prop_assert!(d.is_done());
+    }
+}
+
+/// `V = i mod 2` on each chronon `i` of `[0, 139]`, seen through
+/// `[0, 69] ∪ [72, 139]`: 138 pieces.
+fn wide_golden_view() -> hrdm_core::ClippedTuple {
+    let segs = (0..140).map(|i| (Interval::of(i, i), Value::Int(i % 2)));
+    let mut values = std::collections::BTreeMap::new();
+    values.insert(
+        Attribute::new("V"),
+        TemporalValue::from_segments(segs).unwrap(),
+    );
+    let t = Tuple::from_parts(Lifespan::interval(0, 139), values);
+    hrdm_core::ClippedTuple::new(t, Lifespan::of(&[(0, 69), (72, 139)]))
+}
+
+/// `put_tuple`'s bytes for [`wide_golden_view`], as written when every
+/// clipped function was counted before it was written: the piece count
+/// 138 is the two-byte varint `138, 1`.
+const WIDE_GOLDEN: &[u8] = &[
+    2, 0, 69, 144, 1, 67, 1, 1, 86, 138, 1, 0, 0, 0, 0, 2, 0, 0, 2, 4, 0, 0, 0, 6, 0, 0, 2, 8, 0,
+    0, 0, 10, 0, 0, 2, 12, 0, 0, 0, 14, 0, 0, 2, 16, 0, 0, 0, 18, 0, 0, 2, 20, 0, 0, 0, 22, 0, 0,
+    2, 24, 0, 0, 0, 26, 0, 0, 2, 28, 0, 0, 0, 30, 0, 0, 2, 32, 0, 0, 0, 34, 0, 0, 2, 36, 0, 0, 0,
+    38, 0, 0, 2, 40, 0, 0, 0, 42, 0, 0, 2, 44, 0, 0, 0, 46, 0, 0, 2, 48, 0, 0, 0, 50, 0, 0, 2, 52,
+    0, 0, 0, 54, 0, 0, 2, 56, 0, 0, 0, 58, 0, 0, 2, 60, 0, 0, 0, 62, 0, 0, 2, 64, 0, 0, 0, 66, 0,
+    0, 2, 68, 0, 0, 0, 70, 0, 0, 2, 72, 0, 0, 0, 74, 0, 0, 2, 76, 0, 0, 0, 78, 0, 0, 2, 80, 0, 0,
+    0, 82, 0, 0, 2, 84, 0, 0, 0, 86, 0, 0, 2, 88, 0, 0, 0, 90, 0, 0, 2, 92, 0, 0, 0, 94, 0, 0, 2,
+    96, 0, 0, 0, 98, 0, 0, 2, 100, 0, 0, 0, 102, 0, 0, 2, 104, 0, 0, 0, 106, 0, 0, 2, 108, 0, 0, 0,
+    110, 0, 0, 2, 112, 0, 0, 0, 114, 0, 0, 2, 116, 0, 0, 0, 118, 0, 0, 2, 120, 0, 0, 0, 122, 0, 0,
+    2, 124, 0, 0, 0, 126, 0, 0, 2, 128, 1, 0, 0, 0, 130, 1, 0, 0, 2, 132, 1, 0, 0, 0, 134, 1, 0, 0,
+    2, 136, 1, 0, 0, 0, 138, 1, 0, 0, 2, 144, 1, 0, 0, 0, 146, 1, 0, 0, 2, 148, 1, 0, 0, 0, 150, 1,
+    0, 0, 2, 152, 1, 0, 0, 0, 154, 1, 0, 0, 2, 156, 1, 0, 0, 0, 158, 1, 0, 0, 2, 160, 1, 0, 0, 0,
+    162, 1, 0, 0, 2, 164, 1, 0, 0, 0, 166, 1, 0, 0, 2, 168, 1, 0, 0, 0, 170, 1, 0, 0, 2, 172, 1, 0,
+    0, 0, 174, 1, 0, 0, 2, 176, 1, 0, 0, 0, 178, 1, 0, 0, 2, 180, 1, 0, 0, 0, 182, 1, 0, 0, 2, 184,
+    1, 0, 0, 0, 186, 1, 0, 0, 2, 188, 1, 0, 0, 0, 190, 1, 0, 0, 2, 192, 1, 0, 0, 0, 194, 1, 0, 0,
+    2, 196, 1, 0, 0, 0, 198, 1, 0, 0, 2, 200, 1, 0, 0, 0, 202, 1, 0, 0, 2, 204, 1, 0, 0, 0, 206, 1,
+    0, 0, 2, 208, 1, 0, 0, 0, 210, 1, 0, 0, 2, 212, 1, 0, 0, 0, 214, 1, 0, 0, 2, 216, 1, 0, 0, 0,
+    218, 1, 0, 0, 2, 220, 1, 0, 0, 0, 222, 1, 0, 0, 2, 224, 1, 0, 0, 0, 226, 1, 0, 0, 2, 228, 1, 0,
+    0, 0, 230, 1, 0, 0, 2, 232, 1, 0, 0, 0, 234, 1, 0, 0, 2, 236, 1, 0, 0, 0, 238, 1, 0, 0, 2, 240,
+    1, 0, 0, 0, 242, 1, 0, 0, 2, 244, 1, 0, 0, 0, 246, 1, 0, 0, 2, 248, 1, 0, 0, 0, 250, 1, 0, 0,
+    2, 252, 1, 0, 0, 0, 254, 1, 0, 0, 2, 128, 2, 0, 0, 0, 130, 2, 0, 0, 2, 132, 2, 0, 0, 0, 134, 2,
+    0, 0, 2, 136, 2, 0, 0, 0, 138, 2, 0, 0, 2, 140, 2, 0, 0, 0, 142, 2, 0, 0, 2, 144, 2, 0, 0, 0,
+    146, 2, 0, 0, 2, 148, 2, 0, 0, 0, 150, 2, 0, 0, 2,
+];
+
+#[test]
+fn wide_clipped_view_bytes_match_the_golden_record() {
+    let view = wide_golden_view();
+    let mut e = Encoder::new();
+    e.put_tuple(&view);
+    assert_eq!(e.finish(), WIDE_GOLDEN);
+    assert_eq!(
+        Decoder::new(WIDE_GOLDEN).get_tuple().unwrap(),
+        view.into_tuple()
+    );
 }
 
 proptest! {

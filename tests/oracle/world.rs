@@ -69,8 +69,8 @@ pub fn evt_tup(e: i64, lo: i64, len: i64, at: i64) -> Tuple {
 }
 
 /// A result's byte form with tuple renderings sorted, so answers that
-/// differ only in physical order (partition-major scans, parallel
-/// batches, the wire's chunks) compare equal.
+/// differ only in physical order (partition-major scans, build sides,
+/// the wire's chunks) compare equal.
 pub fn canonical(result: &QueryResult) -> String {
     match result {
         QueryResult::Relation(r) => {

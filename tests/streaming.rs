@@ -1,7 +1,7 @@
 //! The pull-based streaming executor against `eval.rs` (see
-//! `oracle/mod.rs`): under batch caps, forced parallelism, row caps and
-//! cancels, after generated histories and on fixed states — including
-//! the 100 000-tuple gates whose probe counts are exact.
+//! `oracle/mod.rs`): under batch caps, row caps and cancels, after
+//! generated histories and on fixed states — including the 100 000-tuple
+//! gates whose probe counts are exact.
 
 mod common;
 mod oracle;
@@ -18,20 +18,11 @@ use proptest::test_runner::TestRng;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, OnceLock};
 
-/// Batches of `batch_rows`, serial by default or forced into four-worker
-/// morsel parallelism on every scan.
-fn stream_options(batch_rows: usize, parallel: bool) -> ExecOptions {
-    match parallel {
-        true => ExecOptions {
-            batch_rows,
-            workers: 4,
-            parallel_min_rows: 1,
-            ..ExecOptions::default()
-        },
-        false => ExecOptions {
-            batch_rows,
-            ..ExecOptions::default()
-        },
+/// Batches of `batch_rows`.
+fn stream_options(batch_rows: usize) -> ExecOptions {
+    ExecOptions {
+        batch_rows,
+        ..ExecOptions::default()
     }
 }
 
@@ -128,51 +119,42 @@ fn capped_at(src: &dyn IndexSource, text: &str, opts: &ExecOptions, cap: u64) {
 
 /// The stream over the attached engine's final state, or over the
 /// snapshot taken mid-history.
-fn stream(w: &World, state: State, batch_rows: usize, parallel: bool) -> Opened<'_> {
+fn stream(w: &World, state: State, batch_rows: usize) -> Opened<'_> {
     let snap = match state {
         State::Mid => Arc::clone(&w.mid),
         _ => w.part.snapshot(),
     };
-    let opts = stream_options(batch_rows, parallel);
+    let opts = stream_options(batch_rows);
     on(state, move |_, text| {
         Some(run_stream(&*snap, text, &opts).map_err(failure))
     })
 }
 
-/// The stream, serial and forced-parallel, in batches of 1, 7 and 4096
-/// rows, answers as `eval.rs` does after every generated history — with
-/// no empty batch, none over the cap, and its own row and batch counts
-/// equal to what arrived. At least 256 states × 39 queries per entry.
+/// The stream, in batches of 1, 7 and 4096 rows, answers as `eval.rs`
+/// does after every generated history — with no empty batch, none over
+/// the cap, and its own row and batch counts equal to what arrived. At
+/// least 256 states × 39 queries per entry.
 #[test]
 fn streaming_matches_the_evaluator_on_random_states() {
     run_matrix(
         9_984,
         &[
-            entry("stream/serial/1", |w| stream(w, State::Final, 1, false)),
-            entry("stream/serial/7", |w| stream(w, State::Final, 7, false)),
-            entry("stream/serial/4096", |w| {
-                stream(w, State::Final, 4096, false)
-            }),
-            entry("stream/parallel/1", |w| stream(w, State::Final, 1, true)),
-            entry("stream/parallel/7", |w| stream(w, State::Final, 7, true)),
-            entry("stream/parallel/4096", |w| {
-                stream(w, State::Final, 4096, true)
-            }),
+            entry("stream/serial/1", |w| stream(w, State::Final, 1)),
+            entry("stream/serial/7", |w| stream(w, State::Final, 7)),
+            entry("stream/serial/4096", |w| stream(w, State::Final, 4096)),
         ],
     );
 }
 
 /// A snapshot taken while the writer is still applying the history
-/// streams, forced-parallel, what `eval.rs` answers on that snapshot's
-/// own state, after the writer has moved on. At least 256 races × 12
-/// queries on the snapshot; the settled state is the entries' above.
+/// streams what `eval.rs` answers on that snapshot's own state, after the
+/// writer has moved on. At least 256 races × 12 queries on the snapshot;
+/// the settled state is the entries' above.
 #[test]
 fn streaming_agrees_with_the_evaluator_under_a_live_writer() {
     run_matrix(
         3_072,
-        &[entry("stream/mid-history", |w| {
-            stream(w, State::Mid, 7, true)
-        })],
+        &[entry("stream/mid-history", |w| stream(w, State::Mid, 7))],
     );
 }
 
@@ -208,7 +190,6 @@ fn cancel_probe(w: &World) -> Opened<'_> {
     let snap = w.part.snapshot();
     let opts = ExecOptions {
         batch_rows: 7,
-        workers: 1,
         ..ExecOptions::default()
     };
     let mut rng = TestRng::new(w.seed);
@@ -236,8 +217,8 @@ fn cancel_aborts_within_one_batch() {
     run_matrix(1_000, &[entry("stream/cancel probe", cancel_probe)]);
 }
 
-/// A fixed dense state answers the battery through the stream, serial
-/// and forced-parallel, in batches of 1, 7 and 4096 rows.
+/// A fixed dense state answers the battery through the stream, in batches
+/// of 1, 7 and 4096 rows.
 #[test]
 fn streaming_matches_the_evaluator_on_the_battery() {
     let dir = tmp("seeded");
@@ -245,16 +226,11 @@ fn streaming_matches_the_evaluator_on_the_battery() {
     let db = ConcurrentDatabase::open(&dir).unwrap();
     let snap = db.snapshot();
     for batch_rows in [1, 7, 4096] {
-        for parallel in [false, true] {
-            let opts = stream_options(batch_rows, parallel);
-            for (name, q) in BATTERY {
-                let want = canon(&evaluate(&parse_query(q).unwrap(), &*snap));
-                let got = canon(&run_stream(&*snap, q, &opts).map_err(failure));
-                assert_eq!(
-                    got, want,
-                    "{name} `{q}` at {batch_rows} rows, parallel {parallel}"
-                );
-            }
+        let opts = stream_options(batch_rows);
+        for (name, q) in BATTERY {
+            let want = canon(&evaluate(&parse_query(q).unwrap(), &*snap));
+            let got = canon(&run_stream(&*snap, q, &opts).map_err(failure));
+            assert_eq!(got, want, "{name} `{q}` at {batch_rows} rows");
         }
     }
     drop((snap, db));
@@ -302,8 +278,7 @@ fn big_batches() -> ExecOptions {
     }
 }
 
-/// A `WHEN` or aggregate root gates every pull (a parallel scan's workers
-/// probe too, once per morsel): a cancel stops it long before a full
+/// A `WHEN` or aggregate root gates every pull: a cancel stops it long before a full
 /// drain, with `Cancelled` and never a partial value.
 #[test]
 fn when_over_a_big_scan_observes_cancel_within_one_batch() {
@@ -329,10 +304,6 @@ fn binary_operators_observe_cancel_within_one_probe_batch() {
     let snap = big(false);
     // 391 batches, plus one empty pull.
     let (build, probe) = (392, 392);
-    let serial = ExecOptions {
-        workers: 1,
-        ..big_batches()
-    };
     for (q, fire_at) in [
         // The build side is drained and streamed out first (391 root
         // pulls); the probe side's duplicates add nothing.
@@ -341,7 +312,11 @@ fn binary_operators_observe_cancel_within_one_probe_batch() {
         // `g`'s own partition map is the build table: nothing drained.
         ("evt TIMEJOIN@AT g", 1 + probe / 2),
     ] {
-        assert_eq!(cancelled_at(&*snap, q, &serial, fire_at), fire_at, "`{q}`");
+        assert_eq!(
+            cancelled_at(&*snap, q, &big_batches(), fire_at),
+            fire_at,
+            "`{q}`"
+        );
     }
 }
 
