@@ -404,19 +404,19 @@ fn run_tracked() -> Vec<BenchResult> {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    // The out-of-core read path: a windowed materialization over a
-    // checkpointed 100k-tuple partitioned relation, through the buffer
-    // pool. `pool_hit` runs against a pool large enough that the second
-    // and later materializations are all frame hits (pure CPU: pruning +
-    // a lifespan probe per record of the heap pages whose zone meets the
-    // window + decoding the records the window keeps). `pool_miss` runs
-    // the same window through a 2-frame pool, so every iteration re-faults
-    // the pages it visits — reads come
+    // The out-of-core read path: a windowed query over a checkpointed
+    // 100k-tuple partitioned relation, its scan reading the cold
+    // partitions through the buffer pool. `pool_hit` runs against a pool
+    // large enough that the second and later queries are all frame hits
+    // (pure CPU: pruning + a lifespan probe per record of the heap pages
+    // whose zone meets the window + decoding, clipped, the records the
+    // window keeps). `pool_miss` runs the same window through a 2-frame
+    // pool, so every iteration re-faults the pages it visits — reads come
     // from the OS page cache (no fsync), so both are gateable on one
     // runner class.
     {
         use hrdm_bench::partition_fixture::{scheme as part_scheme, tup as part_tup, SPAN_LOG2};
-        use hrdm_query::paged_snapshot_for_query;
+        use hrdm_query::run_query_on_paged;
         use hrdm_storage::{BufferPool, PagedDatabase, PartitionPolicy};
         let dir = bench_dir("paged");
         let mut db = Database::open(&dir).unwrap();
@@ -439,18 +439,18 @@ fn run_tracked() -> Vec<BenchResult> {
         let lo = 32i64 << SPAN_LOG2;
         let q = format!("TIMESLICE [{lo}..{}] (r)", lo + 50);
         let warm = PagedDatabase::open_with_pool(&dir, BufferPool::new(4096)).unwrap();
-        std::hint::black_box(paged_snapshot_for_query(&q, &warm).unwrap()); // fault once
+        std::hint::black_box(run_query_on_paged(&q, &warm).unwrap()); // fault once
         track(
             "pool_hit_timeslice_100k",
             measure_median_ns(SAMPLES, sample_time(), || {
-                std::hint::black_box(paged_snapshot_for_query(&q, &warm).unwrap());
+                std::hint::black_box(run_query_on_paged(&q, &warm).unwrap());
             }),
         );
         let cold = PagedDatabase::open_with_pool(&dir, BufferPool::new(2)).unwrap();
         track(
             "pool_miss_cold_partition",
             measure_median_ns(SAMPLES, sample_time(), || {
-                std::hint::black_box(paged_snapshot_for_query(&q, &cold).unwrap());
+                std::hint::black_box(run_query_on_paged(&q, &cold).unwrap());
             }),
         );
         drop(warm);

@@ -1215,6 +1215,7 @@ impl Session {
                             "result exceeds the cap of {n} rows; the stream was cut off"
                         )),
                         ExecError::Eval(h) => WireError::from(&h),
+                        ExecError::Storage(e) => WireError::from(&*e.0),
                     };
                     return self.send(req, &Frame::Error { error }).is_ok();
                 }
@@ -1308,5 +1309,6 @@ fn pipeline_error(e: &PipelineError) -> WireError {
         PipelineError::Eval(m) => WireError::from(m),
         PipelineError::Cancelled => WireError::Cancelled,
         PipelineError::Limit(m) => WireError::Limit(m.clone()),
+        PipelineError::Storage(e) => WireError::from(&*e.0),
     }
 }

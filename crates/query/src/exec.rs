@@ -28,8 +28,9 @@
 //! ## Operator classes
 //!
 //! * **Streaming** — scans and the per-tuple unaries (σWHEN, σIF, π, τ,
-//!   τ@A) never hold more than one batch: each input row maps to at most
-//!   one output row independently of every other row. A row is a
+//!   τ@A) never hold more than one batch (a scan of cold partitions, one
+//!   partition's hits): each input row maps to at most one output row
+//!   independently of every other row. A row is a
 //!   restriction view ([`ClippedTuple`]): an `Arc`-backed stored tuple and
 //!   the clip it is seen through. τ, τ@A, σWHEN and σIF only narrow the
 //!   clip, and π projects the stored tuple and carries the clip through —
@@ -61,7 +62,11 @@
 //!
 //! A query runs on the thread that pulls it: every scan is one serial
 //! `ScanExec` with its unaries stacked above it as `FilterExec`s, so the
-//! rows of a batch are encoded on the core that scanned them.
+//! rows of a batch are encoded on the core that scanned them. A literal τ
+//! directly on a scan is the scan's clip instead: a cold partition's
+//! records are then decoded straight into their restrictions
+//! ([`IndexSource::read_cold`]), and resident rows become the same views a
+//! `FilterExec` would make.
 //!
 //! Every executor keeps per-operator [`ExecStats`] (rows, batches,
 //! inclusive wall time); `EXPLAIN ANALYZE` renders the executor tree with
@@ -83,7 +88,7 @@ use hrdm_core::{
     Tuple, TupleView, Value,
 };
 use hrdm_index::{KeyIndex, LifespanIndex};
-use hrdm_storage::{Partition, PartitionMap};
+use hrdm_storage::{DbError, Partition, PartitionMap};
 use hrdm_time::{Interval, Lifespan};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -156,6 +161,9 @@ pub enum ExecError {
     Cancelled,
     /// More than [`ExecOptions::max_rows`] rows were streamed.
     RowLimit(u64),
+    /// Reading a cold partition from disk failed (I/O, a bad checksum, a
+    /// corrupt record): the stream stops there, never silently short.
+    Storage(StorageError),
 }
 
 impl fmt::Display for ExecError {
@@ -164,7 +172,25 @@ impl fmt::Display for ExecError {
             ExecError::Eval(e) => write!(f, "{e}"),
             ExecError::Cancelled => f.write_str("query cancelled"),
             ExecError::RowLimit(n) => write!(f, "result exceeds the cap of {n} rows"),
+            ExecError::Storage(e) => write!(f, "storage error: {e}"),
         }
+    }
+}
+
+/// A storage failure met by a scan, shared so that the errors carrying it
+/// stay cheap to clone. Two are equal when they are the same failure.
+#[derive(Clone, Debug)]
+pub struct StorageError(pub Arc<DbError>);
+
+impl PartialEq for StorageError {
+    fn eq(&self, other: &StorageError) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl fmt::Display for StorageError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
     }
 }
 
@@ -489,19 +515,45 @@ fn chain_row(ops: &[TupleOp], row: TupleView<'_>) -> Result<Option<ClippedTuple>
 /// A serial base-relation scan honouring its planned [`AccessPath`]: a
 /// missing or stale index at `open` time degrades to reading everything,
 /// never to an error.
+///
+/// The scan reads the relation's cold partitions first, ascending by id —
+/// those its window meets, or all — through [`IndexSource::read_cold`],
+/// and then its resident tuples: the order an eager load stores them in.
+/// A literal TIME-SLICE directly above the scan is fused into it as its
+/// clip: cold records are decoded clipped, and resident rows become the
+/// views `τ_clip(t)` a [`FilterExec`] would make of them.
 struct ScanExec<'a> {
     name: String,
     access: AccessPath,
     label: String,
+    /// The fused TIME-SLICE: its EXPLAIN label and window.
+    clip: Option<(String, Lifespan)>,
     src: &'a dyn IndexSource,
     batch_rows: usize,
     state: Option<ScanState>,
     stats: ExecStats,
+    /// Rows the scan read, before its clip dropped any.
+    read_rows: u64,
+    /// What the scan read of cold partitions; `None` when it had none.
+    cold: Option<ColdStats>,
     /// Rows-streamed leaderboard credit fires once, at first close.
     reported: bool,
 }
 
+/// What a scan's cold partition reads did, for `EXPLAIN ANALYZE`.
+#[derive(Clone, Copy, Default)]
+struct ColdStats {
+    partitions: u64,
+    pages_skipped: u64,
+    probed: u64,
+    decoded: u64,
+}
+
 struct ScanState {
+    /// The cold partitions still to read.
+    cold: std::vec::IntoIter<i64>,
+    /// The rows of the cold partition read last, not yet handed out.
+    decoded: std::vec::IntoIter<Tuple>,
     relation: Relation,
     /// `None` = every position (SeqScan / degraded index scan).
     positions: Option<Vec<usize>>,
@@ -513,6 +565,7 @@ impl<'a> ScanExec<'a> {
         name: &str,
         access: &AccessPath,
         label: String,
+        clip: Option<(String, Lifespan)>,
         src: &'a dyn IndexSource,
         opts: &ExecOptions,
     ) -> ScanExec<'a> {
@@ -520,12 +573,84 @@ impl<'a> ScanExec<'a> {
             name: name.to_string(),
             access: access.clone(),
             label,
+            clip,
             src,
             batch_rows: opts.batch_rows_clamped(),
             state: None,
             stats: ExecStats::default(),
+            read_rows: 0,
+            cold: None,
             reported: false,
         }
+    }
+
+    /// The next batch: decoded rows of the cold partitions while any are
+    /// left, then the resident rows, clipped.
+    fn fill(&mut self) -> Result<Option<RowBatch>, ExecError> {
+        let window = window_of(&self.access);
+        let ScanExec {
+            name,
+            clip,
+            src,
+            batch_rows,
+            state,
+            read_rows,
+            cold,
+            ..
+        } = self;
+        let Some(state) = state else {
+            return Ok(None); // never opened (or already closed)
+        };
+        let clip = clip.as_ref().map(|(_, w)| w);
+        let mut rows = Vec::with_capacity((*batch_rows).min(MAX_BATCH_ROWS));
+        while rows.len() < *batch_rows {
+            if let Some(t) = state.decoded.next() {
+                rows.push(ClippedTuple::from(t));
+                continue;
+            }
+            let Some(id) = state.cold.next() else {
+                break;
+            };
+            let mut out = Vec::new();
+            let read = src
+                .read_cold(name, id, window, clip, &mut out)
+                .map_err(|e| ExecError::Storage(StorageError(Arc::new(e))))?;
+            if let Some(cold) = cold {
+                cold.partitions += 1;
+                cold.pages_skipped += read.pages_skipped;
+                cold.probed += read.scanned;
+                cold.decoded += read.decoded;
+            }
+            state.decoded = out.into_iter();
+        }
+        if !rows.is_empty() {
+            *read_rows += rows.len() as u64;
+            return Ok(Some(RowBatch::new(rows)));
+        }
+        let clip = clip.map(|w| [TupleOp::TimeSlice(w.clone())]);
+        while let Some(batch) = scan_next_batch(state, *batch_rows) {
+            *read_rows += batch.len() as u64;
+            let Some(clip) = &clip else {
+                return Ok(Some(batch));
+            };
+            let mut rows = Vec::with_capacity(batch.len());
+            for row in batch.rows() {
+                rows.extend(chain_row(clip, row.into())?);
+            }
+            if !rows.is_empty() {
+                return Ok(Some(RowBatch::new(rows)));
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// The window of a lifespan access path: only rows alive somewhere in it
+/// matter.
+fn window_of(access: &AccessPath) -> Option<&Lifespan> {
+    match access {
+        AccessPath::LifespanIndex { window, .. } => Some(window),
+        _ => None,
     }
 }
 
@@ -588,9 +713,14 @@ impl QueryExecutor for ScanExec<'_> {
             .src
             .relation(&self.name)
             .ok_or_else(|| HrdmError::UnknownRelation(self.name.clone()))?;
+        let map = self.src.partitions(&self.name).filter(|m| m.has_cold());
+        let cold = map.map_or_else(Vec::new, |m| m.cold_ids(window_of(&self.access)));
+        self.cold = map.map(|_| ColdStats::default());
         let positions = scan_positions(&self.access, self.src, &self.name, r);
         let scheme = r.scheme().clone();
         self.state = Some(ScanState {
+            cold: cold.into_iter(),
+            decoded: Vec::new().into_iter(),
             relation: r.clone(),
             positions,
             cursor: 0,
@@ -602,16 +732,13 @@ impl QueryExecutor for ScanExec<'_> {
     /// The next batch (none once drained, or when the scan is not open).
     fn next_batch(&mut self) -> Result<Option<RowBatch>, ExecError> {
         let started = Instant::now();
-        let out = self
-            .state
-            .as_mut()
-            .and_then(|state| scan_next_batch(state, self.batch_rows));
-        if let Some(b) = &out {
+        let out = self.fill();
+        if let Ok(Some(b)) = &out {
             self.stats.rows += b.len() as u64;
             self.stats.batches += 1;
         }
         self.stats.wall_ns += started.elapsed().as_nanos() as u64;
-        Ok(out)
+        out
     }
 
     fn close(&mut self) {
@@ -626,10 +753,31 @@ impl QueryExecutor for ScanExec<'_> {
         self.stats
     }
 
-    fn render(&self, depth: usize, annotate: bool, out: &mut String) {
+    /// A fused TIME-SLICE renders as its own line over the scan's, as the
+    /// plan has it: the slice's numbers are the rows the scan hands out,
+    /// the scan's the rows it read. A scan of cold partitions also says
+    /// what it read of them.
+    fn render(&self, mut depth: usize, annotate: bool, out: &mut String) {
+        if let Some((label, _)) = &self.clip {
+            indent(out, depth);
+            out.push_str(label);
+            out.push_str(&annotation(&self.stats, annotate));
+            out.push('\n');
+            depth += 1;
+        }
         indent(out, depth);
         out.push_str(&self.label);
-        out.push_str(&annotation(&self.stats, annotate));
+        let read = ExecStats {
+            rows: self.read_rows,
+            ..self.stats
+        };
+        out.push_str(&annotation(&read, annotate));
+        if let Some(cold) = self.cold.filter(|_| annotate) {
+            out.push_str(&format!(
+                " (cold: partitions={}, pages_skipped={}, probed={}, decoded={})",
+                cold.partitions, cold.pages_skipped, cold.probed, cold.decoded
+            ));
+        }
         out.push('\n');
     }
 }
@@ -1423,7 +1571,9 @@ fn indexed_base(kind: &BinaryKind, p: &Plan, src: &dyn IndexSource) -> Option<St
         return None;
     };
     let indexed = match kind {
-        BinaryKind::TimeJoin { .. } => src.partitions(relation).is_some(),
+        // Cold members have no positions to probe: such a relation is
+        // scanned into a lifespan table instead.
+        BinaryKind::TimeJoin { .. } => src.partitions(relation).is_some_and(|p| !p.has_cold()),
         _ if kind.keyed() => src.key_index(relation).is_some(),
         _ => false,
     };
@@ -1441,20 +1591,26 @@ fn estimated_rows(p: &Plan, src: &dyn IndexSource) -> usize {
             let Some(r) = src.relation(relation) else {
                 return 0;
             };
-            match access {
+            let members = |parts: &PartitionMap, ids: Vec<i64>| -> usize {
+                let ids = ids.into_iter();
+                ids.filter_map(|id| parts.partition(id))
+                    .map(Partition::len)
+                    .sum()
+            };
+            let resident = match access {
                 AccessPath::SeqScan => r.len(),
                 AccessPath::KeyIndex { key, .. } => src
                     .key_index(relation)
                     .map_or(r.len(), |k| k.lookup(key).len()),
                 AccessPath::LifespanIndex { window, .. } => valid_partitions(src, relation, r)
                     .map_or(r.len(), |parts| {
-                        let overlapping = parts.overlapping_ids(window).into_iter();
-                        overlapping
-                            .filter_map(|id| parts.partition(id))
-                            .map(Partition::len)
-                            .sum()
+                        members(parts, parts.overlapping_ids(window))
                     }),
-            }
+            };
+            let cold = src
+                .partitions(relation)
+                .map_or(0, |parts| members(parts, parts.cold_ids(window_of(access))));
+            resident + cold
         }
         Plan::Unary { input, .. } => estimated_rows(input, src),
         Plan::Binary { op, left, right } => {
@@ -1884,16 +2040,39 @@ fn build_forcing<'a>(
     match p {
         Plan::Scan {
             relation, access, ..
-        } => Box::new(ScanExec::build(relation, access, node_label(p), src, opts)),
-        Plan::Unary { op, input } => Box::new(FilterExec {
-            op: op.clone(),
-            label: node_label(p),
+        } => Box::new(ScanExec::build(
+            relation,
+            access,
+            node_label(p),
+            None,
             src,
-            child: build_executor(input, src, opts),
-            opts: opts.clone(),
-            compiled: None,
-            stats: ExecStats::default(),
-        }),
+            opts,
+        )),
+        Plan::Unary { op, input } => match (op, &**input) {
+            // A literal TIME-SLICE directly on a scan is the scan's clip.
+            (
+                UnaryOp::TimeSlice(LifespanExpr::Literal(window)),
+                Plan::Scan {
+                    relation, access, ..
+                },
+            ) => Box::new(ScanExec::build(
+                relation,
+                access,
+                node_label(input),
+                Some((unary_label(op), window.clone())),
+                src,
+                opts,
+            )),
+            _ => Box::new(FilterExec {
+                op: op.clone(),
+                label: node_label(p),
+                src,
+                child: build_executor(input, src, opts),
+                opts: opts.clone(),
+                compiled: None,
+                stats: ExecStats::default(),
+            }),
+        },
         Plan::Binary { op, left, right } => {
             binary(BinaryKind::Op(*op), p, [left, right], force, src, opts)
         }

@@ -58,7 +58,7 @@ pub use eval::{eval_expr, eval_lifespan, evaluate};
 pub use exec::{
     build_executor, build_query_executor, explain_stream_plan, AggregateExec, CancelProbe,
     ExecError, ExecOptions, ExecStats, LifespanExec, QueryExecutor, QueryRoot, QueryStream,
-    RowBatch, DEFAULT_BATCH_ROWS,
+    RowBatch, StorageError, DEFAULT_BATCH_ROWS,
 };
 // The build-side lever: for the differential tests, not for answering queries.
 #[doc(hidden)]
@@ -68,9 +68,9 @@ pub use lexer::{lex, LexError, Token};
 pub use optimizer::{optimize, Rewrite};
 pub use parser::{parse_expr, parse_query, ParseError};
 pub use pipeline::{
-    explain_analyze_query_text, explain_query_text, paged_snapshot_for_query, run_query,
-    run_query_on_paged, run_query_on_snapshot, stream_query_on_snapshot, strip_explain_analyze,
-    PagedQueryError, PipelineError, PipelineTiming, QueryResult, StreamedQuery,
+    explain_analyze_query_text, explain_query_text, run_query, run_query_on_paged,
+    run_query_on_snapshot, stream_query_on_snapshot, strip_explain_analyze, PagedQueryError,
+    PipelineError, PipelineTiming, QueryResult, StreamedQuery,
 };
 pub use plan::{
     explain_with_access, materialization_window, plan, plan_lifespan, plan_query, AccessPath,

@@ -12,11 +12,13 @@
 //! front ends cannot drift apart in how they treat a query.
 
 use crate::ast::Query;
-use crate::exec::{build_query_executor, ExecError, ExecOptions, QueryRoot, QueryStream};
+use crate::exec::{
+    build_query_executor, ExecError, ExecOptions, QueryRoot, QueryStream, StorageError,
+};
 use crate::parser::{parse_query, ParseError};
 use crate::plan::{plan_query, IndexSource};
 use hrdm_core::{HrdmError, Relation, TemporalValue};
-use hrdm_storage::{DbError, PagedDatabase};
+use hrdm_storage::PagedDatabase;
 use hrdm_time::Lifespan;
 use std::fmt;
 use std::time::Instant;
@@ -47,6 +49,8 @@ pub enum PipelineError {
     Cancelled,
     /// A streaming resource cap (e.g. the row limit) was exceeded.
     Limit(String),
+    /// A scan failed to read a cold partition from disk.
+    Storage(StorageError),
 }
 
 impl fmt::Display for PipelineError {
@@ -56,6 +60,7 @@ impl fmt::Display for PipelineError {
             PipelineError::Eval(e) => write!(f, "error: {e}"),
             PipelineError::Cancelled => f.write_str("query cancelled"),
             PipelineError::Limit(m) => write!(f, "limit exceeded: {m}"),
+            PipelineError::Storage(e) => write!(f, "storage error: {e}"),
         }
     }
 }
@@ -82,6 +87,7 @@ impl From<ExecError> for PipelineError {
             ExecError::RowLimit(n) => {
                 PipelineError::Limit(format!("result exceeds the cap of {n} rows"))
             }
+            ExecError::Storage(e) => PipelineError::Storage(e),
         }
     }
 }
@@ -206,14 +212,14 @@ fn stream_planned<'a>(
 
 /// Everything that can go wrong running query text against an
 /// out-of-core [`PagedDatabase`]: the ordinary pipeline failures, plus
-/// the storage layer failing to materialize the window (I/O error, bad
-/// checksum, …) — a failure class the in-memory pipeline cannot have.
+/// a scan failing to read a cold partition (I/O error, bad checksum, …)
+/// — a failure class the in-memory pipeline cannot have.
 #[derive(Debug)]
 pub enum PagedQueryError {
     /// The query itself failed (parse, eval, cancel, cap).
     Pipeline(PipelineError),
-    /// Reading the window from disk failed.
-    Storage(DbError),
+    /// Reading a partition from disk failed.
+    Storage(StorageError),
 }
 
 impl fmt::Display for PagedQueryError {
@@ -229,52 +235,19 @@ impl std::error::Error for PagedQueryError {}
 
 impl From<PipelineError> for PagedQueryError {
     fn from(e: PipelineError) -> Self {
-        PagedQueryError::Pipeline(e)
-    }
-}
-
-impl From<DbError> for PagedQueryError {
-    fn from(e: DbError) -> Self {
-        PagedQueryError::Storage(e)
-    }
-}
-
-impl From<ParseError> for PagedQueryError {
-    fn from(e: ParseError) -> Self {
-        PagedQueryError::Pipeline(PipelineError::Parse(e))
-    }
-}
-
-/// The minimal snapshot a paged source must materialize to answer
-/// `text`, plus the window it was clipped to (`None` = everything).
-///
-/// The window is [`crate::plan::materialization_window`] of the
-/// *optimized* relational expression — the same shape the planner will
-/// bound — so a query under a literal `TIMESLICE` faults in only the
-/// partitions its window can touch. Non-relation sorts (lifespan,
-/// aggregate) and unbounded queries materialize the full database.
-pub fn paged_snapshot_for_query(
-    text: &str,
-    db: &PagedDatabase,
-) -> Result<(hrdm_storage::DbSnapshot, Option<Lifespan>), PagedQueryError> {
-    let window = match parse_query(text)? {
-        crate::ast::Query::Relation(e) => {
-            let (optimized, _trace) = crate::optimizer::optimize(&e);
-            crate::plan::materialization_window(&optimized)
+        match e {
+            PipelineError::Storage(e) => PagedQueryError::Storage(e),
+            e => PagedQueryError::Pipeline(e),
         }
-        _ => None,
-    };
-    let snap = db.window_snapshot(window.as_ref())?;
-    Ok((snap, window))
+    }
 }
 
-/// Runs query text end to end against an out-of-core database: compute
-/// the query's materialization window, fault in that window through the
-/// buffer pool (pruned partitions stay on disk), then run the ordinary
-/// snapshot pipeline over the result.
+/// Runs query text end to end against an out-of-core database: parsed,
+/// optimized and planned once against the paged view, whose scans read
+/// the cold partitions their windows meet through the buffer pool (pruned
+/// partitions stay on disk) and then the resident WAL tail.
 pub fn run_query_on_paged(text: &str, db: &PagedDatabase) -> Result<QueryResult, PagedQueryError> {
-    let (snap, _window) = paged_snapshot_for_query(text, db)?;
-    run_query_on_snapshot(text, &snap).map_err(PagedQueryError::from)
+    run_query_on_snapshot(text, db).map_err(PagedQueryError::from)
 }
 
 /// Parses and EXPLAINs query text against `src`: the physical plan with

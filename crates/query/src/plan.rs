@@ -34,9 +34,9 @@
 
 use crate::ast::{Expr, LifespanExpr, Query};
 use hrdm_core::algebra::{AggregateOp, Comparator, Operand, Predicate, Quantifier};
-use hrdm_core::{Attribute, Relation, Value};
+use hrdm_core::{Attribute, Relation, Tuple, Value};
 use hrdm_index::KeyIndex;
-use hrdm_storage::PartitionMap;
+use hrdm_storage::{DbError, PagedDatabase, PartitionMap, PartitionRead};
 use hrdm_time::Lifespan;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -76,6 +76,12 @@ impl RelationSource for BTreeMap<String, Relation> {
 /// mutations); a detached `Database` built with
 /// `Database::with_relations` serves any in-memory relation map with the
 /// same access paths.
+///
+/// A relation's partitions may be **cold**: their members are the records
+/// of a checkpoint heap on disk, not tuples of [`RelationSource::relation`],
+/// which then holds only the resident rest. A scan reads each cold
+/// partition it needs through [`IndexSource::read_cold`] and then the
+/// resident tuples; nothing else reads a cold relation wholesale.
 pub trait IndexSource: RelationSource {
     /// The current key index for `name`, if any.
     fn key_index(&self, name: &str) -> Option<&KeyIndex> {
@@ -90,6 +96,24 @@ pub trait IndexSource: RelationSource {
     fn partitions(&self, name: &str) -> Option<&PartitionMap> {
         let _ = name;
         None
+    }
+
+    /// Appends to `out`, in heap order, the tuples of `name`'s cold
+    /// partition `id` whose lifespan meets `window` (every tuple when
+    /// `None`), each restricted to `clip` when one is given. Only a source
+    /// whose partition maps hold cold partitions has any to read.
+    fn read_cold(
+        &self,
+        name: &str,
+        id: i64,
+        window: Option<&Lifespan>,
+        clip: Option<&Lifespan>,
+        out: &mut Vec<Tuple>,
+    ) -> Result<PartitionRead, DbError> {
+        let _ = (window, clip, out);
+        Err(DbError::Mode(format!(
+            "`{name}` has no cold partition {id} in this source"
+        )))
     }
 }
 
@@ -117,6 +141,32 @@ impl IndexSource for hrdm_storage::DbSnapshot {
 
     fn partitions(&self, name: &str) -> Option<&PartitionMap> {
         hrdm_storage::DbSnapshot::partitions(self, name)
+    }
+}
+
+/// The out-of-core view: a relation's checkpoint image is its cold
+/// partitions, read in place by the plan's scans, and only the WAL tail is
+/// resident.
+impl RelationSource for PagedDatabase {
+    fn relation(&self, name: &str) -> Option<&Relation> {
+        self.resident(name)
+    }
+}
+
+impl IndexSource for PagedDatabase {
+    fn partitions(&self, name: &str) -> Option<&PartitionMap> {
+        self.partition_map(name)
+    }
+
+    fn read_cold(
+        &self,
+        name: &str,
+        id: i64,
+        window: Option<&Lifespan>,
+        clip: Option<&Lifespan>,
+        out: &mut Vec<Tuple>,
+    ) -> Result<PartitionRead, DbError> {
+        PagedDatabase::read_cold(self, name, id, window, clip, out)
     }
 }
 
@@ -412,7 +462,9 @@ fn plan_optimized(e: &Expr, src: &dyn IndexSource) -> Plan {
 ///
 /// `hrdm_storage::PagedDatabase::window_snapshot` takes `W` to
 /// materialize the minimal snapshot; partitions disjoint from `W` stay
-/// cold on disk.
+/// cold on disk. Queries do not run that way — a plan's scans read the
+/// cold partitions themselves — but the benchmark's traced replay and the
+/// tests call both, until the benchmark is re-pointed.
 pub fn materialization_window(expr: &Expr) -> Option<Lifespan> {
     let mut bounds = Vec::new();
     scan_bounds(&plan_unbound(expr), &mut bounds)?;
@@ -776,14 +828,16 @@ pub(crate) fn record_scan_access(access: &AccessPath) {
 }
 
 /// `src`'s partition map for `name`, but only when its positions are
-/// current against `r` — a stale or absent map degrades to a sequential
-/// scan, never to wrong positions.
+/// current against `r` — a stale or absent map, or one with cold
+/// partitions (whose members have no positions), degrades to a
+/// sequential scan, never to wrong positions.
 pub(crate) fn valid_partitions<'s>(
     src: &'s dyn IndexSource,
     name: &str,
     r: &Relation,
 ) -> Option<&'s PartitionMap> {
-    src.partitions(name).filter(|p| p.tuple_count() == r.len())
+    src.partitions(name)
+        .filter(|p| p.tuple_count() == r.len() && !p.has_cold())
 }
 
 /// The full EXPLAIN for an expression: the optimizer's before/after trees

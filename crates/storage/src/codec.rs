@@ -493,6 +493,10 @@ impl<'a> Decoder<'a> {
     /// A lifespan.
     pub fn get_lifespan(&mut self) -> Result<Lifespan, CodecError> {
         let n = self.get_u64()? as usize;
+        if n == 1 {
+            // The common case needs no run list.
+            return Ok(Lifespan::from(self.get_interval()?));
+        }
         let mut runs = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
             runs.push(self.get_interval()?);
@@ -544,6 +548,22 @@ impl<'a> Decoder<'a> {
             2 => Ok(Value::str(self.get_str()?)),
             3 => Ok(Value::Bool(self.get_u8()? != 0)),
             4 => Ok(Value::Time(self.get_chronon()?)),
+            tag => Err(CodecError::BadTag("Value", tag)),
+        }
+    }
+
+    /// Reads past the value at the cursor with [`Decoder::get_value`]'s
+    /// checks, building nothing, and returns its kind.
+    fn skip_value(&mut self) -> Result<ValueKind, CodecError> {
+        match self.get_u8()? {
+            0 => self.get_i64().map(|_| ValueKind::Int),
+            1 => match self.take(8)?.try_into().map(f64::from_le_bytes) {
+                Ok(f) if !f.is_nan() => Ok(ValueKind::Float),
+                _ => Err(CodecError::Invariant("NaN float")),
+            },
+            2 => self.get_str().map(|_| ValueKind::Str),
+            3 => self.get_u8().map(|_| ValueKind::Bool),
+            4 => self.get_i64().map(|_| ValueKind::Time),
             tag => Err(CodecError::BadTag("Value", tag)),
         }
     }
@@ -614,6 +634,96 @@ impl<'a> Decoder<'a> {
     /// the attribute names the scheme knows.
     pub fn get_tuple_in(&mut self, scheme: &Scheme) -> Result<Tuple, CodecError> {
         self.get_tuple_on(Some(scheme.layout()))
+    }
+
+    /// The tuple at the cursor restricted to `clip`, `τ_clip(t)`, decoded in
+    /// one pass that builds only the pieces inside `t.l ∩ clip` — or `None`
+    /// when the record is not one that a valid tuple of `scheme` encodes
+    /// to.
+    ///
+    /// `Some` is exactly [`Decoder::get_tuple_in`], validated and
+    /// restricted to `clip` ([`Tuple::restrict`]). It needs a record that
+    /// names the scheme's attributes in layout order, whose functions'
+    /// segments are sorted and disjoint, and whose every segment passes
+    /// [`Tuple::validate`]'s checks: a value of the attribute's domain, an
+    /// interval inside `t.l` and the attribute's lifespan, one value
+    /// throughout for a constant domain. (Segments that abut with one value
+    /// are merged after they are clipped, as `TemporalValue::from_segments`
+    /// merges pieces, which comes to the same.)
+    /// Every encoder writes such records for valid tuples. Anything else —
+    /// a record written before a schema evolution shrank a lifespan, one
+    /// named out of order, corrupt bytes — is `None`, and the caller
+    /// decodes it the general way, which gives its value or its error. The
+    /// cursor is then unspecified.
+    pub fn get_tuple_clipped(&mut self, scheme: &Scheme, clip: &Lifespan) -> Option<Tuple> {
+        let life = self.get_lifespan().ok()?;
+        let keep = life.intersect(clip);
+        let layout = scheme.layout();
+        if self.get_u64().ok()? != layout.len() as u64 {
+            return None;
+        }
+        let mut values = value_slots(Some(layout));
+        // One buffer for every function's pieces: each function then takes
+        // an exact-size copy of its own.
+        let mut pieces = Vec::new();
+        for attr in layout.names() {
+            if self.get_str().ok()? != attr.name() {
+                return None;
+            }
+            let def = scheme.attr(attr)?;
+            self.get_clipped_function(def, &life, &keep, &mut pieces)?;
+            values.push(TemporalValue::from_segments(pieces.drain(..)).ok()?);
+        }
+        Tuple::from_layout(keep, layout, values)
+    }
+
+    /// One function of [`Decoder::get_tuple_clipped`]'s tuple, of attribute
+    /// `def` in a tuple living over `life`: each segment checked as
+    /// [`Tuple::validate`] checks it, and only its pieces inside `keep`
+    /// built, into `pieces`. `None` when a check fails or a segment does
+    /// not start past the one before.
+    fn get_clipped_function(
+        &mut self,
+        def: &AttributeDef,
+        life: &Lifespan,
+        keep: &Lifespan,
+        pieces: &mut Vec<(Interval, Value)>,
+    ) -> Option<()> {
+        let n = self.get_u64().ok()?;
+        let mut last: Option<Interval> = None;
+        // The bytes of the first value: a constant domain's every value.
+        let mut first: Option<&[u8]> = None;
+        for _ in 0..n {
+            let seg = self.get_interval().ok()?;
+            if last.replace(seg).is_some_and(|prev| seg.lo() <= prev.hi()) {
+                return None;
+            }
+            let at = self.pos;
+            let value = if keep.intersects_interval(&seg) {
+                Some(self.get_value().ok()?)
+            } else {
+                None
+            };
+            let kind = match &value {
+                Some(v) => v.kind(),
+                None => self.skip_value().ok()?,
+            };
+            let buf = self.buf;
+            let bytes = &buf[at..self.pos];
+            let valid = kind == def.domain().kind()
+                && life.contains_interval(&seg)
+                && def.lifespan().contains_interval(&seg)
+                && (!def.domain().is_constant() || *first.get_or_insert(bytes) == bytes);
+            if !valid {
+                return None;
+            }
+            let Some(v) = value else {
+                continue;
+            };
+            let inside = keep.intervals().iter().filter_map(|run| seg.intersect(run));
+            pieces.extend(inside.map(|piece| (piece, v.clone())));
+        }
+        Some(())
     }
 
     /// Decodes a tuple, by position against `expected` (or else the

@@ -1155,7 +1155,7 @@ fn read_checkpoint(dir: &Path) -> Result<Option<(Database, u64)>, DbError> {
             let path = partition_heap_path(dir, &name, epoch, id);
             let heap = HeapFile::open(&path).map_err(|e| io_with_path(&path, e))?;
             any_clipped |=
-                read_partition(&heap, id, count, &scheme, None, None, &mut tuples)?.clipped;
+                read_partition(&heap, (id, count), &scheme, None, None, None, &mut tuples)?.clipped;
         }
         // A checkpoint holds what a relation — a set — wrote out, so the
         // tuples are distinct as read; only clipping can make two equal.
@@ -1176,12 +1176,15 @@ fn read_checkpoint(dir: &Path) -> Result<Option<(Database, u64)>, DbError> {
     Ok(Some((db, epoch)))
 }
 
-/// What [`read_partition`] read from one partition heap.
-pub(crate) struct PartitionRead {
+/// What one read of a cold partition's heap did.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct PartitionRead {
+    /// Pages skipped without being pinned: their zone misses the window.
+    pub pages_skipped: u64,
     /// Records visited, each at the cost of a lifespan probe or a decode:
     /// the records of every page the scan did not skip.
     pub scanned: u64,
-    /// Records decoded in full: those whose lifespan met the window.
+    /// Records decoded: those whose lifespan met the window.
     pub decoded: u64,
     /// Did any decoded tuple have to be clipped to its scheme?
     pub clipped: bool,
@@ -1189,7 +1192,8 @@ pub(crate) struct PartitionRead {
 
 /// Appends to `out`, in heap order, the tuples of checkpoint partition
 /// `id` whose lifespan meets `window` (every tuple when `None`), each
-/// conformed to `scheme`. A record that misses the window is dropped after
+/// conformed to `scheme` and restricted to `clip` when one is given
+/// ([`decode_record`]). A record that misses the window is dropped after
 /// its lifespan, its first field: only hits are decoded.
 ///
 /// `zones` is the partition's per-page zone map, if it keeps one. Once it
@@ -1201,18 +1205,14 @@ pub(crate) struct PartitionRead {
 /// decodes every record without a probe.
 pub(crate) fn read_partition(
     heap: &HeapFile,
-    id: i64,
-    count: u64,
+    (id, count): (i64, u64),
     scheme: &Scheme,
     window: Option<&Lifespan>,
+    clip: Option<&Lifespan>,
     zones: Option<&OnceLock<Arc<[PageZone]>>>,
     out: &mut Vec<Tuple>,
 ) -> Result<PartitionRead, DbError> {
-    let mut read = PartitionRead {
-        scanned: 0,
-        decoded: 0,
-        clipped: false,
-    };
+    let mut read = PartitionRead::default();
     let known = zones.and_then(OnceLock::get);
     let pages = heap.page_count();
     if let Some(known) = known.filter(|known| known.len() != pages) {
@@ -1230,6 +1230,7 @@ pub(crate) fn read_partition(
             .zip(window)
             .is_some_and(|(zone, w)| !zone.meets(w))
         {
+            read.pages_skipped += 1;
             continue;
         }
         let mut zone = PageZone::EMPTY;
@@ -1244,10 +1245,19 @@ pub(crate) fn read_partition(
             };
             if meets {
                 let (tuple, clipped) =
-                    conform_to_scheme(Decoder::new(record).get_tuple_in(scheme)?, scheme)?;
+                    decode_record(record, scheme, clip).map_err(|e| match e {
+                        DbError::BadFile(what) => DbError::BadFile(format!(
+                            "{}: partition p{id} page {page_no}: {what}",
+                            heap.path().display()
+                        )),
+                        other => other,
+                    })?;
                 read.decoded += 1;
                 read.clipped |= clipped;
-                out.push(tuple);
+                // A clip that keeps nothing of a tuple leaves no row.
+                if clip.is_none() || !tuple.lifespan().is_empty() {
+                    out.push(tuple);
+                }
             }
             Ok::<(), DbError>(())
         })?;
@@ -1282,6 +1292,46 @@ pub(crate) fn read_partition(
     Ok(read)
 }
 
+/// Decodes one heap record of a relation on `scheme`: its tuple conformed
+/// to the scheme ([`conform_to_scheme`]) and restricted to `clip` when
+/// one is given, plus whether conforming had to clip it. A restriction to
+/// nothing has the empty lifespan. Bytes left after the tuple are a
+/// [`DbError::BadFile`]: a heap record holds one tuple.
+///
+/// A record that validates as read in canonical form — every record a
+/// checkpoint writes after the relation's last schema evolution — is
+/// decoded clipped in one pass that builds only what the clip keeps
+/// ([`Decoder::get_tuple_clipped`]). Any other record is decoded whole
+/// ([`Decoder::get_tuple_in`]), conformed and then restricted
+/// ([`Tuple::restrict`]), so every record yields exactly that value or
+/// that error.
+pub fn decode_record(
+    record: &[u8],
+    scheme: &Scheme,
+    clip: Option<&Lifespan>,
+) -> Result<(Tuple, bool), DbError> {
+    let whole_record = |d: &Decoder<'_>| match d.remaining() {
+        0 => Ok(()),
+        n => Err(DbError::BadFile(format!(
+            "a heap record holds {n} byte(s) past its tuple"
+        ))),
+    };
+    let mut d = Decoder::new(record);
+    if let Some(tuple) = clip.and_then(|c| d.get_tuple_clipped(scheme, c)) {
+        whole_record(&d)?;
+        return Ok((tuple, false));
+    }
+    let mut d = Decoder::new(record);
+    let tuple = d.get_tuple_in(scheme)?;
+    whole_record(&d)?;
+    let (tuple, clipped) = conform_to_scheme(tuple, scheme)?;
+    let tuple = match clip {
+        Some(c) => tuple.restrict(c),
+        None => tuple,
+    };
+    Ok((tuple, clipped))
+}
+
 /// Brings a tuple read from a checkpoint under the catalog's (possibly
 /// evolved) scheme: values outside a since-shrunk ALS become invisible,
 /// not invalid, so a tuple that fails validation only for that is clipped
@@ -1289,7 +1339,7 @@ pub(crate) fn read_partition(
 /// to be clipped. A tuple that validates as read — every tuple of a
 /// checkpoint taken after the last evolution — is returned as is:
 /// clipping to a lifespan that already contains a value is the identity.
-pub(crate) fn conform_to_scheme(tuple: Tuple, scheme: &Scheme) -> Result<(Tuple, bool), DbError> {
+pub fn conform_to_scheme(tuple: Tuple, scheme: &Scheme) -> Result<(Tuple, bool), DbError> {
     match tuple.validate(scheme) {
         Ok(()) => Ok((tuple, false)),
         Err(HrdmError::ValueOutsideLifespan { .. }) => {
@@ -1581,7 +1631,8 @@ mod tests {
         heap.sync().unwrap();
         let read = |window: Option<&Lifespan>, zones: Option<&OnceLock<Arc<[PageZone]>>>| {
             let mut out = Vec::new();
-            read_partition(&heap, 0, n, &scheme, window, zones, &mut out).map(|r| (out, r.scanned))
+            read_partition(&heap, (0, n), &scheme, window, None, zones, &mut out)
+                .map(|r| (out, r.scanned))
         };
         let (all, _) = read(None, None).unwrap();
         assert_eq!(all.len() as u64, n);
@@ -1623,6 +1674,61 @@ mod tests {
             err.contains(&path.display().to_string()) && err.contains("zone"),
             "{err}"
         );
+        drop(heap);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A heap record holds one tuple: a record with bytes after it fails
+    /// every read of its page — whole, windowed, or clipped — naming the
+    /// heap and the page, while its well-formed neighbour decodes.
+    #[test]
+    fn trailing_bytes_in_a_heap_record_are_an_error() {
+        let era = Lifespan::interval(0, 100);
+        let scheme = Scheme::builder()
+            .key_attr("K", ValueKind::Int, era.clone())
+            .attr("V", HistoricalDomain::int(), era)
+            .build()
+            .unwrap();
+        let record = |k: i64| {
+            let life = Lifespan::interval(k, k + 10);
+            let t = Tuple::builder(life.clone())
+                .constant("K", k)
+                .value("V", TemporalValue::constant(&life, Value::Int(k)))
+                .finish(&scheme)
+                .unwrap();
+            let mut e = Encoder::new();
+            e.put_tuple(&t);
+            e.finish()
+        };
+        let path = tmp("trailing.heap");
+        let mut heap = HeapFile::create_in(&path, crate::pool::BufferPool::new(4)).unwrap();
+        heap.insert(&record(1)).unwrap();
+        let mut padded = record(50);
+        padded.push(0);
+        heap.insert(&padded).unwrap();
+        heap.sync().unwrap();
+        let read = |window: Option<&Lifespan>, clip: Option<&Lifespan>| {
+            let mut out = Vec::new();
+            read_partition(&heap, (0, 2), &scheme, window, clip, None, &mut out).map(|_| out)
+        };
+        let clean = Lifespan::interval(0, 20);
+        assert_eq!(read(Some(&clean), Some(&clean)).unwrap().len(), 1);
+        let meets = Lifespan::interval(40, 55);
+        for (window, clip) in [
+            (None, None),
+            (Some(&meets), None),
+            (Some(&meets), Some(&meets)),
+        ] {
+            let Err(DbError::BadFile(err)) = read(window, clip) else {
+                panic!("a record with a trailing byte decoded ({window:?}, {clip:?})");
+            };
+            assert!(
+                err.contains(&path.display().to_string())
+                    && err.contains("page 0")
+                    && err.contains("1 byte(s) past its tuple"),
+                "{err}"
+            );
+        }
         drop(heap);
         std::fs::remove_file(&path).ok();
     }

@@ -69,7 +69,7 @@ pub use btree::LifespanBTree;
 pub use catalog::{Catalog, EvolutionEvent};
 pub use codec::{CodecError, Decoder, Encoder, LifespanProbe};
 pub use concurrent::{CommitStats, ConcurrentDatabase};
-pub use database::{Database, DbError};
+pub use database::{conform_to_scheme, decode_record, Database, DbError, PartitionRead};
 pub use heap::{HeapFile, RecordId};
 pub use page::{Page, SlotId, MAX_RECORD, PAGE_SIZE};
 pub use paged::PagedDatabase;

@@ -5,8 +5,11 @@
 //! every relation in memory before the first query, so capacity is
 //! capped at RAM. [`PagedDatabase::open`] reads **only the catalog**
 //! (header + partition manifest, a few KiB) and the WAL tail, and leaves
-//! every heap page on disk. A query then calls
-//! [`PagedDatabase::window_snapshot`] with the lifespan window it needs:
+//! every heap page on disk: a relation's checkpoint image is the **cold**
+//! partitions of its [`PagedDatabase::partition_map`], and only the WAL
+//! tail is resident ([`PagedDatabase::resident`]). A query plan's scan
+//! then reads, with the lifespan window its plan bounds it to, each cold
+//! partition through [`PagedDatabase::read_cold`]:
 //!
 //! 1. the persisted per-partition summaries prune partitions whose
 //!    chronon range cannot intersect the window — those are never
@@ -24,20 +27,24 @@
 //!    ([`crate::Decoder::lifespan_probe`]); only the records that meet
 //!    it are decoded ([`PagedDatabase::records_scanned`] /
 //!    [`PagedDatabase::records_decoded`] count both);
-//! 3. the kept tuples — partition by partition in ascending id order,
-//!    birth order within a partition, then the WAL tail: the order
-//!    [`Database::load`](crate::Database::load) produces — become an
-//!    ordinary [`DbSnapshot`], so the whole existing query stack —
-//!    planner, pruning, streaming executor, EXPLAIN ANALYZE — runs over
-//!    it unchanged. (A directory checkpointed before heaps were written
-//!    in birth order holds them in insertion order: the same answers,
-//!    in that heap order, with wider zones that skip fewer pages.)
+//! 3. a hit is decoded straight into the row the scan hands out: under a
+//!    literal TIME-SLICE fused into the scan, into its restriction to the
+//!    slice ([`crate::decode_record`]), built in one pass over the record.
+//!    The scan streams the rows partition by partition in ascending id
+//!    order, birth order within a partition, and then the WAL tail: the
+//!    order [`Database::load`](crate::Database::load) produces. (A
+//!    directory checkpointed before heaps were written in birth order
+//!    holds them in insertion order: the same answers, in that heap
+//!    order, with wider zones that skip fewer pages.)
 //!
-//! A windowed snapshot contains *only* tuples whose lifespan intersects
-//! the window. That is exactly the set a lifespan-bounded query can
-//! observe (`hrdm-query`'s `materialization_window` computes a sound
-//! window from a query text, or `None` to materialize everything), but
-//! callers passing hand-made windows must respect the contract.
+//! [`PagedDatabase::window_snapshot`] materializes the tuples meeting one
+//! window as an ordinary [`DbSnapshot`]; queries do not run that way.
+//! The benchmark's traced replay and the tests call it (with
+//! `hrdm-query`'s `materialization_window`), until the benchmark is
+//! re-pointed at the scan. A windowed snapshot contains *only* tuples
+//! whose lifespan intersects the window. That is exactly the set a
+//! lifespan-bounded query can observe, but callers passing hand-made
+//! windows must respect the contract.
 //!
 //! Writes stay with the attached [`Database`](crate::Database) /
 //! `ConcurrentDatabase`; a paged view does tolerate a WAL *tail* of
@@ -48,6 +55,7 @@
 use crate::catalog::Catalog;
 use crate::database::{
     io_with_path, partition_heap_path, read_catalog_manifest, read_partition, wal_path, DbError,
+    PartitionRead,
 };
 use crate::heap::HeapFile;
 use crate::obs::storage_obs;
@@ -56,7 +64,7 @@ use crate::pool::BufferPool;
 use crate::snapshot::DbSnapshot;
 use crate::table::{Table, Tables};
 use crate::wal::{Wal, WalRecord};
-use hrdm_core::{Relation, Scheme, Tuple};
+use hrdm_core::{HrdmError, Relation, Scheme, Tuple};
 use hrdm_time::Lifespan;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -70,8 +78,9 @@ struct PagedRelation {
     /// Cold partition map over the checkpoint manifest: pruning answers
     /// and per-partition record counts come from persisted summaries.
     map: PartitionMap,
-    /// Tuples inserted after the checkpoint (the WAL tail).
-    tail: Vec<Tuple>,
+    /// Tuples inserted after the checkpoint (the WAL tail): the resident
+    /// part of the relation.
+    tail: Relation,
     /// Partition heaps opened so far; absence here (plus a zero fault
     /// count) is the witness that a pruned partition was never touched.
     heaps: Mutex<BTreeMap<i64, Arc<HeapFile>>>,
@@ -84,9 +93,9 @@ struct PagedRelation {
 impl PagedRelation {
     fn new(scheme: Scheme, map: PartitionMap) -> PagedRelation {
         PagedRelation {
+            tail: Relation::new(scheme.clone()),
             scheme,
             map,
-            tail: Vec::new(),
             heaps: Mutex::new(BTreeMap::new()),
             records_scanned: AtomicU64::new(0),
             records_decoded: AtomicU64::new(0),
@@ -157,6 +166,7 @@ impl PagedDatabase {
         // heavier (schema evolution, wholesale replacement) would force
         // this view to re-derive relations — the eager loader's job.
         let wal_file = wal_path(dir, epoch);
+        let mut tails: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
         if wal_file.exists() {
             let (records, _torn) =
                 Wal::replay(&wal_file).map_err(|e| io_with_path(&wal_file, e))?;
@@ -176,7 +186,7 @@ impl PagedDatabase {
                             )));
                         };
                         tuple.validate(&pr.scheme).map_err(DbError::Model)?;
-                        pr.tail.push(tuple);
+                        tails.entry(relation).or_default().push(tuple);
                     }
                     other => {
                         return Err(DbError::Mode(format!(
@@ -186,6 +196,11 @@ impl PagedDatabase {
                         )));
                     }
                 }
+            }
+        }
+        for (name, tuples) in tails {
+            if let Some(pr) = rels.get_mut(&name) {
+                pr.tail = Relation::from_distinct_unchecked(pr.scheme.clone(), tuples);
             }
         }
 
@@ -282,6 +297,9 @@ impl PagedDatabase {
     /// from catalog metadata alone — their heap files are never opened.
     /// The snapshot is sound for any query whose observable tuples all
     /// intersect `window` (see `hrdm-query`'s `materialization_window`).
+    /// Queries read the cold partitions in their plans' scans instead
+    /// ([`PagedDatabase::read_cold`]); this stays for the benchmark's
+    /// traced replay and the tests until the benchmark is re-pointed.
     pub fn window_snapshot(&self, window: Option<&Lifespan>) -> Result<DbSnapshot, DbError> {
         let mut tables = Tables::new();
         for (name, pr) in &self.rels {
@@ -311,34 +329,8 @@ impl PagedDatabase {
     ) -> Result<Relation, DbError> {
         let mut tuples: Vec<Tuple> = Vec::new();
         let mut any_clipped = false;
-        let ids: Vec<i64> = match window {
-            Some(w) => pr.map.overlapping_ids(w),
-            None => pr.map.iter().map(|(id, _)| id).collect(),
-        };
-        let (mut scanned, mut decoded) = (0u64, 0u64);
-        for id in ids {
-            let Some(part) = pr.map.partition(id) else {
-                continue;
-            };
-            let heap = self.heap(name, pr, id)?;
-            let read = read_partition(
-                &heap,
-                id,
-                part.len() as u64,
-                &pr.scheme,
-                window,
-                part.page_zones(),
-                &mut tuples,
-            )?;
-            any_clipped |= read.clipped;
-            scanned += read.scanned;
-            decoded += read.decoded;
-        }
-        pr.records_scanned.fetch_add(scanned, Ordering::SeqCst);
-        pr.records_decoded.fetch_add(decoded, Ordering::SeqCst);
-        if hrdm_obs::enabled() {
-            storage_obs().paged_records_scanned.add(scanned);
-            storage_obs().paged_records_decoded.add(decoded);
+        for id in pr.map.cold_ids(window) {
+            any_clipped |= self.read_cold(name, id, window, None, &mut tuples)?.clipped;
         }
         tuples.extend(
             pr.tail
@@ -353,6 +345,52 @@ impl PagedDatabase {
         } else {
             Relation::from_distinct_unchecked(pr.scheme.clone(), tuples)
         })
+    }
+
+    /// The resident tuples of `name`: its WAL tail. The checkpoint image
+    /// is the cold partitions of [`PagedDatabase::partition_map`], read
+    /// with [`PagedDatabase::read_cold`].
+    pub fn resident(&self, name: &str) -> Option<&Relation> {
+        self.rels.get(name).map(|r| &r.tail)
+    }
+
+    /// Appends to `out`, in heap order, the tuples of `name`'s cold
+    /// partition `id` whose lifespan meets `window` (every tuple when
+    /// `None`), each restricted to `clip` when one is given: what a query
+    /// plan's scan reads of a cold partition. Pages whose zone misses the
+    /// window are skipped, each visited record's lifespan is probed in
+    /// place, and only the hits are decoded ([`crate::decode_record`]).
+    pub fn read_cold(
+        &self,
+        name: &str,
+        id: i64,
+        window: Option<&Lifespan>,
+        clip: Option<&Lifespan>,
+        out: &mut Vec<Tuple>,
+    ) -> Result<PartitionRead, DbError> {
+        let Some(pr) = self.rels.get(name) else {
+            return Err(DbError::Model(HrdmError::UnknownRelation(name.to_string())));
+        };
+        let Some(part) = pr.map.partition(id) else {
+            return Ok(PartitionRead::default());
+        };
+        let heap = self.heap(name, pr, id)?;
+        let read = read_partition(
+            &heap,
+            (id, part.len() as u64),
+            &pr.scheme,
+            window,
+            clip,
+            part.page_zones(),
+            out,
+        )?;
+        pr.records_scanned.fetch_add(read.scanned, Ordering::SeqCst);
+        pr.records_decoded.fetch_add(read.decoded, Ordering::SeqCst);
+        if hrdm_obs::enabled() {
+            storage_obs().paged_records_scanned.add(read.scanned);
+            storage_obs().paged_records_decoded.add(read.decoded);
+        }
+        Ok(read)
     }
 
     /// The heap of partition `id`, opened on first use.

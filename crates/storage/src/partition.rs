@@ -457,6 +457,22 @@ impl PartitionMap {
             .collect()
     }
 
+    /// Does some partition keep its members on disk?
+    pub fn has_cold(&self) -> bool {
+        self.parts.values().any(|p| p.is_cold())
+    }
+
+    /// Ids of the cold partitions a scan must read, ascending: those whose
+    /// summary overlaps `window`, or every one when `None`.
+    pub fn cold_ids(&self, window: Option<&Lifespan>) -> Vec<i64> {
+        let ids = match window {
+            Some(w) => self.overlapping_ids(w),
+            None => self.parts.keys().copied().collect(),
+        };
+        let cold = |id: &i64| self.parts.get(id).is_some_and(|p| p.is_cold());
+        ids.into_iter().filter(cold).collect()
+    }
+
     /// `(scanned, total)` partition counts for `window` — what EXPLAIN
     /// renders as `partitions: pruned/total pruned`. Allocation-free:
     /// this runs on every plan of a lifespan-bounded scan.

@@ -2,7 +2,7 @@
 //! and never panics on corrupted input.
 
 use hrdm_core::prelude::*;
-use hrdm_storage::{Decoder, Encoder, Wal, WalRecord};
+use hrdm_storage::{conform_to_scheme, decode_record, DbError, Decoder, Encoder, Wal, WalRecord};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -476,5 +476,163 @@ proptest! {
             .map(|p| p.meets);
         let decoded = Decoder::new(&garbage).get_lifespan().map(|l| meets(&l));
         prop_assert_eq!(probed, decoded);
+    }
+}
+
+/// `hist(K*, V, W)` with `V` alive over `v_als`: the scheme a clipped
+/// decode reads records under.
+fn clip_scheme(v_als: Lifespan) -> Scheme {
+    let era = Lifespan::interval(-1_000, 1_000);
+    Scheme::builder()
+        .key_attr("K", ValueKind::Int, era.clone())
+        .attr("V", HistoricalDomain::int(), v_als)
+        .attr("W", HistoricalDomain::string(), era)
+        .build()
+        .expect("a valid scheme")
+}
+
+/// `t`'s record written the way no encoder writes it, though it decodes
+/// to `t`: lifespan runs in reverse (`how` 0), entries in reverse (1),
+/// every segment of two or more chronons split into two abutting halves of
+/// one value (2), or each integer as a varint one byte longer than needed
+/// (3).
+fn non_canonical_record(t: &Tuple, how: u8) -> Vec<u8> {
+    let mut e = Encoder::new();
+    let mut runs = t.lifespan().intervals().to_vec();
+    if how == 0 {
+        runs.reverse();
+    }
+    e.put_u64(runs.len() as u64);
+    for run in &runs {
+        e.put_interval(run);
+    }
+    let mut entries: Vec<_> = t.entries().collect();
+    if how == 1 {
+        entries.reverse();
+    }
+    e.put_u64(entries.len() as u64);
+    for (a, tv) in entries {
+        e.put_str(a.name());
+        let mut segs = Vec::new();
+        for (iv, v) in tv.segments() {
+            let (lo, hi) = (iv.lo().tick(), iv.hi().tick());
+            if how == 2 && lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                segs.push((Interval::of(lo, mid), v.clone()));
+                segs.push((Interval::of(mid + 1, hi), v.clone()));
+            } else {
+                segs.push((*iv, v.clone()));
+            }
+        }
+        e.put_u64(segs.len() as u64);
+        for (iv, v) in &segs {
+            e.put_interval(iv);
+            match v {
+                Value::Int(i) if how == 3 => {
+                    e.put_u8(0);
+                    let mut z = ((i << 1) ^ (i >> 63)) as u64;
+                    while z >= 0x80 {
+                        e.put_u8((z & 0x7f) as u8 | 0x80);
+                        z >>= 7;
+                    }
+                    e.put_u8(z as u8 | 0x80);
+                    e.put_u8(0);
+                }
+                v => e.put_value(v),
+            }
+        }
+    }
+    e.finish()
+}
+
+/// What a heap record means: its tuple conformed to `scheme`, then
+/// restricted to `clip`, and whether conforming clipped it — or the error
+/// of the first step that fails, bytes past the tuple included.
+fn conformed_restriction(
+    record: &[u8],
+    scheme: &Scheme,
+    clip: &Lifespan,
+) -> Result<(Tuple, bool), String> {
+    let mut d = Decoder::new(record);
+    let t = d
+        .get_tuple_in(scheme)
+        .map_err(|e| DbError::Codec(e).to_string())?;
+    if !d.is_done() {
+        let past = format!(
+            "a heap record holds {} byte(s) past its tuple",
+            d.remaining()
+        );
+        return Err(DbError::BadFile(past).to_string());
+    }
+    let (t, clipped) = conform_to_scheme(t, scheme).map_err(|e| e.to_string())?;
+    Ok((t.restrict(clip), clipped))
+}
+
+/// `record` decoded clipped agrees with [`conformed_restriction`], and so
+/// does the one-pass decode wherever it takes the record; returns whether
+/// it took it.
+fn decodes_as_conformed(record: &[u8], scheme: &Scheme, clip: &Lifespan) -> bool {
+    let want = conformed_restriction(record, scheme, clip);
+    let mut d = Decoder::new(record);
+    let fast = d.get_tuple_clipped(scheme, clip);
+    let took = fast.is_some();
+    // Bytes past the tuple are the caller's to refuse.
+    if let Some(fast) = fast.filter(|_| d.is_done()) {
+        assert_eq!(Ok((fast, false)), want, "the one-pass decode of {record:?}");
+    }
+    let got = decode_record(record, scheme, Some(clip)).map_err(|e| e.to_string());
+    assert_eq!(got, want, "the clipped decode of {record:?}");
+    took
+}
+
+proptest! {
+    /// A heap record decoded clipped is the restriction of its conformed
+    /// tuple, or fails as decoding it whole does — on valid records under
+    /// multi-run clips, records written before `V`'s lifespan shrank,
+    /// valid but non-canonical encodings, and records with one byte
+    /// flipped (each byte in turn, by a low bit, a tag-changing bit and an
+    /// arbitrary mask). The one-pass decode takes every valid record, and
+    /// whatever it takes of the others it decodes right.
+    #[test]
+    fn clipped_decode_is_the_conformed_restriction(
+        life in runs_strategy(),
+        v in striped_strategy(),
+        w in "[a-z]{0,12}",
+        clip in runs_strategy(),
+        kind in 0u8..4,
+        how in 0u8..4,
+        shrunk in (0i64..300, 0i64..300),
+        mask in 1u8..=255,
+    ) {
+        let wide = clip_scheme(Lifespan::interval(-1_000, 1_000));
+        let mut values = std::collections::BTreeMap::new();
+        values.insert(Attribute::new("K"), TemporalValue::constant(&life, Value::Int(7)));
+        values.insert(Attribute::new("V"), v.restrict(&life));
+        values.insert(Attribute::new("W"), TemporalValue::constant(&life, Value::str(&w)));
+        let t = Tuple::from_parts(life.clone(), values);
+        prop_assert!(t.validate(&wide).is_ok());
+        let mut e = Encoder::new();
+        e.put_tuple(&t);
+        let record = e.finish();
+        match kind {
+            0 => prop_assert!(decodes_as_conformed(&record, &wide, &clip), "a valid record fell back"),
+            1 => {
+                let (lo, hi) = (shrunk.0.min(shrunk.1), shrunk.0.max(shrunk.1));
+                let evolved = clip_scheme(Lifespan::interval(lo, hi));
+                decodes_as_conformed(&record, &evolved, &clip);
+            }
+            2 => {
+                decodes_as_conformed(&non_canonical_record(&t, how), &wide, &clip);
+            }
+            _ => {
+                for at in 0..record.len() {
+                    for mask in [1, 4, mask] {
+                        let mut flipped = record.clone();
+                        flipped[at] ^= mask;
+                        decodes_as_conformed(&flipped, &wide, &clip);
+                    }
+                }
+            }
+        }
     }
 }
