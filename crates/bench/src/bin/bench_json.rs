@@ -189,8 +189,9 @@ fn run_tracked() -> Vec<BenchResult> {
 
     // Partition pruning: a selective TIME-SLICE over a 100k-tuple,
     // 64-partition relation, against the same data unpartitioned
-    // (span = ∞) both *with* its one partition's interval index
-    // (`timeslice_flat_index_100k` — pruning matches it on CPU; the
+    // (span = ∞) both *with* its one partition's lifespan index, one
+    // block-zone index of 100k entries (`timeslice_flat_index_100k` —
+    // ungated; pruning matches it on CPU; the
     // partition win is locality: per-partition files and dirty-only
     // checkpoints) and *without* any index assist
     // (`timeslice_unpartitioned_100k` — the restrict-everything scan a

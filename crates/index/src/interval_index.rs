@@ -1,69 +1,80 @@
-//! An interval index over tuple lifespans with incremental appends.
+//! A lifespan index over tuple lifespans with incremental appends: sorted
+//! interval entries cut into blocks that a probe skips by zone hull.
 
+use crate::Hull;
 use hrdm_time::{Chronon, Interval, Lifespan};
 use std::sync::Arc;
 
-/// How many entries the pending run may hold before it becomes a run of
-/// its own: what a query filters linearly and a clone copies.
+/// Entries per block of the body: each block keeps one zone [`Hull`].
+const BLOCK: usize = 32;
+
+/// How many entries the pending block may hold before a fold merges it
+/// into the body: what a query filters linearly and a clone copies.
 const PENDING_MAX: usize = 64;
 
-/// An interval index over the lifespans of a relation's tuples.
+/// A lifespan index over the tuples of a relation (or of one partition).
 ///
-//  Representation: every maximal interval of every lifespan becomes one
-//  `(lo, hi, position)` entry; a run holds entries sorted by `lo` and an
-//  implicit segment tree over the `hi` values storing subtree maxima.
-/// Queries follow the classic augmented-tree pruning argument:
+/// Every maximal interval of every lifespan becomes one
+/// `(lo, hi, position)` entry. The **body** holds the entries sorted by
+/// `lo`, cut into blocks of 32, and keeps one zone hull per block: its
+/// first `lo` and its largest `hi`. A probe for `[a, b]`
 ///
-/// * only the prefix of entries with `lo ≤ b` can overlap `[a, b]`
-///   (binary search), and
-/// * within that prefix, any subtree whose `max(hi) < a` is pruned whole,
+/// * binary-searches the block range whose entries can reach the window:
+///   no entry after it starts by `b`, and no entry before it starts by
+///   `a − longest`, where `longest` is the longest entry span in the body,
+///   so none of them can end by `a`;
+/// * skips every block of that range whose hull misses the window, and
+///   filters the rest entry by entry.
 ///
-/// which yields `O(log n + k)` per run for `k` reported entries. Because
-/// one lifespan may contribute several intervals, results are deduplicated
-/// before being returned; positions come back sorted ascending.
+/// Because one lifespan may contribute several intervals, results are
+/// deduplicated before being returned; positions come back sorted
+/// ascending.
 ///
-/// [`LifespanIndex::build`] yields a single run. Appends
-/// ([`LifespanIndex::insert`]) go to a small **sorted pending run** that
-/// queries filter on the fly; once it outgrows 64 entries it
-/// becomes an immutable run on top of the stack, and runs are merged
-/// (logarithmic method) so that each is at least twice the size of the
-/// next. Every entry is merged `O(log n)` times over the index's life, so
-/// an insert costs amortized `O(log n)` with an occasional long merge
-/// ([`LifespanIndex::merges`] counts them), and a query probes at most
-/// `log₂(n / 64) + 1` runs — so a database can maintain the index
-/// *incrementally* across inserts instead of invalidating and rebuilding
-/// it wholesale.
+/// Appends ([`LifespanIndex::insert`]) go to a **pending block** of at
+/// most 64 entries, which every query filters linearly. When it is full,
+/// one linear merge folds it into the body
+/// ([`LifespanIndex::merges`] counts the folds), so a database can keep
+/// the index current across inserts instead of rebuilding it. The merge
+/// runs backwards in place and moves only the entries that sort after
+/// the first pending one.
 ///
 /// ## Sharing and copy-on-write
 ///
-/// Runs sit behind [`Arc`]s and are never edited — a merge builds the
-/// merged run beside its inputs — so [`LifespanIndex::clone`] bumps one
-/// reference count per run and copies only the pending run (at most
-/// 64 entries). A clone is unaffected by later inserts and
-/// merges.
+/// The body sits behind an [`Arc`] and is never edited while shared — a
+/// fold copies a shared body and merges into the copy — so
+/// [`LifespanIndex::clone`] bumps one reference count and copies only the
+/// pending block. An insert after a clone therefore copies at most the
+/// pending block, and the body stays shared until the next fold. A clone
+/// is unaffected by later inserts and folds.
 #[derive(Clone, Debug, Default)]
 pub struct LifespanIndex {
-    /// Oldest (largest) first; each at least twice the size of the next.
-    runs: Vec<Arc<Run>>,
-    /// Recently appended `(lo, hi, position)` entries, sorted by `lo`.
-    pending: Vec<(i64, i64, u32)>,
+    body: Arc<Body>,
+    /// Recently appended entries, in append order.
+    pending: Vec<Entry>,
     /// Number of indexed tuples (positions are `< tuple_count`).
     tuple_count: usize,
-    /// Run merges performed so far.
+    /// Folds performed so far.
     merges: u64,
 }
 
-/// One immutable sorted run of a [`LifespanIndex`].
-#[derive(Debug)]
-struct Run {
-    /// Entry lower bounds, sorted ascending.
-    los: Vec<i64>,
-    /// Entry upper bounds, parallel to `los`.
-    his: Vec<i64>,
-    /// Tuple position of each entry, parallel to `los`.
-    positions: Vec<u32>,
-    /// `max_hi[node]` for an implicit binary segment tree over `his`.
-    max_hi: Vec<i64>,
+/// One interval of one tuple's lifespan. The derived order sorts by `lo`
+/// first, which is the body's order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Entry {
+    lo: i64,
+    hi: i64,
+    pos: u32,
+}
+
+/// The shared part of a [`LifespanIndex`].
+#[derive(Clone, Debug, Default)]
+struct Body {
+    /// Entries sorted ascending.
+    entries: Vec<Entry>,
+    /// One hull per block of [`BLOCK`] entries.
+    zones: Vec<Hull>,
+    /// The longest entry span, `hi − lo`, over `entries`.
+    longest: u64,
 }
 
 impl LifespanIndex {
@@ -72,23 +83,15 @@ impl LifespanIndex {
     where
         I: IntoIterator<Item = &'a Lifespan>,
     {
-        let mut entries: Vec<(i64, i64, u32)> = Vec::new();
+        let mut entries = Vec::new();
         let mut tuple_count = 0usize;
-        for (pos, ls) in lifespans.into_iter().enumerate() {
-            let pos = u32::try_from(pos).expect("relation fits in u32 positions");
-            for iv in ls.intervals() {
-                entries.push((iv.lo().tick(), iv.hi().tick(), pos));
-            }
+        for ls in lifespans {
+            push_entries(&mut entries, tuple_count, ls);
             tuple_count += 1;
         }
         entries.sort_unstable();
-        let runs = if entries.is_empty() {
-            Vec::new()
-        } else {
-            vec![Arc::new(Run::from_sorted(entries.into_iter()))]
-        };
         LifespanIndex {
-            runs,
+            body: Arc::new(Body::from_sorted(entries)),
             pending: Vec::new(),
             tuple_count,
             merges: 0,
@@ -99,64 +102,59 @@ impl LifespanIndex {
     /// position, i.e. `pos == tuple_count()`; the index only grows in
     /// relation order.
     ///
-    /// The entries land in the sorted pending run; when that run exceeds
-    /// 64 entries it is frozen into a run and the stack is re-merged.
+    /// The entries land in the pending block; when that block exceeds 64
+    /// entries it is folded into the body.
     pub fn insert(&mut self, pos: usize, ls: &Lifespan) {
         assert_eq!(
             pos, self.tuple_count,
             "LifespanIndex::insert positions are append-only"
         );
-        let pos = u32::try_from(pos).expect("relation fits in u32 positions");
-        for iv in ls.intervals() {
-            let entry = (iv.lo().tick(), iv.hi().tick(), pos);
-            let at = self.pending.partition_point(|e| *e <= entry);
-            self.pending.insert(at, entry);
-        }
+        push_entries(&mut self.pending, pos, ls);
         self.tuple_count += 1;
         if self.pending.len() > PENDING_MAX {
-            let frozen = Run::from_sorted(std::mem::take(&mut self.pending).into_iter());
-            self.runs.push(Arc::new(frozen));
-            self.merge_runs();
+            self.fold();
         }
     }
 
-    /// Merges runs from the top down while one is less than twice the size
-    /// of the run above it. Inputs are left to whoever still shares them.
-    fn merge_runs(&mut self) {
-        while let [.., older, newer] = self.runs.as_slice() {
-            if older.len() >= 2 * newer.len() {
-                break;
-            }
-            let merged = Run::from_sorted(MergeSorted {
-                a: older.entries().peekable(),
-                b: newer.entries().peekable(),
+    /// Merges the pending block into the body.
+    fn fold(&mut self) {
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.sort_unstable();
+        if Arc::get_mut(&mut self.body).is_none() {
+            // A clone keeps the shared body; the merge works on a copy
+            // with room for the pending block.
+            let mut entries = Vec::with_capacity(self.body.entries.len() + pending.len());
+            entries.extend_from_slice(&self.body.entries);
+            self.body = Arc::new(Body {
+                entries,
+                zones: self.body.zones.clone(),
+                longest: self.body.longest,
             });
-            self.runs.truncate(self.runs.len() - 2);
-            self.runs.push(Arc::new(merged));
-            self.merges += 1;
         }
+        Arc::make_mut(&mut self.body).merge(&pending);
+        self.merges += 1;
     }
 
-    /// How many run merges this index (and the indexes it was cloned
-    /// from) has performed — each one a long insert.
+    /// How many folds this index (and the indexes it was cloned from) has
+    /// performed — each one a long insert.
     pub fn merges(&self) -> u64 {
         self.merges
     }
 
-    /// Number of runs a query probes besides the pending run.
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
+    /// Number of entries in the pending block: what a clone copies.
+    pub fn pending_len(&self) -> usize {
+        self.pending.len()
     }
 
-    /// Do `self` and `other` hold the same allocation as run `i` (oldest
-    /// first)? What the structural-sharing tests assert on.
-    pub fn shares_run_with(&self, other: &LifespanIndex, i: usize) -> bool {
-        matches!((self.runs.get(i), other.runs.get(i)), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+    /// Do `self` and `other` hold the same body allocation? What the
+    /// structural-sharing tests assert on.
+    pub fn shares_body_with(&self, other: &LifespanIndex) -> bool {
+        Arc::ptr_eq(&self.body, &other.body)
     }
 
-    /// Number of interval entries in the index (runs + pending run).
+    /// Number of interval entries in the index (body + pending block).
     pub fn entry_count(&self) -> usize {
-        self.runs.iter().map(|r| r.len()).sum::<usize>() + self.pending.len()
+        self.body.entries.len() + self.pending.len()
     }
 
     /// Number of indexed tuples.
@@ -166,7 +164,7 @@ impl LifespanIndex {
 
     /// Is the index empty (no intervals at all)?
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty() && self.pending.is_empty()
+        self.entry_count() == 0
     }
 
     /// Chronon stabbing: positions of tuples alive at `t`, sorted ascending.
@@ -178,7 +176,7 @@ impl LifespanIndex {
     /// `window`, sorted ascending.
     pub fn overlapping_interval(&self, window: &Interval) -> Vec<usize> {
         let mut out = Vec::new();
-        self.report(window.lo().tick(), window.hi().tick(), &mut out);
+        self.report(window, &mut out);
         finish_positions(&mut out);
         out
     }
@@ -188,143 +186,105 @@ impl LifespanIndex {
     pub fn overlapping(&self, window: &Lifespan) -> Vec<usize> {
         let mut out = Vec::new();
         for iv in window.intervals() {
-            self.report(iv.lo().tick(), iv.hi().tick(), &mut out);
+            self.report(iv, &mut out);
         }
         finish_positions(&mut out);
         out
     }
 
     /// Pushes (possibly duplicate, unsorted) positions of entries
-    /// overlapping `[a, b]` onto `out`.
-    fn report(&self, a: i64, b: i64, out: &mut Vec<usize>) {
-        for run in &self.runs {
-            // Prefix of entries that can overlap: lo <= b.
-            let prefix = run.los.partition_point(|&lo| lo <= b);
-            if prefix > 0 {
-                // Descend the implicit segment tree over [0, prefix),
-                // pruning subtrees whose max hi < a.
-                run.descend(1, 0, run.len(), prefix, a, out);
+    /// overlapping `iv` onto `out`.
+    fn report(&self, iv: &Interval, out: &mut Vec<usize>) {
+        let (a, b) = (iv.lo().tick(), iv.hi().tick());
+        let body = &*self.body;
+        // Blocks starting after `b` hold no candidate. Every entry of a
+        // block before the last one starting below `floor` starts below
+        // `floor` too, so it ends before `a`.
+        let floor = a.checked_sub_unsigned(body.longest).unwrap_or(i64::MIN);
+        let end = body.zones.partition_point(|z| z.lo <= b);
+        let start = body.zones[..end]
+            .partition_point(|z| z.lo < floor)
+            .saturating_sub(1);
+        let blocks = body.entries[start * BLOCK..].chunks(BLOCK);
+        for (zone, block) in body.zones[start..end].iter().zip(blocks) {
+            if zone.meets_interval(iv) {
+                report_entries(block, a, b, out);
             }
         }
-        // The pending run is sorted by lo too: same prefix argument, but
-        // it is short (≤ PENDING_MAX), so a linear filter suffices.
-        let pending_prefix = self.pending.partition_point(|e| e.0 <= b);
-        for &(_, hi, pos) in &self.pending[..pending_prefix] {
-            if hi >= a {
-                out.push(pos as usize);
-            }
-        }
+        report_entries(&self.pending, a, b, out);
     }
 }
 
-/// Merges two sorted entry streams into one.
-struct MergeSorted<A: Iterator, B: Iterator> {
-    a: std::iter::Peekable<A>,
-    b: std::iter::Peekable<B>,
-}
-
-impl<A, B> Iterator for MergeSorted<A, B>
-where
-    A: Iterator<Item = (i64, i64, u32)>,
-    B: Iterator<Item = (i64, i64, u32)>,
-{
-    type Item = (i64, i64, u32);
-
-    fn next(&mut self) -> Option<(i64, i64, u32)> {
-        match (self.a.peek(), self.b.peek()) {
-            (Some(x), Some(y)) if x <= y => self.a.next(),
-            (_, Some(_)) => self.b.next(),
-            (_, None) => self.a.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let (a, b) = (self.a.size_hint().0, self.b.size_hint().0);
-        (a + b, None)
+impl Entry {
+    /// `hi − lo`, exact for every pair of chronons.
+    fn span(&self) -> u64 {
+        self.hi.abs_diff(self.lo)
     }
 }
 
-impl Run {
-    /// Builds a run from entries already sorted ascending.
-    fn from_sorted(entries: impl Iterator<Item = (i64, i64, u32)>) -> Run {
-        let n = entries.size_hint().0;
-        let (mut los, mut his, mut positions) = (
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-        );
-        for (lo, hi, pos) in entries {
-            los.push(lo);
-            his.push(hi);
-            positions.push(pos);
-        }
-        Run {
-            max_hi: build_max_tree(&his),
-            los,
-            his,
-            positions,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.los.len()
-    }
-
-    /// The run's entries, ascending.
-    fn entries(&self) -> impl Iterator<Item = (i64, i64, u32)> + '_ {
-        (0..self.len()).map(|i| (self.los[i], self.his[i], self.positions[i]))
-    }
-
-    /// Visits tree node `node` covering entry range `[lo, hi)`, restricted
-    /// to `[0, prefix)`, reporting entries with `his[i] >= a`.
-    fn descend(
-        &self,
-        node: usize,
-        lo: usize,
-        hi: usize,
-        prefix: usize,
-        a: i64,
-        out: &mut Vec<usize>,
-    ) {
-        if lo >= prefix || lo >= hi {
-            return;
-        }
-        if node < self.max_hi.len() && self.max_hi[node] < a {
-            return; // no entry below reaches up to `a`
-        }
-        if hi - lo == 1 {
-            if self.his[lo] >= a {
-                out.push(self.positions[lo] as usize);
-            }
-            return;
-        }
-        let mid = lo + (hi - lo) / 2;
-        self.descend(node * 2, lo, mid, prefix, a, out);
-        self.descend(node * 2 + 1, mid, hi, prefix, a, out);
-    }
-}
-
-/// Builds the implicit segment-tree maxima for `his` (1-based heap layout;
-/// node 1 covers the whole range, children split it in half).
-fn build_max_tree(his: &[i64]) -> Vec<i64> {
-    fn fill(tree: &mut [i64], his: &[i64], node: usize, lo: usize, hi: usize) -> i64 {
-        let m = if hi - lo == 1 {
-            his[lo]
-        } else {
-            let mid = lo + (hi - lo) / 2;
-            let l = fill(tree, his, node * 2, lo, mid);
-            let r = fill(tree, his, node * 2 + 1, mid, hi);
-            l.max(r)
+impl Body {
+    /// Builds a body from entries already sorted ascending.
+    fn from_sorted(entries: Vec<Entry>) -> Body {
+        let longest = entries.iter().map(Entry::span).max().unwrap_or(0);
+        let mut body = Body {
+            entries,
+            zones: Vec::new(),
+            longest,
         };
-        tree[node] = m;
-        m
+        body.rezone(0);
+        body
     }
-    if his.is_empty() {
-        return Vec::new();
+
+    /// Merges sorted `pending` entries in, in one backward pass that moves
+    /// only the entries sorting after the first pending one; only the
+    /// zones of the blocks from there on are recomputed.
+    fn merge(&mut self, pending: &[Entry]) {
+        let mut end = self.entries.len();
+        self.entries.extend_from_slice(pending);
+        let mut write = self.entries.len();
+        for entry in pending.iter().rev() {
+            let cut = self.entries[..end].partition_point(|e| e < entry);
+            self.entries.copy_within(cut..end, write - (end - cut));
+            write -= end - cut + 1;
+            self.entries[write] = *entry;
+            end = cut;
+        }
+        self.longest = pending.iter().map(Entry::span).fold(self.longest, u64::max);
+        self.rezone(end);
     }
-    let mut tree = vec![i64::MIN; 4 * his.len()];
-    fill(&mut tree, his, 1, 0, his.len());
-    tree
+
+    /// Recomputes the zones of the blocks from the one holding entry
+    /// `from` on.
+    fn rezone(&mut self, from: usize) {
+        let first = from / BLOCK;
+        self.zones.truncate(first);
+        let blocks = self.entries[first * BLOCK..].chunks(BLOCK);
+        self.zones.extend(blocks.map(|block| Hull {
+            lo: block[0].lo,
+            hi: block.iter().map(|e| e.hi).max().unwrap_or(i64::MIN),
+        }));
+    }
+}
+
+/// Pushes one entry per maximal interval of `ls`, the lifespan of the
+/// tuple at `pos`.
+fn push_entries(entries: &mut Vec<Entry>, pos: usize, ls: &Lifespan) {
+    let pos = u32::try_from(pos).expect("relation fits in u32 positions");
+    entries.extend(ls.intervals().iter().map(|iv| Entry {
+        lo: iv.lo().tick(),
+        hi: iv.hi().tick(),
+        pos,
+    }));
+}
+
+/// Pushes the positions of the entries of `entries` overlapping `[a, b]`.
+fn report_entries(entries: &[Entry], a: i64, b: i64, out: &mut Vec<usize>) {
+    out.extend(
+        entries
+            .iter()
+            .filter(|e| e.lo <= b && e.hi >= a)
+            .map(|e| e.pos as usize),
+    );
 }
 
 /// Sorts and deduplicates reported positions.
@@ -417,16 +377,23 @@ mod tests {
     #[test]
     fn counts() {
         let spans: &[&[(i64, i64)]] = &[&[(0, 5), (10, 15)], &[(3, 4)]];
-        let i = idx(spans);
+        let mut i = idx(spans);
         assert_eq!(i.entry_count(), 3);
         assert_eq!(i.tuple_count(), 2);
+        assert_eq!((i.body.entries.len(), i.pending_len()), (3, 0));
+        assert_eq!(i.body.zones, [Hull { lo: 0, hi: 15 }]);
+        assert_eq!(i.body.longest, 5);
+        // An append lands in the pending block; the body is untouched.
+        i.insert(2, &Lifespan::of(&[(20, 30), (40, 41)]));
+        assert_eq!((i.entry_count(), i.tuple_count()), (5, 3));
+        assert_eq!((i.body.entries.len(), i.pending_len()), (3, 2));
     }
 
     /// Incremental appends answer exactly like a from-scratch build, at
-    /// every prefix — across the pending run, merges, and fresh appends.
+    /// every prefix — across the pending block, folds, and fresh appends.
     #[test]
     fn incremental_matches_rebuild_at_every_prefix() {
-        // Enough tuples to freeze the pending run and merge runs several times.
+        // Enough tuples to fold the pending block several times.
         let spans: Vec<Vec<(i64, i64)>> = (0..300)
             .map(|i| {
                 let base = (i * 7) % 200;
@@ -454,13 +421,17 @@ mod tests {
                 }
                 let w = Lifespan::of(&[(10, 30), (150, 170)]);
                 assert_eq!(inc.overlapping(&w), built.overlapping(&w));
+                let linear: Vec<usize> =
+                    (0..=pos).filter(|&p| lifespans[p].intersects(&w)).collect();
+                assert_eq!(built.overlapping(&w), linear);
             }
         }
     }
 
-    /// A clone answers as of its own moment however many inserts and run
-    /// merges the original goes through afterwards, and the stack stays
-    /// logarithmic.
+    /// A clone answers as of its own moment however many inserts and
+    /// folds the original goes through afterwards. An insert after a clone
+    /// copies at most the pending block, and the body stays shared until
+    /// the next fold.
     #[test]
     fn clones_are_unaffected_by_later_inserts_and_merges() {
         let lifespans: Vec<Lifespan> = (0..5_000i64)
@@ -469,11 +440,17 @@ mod tests {
         let mut live = LifespanIndex::build(lifespans[..1_000].iter());
         let frozen = live.clone();
         for (pos, ls) in lifespans.iter().enumerate().skip(1_000) {
+            let (before, merges) = (live.clone(), live.merges());
             live.insert(pos, ls);
+            assert!(live.pending_len() <= PENDING_MAX);
+            assert_eq!(
+                live.shares_body_with(&before),
+                live.merges() == merges,
+                "the body is shared until a fold, and only until then"
+            );
         }
-        assert!(live.merges() > 10, "merged {} times", live.merges());
-        assert!(live.run_count() <= 8, "{} runs", live.run_count());
-        assert!(!live.shares_run_with(&frozen, 0), "the bulk run was merged");
+        assert_eq!(live.merges(), 4_000 / (PENDING_MAX as u64 + 1));
+        assert!(!live.shares_body_with(&frozen), "the bulk body was folded");
         let at_clone = LifespanIndex::build(lifespans[..1_000].iter());
         let rebuilt = LifespanIndex::build(lifespans.iter());
         for lo in (0..950).step_by(13) {
@@ -483,6 +460,28 @@ mod tests {
         }
         assert_eq!(frozen.tuple_count(), 1_000);
         assert_eq!(live.entry_count(), rebuilt.entry_count());
+    }
+
+    /// A probe's lower block bound comes from the longest entry span, so
+    /// one very long entry must widen it — up to spans no `i64` holds.
+    #[test]
+    fn longest_span_bounds_the_probe_at_the_extremes() {
+        let (min, max) = (Chronon::MIN.tick(), Chronon::MAX.tick());
+        let mut spans: Vec<Vec<(i64, i64)>> =
+            (0..200).map(|i| vec![(i * 10, i * 10 + 3)]).collect();
+        spans.push(vec![(min, max)]);
+        spans.push(vec![(min, min + 1), (max - 1, max)]);
+        let refs: Vec<&[(i64, i64)]> = spans.iter().map(Vec::as_slice).collect();
+        let i = idx(&refs);
+        for w in [
+            Lifespan::interval(0, 0),
+            Lifespan::interval(995, 1_005),
+            Lifespan::interval(max, max),
+            Lifespan::interval(min, min),
+            Lifespan::of(&[(min, min + 5), (1_000, 1_001)]),
+        ] {
+            assert_eq!(i.overlapping(&w), scan_overlap(&refs, &w), "{w}");
+        }
     }
 
     #[test]

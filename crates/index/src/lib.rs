@@ -4,12 +4,16 @@
 //! access methods" at the physical level; this crate provides the first two
 //! real access methods for historical relations:
 //!
-//! * [`LifespanIndex`] — a static interval index over tuple lifespans.
-//!   Every maximal interval of every tuple lifespan becomes one entry; the
-//!   index answers *chronon-stabbing* ("which tuples are alive at `t`?") and
-//!   *interval/lifespan-overlap* ("which tuples are alive somewhere in
-//!   `L`?") queries in `O(log n + k)`, returning **tuple positions** into
-//!   the relation's tuple vector.
+//! * [`LifespanIndex`] — a lifespan index over tuple lifespans. Every
+//!   maximal interval of every tuple lifespan becomes one entry; entries
+//!   are sorted by start and cut into blocks of 32, each with one zone
+//!   [`Hull`]. The index answers *chronon-stabbing* ("which tuples are
+//!   alive at `t`?") and *interval/lifespan-overlap* ("which tuples are
+//!   alive somewhere in `L`?") queries by one binary search for the
+//!   blocks that can reach the window and a hull test per block,
+//!   returning **tuple positions** into the relation's tuple vector.
+//! * [`Hull`] — the lifespan hull and its `meets` test: the one pruning
+//!   rule shared by index blocks, cold heap pages and storage partitions.
 //! * [`KeyIndex`] — a hash index over the relation's (constant-valued) key
 //!   attributes, answering equality lookups and join probes in `O(1)`.
 //!
@@ -30,9 +34,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod hull;
 mod interval_index;
 mod key_index;
 
+pub use hull::Hull;
 pub use interval_index::LifespanIndex;
 pub use key_index::KeyIndex;
 
@@ -50,13 +56,13 @@ use hrdm_core::{Relation, Tuple};
 /// ## Sharing and copy-on-write
 ///
 /// A clone shares everything large with its original: the key index's
-/// hash-map tiers and the lifespan index's sorted runs are `Arc`'d and
+/// hash-map tiers and the lifespan index's sorted body are `Arc`'d and
 /// never edited while shared, so cloning costs a few reference-count bumps
-/// plus the lifespan index's short pending run, and an insert after a clone
-/// copies at most one small tier — never a whole map (see [`KeyIndex`] and
-/// [`LifespanIndex`]). What a published snapshot costs the next insert is
-/// therefore bounded, and paid back by occasional merges that
-/// [`RelationIndexes::folds`] counts.
+/// plus the lifespan index's short pending block, and an insert after a
+/// clone copies at most one small tier or that block — never a whole map
+/// (see [`KeyIndex`] and [`LifespanIndex`]). What a published snapshot
+/// costs the next insert is therefore bounded, and paid back by
+/// occasional merges that [`RelationIndexes::folds`] counts.
 #[derive(Clone, Debug)]
 pub struct RelationIndexes {
     lifespan: LifespanIndex,
@@ -78,7 +84,7 @@ impl RelationIndexes {
     /// (which must equal [`RelationIndexes::tuple_count`] — positions are
     /// append-only).
     ///
-    /// The lifespan index absorbs the tuple through its pending run; the
+    /// The lifespan index absorbs the tuple through its pending block; the
     /// key index files it in its newest tier, or is dropped if the tuple
     /// carries no constant key value (then key probes are no longer
     /// answerable).
@@ -96,7 +102,7 @@ impl RelationIndexes {
         self.tuple_count += 1;
     }
 
-    /// The lifespan interval index.
+    /// The lifespan index.
     pub fn lifespan(&self) -> &LifespanIndex {
         &self.lifespan
     }
@@ -113,7 +119,7 @@ impl RelationIndexes {
     }
 
     /// How many amortizing merges the inserts so far have triggered: key
-    /// tier folds plus lifespan run merges. An insert that bumps
+    /// tier folds plus lifespan index folds. An insert that bumps
     /// this did O(n)-ish work on behalf of the cheap ones before it.
     pub fn folds(&self) -> u64 {
         self.lifespan.merges() + self.key.as_ref().map_or(0, KeyIndex::folds)

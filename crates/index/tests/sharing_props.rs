@@ -2,7 +2,7 @@
 //! answers like a plain `HashMap` under any interleaving of inserts,
 //! clones and lookups, a [`LifespanIndex`] like a linear scan — and every
 //! clone keeps answering as of the moment it was taken, through all the
-//! tier folds and run merges the original goes on to do.
+//! key-tier and lifespan-block folds the original goes on to do.
 
 use hrdm_core::prelude::*;
 use hrdm_index::RelationIndexes;
@@ -92,7 +92,7 @@ proptest! {
             model.lifespans.push(t.lifespan().clone());
         };
 
-        // A bulk-built base (one key tier, one lifespan run)…
+        // A bulk-built base (one key tier, one lifespan body)…
         let base: Vec<(i64, Tuple)> = (0..preload)
             .map(|_| {
                 let k = draw() % 300;
@@ -131,20 +131,27 @@ proptest! {
 }
 
 /// Under a clone per insert — the publish-per-commit pattern — the key
-/// index freezes and folds tiers and the lifespan index merges runs, and
-/// both stacks stay logarithmic.
+/// index freezes and folds tiers and its stack stays logarithmic; the
+/// lifespan index copies at most its pending block per insert and shares
+/// its body with the clone before it until the next fold.
 #[test]
 fn clone_per_insert_folds_tiers_and_keeps_the_stacks_short() {
     let mut idx = RelationIndexes::build(&Relation::new(scheme()));
     let mut held = idx.clone();
     for k in 0..5_000i64 {
+        let merges = idx.lifespan().merges();
         idx.insert(k as usize, &tup(k, (k * 13) % 1_900, k % 50));
+        assert!(idx.lifespan().pending_len() <= 64);
+        assert_eq!(
+            idx.lifespan().shares_body_with(held.lifespan()),
+            idx.lifespan().merges() == merges
+        );
         held = idx.clone();
     }
     let key = held.key().unwrap();
     assert!(idx.folds() > 100, "{} folds", idx.folds());
     assert!(key.tier_count() <= 9, "{} key tiers", key.tier_count());
-    assert!(held.lifespan().run_count() <= 8);
+    assert_eq!(held.lifespan().merges(), 5_000 / 65);
     assert_eq!(key.distinct_keys(), 5_000);
     for k in (0..5_000i64).step_by(313) {
         assert_eq!(key.lookup(&[Value::Int(k)]), &[k as usize]);

@@ -9,7 +9,7 @@
 //! * `τ_L(R)` with a literal lifespan probes `R`'s **partition map** —
 //!   its one lifespan access path — for the tuples alive somewhere in
 //!   `L`: partitions whose summary misses `L` are pruned, the rest probed
-//!   through their own small interval indexes;
+//!   through their own small block-zone lifespan indexes;
 //! * `σWHEN` / `σIF(…, EXISTS)` whose predicate pins the relation's full
 //!   key with equality conjuncts probes the **key index**;
 //! * everything else stays a sequential scan.

@@ -26,7 +26,7 @@
 //! published. That costs it O(batch · log n), not O(n): the tuple vector,
 //! key index and partition map are structure-shared (see [`Database`]),
 //! so an insert copies a 64-slot vector tail, one small hash-map tier and
-//! the one partition it lands in (with its short pending run), and
+//! the one partition it lands in (with its short pending block), and
 //! publishing bumps one reference count per relation. The amortizing
 //! index merges that pay for this show up as
 //! `hrdm_storage_index_folds_total` / `hrdm_storage_index_fold_ns` next to

@@ -36,7 +36,7 @@ use crate::snapshot::DbSnapshot;
 use crate::table::{Table, Tables};
 use crate::wal::{Wal, WalRecord};
 use hrdm_core::{Attribute, HistoricalDomain, HrdmError, Relation, Scheme, Tuple};
-use hrdm_index::KeyIndex;
+use hrdm_index::{Hull, KeyIndex};
 use hrdm_time::{Chronon, Lifespan};
 use std::collections::BTreeMap;
 use std::io;
@@ -158,7 +158,7 @@ enum InsertDisposition {
 /// relation. The insert that follows finds its table shared and copies
 /// what it is about to change — the tuple vector's 64-slot tail, the key
 /// index's newest tier (at most 32 entries), and the one partition the
-/// tuple lands in (with its lifespan index's short pending run) — O(log n)
+/// tuple lands in (with its lifespan index's short pending block) — O(log n)
 /// in all, never the relation. With no snapshot (or batch undo point)
 /// outstanding, inserts mutate in place.
 #[derive(Default)]
@@ -1228,7 +1228,7 @@ pub(crate) fn read_partition(
         let known_zone = known.map(|known| known[page_no as usize]);
         if known_zone
             .zip(window)
-            .is_some_and(|(zone, w)| !zone.meets(w))
+            .is_some_and(|(zone, w)| !zone.hull.meets(w))
         {
             read.pages_skipped += 1;
             continue;
@@ -1237,12 +1237,15 @@ pub(crate) fn read_partition(
         heap.scan_page(page_no, |_, record| {
             let meets = if probe {
                 let probed = Decoder::new(record).lifespan_probe(window)?;
-                zone.add(probed.first, probed.last);
+                zone.hull.widen(Hull {
+                    lo: probed.first,
+                    hi: probed.last,
+                });
                 probed.meets
             } else {
-                zone.records += 1;
                 true
             };
+            zone.records += 1;
             if meets {
                 let (tuple, clipped) =
                     decode_record(record, scheme, clip).map_err(|e| match e {
@@ -1662,7 +1665,7 @@ mod tests {
         assert_eq!(scanned, 0, "a window past every zone pins no page");
 
         let w = &windows[0];
-        let page = map.iter().position(|z| z.meets(w)).unwrap();
+        let page = map.iter().position(|z| z.hull.meets(w)).unwrap();
         let mut wrong = map.to_vec();
         wrong[page].records += 1;
         let wrong = OnceLock::from(Arc::from(wrong));

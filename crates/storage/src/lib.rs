@@ -30,7 +30,7 @@
 //!   per-partition lifespan indexes, so time-bounded queries and
 //!   checkpoints touch only the partitions they need. The partition map
 //!   is a relation's one lifespan access path — there is no
-//!   relation-wide interval index beside it — and a [`KeyIndex`] its
+//!   relation-wide lifespan index beside it — and a [`KeyIndex`] its
 //!   one key access path;
 //! * [`wal`] — a checksummed write-ahead log with torn-tail recovery;
 //! * [`database`] — a named collection of historical relations built on

@@ -9,13 +9,14 @@
 //! * the member tuples' **positions** into the relation's tuple
 //!   vector (the in-memory layout is untouched — partitioning is pure
 //!   physical metadata, so every existing operator keeps working),
-//! * a **min/max lifespan summary** covering every member tuple's
-//!   lifespan whole (persisted in the catalog, header v3), and
-//! * its own [`LifespanIndex`] over the member tuples, so a pruned
-//!   query probes a handful of small indexes. The map is the relation's
-//!   only lifespan access path: no relation-wide interval index exists
-//!   beside it (key probes go through the relation-wide key index, so
-//!   partitions keep none).
+//! * a **lifespan summary**, the [`Hull`] of every member tuple's
+//!   lifespan (persisted in the catalog, header v3), and
+//! * its own [`LifespanIndex`] over the member tuples: their lifespan
+//!   intervals sorted by start, in blocks of 32 that a probe skips by
+//!   the same hull test, so a pruned query probes a handful of small
+//!   indexes. The map is the relation's only lifespan access path: no
+//!   relation-wide lifespan index exists beside it (key probes go through
+//!   the relation-wide key index, so partitions keep none).
 //!
 //! ## Pruning
 //!
@@ -42,13 +43,13 @@
 //! about it, and replaying a log re-derives the same partition map from
 //! the tuples and the (catalog-persisted) policy. Checkpoints write one
 //! heap file per partition (`<rel>.<epoch>.p<id>.heap`, members in birth
-//! order, which a cold partition's page zones exploit) and only rewrite
+//! order, which a cold partition's page hulls exploit) and only rewrite
 //! partitions whose membership changed since the last checkpoint
 //! ([`Partition::is_dirty`]); clean partitions are carried into the new
 //! epoch by hard link.
 
 use hrdm_core::{PVec, Relation, Tuple};
-use hrdm_index::LifespanIndex;
+use hrdm_index::{Hull, LifespanIndex};
 use hrdm_time::{Chronon, Interval, Lifespan};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -133,8 +134,9 @@ enum Members {
         /// Member positions into the relation's tuple vector, in
         /// insertion order (ascending — positions are append-only).
         positions: PVec<u32>,
-        /// Interval index over the member lifespans; the positions it
-        /// returns are **local** (indices into `positions`).
+        /// Block-zone index over the member lifespans (a sorted body in
+        /// hull-skipped blocks plus a pending block of appends); the
+        /// positions it returns are **local** (indices into `positions`).
         lifespans: LifespanIndex,
     },
     /// Disk-resident members: the records of the partition's heap file,
@@ -145,7 +147,7 @@ enum Members {
     /// narrow birth range, and the first full scan of the heap records one
     /// [`PageZone`] per page. A committed heap is immutable, so the zone
     /// map is set once and never changes; later windowed scans skip,
-    /// without pinning, every page whose zone misses the window.
+    /// without pinning, every page whose hull misses the window.
     Cold {
         /// The heap's per-page zones, set by its first full scan.
         zones: OnceLock<Arc<[PageZone]>>,
@@ -153,14 +155,12 @@ enum Members {
 }
 
 /// What one page of a cold partition's heap holds: the hull of its
-/// records' lifespans and how many live records it has. A page without a
-/// record whose lifespan is non-empty has the empty hull `(MAX, MIN)`.
+/// records' lifespans, which a window must meet for any record to, and
+/// how many live records it has.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct PageZone {
-    /// Smallest first chronon over the page's record lifespans.
-    pub min_first: i64,
-    /// Largest last chronon over the page's record lifespans.
-    pub max_last: i64,
+    /// Hull of the page's record lifespans.
+    pub hull: Hull,
     /// Live records on the page.
     pub records: u32,
 }
@@ -168,25 +168,9 @@ pub(crate) struct PageZone {
 impl PageZone {
     /// The zone of a page holding no record.
     pub(crate) const EMPTY: PageZone = PageZone {
-        min_first: i64::MAX,
-        max_last: i64::MIN,
+        hull: Hull::EMPTY,
         records: 0,
     };
-
-    /// Widens the zone by one record whose lifespan hull is
-    /// `(first, last)` (`(MAX, MIN)` when empty).
-    pub(crate) fn add(&mut self, first: i64, last: i64) {
-        self.min_first = self.min_first.min(first);
-        self.max_last = self.max_last.max(last);
-        self.records += 1;
-    }
-
-    /// Can a record of this page meet `window`? `false` proves no record
-    /// does: each record's lifespan lies inside the zone's hull.
-    pub(crate) fn meets(&self, window: &Lifespan) -> bool {
-        Interval::new(Chronon::new(self.min_first), Chronon::new(self.max_last))
-            .is_some_and(|hull| window.intersects_interval(&hull))
-    }
 }
 
 /// One chronon-range partition: member positions, lifespan summary, its own
@@ -200,11 +184,8 @@ pub struct Partition {
     members: Members,
     /// Member count (known without touching disk even for cold members).
     count: usize,
-    /// Smallest first-chronon over member lifespans (`i64::MAX` when no
-    /// member has a non-empty lifespan).
-    min_lo: i64,
-    /// Largest last-chronon over member lifespans (`i64::MIN` likewise).
-    max_hi: i64,
+    /// Hull of the member lifespans (empty when no member has a chronon).
+    hull: Hull,
     /// Has membership changed since the last checkpoint wrote (or linked)
     /// this partition's heap file?
     dirty: bool,
@@ -220,24 +201,16 @@ impl Partition {
                 lifespans: LifespanIndex::build(members.iter().map(|&(_, ls)| ls)),
             },
             count: members.len(),
-            min_lo: i64::MAX,
-            max_hi: i64::MIN,
+            hull: Hull::EMPTY,
             dirty: true,
         };
         for (_, ls) in members {
-            part.widen_summary(ls);
+            part.hull.widen(Hull::of(ls));
         }
         part
     }
 
-    fn widen_summary(&mut self, ls: &Lifespan) {
-        if let (Some(first), Some(last)) = (ls.first(), ls.last()) {
-            self.min_lo = self.min_lo.min(first.tick());
-            self.max_hi = self.max_hi.max(last.tick());
-        }
-    }
-
-    /// Adds a member; returns the run merges its lifespan index did.
+    /// Adds a member; returns the folds its lifespan index did.
     fn add(&mut self, pos: u32, tuple: &Tuple) -> u64 {
         let Members::Resident {
             positions,
@@ -253,7 +226,7 @@ impl Partition {
         lifespans.insert(positions.len(), tuple.lifespan());
         positions.push(pos);
         let merges = lifespans.merges() - merges_before;
-        self.widen_summary(tuple.lifespan());
+        self.hull.widen(Hull::of(tuple.lifespan()));
         self.count += 1;
         self.dirty = true;
         merges
@@ -298,17 +271,13 @@ impl Partition {
     /// The min/max lifespan summary interval, `None` when no member has a
     /// non-empty lifespan.
     pub fn summary(&self) -> Option<Interval> {
-        if self.min_lo <= self.max_hi {
-            Interval::new(Chronon::new(self.min_lo), Chronon::new(self.max_hi))
-        } else {
-            None
-        }
+        self.hull.interval()
     }
 
     /// Raw summary bounds `(min_lo, max_hi)` as persisted in the catalog
     /// manifest (`(i64::MAX, i64::MIN)` is the empty sentinel).
     pub fn summary_bounds(&self) -> (i64, i64) {
-        (self.min_lo, self.max_hi)
+        (self.hull.lo, self.hull.hi)
     }
 
     /// Has membership changed since the last checkpoint?
@@ -382,8 +351,10 @@ impl PartitionMap {
                         zones: OnceLock::new(),
                     },
                     count,
-                    min_lo,
-                    max_hi,
+                    hull: Hull {
+                        lo: min_lo,
+                        hi: max_hi,
+                    },
                     dirty: false,
                 }),
             );
@@ -397,8 +368,8 @@ impl PartitionMap {
     /// the indexes it contains). Copies the partition the tuple lands in
     /// if a clone of the map shares it, and no other.
     ///
-    /// Returns how many run merges that partition's lifespan index did on
-    /// this insert — the amortizing work the storage fold counter reports.
+    /// Returns how many folds that partition's lifespan index did on this
+    /// insert — the amortizing work the storage fold counter reports.
     pub fn insert(&mut self, pos: usize, tuple: &Tuple) -> u64 {
         assert_eq!(
             pos, self.tuple_count,
@@ -575,40 +546,33 @@ pub(crate) fn position_u32(pos: usize) -> u32 {
     u32::try_from(pos).expect("relation fits in u32 positions")
 }
 
-/// The shared summary-overlap predicate of the pruning queries: a
-/// raw-bound hull prefilter (two integer compares per partition — the
-/// empty-summary sentinel `(MAX, MIN)` fails it too), with the exact
-/// run-level test only for fragmented windows, where the hull
-/// over-approximates. `None` for the empty window, which overlaps
-/// nothing.
+/// The shared summary-overlap predicate of the pruning queries: the
+/// window's own hull against each partition's [`Hull`] (a few integer
+/// compares per partition), with the exact run-level test only for
+/// fragmented windows, where the window's hull over-approximates. `None`
+/// for the empty window, which overlaps nothing.
 struct SummaryProbe {
-    hull_lo: i64,
-    hull_hi: i64,
+    window_hull: Interval,
     /// Fragmented window: the hull prefilter alone would over-match.
     exact: bool,
 }
 
 impl SummaryProbe {
     fn new(window: &Lifespan) -> Option<SummaryProbe> {
-        let hull = window.hull()?;
         Some(SummaryProbe {
-            hull_lo: hull.lo().tick(),
-            hull_hi: hull.hi().tick(),
+            window_hull: window.hull()?,
             exact: !window.is_contiguous(),
         })
     }
 
     /// Does the window's *hull* overlap the partition summary?
     fn hull_overlaps(&self, p: &Partition) -> bool {
-        p.min_lo <= self.hull_hi && p.max_hi >= self.hull_lo
+        p.hull.meets_interval(&self.window_hull)
     }
 
     /// Does the window itself overlap the partition summary?
     fn overlaps(&self, p: &Partition, window: &Lifespan) -> bool {
-        self.hull_overlaps(p)
-            && (!self.exact
-                || p.summary()
-                    .is_some_and(|iv| window.intersects_interval(&iv)))
+        self.hull_overlaps(p) && (!self.exact || p.hull.meets(window))
     }
 }
 
@@ -718,18 +682,40 @@ mod tests {
     }
 
     /// Incremental insert equals a from-scratch build: same partitions,
-    /// same summaries, same pruning answers.
+    /// same summaries, same pruning answers. One partition (chronons
+    /// 512..544) receives well over twice the pending-block size of
+    /// fragmented lifespans out of birth order, so its lifespan index
+    /// folds several times, and a clone taken midway keeps answering as of
+    /// its own moment.
     #[test]
     fn incremental_insert_matches_rebuild() {
-        let mut m = PartitionMap::build(&Relation::new(scheme()), PartitionPolicy::SpanLog2(5));
+        let policy = PartitionPolicy::SpanLog2(5);
+        let windows: Vec<Lifespan> = [0, 100, 250, 399, 500, 520, 560, 600, 700]
+            .into_iter()
+            .map(|lo| Lifespan::interval(lo, lo + 60))
+            .chain([Lifespan::of(&[(515, 517), (640, 650)])])
+            .collect();
+        let mut m = PartitionMap::build(&Relation::new(scheme()), policy);
         let mut tuples = Vec::new();
+        let mut midway = None;
         for k in 0..150i64 {
             let lo = (k * 37) % 400;
             let t = tup(k, &[(lo, lo + (k % 50))]);
             m.insert(tuples.len(), &t);
             tuples.push(t);
         }
-        let built = PartitionMap::build(&rel(tuples), PartitionPolicy::SpanLog2(5));
+        for k in 150..450i64 {
+            let lo = 512 + (k * 13) % 32;
+            let t = tup(k, &[(lo, lo + k % 7), (lo + 20, lo + 30 + k % 90)]);
+            m.insert(tuples.len(), &t);
+            tuples.push(t);
+            if k == 300 {
+                let answers: Vec<Vec<usize>> =
+                    windows.iter().map(|w| m.prune_positions(w)).collect();
+                midway = Some((m.clone(), answers));
+            }
+        }
+        let built = PartitionMap::build(&rel(tuples.clone()), policy);
         assert_eq!(m.partition_count(), built.partition_count());
         for (id, p) in built.iter() {
             let q = m.partition(id).expect("same partitions");
@@ -738,9 +724,23 @@ mod tests {
             });
             assert_eq!(p.summary_bounds(), q.summary_bounds());
         }
-        for lo in [0, 100, 250, 399] {
-            let w = Lifespan::interval(lo, lo + 60);
-            assert_eq!(m.prune_positions(&w), built.prune_positions(&w));
+        let Members::Resident { lifespans, .. } = &m.partition(16).unwrap().members else {
+            unreachable!("inserted partitions are resident");
+        };
+        assert!(lifespans.merges() >= 8, "{} folds", lifespans.merges());
+        let linear = |upto: usize, w: &Lifespan| -> Vec<usize> {
+            (0..upto)
+                .filter(|&p| tuples[p].lifespan().intersects(w))
+                .collect()
+        };
+        for w in &windows {
+            assert_eq!(m.prune_positions(w), linear(tuples.len(), w), "{w}");
+            assert_eq!(built.prune_positions(w), linear(tuples.len(), w), "{w}");
+        }
+        let (clone, answers) = midway.expect("taken midway");
+        for (w, answer) in windows.iter().zip(answers) {
+            assert_eq!(clone.prune_positions(w), answer, "clone at {w}");
+            assert_eq!(answer, linear(301, w), "clone at {w}");
         }
     }
 

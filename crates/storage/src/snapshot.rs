@@ -16,7 +16,7 @@
 //! bounded too: the next insert into a shared relation copies the 64-slot
 //! tail of the tuple vector, the newest (≤ 32-entry) tier of the key
 //! index and the one partition the tuple lands in (its lifespan index's
-//! short pending run included) — O(log n), not the O(n) a flat vector
+//! short pending block included) — O(log n), not the O(n) a flat vector
 //! and hash map would cost — and leaves every other leaf, tier and
 //! partition as the very allocation the snapshot holds. Two consecutive
 //! snapshots therefore share all but the path the writes between them

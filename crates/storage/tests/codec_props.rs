@@ -585,6 +585,54 @@ fn decodes_as_conformed(record: &[u8], scheme: &Scheme, clip: &Lifespan) -> bool
     took
 }
 
+/// The one-pass decode skips the values of segments outside its clip
+/// without building them, but still refuses a NaN float there: the record
+/// fails clipped exactly as it fails whole, and the same record with a
+/// finite float decodes clipped in one pass to its restriction.
+#[test]
+fn nan_float_outside_the_clip_fails_as_the_whole_decode_does() {
+    let era = Lifespan::interval(-1_000, 1_000);
+    let scheme = Scheme::builder()
+        .key_attr("K", ValueKind::Int, era.clone())
+        .attr("F", HistoricalDomain::float(), era)
+        .build()
+        .expect("a valid scheme");
+    let life = Lifespan::interval(0, 20);
+    let f = TemporalValue::from_segments([
+        (Interval::of(0, 9), Value::float(1.5).unwrap()),
+        (Interval::of(10, 20), Value::float(2.5).unwrap()),
+    ])
+    .unwrap();
+    let t = Tuple::builder(life.clone())
+        .constant("K", 7)
+        .value("F", f)
+        .finish(&scheme)
+        .unwrap();
+    let mut e = Encoder::new();
+    e.put_tuple(&t);
+    let record = e.finish();
+    let clip = Lifespan::interval(0, 5);
+    assert!(
+        decodes_as_conformed(&record, &scheme, &clip),
+        "a finite float fell back"
+    );
+
+    let finite = 2.5f64.to_le_bytes();
+    let at = record
+        .windows(8)
+        .position(|w| w == finite)
+        .expect("the second segment's float");
+    let mut nan = record.clone();
+    nan[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+    assert!(Decoder::new(&nan)
+        .get_tuple_clipped(&scheme, &clip)
+        .is_none());
+    let whole = decode_record(&nan, &scheme, None).map_err(|e| e.to_string());
+    let clipped = decode_record(&nan, &scheme, Some(&clip)).map_err(|e| e.to_string());
+    assert!(whole.is_err(), "a NaN float decoded: {whole:?}");
+    assert_eq!(clipped, whole);
+}
+
 proptest! {
     /// A heap record decoded clipped is the restriction of its conformed
     /// tuple, or fails as decoding it whole does — on valid records under

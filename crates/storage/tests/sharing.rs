@@ -157,8 +157,8 @@ fn consecutive_snapshots_share_untouched_partitions_leaves_and_tiers() {
 
 /// A snapshot taken before a commit still answers exactly as it did —
 /// tuples, key probes, lifespan probes, partition counts — after 10 000
-/// later commits (which fold every key tier and merge the lifespan run
-/// many times over), a checkpoint, and a repartition.
+/// later commits (which fold every key tier and the partitions' lifespan
+/// indexes many times over), a checkpoint, and a repartition.
 #[test]
 fn an_old_snapshot_survives_commits_folds_checkpoint_and_repartition() {
     let dir = tmp("old-snapshot");
@@ -186,8 +186,8 @@ fn an_old_snapshot_survives_commits_folds_checkpoint_and_repartition() {
         key_folds > 5,
         "the run must have folded key tiers ({key_folds})"
     );
-    // The fold counter adds the landing partitions' run merges on top:
-    // ~156 inserts into each of 64 partitions freeze and merge runs there.
+    // The fold counter adds the landing partitions' lifespan folds on top:
+    // ~156 inserts into each of 64 partitions fill the pending block twice.
     // (Other tests of this binary only ever add to the counter.)
     if hrdm_obs::enabled() {
         let counted = counted() - counted_before;

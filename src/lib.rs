@@ -15,7 +15,7 @@
 //! | [`core`] (`hrdm-core`) | model level | values, domains, temporal functions, schemes, tuples, relations, the algebra, temporal constraints |
 //! | [`interp`] (`hrdm-interp`) | representation level | interpolation functions, sparse representations, change-point compression |
 //! | [`storage`] (`hrdm-storage`) | physical level | binary codec, slotted pages, heap files, evolving-schema catalog, database persistence |
-//! | [`index`] (`hrdm-index`) | physical level | access methods: lifespan interval index, constant-key index |
+//! | [`index`] (`hrdm-index`) | physical level | access methods: block-zone lifespan index, constant-key index |
 //! | [`query`] (`hrdm-query`) | — | a textual algebra language, evaluator, rewrite-rule optimizer, and index-aware access-path planner |
 //! | [`net`] (`hrdm-net`) | — | the wire protocol, the `hrdmd` TCP server, the sync `Client`, and the `hrdmq` shell |
 //! | [`baseline`] (`hrdm-baseline`) | comparators | classical snapshot model, tuple-timestamped model, cube model |
