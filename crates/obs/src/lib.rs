@@ -10,10 +10,6 @@
 //!   Prometheus text exposition format, plus the process-wide
 //!   [`registry::global`] registry the storage and query layers record
 //!   into.
-//! * [`span`] — a per-query tracing facility: [`Span::enter`] records
-//!   wall time (and row counts) into a trace tree, collected with
-//!   [`span::with_trace`]. When no trace is active a span costs one
-//!   thread-local read.
 //! * [`slowlog`] — a bounded FIFO ring buffer of the worst recent
 //!   requests with their plans, mirroring the Cancel-id bound of the
 //!   wire protocol (default 32 entries, oldest evicted first).
@@ -34,7 +30,7 @@
 //!
 //! Setting `HRDM_OBS_OFF=1` in the environment disables every *purely
 //! observational* recording site (the WAL/checkpoint/query/net
-//! recordings into the global registry, and span collection). It does
+//! recordings into the global registry). It does
 //! **not** disable the [`Counter`]/[`Gauge`] cells that back
 //! `CommitStats`/`ServerStats` — those feed `\stats` and are part of
 //! the engine's functional surface. The switch exists so the bench
@@ -49,7 +45,6 @@ pub mod event;
 pub mod metrics;
 pub mod registry;
 pub mod slowlog;
-pub mod span;
 pub mod trace;
 pub mod window;
 
@@ -57,7 +52,6 @@ pub use event::{recorder, EventKind, EventRecord, FlightRecorder};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{global, Registry};
 pub use slowlog::{SlowEntry, SlowLog, SLOWLOG_CAPACITY};
-pub use span::{with_trace, Span, SpanGuard, TraceNode};
 pub use trace::TraceContext;
 pub use window::{LatencyWindow, RateWindow, TopRelations};
 

@@ -3,9 +3,9 @@
 //! A trace id is a non-zero `u128` minted once per request by whoever
 //! originates it (the net client mints one per wire request; local
 //! shells may mint their own). It travels in the wire frame header, so
-//! every surface a request touches — the span tree, `EXPLAIN ANALYZE`,
-//! the slow-query log, structured error frames, and the flight
-//! recorder — can report the id the originator already holds.
+//! every surface a request touches — `EXPLAIN ANALYZE`, the slow-query
+//! log, structured error frames, and the flight recorder — can report
+//! the id the originator already holds.
 //!
 //! ## The ambient current trace
 //!

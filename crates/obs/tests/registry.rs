@@ -1,8 +1,8 @@
 //! The metrics registry under fire: an 8-thread counter/histogram
 //! hammer (no lost updates), percentile estimates checked against a
-//! sorted-vector oracle on random inputs, and span-tree nesting.
+//! sorted-vector oracle on random inputs.
 
-use hrdm_obs::{with_trace, Counter, Gauge, Histogram, Registry, Span};
+use hrdm_obs::{Counter, Gauge, Histogram, Registry};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -129,56 +129,5 @@ proptest! {
         }
         prop_assert_eq!(h.count(), values.len() as u64);
         prop_assert_eq!(h.sum(), values.iter().sum::<u64>());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Span trees.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn span_trees_nest_like_the_call_graph_across_depths() {
-    fn descend(depth: usize) {
-        let span = Span::enter("level");
-        if depth > 0 {
-            descend(depth - 1);
-            descend(depth - 1);
-        }
-        span.record_rows(depth as u64);
-    }
-    let ((), roots) = with_trace(|| descend(3));
-    assert_eq!(roots.len(), 1);
-    fn check(node: &hrdm_obs::TraceNode, depth: usize) {
-        assert_eq!(node.rows, Some(depth as u64));
-        let expected_children = if depth > 0 { 2 } else { 0 };
-        assert_eq!(node.children.len(), expected_children);
-        for c in &node.children {
-            assert!(node.wall_ns >= c.wall_ns, "parent time includes child");
-            check(c, depth - 1);
-        }
-    }
-    check(&roots[0], 3);
-}
-
-#[test]
-fn sibling_traces_do_not_interleave_across_threads() {
-    let mut handles = Vec::new();
-    for t in 0..4u64 {
-        handles.push(std::thread::spawn(move || {
-            let ((), roots) = with_trace(|| {
-                let outer = Span::enter("outer");
-                let _inner = Span::enter("inner");
-                outer.record_rows(t);
-            });
-            (t, roots)
-        }));
-    }
-    for h in handles {
-        let (t, roots) = h.join().unwrap();
-        // Each thread sees exactly its own tree: one root, one child.
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].rows, Some(t));
-        assert_eq!(roots[0].children.len(), 1);
-        assert_eq!(roots[0].children[0].name, "inner");
     }
 }

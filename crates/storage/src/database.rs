@@ -130,15 +130,6 @@ struct BatchUndo {
     ops_applied: u64,
 }
 
-/// How a pre-validated insert should be applied.
-enum InsertDisposition {
-    /// Append the tuple (and maintain the indexes).
-    Apply,
-    /// Keyless set semantics: the tuple is already present — silent no-op,
-    /// nothing to log.
-    DuplicateNoop,
-}
-
 /// An in-memory database of historical relations with directory-based
 /// persistence — the physical level a downstream user actually touches.
 ///
@@ -248,14 +239,6 @@ impl Database {
         })
     }
 
-    fn apply_create_unchecked(&mut self, name: &str, scheme: Scheme) {
-        Arc::make_mut(&mut self.catalog)
-            .create_relation(name, scheme.clone())
-            // lint: no-panic-ok(stage() validated the name is fresh against this exact state; divergence is a logic bug where crashing beats corrupting)
-            .expect("pre-validated: relation name is fresh");
-        self.apply_put_unchecked(name, Relation::new(scheme));
-    }
-
     /// The relation named `name`.
     pub fn relation(&self, name: &str) -> Option<&Relation> {
         self.tables.get(name).map(|t| &t.relation)
@@ -279,7 +262,9 @@ impl Database {
         })
     }
 
-    fn apply_put_unchecked(&mut self, name: &str, relation: Relation) {
+    /// Installs `relation` as the contents of `name`, its access paths
+    /// built in bulk.
+    fn put_table(&mut self, name: &str, relation: Relation) {
         let table = Table::build(relation, self.partition_policy);
         self.tables.insert(name.into(), Arc::new(table));
     }
@@ -331,16 +316,20 @@ impl Database {
             // `&self`, so every call yields the same poisoned-WAL error.
             return ops.iter().map(|_| self.check_writable()).collect();
         }
-        let undo = self.attachment.as_ref().map(|_| self.undo_point());
+        let attached = self.attachment.is_some();
+        let undo = attached.then(|| self.undo_point());
         let mut results: Vec<Result<(), DbError>> = Vec::with_capacity(ops.len());
         let mut payloads: Vec<Vec<u8>> = Vec::new();
         for op in ops {
-            match self.stage(op) {
-                Ok(Some(payload)) => {
-                    payloads.push(payload);
+            // Encoded before `apply` moves the record into the state, and
+            // only when there is a log to write it to.
+            let payload = attached.then(|| op.payload());
+            match self.apply(op) {
+                Ok(changed) => {
+                    // An acknowledged no-op has nothing to log.
+                    payloads.extend(payload.filter(|_| changed));
                     results.push(Ok(()));
                 }
-                Ok(None) => results.push(Ok(())), // set-semantics no-op
                 Err(e) => results.push(Err(e)),
             }
         }
@@ -400,37 +389,40 @@ impl Database {
         self.ops_applied = undo.ops_applied;
     }
 
-    /// Validates one operation against the current in-memory state and, if
-    /// it applies, applies it and returns its WAL payload (`None` for
-    /// acknowledged no-ops like duplicate set-semantics inserts).
-    fn stage(&mut self, op: WalRecord) -> Result<Option<Vec<u8>>, DbError> {
-        let payload = match &op {
+    /// Applies one WAL record to the in-memory state — the one place a
+    /// record changes a database, whether [`Database::commit_batch`]
+    /// commits it or recovery replays it. The record is validated against
+    /// the current state first, so one that fails changes nothing.
+    /// Returns whether the state changed: `false` is an acknowledged no-op
+    /// (a keyless insert of a tuple already present), with nothing to log.
+    fn apply(&mut self, op: WalRecord) -> Result<bool, DbError> {
+        // Catalog edits validate before they change anything, so a failed
+        // one leaves the catalog as it was.
+        match op {
             WalRecord::CreateRelation { name, scheme } => {
-                if self.catalog.scheme(name).is_some() {
-                    return Err(DbError::Model(HrdmError::DuplicateRelation(name.clone())));
-                }
-                let payload = op.payload();
-                self.apply_create_unchecked(name, scheme.clone());
-                payload
+                Arc::make_mut(&mut self.catalog).create_relation(&name, scheme.clone())?;
+                self.put_table(&name, Relation::new(scheme));
             }
-            // Applied below, once the record is encoded: the tuple moves
-            // into the relation whole.
-            WalRecord::Insert { relation, tuple } => match self.validate_insert(relation, tuple)? {
-                InsertDisposition::DuplicateNoop => return Ok(None),
-                InsertDisposition::Apply => op.payload(),
-            },
+            WalRecord::Insert { relation, tuple } => {
+                let Some(table) = self.tables.get_mut(relation.as_str()) else {
+                    return Err(HrdmError::UnknownRelation(relation).into());
+                };
+                if !insert_applies(table, &tuple)? {
+                    return Ok(false);
+                }
+                // Shared with a snapshot or an undo point → a cheap clone of
+                // the table (which shares its bulk), mutated; unshared → in
+                // place.
+                Arc::make_mut(table).push(tuple);
+            }
             WalRecord::PutRelation { relation, contents } => {
-                let Some(scheme) = self.catalog.scheme(relation) else {
-                    return Err(DbError::Model(HrdmError::UnknownRelation(relation.clone())));
+                let Some(scheme) = self.catalog.scheme(&relation) else {
+                    return Err(HrdmError::UnknownRelation(relation).into());
                 };
                 if contents.scheme() != scheme {
-                    return Err(DbError::SchemeMismatch {
-                        relation: relation.clone(),
-                    });
+                    return Err(DbError::SchemeMismatch { relation });
                 }
-                let payload = op.payload();
-                self.apply_put_unchecked(relation, contents.clone());
-                payload
+                self.put_table(&relation, contents);
             }
             WalRecord::AddAttribute {
                 relation,
@@ -438,93 +430,32 @@ impl Database {
                 domain,
                 from,
                 to,
-            } => self.stage_evolution(relation, &op, |cat| {
-                cat.add_attribute(relation, attribute.clone(), *domain, *from, *to)
-            })?,
+            } => {
+                Arc::make_mut(&mut self.catalog)
+                    .add_attribute(&relation, attribute, domain, from, to)?;
+                self.resync_relation_scheme(&relation);
+            }
             WalRecord::DropAttribute {
                 relation,
                 attribute,
                 at,
-            } => self.stage_evolution(relation, &op, |cat| {
-                cat.drop_attribute(relation, attribute, *at)
-            })?,
+            } => {
+                Arc::make_mut(&mut self.catalog).drop_attribute(&relation, &attribute, at)?;
+                self.resync_relation_scheme(&relation);
+            }
             WalRecord::ReAddAttribute {
                 relation,
                 attribute,
                 from,
                 to,
-            } => self.stage_evolution(relation, &op, |cat| {
-                cat.re_add_attribute(relation, attribute, *from, *to)
-            })?,
-        };
-        if let WalRecord::Insert { relation, tuple } = op {
-            self.apply_insert_unchecked(&relation, tuple);
+            } => {
+                Arc::make_mut(&mut self.catalog)
+                    .re_add_attribute(&relation, &attribute, from, to)?;
+                self.resync_relation_scheme(&relation);
+            }
         }
         self.ops_applied += 1;
-        Ok(Some(payload))
-    }
-
-    /// Stages a catalog evolution op: dry-run on a catalog clone (so the
-    /// WAL only ever records applicable ops), commit the clone, and resync
-    /// the live relation to the evolved scheme.
-    fn stage_evolution<F>(
-        &mut self,
-        relation: &str,
-        op: &WalRecord,
-        apply: F,
-    ) -> Result<Vec<u8>, DbError>
-    where
-        F: FnOnce(&mut Catalog) -> hrdm_core::Result<()>,
-    {
-        let mut trial = (*self.catalog).clone();
-        apply(&mut trial).map_err(DbError::Model)?;
-        let payload = op.payload();
-        self.catalog = Arc::new(trial);
-        self.resync_relation_scheme(relation);
-        Ok(payload)
-    }
-
-    /// The checks [`Relation::insert`] would run, performed *before* the
-    /// WAL append so the log only records applicable mutations. Uses the
-    /// maintained key index for an `O(1)` duplicate probe where possible.
-    fn validate_insert(&self, name: &str, tuple: &Tuple) -> Result<InsertDisposition, DbError> {
-        let table = self
-            .tables
-            .get(name)
-            .ok_or_else(|| DbError::Model(HrdmError::UnknownRelation(name.to_string())))?;
-        let rel = &table.relation;
-        tuple.validate(rel.scheme()).map_err(DbError::Model)?;
-        if rel.scheme().key().is_empty() {
-            if rel.contains_tuple(tuple) {
-                return Ok(InsertDisposition::DuplicateNoop);
-            }
-            return Ok(InsertDisposition::Apply);
-        }
-        let key = tuple.key_values(rel.scheme()).map_err(DbError::Model)?;
-        let duplicate = match &table.key {
-            Some(key_idx) => !key_idx.lookup(&key).is_empty(),
-            None => rel.find_by_key(&key).is_some(),
-        };
-        if duplicate {
-            return Err(DbError::Model(HrdmError::KeyViolation {
-                key: format!(
-                    "({})",
-                    key.iter()
-                        .map(|v| v.to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            }));
-        }
-        Ok(InsertDisposition::Apply)
-    }
-
-    fn apply_insert_unchecked(&mut self, name: &str, tuple: Tuple) {
-        // lint: no-panic-ok(stage() validated the relation exists in this exact state; divergence is a logic bug where crashing beats corrupting)
-        let table = self.tables.get_mut(name).expect("pre-validated");
-        // Shared with a snapshot or an undo point → a cheap clone of the
-        // table (which shares its bulk), mutated; unshared → in place.
-        Arc::make_mut(table).push(tuple);
+        Ok(true)
     }
 
     /// Adds a fresh attribute to `relation`, write-ahead logged when
@@ -598,7 +529,7 @@ impl Database {
         let tuples: Vec<Tuple> = rel.iter().map(|t| t.clipped_to_scheme(&scheme)).collect();
         // Positions, lifespans, and (constant) key values are untouched by
         // clipping, but rebuild for clarity — evolution is rare.
-        self.apply_put_unchecked(name, Relation::from_parts_unchecked(scheme, tuples));
+        self.put_table(name, Relation::from_parts_unchecked(scheme, tuples));
     }
 
     /// The current key index of `name`; `None` for an unknown relation, a
@@ -686,36 +617,26 @@ impl Database {
     }
 
     /// Attaches to `dir` (created if missing), recovering whatever state is
-    /// there: the last checkpoint's catalog + heap files, plus a replay of
-    /// the WAL tail. Torn WAL tails are truncated away; stray files from
-    /// aborted checkpoints are removed. The returned database is durable:
-    /// every acknowledged write survives a crash.
+    /// there — exactly the state [`Database::load`] reads: the last
+    /// checkpoint's catalog and heap files, plus every intact record of the
+    /// WAL tail, replayed through the same applier that commits writes. On
+    /// top of that, `open` mends the directory: it truncates a torn WAL
+    /// tail, creates the WAL when there is none, and removes stray files of
+    /// aborted checkpoints. The returned database is durable: every
+    /// acknowledged write survives a crash.
     pub fn open(dir: &Path) -> Result<Database, DbError> {
         std::fs::create_dir_all(dir)?;
-        let (mut db, epoch) = match read_checkpoint(dir)? {
-            Some((db, epoch)) => (db, epoch),
-            None => (Database::new(), 0),
+        let (mut db, epoch, torn_at) = match recover(dir, |_, _| true)? {
+            Some(found) => (found.db, found.epoch, found.torn_at),
+            None => (Database::new(), 0, None),
         };
-        // The checkpointed tables come with indexes built in bulk, so the
-        // replayed inserts maintain them incrementally (O(1) key probes
-        // instead of a linear scan per replayed record) and in place —
-        // nothing shares the tables yet. Their partition maps mirror the
-        // checkpoint's heap files exactly; only the WAL tail replayed
-        // below dirties them.
-        db.mark_partitions_clean();
         let wal_file = wal_path(dir, epoch);
-        if wal_file.exists() {
-            let (records, torn_at) =
-                Wal::replay(&wal_file).map_err(|e| io_with_path(&wal_file, e))?;
-            if let Some(offset) = torn_at {
-                Wal::truncate(&wal_file, offset).map_err(|e| io_with_path(&wal_file, e))?;
-            }
-            for record in records {
-                db.apply_record(record)?;
-            }
-        } else {
-            Wal::create_empty(&wal_file).map_err(|e| io_with_path(&wal_file, e))?;
+        match torn_at {
+            Some(offset) => Wal::truncate(&wal_file, offset),
+            None if !wal_file.exists() => Wal::create_empty(&wal_file),
+            None => Ok(()),
         }
+        .map_err(|e| io_with_path(&wal_file, e))?;
         cleanup_stray_files(dir, epoch);
         let wal = Wal::open(&wal_file).map_err(|e| io_with_path(&wal_file, e))?;
         db.attachment = Some(Attachment {
@@ -725,79 +646,6 @@ impl Database {
             poisoned: false,
         });
         Ok(db)
-    }
-
-    /// Replays one WAL record against the in-memory state. Records were
-    /// pre-validated before logging, so failures indicate a log that does
-    /// not belong to this checkpoint — reported, never panicking.
-    fn apply_record(&mut self, record: WalRecord) -> Result<(), DbError> {
-        self.ops_applied += 1;
-        match record {
-            WalRecord::CreateRelation { name, scheme } => {
-                if self.catalog.scheme(&name).is_some() {
-                    return Err(DbError::BadFile(format!(
-                        "WAL creates relation `{name}` that the checkpoint already has"
-                    )));
-                }
-                self.apply_create_unchecked(&name, scheme);
-                Ok(())
-            }
-            WalRecord::Insert { relation, tuple } => {
-                match self.validate_insert(&relation, &tuple)? {
-                    InsertDisposition::DuplicateNoop => {}
-                    InsertDisposition::Apply => self.apply_insert_unchecked(&relation, tuple),
-                }
-                Ok(())
-            }
-            WalRecord::PutRelation { relation, contents } => {
-                let Some(scheme) = self.catalog.scheme(&relation) else {
-                    return Err(DbError::Model(HrdmError::UnknownRelation(relation)));
-                };
-                // put_relation guarantees this at log time; a divergent
-                // record means the log doesn't belong to this catalog.
-                if contents.scheme() != scheme {
-                    return Err(DbError::SchemeMismatch { relation });
-                }
-                self.apply_put_unchecked(&relation, contents);
-                Ok(())
-            }
-            WalRecord::AddAttribute {
-                relation,
-                attribute,
-                domain,
-                from,
-                to,
-            } => {
-                Arc::make_mut(&mut self.catalog)
-                    .add_attribute(&relation, attribute, domain, from, to)
-                    .map_err(DbError::Model)?;
-                self.resync_relation_scheme(&relation);
-                Ok(())
-            }
-            WalRecord::DropAttribute {
-                relation,
-                attribute,
-                at,
-            } => {
-                Arc::make_mut(&mut self.catalog)
-                    .drop_attribute(&relation, &attribute, at)
-                    .map_err(DbError::Model)?;
-                self.resync_relation_scheme(&relation);
-                Ok(())
-            }
-            WalRecord::ReAddAttribute {
-                relation,
-                attribute,
-                from,
-                to,
-            } => {
-                Arc::make_mut(&mut self.catalog)
-                    .re_add_attribute(&relation, &attribute, from, to)
-                    .map_err(DbError::Model)?;
-                self.resync_relation_scheme(&relation);
-                Ok(())
-            }
-        }
     }
 
     /// Folds the WAL into a fresh checkpoint: heap files and an empty WAL
@@ -1002,56 +850,119 @@ impl Database {
         Ok(())
     }
 
-    /// Loads a database from `dir` read-only (no attachment): the last
-    /// checkpoint plus every intact WAL record — the same state
-    /// [`Database::open`] recovers, but without truncating torn tails on
-    /// disk or holding the WAL open.
+    /// Loads a database from `dir` read-only (no attachment): the state
+    /// [`Database::open`] recovers, without touching the directory. A
+    /// directory that was never checkpointed holds its whole state in
+    /// `wal.0.log`; one with neither a catalog nor that log is `NotFound`.
     pub fn load(dir: &Path) -> Result<Database, DbError> {
-        let (mut db, epoch) = match read_checkpoint(dir)? {
-            Some(found) => found,
-            // A never-checkpointed attached directory has no catalog yet —
-            // its whole state lives in `wal.0.log`, exactly like `open`.
-            None if wal_path(dir, 0).exists() => (Database::new(), 0),
-            None => {
-                return Err(DbError::Io(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!(
-                        "no database at {}: neither catalog.hrdm nor wal.0.log",
-                        dir.display()
-                    ),
-                )))
-            }
-        };
-        // Indexes and partition maps are derived data: `read_checkpoint`
-        // rebuilt them in bulk rather than loading them, so the replayed
-        // inserts maintain them incrementally.
-        let wal_file = wal_path(dir, epoch);
-        if wal_file.exists() {
-            let (records, _torn) =
-                Wal::replay(&wal_file).map_err(|e| io_with_path(&wal_file, e))?;
-            for record in records {
-                db.apply_record(record)?;
-            }
-        }
-        Ok(db)
+        let found = recover(dir, |_, _| true)?.ok_or_else(|| no_database(dir))?;
+        Ok(found.db)
     }
 }
 
+/// What [`recover`] read from a directory.
+pub(crate) struct Recovered {
+    /// The recovered state, detached: the relations read in full, and of
+    /// each relation left cold the tuples its WAL tail inserted.
+    pub(crate) db: Database,
+    /// The checkpoint epoch; 0 before the first checkpoint.
+    pub(crate) epoch: u64,
+    /// The cold partition map of each relation left on disk.
+    pub(crate) cold: BTreeMap<String, PartitionMap>,
+    /// Where the WAL's intact records end, when a torn record follows.
+    pub(crate) torn_at: Option<u64>,
+}
+
+/// Recovers the state of `dir`: the one routine behind [`Database::open`],
+/// [`Database::load`] and [`crate::PagedDatabase::open`]. It reads the
+/// intact records of the WAL tail, then the checkpoint ([`read_checkpoint`])
+/// with the relations `read_in_full(records, name)` names read in full and
+/// every other one left cold, then applies each record through the applier
+/// that commits writes. A record that fails to apply fails the recovery
+/// with a [`DbError::BadFile`] naming the log and the record's index.
+/// `None` when `dir` holds neither a catalog nor `wal.0.log`.
+pub(crate) fn recover(
+    dir: &Path,
+    read_in_full: impl Fn(&[WalRecord], &str) -> bool,
+) -> Result<Option<Recovered>, DbError> {
+    let manifest = read_catalog_manifest(dir)?;
+    let epoch = manifest.as_ref().map_or(0, |m| m.epoch);
+    let wal_file = wal_path(dir, epoch);
+    let (records, torn_at) = if wal_file.exists() {
+        Wal::replay(&wal_file).map_err(|e| io_with_path(&wal_file, e))?
+    } else if manifest.is_some() {
+        (Vec::new(), None)
+    } else {
+        return Ok(None);
+    };
+    let (mut db, cold) = match manifest {
+        Some(manifest) => read_checkpoint(dir, manifest, |name| read_in_full(&records, name))?,
+        None => (Database::new(), BTreeMap::new()),
+    };
+    // The checkpointed tables come with their indexes built in bulk, and
+    // nothing shares them yet: the replayed inserts maintain them in place.
+    for (k, record) in records.into_iter().enumerate() {
+        db.apply(record)
+            .map_err(|e| DbError::BadFile(format!("{}: record {k}: {e}", wal_file.display())))?;
+    }
+    Ok(Some(Recovered {
+        db,
+        epoch,
+        cold,
+        torn_at,
+    }))
+}
+
+/// The error of opening a directory that holds no database.
+pub(crate) fn no_database(dir: &Path) -> DbError {
+    DbError::Io(io::Error::new(
+        io::ErrorKind::NotFound,
+        format!(
+            "no database at {}: neither catalog.hrdm nor wal.0.log",
+            dir.display()
+        ),
+    ))
+}
+
+/// Runs the checks [`Relation::insert`] would run of `tuple` against
+/// `table`, without inserting it: `Ok(false)` when a keyless relation holds
+/// the tuple already (set semantics: a no-op). Probes the maintained key
+/// index for a duplicate key where there is one.
+fn insert_applies(table: &Table, tuple: &Tuple) -> Result<bool, DbError> {
+    let rel = &table.relation;
+    tuple.validate(rel.scheme())?;
+    if rel.scheme().key().is_empty() {
+        return Ok(!rel.contains_tuple(tuple));
+    }
+    let key = tuple.key_values(rel.scheme())?;
+    let duplicate = match &table.key {
+        Some(key_idx) => !key_idx.lookup(&key).is_empty(),
+        None => rel.find_by_key(&key).is_some(),
+    };
+    if duplicate {
+        let key = key.iter().map(|v| v.to_string()).collect::<Vec<_>>();
+        return Err(HrdmError::KeyViolation {
+            key: format!("({})", key.join(", ")),
+        }
+        .into());
+    }
+    Ok(true)
+}
+
 /// The decoded commit point of a checkpoint: catalog, policy, epoch, and
-/// the partition manifest — everything the paged read path needs without
+/// the partition manifest — everything a cold relation needs without
 /// touching a single heap page.
-pub(crate) struct CheckpointManifest {
-    pub catalog: Catalog,
-    pub policy: PartitionPolicy,
-    pub epoch: u64,
+struct CheckpointManifest {
+    catalog: Catalog,
+    policy: PartitionPolicy,
+    epoch: u64,
     /// Relation → `[(partition id, tuple count, min_lo, max_hi)]`.
-    pub relations: BTreeMap<String, Vec<(i64, u64, i64, i64)>>,
+    relations: BTreeMap<String, Vec<(i64, u64, i64, i64)>>,
 }
 
 /// Reads and validates `catalog.hrdm` alone (header, CRC, manifest) —
-/// `None` when no catalog exists yet. Shared by the eager loader
-/// ([`Database::load`]) and the out-of-core one ([`crate::PagedDatabase`]).
-pub(crate) fn read_catalog_manifest(dir: &Path) -> Result<Option<CheckpointManifest>, DbError> {
+/// `None` when no catalog exists yet.
+fn read_catalog_manifest(dir: &Path) -> Result<Option<CheckpointManifest>, DbError> {
     // Every failure names the offending file: `BadFile` without a path
     // makes CI log triage on the recovery suite needlessly painful.
     let catalog_path = dir.join(CATALOG_FILE);
@@ -1119,13 +1030,18 @@ pub(crate) fn read_catalog_manifest(dir: &Path) -> Result<Option<CheckpointManif
     }))
 }
 
-/// Reads the checkpointed state (catalog + heap files) of `dir` and its
-/// epoch, or `None` when no catalog exists yet. Verifies checksums and
-/// re-validates every tuple against its (possibly evolved) scheme.
-fn read_checkpoint(dir: &Path) -> Result<Option<(Database, u64)>, DbError> {
-    let Some(manifest) = read_catalog_manifest(dir)? else {
-        return Ok(None);
-    };
+/// Reads the checkpoint `manifest` describes, validating the manifest
+/// against its catalog. Each relation `read_in_full` names is read from its
+/// heap files, ascending partition id and heap order within a partition,
+/// every tuple re-validated against its (possibly evolved) scheme. Every
+/// other relation stays cold: an empty resident table under its scheme,
+/// plus the cold partition map of its manifest entry, returned beside the
+/// database. Every table starts clean: it mirrors the heap files.
+fn read_checkpoint(
+    dir: &Path,
+    manifest: CheckpointManifest,
+    read_in_full: impl Fn(&str) -> bool,
+) -> Result<(Database, BTreeMap<String, PartitionMap>), DbError> {
     let catalog_path = dir.join(CATALOG_FILE);
     let CheckpointManifest {
         catalog,
@@ -1135,36 +1051,44 @@ fn read_checkpoint(dir: &Path) -> Result<Option<(Database, u64)>, DbError> {
     } = manifest;
 
     let mut tables = Tables::new();
-    let names: Vec<String> = catalog.relations().map(str::to_string).collect();
-    for name in names {
-        let Some(scheme) = catalog.scheme(&name).cloned() else {
+    let mut cold = BTreeMap::new();
+    for name in catalog.relations() {
+        let Some(scheme) = catalog.scheme(name).cloned() else {
             return Err(DbError::BadFile(format!(
                 "{}: catalog is inconsistent about relation `{name}`",
                 catalog_path.display()
             )));
         };
-        let Some(parts) = manifest.get(&name) else {
+        let Some(parts) = manifest.get(name) else {
             return Err(DbError::BadFile(format!(
                 "{}: relation `{name}` missing from the partition manifest",
                 catalog_path.display()
             )));
         };
-        let mut tuples = Vec::new();
-        let mut any_clipped = false;
-        for &(id, count, _, _) in parts {
-            let path = partition_heap_path(dir, &name, epoch, id);
-            let heap = HeapFile::open(&path).map_err(|e| io_with_path(&path, e))?;
-            any_clipped |=
-                read_partition(&heap, (id, count), &scheme, None, None, None, &mut tuples)?.clipped;
-        }
-        // A checkpoint holds what a relation — a set — wrote out, so the
-        // tuples are distinct as read; only clipping can make two equal.
-        let relation = if any_clipped {
-            Relation::from_parts_unchecked(scheme, tuples)
+        let relation = if read_in_full(name) {
+            let mut tuples = Vec::new();
+            let mut any_clipped = false;
+            for &(id, count, _, _) in parts {
+                let path = partition_heap_path(dir, name, epoch, id);
+                let heap = HeapFile::open(&path).map_err(|e| io_with_path(&path, e))?;
+                let read =
+                    read_partition(&heap, (id, count), &scheme, None, None, None, &mut tuples)?;
+                any_clipped |= read.clipped;
+            }
+            // A checkpoint holds what a relation — a set — wrote out, so the
+            // tuples are distinct as read; only clipping can make two equal.
+            if any_clipped {
+                Relation::from_parts_unchecked(scheme, tuples)
+            } else {
+                Relation::from_distinct_unchecked(scheme, tuples)
+            }
         } else {
-            Relation::from_distinct_unchecked(scheme, tuples)
+            cold.insert(name.to_string(), PartitionMap::from_manifest(policy, parts));
+            Relation::new(scheme)
         };
-        tables.insert(name.into(), Arc::new(Table::build(relation, policy)));
+        let mut table = Table::build(relation, policy);
+        table.partitions.mark_clean();
+        tables.insert(name.into(), Arc::new(table));
     }
     let db = Database {
         catalog: Arc::new(catalog),
@@ -1173,7 +1097,7 @@ fn read_checkpoint(dir: &Path) -> Result<Option<(Database, u64)>, DbError> {
         ops_applied: 0,
         partition_policy: policy,
     };
-    Ok(Some((db, epoch)))
+    Ok((db, cold))
 }
 
 /// What one read of a cold partition's heap did.

@@ -1,12 +1,12 @@
 //! The out-of-core read path: a database whose relations stay on disk
 //! until a query window asks for them.
 //!
-//! [`Database::load`](crate::Database::load) is eager — it reassembles
+//! [`Database::load`] is eager — it reassembles
 //! every relation in memory before the first query, so capacity is
-//! capped at RAM. [`PagedDatabase::open`] reads **only the catalog**
-//! (header + partition manifest, a few KiB) and the WAL tail, and leaves
-//! every heap page on disk: a relation's checkpoint image is the **cold**
-//! partitions of its [`PagedDatabase::partition_map`], and only the WAL
+//! capped at RAM. [`PagedDatabase::open`] reads the catalog (header +
+//! partition manifest, a few KiB) and the WAL tail, and leaves the heap
+//! pages on disk: a relation's checkpoint image is the **cold**
+//! partitions of its [`PagedDatabase::partition_map`], and only its WAL
 //! tail is resident ([`PagedDatabase::resident`]). A query plan's scan
 //! then reads, with the lifespan window its plan bounds it to, each cold
 //! partition through [`PagedDatabase::read_cold`]:
@@ -31,8 +31,8 @@
 //!    literal TIME-SLICE fused into the scan, into its restriction to the
 //!    slice ([`crate::decode_record`]), built in one pass over the record.
 //!    The scan streams the rows partition by partition in ascending id
-//!    order, birth order within a partition, and then the WAL tail: the
-//!    order [`Database::load`](crate::Database::load) produces. (A
+//!    order, birth order within a partition, and then the resident tuples: the
+//!    order [`Database::load`] produces. (A
 //!    directory checkpointed before heaps were written in birth order
 //!    holds them in insertion order: the same answers, in that heap
 //!    order, with wider zones that skip fewer pages.)
@@ -46,24 +46,30 @@
 //! lifespan-bounded query can observe, but callers passing hand-made
 //! windows must respect the contract.
 //!
-//! Writes stay with the attached [`Database`](crate::Database) /
-//! `ConcurrentDatabase`; a paged view does tolerate a WAL *tail* of
-//! plain inserts and relation creations (held resident — the tail is
-//! bounded by checkpoint cadence), and refuses anything heavier with a
-//! `Mode` error naming the fix: checkpoint first.
+//! A paged open recovers `dir` as [`Database::load`]
+//! does, through the same routine: the same checkpoint reader, and every
+//! intact WAL record replayed through the same applier that commits
+//! writes. The only difference is which relations the checkpoint reader
+//! reads in full. A relation the WAL tail replaces, or whose scheme it
+//! evolves, is read in full, since such a record re-derives every stored
+//! tuple. Every other relation stays cold, and only what the tail inserted
+//! into it is resident. A directory that was never checkpointed is all
+//! WAL, so all of it is resident. A paged view therefore holds any
+//! directory `load` holds, and fails where `load` fails. Writes stay with
+//! the attached [`Database`] / `ConcurrentDatabase`.
 
 use crate::catalog::Catalog;
 use crate::database::{
-    io_with_path, partition_heap_path, read_catalog_manifest, read_partition, wal_path, DbError,
+    io_with_path, no_database, partition_heap_path, read_partition, recover, Database, DbError,
     PartitionRead,
 };
 use crate::heap::HeapFile;
 use crate::obs::storage_obs;
-use crate::partition::{PartitionMap, PartitionPolicy};
+use crate::partition::PartitionMap;
 use crate::pool::BufferPool;
 use crate::snapshot::DbSnapshot;
 use crate::table::{Table, Tables};
-use crate::wal::{Wal, WalRecord};
+use crate::wal::WalRecord;
 use hrdm_core::{HrdmError, Relation, Scheme, Tuple};
 use hrdm_time::Lifespan;
 use std::collections::BTreeMap;
@@ -71,16 +77,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One relation of a paged database: cold partition metadata plus the
-/// resident WAL tail. Heap files open lazily, on first fault.
+/// A relation whose checkpoint image stays on disk: its cold partition
+/// map, the heaps opened so far, and what the scans read of them. Heap
+/// files open lazily, on first fault.
 struct PagedRelation {
-    scheme: Scheme,
     /// Cold partition map over the checkpoint manifest: pruning answers
     /// and per-partition record counts come from persisted summaries.
     map: PartitionMap,
-    /// Tuples inserted after the checkpoint (the WAL tail): the resident
-    /// part of the relation.
-    tail: Relation,
     /// Partition heaps opened so far; absence here (plus a zero fault
     /// count) is the witness that a pruned partition was never touched.
     heaps: Mutex<BTreeMap<i64, Arc<HeapFile>>>,
@@ -90,25 +93,12 @@ struct PagedRelation {
     records_decoded: AtomicU64,
 }
 
-impl PagedRelation {
-    fn new(scheme: Scheme, map: PartitionMap) -> PagedRelation {
-        PagedRelation {
-            tail: Relation::new(scheme.clone()),
-            scheme,
-            map,
-            heaps: Mutex::new(BTreeMap::new()),
-            records_scanned: AtomicU64::new(0),
-            records_decoded: AtomicU64::new(0),
-        }
-    }
-}
-
 impl std::fmt::Debug for PagedDatabase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PagedDatabase")
             .field("dir", &self.dir)
             .field("epoch", &self.epoch)
-            .field("relations", &self.rels.len())
+            .field("relations", &self.db.relation_names().count())
             .finish()
     }
 }
@@ -117,15 +107,18 @@ impl std::fmt::Debug for PagedDatabase {
 pub struct PagedDatabase {
     dir: PathBuf,
     pool: Arc<BufferPool>,
-    catalog: Arc<Catalog>,
-    policy: PartitionPolicy,
     epoch: u64,
-    rels: BTreeMap<String, PagedRelation>,
+    /// The resident part, detached: the catalog, every relation read in
+    /// full, and the WAL tail of each cold one.
+    db: Database,
+    /// The relations whose checkpoint image stays on disk.
+    cold: BTreeMap<String, PagedRelation>,
 }
 
 impl PagedDatabase {
     /// Opens the database at `dir` against the process-global buffer
-    /// pool. Reads the catalog and WAL tail only — no heap pages.
+    /// pool. Reads the catalog and WAL tail, and the heaps of only the
+    /// relations the tail re-derives; see the [module docs](self).
     pub fn open(dir: &Path) -> Result<PagedDatabase, DbError> {
         Self::open_with_pool(dir, Arc::clone(BufferPool::global()))
     }
@@ -133,84 +126,25 @@ impl PagedDatabase {
     /// [`PagedDatabase::open`] with an explicit pool (tests use tiny
     /// pools to force eviction).
     pub fn open_with_pool(dir: &Path, pool: Arc<BufferPool>) -> Result<PagedDatabase, DbError> {
-        let Some(manifest) = read_catalog_manifest(dir)? else {
-            return Err(DbError::Mode(format!(
-                "no checkpoint at {}: a paged open needs a catalog — checkpoint the database first",
-                dir.display()
-            )));
+        let rederived = |records: &[WalRecord], name: &str| {
+            records.iter().any(|r| r.rederived_relation() == Some(name))
         };
-        let mut catalog = manifest.catalog;
-        let policy = manifest.policy;
-        let epoch = manifest.epoch;
-
-        let mut rels: BTreeMap<String, PagedRelation> = BTreeMap::new();
-        let names: Vec<String> = catalog.relations().map(str::to_string).collect();
-        for name in names {
-            let Some(scheme) = catalog.scheme(&name).cloned() else {
-                return Err(DbError::BadFile(format!(
-                    "{}: catalog is inconsistent about relation `{name}`",
-                    dir.display()
-                )));
+        let found = recover(dir, rederived)?.ok_or_else(|| no_database(dir))?;
+        let cold = found.cold.into_iter().map(|(name, map)| {
+            let relation = PagedRelation {
+                map,
+                heaps: Mutex::new(BTreeMap::new()),
+                records_scanned: AtomicU64::new(0),
+                records_decoded: AtomicU64::new(0),
             };
-            let Some(rows) = manifest.relations.get(&name) else {
-                return Err(DbError::BadFile(format!(
-                    "{}: relation `{name}` missing from the partition manifest",
-                    dir.display()
-                )));
-            };
-            let map = PartitionMap::from_manifest(policy, rows);
-            rels.insert(name, PagedRelation::new(scheme, map));
-        }
-
-        // The WAL tail: inserts and creations stay resident; anything
-        // heavier (schema evolution, wholesale replacement) would force
-        // this view to re-derive relations — the eager loader's job.
-        let wal_file = wal_path(dir, epoch);
-        let mut tails: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
-        if wal_file.exists() {
-            let (records, _torn) =
-                Wal::replay(&wal_file).map_err(|e| io_with_path(&wal_file, e))?;
-            for record in records {
-                match record {
-                    WalRecord::CreateRelation { name, scheme } => {
-                        catalog.create_relation(&name, scheme.clone())?;
-                        // No checkpoint image yet: an empty resident map.
-                        let map = PartitionMap::build(&Relation::new(scheme.clone()), policy);
-                        rels.insert(name, PagedRelation::new(scheme, map));
-                    }
-                    WalRecord::Insert { relation, tuple } => {
-                        let Some(pr) = rels.get_mut(&relation) else {
-                            return Err(DbError::BadFile(format!(
-                                "{}: insert into unknown relation `{relation}`",
-                                wal_file.display()
-                            )));
-                        };
-                        tuple.validate(&pr.scheme).map_err(DbError::Model)?;
-                        tails.entry(relation).or_default().push(tuple);
-                    }
-                    other => {
-                        return Err(DbError::Mode(format!(
-                            "{}: WAL tail holds {} — checkpoint the database before opening it paged",
-                            wal_file.display(),
-                            record_kind(&other)
-                        )));
-                    }
-                }
-            }
-        }
-        for (name, tuples) in tails {
-            if let Some(pr) = rels.get_mut(&name) {
-                pr.tail = Relation::from_distinct_unchecked(pr.scheme.clone(), tuples);
-            }
-        }
-
+            (name, relation)
+        });
         Ok(PagedDatabase {
             dir: dir.to_path_buf(),
             pool,
-            catalog: Arc::new(catalog),
-            policy,
-            epoch,
-            rels,
+            epoch: found.epoch,
+            db: found.db,
+            cold: cold.collect(),
         })
     }
 
@@ -224,38 +158,41 @@ impl PagedDatabase {
         self.epoch
     }
 
-    /// The catalog (checkpoint + tail creations).
+    /// The catalog (checkpoint + WAL tail).
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        self.db.catalog()
     }
 
     /// The registered relation names.
     pub fn relation_names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.rels.keys().map(String::as_str)
+        self.db.relation_names()
     }
 
     /// The scheme of `name`.
     pub fn scheme(&self, name: &str) -> Option<&Scheme> {
-        self.rels.get(name).map(|r| &r.scheme)
+        self.db.catalog().scheme(name)
     }
 
     /// Total tuples of `name` (checkpoint image + WAL tail), known
     /// without touching a heap page.
     pub fn tuple_count(&self, name: &str) -> Option<usize> {
-        self.rels
-            .get(name)
-            .map(|r| r.map.tuple_count() + r.tail.len())
+        let cold = self.cold.get(name).map_or(0, |r| r.map.tuple_count());
+        self.db.relation(name).map(|r| r.len() + cold)
     }
 
-    /// The cold partition map of `name` — pruning metadata only.
+    /// The partition map of `name`: the cold map over its checkpoint
+    /// image when that stays on disk, the resident relation's otherwise.
     pub fn partition_map(&self, name: &str) -> Option<&PartitionMap> {
-        self.rels.get(name).map(|r| &r.map)
+        match self.cold.get(name) {
+            Some(r) => Some(&r.map),
+            None => self.db.partitions(name),
+        }
     }
 
     /// Ids of `name`'s partitions whose heap file has been opened (and
     /// thus possibly read) so far — the complement is provably cold.
     pub fn opened_partitions(&self, name: &str) -> Vec<i64> {
-        self.rels.get(name).map_or_else(Vec::new, |r| {
+        self.cold.get(name).map_or_else(Vec::new, |r| {
             r.heaps
                 .lock()
                 .expect("paged heap cache lock")
@@ -269,7 +206,7 @@ impl PagedDatabase {
     /// each cost a lifespan probe. The records of pages a scan skipped by
     /// their zone are not counted.
     pub fn records_scanned(&self, name: &str) -> u64 {
-        self.rels
+        self.cold
             .get(name)
             .map_or(0, |r| r.records_scanned.load(Ordering::SeqCst))
     }
@@ -277,14 +214,14 @@ impl PagedDatabase {
     /// Heap records of `name` that this view's scans have decoded in full
     /// so far: those whose lifespan met the window.
     pub fn records_decoded(&self, name: &str) -> u64 {
-        self.rels
+        self.cold
             .get(name)
             .map_or(0, |r| r.records_decoded.load(Ordering::SeqCst))
     }
 
     /// Materializes the whole database as a [`DbSnapshot`] — every
     /// partition of every relation. Equivalent to
-    /// [`Database::load`](crate::Database::load) + snapshot, but reading
+    /// [`Database::load`] + snapshot, but reading
     /// through the pool's bounded memory.
     pub fn snapshot(&self) -> Result<DbSnapshot, DbError> {
         self.window_snapshot(None)
@@ -302,56 +239,57 @@ impl PagedDatabase {
     /// traced replay and the tests until the benchmark is re-pointed.
     pub fn window_snapshot(&self, window: Option<&Lifespan>) -> Result<DbSnapshot, DbError> {
         let mut tables = Tables::new();
-        for (name, pr) in &self.rels {
-            let rel = self.materialize(name, pr, window)?;
-            tables.insert(
-                name.as_str().into(),
-                Arc::new(Table::build(rel, self.policy)),
-            );
+        for name in self.db.relation_names() {
+            let rel = self.materialize(name, window)?;
+            let table = Table::build(rel, self.db.partition_policy());
+            tables.insert(name.into(), Arc::new(table));
         }
-        let version = self.rels.values().map(|r| r.tail.len() as u64).sum();
         Ok(DbSnapshot::new(
-            Arc::clone(&self.catalog),
+            Arc::new(self.db.catalog().clone()),
             tables,
             Some(self.epoch),
-            version,
+            self.db.version(),
         ))
     }
 
     /// Reads one relation's window-intersecting tuples in the eager
-    /// loader's order: partitions by ascending id, heap order (birth
-    /// order) within one, then the WAL tail.
-    fn materialize(
-        &self,
-        name: &str,
-        pr: &PagedRelation,
-        window: Option<&Lifespan>,
-    ) -> Result<Relation, DbError> {
+    /// loader's order: cold partitions by ascending id, heap order (birth
+    /// order) within one, then the resident tuples.
+    fn materialize(&self, name: &str, window: Option<&Lifespan>) -> Result<Relation, DbError> {
+        let Some(resident) = self.db.relation(name) else {
+            return Err(DbError::Model(HrdmError::UnknownRelation(name.to_string())));
+        };
         let mut tuples: Vec<Tuple> = Vec::new();
         let mut any_clipped = false;
-        for id in pr.map.cold_ids(window) {
+        for id in self
+            .cold
+            .get(name)
+            .map_or_else(Vec::new, |r| r.map.cold_ids(window))
+        {
             any_clipped |= self.read_cold(name, id, window, None, &mut tuples)?.clipped;
         }
         tuples.extend(
-            pr.tail
+            resident
                 .iter()
                 .filter(|t| window.is_none_or(|w| t.lifespan().intersects(w)))
                 .cloned(),
         );
         // A relation is a set: its checkpoint image and WAL tail hold
         // distinct tuples, and only clipping can make two equal.
+        let scheme = resident.scheme().clone();
         Ok(if any_clipped {
-            Relation::from_parts_unchecked(pr.scheme.clone(), tuples)
+            Relation::from_parts_unchecked(scheme, tuples)
         } else {
-            Relation::from_distinct_unchecked(pr.scheme.clone(), tuples)
+            Relation::from_distinct_unchecked(scheme, tuples)
         })
     }
 
-    /// The resident tuples of `name`: its WAL tail. The checkpoint image
-    /// is the cold partitions of [`PagedDatabase::partition_map`], read
-    /// with [`PagedDatabase::read_cold`].
+    /// The resident tuples of `name`: the whole relation when it was read
+    /// in full, else its WAL tail, whose checkpoint image is the cold
+    /// partitions of [`PagedDatabase::partition_map`], read with
+    /// [`PagedDatabase::read_cold`].
     pub fn resident(&self, name: &str) -> Option<&Relation> {
-        self.rels.get(name).map(|r| &r.tail)
+        self.db.relation(name)
     }
 
     /// Appends to `out`, in heap order, the tuples of `name`'s cold
@@ -368,17 +306,21 @@ impl PagedDatabase {
         clip: Option<&Lifespan>,
         out: &mut Vec<Tuple>,
     ) -> Result<PartitionRead, DbError> {
-        let Some(pr) = self.rels.get(name) else {
+        let Some(scheme) = self.scheme(name) else {
             return Err(DbError::Model(HrdmError::UnknownRelation(name.to_string())));
         };
-        let Some(part) = pr.map.partition(id) else {
+        let Some((pr, part)) = self
+            .cold
+            .get(name)
+            .and_then(|pr| Some((pr, pr.map.partition(id)?)))
+        else {
             return Ok(PartitionRead::default());
         };
         let heap = self.heap(name, pr, id)?;
         let read = read_partition(
             &heap,
             (id, part.len() as u64),
-            &pr.scheme,
+            scheme,
             window,
             clip,
             part.page_zones(),
@@ -405,16 +347,5 @@ impl PagedDatabase {
         );
         heaps.insert(id, Arc::clone(&heap));
         Ok(heap)
-    }
-}
-
-fn record_kind(record: &WalRecord) -> &'static str {
-    match record {
-        WalRecord::CreateRelation { .. } => "a relation creation",
-        WalRecord::Insert { .. } => "an insert",
-        WalRecord::AddAttribute { .. } => "schema evolution (add attribute)",
-        WalRecord::DropAttribute { .. } => "schema evolution (drop attribute)",
-        WalRecord::ReAddAttribute { .. } => "schema evolution (re-add attribute)",
-        WalRecord::PutRelation { .. } => "a wholesale relation replacement",
     }
 }

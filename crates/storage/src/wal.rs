@@ -103,6 +103,20 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
+    /// The relation whose stored tuples this record re-derives: a
+    /// wholesale replacement, or a schema evolution, which brings every
+    /// tuple under the new scheme. `None` for a creation or an insert,
+    /// which leave the stored tuples as they are.
+    pub(crate) fn rederived_relation(&self) -> Option<&str> {
+        match self {
+            WalRecord::CreateRelation { .. } | WalRecord::Insert { .. } => None,
+            WalRecord::AddAttribute { relation, .. }
+            | WalRecord::DropAttribute { relation, .. }
+            | WalRecord::ReAddAttribute { relation, .. }
+            | WalRecord::PutRelation { relation, .. } => Some(relation),
+        }
+    }
+
     /// The record's encoded payload bytes — what one frame of the log (or
     /// of a batch frame) carries between its length prefix and its CRC.
     pub(crate) fn payload(&self) -> Vec<u8> {

@@ -285,40 +285,86 @@ fn tail_created_relation_is_visible() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every relation of `paged`, materialized whole, against `load`.
+fn assert_holds_what_load_holds(paged: &PagedDatabase, dir: &std::path::Path) {
+    let eager = Database::load(dir).unwrap();
+    let snap = paged.snapshot().unwrap();
+    let names: Vec<&str> = paged.relation_names().collect();
+    assert_eq!(names, eager.relation_names().collect::<Vec<_>>());
+    for name in names {
+        assert_eq!(paged.scheme(name), eager.catalog().scheme(name), "{name}");
+        assert_eq!(snap.relation(name), eager.relation(name), "{name}");
+        let count = eager.relation(name).map(Relation::len);
+        assert_eq!(paged.tuple_count(name), count, "{name}");
+    }
+}
+
 #[test]
-fn open_without_checkpoint_is_a_mode_error() {
+fn open_without_checkpoint_replays_the_wal_as_load_does() {
     let dir = tmp("no-checkpoint");
     {
         let mut db = Database::open(&dir).unwrap();
         db.create_relation("emp", scheme()).unwrap();
         db.insert("emp", tup(1, 0, 10)).unwrap();
+        db.insert("emp", tup(2, 5, 30)).unwrap();
         // Dropped without checkpoint: WAL only, no catalog.
     }
-    match PagedDatabase::open(&dir) {
-        Err(DbError::Mode(msg)) => assert!(msg.contains("checkpoint"), "{msg}"),
-        other => panic!("expected Mode error, got {other:?}"),
-    }
+    let paged = PagedDatabase::open(&dir).unwrap();
+    assert_eq!(paged.epoch(), 0);
+    assert_holds_what_load_holds(&paged, &dir);
+    // All of it is resident: nothing is read from a heap.
+    assert!(!paged.partition_map("emp").unwrap().has_cold());
+    assert_eq!(paged.resident("emp").unwrap().len(), 2);
+    // A directory holding no database fails the paged open as `load`.
+    let empty = tmp("no-database");
+    std::fs::create_dir_all(&empty).unwrap();
+    let paged = PagedDatabase::open(&empty).map(drop).unwrap_err();
+    let eager = Database::load(&empty).map(drop).unwrap_err();
+    assert!(matches!(&paged, DbError::Io(e) if e.kind() == std::io::ErrorKind::NotFound));
+    assert_eq!(paged.to_string(), eager.to_string());
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&empty).ok();
 }
 
+/// A WAL tail that replaces one checkpointed relation, adds an attribute
+/// to a second and drops and re-adds one of a third is read as `load`
+/// reads it; a fourth relation, which the tail only inserts into, stays
+/// cold. The drop clips the values `V` held from the drop on for good, the
+/// re-add notwithstanding: decoding the cold records under the re-added
+/// scheme would keep those after the re-add.
 #[test]
-fn heavy_wal_tail_is_a_mode_error() {
-    let dir = tmp("heavy-tail");
+fn rederiving_wal_tail_reads_its_relations_as_load_does() {
+    let dir = tmp("rederiving-tail");
     seed_db(&dir, 20);
+    let others = ["dept", "wide", "keep"];
     {
         let mut db = Database::open(&dir).unwrap();
-        db.put_relation("emp", {
-            let mut r = Relation::new(scheme());
-            r.insert(tup(1, 0, 10)).unwrap();
-            r
-        })
-        .unwrap();
-        // Dropped without checkpoint: the tail holds a PutRelation.
+        for name in others {
+            db.create_relation(name, scheme()).unwrap();
+            for k in 0..5 {
+                db.insert(name, tup(k, k * 10, k * 10 + 5)).unwrap();
+            }
+        }
+        db.checkpoint().unwrap();
+        let mut replacement = Relation::new(scheme());
+        replacement.insert(tup(9, 0, 10)).unwrap();
+        db.put_relation("dept", replacement).unwrap();
+        let (v, w) = (Attribute::new("V"), Attribute::new("W"));
+        let (t, t_max) = (Chronon::new, Chronon::new(T_MAX));
+        db.add_attribute("wide", w, HistoricalDomain::int(), t(0), t_max)
+            .unwrap();
+        db.drop_attribute("emp", &v, t(100)).unwrap();
+        db.re_add_attribute("emp", &v, t(150), t_max).unwrap();
+        db.insert("keep", tup(7, 70, 75)).unwrap();
+        // Dropped without checkpoint: the tail re-derives all but `keep`.
     }
-    match PagedDatabase::open(&dir) {
-        Err(DbError::Mode(msg)) => assert!(msg.contains("checkpoint"), "{msg}"),
-        other => panic!("expected Mode error, got {other:?}"),
+    let paged = PagedDatabase::open(&dir).unwrap();
+    assert_holds_what_load_holds(&paged, &dir);
+    for name in ["emp", "dept", "wide"] {
+        assert!(!paged.partition_map(name).unwrap().has_cold(), "{name}");
     }
+    assert!(paged.partition_map("keep").unwrap().has_cold());
+    assert_eq!(paged.resident("keep").unwrap().len(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 

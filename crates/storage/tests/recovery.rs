@@ -4,7 +4,7 @@
 //! acknowledged write.
 
 use hrdm_core::prelude::*;
-use hrdm_storage::{Database, PagedDatabase, Wal, WalRecord};
+use hrdm_storage::{Database, DbError, PagedDatabase, Wal, WalRecord};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -239,6 +239,41 @@ fn unreadable_wal_errors_name_the_log_file() {
     for err in errors {
         let err = err.to_string();
         assert!(err.contains(&wal.display().to_string()), "{err}");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A WAL record that does not apply to its checkpoint — here a second
+/// creation of a checkpointed relation — fails every open alike, with a
+/// `BadFile` naming the log file and the record's index.
+#[test]
+fn unappliable_wal_record_errors_name_the_log_and_the_record() {
+    let dir = tmp("unappliable-wal");
+    {
+        let mut db = Database::open(&dir).unwrap();
+        db.create_relation("emp", scheme()).unwrap();
+        db.checkpoint().unwrap();
+        db.insert("emp", tup(1, 0, 10)).unwrap();
+    }
+    let wal = wal_file(&dir);
+    Wal::open(&wal)
+        .unwrap()
+        .append(&WalRecord::CreateRelation {
+            name: "emp".into(),
+            scheme: scheme(),
+        })
+        .unwrap();
+    let errors = [
+        Database::open(&dir).map(drop).unwrap_err(),
+        Database::load(&dir).map(drop).unwrap_err(),
+        PagedDatabase::open(&dir).map(drop).unwrap_err(),
+    ];
+    let at = format!("{}: record 1: ", wal.display());
+    for err in errors {
+        assert!(
+            matches!(&err, DbError::BadFile(what) if what.contains(&at)),
+            "{err}"
+        );
     }
     std::fs::remove_dir_all(dir).ok();
 }

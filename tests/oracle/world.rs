@@ -13,9 +13,7 @@ use crate::common;
 use hrdm_core::algebra::AggregateOp;
 use hrdm_core::prelude::*;
 use hrdm_query::{Expr, LifespanExpr, Query, QueryResult};
-use hrdm_storage::{
-    ConcurrentDatabase, Database, DbError, DbSnapshot, PagedDatabase, PartitionPolicy,
-};
+use hrdm_storage::{ConcurrentDatabase, Database, DbSnapshot, PagedDatabase, PartitionPolicy};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -609,7 +607,7 @@ pub struct World {
     pub part: Arc<ConcurrentDatabase>,
     /// Attached, unpartitioned (`span = ∞`).
     pub reference: ConcurrentDatabase,
-    /// `part`'s directory, checkpointed if a paged open needed it.
+    /// `part`'s directory, as the history left it.
     pub dir: PathBuf,
     /// `part` snapshotted while the history was still being written.
     pub mid: Arc<DbSnapshot>,
@@ -631,8 +629,8 @@ impl World {
     /// attached engine, one writer thread each, while this thread takes the
     /// mid-history snapshot; then checks what only whole histories show:
     /// equal acknowledgements, `\stats` op counts and states, byte-identical
-    /// WALs, equal recovery from an identically torn tail, and the paged
-    /// open's "checkpoint first" contract.
+    /// WALs, equal recovery from an identically torn tail, and a paged open
+    /// that holds what `Database::load` holds.
     pub fn build(case: &Case) -> World {
         let (dir, ref_dir) = (tmp("part"), tmp("ref"));
         let part = ConcurrentDatabase::open(&dir).unwrap();
@@ -706,26 +704,14 @@ impl World {
             "recovered states"
         );
 
-        // A paged open takes a WAL tail of creations and inserts only: with
-        // no checkpoint, or anything heavier since the last one, it must
-        // refuse with the `Mode` error naming the fix — and open after it.
-        let paged_opens =
-            history
-                .iter()
-                .zip(&acks)
-                .fold(false, |opens, (op, ack)| match (op, ack) {
-                    (Op::Checkpoint, Ok(())) => true,
-                    (Op::Insert { .. } | Op::InsertEvt { .. } | Op::Repartition { .. }, _)
-                    | (_, Err(_)) => opens,
-                    _ => false,
-                });
-        match PagedDatabase::open(&dir) {
-            Ok(_) if paged_opens => {}
-            Err(DbError::Mode(m)) if !paged_opens && m.contains("checkpoint") => {
-                part.checkpoint().unwrap()
-            }
-            other => panic!("paged open after {history:?} (should open: {paged_opens}): {other:?}"),
-        }
+        // A paged open reads any directory `Database::load` reads, and
+        // holds the same relations.
+        let paged = PagedDatabase::open(&dir).unwrap().snapshot().unwrap();
+        assert_eq!(
+            relations(&paged),
+            relations(&Database::load(&dir).unwrap().snapshot()),
+            "paged open after {history:?}"
+        );
 
         let evolved = history.iter().zip(&acks).any(|(op, ack)| {
             let evolution = matches!(

@@ -14,6 +14,7 @@ use hrdm_storage::{BufferPool, Database, PagedDatabase, PAGE_SIZE};
 use hrdm_time::Lifespan;
 use oracle::matrix::{canon, entry, failure, on, run_matrix, Opened};
 use oracle::world::{seeded, tmp, State, World, BATTERY};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The read-only paged view of the attached engine's directory. A `warm`
@@ -24,7 +25,14 @@ fn paged(w: &World, pool: Arc<BufferPool>, warm: bool) -> Opened<'_> {
     if warm {
         db.window_snapshot(None).unwrap();
     }
+    answers(db, None)
+}
+
+/// The matrix's answers through `db`, which reads `copy` when it is given:
+/// the copy stays on disk while `db` answers.
+fn answers<'w>(db: PagedDatabase, copy: Option<Checkpointed>) -> Opened<'w> {
     on(State::Final, move |_, text| {
+        let _copy = &copy;
         match run_query_on_paged(text, &db) {
             Ok(r) => Some(Ok(r)),
             Err(PagedQueryError::Pipeline(e)) => Some(Err(failure(e))),
@@ -33,11 +41,41 @@ fn paged(w: &World, pool: Arc<BufferPool>, warm: bool) -> Opened<'_> {
     })
 }
 
-/// The paged view of the attached engine's directory, under the global
-/// pool, a 2-frame one, and warmed (zone maps set) answers as `eval.rs`
-/// does after every generated history — checkpointed first where the WAL
-/// tail holds more than a paged open takes. At least 32 histories × 19
-/// queries per entry.
+/// A checkpointed copy of a directory, removed on drop.
+struct Checkpointed(PathBuf);
+
+impl Checkpointed {
+    fn of(dir: &Path) -> Checkpointed {
+        let copy = Checkpointed(tmp("checkpointed"));
+        std::fs::create_dir_all(&copy.0).unwrap();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, copy.0.join(path.file_name().unwrap())).unwrap();
+        }
+        Database::open(&copy.0).unwrap().checkpoint().unwrap();
+        copy
+    }
+}
+
+impl Drop for Checkpointed {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+/// The paged view of a checkpointed copy of the attached engine's
+/// directory: every relation of the history is cold, whatever its WAL
+/// tail held.
+fn checkpointed(w: &World) -> Opened<'_> {
+    let copy = Checkpointed::of(&w.dir);
+    let db = PagedDatabase::open_with_pool(&copy.0, BufferPool::new(2)).unwrap();
+    answers(db, Some(copy))
+}
+
+/// The paged view of the attached engine's directory as the history left
+/// it, under the global pool, a 2-frame one, and warmed (zone maps set),
+/// and of a checkpointed copy, answers as `eval.rs` does after every
+/// generated history. At least 32 histories × 19 queries per entry.
 #[test]
 fn paged_pipeline_is_observationally_identical() {
     run_matrix(
@@ -52,6 +90,7 @@ fn paged_pipeline_is_observationally_identical() {
             entry("paged/zoned", |w| {
                 paged(w, Arc::clone(BufferPool::global()), true)
             }),
+            entry("paged/checkpointed", checkpointed),
         ],
     );
 }
