@@ -2220,14 +2220,6 @@ impl<'a> QueryStream<'a> {
         }
         Ok(Relation::from_parts_unchecked(self.scheme.clone(), rows))
     }
-
-    /// Renders the executor tree, optionally annotated with the measured
-    /// per-operator stats of this run (`EXPLAIN ANALYZE`'s body).
-    pub fn render_plan(&self, annotate: bool) -> String {
-        let mut out = String::new();
-        self.root.render(0, annotate, &mut out);
-        out
-    }
 }
 
 impl Drop for QueryStream<'_> {

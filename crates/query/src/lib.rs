@@ -69,8 +69,8 @@ pub use optimizer::{optimize, Rewrite};
 pub use parser::{parse_expr, parse_query, ParseError};
 pub use pipeline::{
     explain_analyze_query_text, explain_query_text, run_query, run_query_on_paged,
-    run_query_on_snapshot, stream_query_on_snapshot, strip_explain_analyze, PagedQueryError,
-    PipelineError, PipelineTiming, QueryResult, StreamedQuery,
+    run_query_on_snapshot, stream_query_on_snapshot, strip_explain_analyze, PipelineError,
+    PipelineTiming, QueryResult, StreamedQuery,
 };
 pub use plan::{
     explain_with_access, materialization_window, plan, plan_lifespan, plan_query, AccessPath,

@@ -210,44 +210,14 @@ fn stream_planned<'a>(
     }
 }
 
-/// Everything that can go wrong running query text against an
-/// out-of-core [`PagedDatabase`]: the ordinary pipeline failures, plus
-/// a scan failing to read a cold partition (I/O error, bad checksum, …)
-/// — a failure class the in-memory pipeline cannot have.
-#[derive(Debug)]
-pub enum PagedQueryError {
-    /// The query itself failed (parse, eval, cancel, cap).
-    Pipeline(PipelineError),
-    /// Reading a partition from disk failed.
-    Storage(StorageError),
-}
-
-impl fmt::Display for PagedQueryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PagedQueryError::Pipeline(e) => e.fmt(f),
-            PagedQueryError::Storage(e) => write!(f, "storage error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for PagedQueryError {}
-
-impl From<PipelineError> for PagedQueryError {
-    fn from(e: PipelineError) -> Self {
-        match e {
-            PipelineError::Storage(e) => PagedQueryError::Storage(e),
-            e => PagedQueryError::Pipeline(e),
-        }
-    }
-}
-
 /// Runs query text end to end against an out-of-core database: parsed,
 /// optimized and planned once against the paged view, whose scans read
 /// the cold partitions their windows meet through the buffer pool (pruned
-/// partitions stay on disk) and then the resident WAL tail.
-pub fn run_query_on_paged(text: &str, db: &PagedDatabase) -> Result<QueryResult, PagedQueryError> {
-    run_query_on_snapshot(text, db).map_err(PagedQueryError::from)
+/// partitions stay on disk) and then the resident WAL tail. A cold
+/// partition that fails to read (I/O error, bad checksum, …) fails the
+/// query with [`PipelineError::Storage`].
+pub fn run_query_on_paged(text: &str, db: &PagedDatabase) -> Result<QueryResult, PipelineError> {
+    run_query_on_snapshot(text, db)
 }
 
 /// Parses and EXPLAINs query text against `src`: the physical plan with

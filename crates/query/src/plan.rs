@@ -134,6 +134,7 @@ impl IndexSource for hrdm_storage::Database {
 /// change of them instead of mutating it. A repartition of the live
 /// database after the snapshot was taken builds new maps and leaves the
 /// snapshot's untouched.
+/// A paged view's snapshot reads its cold partitions itself.
 impl IndexSource for hrdm_storage::DbSnapshot {
     fn key_index(&self, name: &str) -> Option<&KeyIndex> {
         hrdm_storage::DbSnapshot::key_index(self, name)
@@ -141,21 +142,6 @@ impl IndexSource for hrdm_storage::DbSnapshot {
 
     fn partitions(&self, name: &str) -> Option<&PartitionMap> {
         hrdm_storage::DbSnapshot::partitions(self, name)
-    }
-}
-
-/// The out-of-core view: a relation's checkpoint image is its cold
-/// partitions, read in place by the plan's scans, and only the WAL tail is
-/// resident.
-impl RelationSource for PagedDatabase {
-    fn relation(&self, name: &str) -> Option<&Relation> {
-        self.resident(name)
-    }
-}
-
-impl IndexSource for PagedDatabase {
-    fn partitions(&self, name: &str) -> Option<&PartitionMap> {
-        self.partition_map(name)
     }
 
     fn read_cold(
@@ -166,7 +152,35 @@ impl IndexSource for PagedDatabase {
         clip: Option<&Lifespan>,
         out: &mut Vec<Tuple>,
     ) -> Result<PartitionRead, DbError> {
-        PagedDatabase::read_cold(self, name, id, window, clip, out)
+        hrdm_storage::DbSnapshot::read_cold(self, name, id, window, clip, out)
+    }
+}
+
+/// The out-of-core view answers as the snapshot it reads.
+impl RelationSource for PagedDatabase {
+    fn relation(&self, name: &str) -> Option<&Relation> {
+        RelationSource::relation(self.view(), name)
+    }
+}
+
+impl IndexSource for PagedDatabase {
+    fn key_index(&self, name: &str) -> Option<&KeyIndex> {
+        IndexSource::key_index(self.view(), name)
+    }
+
+    fn partitions(&self, name: &str) -> Option<&PartitionMap> {
+        IndexSource::partitions(self.view(), name)
+    }
+
+    fn read_cold(
+        &self,
+        name: &str,
+        id: i64,
+        window: Option<&Lifespan>,
+        clip: Option<&Lifespan>,
+        out: &mut Vec<Tuple>,
+    ) -> Result<PartitionRead, DbError> {
+        IndexSource::read_cold(self.view(), name, id, window, clip, out)
     }
 }
 

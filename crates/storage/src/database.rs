@@ -32,8 +32,9 @@ use crate::codec::{CodecError, Decoder, Encoder};
 use crate::heap::HeapFile;
 use crate::page::crc32;
 use crate::partition::{birth_of, position_u32, PageZone, PartitionMap, PartitionPolicy};
+use crate::pool::BufferPool;
 use crate::snapshot::DbSnapshot;
-use crate::table::{Table, Tables};
+use crate::table::{ImageRead, Table, Tables};
 use crate::wal::{Wal, WalRecord};
 use hrdm_core::{Attribute, HistoricalDomain, HrdmError, Relation, Scheme, Tuple};
 use hrdm_index::{Hull, KeyIndex};
@@ -536,13 +537,13 @@ impl Database {
     /// keyless scheme, or a relation holding a tuple without a constant
     /// key value.
     pub fn key_index(&self, name: &str) -> Option<&KeyIndex> {
-        self.tables.get(name)?.key.as_ref()
+        self.tables.get(name)?.key_index()
     }
 
     /// The chronon-range partition map of `name` — the relation's lifespan
     /// access path; `None` means an unknown relation.
     pub fn partitions(&self, name: &str) -> Option<&PartitionMap> {
-        self.tables.get(name).map(|t| &t.partitions)
+        self.tables.get(name).map(|t| t.partition_map())
     }
 
     /// The boundary policy new partition maps are built under.
@@ -586,12 +587,12 @@ impl Database {
     /// mutations, checkpoints, or WAL rotation — readers can evaluate
     /// whole query pipelines against it without any lock.
     pub fn snapshot(&self) -> DbSnapshot {
-        DbSnapshot::new(
-            Arc::clone(&self.catalog),
-            self.tables.clone(),
-            self.epoch(),
-            self.ops_applied,
-        )
+        DbSnapshot {
+            catalog: Arc::clone(&self.catalog),
+            tables: self.tables.clone(),
+            epoch: self.epoch(),
+            version: self.ops_applied,
+        }
     }
 
     /// Monotone count of mutations applied to this database instance
@@ -626,7 +627,7 @@ impl Database {
     /// acknowledged write survives a crash.
     pub fn open(dir: &Path) -> Result<Database, DbError> {
         std::fs::create_dir_all(dir)?;
-        let (mut db, epoch, torn_at) = match recover(dir, |_, _| true)? {
+        let (mut db, epoch, torn_at) = match recover(dir, BufferPool::global(), |_, _| true)? {
             Some(found) => (found.db, found.epoch, found.torn_at),
             None => (Database::new(), 0, None),
         };
@@ -855,20 +856,19 @@ impl Database {
     /// directory that was never checkpointed holds its whole state in
     /// `wal.0.log`; one with neither a catalog nor that log is `NotFound`.
     pub fn load(dir: &Path) -> Result<Database, DbError> {
-        let found = recover(dir, |_, _| true)?.ok_or_else(|| no_database(dir))?;
-        Ok(found.db)
+        let found = recover(dir, BufferPool::global(), |_, _| true)?;
+        Ok(found.ok_or_else(|| no_database(dir))?.db)
     }
 }
 
 /// What [`recover`] read from a directory.
 pub(crate) struct Recovered {
-    /// The recovered state, detached: the relations read in full, and of
-    /// each relation left cold the tuples its WAL tail inserted.
+    /// The recovered state, detached: the relations read in full, and
+    /// each relation left cold as its checkpoint image plus the tuples its
+    /// WAL tail inserted.
     pub(crate) db: Database,
     /// The checkpoint epoch; 0 before the first checkpoint.
     pub(crate) epoch: u64,
-    /// The cold partition map of each relation left on disk.
-    pub(crate) cold: BTreeMap<String, PartitionMap>,
     /// Where the WAL's intact records end, when a torn record follows.
     pub(crate) torn_at: Option<u64>,
 }
@@ -877,12 +877,14 @@ pub(crate) struct Recovered {
 /// [`Database::load`] and [`crate::PagedDatabase::open`]. It reads the
 /// intact records of the WAL tail, then the checkpoint ([`read_checkpoint`])
 /// with the relations `read_in_full(records, name)` names read in full and
-/// every other one left cold, then applies each record through the applier
-/// that commits writes. A record that fails to apply fails the recovery
-/// with a [`DbError::BadFile`] naming the log and the record's index.
+/// every other one left cold (its heaps read through `pool`), then applies
+/// each record through the applier that commits writes. A record that
+/// fails to apply fails the recovery with a [`DbError::BadFile`] naming
+/// the log and the record's index.
 /// `None` when `dir` holds neither a catalog nor `wal.0.log`.
 pub(crate) fn recover(
     dir: &Path,
+    pool: &Arc<BufferPool>,
     read_in_full: impl Fn(&[WalRecord], &str) -> bool,
 ) -> Result<Option<Recovered>, DbError> {
     let manifest = read_catalog_manifest(dir)?;
@@ -895,9 +897,11 @@ pub(crate) fn recover(
     } else {
         return Ok(None);
     };
-    let (mut db, cold) = match manifest {
-        Some(manifest) => read_checkpoint(dir, manifest, |name| read_in_full(&records, name))?,
-        None => (Database::new(), BTreeMap::new()),
+    let mut db = match manifest {
+        Some(manifest) => {
+            read_checkpoint(dir, manifest, pool, |name| read_in_full(&records, name))?
+        }
+        None => Database::new(),
     };
     // The checkpointed tables come with their indexes built in bulk, and
     // nothing shares them yet: the replayed inserts maintain them in place.
@@ -905,12 +909,7 @@ pub(crate) fn recover(
         db.apply(record)
             .map_err(|e| DbError::BadFile(format!("{}: record {k}: {e}", wal_file.display())))?;
     }
-    Ok(Some(Recovered {
-        db,
-        epoch,
-        cold,
-        torn_at,
-    }))
+    Ok(Some(Recovered { db, epoch, torn_at }))
 }
 
 /// The error of opening a directory that holds no database.
@@ -1031,17 +1030,17 @@ fn read_catalog_manifest(dir: &Path) -> Result<Option<CheckpointManifest>, DbErr
 }
 
 /// Reads the checkpoint `manifest` describes, validating the manifest
-/// against its catalog. Each relation `read_in_full` names is read from its
-/// heap files, ascending partition id and heap order within a partition,
-/// every tuple re-validated against its (possibly evolved) scheme. Every
-/// other relation stays cold: an empty resident table under its scheme,
-/// plus the cold partition map of its manifest entry, returned beside the
-/// database. Every table starts clean: it mirrors the heap files.
+/// against its catalog. Every relation starts as a cold table over its
+/// manifest entry, its heaps read through `pool`; each one `read_in_full`
+/// names is read into memory ([`ImageRead::Full`]), every tuple
+/// re-validated against its (possibly evolved) scheme. Every table starts
+/// clean: it mirrors the heap files.
 fn read_checkpoint(
     dir: &Path,
     manifest: CheckpointManifest,
+    pool: &Arc<BufferPool>,
     read_in_full: impl Fn(&str) -> bool,
-) -> Result<(Database, BTreeMap<String, PartitionMap>), DbError> {
+) -> Result<Database, DbError> {
     let catalog_path = dir.join(CATALOG_FILE);
     let CheckpointManifest {
         catalog,
@@ -1051,7 +1050,6 @@ fn read_checkpoint(
     } = manifest;
 
     let mut tables = Tables::new();
-    let mut cold = BTreeMap::new();
     for name in catalog.relations() {
         let Some(scheme) = catalog.scheme(name).cloned() else {
             return Err(DbError::BadFile(format!(
@@ -1065,39 +1063,21 @@ fn read_checkpoint(
                 catalog_path.display()
             )));
         };
-        let relation = if read_in_full(name) {
-            let mut tuples = Vec::new();
-            let mut any_clipped = false;
-            for &(id, count, _, _) in parts {
-                let path = partition_heap_path(dir, name, epoch, id);
-                let heap = HeapFile::open(&path).map_err(|e| io_with_path(&path, e))?;
-                let read =
-                    read_partition(&heap, (id, count), &scheme, None, None, None, &mut tuples)?;
-                any_clipped |= read.clipped;
-            }
-            // A checkpoint holds what a relation — a set — wrote out, so the
-            // tuples are distinct as read; only clipping can make two equal.
-            if any_clipped {
-                Relation::from_parts_unchecked(scheme, tuples)
-            } else {
-                Relation::from_distinct_unchecked(scheme, tuples)
-            }
-        } else {
-            cold.insert(name.to_string(), PartitionMap::from_manifest(policy, parts));
-            Relation::new(scheme)
-        };
-        let mut table = Table::build(relation, policy);
+        let map = PartitionMap::from_manifest(policy, parts);
+        let mut table = Table::cold(scheme, map, (dir, name, epoch), pool);
+        if read_in_full(name) {
+            table = Table::build(table.materialize(ImageRead::Full)?, policy);
+        }
         table.partitions.mark_clean();
         tables.insert(name.into(), Arc::new(table));
     }
-    let db = Database {
+    Ok(Database {
         catalog: Arc::new(catalog),
         tables,
         attachment: None,
         ops_applied: 0,
         partition_policy: policy,
-    };
-    Ok((db, cold))
+    })
 }
 
 /// What one read of a cold partition's heap did.

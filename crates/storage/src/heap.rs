@@ -19,7 +19,7 @@ pub struct RecordId {
 /// A heap file of variable-length records.
 ///
 /// Pages live in a [`BufferPool`] and are faulted in on demand —
-/// [`HeapFile::open`] reads nothing but the file length, so opening a
+/// [`HeapFile::open_in`] reads nothing but the file length, so opening a
 /// 10M-tuple heap is O(1). Inserts go to the last page with room, else
 /// a new page — the usual append-mostly heap. Only pages dirtied since
 /// the last [`HeapFile::sync`] are written back (the pool tracks dirty
@@ -52,11 +52,6 @@ impl HeapFile {
             file,
             path: path.to_path_buf(),
         })
-    }
-
-    /// Opens an existing heap file in the global pool.
-    pub fn open(path: &Path) -> io::Result<HeapFile> {
-        Self::open_in(path, Arc::clone(BufferPool::global()))
     }
 
     /// Opens an existing heap file in `pool`. Checksums are verified

@@ -11,15 +11,15 @@
 //! * [`pool`] — a page-granular **buffer pool** (pin counts, clock
 //!   eviction, dirty-page write-back) that every on-disk page is read
 //!   and written through, capping resident memory at a configurable
-//!   budget (`HRDM_POOL_PAGES` / `HRDM_POOL_BYTES`, default 256 MiB);
+//!   budget (`HRDM_POOL_PAGES` frames, default 256 MiB);
 //! * [`heap`] — heap files of encoded tuples over slotted pages, faulted
 //!   through the pool on demand;
 //! * [`btree`] — a bulk-loaded on-disk B+tree keyed by
 //!   (birth-chronon, position), written by every checkpoint;
-//! * [`paged`] — [`PagedDatabase`]: an out-of-core read path that scans
-//!   only the partitions a time window touches, within them only the
-//!   heap pages whose lifespan zone it meets, and decodes only the
-//!   records the window keeps;
+//! * [`paged`] — [`PagedDatabase`]: an out-of-core read path whose
+//!   tables keep their checkpoint images on disk, and whose scans read
+//!   only the partitions and heap pages a time window meets, decoding
+//!   only the records it keeps;
 //! * [`catalog`] — the system catalog, including **schema evolution**: the
 //!   attribute-lifespan edits of the paper's Fig. 6 (drop an attribute at
 //!   `t2`, re-add it at `t3`) are first-class catalog operations with an

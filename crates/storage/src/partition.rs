@@ -337,30 +337,26 @@ impl PartitionMap {
         policy: PartitionPolicy,
         manifest: &[(i64, u64, i64, i64)],
     ) -> PartitionMap {
-        let mut map = PartitionMap {
-            policy,
-            parts: BTreeMap::new(),
-            tuple_count: 0,
+        let cold = |&(id, count, lo, hi): &(i64, u64, i64, i64)| {
+            let members = Members::Cold {
+                zones: OnceLock::new(),
+            };
+            let (count, hull, dirty) = (count as usize, Hull { lo, hi }, false);
+            let part = Partition {
+                members,
+                count,
+                hull,
+                dirty,
+            };
+            (id, Arc::new(part))
         };
-        for &(id, count, min_lo, max_hi) in manifest {
-            let count = count as usize;
-            map.parts.insert(
-                id,
-                Arc::new(Partition {
-                    members: Members::Cold {
-                        zones: OnceLock::new(),
-                    },
-                    count,
-                    hull: Hull {
-                        lo: min_lo,
-                        hi: max_hi,
-                    },
-                    dirty: false,
-                }),
-            );
-            map.tuple_count += count;
+        let parts: BTreeMap<_, _> = manifest.iter().map(cold).collect();
+        let tuple_count = parts.values().map(|p| p.count).sum();
+        PartitionMap {
+            policy,
+            parts,
+            tuple_count,
         }
-        map
     }
 
     /// Registers the tuple just appended to the relation at position `pos`

@@ -25,9 +25,9 @@
 //! # Sizing
 //!
 //! The process-global pool ([`BufferPool::global`]) sizes itself from
-//! `HRDM_POOL_PAGES` (frame count) or `HRDM_POOL_BYTES`, defaulting to
-//! 256 MiB (32768 frames of 8 KiB). Tests build private pools with
-//! [`BufferPool::new`] so capacity is deterministic.
+//! `HRDM_POOL_PAGES` (frame count), defaulting to 256 MiB (32768 frames
+//! of 8 KiB). Tests build private pools with [`BufferPool::new`] so
+//! capacity is deterministic.
 //!
 //! # Counters
 //!
@@ -151,8 +151,7 @@ impl BufferPool {
     }
 
     /// The process-global pool, sized once from the environment:
-    /// `HRDM_POOL_PAGES` (frames) wins over `HRDM_POOL_BYTES` (rounded
-    /// down to whole pages); default [`DEFAULT_POOL_BYTES`].
+    /// `HRDM_POOL_PAGES` frames; default [`DEFAULT_POOL_BYTES`].
     pub fn global() -> &'static Arc<BufferPool> {
         static GLOBAL: OnceLock<Arc<BufferPool>> = OnceLock::new();
         GLOBAL.get_or_init(|| BufferPool::new(capacity_from_env()))
@@ -469,16 +468,11 @@ fn stale_handle() -> io::Error {
 }
 
 fn capacity_from_env() -> usize {
-    if let Ok(v) = std::env::var("HRDM_POOL_PAGES") {
-        if let Ok(pages) = v.trim().parse::<usize>() {
-            return pages.max(1);
-        }
+    let pages = std::env::var("HRDM_POOL_PAGES").ok();
+    match pages.and_then(|v| v.trim().parse::<usize>().ok()) {
+        Some(pages) => pages.max(1),
+        None => (DEFAULT_POOL_BYTES / PAGE_SIZE as u64) as usize,
     }
-    let bytes = std::env::var("HRDM_POOL_BYTES")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(DEFAULT_POOL_BYTES);
-    ((bytes / PAGE_SIZE as u64) as usize).max(1)
 }
 
 /// A pinned page. The frame cannot be evicted while any guard exists;

@@ -21,12 +21,17 @@
 //! partition as the very allocation the snapshot holds. Two consecutive
 //! snapshots therefore share all but the path the writes between them
 //! touched.
+//!
+//! A paged view's snapshot ([`crate::PagedDatabase`]) holds relations
+//! whose checkpoint image stays on disk, read by [`DbSnapshot::read_cold`].
 
 use crate::catalog::Catalog;
+use crate::database::{DbError, PartitionRead};
 use crate::partition::PartitionMap;
-use crate::table::Tables;
-use hrdm_core::Relation;
+use crate::table::{ImageRead, Table, Tables};
+use hrdm_core::{HrdmError, Relation, Tuple};
 use hrdm_index::KeyIndex;
+use hrdm_time::Lifespan;
 use std::sync::Arc;
 
 /// An immutable view of a database's committed state at one commit point.
@@ -38,39 +43,27 @@ use std::sync::Arc;
 /// you like.
 #[derive(Clone, Debug)]
 pub struct DbSnapshot {
-    catalog: Arc<Catalog>,
-    tables: Tables,
-    epoch: Option<u64>,
-    version: u64,
+    pub(crate) catalog: Arc<Catalog>,
+    pub(crate) tables: Tables,
+    pub(crate) epoch: Option<u64>,
+    pub(crate) version: u64,
 }
 
 impl DbSnapshot {
-    pub(crate) fn new(
-        catalog: Arc<Catalog>,
-        tables: Tables,
-        epoch: Option<u64>,
-        version: u64,
-    ) -> DbSnapshot {
-        DbSnapshot {
-            catalog,
-            tables,
-            epoch,
-            version,
-        }
-    }
-
-    /// The relation named `name`, as of the snapshot's commit point.
+    /// The relation named `name`, as of the snapshot's commit point: its
+    /// resident tuples, when its checkpoint image stays on disk.
     pub fn relation(&self, name: &str) -> Option<&Relation> {
         self.tables.get(name).map(|t| &t.relation)
     }
 
     /// The key index of `name`, frozen with the snapshot (`None` as for
-    /// [`Database::key_index`](crate::Database::key_index)). Positions it
+    /// [`Database::key_index`](crate::Database::key_index), and for a
+    /// relation whose checkpoint image stays on disk). Positions it
     /// returns are valid against [`DbSnapshot::relation`] of the same
     /// snapshot by construction — the index and the tuple vector were
     /// published together.
     pub fn key_index(&self, name: &str) -> Option<&KeyIndex> {
-        self.tables.get(name)?.key.as_ref()
+        self.tables.get(name)?.key_index()
     }
 
     /// The chronon-range partition map of `name` — its lifespan access
@@ -79,7 +72,47 @@ impl DbSnapshot {
     /// positions it yields stay valid against [`DbSnapshot::relation`] of
     /// the same snapshot.
     pub fn partitions(&self, name: &str) -> Option<&PartitionMap> {
-        self.tables.get(name).map(|t| &t.partitions)
+        self.tables.get(name).map(|t| t.partition_map())
+    }
+
+    /// Appends to `out`, in heap order, the tuples of `name`'s cold
+    /// partition `id` whose lifespan meets `window` (every tuple when
+    /// `None`), each restricted to `clip` when one is given. Pages whose
+    /// zone misses the window are skipped, each visited record's lifespan
+    /// is probed in place, and only the hits are decoded.
+    pub fn read_cold(
+        &self,
+        name: &str,
+        id: i64,
+        window: Option<&Lifespan>,
+        clip: Option<&Lifespan>,
+        out: &mut Vec<Tuple>,
+    ) -> Result<PartitionRead, DbError> {
+        let Some(table) = self.tables.get(name) else {
+            return Err(DbError::Model(HrdmError::UnknownRelation(name.into())));
+        };
+        let Some(cold) = &table.cold else {
+            return Ok(PartitionRead::default());
+        };
+        let how = ImageRead::Window(window);
+        cold.read(id, table.relation.scheme(), how, clip, out)
+    }
+
+    /// A resident snapshot of exactly the tuples meeting `window` (all
+    /// when `None`).
+    pub(crate) fn materialize(&self, window: Option<&Lifespan>) -> Result<DbSnapshot, DbError> {
+        let mut tables = Tables::new();
+        for (name, table) in &self.tables {
+            let relation = table.materialize(ImageRead::Window(window))?;
+            let policy = table.partition_map().policy();
+            tables.insert(Arc::clone(name), Arc::new(Table::build(relation, policy)));
+        }
+        let catalog = Arc::clone(&self.catalog);
+        Ok(DbSnapshot {
+            catalog,
+            tables,
+            ..*self
+        })
     }
 
     /// The catalog (schemes + evolution log) as of the snapshot.

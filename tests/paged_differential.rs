@@ -6,14 +6,14 @@ mod common;
 mod oracle;
 
 use hrdm_query::{
-    evaluate, explain_analyze_query_text, materialization_window, optimize, parse_query,
-    run_query_on_paged,
+    evaluate, explain_analyze_query_text, explain_query_text, materialization_window, optimize,
+    parse_query, run_query_on_paged,
 };
-use hrdm_query::{PagedQueryError, Query};
+use hrdm_query::{IndexSource, PipelineError, Query};
 use hrdm_storage::{BufferPool, Database, PagedDatabase, PAGE_SIZE};
 use hrdm_time::Lifespan;
 use oracle::matrix::{canon, entry, failure, on, run_matrix, Opened};
-use oracle::world::{seeded, tmp, State, World, BATTERY};
+use oracle::world::{r_scheme, r_tup, seeded, tmp, State, World, BATTERY};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -35,8 +35,8 @@ fn answers<'w>(db: PagedDatabase, copy: Option<Checkpointed>) -> Opened<'w> {
         let _copy = &copy;
         match run_query_on_paged(text, &db) {
             Ok(r) => Some(Ok(r)),
-            Err(PagedQueryError::Pipeline(e)) => Some(Err(failure(e))),
-            Err(e) => panic!("paged `{text}`: {e}"),
+            Err(PipelineError::Storage(e)) => panic!("paged `{text}`: storage error: {e}"),
+            Err(e) => Some(Err(failure(e))),
         }
     })
 }
@@ -99,8 +99,8 @@ fn paged_pipeline_is_observationally_identical() {
 fn assert_paged_agrees(eager: &Database, paged: &PagedDatabase, q: &str) {
     let want = canon(&evaluate(&parse_query(q).unwrap(), eager));
     let got = run_query_on_paged(q, paged).map_err(|e| match e {
-        PagedQueryError::Pipeline(e) => failure(e),
-        other => panic!("paged `{q}`: {other}"),
+        PipelineError::Storage(e) => panic!("paged `{q}`: storage error: {e}"),
+        other => failure(other),
     });
     assert_eq!(canon(&got), want, "paged `{q}` diverged from eval.rs");
 }
@@ -218,6 +218,56 @@ fn computed_windows_disable_pruning_not_correctness() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A key probe plans as `Database::load` plans it where the paged view
+/// holds the relation resident: on a WAL-only directory it answers its own
+/// key index, so `SELECT-WHEN (K = 7)` is an `IndexScan(key, K = 7)`. A
+/// cold relation answers none, since its WAL tail's index cannot see the
+/// cold rows: on a checkpointed copy with a tail, neither the probe nor a
+/// join onto the relation runs over the tail's index alone. Every answer
+/// is `eval.rs`'s.
+#[test]
+fn key_probes_use_an_index_only_where_it_sees_every_row() {
+    let dir = tmp("keyed");
+    let mut db = Database::open(&dir).unwrap();
+    db.create_relation("r", r_scheme()).unwrap();
+    db.create_relation("s", r_scheme()).unwrap();
+    for k in 0..50 {
+        db.insert("r", r_tup(k, k, 2 + k % 5, k % 4)).unwrap();
+    }
+    for k in 0..12 {
+        db.insert("s", r_tup(k, 3 * k, 6, k % 3)).unwrap();
+    }
+    drop(db);
+    let (probe, join) = ("SELECT-WHEN (K = 7) (r)", "s NATJOIN r");
+    let eager = Database::load(&dir).unwrap();
+    let paged = PagedDatabase::open_with_pool(&dir, BufferPool::new(8)).unwrap();
+    for src in [&eager as &dyn IndexSource, &paged] {
+        let plan = explain_query_text(probe, src).unwrap();
+        assert!(plan.contains("IndexScan(key, K = 7)"), "{plan}");
+    }
+    assert_paged_agrees(&eager, &paged, probe);
+    assert_paged_agrees(&eager, &paged, join);
+
+    let copy = Checkpointed::of(&dir);
+    let mut db = Database::open(&copy.0).unwrap();
+    for k in 50..55 {
+        db.insert("r", r_tup(k, k, 3, k % 4)).unwrap();
+    }
+    drop(db);
+    let eager = Database::load(&copy.0).unwrap();
+    let paged = PagedDatabase::open_with_pool(&copy.0, BufferPool::new(8)).unwrap();
+    assert!(paged.partition_map("r").unwrap().has_cold());
+    for q in [probe, join] {
+        let plan = explain_query_text(q, &paged).unwrap();
+        assert!(
+            !plan.contains("IndexScan(key") && !plan.contains("(index nested loop)"),
+            "`{q}` probes the tail's key index alone:\n{plan}"
+        );
+        assert_paged_agrees(&eager, &paged, q);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A cold partition that fails to read — a page whose checksum no longer
 /// matches — fails every query whose scan reads it with a storage error,
 /// never a short answer; queries whose windows miss it still answer.
@@ -239,7 +289,7 @@ fn a_corrupt_cold_partition_fails_the_query() {
     let paged = PagedDatabase::open_with_pool(&dir, BufferPool::new(8)).unwrap();
     for q in ["TIMESLICE [20..23] (r)", "r", "COUNT V (r)"] {
         match run_query_on_paged(q, &paged) {
-            Err(PagedQueryError::Storage(_)) => {}
+            Err(PipelineError::Storage(_)) => {}
             other => panic!("`{q}` over a corrupt partition: {other:?}"),
         }
     }
