@@ -554,7 +554,6 @@ fn registry_metrics() -> Vec<(String, f64)> {
         "hrdm_pool_hits_total",
         "hrdm_pool_misses_total",
         "hrdm_pool_evictions_total",
-        "hrdm_pool_writebacks_total",
         "hrdm_paged_records_scanned_total",
         "hrdm_paged_records_decoded_total",
     ] {

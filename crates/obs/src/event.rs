@@ -3,7 +3,7 @@
 //! Counters say *how much*; the recorder says *what happened, in what
 //! order*. Engine components append coarse milestone events — a commit
 //! batch applied, a checkpoint beginning and ending, a buffer-pool
-//! eviction or writeback, a cancel, a session opening or closing, an
+//! eviction, a cancel, a session opening or closing, an
 //! error, a slow query — each stamped with a monotonic sequence
 //! number, coarse wall-clock time, and the [`crate::trace`] id current
 //! on the recording thread (so events can be joined back to the
@@ -49,7 +49,6 @@ pub enum EventKind {
     CheckpointBegin,
     CheckpointEnd,
     PoolEviction,
-    PoolWriteback,
     Cancel,
     SessionOpen,
     SessionClose,
@@ -65,7 +64,6 @@ impl EventKind {
             EventKind::CheckpointBegin => "checkpoint-begin",
             EventKind::CheckpointEnd => "checkpoint-end",
             EventKind::PoolEviction => "pool-evict",
-            EventKind::PoolWriteback => "pool-writeback",
             EventKind::Cancel => "cancel",
             EventKind::SessionOpen => "session-open",
             EventKind::SessionClose => "session-close",

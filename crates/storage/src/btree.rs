@@ -12,13 +12,16 @@
 //!
 //! # Layout
 //!
-//! All pages are [`PAGE_SIZE`] bytes and go through the buffer pool,
-//! which owns the checksum bytes at `[4..8)` of every page
-//! ([`crate::page::Page::seal`] on write-back, verify on fault) — the node layouts
-//! below simply leave that range zero.
+//! All pages are [`PAGE_SIZE`] bytes, written front to back by a
+//! [`PageWriter`] and read through the buffer pool. The checksum bytes at
+//! `[4..8)` of every page belong to those two ([`Page::seal`] as the
+//! writer writes a page, verify as the pool faults it in), so the node
+//! layouts below leave that range zero. The meta page is page 0, the
+//! leaves follow it in key order, then each internal level; the root is
+//! the last page.
 //!
 //! ```text
-//! page 0 (meta):  [0..4)   zero (reserved: 4..8 is the pool checksum)
+//! page 0 (meta):  [0..4)   reserved ([2..4) keeps `Page::new`'s free pointer)
 //!                 [8..12)  magic "HBTX"
 //!                 [12..16) version (1)
 //!                 [16..20) root page
@@ -28,7 +31,7 @@
 //!
 //! node header:    [0]      node type (1 = leaf, 2 = internal)
 //!                 [1..3)   entry count
-//!                 [4..8)   pool checksum (reserved)
+//!                 [4..8)   page checksum (reserved)
 //!                 [8..12)  leaf: next-leaf page (0 = none); internal: 0
 //!
 //! leaf entry      (12 B):  birth i64 | position u32
@@ -39,7 +42,7 @@
 //! entry holds the *first* key of its child, so descent picks the last
 //! child whose first key is `<=` the probe.
 
-use crate::page::PAGE_SIZE;
+use crate::page::{Page, PageWriter, PAGE_SIZE};
 use crate::pool::{BufferPool, PoolFileId};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -73,14 +76,11 @@ pub struct LifespanBTree {
 
 impl LifespanBTree {
     /// Bulk-loads a tree from `entries` — sorted in place by
-    /// (birth, position) — and writes it to `path` (truncating) through
-    /// `pool`, flushed and fsynced before returning.
-    pub fn build(
-        path: &Path,
-        pool: Arc<BufferPool>,
-        entries: &mut [(i64, u32)],
-    ) -> io::Result<LifespanBTree> {
-        Self::build_with_fanout(path, pool, entries, LEAF_FANOUT, INTERNAL_FANOUT)
+    /// (birth, position) — and writes it to `path` (truncating) with a
+    /// [`PageWriter`], fsynced before returning. [`LifespanBTree::open`]
+    /// reads it.
+    pub fn build(path: &Path, entries: &mut [(i64, u32)]) -> io::Result<()> {
+        Self::build_with_fanout(path, entries, LEAF_FANOUT, INTERNAL_FANOUT)
     }
 
     /// [`LifespanBTree::build`] with explicit fanouts, so tests can force
@@ -88,55 +88,58 @@ impl LifespanBTree {
     /// `2..=` the page-layout maximum.
     pub fn build_with_fanout(
         path: &Path,
-        pool: Arc<BufferPool>,
         entries: &mut [(i64, u32)],
         leaf_fanout: usize,
         internal_fanout: usize,
-    ) -> io::Result<LifespanBTree> {
+    ) -> io::Result<()> {
         let leaf_fanout = leaf_fanout.clamp(2, LEAF_FANOUT);
         let internal_fanout = internal_fanout.clamp(2, INTERNAL_FANOUT);
         entries.sort_unstable();
-        let file = pool.create(path)?;
-        // Page 0 is the meta page; write it last, once root is known.
-        let (meta_no, _meta_guard) = pool.alloc(file)?;
-        debug_assert_eq!(meta_no, 0);
-        drop(_meta_guard);
+        // The shape follows from the entry count alone: page 0 is the
+        // meta page, the leaves follow it left to right, then each
+        // internal level in turn; the root is the last page (0 when
+        // there are no entries).
+        let leaves = entries.len().div_ceil(leaf_fanout);
+        let (mut width, mut root, mut height) = (leaves, leaves, u32::from(leaves > 0));
+        while width > 1 {
+            width = width.div_ceil(internal_fanout);
+            root += width;
+            height += 1;
+        }
+        let mut out = PageWriter::create(path)?;
+        let mut meta = Page::new();
+        let bytes = meta.bytes_mut();
+        bytes[8..12].copy_from_slice(MAGIC);
+        bytes[12..16].copy_from_slice(&VERSION.to_le_bytes());
+        bytes[16..20].copy_from_slice(&(root as u32).to_le_bytes());
+        bytes[20..24].copy_from_slice(&height.to_le_bytes());
+        bytes[24..32].copy_from_slice(&(entries.len() as u64).to_le_bytes());
+        bytes[32..36].copy_from_slice(&(leaf_fanout as u32).to_le_bytes());
+        bytes[36..40].copy_from_slice(&(internal_fanout as u32).to_le_bytes());
+        out.append(meta)?;
 
-        // Level 0: the leaves, chained left to right.
-        let mut level: Vec<((i64, u32), u32)> = Vec::new(); // (first key, page)
-        let mut chunk_start = 0usize;
-        while chunk_start < entries.len() {
-            let chunk = &entries[chunk_start..(chunk_start + leaf_fanout).min(entries.len())];
-            let (page_no, guard) = pool.alloc(file)?;
-            {
-                let mut page = guard.write();
-                let bytes = page.bytes_mut();
-                bytes[0] = LEAF_NODE;
-                bytes[1..3].copy_from_slice(&(chunk.len() as u16).to_le_bytes());
-                // next-leaf filled in below once the neighbour exists.
-                for (i, &(birth, pos)) in chunk.iter().enumerate() {
-                    let at = NODE_HEADER + i * LEAF_ENTRY;
-                    bytes[at..at + 8].copy_from_slice(&birth.to_le_bytes());
-                    bytes[at + 8..at + 12].copy_from_slice(&pos.to_le_bytes());
-                }
+        // Level 0: the leaves, each chained to the next.
+        let mut level: Vec<((i64, u32), u32)> = Vec::with_capacity(leaves); // (first key, page)
+        for (i, chunk) in entries.chunks(leaf_fanout).enumerate() {
+            let mut page = Page::new();
+            let bytes = page.bytes_mut();
+            bytes[0] = LEAF_NODE;
+            bytes[1..3].copy_from_slice(&(chunk.len() as u16).to_le_bytes());
+            let next = if i + 1 < leaves { i + 2 } else { 0 };
+            bytes[8..12].copy_from_slice(&(next as u32).to_le_bytes());
+            for (i, &(birth, pos)) in chunk.iter().enumerate() {
+                let at = NODE_HEADER + i * LEAF_ENTRY;
+                bytes[at..at + 8].copy_from_slice(&birth.to_le_bytes());
+                bytes[at + 8..at + 12].copy_from_slice(&pos.to_le_bytes());
             }
-            if let Some(&(_, prev)) = level.last() {
-                let prev_guard = pool.get(file, prev)?;
-                prev_guard.write().bytes_mut()[8..12].copy_from_slice(&page_no.to_le_bytes());
-            }
-            level.push((chunk[0], page_no));
-            chunk_start += chunk.len();
+            level.push((chunk[0], out.append(page)?));
         }
 
         // Internal levels until a single root remains.
-        let mut height: u32 = if level.is_empty() { 0 } else { 1 };
         while level.len() > 1 {
-            let mut next: Vec<((i64, u32), u32)> = Vec::new();
-            let mut at = 0usize;
-            while at < level.len() {
-                let chunk = &level[at..(at + internal_fanout).min(level.len())];
-                let (page_no, guard) = pool.alloc(file)?;
-                let mut page = guard.write();
+            let mut next = Vec::with_capacity(level.len().div_ceil(internal_fanout));
+            for chunk in level.chunks(internal_fanout) {
+                let mut page = Page::new();
                 let bytes = page.bytes_mut();
                 bytes[0] = INTERNAL_NODE;
                 bytes[1..3].copy_from_slice(&(chunk.len() as u16).to_le_bytes());
@@ -144,40 +147,21 @@ impl LifespanBTree {
                     let base = NODE_HEADER + i * INTERNAL_ENTRY;
                     bytes[base..base + 8].copy_from_slice(&birth.to_le_bytes());
                     bytes[base + 8..base + 12].copy_from_slice(&pos.to_le_bytes());
-                    bytes[base + 12..base + 16].copy_from_slice(&page_no_bytes(child));
+                    bytes[base + 12..base + 16].copy_from_slice(&child.to_le_bytes());
                 }
-                next.push((chunk[0].0, page_no));
-                at += chunk.len();
+                next.push((chunk[0].0, out.append(page)?));
             }
             level = next;
-            height += 1;
         }
-        let root = level.first().map_or(0, |&(_, p)| p);
-
-        // Meta page.
-        {
-            let guard = pool.get(file, 0)?;
-            let mut page = guard.write();
-            let bytes = page.bytes_mut();
-            bytes[8..12].copy_from_slice(MAGIC);
-            bytes[12..16].copy_from_slice(&VERSION.to_le_bytes());
-            bytes[16..20].copy_from_slice(&root.to_le_bytes());
-            bytes[20..24].copy_from_slice(&height.to_le_bytes());
-            bytes[24..32].copy_from_slice(&(entries.len() as u64).to_le_bytes());
-            bytes[32..36].copy_from_slice(&(leaf_fanout as u32).to_le_bytes());
-            bytes[36..40].copy_from_slice(&(internal_fanout as u32).to_le_bytes());
+        // The meta page promised this root; a tree built otherwise must
+        // not be renamed into place.
+        if level.first().map_or(0, |&(_, p)| p as usize) != root {
+            return Err(io::Error::other(format!(
+                "{}: B+tree root is not the page its meta page names",
+                path.display()
+            )));
         }
-        pool.flush(file)?;
-        Ok(LifespanBTree {
-            pool,
-            file,
-            path: path.to_path_buf(),
-            root,
-            height,
-            count: entries.len() as u64,
-            leaf_fanout,
-            internal_fanout,
-        })
+        out.finish()
     }
 
     /// Opens an existing tree, reading only the meta page.
@@ -189,42 +173,30 @@ impl LifespanBTree {
                 format!("{}: {msg}", path.display()),
             )
         };
-        if pool.page_count(file)? == 0 {
-            pool.close(file);
-            return Err(bad("missing B+tree meta page"));
-        }
-        let (root, height, count, leaf_fanout, internal_fanout) = {
-            let guard = pool.get(file, 0).inspect_err(|_| pool.close(file))?;
-            let page = guard.read();
-            let bytes = page.bytes();
+        let meta = || {
+            if pool.page_count(file)? == 0 {
+                return Err(bad("missing B+tree meta page"));
+            }
+            let guard = pool.get(file, 0)?;
+            let bytes = guard.read().bytes();
             if &bytes[8..12] != MAGIC {
-                drop(page);
-                drop(guard);
-                pool.close(file);
                 return Err(bad("bad B+tree magic"));
             }
-            let version = u32_at(bytes, 12);
-            if version != VERSION {
-                drop(page);
-                drop(guard);
-                pool.close(file);
+            if u32_at(bytes, 12) != VERSION {
                 return Err(bad("unsupported B+tree version"));
             }
-            (
-                u32_at(bytes, 16),
-                u32_at(bytes, 20),
-                u64::from_le_bytes([
-                    bytes[24], bytes[25], bytes[26], bytes[27], bytes[28], bytes[29], bytes[30],
-                    bytes[31],
-                ]),
-                u32_at(bytes, 32) as usize,
-                u32_at(bytes, 36) as usize,
-            )
+            let fanouts = (u32_at(bytes, 32) as usize, u32_at(bytes, 36) as usize);
+            if fanouts.0 < 2 || fanouts.1 < 2 || fanouts.0 > LEAF_FANOUT {
+                return Err(bad("implausible B+tree fanout"));
+            }
+            let count = u64::from_le_bytes([
+                bytes[24], bytes[25], bytes[26], bytes[27], bytes[28], bytes[29], bytes[30],
+                bytes[31],
+            ]);
+            Ok((u32_at(bytes, 16), u32_at(bytes, 20), count, fanouts))
         };
-        if leaf_fanout < 2 || internal_fanout < 2 || leaf_fanout > LEAF_FANOUT {
-            pool.close(file);
-            return Err(bad("implausible B+tree fanout"));
-        }
+        let (root, height, count, (leaf_fanout, internal_fanout)) =
+            meta().inspect_err(|_| pool.close(file))?;
         Ok(LifespanBTree {
             pool,
             file,
@@ -378,10 +350,6 @@ fn u32_at(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
 }
 
-fn page_no_bytes(p: u32) -> [u8; 4] {
-    p.to_le_bytes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,12 +374,10 @@ mod tests {
     fn empty_tree_round_trip() {
         let path = tmp("empty");
         let pool = BufferPool::new(8);
-        {
-            let t = LifespanBTree::build(&path, Arc::clone(&pool), &mut Vec::new()).unwrap();
-            assert!(t.is_empty());
-            assert_eq!(t.range_positions(i64::MIN, i64::MAX).unwrap(), vec![]);
-        }
+        LifespanBTree::build(&path, &mut Vec::new()).unwrap();
         let t = LifespanBTree::open(&path, pool).unwrap();
+        assert!(t.is_empty());
+        assert_eq!(t.range_positions(i64::MIN, i64::MAX).unwrap(), vec![]);
         assert_eq!(t.len(), 0);
         assert_eq!(t.height(), 0);
         assert_eq!(t.range_positions(0, 100).unwrap(), vec![]);
@@ -424,7 +390,8 @@ mod tests {
         let pool = BufferPool::new(8);
         let mut entries: Vec<(i64, u32)> = (0..100).map(|i| (i64::from(i) * 3, i)).collect();
         let reference = entries.clone();
-        let t = LifespanBTree::build(&path, pool, &mut entries).unwrap();
+        LifespanBTree::build(&path, &mut entries).unwrap();
+        let t = LifespanBTree::open(&path, pool).unwrap();
         assert_eq!(t.height(), 1);
         for (lo, hi) in [(0, 297), (5, 50), (-10, -1), (298, 400), (30, 30)] {
             assert_eq!(
@@ -445,8 +412,8 @@ mod tests {
         let mut entries: Vec<(i64, u32)> =
             (0..500u32).map(|i| (i64::from(i % 50), 499 - i)).collect();
         let reference = entries.clone();
-        let t =
-            LifespanBTree::build_with_fanout(&path, Arc::clone(&pool), &mut entries, 4, 3).unwrap();
+        LifespanBTree::build_with_fanout(&path, &mut entries, 4, 3).unwrap();
+        let t = LifespanBTree::open(&path, Arc::clone(&pool)).unwrap();
         assert!(t.height() >= 3, "height: {}", t.height());
         for (lo, hi) in [
             (i64::MIN, i64::MAX),
@@ -468,10 +435,9 @@ mod tests {
     #[test]
     fn reopen_under_tiny_pool() {
         let path = tmp("reopen");
-        let build_pool = BufferPool::new(32);
         let mut entries: Vec<(i64, u32)> = (0..2000u32).map(|i| (i64::from(i / 7), i)).collect();
         let reference = entries.clone();
-        drop(LifespanBTree::build_with_fanout(&path, build_pool, &mut entries, 8, 4).unwrap());
+        LifespanBTree::build_with_fanout(&path, &mut entries, 8, 4).unwrap();
         // Read back through a 2-frame pool: every probe faults its path.
         let pool = BufferPool::new(2);
         let t = LifespanBTree::open(&path, Arc::clone(&pool)).unwrap();
@@ -505,7 +471,8 @@ mod tests {
         let pool = BufferPool::new(8);
         let mut entries = vec![(i64::MIN, 0u32), (-1, 1), (0, 2), (1, 3), (i64::MAX, 4)];
         let reference = entries.clone();
-        let t = LifespanBTree::build_with_fanout(&path, pool, &mut entries, 2, 2).unwrap();
+        LifespanBTree::build_with_fanout(&path, &mut entries, 2, 2).unwrap();
+        let t = LifespanBTree::open(&path, pool).unwrap();
         for (lo, hi) in [
             (i64::MIN, i64::MAX),
             (i64::MIN, i64::MIN),

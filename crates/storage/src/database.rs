@@ -30,7 +30,7 @@ use crate::btree::LifespanBTree;
 use crate::catalog::Catalog;
 use crate::codec::{CodecError, Decoder, Encoder};
 use crate::heap::HeapFile;
-use crate::page::crc32;
+use crate::page::{crc32, PageWriter};
 use crate::partition::{birth_of, position_u32, PageZone, PartitionMap, PartitionPolicy};
 use crate::pool::BufferPool;
 use crate::snapshot::DbSnapshot;
@@ -543,7 +543,7 @@ impl Database {
     /// The chronon-range partition map of `name` — the relation's lifespan
     /// access path; `None` means an unknown relation.
     pub fn partitions(&self, name: &str) -> Option<&PartitionMap> {
-        self.tables.get(name).map(|t| t.partition_map())
+        self.tables.get(name).map(|t| &t.partitions)
     }
 
     /// The boundary policy new partition maps are built under.
@@ -555,7 +555,8 @@ impl Database {
     /// to split hot partitions).
     ///
     /// Purely physical: contents, indexes, and query results are
-    /// untouched; snapshots taken earlier keep their frozen maps. The
+    /// untouched; snapshots taken earlier keep their frozen maps, and a
+    /// relation whose checkpoint image stays on disk keeps the image's. The
     /// policy is persisted by the next [`Database::checkpoint`] (it is
     /// not WAL-logged — a crash before that checkpoint recovers under the
     /// previously persisted policy, which re-derives an equivalent map).
@@ -564,7 +565,7 @@ impl Database {
             return;
         }
         self.partition_policy = policy;
-        for table in self.tables.values_mut() {
+        for table in self.tables.values_mut().filter(|t| t.cold.is_none()) {
             let table = Arc::make_mut(table);
             table.partitions = PartitionMap::build(&table.relation, policy);
         }
@@ -626,7 +627,7 @@ impl Database {
     /// aborted checkpoints. The returned database is durable: every
     /// acknowledged write survives a crash.
     pub fn open(dir: &Path) -> Result<Database, DbError> {
-        std::fs::create_dir_all(dir)?;
+        std::fs::create_dir_all(dir).map_err(|e| io_with_path(dir, e))?;
         let (mut db, epoch, torn_at) = match recover(dir, BufferPool::global(), |_, _| true)? {
             Some(found) => (found.db, found.epoch, found.torn_at),
             None => (Database::new(), 0, None),
@@ -676,13 +677,14 @@ impl Database {
         // From here on, recovery reads epoch e+1 — if the new WAL cannot
         // be opened, appending to the *old* one would lose writes, so the
         // attachment must be poisoned, not left silently on the old epoch.
-        let wal = match Wal::open(&wal_path(&dir, new_epoch)) {
+        let wal_file = wal_path(&dir, new_epoch);
+        let wal = match Wal::open(&wal_file) {
             Ok(wal) => wal,
             Err(e) => {
                 if let Some(att) = &mut self.attachment {
                     att.poisoned = true;
                 }
-                return Err(DbError::Io(e));
+                return Err(io_with_path(&wal_file, e));
             }
         };
         self.attachment = Some(Attachment {
@@ -717,7 +719,7 @@ impl Database {
                 ));
             }
         }
-        std::fs::create_dir_all(dir)?;
+        std::fs::create_dir_all(dir).map_err(|e| io_with_path(dir, e))?;
         self.write_state(dir, 0, None)?;
         cleanup_stray_files(dir, 0);
         Ok(())
@@ -739,6 +741,10 @@ impl Database {
     /// rewritten; heap files are immutable once committed, so sharing the
     /// inode across epochs is safe. A failed link silently degrades to a
     /// fresh write.
+    ///
+    /// Every heap and B+tree file is written front to back by one
+    /// [`PageWriter`], never through the buffer pool, and every I/O error
+    /// names the file it concerns.
     fn write_state(&self, dir: &Path, epoch: u64, link_from: Option<u64>) -> Result<(), DbError> {
         let mut linked = 0u64;
         let mut rewritten = 0u64;
@@ -761,7 +767,7 @@ impl Database {
                 any_dirty = true;
                 rewritten += 1;
                 let tmp_path = tmp_sibling(&final_path);
-                let mut heap = HeapFile::create(&tmp_path)?;
+                let mut heap = PageWriter::create(&tmp_path)?;
                 // Birth order (ties in position order: the sort is
                 // stable), so one heap page holds a narrow birth range and
                 // its zone can prune a narrow window.
@@ -771,10 +777,10 @@ impl Database {
                 for tuple in members {
                     let mut e = Encoder::new();
                     e.put_tuple(tuple);
-                    heap.insert(&e.finish())?;
+                    heap.push(&e.finish())?;
                 }
-                heap.sync()?;
-                std::fs::rename(&tmp_path, &final_path)?;
+                heap.finish()?;
+                rename(&tmp_path, &final_path)?;
             }
             // The relation's on-disk B+tree over (birth, position): one
             // file per relation per epoch, linked across epochs whenever
@@ -791,15 +797,12 @@ impl Database {
                     .map(|(pos, tuple)| (birth_of(tuple).tick(), position_u32(pos)))
                     .collect();
                 let tmp_path = tmp_sibling(&btx_final);
-                LifespanBTree::build(
-                    &tmp_path,
-                    Arc::clone(crate::pool::BufferPool::global()),
-                    &mut entries,
-                )?;
-                std::fs::rename(&tmp_path, &btx_final)?;
+                LifespanBTree::build(&tmp_path, &mut entries)?;
+                rename(&tmp_path, &btx_final)?;
             }
         }
-        Wal::create_empty(&wal_path(dir, epoch))?;
+        let wal_file = wal_path(dir, epoch);
+        Wal::create_empty(&wal_file).map_err(|e| io_with_path(&wal_file, e))?;
         // Every file of the new epoch now has its final name; make those
         // names durable — once, for all of them — before the catalog that
         // refers to them can be.
@@ -833,12 +836,13 @@ impl Database {
         file.extend_from_slice(&crc32(&payload).to_le_bytes());
         let final_path = dir.join(CATALOG_FILE);
         let tmp_path = tmp_sibling(&final_path);
-        {
-            let mut f = std::fs::File::create(&tmp_path)?;
-            io::Write::write_all(&mut f, &file)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp_path, &final_path)?;
+        std::fs::File::create(&tmp_path)
+            .and_then(|mut f| {
+                io::Write::write_all(&mut f, &file)?;
+                f.sync_all()
+            })
+            .map_err(|e| io_with_path(&tmp_path, e))?;
+        rename(&tmp_path, &final_path)?;
         // Make the commit point itself durable before reporting success.
         fsync_dir(dir);
         // Only checkpoints (link_from set) report partition-rewrite work;
@@ -1138,7 +1142,7 @@ pub(crate) fn read_partition(
             continue;
         }
         let mut zone = PageZone::EMPTY;
-        heap.scan_page(page_no, |_, record| {
+        heap.scan_page(page_no, |record| {
             let meets = if probe {
                 let probed = Decoder::new(record).lifespan_probe(window)?;
                 zone.hull.widen(Hull {
@@ -1258,10 +1262,18 @@ pub fn conform_to_scheme(tuple: Tuple, scheme: &Scheme) -> Result<(Tuple, bool),
     }
 }
 
-/// Wraps an I/O error with the path it concerns, so `Database::open` /
-/// `Database::load` failures are triageable from the message alone.
+/// Wraps an I/O error with the path it concerns, so a failed open, load,
+/// save or checkpoint is triageable from the message alone.
 pub(crate) fn io_with_path(path: &Path, e: io::Error) -> DbError {
-    DbError::Io(io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+    DbError::Io(crate::page::with_path(path, e))
+}
+
+/// Renames `from` to `to`, an error naming both.
+fn rename(from: &Path, to: &Path) -> Result<(), DbError> {
+    std::fs::rename(from, to).map_err(|e| {
+        let what = format!("{} -> {}: {e}", from.display(), to.display());
+        DbError::Io(io::Error::new(e.kind(), what))
+    })
 }
 
 /// The WAL of checkpoint epoch `epoch`.
@@ -1520,7 +1532,7 @@ mod tests {
             .build()
             .unwrap();
         let path = tmp("zones.heap");
-        let mut heap = HeapFile::create_in(&path, crate::pool::BufferPool::new(4)).unwrap();
+        let mut writer = PageWriter::create(&path).unwrap();
         let n = 1_500u64;
         for k in 0..n as i64 {
             // Births jump about: insertion order is not birth order.
@@ -1533,9 +1545,10 @@ mod tests {
                 .unwrap();
             let mut e = Encoder::new();
             e.put_tuple(&t);
-            heap.insert(&e.finish()).unwrap();
+            writer.push(&e.finish()).unwrap();
         }
-        heap.sync().unwrap();
+        writer.finish().unwrap();
+        let heap = HeapFile::open_in(&path, crate::pool::BufferPool::new(4)).unwrap();
         let read = |window: Option<&Lifespan>, zones: Option<&OnceLock<Arc<[PageZone]>>>| {
             let mut out = Vec::new();
             read_partition(&heap, (0, n), &scheme, window, None, zones, &mut out)
@@ -1608,12 +1621,13 @@ mod tests {
             e.finish()
         };
         let path = tmp("trailing.heap");
-        let mut heap = HeapFile::create_in(&path, crate::pool::BufferPool::new(4)).unwrap();
-        heap.insert(&record(1)).unwrap();
+        let mut writer = PageWriter::create(&path).unwrap();
+        writer.push(&record(1)).unwrap();
         let mut padded = record(50);
         padded.push(0);
-        heap.insert(&padded).unwrap();
-        heap.sync().unwrap();
+        writer.push(&padded).unwrap();
+        writer.finish().unwrap();
+        let heap = HeapFile::open_in(&path, crate::pool::BufferPool::new(4)).unwrap();
         let read = |window: Option<&Lifespan>, clip: Option<&Lifespan>| {
             let mut out = Vec::new();
             read_partition(&heap, (0, 2), &scheme, window, clip, None, &mut out).map(|_| out)

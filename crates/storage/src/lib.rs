@@ -7,11 +7,14 @@
 //! * [`codec`] — a compact binary encoding (varint/zigzag) for every model
 //!   object: values, lifespans, temporal functions, schemes, tuples,
 //!   relations;
-//! * [`page`] — fixed-size slotted pages with checksums;
-//! * [`pool`] — a page-granular **buffer pool** (pin counts, clock
-//!   eviction, dirty-page write-back) that every on-disk page is read
-//!   and written through, capping resident memory at a configurable
-//!   budget (`HRDM_POOL_PAGES` frames, default 256 MiB);
+//! * [`page`] — fixed-size slotted pages with checksums, and
+//!   [`PageWriter`], the one writer of page files: a checkpoint writes
+//!   each heap and B+tree once, front to back, sealing every page, and
+//!   never rewrites it;
+//! * [`pool`] — a page-granular, read-only **buffer pool** (pin counts,
+//!   clock eviction) that every on-disk page is read through, capping
+//!   resident memory at a configurable budget (`HRDM_POOL_PAGES` frames,
+//!   default 256 MiB);
 //! * [`heap`] — heap files of encoded tuples over slotted pages, faulted
 //!   through the pool on demand;
 //! * [`btree`] — a bulk-loaded on-disk B+tree keyed by
@@ -70,8 +73,8 @@ pub use catalog::{Catalog, EvolutionEvent};
 pub use codec::{CodecError, Decoder, Encoder, LifespanProbe};
 pub use concurrent::{CommitStats, ConcurrentDatabase};
 pub use database::{conform_to_scheme, decode_record, Database, DbError, PartitionRead};
-pub use heap::{HeapFile, RecordId};
-pub use page::{Page, SlotId, MAX_RECORD, PAGE_SIZE};
+pub use heap::HeapFile;
+pub use page::{Page, PageWriter, SlotId, MAX_RECORD, PAGE_SIZE};
 pub use paged::PagedDatabase;
 pub use partition::{Partition, PartitionMap, PartitionPolicy};
 pub use pool::{BufferPool, PageGuard, PoolFileId, PoolStats};

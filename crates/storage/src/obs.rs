@@ -42,8 +42,6 @@ pub(crate) struct StorageObs {
     pub pool_misses: Arc<Counter>,
     /// Frames evicted by the pool's clock sweep.
     pub pool_evictions: Arc<Counter>,
-    /// Dirty pages written back to disk (eviction or flush).
-    pub pool_writebacks: Arc<Counter>,
     /// Heap records paged scans visited (each a lifespan probe).
     pub paged_records_scanned: Arc<Counter>,
     /// Heap records paged scans decoded in full (those meeting the window).
@@ -106,10 +104,6 @@ pub(crate) fn storage_obs() -> &'static StorageObs {
             pool_evictions: r.counter(
                 "hrdm_pool_evictions_total",
                 "Frames evicted by the buffer pool's clock sweep",
-            ),
-            pool_writebacks: r.counter(
-                "hrdm_pool_writebacks_total",
-                "Dirty pages written back to disk by the buffer pool",
             ),
             paged_records_scanned: r.counter(
                 "hrdm_paged_records_scanned_total",

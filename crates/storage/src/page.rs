@@ -1,11 +1,15 @@
-//! Fixed-size slotted pages.
+//! Fixed-size slotted pages, and the one writer of page files.
 //!
 //! The classical layout: a header and slot directory grow from the front,
-//! record cells grow from the back. Deleting a record tombstones its slot;
-//! the page never moves live records (no compaction — callers rewrite pages
-//! wholesale, which suits the append-mostly heap files above).
+//! record cells grow from the back. Page files — partition heaps and
+//! B+trees — are written once, front to back, by [`PageWriter`], which
+//! seals every page as it writes it, and are only ever read afterwards,
+//! through the buffer pool, which verifies each page as it faults it in.
 
 use std::fmt;
+use std::fs::File;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 
 /// Page size in bytes.
 pub const PAGE_SIZE: usize = 8192;
@@ -84,7 +88,7 @@ impl Page {
         (self.free_ptr() as usize).saturating_sub(dir_end + SLOT)
     }
 
-    /// Number of slots (live and tombstoned).
+    /// Number of slots.
     pub fn len(&self) -> usize {
         self.slot_count() as usize
     }
@@ -111,32 +115,20 @@ impl Page {
         Some(id)
     }
 
-    /// The record in `slot`, or `None` for out-of-range or tombstoned slots.
+    /// The record in `slot`, or `None` for an out-of-range slot or one of
+    /// zero length (no writer makes one: records are never empty).
     pub fn get(&self, slot: SlotId) -> Option<&[u8]> {
         if slot >= self.slot_count() {
             return None;
         }
         let (offset, len) = self.slot(slot);
         if len == 0 {
-            return None; // tombstone
+            return None;
         }
         Some(&self.data[offset as usize..offset as usize + len as usize])
     }
 
-    /// Tombstones a slot. Returns whether the slot was live.
-    pub fn delete(&mut self, slot: SlotId) -> bool {
-        if slot >= self.slot_count() {
-            return false;
-        }
-        let (offset, len) = self.slot(slot);
-        if len == 0 {
-            return false;
-        }
-        self.set_slot(slot, offset, 0);
-        true
-    }
-
-    /// Iterates live records as `(slot, bytes)`.
+    /// Iterates the records as `(slot, bytes)`.
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &[u8])> + '_ {
         (0..self.slot_count()).filter_map(move |id| self.get(id).map(|r| (id, r)))
     }
@@ -164,8 +156,8 @@ impl Page {
 
     /// Mutable raw page bytes, for callers that impose their own layout on
     /// a page (the on-disk B+tree nodes). Bytes `[4..8)` remain reserved
-    /// for the [`Page::seal`] checksum; raw-layout users must leave them
-    /// zero and let the buffer pool seal/verify on write-back/fault.
+    /// for the [`Page::seal`] checksum; raw-layout users leave them zero
+    /// and let [`PageWriter`] seal the page and the pool verify it.
     pub fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
         &mut self.data
     }
@@ -176,6 +168,91 @@ impl Page {
             data: Box::new(bytes),
         }
     }
+}
+
+/// Writes one page file, front to back, once: each page is [`Page::seal`]ed
+/// as it is written, and [`PageWriter::finish`] fsyncs the file. Every
+/// error names the file.
+///
+/// Only the file's *pages* are made durable, not its directory entry: a
+/// checkpoint writes its files under `.tmp` names, renames them, and fsyncs
+/// the directory once for all of them before its commit point.
+pub struct PageWriter {
+    file: File,
+    path: PathBuf,
+    /// Pages written so far.
+    pages: u32,
+    /// The heap page [`PageWriter::push`] is filling, not yet written.
+    tail: Option<Page>,
+}
+
+impl PageWriter {
+    /// Creates (truncating) the file at `path`.
+    pub fn create(path: &Path) -> io::Result<PageWriter> {
+        Ok(PageWriter {
+            file: File::create(path).map_err(|e| with_path(path, e))?,
+            path: path.to_path_buf(),
+            pages: 0,
+            tail: None,
+        })
+    }
+
+    /// Seals `page` and writes it as the next page; returns its number.
+    /// A file is written by `append` (raw-layout pages) or by
+    /// [`PageWriter::push`] (heap records), not both: a page `push` is
+    /// still filling would land after the appended one.
+    pub fn append(&mut self, mut page: Page) -> io::Result<u32> {
+        let page_no = self.pages;
+        if page_no == u32::MAX {
+            let full = io::Error::other("page file full (2^32 page limit reached)");
+            return Err(with_path(&self.path, full));
+        }
+        page.seal();
+        self.file
+            .write_all(page.bytes())
+            .map_err(|e| with_path(&self.path, e))?;
+        self.pages += 1;
+        Ok(page_no)
+    }
+
+    /// Appends a heap record: to the page being filled when it fits there,
+    /// else to a fresh page, once the full one is written out. A record
+    /// must be non-empty and at most [`MAX_RECORD`] bytes, the capacity of
+    /// an empty page.
+    pub fn push(&mut self, record: &[u8]) -> io::Result<()> {
+        if let Some(page) = &mut self.tail {
+            if page.insert(record).is_some() {
+                return Ok(());
+            }
+        }
+        let mut fresh = Page::new();
+        if fresh.insert(record).is_none() {
+            let why = match record.len() {
+                0 => "empty records are not representable".to_string(),
+                n => format!("record of {n} bytes exceeds page capacity ({MAX_RECORD})"),
+            };
+            let e = io::Error::new(io::ErrorKind::InvalidInput, why);
+            return Err(with_path(&self.path, e));
+        }
+        if let Some(full) = self.tail.replace(fresh) {
+            self.append(full)?;
+        }
+        Ok(())
+    }
+
+    /// Writes the page [`PageWriter::push`] was filling, then fsyncs the
+    /// file.
+    pub fn finish(mut self) -> io::Result<()> {
+        if let Some(page) = self.tail.take() {
+            self.append(page)?;
+        }
+        self.file.sync_all().map_err(|e| with_path(&self.path, e))
+    }
+}
+
+/// `e`, its message prefixed with `path`.
+pub(crate) fn with_path(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
 impl fmt::Debug for Page {
@@ -282,19 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_tombstones() {
-        let mut p = Page::new();
-        let a = p.insert(b"one").unwrap();
-        let b = p.insert(b"two").unwrap();
-        assert!(p.delete(a));
-        assert!(!p.delete(a)); // already dead
-        assert_eq!(p.get(a), None);
-        assert_eq!(p.get(b), Some(&b"two"[..]));
-        let live: Vec<SlotId> = p.iter().map(|(id, _)| id).collect();
-        assert_eq!(live, vec![b]);
-    }
-
-    #[test]
     fn out_of_range_slots() {
         let p = Page::new();
         assert_eq!(p.get(0), None);
@@ -387,23 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn tombstones_survive_seal_and_reconstruct() {
-        let mut p = Page::new();
-        let a = p.insert(b"keep").unwrap();
-        let b = p.insert(b"kill").unwrap();
-        let c = p.insert(b"keep2").unwrap();
-        assert!(p.delete(b));
-        p.seal();
-        let q = Page::from_bytes(*p.bytes());
-        assert!(q.verify());
-        assert_eq!(q.len(), 3); // slots, live + tombstoned
-        assert_eq!(q.get(a), Some(&b"keep"[..]));
-        assert_eq!(q.get(b), None);
-        assert_eq!(q.get(c), Some(&b"keep2"[..]));
-        assert_eq!(q.iter().count(), 2);
-    }
-
-    #[test]
     fn verify_fails_after_post_seal_mutation() {
         let mut p = Page::new();
         p.insert(b"stable").unwrap();
@@ -412,11 +459,5 @@ mod tests {
         // Mutating through the normal API after seal invalidates the CRC.
         p.insert(b"sneaky").unwrap();
         assert!(!p.verify());
-        // Tombstoning after seal invalidates it too.
-        let mut q = Page::new();
-        let s = q.insert(b"doomed").unwrap();
-        q.seal();
-        q.delete(s);
-        assert!(!q.verify());
     }
 }

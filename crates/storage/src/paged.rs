@@ -9,10 +9,11 @@
 //! evolves (such a record re-derives every stored tuple), and all of a
 //! never-checkpointed directory, which is all WAL. Every other relation
 //! keeps its checkpoint image on disk as the **cold part** of its table:
-//! the image's all-cold [`PagedDatabase::partition_map`], the heaps opened
-//! so far and the scan counters, with only its WAL tail resident
-//! ([`PagedDatabase::resident`]), and answers no key index: the tail's
-//! cannot see the cold rows. The view holds any directory `load` holds,
+//! the heaps opened so far and the scan counters, with only its WAL tail
+//! resident ([`PagedDatabase::resident`]). Its one partition map is the
+//! image's, all cold ([`PagedDatabase::partition_map`]): a tail tuple
+//! enters no partition, and scans read the tail whole. It answers no key
+//! index: the tail's cannot see the cold rows. The view holds any directory `load` holds,
 //! fails where `load` fails, and is a read-only facade over one
 //! [`DbSnapshot`] of those tables; writes stay with the attached
 //! [`Database`] / `ConcurrentDatabase`.

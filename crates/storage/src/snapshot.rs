@@ -72,7 +72,7 @@ impl DbSnapshot {
     /// positions it yields stay valid against [`DbSnapshot::relation`] of
     /// the same snapshot.
     pub fn partitions(&self, name: &str) -> Option<&PartitionMap> {
-        self.tables.get(name).map(|t| t.partition_map())
+        self.tables.get(name).map(|t| &t.partitions)
     }
 
     /// Appends to `out`, in heap order, the tuples of `name`'s cold
@@ -91,11 +91,7 @@ impl DbSnapshot {
         let Some(table) = self.tables.get(name) else {
             return Err(DbError::Model(HrdmError::UnknownRelation(name.into())));
         };
-        let Some(cold) = &table.cold else {
-            return Ok(PartitionRead::default());
-        };
-        let how = ImageRead::Window(window);
-        cold.read(id, table.relation.scheme(), how, clip, out)
+        table.read_cold(id, ImageRead::Window(window), clip, out)
     }
 
     /// A resident snapshot of exactly the tuples meeting `window` (all
@@ -104,7 +100,7 @@ impl DbSnapshot {
         let mut tables = Tables::new();
         for (name, table) in &self.tables {
             let relation = table.materialize(ImageRead::Window(window))?;
-            let policy = table.partition_map().policy();
+            let policy = table.partitions.policy();
             tables.insert(Arc::clone(name), Arc::new(Table::build(relation, policy)));
         }
         let catalog = Arc::clone(&self.catalog);

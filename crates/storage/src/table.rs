@@ -20,8 +20,9 @@ use std::sync::{Arc, Mutex};
 /// index or partition yields are valid against `relation` by construction.
 ///
 /// A table a paged view opens may keep its checkpoint image on disk as
-/// its cold part: `relation` then holds only the WAL tail, and scans plan
-/// against the image's partition map ([`Table::partition_map`]).
+/// its cold part: `relation` then holds only the WAL tail, and
+/// `partitions` is the image's all-cold map, the one map its scans plan
+/// against (they read the resident tail whole).
 ///
 /// ## Sharing and copy-on-write
 ///
@@ -39,6 +40,8 @@ pub(crate) struct Table {
     /// `None` for a keyless scheme, or once some tuple carries no constant
     /// key value (then no key probe is answerable from an index).
     pub(crate) key: Option<KeyIndex>,
+    /// The relation's partitions; with a cold part, the image's (the
+    /// resident tail is in no partition).
     pub(crate) partitions: PartitionMap,
     /// The checkpoint image, when it stays on disk.
     pub(crate) cold: Option<Arc<ColdPart>>,
@@ -47,11 +50,10 @@ pub(crate) struct Table {
 /// Relation name → committed state.
 pub(crate) type Tables = BTreeMap<Arc<str>, Arc<Table>>;
 
-/// A relation's checkpoint image on disk: the all-cold partition map over
-/// its manifest, the heaps opened so far (lazily, on first fault) and
-/// what the scans read of them. Every clone of its table shares it.
+/// A relation's checkpoint image on disk, whose partitions its table's
+/// map holds: the heaps opened so far (lazily, on first fault) and what
+/// the scans read of them. Every clone of its table shares it.
 pub(crate) struct ColdPart {
-    map: PartitionMap,
     /// Where the heaps live: `<dir>/<name>.<epoch>.p<id>.heap`.
     dir: PathBuf,
     name: String,
@@ -69,7 +71,7 @@ pub(crate) struct ColdPart {
 impl std::fmt::Debug for ColdPart {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (name, epoch) = (&self.name, self.epoch);
-        write!(f, "ColdPart({name} @ {epoch}: {:?})", self.map)
+        write!(f, "ColdPart({name} @ {epoch})")
     }
 }
 
@@ -100,38 +102,6 @@ impl ColdPart {
         }
         Ok(heap)
     }
-
-    /// Appends to `out`, in heap order, the tuples of partition `id` that
-    /// `how` reads, on `scheme`, restricted to `clip` ([`read_partition`]).
-    pub(crate) fn read(
-        &self,
-        id: i64,
-        scheme: &Scheme,
-        how: ImageRead<'_>,
-        clip: Option<&Lifespan>,
-        out: &mut Vec<Tuple>,
-    ) -> Result<PartitionRead, DbError> {
-        let Some(part) = self.map.partition(id) else {
-            return Ok(PartitionRead::default());
-        };
-        let count = (id, part.len() as u64);
-        let ImageRead::Window(window) = how else {
-            let heap = self.heap(id, false)?;
-            return read_partition(&heap, count, scheme, None, clip, None, out);
-        };
-        let heap = self.heap(id, true)?;
-        let zones = part.page_zones();
-        let read = read_partition(&heap, count, scheme, window, clip, zones, out)?;
-        self.records_scanned
-            .fetch_add(read.scanned, Ordering::SeqCst);
-        self.records_decoded
-            .fetch_add(read.decoded, Ordering::SeqCst);
-        if hrdm_obs::enabled() {
-            storage_obs().paged_records_scanned.add(read.scanned);
-            storage_obs().paged_records_decoded.add(read.decoded);
-        }
-        Ok(read)
-    }
 }
 
 impl Table {
@@ -154,9 +124,7 @@ impl Table {
         (dir, name, epoch): (&Path, &str, u64),
         pool: &Arc<BufferPool>,
     ) -> Table {
-        let policy = map.policy();
         let cold = ColdPart {
-            map,
             dir: dir.to_path_buf(),
             name: name.to_string(),
             epoch,
@@ -165,20 +133,28 @@ impl Table {
             records_scanned: AtomicU64::default(),
             records_decoded: AtomicU64::default(),
         };
+        let relation = Relation::new(scheme);
         Table {
+            key: KeyIndex::build(&relation),
+            partitions: map,
+            relation,
             cold: Some(Arc::new(cold)),
-            ..Table::build(Relation::new(scheme), policy)
         }
     }
 
     /// Appends a pre-validated tuple and registers it with every access
-    /// path. Most appends are O(log n); the ones that trigger an amortizing
-    /// merge — a key-index tier fold, or a run merge in the partition the
-    /// tuple lands in — are counted and timed in the registry.
+    /// path: the key index, and the partition map unless the table is cold
+    /// (its map is the image's). Most appends are O(log n); the ones that
+    /// trigger an amortizing merge — a key-index tier fold, or a run merge
+    /// in the partition the tuple lands in — are counted and timed in the
+    /// registry.
     pub(crate) fn push(&mut self, tuple: Tuple) {
         let pos = self.relation.len();
         let started = hrdm_obs::enabled().then(std::time::Instant::now);
-        let mut folds = self.partitions.insert(pos, &tuple);
+        let mut folds = match self.cold {
+            None => self.partitions.insert(pos, &tuple),
+            Some(_) => 0,
+        };
         if let Some(key) = &mut self.key {
             let before = key.folds();
             if key.insert(pos, &tuple) {
@@ -201,17 +177,44 @@ impl Table {
         self.key.as_ref().filter(|_| self.cold.is_none())
     }
 
-    /// The partition map a scan plans against: the cold image's when there
-    /// is one (its scans then read the resident tuples whole).
-    pub(crate) fn partition_map(&self) -> &PartitionMap {
-        self.cold
-            .as_ref()
-            .map_or(&self.partitions, |cold| &cold.map)
-    }
-
     /// Every tuple of the relation, cold or resident.
     pub(crate) fn tuple_count(&self) -> usize {
-        self.relation.len() + self.cold.as_ref().map_or(0, |c| c.map.tuple_count())
+        match self.cold {
+            None => self.relation.len(),
+            Some(_) => self.relation.len() + self.partitions.tuple_count(),
+        }
+    }
+
+    /// Appends to `out`, in heap order, the tuples of cold partition `id`
+    /// that `how` reads, restricted to `clip` ([`read_partition`]). Nothing
+    /// for a partition that is not in the image.
+    pub(crate) fn read_cold(
+        &self,
+        id: i64,
+        how: ImageRead<'_>,
+        clip: Option<&Lifespan>,
+        out: &mut Vec<Tuple>,
+    ) -> Result<PartitionRead, DbError> {
+        let (Some(cold), Some(part)) = (&self.cold, self.partitions.partition(id)) else {
+            return Ok(PartitionRead::default());
+        };
+        let (count, scheme) = ((id, part.len() as u64), self.relation.scheme());
+        let ImageRead::Window(window) = how else {
+            let heap = cold.heap(id, false)?;
+            return read_partition(&heap, count, scheme, None, clip, None, out);
+        };
+        let heap = cold.heap(id, true)?;
+        let zones = part.page_zones();
+        let read = read_partition(&heap, count, scheme, window, clip, zones, out)?;
+        cold.records_scanned
+            .fetch_add(read.scanned, Ordering::SeqCst);
+        cold.records_decoded
+            .fetch_add(read.decoded, Ordering::SeqCst);
+        if hrdm_obs::enabled() {
+            storage_obs().paged_records_scanned.add(read.scanned);
+            storage_obs().paged_records_decoded.add(read.decoded);
+        }
+        Ok(read)
     }
 
     /// The relation, read into memory as `how` says: the cold partitions
@@ -223,12 +226,11 @@ impl Table {
             ImageRead::Full => None,
             ImageRead::Window(window) => window,
         };
-        let scheme = self.relation.scheme();
         let mut tuples: Vec<Tuple> = Vec::new();
         let mut any_clipped = false;
-        if let Some(cold) = &self.cold {
-            for id in cold.map.cold_ids(window) {
-                any_clipped |= cold.read(id, scheme, how, None, &mut tuples)?.clipped;
+        if self.cold.is_some() {
+            for id in self.partitions.cold_ids(window) {
+                any_clipped |= self.read_cold(id, how, None, &mut tuples)?.clipped;
             }
         }
         tuples.extend(
@@ -239,11 +241,60 @@ impl Table {
         );
         // A relation is a set: its checkpoint image and WAL tail hold
         // distinct tuples, and only clipping can make two equal.
-        let scheme = scheme.clone();
+        let scheme = self.relation.scheme().clone();
         Ok(if any_clipped {
             Relation::from_parts_unchecked(scheme, tuples)
         } else {
             Relation::from_distinct_unchecked(scheme, tuples)
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hrdm_core::{HistoricalDomain, TemporalValue, Value, ValueKind};
+
+    /// WAL-tail pushes into a cold table feed its resident relation and
+    /// key index, and leave its one partition map — the image's — as the
+    /// manifest describes it: the same partitions and counts, all cold.
+    #[test]
+    fn pushes_into_a_cold_table_leave_the_image_map_alone() {
+        let era = Lifespan::interval(0, 1_000);
+        let scheme = Scheme::builder()
+            .key_attr("K", ValueKind::Int, era.clone())
+            .attr("V", HistoricalDomain::int(), era)
+            .build()
+            .unwrap();
+        let manifest = [(0, 5, 0, 20), (2, 7, 32, 60)];
+        let map = PartitionMap::from_manifest(PartitionPolicy::SpanLog2(4), &manifest);
+        let dir = std::env::temp_dir();
+        let pool = BufferPool::new(4);
+        let mut table = Table::cold(scheme.clone(), map, (&dir, "r", 1), &pool);
+        for k in 0..100i64 {
+            let life = Lifespan::interval(k * 7, k * 7 + 3);
+            let tuple = Tuple::builder(life.clone())
+                .constant("K", k)
+                .value("V", TemporalValue::constant(&life, Value::Int(k)))
+                .finish(&scheme)
+                .unwrap();
+            table.push(tuple);
+        }
+        let parts: Vec<(i64, usize, bool)> = table
+            .partitions
+            .iter()
+            .map(|(id, p)| (id, p.len(), p.is_cold()))
+            .collect();
+        assert_eq!(parts, vec![(0, 5, true), (2, 7, true)]);
+        assert_eq!(table.partitions.tuple_count(), 12);
+        assert_eq!(table.relation.len(), 100);
+        assert_eq!(table.tuple_count(), 112);
+        let key = table.key.as_ref().expect("the tail's key index is fed");
+        assert_eq!(key.lookup(&[Value::Int(42)]), &[42]);
+        assert!(
+            table.key_index().is_none(),
+            "a cold table answers no key index"
+        );
+        assert_eq!(pool.stats().misses, 0, "nothing was read");
     }
 }

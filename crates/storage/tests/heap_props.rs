@@ -1,16 +1,20 @@
-//! Property test: a [`HeapFile`] driven through an arbitrary
-//! insert/delete/sync/reopen schedule stays equivalent to a trivial
-//! in-memory model — under a pool small enough that eviction and
-//! re-faulting interleave with every operation.
+//! Property test: a heap written by [`PageWriter::push`] from an
+//! arbitrary sequence of small and near-page-size records, then reopened
+//! as a [`HeapFile`], reads back exactly what a trivial in-memory model
+//! of the greedy page fill predicts — under a pool small enough that
+//! eviction and re-faulting interleave with every page read.
 
-use hrdm_storage::{BufferPool, HeapFile, SlotId};
+use hrdm_storage::{BufferPool, HeapFile, PageWriter, PAGE_SIZE};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
+
+/// Page header and slot-directory entry bytes (the page layout).
+const HEADER: usize = 8;
+const SLOT: usize = 4;
 
 fn tmp() -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -23,30 +27,13 @@ fn tmp() -> PathBuf {
     p
 }
 
-/// One step of the schedule. Deletes address the model's `i % live`-th
-/// surviving record so every generated index is meaningful.
-#[derive(Clone, Debug)]
-enum Op {
-    /// Insert a record of the given length (patterned bytes).
-    Insert(usize),
-    /// Delete the `i`-th live record (mod the live count).
-    Delete(usize),
-    /// Flush dirty pages to disk.
-    Sync,
-    /// Sync, drop the handle, and reopen the file cold.
-    Reopen,
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn len_strategy() -> impl Strategy<Value = usize> {
     // Hand-rolled weights (the vendored proptest's `prop_oneof!` has no
-    // weighted arms): 5 small inserts : 1 near-page-size insert (forces
-    // fresh page allocations) : 3 deletes : 1 sync : 1 reopen.
-    (0u8..11, any::<usize>()).prop_map(|(k, x)| match k {
-        0..=4 => Op::Insert(1 + x % 599),
-        5 => Op::Insert(7_000 + x % 1_180),
-        6..=8 => Op::Delete(x),
-        9 => Op::Sync,
-        _ => Op::Reopen,
+    // weighted arms): 5 small records : 1 near-page-size record (forces
+    // fresh pages).
+    (0u8..6, any::<usize>()).prop_map(|(k, x)| match k {
+        0..=4 => 1 + x % 599,
+        _ => 7_000 + x % 1_180,
     })
 }
 
@@ -58,64 +45,65 @@ fn record(seq: usize, len: usize) -> Vec<u8> {
         .collect()
 }
 
+/// The model: each record goes on the last page while it fits there
+/// (its bytes plus one slot-directory entry), else on a fresh page.
+fn model_pages(records: &[Vec<u8>]) -> Vec<Vec<Vec<u8>>> {
+    let mut pages: Vec<(usize, Vec<Vec<u8>>)> = Vec::new();
+    for r in records {
+        match pages.last_mut() {
+            Some((used, page)) if *used + r.len() + SLOT <= PAGE_SIZE - HEADER => {
+                *used += r.len() + SLOT;
+                page.push(r.clone());
+            }
+            _ => pages.push((r.len() + SLOT, vec![r.clone()])),
+        }
+    }
+    pages.into_iter().map(|(_, page)| page).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::from_env_or(64))]
 
     #[test]
-    fn heap_schedule_matches_in_memory_model(ops in prop::collection::vec(op_strategy(), 1..60)) {
+    fn heap_schedule_matches_in_memory_model(lens in prop::collection::vec(len_strategy(), 0..60)) {
         let path = tmp();
-        // 2 frames: every multi-page state forces eviction + re-fault.
+        let records: Vec<Vec<u8>> =
+            lens.iter().enumerate().map(|(seq, &len)| record(seq, len)).collect();
+        let mut writer = PageWriter::create(&path).unwrap();
+        for r in &records {
+            writer.push(r).unwrap();
+        }
+        writer.finish().unwrap();
+        let model = model_pages(&records);
+        prop_assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            (model.len() * PAGE_SIZE) as u64
+        );
+
+        // 2 frames: every multi-page file forces eviction + re-fault.
         let pool = BufferPool::new(2);
-        let mut heap = HeapFile::create_in(&path, Arc::clone(&pool)).unwrap();
-        let mut model: BTreeMap<(u32, SlotId), Vec<u8>> = BTreeMap::new();
-
-        for (seq, op) in ops.into_iter().enumerate() {
-            match op {
-                Op::Insert(len) => {
-                    let bytes = record(seq, len);
-                    let id = heap.insert(&bytes).unwrap();
-                    let prev = model.insert((id.page, id.slot), bytes);
-                    prop_assert!(prev.is_none(), "RecordId reused while live");
-                }
-                Op::Delete(i) => {
-                    if model.is_empty() {
-                        continue;
-                    }
-                    let key = *model.keys().nth(i % model.len()).unwrap();
-                    let id = hrdm_storage::RecordId { page: key.0, slot: key.1 };
-                    prop_assert!(heap.delete(id).unwrap());
-                    model.remove(&key);
-                    // A second delete of the same id is a no-op.
-                    prop_assert!(!heap.delete(id).unwrap());
-                }
-                Op::Sync => heap.sync().unwrap(),
-                Op::Reopen => {
-                    heap.sync().unwrap();
-                    drop(heap);
-                    heap = HeapFile::open_in(&path, Arc::clone(&pool)).unwrap();
-                }
-            }
-
-            // Point reads agree with the model.
-            for (&(page, slot), bytes) in &model {
-                let id = hrdm_storage::RecordId { page, slot };
-                prop_assert_eq!(heap.get(id).unwrap().as_deref(), Some(&bytes[..]));
-            }
+        let heap = HeapFile::open_in(&path, Arc::clone(&pool)).unwrap();
+        prop_assert_eq!(heap.page_count(), model.len());
+        for (page_no, want) in model.iter().enumerate() {
+            let mut got = Vec::new();
+            heap.scan_page(page_no as u32, |rec| {
+                got.push(rec.to_vec());
+                Ok::<_, std::io::Error>(())
+            })
+            .unwrap();
+            prop_assert_eq!(&got, want);
         }
 
-        // Final full scan agrees with the model exactly (same ids, same
-        // bytes, ascending order).
+        // A full scan of a reopened handle reads every record, in order.
+        drop(heap);
+        let heap = HeapFile::open_in(&path, pool).unwrap();
         let mut scanned = Vec::new();
-        heap.scan(|id, rec| {
-            scanned.push((id, rec.to_vec()));
+        heap.scan(|rec| {
+            scanned.push(rec.to_vec());
             Ok::<_, std::io::Error>(())
         })
         .unwrap();
-        prop_assert_eq!(scanned.len(), model.len());
-        for ((id, rec), (&(page, slot), bytes)) in scanned.iter().zip(model.iter()) {
-            prop_assert_eq!((id.page, id.slot), (page, slot));
-            prop_assert_eq!(rec, bytes);
-        }
+        prop_assert_eq!(scanned, records);
 
         drop(heap);
         std::fs::remove_file(&path).ok();

@@ -243,6 +243,32 @@ fn unreadable_wal_errors_name_the_log_file() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// A save that cannot write one of its files fails with an I/O error
+/// naming that file: here a directory squats on the heap's and the
+/// B+tree's temporary names, on the WAL, and on the catalog's temporary
+/// name in turn.
+#[test]
+fn save_errors_name_the_file_they_could_not_write() {
+    let mut db = Database::new();
+    db.create_relation("r", scheme()).unwrap();
+    db.insert("r", tup(1, 0, 10)).unwrap();
+    for squatted in [
+        "r.0.p0.heap.tmp",
+        "r.0.btx.tmp",
+        "wal.0.log",
+        "catalog.hrdm.tmp",
+    ] {
+        let dir = tmp("squatted");
+        let path = dir.join(squatted);
+        std::fs::create_dir_all(&path).unwrap();
+        let err = db.save(&dir).unwrap_err();
+        assert!(matches!(err, DbError::Io(_)), "{squatted}: {err:?}");
+        let err = err.to_string();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
 /// A WAL record that does not apply to its checkpoint — here a second
 /// creation of a checkpointed relation — fails every open alike, with a
 /// `BadFile` naming the log file and the record's index.
