@@ -378,9 +378,10 @@ fn run_tracked() -> Vec<BenchResult> {
     }
 
     // Dirty-only checkpoint: insert into one partition, checkpoint — the
-    // rewrite covers one partition's heap file, the other 63 are hard
-    // links. (Gated: the dominant cost is the catalog+heap write of a
-    // single small partition, stable across runs on one runner class.)
+    // new heap file holds that one partition's run, and the other 63 keep
+    // pointing into the first checkpoint's file. (Gated: the dominant cost
+    // is the catalog+heap write of a single small partition, stable across
+    // runs on one runner class.)
     {
         use hrdm_bench::partition_fixture::{scheme as part_scheme, tup as part_tup, SPAN_LOG2};
         use hrdm_storage::PartitionPolicy;
@@ -550,7 +551,6 @@ fn registry_metrics() -> Vec<(String, f64)> {
         "hrdm_snapshot_publish_total",
         "hrdm_storage_index_folds_total",
         "hrdm_checkpoint_dirty_partitions_total",
-        "hrdm_checkpoint_linked_partitions_total",
         "hrdm_pool_hits_total",
         "hrdm_pool_misses_total",
         "hrdm_pool_evictions_total",

@@ -4,10 +4,10 @@
 //!
 //! The tree is *static*: it is bulk-loaded at checkpoint time from the
 //! relation's (birth, position) pairs, written once, and only ever read
-//! afterwards (the next checkpoint writes a new file; clean epochs are
-//! carried over as hard links, exactly like partition heaps). That
-//! sidesteps split/merge machinery entirely while giving the read path
-//! a real disk-resident index: a range probe faults in `height` + a few
+//! afterwards (every checkpoint that writes a heap file for the relation
+//! writes a new tree beside it, under the same epoch). That sidesteps
+//! split/merge machinery entirely while giving the read path a real
+//! disk-resident index: a range probe faults in `height` + a few
 //! leaf pages through the buffer pool, never the whole file.
 //!
 //! # Layout

@@ -6,8 +6,11 @@
 //! * `catalog.hrdm` — magic + version + **checkpoint epoch** + catalog +
 //!   CRC; renamed into place atomically, so it is the commit point of
 //!   every checkpoint;
-//! * `<relation>.<epoch>.heap` — one heap file per relation per
-//!   checkpoint epoch, each record an encoded tuple;
+//! * `<relation>.<epoch>.heap` — the heap file a checkpoint wrote for a
+//!   relation, each of its partitions a run of whole pages, each record an
+//!   encoded tuple. A partition that has not changed since keeps pointing
+//!   into the file of the epoch that wrote it, so a relation's catalog
+//!   entry may name several epochs' files;
 //! * `wal.<epoch>.log` — the write-ahead log of mutations since the
 //!   checkpoint that produced `epoch`.
 //!
@@ -20,18 +23,21 @@
 //! holds applicable records. [`Database::open`] recovers by loading the
 //! checkpointed state and replaying the WAL tail, truncating torn tails.
 //!
-//! [`Database::checkpoint`] folds the WAL into fresh heap files under the
-//! *next* epoch, then commits by atomically renaming the new catalog into
-//! place (tmp file + fsync + rename). A kill at any instant leaves either
-//! the old epoch's files + intact WAL, or the new epoch's files + empty
-//! WAL — both loadable, neither losing an acknowledged write.
+//! [`Database::checkpoint`] folds the WAL into a fresh heap file per
+//! changed relation under the *next* epoch, then commits by atomically
+//! renaming the new catalog into place (tmp file + fsync + rename). A kill
+//! at any instant leaves either the old catalog + intact WAL, or the new
+//! catalog + empty WAL — both loadable, neither losing an acknowledged
+//! write. A heap file is deleted only once no committed catalog names it.
 
 use crate::btree::LifespanBTree;
 use crate::catalog::Catalog;
 use crate::codec::{CodecError, Decoder, Encoder};
 use crate::heap::HeapFile;
-use crate::page::{crc32, PageWriter};
-use crate::partition::{birth_of, position_u32, PageZone, PartitionMap, PartitionPolicy};
+use crate::page::{crc32, PageWriter, PAGE_SIZE};
+use crate::partition::{
+    birth_of, position_u32, HeapRun, ManifestRow, PageZone, PartitionMap, PartitionPolicy,
+};
 use crate::pool::BufferPool;
 use crate::snapshot::DbSnapshot;
 use crate::table::{ImageRead, Table, Tables};
@@ -39,7 +45,7 @@ use crate::wal::{Wal, WalRecord};
 use hrdm_core::{Attribute, HistoricalDomain, HrdmError, Relation, Scheme, Tuple};
 use hrdm_index::{Hull, KeyIndex};
 use hrdm_time::{Chronon, Lifespan};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -47,9 +53,15 @@ use std::sync::{Arc, OnceLock};
 const MAGIC: &[u8; 4] = b"HRDM";
 /// Catalog header version. v3 added the partition section: the boundary
 /// policy plus, per relation, the per-partition manifest (id, tuple count,
-/// min/max lifespan summary) that [`read_checkpoint`] uses to reassemble
-/// relations from their per-partition heap files.
-const VERSION: u32 = 3;
+/// min/max lifespan summary). v4 adds each partition's [`HeapRun`], where
+/// [`read_checkpoint`] finds its records in the relation's heap files.
+const VERSION: u32 = 4;
+/// An older heap file keeps its live runs while its dead pages are at most
+/// this many times its live ones; past that, a checkpoint rewrites them and
+/// the file goes. Dead pages never outnumber live ones.
+const MAX_DEAD_PER_LIVE_PAGE: u64 = 1;
+/// Partition id → where a checkpoint left its members.
+type Runs = BTreeMap<i64, HeapRun>;
 const CATALOG_FILE: &str = "catalog.hrdm";
 
 /// Errors from database persistence.
@@ -159,8 +171,7 @@ pub struct Database {
     /// rare catalog-changing ops (create, evolution) clone it first.
     catalog: Arc<Catalog>,
     /// Per relation: tuples plus the access paths over them. Checkpoints
-    /// persist one heap file per partition and rewrite only the dirty
-    /// ones.
+    /// write the dirty partitions of a relation into one heap file.
     tables: Tables,
     /// `Some` when attached to a directory (durable mode).
     attachment: Option<Attachment>,
@@ -168,7 +179,7 @@ pub struct Database {
     /// snapshots, so readers can order the states they observe.
     ops_applied: u64,
     /// The boundary policy new partition maps are built under. Persisted
-    /// in the catalog (header v3) at checkpoint; **not** WAL-logged —
+    /// in the catalog at checkpoint; **not** WAL-logged —
     /// partitioning is physical, so a policy change between checkpoints
     /// reverts to the persisted policy on crash recovery (same data,
     /// different cut).
@@ -383,7 +394,7 @@ impl Database {
     /// Restores the state captured by [`Database::undo_point`] — memory
     /// returns to exactly the pre-batch (durable) state, so a write that
     /// returned `Err` never becomes visible, not even through a later
-    /// checkpoint. Partition dirty flags come back as they were.
+    /// checkpoint. Partition images come back as they were.
     fn rollback(&mut self, undo: BatchUndo) {
         self.catalog = undo.catalog;
         self.tables = undo.tables;
@@ -571,14 +582,6 @@ impl Database {
         }
     }
 
-    /// Marks every relation's partitions clean — the on-disk epoch now
-    /// carries exactly their membership.
-    fn mark_partitions_clean(&mut self) {
-        for table in self.tables.values_mut() {
-            Arc::make_mut(table).partitions.mark_clean();
-        }
-    }
-
     /// An immutable, cheaply-taken snapshot of the committed state.
     ///
     /// Cost is one reference-count bump per relation (plus the catalog's):
@@ -623,9 +626,9 @@ impl Database {
     /// checkpoint's catalog and heap files, plus every intact record of the
     /// WAL tail, replayed through the same applier that commits writes. On
     /// top of that, `open` mends the directory: it truncates a torn WAL
-    /// tail, creates the WAL when there is none, and removes stray files of
-    /// aborted checkpoints. The returned database is durable: every
-    /// acknowledged write survives a crash.
+    /// tail, creates the WAL when there is none, and removes the database
+    /// files the catalog does not reference. The returned database is
+    /// durable: every acknowledged write survives a crash.
     pub fn open(dir: &Path) -> Result<Database, DbError> {
         std::fs::create_dir_all(dir).map_err(|e| io_with_path(dir, e))?;
         let (mut db, epoch, torn_at) = match recover(dir, BufferPool::global(), |_, _| true)? {
@@ -639,7 +642,7 @@ impl Database {
             None => Ok(()),
         }
         .map_err(|e| io_with_path(&wal_file, e))?;
-        cleanup_stray_files(dir, epoch);
+        sweep_unreferenced_files(dir);
         let wal = Wal::open(&wal_file).map_err(|e| io_with_path(&wal_file, e))?;
         db.attachment = Some(Attachment {
             dir: dir.to_path_buf(),
@@ -654,12 +657,14 @@ impl Database {
     /// are written under the next epoch, then the new catalog is renamed
     /// into place — the atomic commit point. A kill at any instant leaves
     /// a loadable database that has lost no acknowledged write. Clears a
-    /// poisoned WAL (disk is resynchronized with memory).
+    /// poisoned WAL (disk is resynchronized with memory). A checkpoint that
+    /// fails poisons it: the commit rename may have landed before the
+    /// error, so appending to the old epoch's log could lose writes.
     ///
-    /// Heap files are per partition, and only **dirty** partitions (those
-    /// whose membership changed since the previous checkpoint) are
-    /// rewritten; clean partitions are carried into the new epoch by hard
-    /// link — a checkpoint after a burst of inserts into one chronon
+    /// Only **dirty** partitions (those whose membership changed since the
+    /// previous checkpoint) are written, as runs of one new heap file per
+    /// relation; clean partitions keep pointing into the files they were
+    /// written in — a checkpoint after a burst of inserts into one chronon
     /// range costs one partition rewrite, not a full-database rewrite.
     pub fn checkpoint(&mut self) -> Result<(), DbError> {
         let started = hrdm_obs::enabled().then(std::time::Instant::now);
@@ -672,19 +677,22 @@ impl Database {
             }
         };
         let new_epoch = old_epoch + 1;
-        self.write_state(&dir, new_epoch, Some(old_epoch))?;
-        // Commit happened (catalog renamed): switch the live attachment.
-        // From here on, recovery reads epoch e+1 — if the new WAL cannot
-        // be opened, appending to the *old* one would lose writes, so the
-        // attachment must be poisoned, not left silently on the old epoch.
+        // Once the catalog is renamed, recovery reads epoch e+1: if the
+        // new WAL cannot be opened, or the commit's directory sync fails,
+        // appending to the *old* log would lose writes, so the attachment
+        // is poisoned, not left silently on the old epoch.
         let wal_file = wal_path(&dir, new_epoch);
-        let wal = match Wal::open(&wal_file) {
-            Ok(wal) => wal,
+        let committed = self.write_state(&dir, new_epoch, true).and_then(|written| {
+            let wal = Wal::open(&wal_file).map_err(|e| io_with_path(&wal_file, e))?;
+            Ok((written, wal))
+        });
+        let (written, wal) = match committed {
+            Ok(committed) => committed,
             Err(e) => {
                 if let Some(att) = &mut self.attachment {
                     att.poisoned = true;
                 }
-                return Err(io_with_path(&wal_file, e));
+                return Err(e);
             }
         };
         self.attachment = Some(Attachment {
@@ -693,9 +701,13 @@ impl Database {
             wal,
             poisoned: false,
         });
-        // The new epoch carries every partition's current membership.
-        self.mark_partitions_clean();
-        cleanup_stray_files(&dir, new_epoch);
+        // Every partition now knows where its current membership is.
+        for (name, runs) in written {
+            if let Some(table) = self.tables.get_mut(&name) {
+                Arc::make_mut(table).partitions.set_images(runs);
+            }
+        }
+        sweep_unreferenced_files(&dir);
         if let Some(started) = started {
             crate::obs::storage_obs()
                 .checkpoint_ns
@@ -720,85 +732,46 @@ impl Database {
             }
         }
         std::fs::create_dir_all(dir).map_err(|e| io_with_path(dir, e))?;
-        self.write_state(dir, 0, None)?;
-        cleanup_stray_files(dir, 0);
+        self.write_state(dir, 0, false)?;
+        sweep_unreferenced_files(dir);
         Ok(())
     }
 
-    /// Writes the complete current state under `epoch`: one heap file per
-    /// partition, an empty WAL, then the catalog (with the partition
-    /// manifest) via tmp + fsync + rename — the commit point; files of a
-    /// new epoch are invisible until it lands.
-    ///
-    /// A rewritten partition's heap holds its members in (birth chronon,
-    /// position) order, not insertion order, so each heap page covers a
-    /// narrow birth range and a cold scan can skip the pages a window
-    /// misses (see [`crate::PagedDatabase`]). A reopened relation is
-    /// therefore partition-major and birth-ordered within a partition.
-    ///
-    /// With `link_from = Some(old_epoch)` (the checkpoint path), clean
-    /// partitions are hard-linked from the old epoch's files instead of
-    /// rewritten; heap files are immutable once committed, so sharing the
-    /// inode across epochs is safe. A failed link silently degrades to a
-    /// fresh write.
-    ///
-    /// Every heap and B+tree file is written front to back by one
-    /// [`PageWriter`], never through the buffer pool, and every I/O error
-    /// names the file it concerns.
-    fn write_state(&self, dir: &Path, epoch: u64, link_from: Option<u64>) -> Result<(), DbError> {
-        let mut linked = 0u64;
-        let mut rewritten = 0u64;
+    /// Writes the complete current state under `epoch`: a heap file per
+    /// relation with anything to write ([`write_heap`]; without `carry`, a
+    /// save into another directory, everything), an empty WAL, then the
+    /// catalog via tmp + fsync + rename — the commit point. Returns every
+    /// partition's run of each relation it wrote a heap file for. Every I/O
+    /// error names the file it concerns.
+    fn write_state(
+        &self,
+        dir: &Path,
+        epoch: u64,
+        carry: bool,
+    ) -> Result<Vec<(Arc<str>, Runs)>, DbError> {
+        // Catalog file: MAGIC | VERSION | EPOCH | payload-len | payload | crc,
+        // where the v4 payload is catalog ‖ partition policy ‖ manifest.
+        let mut enc = Encoder::new();
+        self.catalog.encode(&mut enc);
+        self.partition_policy.encode(&mut enc);
+        enc.put_u64(self.tables.len() as u64);
+        let mut written = Vec::new();
         for (name, table) in &self.tables {
-            let (rel, parts) = (&table.relation, &table.partitions);
-            let mut any_dirty = false;
-            for (id, part) in parts.iter() {
-                let final_path = partition_heap_path(dir, name, epoch, id);
-                if let Some(old_epoch) = link_from {
-                    if !part.is_dirty()
-                        && link_partition_file(
-                            &partition_heap_path(dir, name, old_epoch, id),
-                            &final_path,
-                        )
-                    {
-                        linked += 1;
-                        continue;
-                    }
-                }
-                any_dirty = true;
-                rewritten += 1;
-                let tmp_path = tmp_sibling(&final_path);
-                let mut heap = PageWriter::create(&tmp_path)?;
-                // Birth order (ties in position order: the sort is
-                // stable), so one heap page holds a narrow birth range and
-                // its zone can prune a narrow window.
-                let mut members: Vec<&Tuple> =
-                    part.positions().filter_map(|p| rel.tuple_at(p)).collect();
-                members.sort_by_key(|t| birth_of(t).tick());
-                for tuple in members {
-                    let mut e = Encoder::new();
-                    e.put_tuple(tuple);
-                    heap.push(&e.finish())?;
-                }
-                heap.finish()?;
-                rename(&tmp_path, &final_path)?;
+            let runs = write_heap(dir, name, table, epoch, carry)?;
+            enc.put_str(name);
+            enc.put_u64(runs.len() as u64);
+            for ((id, part), run) in table.partitions.iter().zip(runs.values()) {
+                let (min_lo, max_hi) = part.summary_bounds();
+                enc.put_i64(id);
+                enc.put_u64(part.len() as u64);
+                enc.put_i64(min_lo);
+                enc.put_i64(max_hi);
+                enc.put_u64(run.epoch);
+                enc.put_u64(run.first_page.into());
+                enc.put_u64(run.pages.into());
             }
-            // The relation's on-disk B+tree over (birth, position): one
-            // file per relation per epoch, linked across epochs whenever
-            // no partition changed (same membership ⇒ same entries).
-            let btx_final = btree_path(dir, name, epoch);
-            let carried = !any_dirty
-                && link_from.is_some_and(|old| {
-                    link_partition_file(&btree_path(dir, name, old), &btx_final)
-                });
-            if !carried {
-                let mut entries: Vec<(i64, u32)> = rel
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, tuple)| (birth_of(tuple).tick(), position_u32(pos)))
-                    .collect();
-                let tmp_path = tmp_sibling(&btx_final);
-                LifespanBTree::build(&tmp_path, &mut entries)?;
-                rename(&tmp_path, &btx_final)?;
+            if runs.values().any(|run| run.epoch == epoch) {
+                written.push((Arc::clone(name), runs));
             }
         }
         let wal_file = wal_path(dir, epoch);
@@ -806,26 +779,8 @@ impl Database {
         // Every file of the new epoch now has its final name; make those
         // names durable — once, for all of them — before the catalog that
         // refers to them can be.
-        fsync_dir(dir);
+        fsync_dir(dir)?;
 
-        // Catalog file: MAGIC | VERSION | EPOCH | payload-len | payload | crc,
-        // where the v3 payload is catalog ‖ partition policy ‖ manifest.
-        let mut enc = Encoder::new();
-        self.catalog.encode(&mut enc);
-        self.partition_policy.encode(&mut enc);
-        enc.put_u64(self.tables.len() as u64);
-        for (name, table) in &self.tables {
-            let parts = &table.partitions;
-            enc.put_str(name);
-            enc.put_u64(parts.partition_count() as u64);
-            for (id, part) in parts.iter() {
-                let (min_lo, max_hi) = part.summary_bounds();
-                enc.put_i64(id);
-                enc.put_u64(part.len() as u64);
-                enc.put_i64(min_lo);
-                enc.put_i64(max_hi);
-            }
-        }
         let payload = enc.finish();
         let mut file = Vec::with_capacity(payload.len() + 24);
         file.extend_from_slice(MAGIC);
@@ -844,15 +799,17 @@ impl Database {
             .map_err(|e| io_with_path(&tmp_path, e))?;
         rename(&tmp_path, &final_path)?;
         // Make the commit point itself durable before reporting success.
-        fsync_dir(dir);
-        // Only checkpoints (link_from set) report partition-rewrite work;
-        // a detached save always rewrites everything by construction.
-        if link_from.is_some() && hrdm_obs::enabled() {
-            let obs = crate::obs::storage_obs();
-            obs.checkpoint_dirty_partitions.add(rewritten);
-            obs.checkpoint_linked_partitions.add(linked);
+        fsync_dir(dir)?;
+        // Only checkpoints report partition-rewrite work; a save into
+        // another directory rewrites everything by construction.
+        if carry && hrdm_obs::enabled() {
+            let runs = written.iter().flat_map(|(_, runs)| runs.values());
+            let rewritten = runs.filter(|run| run.epoch == epoch).count() as u64;
+            crate::obs::storage_obs()
+                .checkpoint_dirty_partitions
+                .add(rewritten);
         }
-        Ok(())
+        Ok(written)
     }
 
     /// Loads a database from `dir` read-only (no attachment): the state
@@ -863,6 +820,86 @@ impl Database {
         let found = recover(dir, BufferPool::global(), |_, _| true)?;
         Ok(found.ok_or_else(|| no_database(dir))?.db)
     }
+}
+
+/// Writes `table`'s heap file of `epoch` through one [`PageWriter`], when
+/// any partition needs writing, and the relation's B+tree of that epoch
+/// beside it; returns every partition's run, by id. A partition is written
+/// when it has no image, when `carry` is off, or when its image lies in a
+/// file this checkpoint would leave with more than
+/// [`MAX_DEAD_PER_LIVE_PAGE`] dead pages per live one. Partitions go in id
+/// order, each from a fresh page, its members in (birth chronon, position)
+/// order: each page covers a narrow birth range, so a cold scan can skip
+/// the pages a window misses, and a reopened relation is partition-major
+/// and birth-ordered within a partition.
+fn write_heap(
+    dir: &Path,
+    name: &str,
+    table: &Table,
+    epoch: u64,
+    carry: bool,
+) -> Result<Runs, DbError> {
+    let (rel, parts) = (&table.relation, &table.partitions);
+    let mut live: BTreeMap<u64, u64> = BTreeMap::new();
+    for run in parts.iter().filter_map(|(_, p)| p.image()) {
+        *live.entry(run.epoch).or_default() += u64::from(run.pages);
+    }
+    // A file that cannot be sized is rewritten: its partitions are in
+    // memory, and the new file heals the reference.
+    live.retain(|&e, live| {
+        let file = std::fs::metadata(heap_path(dir, name, e));
+        let pages = file.map_or(u64::MAX, |m| m.len() / PAGE_SIZE as u64);
+        pages.saturating_sub(*live) <= MAX_DEAD_PER_LIVE_PAGE * *live
+    });
+    let (mut runs, mut dirty) = (Runs::new(), Vec::new());
+    for (id, part) in parts.iter() {
+        if let Some(run) = part
+            .image()
+            .filter(|run| carry && live.contains_key(&run.epoch))
+        {
+            runs.insert(id, run);
+        } else {
+            dirty.push((id, part));
+        }
+    }
+    if dirty.is_empty() {
+        return Ok(runs);
+    }
+    let final_path = heap_path(dir, name, epoch);
+    let tmp_path = tmp_sibling(&final_path);
+    let mut heap = PageWriter::create(&tmp_path)?;
+    let mut first_page = 0;
+    for (id, part) in dirty {
+        // A database's tables are resident: only a paged view has cold ones.
+        debug_assert!(!part.is_cold(), "writing cold partition p{id}");
+        let mut members: Vec<&Tuple> = part.positions().filter_map(|p| rel.tuple_at(p)).collect();
+        members.sort_by_key(|t| birth_of(t).tick());
+        for tuple in members {
+            let mut e = Encoder::new();
+            e.put_tuple(tuple);
+            heap.push(&e.finish())?;
+        }
+        let end = heap.end_run()?;
+        let run = HeapRun {
+            epoch,
+            first_page,
+            pages: end - first_page,
+        };
+        runs.insert(id, run);
+        first_page = end;
+    }
+    heap.finish()?;
+    rename(&tmp_path, &final_path)?;
+    // The relation's on-disk B+tree over (birth, position).
+    let births = rel.iter().enumerate();
+    let mut entries: Vec<(i64, u32)> = births
+        .map(|(pos, tuple)| (birth_of(tuple).tick(), position_u32(pos)))
+        .collect();
+    let btx_final = dir.join(relation_file(name, epoch, "btx"));
+    let tmp_path = tmp_sibling(&btx_final);
+    LifespanBTree::build(&tmp_path, &mut entries)?;
+    rename(&tmp_path, &btx_final)?;
+    Ok(runs)
 }
 
 /// What [`recover`] read from a directory.
@@ -959,8 +996,23 @@ struct CheckpointManifest {
     catalog: Catalog,
     policy: PartitionPolicy,
     epoch: u64,
-    /// Relation → `[(partition id, tuple count, min_lo, max_hi)]`.
-    relations: BTreeMap<String, Vec<(i64, u64, i64, i64)>>,
+    /// Relation → `[(partition id, tuple count, min_lo, max_hi, run)]`.
+    relations: BTreeMap<String, Vec<ManifestRow>>,
+}
+
+impl CheckpointManifest {
+    /// The file names the checkpoint consists of: the catalog, the WAL of
+    /// its epoch, every heap file a partition's run lies in, and each
+    /// relation's B+tree, under the epoch of its newest heap file.
+    fn referenced_files(&self) -> BTreeSet<String> {
+        let mut keep = BTreeSet::from([CATALOG_FILE.to_string(), wal_name(self.epoch)]);
+        for (name, parts) in &self.relations {
+            let epochs: BTreeSet<u64> = parts.iter().map(|p| p.4.epoch).collect();
+            keep.extend(epochs.iter().map(|&e| relation_file(name, e, "heap")));
+            keep.extend(epochs.last().map(|&e| relation_file(name, e, "btx")));
+        }
+        keep
+    }
 }
 
 /// Reads and validates `catalog.hrdm` alone (header, CRC, manifest) —
@@ -974,45 +1026,35 @@ fn read_catalog_manifest(dir: &Path) -> Result<Option<CheckpointManifest>, DbErr
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(io_with_path(&catalog_path, e)),
     };
+    let bad = |what: String| DbError::BadFile(format!("{}: {what}", catalog_path.display()));
     if bytes.len() < 24 || &bytes[0..4] != MAGIC {
-        return Err(DbError::BadFile(format!(
-            "{}: missing HRDM magic",
-            catalog_path.display()
-        )));
+        return Err(bad("missing HRDM magic".into()));
     }
-    let truncated = || DbError::BadFile(format!("{}: truncated header", catalog_path.display()));
+    let truncated = || bad("truncated header".into());
     let version = le_u32_at(&bytes, 4).ok_or_else(truncated)?;
     if version != VERSION {
-        return Err(DbError::BadFile(format!(
-            "{}: unsupported version {version}",
-            catalog_path.display()
-        )));
+        return Err(bad(format!("unsupported version {version}")));
     }
     let epoch = le_u64_at(&bytes, 8).ok_or_else(truncated)?;
     let len = le_u64_at(&bytes, 16).ok_or_else(truncated)? as usize;
-    if bytes.len() < 24 + len + 4 {
-        return Err(DbError::BadFile(format!(
-            "{}: truncated catalog",
-            catalog_path.display()
-        )));
+    if len.checked_add(24 + 4).is_none_or(|end| bytes.len() < end) {
+        return Err(bad("truncated catalog".into()));
     }
     let payload = &bytes[24..24 + len];
     let stored_crc = le_u32_at(&bytes, 24 + len).ok_or_else(truncated)?;
     if crc32(payload) != stored_crc {
-        return Err(DbError::BadFile(format!(
-            "{}: catalog checksum mismatch",
-            catalog_path.display()
-        )));
+        return Err(bad("catalog checksum mismatch".into()));
     }
     let mut dec = Decoder::new(payload);
     let catalog = Catalog::decode(&mut dec)?;
     let policy = PartitionPolicy::decode(&mut dec)?;
 
-    // Partition manifest: relation → [(id, tuple count, summary bounds)].
-    // The summaries answer pruning for cold partitions without reading
-    // heap files.
+    // Partition manifest: relation → [(id, tuple count, summary bounds,
+    // run)]. The summaries answer pruning for cold partitions without
+    // reading heap files.
+    let page = |v: u64| u32::try_from(v).map_err(|_| bad(format!("page {v} is out of range")));
     let n_rels = dec.get_u64()? as usize;
-    let mut manifest: BTreeMap<String, Vec<(i64, u64, i64, i64)>> = BTreeMap::new();
+    let mut manifest: BTreeMap<String, Vec<_>> = BTreeMap::new();
     for _ in 0..n_rels {
         let name = dec.get_str()?.to_string();
         let n_parts = dec.get_u64()? as usize;
@@ -1021,7 +1063,12 @@ fn read_catalog_manifest(dir: &Path) -> Result<Option<CheckpointManifest>, DbErr
             let id = dec.get_i64()?;
             let count = dec.get_u64()?;
             let (min_lo, max_hi) = (dec.get_i64()?, dec.get_i64()?);
-            parts.push((id, count, min_lo, max_hi));
+            let run = HeapRun {
+                epoch: dec.get_u64()?,
+                first_page: page(dec.get_u64()?)?,
+                pages: page(dec.get_u64()?)?,
+            };
+            parts.push((id, count, min_lo, max_hi, run));
         }
         manifest.insert(name, parts);
     }
@@ -1037,8 +1084,8 @@ fn read_catalog_manifest(dir: &Path) -> Result<Option<CheckpointManifest>, DbErr
 /// against its catalog. Every relation starts as a cold table over its
 /// manifest entry, its heaps read through `pool`; each one `read_in_full`
 /// names is read into memory ([`ImageRead::Full`]), every tuple
-/// re-validated against its (possibly evolved) scheme. Every table starts
-/// clean: it mirrors the heap files.
+/// re-validated against its (possibly evolved) scheme. Every partition
+/// read back whole keeps its run as its image: it mirrors the heap file.
 fn read_checkpoint(
     dir: &Path,
     manifest: CheckpointManifest,
@@ -1046,33 +1093,39 @@ fn read_checkpoint(
     read_in_full: impl Fn(&str) -> bool,
 ) -> Result<Database, DbError> {
     let catalog_path = dir.join(CATALOG_FILE);
+    let bad = |what: String| DbError::BadFile(format!("{}: {what}", catalog_path.display()));
     let CheckpointManifest {
         catalog,
         policy,
-        epoch,
         relations: manifest,
+        ..
     } = manifest;
 
     let mut tables = Tables::new();
     for name in catalog.relations() {
         let Some(scheme) = catalog.scheme(name).cloned() else {
-            return Err(DbError::BadFile(format!(
-                "{}: catalog is inconsistent about relation `{name}`",
-                catalog_path.display()
+            return Err(bad(format!(
+                "catalog is inconsistent about relation `{name}`"
             )));
         };
         let Some(parts) = manifest.get(name) else {
-            return Err(DbError::BadFile(format!(
-                "{}: relation `{name}` missing from the partition manifest",
-                catalog_path.display()
+            return Err(bad(format!(
+                "relation `{name}` missing from the partition manifest"
             )));
         };
         let map = PartitionMap::from_manifest(policy, parts);
-        let mut table = Table::cold(scheme, map, (dir, name, epoch), pool);
+        let mut table = Table::cold(scheme, map, (dir, name), pool);
         if read_in_full(name) {
             table = Table::build(table.materialize(ImageRead::Full)?, policy);
+            // A partition that read back fewer tuples (clipping made two
+            // equal) no longer mirrors its run.
+            let map = &table.partitions;
+            let whole = |&&(id, count, ..): &&ManifestRow| {
+                map.partition(id).is_some_and(|p| p.len() as u64 == count)
+            };
+            let runs: Vec<_> = parts.iter().filter(whole).map(|p| (p.0, p.4)).collect();
+            table.partitions.set_images(runs);
         }
-        table.partitions.mark_clean();
         tables.insert(name.into(), Arc::new(table));
     }
     Ok(Database {
@@ -1101,10 +1154,12 @@ pub struct PartitionRead {
 /// Appends to `out`, in heap order, the tuples of checkpoint partition
 /// `id` whose lifespan meets `window` (every tuple when `None`), each
 /// conformed to `scheme` and restricted to `clip` when one is given
-/// ([`decode_record`]). A record that misses the window is dropped after
-/// its lifespan, its first field: only hits are decoded.
+/// ([`decode_record`]). The partition is the run of pages `run` names in
+/// `heap`; a run that reaches past the file's end is a
+/// [`DbError::BadFile`] naming the file. A record that misses the window
+/// is dropped after its lifespan, its first field: only hits are decoded.
 ///
-/// `zones` is the partition's per-page zone map, if it keeps one. Once it
+/// `zones` is the run's per-page zone map, if it keeps one. Once it
 /// is set, pages whose zone misses the window are skipped without being
 /// pinned, and each page visited must hold the record count its zone
 /// recorded. Otherwise the scan is a full pass: the heap must hold exactly
@@ -1112,7 +1167,7 @@ pub struct PartitionRead {
 /// zone map. The eager loader keeps no zone map and passes no window: it
 /// decodes every record without a probe.
 pub(crate) fn read_partition(
-    heap: &HeapFile,
+    (heap, run): (&HeapFile, HeapRun),
     (id, count): (i64, u64),
     scheme: &Scheme,
     window: Option<&Lifespan>,
@@ -1120,20 +1175,26 @@ pub(crate) fn read_partition(
     zones: Option<&OnceLock<Arc<[PageZone]>>>,
     out: &mut Vec<Tuple>,
 ) -> Result<PartitionRead, DbError> {
+    let bad = |what: String| {
+        DbError::BadFile(format!("{}: partition p{id}{what}", heap.path().display()))
+    };
     let mut read = PartitionRead::default();
     let known = zones.and_then(OnceLock::get);
-    let pages = heap.page_count();
+    let (pages, n) = (run.pages as usize, heap.page_count());
+    let end = run.first_page.checked_add(run.pages);
+    let Some(end) = end.filter(|&end| end as usize <= n) else {
+        return Err(bad(format!("'s run {run:?} reaches past the {n} page(s)")));
+    };
     if let Some(known) = known.filter(|known| known.len() != pages) {
-        return Err(DbError::BadFile(format!(
-            "{}: partition p{id} holds {pages} page(s), its zone map says {}",
-            heap.path().display(),
-            known.len()
+        let zoned = known.len();
+        return Err(bad(format!(
+            " holds {pages} page(s), its zone map says {zoned}"
         )));
     }
     let probe = window.is_some() || zones.is_some();
     let mut built: Vec<PageZone> = Vec::new();
-    for page_no in (0u32..).take(pages) {
-        let known_zone = known.map(|known| known[page_no as usize]);
+    for page_no in run.first_page..end {
+        let known_zone = known.map(|known| known[(page_no - run.first_page) as usize]);
         if known_zone
             .zip(window)
             .is_some_and(|(zone, w)| !zone.hull.meets(w))
@@ -1157,10 +1218,7 @@ pub(crate) fn read_partition(
             if meets {
                 let (tuple, clipped) =
                     decode_record(record, scheme, clip).map_err(|e| match e {
-                        DbError::BadFile(what) => DbError::BadFile(format!(
-                            "{}: partition p{id} page {page_no}: {what}",
-                            heap.path().display()
-                        )),
+                        DbError::BadFile(what) => bad(format!(" page {page_no}: {what}")),
                         other => other,
                     })?;
                 read.decoded += 1;
@@ -1175,12 +1233,9 @@ pub(crate) fn read_partition(
         read.scanned += u64::from(zone.records);
         match known_zone {
             Some(known) if known.records != zone.records => {
-                return Err(DbError::BadFile(format!(
-                    "{}: partition p{id} page {page_no} holds {} record(s), its zone says {}",
-                    heap.path().display(),
-                    zone.records,
-                    known.records
-                )));
+                let (has, says) = (zone.records, known.records);
+                let what = format!(" page {page_no} holds {has} record(s), its zone says {says}");
+                return Err(bad(what));
             }
             Some(_) => {}
             None => built.push(zone),
@@ -1188,11 +1243,8 @@ pub(crate) fn read_partition(
     }
     if known.is_none() {
         if read.scanned != count {
-            return Err(DbError::BadFile(format!(
-                "{}: partition p{id} holds {} tuple(s), manifest says {count}",
-                heap.path().display(),
-                read.scanned
-            )));
+            let has = read.scanned;
+            return Err(bad(format!(" holds {has} tuple(s), manifest says {count}")));
         }
         if let Some(zones) = zones {
             // A concurrent first scan may have set it already, to the
@@ -1278,43 +1330,40 @@ fn rename(from: &Path, to: &Path) -> Result<(), DbError> {
 
 /// The WAL of checkpoint epoch `epoch`.
 pub(crate) fn wal_path(dir: &Path, epoch: u64) -> PathBuf {
-    dir.join(format!("wal.{epoch}.log"))
+    dir.join(wal_name(epoch))
 }
 
-/// A sibling temp path for atomic writes (`<file>.tmp`). Every caller
-/// passes a real file path; a bare root degrades to a generic name.
+fn wal_name(epoch: u64) -> String {
+    format!("wal.{epoch}.log")
+}
+
+/// A sibling temp path for atomic writes: `<file>.tmp`.
 fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_else(|| std::ffi::OsString::from("hrdm"));
+    let mut name = path.as_os_str().to_owned();
     name.push(".tmp");
-    path.with_file_name(name)
+    name.into()
 }
 
 /// `u32::from_le_bytes` over `bytes[at..at + 4]`; `None` when short.
 fn le_u32_at(bytes: &[u8], at: usize) -> Option<u32> {
-    let b = bytes.get(at..at + 4)?;
-    Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    Some(u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?))
 }
 
 /// `u64::from_le_bytes` over `bytes[at..at + 8]`; `None` when short.
 fn le_u64_at(bytes: &[u8], at: usize) -> Option<u64> {
-    let b = bytes.get(at..at + 8)?;
-    let mut arr = [0u8; 8];
-    arr.copy_from_slice(b);
-    Some(u64::from_le_bytes(arr))
+    Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?))
 }
 
-/// Best-effort directory fsync, making renames durable (a no-op on
-/// platforms where directories cannot be opened).
-fn fsync_dir(dir: &Path) {
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
+/// Fsyncs the directory `dir`, making the renames in it durable; an
+/// error names the directory. Only a sync that succeeded is counted.
+fn fsync_dir(dir: &Path) -> Result<(), DbError> {
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_with_path(dir, e))?;
     if hrdm_obs::enabled() {
         crate::obs::storage_obs().dir_fsyncs.inc();
     }
+    Ok(())
 }
 
 fn same_dir(a: &Path, b: &Path) -> bool {
@@ -1324,19 +1373,22 @@ fn same_dir(a: &Path, b: &Path) -> bool {
     }
 }
 
-/// Removes *database* files from other epochs and leftover `.tmp`
-/// siblings — debris of aborted checkpoints (before their commit point)
-/// or of superseded epochs (after it). Only names matching the database's
-/// own patterns (`wal.<epoch>.log`, `<name>.<epoch>.heap`,
-/// `<name>.<epoch>.p<id>.heap`, `<name>.<epoch>.btx`, their `.tmp`
-/// siblings, `catalog.hrdm.tmp`) are ever touched: a user file like `build.log`
-/// sitting in the directory is not ours to delete. Best effort: failures
-/// leave garbage, never break the database.
-///
-/// The keep test is by epoch, not by an explicit file list: every file of
-/// the current epoch stays (the catalog manifest, not memory, is the
-/// authority on which of them the next open will read).
-fn cleanup_stray_files(dir: &Path, epoch: u64) {
+/// Removes the database's own files that the committed catalog does not
+/// reference ([`CheckpointManifest::referenced_files`]), and every leftover
+/// `.tmp` sibling — debris of aborted checkpoints (before their commit
+/// point) and of superseded heap files (after it). Only names matching the
+/// database's own patterns (`catalog.hrdm`, `wal.<epoch>.log`,
+/// `<name>.<epoch>.heap`, `<name>.<epoch>.btx`, their `.tmp` siblings) are
+/// ever touched: a user file like `build.log` sitting in the directory is
+/// not ours to delete. Best effort: failures, an unreadable catalog
+/// included, leave garbage, never break the database. A directory without
+/// a catalog keeps only `wal.0.log`.
+fn sweep_unreferenced_files(dir: &Path) {
+    let keep = match read_catalog_manifest(dir) {
+        Ok(Some(manifest)) => manifest.referenced_files(),
+        Ok(None) => BTreeSet::from([wal_name(0)]),
+        Err(_) => return,
+    };
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
@@ -1345,93 +1397,26 @@ fn cleanup_stray_files(dir: &Path, epoch: u64) {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
-        let is_tmp = name.ends_with(".tmp");
-        let base = name.strip_suffix(".tmp").unwrap_or(name);
-        let sweep = match classify_database_file(base) {
-            Some(DbFileKind::Catalog) => is_tmp,
-            Some(DbFileKind::Epochal(e)) => is_tmp || e != epoch,
-            None => false,
-        };
-        if sweep {
+        let base = name.strip_suffix(".tmp");
+        if is_database_file(base.unwrap_or(name)) && (base.is_some() || !keep.contains(name)) {
             let _ = std::fs::remove_file(&path);
         }
     }
 }
 
-/// A file name this module itself writes, minus any `.tmp` suffix.
-enum DbFileKind {
-    /// The catalog commit point (`catalog.hrdm`).
-    Catalog,
-    /// A per-epoch file (WAL or heap) carrying this epoch stamp.
-    Epochal(u64),
-}
-
-/// Classifies `base` against the database's own file patterns; `None` for
-/// anything foreign (never ours to delete).
-fn classify_database_file(base: &str) -> Option<DbFileKind> {
-    if base == CATALOG_FILE {
-        return Some(DbFileKind::Catalog);
-    }
-    let epoch_of = |s: &str| -> Option<u64> {
-        (!s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()))
-            .then(|| s.parse().ok())
-            .flatten()
-    };
-    if let Some(rest) = base
-        .strip_prefix("wal.")
-        .and_then(|r| r.strip_suffix(".log"))
-    {
-        return epoch_of(rest).map(DbFileKind::Epochal);
-    }
-    if let Some(rest) = base.strip_suffix(".heap") {
-        // `<escaped-name>.<epoch>.p<id>` (current layout) or
-        // `<escaped-name>.<epoch>` (pre-partition layout, still swept as
-        // debris) — the escaped name never contains `.`.
-        let (head, tail) = rest.rsplit_once('.')?;
-        if let Some(id) = tail.strip_prefix('p') {
-            if id.parse::<i64>().is_ok() {
-                let (_, e) = head.rsplit_once('.')?;
-                return epoch_of(e).map(DbFileKind::Epochal);
-            }
+/// Does `base` (a file name minus any `.tmp` suffix) match one of the
+/// database's own file patterns? Anything else is never ours to delete.
+fn is_database_file(base: &str) -> bool {
+    // `wal.<epoch>.log` or `<escaped-name>.<epoch>.heap|btx`: the escaped
+    // name never contains `.`.
+    match base.rsplitn(3, '.').collect::<Vec<_>>()[..] {
+        [ext, epoch, stem] => {
+            matches!((stem, ext), ("wal", "log") | (_, "heap" | "btx"))
+                && !epoch.is_empty()
+                && epoch.bytes().all(|b| b.is_ascii_digit())
         }
-        return epoch_of(tail).map(DbFileKind::Epochal);
+        _ => base == CATALOG_FILE,
     }
-    if let Some(rest) = base.strip_suffix(".btx") {
-        // `<escaped-name>.<epoch>` — the relation's on-disk B+tree.
-        let (_, e) = rest.rsplit_once('.')?;
-        return epoch_of(e).map(DbFileKind::Epochal);
-    }
-    None
-}
-
-/// Hard-links a clean partition's heap file from the previous epoch into
-/// the new one (falling back to a durable byte copy on filesystems
-/// without hard links). Returns `false` when neither works — the caller
-/// writes fresh.
-///
-/// A hard link shares the already-fsync'd inode, so it needs no data
-/// sync of its own (the later directory fsync covers the new name). The
-/// copy fallback must be as durable as the fresh-write path: copy to a
-/// tmp sibling, fsync, rename — otherwise the checkpoint could commit a
-/// catalog referencing bytes still sitting in the page cache.
-fn link_partition_file(old: &Path, new: &Path) -> bool {
-    if !old.exists() {
-        return false;
-    }
-    // A leftover from an aborted earlier checkpoint would make the link
-    // fail with AlreadyExists; it is pre-commit debris, safe to replace.
-    let _ = std::fs::remove_file(new);
-    if std::fs::hard_link(old, new).is_ok() {
-        return true;
-    }
-    let tmp = tmp_sibling(new);
-    let copied = std::fs::copy(old, &tmp).is_ok()
-        && std::fs::File::open(&tmp).is_ok_and(|f| f.sync_all().is_ok())
-        && std::fs::rename(&tmp, new).is_ok();
-    if !copied {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    copied
 }
 
 /// Escapes a caller-controlled relation name **injectively** into a tame
@@ -1454,19 +1439,16 @@ fn escape_relation_name(relation: &str) -> String {
     safe
 }
 
-/// The heap file of `relation`'s partition `part` under checkpoint
-/// `epoch`: `<escaped-name>.<epoch>.p<id>.heap`.
-pub(crate) fn partition_heap_path(dir: &Path, relation: &str, epoch: u64, part: i64) -> PathBuf {
-    dir.join(format!(
-        "{}.{epoch}.p{part}.heap",
-        escape_relation_name(relation)
-    ))
+/// The name of `relation`'s file of checkpoint `epoch` with extension
+/// `ext`: `<escaped-name>.<epoch>.<ext>`.
+fn relation_file(relation: &str, epoch: u64, ext: &str) -> String {
+    format!("{}.{epoch}.{ext}", escape_relation_name(relation))
 }
 
-/// The on-disk B+tree of `relation` under checkpoint `epoch`:
-/// `<escaped-name>.<epoch>.btx`.
-pub(crate) fn btree_path(dir: &Path, relation: &str, epoch: u64) -> PathBuf {
-    dir.join(format!("{}.{epoch}.btx", escape_relation_name(relation)))
+/// The heap file checkpoint `epoch` wrote for `relation`:
+/// `<escaped-name>.<epoch>.heap`.
+pub(crate) fn heap_path(dir: &Path, relation: &str, epoch: u64) -> PathBuf {
+    dir.join(relation_file(relation, epoch, "heap"))
 }
 
 #[cfg(test)]
@@ -1479,6 +1461,16 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("hrdm-db-{}-{name}", std::process::id()));
         p
+    }
+
+    /// The run of every page of `heap`.
+    fn whole_file(heap: &HeapFile) -> HeapRun {
+        let pages = heap.page_count() as u32;
+        HeapRun {
+            epoch: 0,
+            first_page: 0,
+            pages,
+        }
     }
 
     fn emp_scheme() -> Scheme {
@@ -1549,10 +1541,19 @@ mod tests {
         }
         writer.finish().unwrap();
         let heap = HeapFile::open_in(&path, crate::pool::BufferPool::new(4)).unwrap();
+        let whole = whole_file(&heap);
         let read = |window: Option<&Lifespan>, zones: Option<&OnceLock<Arc<[PageZone]>>>| {
             let mut out = Vec::new();
-            read_partition(&heap, (0, n), &scheme, window, None, zones, &mut out)
-                .map(|r| (out, r.scanned))
+            read_partition(
+                (&heap, whole),
+                (0, n),
+                &scheme,
+                window,
+                None,
+                zones,
+                &mut out,
+            )
+            .map(|r| (out, r.scanned))
         };
         let (all, _) = read(None, None).unwrap();
         assert_eq!(all.len() as u64, n);
@@ -1628,9 +1629,19 @@ mod tests {
         writer.push(&padded).unwrap();
         writer.finish().unwrap();
         let heap = HeapFile::open_in(&path, crate::pool::BufferPool::new(4)).unwrap();
+        let whole = whole_file(&heap);
         let read = |window: Option<&Lifespan>, clip: Option<&Lifespan>| {
             let mut out = Vec::new();
-            read_partition(&heap, (0, 2), &scheme, window, clip, None, &mut out).map(|_| out)
+            read_partition(
+                (&heap, whole),
+                (0, 2),
+                &scheme,
+                window,
+                clip,
+                None,
+                &mut out,
+            )
+            .map(|_| out)
         };
         let clean = Lifespan::interval(0, 20);
         assert_eq!(read(Some(&clean), Some(&clean)).unwrap().len(), 1);
@@ -1708,6 +1719,11 @@ mod tests {
                 "cut at {cut} must be BadFile"
             );
         }
+        // A length field past any file's end is refused, not overflowed.
+        let mut huge = full.clone();
+        huge[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&path, &huge).unwrap();
+        assert!(matches!(Database::load(&dir), Err(DbError::BadFile(_))));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1781,6 +1797,31 @@ mod tests {
         assert!(db.key_index("ghost").is_none() && db.partitions("ghost").is_none());
     }
 
+    /// A directory sync that fails is an error naming the directory, and
+    /// is not counted. Other tests of this binary sync directories
+    /// concurrently, so the counter must hold still across one of several
+    /// attempts; a sync counted whether or not it succeeded moves it on
+    /// every attempt.
+    #[test]
+    fn fsync_dir_of_a_missing_directory_fails_uncounted() {
+        let dir = tmp("no-such-dir");
+        std::fs::remove_dir_all(&dir).ok();
+        let synced = || {
+            let g = hrdm_obs::global();
+            g.counter_value("hrdm_storage_dir_fsync_total").unwrap_or(0)
+        };
+        let mut still = false;
+        for _ in 0..50 {
+            let before = synced();
+            let Err(DbError::Io(e)) = fsync_dir(&dir) else {
+                panic!("syncing a missing directory succeeded");
+            };
+            assert!(e.to_string().contains(&dir.display().to_string()), "{e}");
+            still |= synced() == before;
+        }
+        assert!(still, "every failed sync was counted");
+    }
+
     #[test]
     fn missing_magic_rejected() {
         let dir = tmp("magic");
@@ -1796,12 +1837,12 @@ mod tests {
     #[test]
     fn similar_relation_names_do_not_collide_on_disk() {
         assert_ne!(
-            partition_heap_path(Path::new("/d"), "emp dept", 0, 0),
-            partition_heap_path(Path::new("/d"), "emp_dept", 0, 0)
+            heap_path(Path::new("/d"), "emp dept", 0),
+            heap_path(Path::new("/d"), "emp_dept", 0)
         );
         assert_ne!(
-            partition_heap_path(Path::new("/d"), "a_b", 0, 0),
-            partition_heap_path(Path::new("/d"), "a__b", 0, 0)
+            heap_path(Path::new("/d"), "a_b", 0),
+            heap_path(Path::new("/d"), "a__b", 0)
         );
 
         let dir = tmp("collide");

@@ -39,11 +39,6 @@ impl HeapFile {
         self.pool.page_count(self.file).unwrap_or(0) as usize
     }
 
-    /// The pool handle, for per-file fault accounting.
-    pub fn pool_file(&self) -> PoolFileId {
-        self.file
-    }
-
     /// Calls `visit` on every record in file order, lending the record's
     /// bytes from its pinned page: nothing is copied. Pages fault in
     /// through the pool one at a time; a page that fails its checksum at

@@ -28,12 +28,12 @@
 //!   `t2`, re-add it at `t3`) are first-class catalog operations with an
 //!   audit log;
 //! * [`partition`] — **lifespan-based horizontal partitioning**: each
-//!   relation's tuple store is cut into chronon-range partitions with
-//!   per-partition heap files, min/max lifespan summaries, and
-//!   per-partition lifespan indexes, so time-bounded queries and
-//!   checkpoints touch only the partitions they need. The partition map
-//!   is a relation's one lifespan access path — there is no
-//!   relation-wide lifespan index beside it — and a [`KeyIndex`] its
+//!   relation's tuple store is cut into chronon-range partitions, each
+//!   a run of pages in a checkpoint heap file, with min/max lifespan
+//!   summaries and per-partition lifespan indexes, so time-bounded
+//!   queries and checkpoints touch only the partitions they need. The
+//!   partition map is a relation's one lifespan access path — there is
+//!   no relation-wide lifespan index beside it — and a [`KeyIndex`] its
 //!   one key access path;
 //! * [`wal`] — a checksummed write-ahead log with torn-tail recovery;
 //! * [`database`] — a named collection of historical relations built on
@@ -76,7 +76,7 @@ pub use database::{conform_to_scheme, decode_record, Database, DbError, Partitio
 pub use heap::HeapFile;
 pub use page::{Page, PageWriter, SlotId, MAX_RECORD, PAGE_SIZE};
 pub use paged::PagedDatabase;
-pub use partition::{Partition, PartitionMap, PartitionPolicy};
+pub use partition::{HeapRun, Partition, PartitionMap, PartitionPolicy};
 pub use pool::{BufferPool, PageGuard, PoolFileId, PoolStats};
 pub use snapshot::DbSnapshot;
 pub use wal::{Wal, WalRecord};

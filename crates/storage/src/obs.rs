@@ -20,12 +20,10 @@ pub(crate) struct StorageObs {
     pub commit_batch_size: Arc<Histogram>,
     /// End-to-end checkpoint durations (count = checkpoints taken).
     pub checkpoint_ns: Arc<Histogram>,
-    /// Dirty partitions rewritten by checkpoints.
+    /// Partitions checkpoints wrote: the dirty ones, and the live ones of
+    /// a heap file rewritten as more than half dead.
     pub checkpoint_dirty_partitions: Arc<Counter>,
-    /// Partitions carried into a new checkpoint epoch as clean hard
-    /// links (not rewritten).
-    pub checkpoint_linked_partitions: Arc<Counter>,
-    /// Directory fsyncs issued by saves and checkpoints (two per
+    /// Successful directory fsyncs of saves and checkpoints (two per
     /// checkpoint, however many partitions it rewrote).
     pub dir_fsyncs: Arc<Counter>,
     /// Snapshots published by concurrent databases.
@@ -71,15 +69,11 @@ pub(crate) fn storage_obs() -> &'static StorageObs {
             ),
             checkpoint_dirty_partitions: r.counter(
                 "hrdm_checkpoint_dirty_partitions_total",
-                "Dirty partitions rewritten by checkpoints",
-            ),
-            checkpoint_linked_partitions: r.counter(
-                "hrdm_checkpoint_linked_partitions_total",
-                "Clean partitions carried across checkpoints as hard links",
+                "Partitions written by checkpoints (dirty, or live in a half-dead heap file)",
             ),
             dir_fsyncs: r.counter(
                 "hrdm_storage_dir_fsync_total",
-                "Directory fsyncs issued by saves and checkpoints",
+                "Successful directory fsyncs of saves and checkpoints",
             ),
             snapshot_publish: r.counter(
                 "hrdm_snapshot_publish_total",

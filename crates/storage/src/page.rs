@@ -1,7 +1,7 @@
 //! Fixed-size slotted pages, and the one writer of page files.
 //!
 //! The classical layout: a header and slot directory grow from the front,
-//! record cells grow from the back. Page files — partition heaps and
+//! record cells grow from the back. Page files — relation heaps and
 //! B+trees — are written once, front to back, by [`PageWriter`], which
 //! seals every page as it writes it, and are only ever read afterwards,
 //! through the buffer pool, which verifies each page as it faults it in.
@@ -133,20 +133,23 @@ impl Page {
         (0..self.slot_count()).filter_map(move |id| self.get(id).map(|r| (id, r)))
     }
 
+    /// CRC-32 of the page with its checksum field read as zeros, computed
+    /// in place.
+    fn checksum(&self) -> u32 {
+        crc32_parts(&[&self.data[..4], &[0; 4], &self.data[8..]])
+    }
+
     /// Stamps the header checksum (CRC-32 of everything but the checksum
     /// field). Call before writing the page out.
     pub fn seal(&mut self) {
-        self.data[4..8].copy_from_slice(&[0; 4]);
-        let crc = crc32(&self.data[..]);
+        let crc = self.checksum();
         self.data[4..8].copy_from_slice(&crc.to_le_bytes());
     }
 
     /// Verifies the header checksum set by [`Page::seal`].
     pub fn verify(&self) -> bool {
         let stored = u32::from_le_bytes([self.data[4], self.data[5], self.data[6], self.data[7]]);
-        let mut copy = self.data.clone();
-        copy[4..8].copy_from_slice(&[0; 4]);
-        crc32(&copy[..]) == stored
+        self.checksum() == stored
     }
 
     /// The raw page bytes.
@@ -160,13 +163,6 @@ impl Page {
     /// and let [`PageWriter`] seal the page and the pool verify it.
     pub fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
         &mut self.data
-    }
-
-    /// Reconstructs a page from raw bytes.
-    pub fn from_bytes(bytes: [u8; PAGE_SIZE]) -> Page {
-        Page {
-            data: Box::new(bytes),
-        }
     }
 }
 
@@ -240,12 +236,20 @@ impl PageWriter {
         Ok(())
     }
 
-    /// Writes the page [`PageWriter::push`] was filling, then fsyncs the
-    /// file.
-    pub fn finish(mut self) -> io::Result<()> {
+    /// Writes the page [`PageWriter::push`] was filling, so the next record
+    /// starts a fresh page; returns the pages written so far. A checkpoint
+    /// ends each partition's run of pages this way.
+    pub fn end_run(&mut self) -> io::Result<u32> {
         if let Some(page) = self.tail.take() {
             self.append(page)?;
         }
+        Ok(self.pages)
+    }
+
+    /// Writes the page [`PageWriter::push`] was filling, then fsyncs the
+    /// file.
+    pub fn finish(mut self) -> io::Result<()> {
+        self.end_run()?;
         self.file.sync_all().map_err(|e| with_path(&self.path, e))
     }
 }
@@ -271,6 +275,11 @@ impl fmt::Debug for Page {
 /// through here, so the byte-at-a-time loop was a measurable share of
 /// recovery time.
 pub(crate) fn crc32(data: &[u8]) -> u32 {
+    crc32_parts(&[data])
+}
+
+/// [`crc32`] of the concatenation of `parts`.
+fn crc32_parts(parts: &[&[u8]]) -> u32 {
     /// `TABLES[k][b]`: the CRC of byte `b` followed by `k` zero bytes.
     const fn tables() -> [[u32; 256]; 8] {
         let mut t = [[0u32; 256]; 8];
@@ -305,20 +314,22 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
     // (8 KiB) at every use, four times per eight bytes hashed.
     static TABLES: [[u32; 256]; 8] = tables();
     let mut crc = !0u32;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        crc = TABLES[7][(lo & 0xff) as usize]
-            ^ TABLES[6][((lo >> 8) & 0xff) as usize]
-            ^ TABLES[5][((lo >> 16) & 0xff) as usize]
-            ^ TABLES[4][(lo >> 24) as usize]
-            ^ TABLES[3][c[4] as usize]
-            ^ TABLES[2][c[5] as usize]
-            ^ TABLES[1][c[6] as usize]
-            ^ TABLES[0][c[7] as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = TABLES[0][((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+    for data in parts {
+        let mut chunks = data.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            crc = TABLES[7][(lo & 0xff) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xff) as usize]
+                ^ TABLES[5][((lo >> 16) & 0xff) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][c[4] as usize]
+                ^ TABLES[2][c[5] as usize]
+                ^ TABLES[1][c[6] as usize]
+                ^ TABLES[0][c[7] as usize];
+        }
+        for &b in chunks.remainder() {
+            crc = TABLES[0][((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+        }
     }
     !crc
 }
@@ -372,9 +383,8 @@ mod tests {
         p.seal();
         assert!(p.verify());
         // Corrupt one byte: verification fails.
-        let mut bytes = *p.bytes();
-        bytes[PAGE_SIZE - 1] ^= 0xff;
-        assert!(!Page::from_bytes(bytes).verify());
+        p.bytes_mut()[PAGE_SIZE - 1] ^= 0xff;
+        assert!(!p.verify());
     }
 
     #[test]
@@ -383,7 +393,8 @@ mod tests {
         p.insert(b"alpha").unwrap();
         p.insert(b"beta").unwrap();
         p.seal();
-        let q = Page::from_bytes(*p.bytes());
+        let mut q = Page::new();
+        q.bytes_mut().copy_from_slice(p.bytes());
         assert!(q.verify());
         assert_eq!(q.get(0), Some(&b"alpha"[..]));
         assert_eq!(q.get(1), Some(&b"beta"[..]));

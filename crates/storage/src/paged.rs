@@ -23,13 +23,14 @@
 //!
 //! 1. the persisted per-partition summaries prune partitions whose
 //!    chronon range cannot intersect the window — those are never
-//!    *opened* (the per-file fault counters of the buffer pool prove it);
-//! 2. a surviving partition's heap is read through the buffer pool. Its
-//!    first scan records each page's zone (the hull of its records'
-//!    lifespans; a checkpoint writes heaps in birth order, so it is
-//!    narrow), and later scans skip, unpinned, the pages whose zone misses
-//!    the window. Each visited record's lifespan is probed in place, and
-//!    only the hits are decoded ([`PagedDatabase::records_scanned`] /
+//!    *reached*, and no page of their runs is faulted;
+//! 2. a surviving partition's run of heap pages is read through the
+//!    buffer pool. Its first scan records each page's zone (the hull of
+//!    its records' lifespans; a checkpoint writes each run in birth
+//!    order, so it is narrow), and later scans skip, unpinned, the pages
+//!    whose zone misses the window. Each visited record's lifespan is
+//!    probed in place, and only the hits are decoded
+//!    ([`PagedDatabase::records_scanned`] /
 //!    [`PagedDatabase::records_decoded`]);
 //! 3. under a literal TIME-SLICE fused into the scan a hit is decoded
 //!    straight into its restriction to the slice ([`crate::decode_record`]).
@@ -139,12 +140,12 @@ impl PagedDatabase {
         self.view.tables.get(name)?.cold.as_deref()
     }
 
-    /// Ids of `name`'s partitions whose heap file has been opened (and
-    /// thus possibly read) so far — the complement is provably cold.
+    /// Ids of `name`'s partitions a read has reached (and thus possibly
+    /// read pages of) so far — the complement is provably cold.
     pub fn opened_partitions(&self, name: &str) -> Vec<i64> {
         self.cold(name).map_or_else(Vec::new, |c| {
-            let heaps = c.heaps.lock().expect("cold heap cache lock");
-            heaps.keys().copied().collect()
+            let reached = c.reached.lock().expect("cold reach lock");
+            reached.iter().copied().collect()
         })
     }
 

@@ -10,7 +10,7 @@
 //!   vector (the in-memory layout is untouched — partitioning is pure
 //!   physical metadata, so every existing operator keeps working),
 //! * a **lifespan summary**, the [`Hull`] of every member tuple's
-//!   lifespan (persisted in the catalog, header v3), and
+//!   lifespan (persisted in the catalog), and
 //! * its own [`LifespanIndex`] over the member tuples: their lifespan
 //!   intervals sorted by start, in blocks of 32 that a probe skips by
 //!   the same hull test, so a pruned query probes a handful of small
@@ -41,12 +41,12 @@
 //!
 //! Partitioning is a **physical property**: the WAL format does not know
 //! about it, and replaying a log re-derives the same partition map from
-//! the tuples and the (catalog-persisted) policy. Checkpoints write one
-//! heap file per partition (`<rel>.<epoch>.p<id>.heap`, members in birth
-//! order, which a cold partition's page hulls exploit) and only rewrite
-//! partitions whose membership changed since the last checkpoint
-//! ([`Partition::is_dirty`]); clean partitions are carried into the new
-//! epoch by hard link.
+//! the tuples and the (catalog-persisted) policy. A checkpoint writes each
+//! partition as a run of whole pages in its relation's heap file of that
+//! epoch (members in birth order, which a cold partition's page hulls
+//! exploit), and only the partitions that do not know where their image is
+//! ([`Partition::image`]): a partition whose membership has not changed
+//! keeps pointing into the file it was written in.
 
 use hrdm_core::{PVec, Relation, Tuple};
 use hrdm_index::{Hull, LifespanIndex};
@@ -139,17 +139,17 @@ enum Members {
         /// positions it returns are **local** (indices into `positions`).
         lifespans: LifespanIndex,
     },
-    /// Disk-resident members: the records of the partition's heap file,
-    /// which only a paged scan reads — what
+    /// Disk-resident members: the records of the partition's run of heap
+    /// pages, which only a paged scan reads — what
     /// [`PartitionMap::from_manifest`] produces.
     ///
-    /// A checkpoint writes the heap in birth order, so each page holds a
-    /// narrow birth range, and the first full scan of the heap records one
+    /// A checkpoint writes the run in birth order, so each page holds a
+    /// narrow birth range, and the first full scan of the run records one
     /// [`PageZone`] per page. A committed heap is immutable, so the zone
     /// map is set once and never changes; later windowed scans skip,
     /// without pinning, every page whose hull misses the window.
     Cold {
-        /// The heap's per-page zones, set by its first full scan.
+        /// The run's per-page zones, set by its first full scan.
         zones: OnceLock<Arc<[PageZone]>>,
     },
 }
@@ -173,8 +173,25 @@ impl PageZone {
     };
 }
 
+/// Where a checkpoint wrote a partition's members: a run of whole pages in
+/// its relation's heap file of one epoch.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct HeapRun {
+    /// The checkpoint epoch whose heap file holds the run.
+    pub epoch: u64,
+    /// The run's first page in that file.
+    pub first_page: u32,
+    /// Pages in the run.
+    pub pages: u32,
+}
+
+/// A checkpoint manifest's row for one partition: `(id, tuple count,
+/// min_lo, max_hi, run)`.
+pub type ManifestRow = (i64, u64, i64, i64, HeapRun);
+
 /// One chronon-range partition: member positions, lifespan summary, its own
-/// lifespan index, and the dirty flag the incremental checkpoint reads.
+/// lifespan index, and where its checkpoint image is, if it has a current
+/// one.
 ///
 /// Cloning one is cheap whatever it holds (the position list and the
 /// index share their bulk with the original), which is what lets
@@ -186,14 +203,14 @@ pub struct Partition {
     count: usize,
     /// Hull of the member lifespans (empty when no member has a chronon).
     hull: Hull,
-    /// Has membership changed since the last checkpoint wrote (or linked)
-    /// this partition's heap file?
-    dirty: bool,
+    /// The pages holding exactly the current members, once a checkpoint
+    /// wrote them; `None` (dirty) until then and after any change.
+    image: Option<HeapRun>,
 }
 
 impl Partition {
     /// A resident partition over `members` — `(position, lifespan)` pairs
-    /// in ascending position order. Starts dirty.
+    /// in ascending position order. Starts dirty (no image).
     fn resident(members: &[(u32, &Lifespan)]) -> Partition {
         let mut part = Partition {
             members: Members::Resident {
@@ -202,7 +219,7 @@ impl Partition {
             },
             count: members.len(),
             hull: Hull::EMPTY,
-            dirty: true,
+            image: None,
         };
         for (_, ls) in members {
             part.hull.widen(Hull::of(ls));
@@ -228,7 +245,7 @@ impl Partition {
         let merges = lifespans.merges() - merges_before;
         self.hull.widen(Hull::of(tuple.lifespan()));
         self.count += 1;
-        self.dirty = true;
+        self.image = None;
         merges
     }
 
@@ -244,13 +261,13 @@ impl Partition {
         resident.into_iter().flatten().map(|&p| p as usize)
     }
 
-    /// Are the members disk-resident (a checkpoint heap file)?
+    /// Are the members disk-resident (a run of checkpoint heap pages)?
     pub fn is_cold(&self) -> bool {
         matches!(self.members, Members::Cold { .. })
     }
 
-    /// The per-page zone map of a cold partition's heap (unset until the
-    /// heap's first full scan); `None` for resident members.
+    /// The per-page zone map of a cold partition's run (unset until the
+    /// run's first full scan); `None` for resident members.
     pub(crate) fn page_zones(&self) -> Option<&OnceLock<Arc<[PageZone]>>> {
         match &self.members {
             Members::Cold { zones } => Some(zones),
@@ -280,9 +297,10 @@ impl Partition {
         (self.hull.lo, self.hull.hi)
     }
 
-    /// Has membership changed since the last checkpoint?
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
+    /// Where the last checkpoint wrote exactly the current members; `None`
+    /// when membership changed since (the partition is dirty).
+    pub fn image(&self) -> Option<HeapRun> {
+        self.image
     }
 }
 
@@ -329,24 +347,20 @@ impl PartitionMap {
     }
 
     /// Rebuilds a **cold** map from a checkpoint manifest's per-partition
-    /// `(id, count, min_lo, max_hi)` rows. No member is resident: pruning
-    /// answers come from the persisted summaries, and the members are the
-    /// records of each partition's heap file. All partitions start clean
-    /// (they mirror what is on disk).
-    pub fn from_manifest(
-        policy: PartitionPolicy,
-        manifest: &[(i64, u64, i64, i64)],
-    ) -> PartitionMap {
-        let cold = |&(id, count, lo, hi): &(i64, u64, i64, i64)| {
+    /// `(id, count, min_lo, max_hi, run)` rows. No member is resident:
+    /// pruning answers come from the persisted summaries, and the members
+    /// are the records of each partition's run of heap pages. All
+    /// partitions start clean (they mirror what is on disk).
+    pub fn from_manifest(policy: PartitionPolicy, manifest: &[ManifestRow]) -> PartitionMap {
+        let cold = |&(id, count, lo, hi, run): &ManifestRow| {
             let members = Members::Cold {
                 zones: OnceLock::new(),
             };
-            let (count, hull, dirty) = (count as usize, Hull { lo, hi }, false);
             let part = Partition {
                 members,
-                count,
-                hull,
-                dirty,
+                count: count as usize,
+                hull: Hull { lo, hi },
+                image: Some(run),
             };
             (id, Arc::new(part))
         };
@@ -511,22 +525,15 @@ impl PartitionMap {
         out
     }
 
-    /// Ids of partitions whose membership changed since the last
-    /// checkpoint.
-    pub fn dirty_ids(&self) -> Vec<i64> {
-        self.parts
-            .iter()
-            .filter(|(_, p)| p.dirty)
-            .map(|(&id, _)| id)
-            .collect()
-    }
-
-    /// Marks every partition clean — called after a checkpoint has written
-    /// (or linked) every partition's heap file under the new epoch. Only
-    /// the dirty partitions are touched (and copied, if shared).
-    pub(crate) fn mark_clean(&mut self) {
-        for p in self.parts.values_mut().filter(|p| p.dirty) {
-            Arc::make_mut(p).dirty = false;
+    /// Records where a checkpoint left each partition of `runs`; ids the
+    /// map does not hold are ignored. Only partitions whose run changed
+    /// are touched (and copied, if shared).
+    pub(crate) fn set_images(&mut self, runs: impl IntoIterator<Item = (i64, HeapRun)>) {
+        for (id, run) in runs {
+            let part = self.parts.get_mut(&id);
+            if let Some(p) = part.filter(|p| p.image != Some(run)) {
+                Arc::make_mut(p).image = Some(run);
+            }
         }
     }
 }
@@ -740,15 +747,30 @@ mod tests {
         }
     }
 
+    /// Ids of the partitions without an image.
+    fn dirty_ids(m: &PartitionMap) -> Vec<i64> {
+        let dirty = m.iter().filter(|(_, p)| p.image().is_none());
+        dirty.map(|(id, _)| id).collect()
+    }
+
     #[test]
     fn dirty_tracking_follows_inserts() {
         let r = rel(vec![tup(1, &[(0, 5)]), tup(2, &[(100, 105)])]);
         let mut m = PartitionMap::build(&r, PartitionPolicy::SpanLog2(4));
-        assert_eq!(m.dirty_ids(), vec![0, 6], "everything dirty after build");
-        m.mark_clean();
-        assert!(m.dirty_ids().is_empty());
+        assert_eq!(dirty_ids(&m), vec![0, 6], "everything dirty after build");
+        let run = |first_page| HeapRun {
+            epoch: 1,
+            first_page,
+            pages: 1,
+        };
+        m.set_images([(0, run(0)), (6, run(1)), (9, run(2))]);
+        assert!(dirty_ids(&m).is_empty());
+        assert_eq!(m.partition(6).unwrap().image(), Some(run(1)));
+        assert!(m.partition(9).is_none(), "an unknown id stays unknown");
         m.insert(2, &tup(3, &[(101, 120)]));
-        assert_eq!(m.dirty_ids(), vec![6], "only the touched partition");
+        assert_eq!(dirty_ids(&m), vec![6], "only the touched partition");
+        assert_eq!(m.partition(6).unwrap().image(), None);
+        assert_eq!(m.partition(0).unwrap().image(), Some(run(0)));
     }
 
     #[test]

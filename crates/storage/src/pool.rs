@@ -248,11 +248,11 @@ impl BufferPool {
                 ));
             }
             f.faults += 1;
-            let mut buf = [0u8; PAGE_SIZE];
+            // Read straight into the frame's own page: no stack copy.
+            let mut page = Page::new();
             f.file
                 .seek(SeekFrom::Start(u64::from(page_no) * PAGE_SIZE as u64))?;
-            f.file.read_exact(&mut buf)?;
-            let page = Page::from_bytes(buf);
+            f.file.read_exact(page.bytes_mut())?;
             if !page.verify() {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,

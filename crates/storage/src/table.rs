@@ -1,7 +1,7 @@
 //! One relation's committed state — the unit the live database and its
 //! snapshots share — resident, or with its checkpoint image on disk.
 
-use crate::database::{io_with_path, partition_heap_path, read_partition, DbError, PartitionRead};
+use crate::database::{heap_path, io_with_path, read_partition, DbError, PartitionRead};
 use crate::heap::HeapFile;
 use crate::obs::storage_obs;
 use crate::partition::{PartitionMap, PartitionPolicy};
@@ -9,7 +9,7 @@ use crate::pool::BufferPool;
 use hrdm_core::{Relation, Scheme, Tuple};
 use hrdm_index::KeyIndex;
 use hrdm_time::Lifespan;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -51,17 +51,20 @@ pub(crate) struct Table {
 pub(crate) type Tables = BTreeMap<Arc<str>, Arc<Table>>;
 
 /// A relation's checkpoint image on disk, whose partitions its table's
-/// map holds: the heaps opened so far (lazily, on first fault) and what
-/// the scans read of them. Every clone of its table shares it.
+/// map holds, each a run of pages in one of the relation's heap files: the
+/// files opened so far (lazily, on first read) and what the reads reached.
+/// Every clone of its table shares it.
 pub(crate) struct ColdPart {
-    /// Where the heaps live: `<dir>/<name>.<epoch>.p<id>.heap`.
+    /// Where the heaps live: `<dir>/<name>.<epoch>.heap`, one per epoch
+    /// some partition's run names.
     dir: PathBuf,
     name: String,
-    epoch: u64,
     pool: Arc<BufferPool>,
-    /// Partition heaps opened so far; absence here (plus a zero fault
-    /// count) is the witness that a pruned partition was never touched.
-    pub(crate) heaps: Mutex<BTreeMap<i64, Arc<HeapFile>>>,
+    /// Heap files opened so far, by epoch.
+    heaps: Mutex<BTreeMap<u64, Arc<HeapFile>>>,
+    /// Partitions a read reached; absence here (plus a zero fault count)
+    /// is the witness that a pruned partition was never touched.
+    pub(crate) reached: Mutex<BTreeSet<i64>>,
     /// Heap records the scans visited (each a lifespan probe; records of
     /// skipped pages are not visited), and those of them decoded in full.
     pub(crate) records_scanned: AtomicU64,
@@ -70,16 +73,16 @@ pub(crate) struct ColdPart {
 
 impl std::fmt::Debug for ColdPart {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (name, epoch) = (&self.name, self.epoch);
-        write!(f, "ColdPart({name} @ {epoch})")
+        write!(f, "ColdPart({} in {})", self.name, self.dir.display())
     }
 }
 
 /// How a checkpoint image is read.
 #[derive(Clone, Copy)]
 pub(crate) enum ImageRead<'w> {
-    /// The eager open's read in full: each heap opened, read whole without
-    /// a probe and closed; no zone map is built and nothing is counted.
+    /// The eager open's read in full: each run read whole without a probe,
+    /// its file opened for it and closed after, so its pages leave the
+    /// pool; no zone map is built and nothing is counted.
     Full,
     /// The tuples meeting the window (all when `None`), as a scan reads
     /// them: through the heap cache and the zone maps, and counted.
@@ -87,18 +90,18 @@ pub(crate) enum ImageRead<'w> {
 }
 
 impl ColdPart {
-    /// The heap of partition `id`, from the cache or opened (and cached
-    /// when `keep`).
-    fn heap(&self, id: i64, keep: bool) -> Result<Arc<HeapFile>, DbError> {
+    /// The relation's heap file of checkpoint `epoch`, from the cache or
+    /// opened (and cached when `keep`).
+    fn heap(&self, epoch: u64, keep: bool) -> Result<Arc<HeapFile>, DbError> {
         let mut heaps = self.heaps.lock().expect("cold heap cache lock");
-        if let Some(h) = heaps.get(&id) {
+        if let Some(h) = heaps.get(&epoch) {
             return Ok(Arc::clone(h));
         }
-        let path = partition_heap_path(&self.dir, &self.name, self.epoch, id);
+        let path = heap_path(&self.dir, &self.name, epoch);
         let heap = HeapFile::open_in(&path, Arc::clone(&self.pool));
         let heap = Arc::new(heap.map_err(|e| io_with_path(&path, e))?);
         if keep {
-            heaps.insert(id, Arc::clone(&heap));
+            heaps.insert(epoch, Arc::clone(&heap));
         }
         Ok(heap)
     }
@@ -116,20 +119,20 @@ impl Table {
     }
 
     /// A relation on `scheme` with nothing resident, its checkpoint image
-    /// on disk: `map`'s partitions, in the heaps checkpoint `epoch` wrote
-    /// into `dir`, read through `pool`.
+    /// on disk: `map`'s partitions, in the runs of the heap files that
+    /// checkpoints wrote into `dir`, read through `pool`.
     pub(crate) fn cold(
         scheme: Scheme,
         map: PartitionMap,
-        (dir, name, epoch): (&Path, &str, u64),
+        (dir, name): (&Path, &str),
         pool: &Arc<BufferPool>,
     ) -> Table {
         let cold = ColdPart {
             dir: dir.to_path_buf(),
             name: name.to_string(),
-            epoch,
             pool: Arc::clone(pool),
             heaps: Mutex::default(),
+            reached: Mutex::default(),
             records_scanned: AtomicU64::default(),
             records_decoded: AtomicU64::default(),
         };
@@ -187,7 +190,7 @@ impl Table {
 
     /// Appends to `out`, in heap order, the tuples of cold partition `id`
     /// that `how` reads, restricted to `clip` ([`read_partition`]). Nothing
-    /// for a partition that is not in the image.
+    /// for a partition that is not in the image (it has no run).
     pub(crate) fn read_cold(
         &self,
         id: i64,
@@ -195,17 +198,20 @@ impl Table {
         clip: Option<&Lifespan>,
         out: &mut Vec<Tuple>,
     ) -> Result<PartitionRead, DbError> {
-        let (Some(cold), Some(part)) = (&self.cold, self.partitions.partition(id)) else {
+        let part = self.partitions.partition(id);
+        let run = part.and_then(|p| p.image());
+        let (Some(cold), Some(part), Some(run)) = (&self.cold, part, run) else {
             return Ok(PartitionRead::default());
         };
+        cold.reached.lock().expect("cold reach lock").insert(id);
         let (count, scheme) = ((id, part.len() as u64), self.relation.scheme());
         let ImageRead::Window(window) = how else {
-            let heap = cold.heap(id, false)?;
-            return read_partition(&heap, count, scheme, None, clip, None, out);
+            let heap = cold.heap(run.epoch, false)?;
+            return read_partition((&heap, run), count, scheme, None, clip, None, out);
         };
-        let heap = cold.heap(id, true)?;
+        let heap = cold.heap(run.epoch, true)?;
         let zones = part.page_zones();
-        let read = read_partition(&heap, count, scheme, window, clip, zones, out)?;
+        let read = read_partition((&heap, run), count, scheme, window, clip, zones, out)?;
         cold.records_scanned
             .fetch_add(read.scanned, Ordering::SeqCst);
         cold.records_decoded
@@ -266,11 +272,16 @@ mod tests {
             .attr("V", HistoricalDomain::int(), era)
             .build()
             .unwrap();
-        let manifest = [(0, 5, 0, 20), (2, 7, 32, 60)];
+        let run = |first_page| crate::HeapRun {
+            epoch: 1,
+            first_page,
+            pages: 1,
+        };
+        let manifest = [(0, 5, 0, 20, run(0)), (2, 7, 32, 60, run(1))];
         let map = PartitionMap::from_manifest(PartitionPolicy::SpanLog2(4), &manifest);
         let dir = std::env::temp_dir();
         let pool = BufferPool::new(4);
-        let mut table = Table::cold(scheme.clone(), map, (&dir, "r", 1), &pool);
+        let mut table = Table::cold(scheme.clone(), map, (&dir, "r"), &pool);
         for k in 0..100i64 {
             let life = Lifespan::interval(k * 7, k * 7 + 3);
             let tuple = Tuple::builder(life.clone())

@@ -160,16 +160,11 @@ fn a_warm_window_skips_the_pages_it_cannot_meet() {
     let n = 6_400;
     // 1 999 is prime to 4 070: births jump about the partition.
     seed_db_born(&dir, n, |k| (k * 1_999) % 4_070);
-    let heap_bytes: u64 = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap())
-        .filter(|e| e.file_name().to_string_lossy().ends_with(".p0.heap"))
-        .map(|e| e.metadata().unwrap().len())
-        .sum();
-    let pages = heap_bytes / PAGE_SIZE as u64;
+    let eager = Database::load(&dir).unwrap();
+    let part = eager.partitions("emp").unwrap().partition(0).unwrap();
+    let pages = part.image().unwrap().pages;
     assert!(pages >= 20, "partition 0 spans only {pages} page(s)");
 
-    let eager = Database::load(&dir).unwrap();
     let paged = PagedDatabase::open_with_pool(&dir, BufferPool::new(4)).unwrap();
     assert_eq!(paged.partition_map("emp").unwrap().partition_count(), 1);
     paged

@@ -4,9 +4,10 @@
 //! acknowledged write.
 
 use hrdm_core::prelude::*;
-use hrdm_storage::{Database, DbError, PagedDatabase, Wal, WalRecord};
+use hrdm_storage::PAGE_SIZE;
+use hrdm_storage::{Database, DbError, HeapRun, PagedDatabase, PartitionPolicy, Wal, WalRecord};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -244,16 +245,16 @@ fn unreadable_wal_errors_name_the_log_file() {
 }
 
 /// A save that cannot write one of its files fails with an I/O error
-/// naming that file: here a directory squats on the heap's and the
-/// B+tree's temporary names, on the WAL, and on the catalog's temporary
-/// name in turn.
+/// naming that file: here a directory squats on the relation heap's and
+/// the B+tree's temporary names, on the WAL, and on the catalog's
+/// temporary name in turn.
 #[test]
 fn save_errors_name_the_file_they_could_not_write() {
     let mut db = Database::new();
     db.create_relation("r", scheme()).unwrap();
     db.insert("r", tup(1, 0, 10)).unwrap();
     for squatted in [
-        "r.0.p0.heap.tmp",
+        "r.0.heap.tmp",
         "r.0.btx.tmp",
         "wal.0.log",
         "catalog.hrdm.tmp",
@@ -305,16 +306,25 @@ fn unappliable_wal_record_errors_name_the_log_and_the_record() {
 }
 
 // ---------------------------------------------------------------------------
-// Partition-aware crash injection: checkpoints now write one heap file per
-// chronon-range partition and rewrite only the dirty ones, so the
-// interesting kills are mid-checkpoint with a *partial* set of new-epoch
-// partition files on disk, torn per-partition files, and partition maps
-// that changed between epochs.
+// Partition-aware crash injection: a checkpoint writes each dirty
+// partition of a relation as a run of pages in one new heap file, and
+// clean partitions keep pointing into older files, so the interesting
+// kills are mid-checkpoint with a torn new-epoch heap file on disk, torn
+// or mixed-up runs in committed files, and partition maps that changed
+// between epochs.
 // ---------------------------------------------------------------------------
 
-/// A kill mid-checkpoint after only *some* dirty partitions were rewritten
-/// (one of them torn mid-write): the catalog still names the old epoch, so
-/// recovery must serve the old epoch untouched and sweep the debris.
+/// The run of `emp`'s partition `id` in the checkpoint at `dir`.
+fn run_of(dir: &Path, id: i64) -> HeapRun {
+    let db = Database::load(dir).unwrap();
+    let part = db.partitions("emp").unwrap().partition(id).unwrap();
+    part.image().expect("a loaded partition mirrors its run")
+}
+
+/// A kill mid-checkpoint after only *some* dirty partitions were written
+/// into the new epoch's heap file, torn mid-write: the catalog still names
+/// the old epoch, so recovery must serve the old epoch untouched and sweep
+/// the debris.
 #[test]
 fn kill_mid_checkpoint_with_partially_rewritten_partitions() {
     let dir = tmp("partial-partitions");
@@ -329,20 +339,19 @@ fn kill_mid_checkpoint_with_partially_rewritten_partitions() {
         db.checkpoint().unwrap();
         db.insert("emp", tup(4, 1, 9)).unwrap(); // dirties partition 0 only
     }
-    // Fabricate the kill: epoch-2 files for *some* partitions exist — one
-    // complete-looking, one torn mid-write — and the catalog still says
-    // epoch 1.
-    std::fs::copy(dir.join("emp.1.p1.heap"), dir.join("emp.2.p1.heap")).unwrap();
-    std::fs::write(dir.join("emp.2.p0.heap"), b"torn partition heap").unwrap();
-    std::fs::write(dir.join("emp.2.p0.heap.tmp"), b"half").unwrap();
+    // Fabricate the kill: the epoch-2 heap file exists torn mid-write,
+    // beside the temporary it was being written under, and the catalog
+    // still says epoch 1.
+    std::fs::write(dir.join("emp.2.heap"), b"torn partition heap").unwrap();
+    std::fs::write(dir.join("emp.2.heap.tmp"), b"half").unwrap();
 
     let back = Database::open(&dir).unwrap();
     assert_eq!(back.epoch(), Some(1));
     assert_eq!(back.relation("emp").unwrap().len(), 4, "WAL tail replayed");
     // Pre-commit debris of the aborted checkpoint was swept.
-    assert!(!dir.join("emp.2.p0.heap").exists());
-    assert!(!dir.join("emp.2.p1.heap").exists());
-    assert!(!dir.join("emp.2.p0.heap.tmp").exists());
+    assert!(!dir.join("emp.2.heap").exists());
+    assert!(!dir.join("emp.2.heap.tmp").exists());
+    assert!(dir.join("emp.1.heap").exists());
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -360,23 +369,23 @@ fn torn_committed_partition_heap_fails_loudly() {
         db.insert("emp", tup(2, 20, 30)).unwrap();
         db.checkpoint().unwrap();
     }
-    let victim = dir.join("emp.1.p1.heap");
+    let victim = dir.join("emp.1.heap");
     let bytes = std::fs::read(&victim).unwrap();
     std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
     let err = match Database::open(&dir) {
         Err(e) => e.to_string(),
-        Ok(_) => panic!("torn committed partition file must not load"),
+        Ok(_) => panic!("torn committed heap file must not load"),
     };
     assert!(
-        err.contains("emp.1.p1.heap"),
-        "error must name the torn partition file: {err}"
+        err.contains("emp.1.heap"),
+        "error must name the torn heap file: {err}"
     );
     std::fs::remove_dir_all(dir).ok();
 }
 
-/// A partition heap whose tuple count diverges from the catalog manifest
-/// is detected (a swapped or truncated-at-a-page-boundary file would
-/// otherwise load silently).
+/// A partition run whose tuple count diverges from the catalog manifest
+/// is detected (runs mixed up within a file would otherwise load
+/// silently).
 #[test]
 fn partition_manifest_count_mismatch_detected() {
     let dir = tmp("manifest-mismatch");
@@ -389,9 +398,15 @@ fn partition_manifest_count_mismatch_detected() {
         db.insert("emp", tup(3, 40, 50)).unwrap();
         db.checkpoint().unwrap();
     }
-    // Swap partition 2's file in place of partition 0's: both are intact
-    // heap files, but the tuple counts disagree with the manifest.
-    std::fs::copy(dir.join("emp.1.p2.heap"), dir.join("emp.1.p0.heap")).unwrap();
+    // Copy partition 2's run over partition 0's in the same file: both
+    // are intact pages, but the tuple counts disagree with the manifest.
+    let (from, to) = (run_of(&dir, 2), run_of(&dir, 0));
+    assert_eq!((from.epoch, from.pages, to.epoch, to.pages), (1, 1, 1, 1));
+    let path = dir.join("emp.1.heap");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let at = |run: HeapRun| run.first_page as usize * PAGE_SIZE;
+    bytes.copy_within(at(from)..at(from) + PAGE_SIZE, at(to));
+    std::fs::write(&path, &bytes).unwrap();
     let err = match Database::open(&dir) {
         Err(e) => e.to_string(),
         Ok(_) => panic!("manifest mismatch must not load"),
@@ -448,39 +463,151 @@ fn recovery_across_partition_map_change_between_epochs() {
     std::fs::remove_dir_all(dir).ok();
 }
 
-/// `checkpoint()` rewrites only dirty partitions: clean ones are carried
-/// into the new epoch as hard links to the old epoch's files (same
-/// inode), dirty ones get fresh files.
-#[cfg(unix)]
+/// `checkpoint()` rewrites only dirty partitions: the clean ones keep
+/// their runs in the epoch-1 heap file, which stays (two of its three
+/// pages are live), and are not even copied away from a snapshot sharing
+/// them; the dirty one's run moves into the epoch-2 file. The catalog
+/// carries the runs across a reopen.
 #[test]
 fn checkpoint_links_clean_partitions_and_rewrites_dirty_ones() {
-    use std::os::unix::fs::MetadataExt;
     let dir = tmp("dirty-only");
     let mut db = Database::open(&dir).unwrap();
-    db.set_partition_policy(hrdm_storage::PartitionPolicy::SpanLog2(4));
+    db.set_partition_policy(PartitionPolicy::SpanLog2(4));
     db.create_relation("emp", scheme()).unwrap();
     db.insert("emp", tup(1, 0, 10)).unwrap(); // partition 0
     db.insert("emp", tup(2, 20, 30)).unwrap(); // partition 1
     db.insert("emp", tup(3, 40, 50)).unwrap(); // partition 2
     db.checkpoint().unwrap();
-    let ino = |p: std::path::PathBuf| std::fs::metadata(p).unwrap().ino();
-    let old: Vec<u64> = (0..3)
-        .map(|k| ino(dir.join(format!("emp.1.p{k}.heap"))))
-        .collect();
+    let epochs = |db: &Database| -> Vec<u64> {
+        let parts = db.partitions("emp").unwrap();
+        parts
+            .iter()
+            .map(|(_, p)| p.image().unwrap().epoch)
+            .collect()
+    };
+    assert_eq!(epochs(&db), [1, 1, 1]);
 
     db.insert("emp", tup(4, 21, 29)).unwrap(); // dirties partition 1 only
+    let part = |id| db.partitions("emp").unwrap().partition(id).unwrap().image();
+    assert!(
+        part(0).is_some() && part(1).is_none(),
+        "partition 1 is dirty"
+    );
+    let before = db.snapshot();
     db.checkpoint().unwrap();
-    let new: Vec<u64> = (0..3)
-        .map(|k| ino(dir.join(format!("emp.2.p{k}.heap"))))
+    assert_eq!(epochs(&db), [1, 2, 1], "only partition 1 was rewritten");
+    let (now, then) = (
+        db.partitions("emp").unwrap(),
+        before.partitions("emp").unwrap(),
+    );
+    let shared: Vec<bool> = (0..3)
+        .map(|id| now.shares_partition_with(then, id))
         .collect();
-    assert_eq!(new[0], old[0], "clean partition 0 hard-linked");
-    assert_eq!(new[2], old[2], "clean partition 2 hard-linked");
-    assert_ne!(new[1], old[1], "dirty partition 1 rewritten");
+    assert_eq!(
+        shared,
+        [true, false, true],
+        "the clean partitions were not copied"
+    );
+    assert!(dir.join("emp.1.heap").exists() && dir.join("emp.2.heap").exists());
 
-    // The linked epoch still opens to the full state.
+    // The checkpoint still opens to the full state, runs and all.
     drop(db);
     let back = Database::open(&dir).unwrap();
     assert_eq!(back.relation("emp").unwrap().len(), 4);
+    assert_eq!(epochs(&back), [1, 2, 1]);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// One partition rewritten by 100 checkpoints, alone at first and then
+/// beside two clean ones, the second born while the rewritten one spans
+/// several pages: after every checkpoint each heap file the catalog
+/// references is at least half live, no file it does not reference is
+/// left, the relation never holds more than two heap files, and a reopen
+/// reads the live state. The file the second clean partition was born in
+/// goes more than half dead, so its run is rewritten.
+#[test]
+fn a_partition_rewritten_100_times_keeps_every_heap_file_half_live() {
+    let dir = tmp("rewritten-100");
+    let mut db = Database::open(&dir).unwrap();
+    db.set_partition_policy(PartitionPolicy::SpanLog2(4)); // span 16
+    db.create_relation("emp", scheme()).unwrap();
+    let clean_runs = |db: &Database| -> Vec<HeapRun> {
+        let parts = db.partitions("emp").unwrap();
+        let clean = parts.iter().filter(|&(id, _)| id != 0);
+        clean.map(|(_, p)| p.image().unwrap()).collect()
+    };
+    let mut compactions = 0;
+    for round in 0..100i64 {
+        // Grow partition 0 (births 0..16) by twenty tuples…
+        for k in round * 20..round * 20 + 20 {
+            db.insert("emp", tup(k, k % 16, 16 + k % 80)).unwrap();
+        }
+        // … and now and then start a clean partition beside it.
+        let born = [10, 50].iter().position(|&r| r == round);
+        let before = match born {
+            Some(i) => {
+                let lo = 20 * (i as i64 + 1);
+                db.insert("emp", tup(-1 - i as i64, lo, lo + 5)).unwrap();
+                None
+            }
+            None => Some(clean_runs(&db)),
+        };
+        db.checkpoint().unwrap();
+        compactions += usize::from(before.is_some_and(|runs| runs != clean_runs(&db)));
+        let mut live: BTreeMap<u64, u64> = BTreeMap::new();
+        for (_, part) in db.partitions("emp").unwrap().iter() {
+            let run = part
+                .image()
+                .expect("a checkpoint leaves no partition dirty");
+            *live.entry(run.epoch).or_default() += u64::from(run.pages);
+        }
+        let heaps: BTreeSet<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".heap"))
+            .collect();
+        let referenced: BTreeSet<String> = live.keys().map(|e| format!("emp.{e}.heap")).collect();
+        assert_eq!(heaps, referenced, "round {round}: unreferenced heap files");
+        assert!(heaps.len() <= 2, "round {round}: {heaps:?}");
+        for (epoch, live) in &live {
+            let path = dir.join(format!("emp.{epoch}.heap"));
+            let pages = std::fs::metadata(&path).unwrap().len() / PAGE_SIZE as u64;
+            assert!(
+                2 * live >= pages,
+                "round {round}: {live}/{pages} live in {path:?}"
+            );
+        }
+        let back = Database::load(&dir).unwrap();
+        assert_eq!(back.relation("emp"), db.relation("emp"), "round {round}");
+    }
+    assert!(compactions > 0, "no half-dead file was rewritten");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A catalog of the format before runs (version 3) is refused, naming the
+/// file: its partitions would be read from files no checkpoint writes.
+#[test]
+fn a_version_3_catalog_is_refused_naming_the_file() {
+    let dir = tmp("catalog-v3");
+    let mut db = Database::new();
+    db.create_relation("emp", scheme()).unwrap();
+    db.insert("emp", tup(1, 0, 10)).unwrap();
+    db.save(&dir).unwrap();
+    let path = dir.join("catalog.hrdm");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    for err in [
+        Database::load(&dir).map(drop).unwrap_err(),
+        Database::open(&dir).map(drop).unwrap_err(),
+        PagedDatabase::open(&dir).map(drop).unwrap_err(),
+    ] {
+        let want = format!("{}: unsupported version 3", path.display());
+        assert!(
+            matches!(&err, DbError::BadFile(what) if what.contains(&want)),
+            "{err}"
+        );
+    }
     std::fs::remove_dir_all(dir).ok();
 }
 

@@ -132,14 +132,10 @@ fn assert_decodes_the_window(paged: &PagedDatabase, q: &str) {
 fn paged_pipeline_battery_on_seeded_state() {
     let dir = tmp("seeded");
     seeded(&dir);
-    let most_pages = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap())
-        .filter(|e| e.file_name().to_string_lossy().ends_with(".heap"))
-        .map(|e| e.metadata().unwrap().len() / PAGE_SIZE as u64)
-        .max()
-        .unwrap();
-    assert!(most_pages >= 3, "no partition spans several pages");
+    let cold = PagedDatabase::open(&dir).unwrap();
+    let parts = cold.partition_map("r").unwrap().iter();
+    let most_pages = parts.map(|(_, p)| p.image().unwrap().pages).max();
+    assert!(most_pages >= Some(3), "no partition spans several pages");
     let eager = Database::load(&dir).unwrap();
     // A slice above a select, one below, and a two-run slice on the scan.
     let sliced = [
@@ -275,16 +271,18 @@ fn key_probes_use_an_index_only_where_it_sees_every_row() {
 fn a_corrupt_cold_partition_fails_the_query() {
     let dir = tmp("corrupt");
     seeded(&dir);
-    let heap = std::fs::read_dir(&dir)
+    let cold = PagedDatabase::open(&dir).unwrap();
+    let run = cold
+        .partition_map("r")
         .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| {
-            let name = p.file_name().unwrap().to_string_lossy().into_owned();
-            name.starts_with("r.") && name.ends_with(".p5.heap")
-        })
-        .unwrap();
+        .partition(5)
+        .unwrap()
+        .image();
+    let run = run.expect("a cold partition is a run");
+    drop(cold);
+    let heap = dir.join(format!("r.{}.heap", run.epoch));
     let mut bytes = std::fs::read(&heap).unwrap();
-    bytes[PAGE_SIZE / 2] ^= 0xff;
+    bytes[run.first_page as usize * PAGE_SIZE + PAGE_SIZE / 2] ^= 0xff;
     std::fs::write(&heap, &bytes).unwrap();
     let paged = PagedDatabase::open_with_pool(&dir, BufferPool::new(8)).unwrap();
     for q in ["TIMESLICE [20..23] (r)", "r", "COUNT V (r)"] {
