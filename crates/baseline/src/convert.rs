@@ -3,9 +3,10 @@
 //! The paper's §1 comparison is about *where the temporal dimension is
 //! attached*, not about what can be represented: the same history can be
 //! stored attribute-timestamped (HRDM), tuple-timestamped (1NF versions), or
-//! as a cube of snapshots. These conversions realize that equivalence so the
-//! benchmark experiments (DESIGN.md E8) measure the same information under
-//! the three layouts.
+//! as a cube of snapshots. These conversions realize that equivalence, so the
+//! storage comparison of paper Fig. 10 (the `figures` binary) and the
+//! `model_agreement` tests look at the same information under the three
+//! layouts.
 
 use crate::cube::CubeRelation;
 use crate::snapshot::{SnapshotRelation, SnapshotScheme};

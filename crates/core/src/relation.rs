@@ -273,7 +273,8 @@ impl Relation {
     }
 
     /// Total number of value segments across all tuples — the storage-cost
-    /// measure used by the granularity experiments (DESIGN.md E1/E8).
+    /// measure that the cube comparison of paper Fig. 10 sets against a
+    /// cube's cell count.
     pub fn segment_cells(&self) -> usize {
         self.tuples
             .iter()

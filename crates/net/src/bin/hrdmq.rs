@@ -60,7 +60,8 @@ struct Shell {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let db = match args.get(1) {
+    let dir = args.get(1);
+    let db = match dir {
         Some(dir) => match ConcurrentDatabase::open(std::path::Path::new(dir)) {
             Ok(db) => db,
             Err(e) => {
@@ -83,10 +84,7 @@ fn main() {
         let names: Vec<&str> = snap.relation_names().collect();
         println!("hrdmq — {} relation(s): {}", names.len(), names.join(", "));
     }
-    match shell
-        .local
-        .with_database(|d| d.attached_dir().map(|p| p.display().to_string()))
-    {
+    match dir {
         Some(dir) => println!("attached to {dir} (durable; \\checkpoint to compact)"),
         None => println!("detached (in-memory; \\open <dir> to attach durably)"),
     }

@@ -467,14 +467,6 @@ impl ConcurrentDatabase {
             last_batch: self.stats.last_batch.get() as usize,
         }
     }
-
-    /// Runs `f` on the underlying [`Database`] under the writer lock —
-    /// for administration that has no snapshot/group-commit path (e.g.
-    /// inspection of attachment state). Blocks writers while it runs.
-    pub fn with_database<T>(&self, f: impl FnOnce(&mut Database) -> T) -> T {
-        let mut db = self.inner.lock().expect("database lock");
-        f(&mut db)
-    }
 }
 
 impl Default for ConcurrentDatabase {

@@ -228,20 +228,6 @@ impl Database {
         &self.catalog
     }
 
-    /// Mutable catalog access for schema-evolution operations.
-    ///
-    /// **Detached use only**: edits through this handle bypass the WAL, so
-    /// on an attached database they are not durable until the next
-    /// [`Database::checkpoint`]. Prefer [`Database::add_attribute`] /
-    /// [`Database::drop_attribute`] / [`Database::re_add_attribute`].
-    ///
-    /// Note: evolving a scheme does not retroactively invalidate stored
-    /// tuples; values outside a *shrunk* ALS become invisible to `vls`, per
-    /// the paper's semantics.
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        Arc::make_mut(&mut self.catalog)
-    }
-
     /// Creates a relation. On an attached database the creation is
     /// write-ahead logged (fsync'd) before it is acknowledged.
     pub fn create_relation(&mut self, name: &str, scheme: Scheme) -> Result<(), DbError> {
@@ -921,7 +907,8 @@ pub(crate) struct Recovered {
 /// every other one left cold (its heaps read through `pool`), then applies
 /// each record through the applier that commits writes. A record that
 /// fails to apply fails the recovery with a [`DbError::BadFile`] naming
-/// the log and the record's index.
+/// the log and the record's index, and one that does not decode with one
+/// naming its byte offset ([`Wal::replay`]); the log is left as it is.
 /// `None` when `dir` holds neither a catalog nor `wal.0.log`.
 pub(crate) fn recover(
     dir: &Path,
@@ -932,7 +919,7 @@ pub(crate) fn recover(
     let epoch = manifest.as_ref().map_or(0, |m| m.epoch);
     let wal_file = wal_path(dir, epoch);
     let (records, torn_at) = if wal_file.exists() {
-        Wal::replay(&wal_file).map_err(|e| io_with_path(&wal_file, e))?
+        Wal::replay(&wal_file)?
     } else if manifest.is_some() {
         (Vec::new(), None)
     } else {

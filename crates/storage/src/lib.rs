@@ -11,10 +11,10 @@
 //!   [`PageWriter`], the one writer of page files: a checkpoint writes
 //!   each heap and B+tree once, front to back, sealing every page, and
 //!   never rewrites it;
-//! * [`pool`] — a page-granular, read-only **buffer pool** (pin counts,
-//!   clock eviction) that every on-disk page is read through, capping
-//!   resident memory at a configurable budget (`HRDM_POOL_PAGES` frames,
-//!   default 256 MiB);
+//! * [`pool`] — a page-granular, read-only **buffer pool** (guards that
+//!   pin a frame by sharing it, clock eviction) that every on-disk page is
+//!   read through, capping resident memory at a configurable budget
+//!   (`HRDM_POOL_PAGES` frames, default 256 MiB);
 //! * [`heap`] — heap files of encoded tuples over slotted pages, faulted
 //!   through the pool on demand;
 //! * [`btree`] — a bulk-loaded on-disk B+tree keyed by

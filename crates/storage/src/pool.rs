@@ -2,7 +2,7 @@
 //!
 //! Every on-disk page the engine reads — heap-file pages, B+tree nodes —
 //! is faulted into a fixed budget of in-memory *frames* and accessed
-//! through pinned [`PageGuard`]s. The pool only reads: page files are
+//! through [`PageGuard`]s. The pool only reads: page files are
 //! written once by [`crate::PageWriter`] and immutable afterwards, so a
 //! frame is never dirty and the pool opens its files read-only. Callers
 //! register a file ([`BufferPool::open`]) and from then on address pages
@@ -16,6 +16,10 @@
 //! Eviction is a clock (second-chance FIFO) sweep: each frame carries a
 //! reference bit set on every access; the sweep clears the bit on the
 //! first pass and drops the frame on the second, skipping pinned frames.
+//! A frame is an immutable page behind an `Arc`, and each guard holds one
+//! clone of it, so a frame is pinned exactly when its strong count is above
+//! the frame table's own reference. The sweep reads that count under the
+//! pool mutex, which is also the only place a guard is made.
 //! The capacity is a *soft* cap: if every frame is pinned the pool
 //! overcommits rather than deadlocking, so a deliberately tiny pool
 //! (`HRDM_POOL_PAGES=8` in CI) stays correct under parallel tests sharing
@@ -42,7 +46,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default pool budget: 256 MiB of 8 KiB pages.
@@ -58,8 +62,6 @@ pub struct PoolFileId(u64);
 /// One resident page: the frame table maps `(file, page_no)` to these.
 struct Frame {
     page: Page,
-    /// Guards outstanding on this frame; only unpinned frames evict.
-    pins: AtomicU32,
     /// Second-chance bit for the clock sweep.
     referenced: AtomicBool,
 }
@@ -223,7 +225,6 @@ impl BufferPool {
         let mut inner = self.lock_inner();
         if let Some(frame) = inner.frames.get(&(file.0, page_no)) {
             let frame = Arc::clone(frame);
-            frame.pins.fetch_add(1, Ordering::SeqCst);
             frame.referenced.store(true, Ordering::SeqCst);
             drop(inner);
             self.counters.hits.fetch_add(1, Ordering::SeqCst);
@@ -263,7 +264,6 @@ impl BufferPool {
         };
         let frame = Arc::new(Frame {
             page,
-            pins: AtomicU32::new(1),
             referenced: AtomicBool::new(true),
         });
         inner.frames.insert((file.0, page_no), Arc::clone(&frame));
@@ -296,9 +296,7 @@ impl BufferPool {
                 let Some(frame) = inner.frames.get(&key) else {
                     continue; // stale key for a closed file / prior eviction
                 };
-                if frame.pins.load(Ordering::SeqCst) > 0
-                    || frame.referenced.swap(false, Ordering::SeqCst)
-                {
+                if Arc::strong_count(frame) > 1 || frame.referenced.swap(false, Ordering::SeqCst) {
                     inner.clock.push_back(key);
                     continue;
                 }
@@ -347,8 +345,8 @@ fn capacity_from_env() -> usize {
     }
 }
 
-/// A pinned page. The frame cannot be evicted while any guard exists;
-/// dropping the guard unpins it.
+/// A pinned page: a clone of its frame's `Arc`. The frame cannot be
+/// evicted while any guard exists; dropping the guard unpins it.
 pub struct PageGuard {
     frame: Arc<Frame>,
 }
@@ -362,15 +360,7 @@ impl PageGuard {
 
 impl std::fmt::Debug for PageGuard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PageGuard")
-            .field("pins", &self.frame.pins.load(Ordering::SeqCst))
-            .finish()
-    }
-}
-
-impl Drop for PageGuard {
-    fn drop(&mut self) {
-        self.frame.pins.fetch_sub(1, Ordering::SeqCst);
+        f.debug_struct("PageGuard").finish_non_exhaustive()
     }
 }
 

@@ -6,8 +6,10 @@
 //! fsync'd record before acknowledging it, and [`Wal::replay`] restores the
 //! sequence after a crash. Torn tails (a partially-written final record)
 //! are detected by the per-record CRC and truncated away — the classical
-//! recovery contract. A checkpoint rotates to a fresh log (see the
-//! epoch protocol in [`crate::Database::checkpoint`]).
+//! recovery contract. A record that passes its CRC but does not decode is
+//! not a torn tail: replay refuses the log rather than cut it there. A
+//! checkpoint rotates to a fresh log (see the epoch protocol in
+//! [`crate::Database::checkpoint`]).
 //!
 //! Record layout: `len: u32 | payload | crc32(payload): u32`.
 //!
@@ -28,6 +30,7 @@
 //! and recovered state is always prefix-consistent with commit order.
 
 use crate::codec::{CodecError, Decoder, Encoder};
+use crate::database::{io_with_path, DbError};
 use crate::page::crc32;
 use hrdm_core::{Attribute, HistoricalDomain, Relation, Scheme, Tuple};
 use hrdm_time::Chronon;
@@ -297,15 +300,20 @@ impl Wal {
 
     /// Replays every intact record from the start of the log. A torn or
     /// corrupted tail ends the replay (and is reported via the returned
-    /// `truncated_at` offset so the caller can truncate the file).
-    pub fn replay(path: &Path) -> io::Result<(Vec<WalRecord>, Option<u64>)> {
-        let mut file = File::open(path)?;
+    /// `truncated_at` offset so the caller can truncate the file). A frame
+    /// whose length is 0 is such a tail: no record has an empty payload,
+    /// and a zero-filled tail passes the CRC. A non-empty record that
+    /// passes its CRC but does not decode is a [`DbError::BadFile`] naming
+    /// the log and the record's byte offset.
+    pub fn replay(path: &Path) -> Result<(Vec<WalRecord>, Option<u64>), DbError> {
         let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
+        File::open(path)
+            .and_then(|mut file| file.read_to_end(&mut bytes))
+            .map_err(|e| io_with_path(path, e))?;
         let mut records = Vec::new();
         let mut pos = 0usize;
         while pos + 8 <= bytes.len() {
-            let Some(len) = le_u32(&bytes, pos) else {
+            let Some(len @ 1..) = le_u32(&bytes, pos) else {
                 return Ok((records, Some(pos as u64))); // torn tail
             };
             let len = len as usize;
@@ -321,10 +329,13 @@ impl Wal {
             if crc32(payload) != stored {
                 return Ok((records, Some(pos as u64))); // corrupted record
             }
-            match WalRecord::decode(&mut Decoder::new(payload)) {
-                Ok(r) => records.push(r),
-                Err(_) => return Ok((records, Some(pos as u64))),
-            }
+            let record = WalRecord::decode(&mut Decoder::new(payload)).map_err(|e| {
+                DbError::BadFile(format!(
+                    "{}: record at byte {pos} passes its checksum but does not decode: {e}",
+                    path.display()
+                ))
+            })?;
+            records.push(record);
             pos = end + 4;
         }
         let truncated = if pos == bytes.len() {

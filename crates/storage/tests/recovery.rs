@@ -305,6 +305,83 @@ fn unappliable_wal_record_errors_name_the_log_and_the_record() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// CRC-32 (IEEE), bit at a time: the checksum that frames every WAL record.
+fn crc32(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in data {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                0xEDB8_8320 ^ (crc >> 1)
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// A record that passes its CRC but does not decode is not a torn tail:
+/// every open refuses the log with a `BadFile` naming it and the record's
+/// byte offset, and leaves the file as it was, where truncating there would
+/// destroy that record and every one after it.
+#[test]
+fn a_checksummed_wal_record_that_does_not_decode_is_refused() {
+    let dir = tmp("undecodable-wal");
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal = dir.join("wal.0.log");
+    let mut log = Vec::new();
+    for tag in [99u8, 98] {
+        let mut payload = vec![tag];
+        payload.extend_from_slice(&[0; 20]);
+        log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        log.extend_from_slice(&payload);
+        log.extend_from_slice(&crc32(&payload).to_le_bytes());
+    }
+    assert_eq!(log.len(), 58);
+    std::fs::write(&wal, &log).unwrap();
+    let errors = [
+        Database::open(&dir).map(drop).unwrap_err(),
+        Database::load(&dir).map(drop).unwrap_err(),
+        PagedDatabase::open(&dir).map(drop).unwrap_err(),
+    ];
+    let at = format!("{}: record at byte 0", wal.display());
+    for err in errors {
+        assert!(
+            matches!(&err, DbError::BadFile(what) if what.contains(&at)),
+            "{err}"
+        );
+    }
+    assert_eq!(
+        std::fs::read(&wal).unwrap(),
+        log,
+        "the log is left unchanged"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A zero-filled tail (length 0, CRC 0, as a crash can leave it) passes the
+/// CRC of an empty payload, but the WAL never writes one: it is a torn tail,
+/// and open cuts it off.
+#[test]
+fn a_zero_filled_wal_tail_is_cut_off() {
+    let dir = tmp("zero-tail");
+    {
+        let mut db = Database::open(&dir).unwrap();
+        db.create_relation("emp", scheme()).unwrap();
+        db.insert("emp", tup(1, 0, 10)).unwrap();
+    }
+    let wal = wal_file(&dir);
+    let intact = std::fs::metadata(&wal).unwrap().len();
+    let mut bytes = std::fs::read(&wal).unwrap();
+    bytes.extend_from_slice(&[0; 16]);
+    std::fs::write(&wal, &bytes).unwrap();
+    let back = Database::open(&dir).unwrap();
+    assert_eq!(back.relation("emp").unwrap().len(), 1);
+    assert_eq!(std::fs::metadata(&wal).unwrap().len(), intact);
+    std::fs::remove_dir_all(dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Partition-aware crash injection: a checkpoint writes each dirty
 // partition of a relation as a run of pages in one new heap file, and

@@ -16,8 +16,7 @@ pub const NOW_SYMBOL: &str = "NOW";
 /// the library never manufactures chronons outside the range its callers use.
 ///
 /// A `Chronon` is deliberately unit-free: examples map ticks to days, months
-/// or trading sessions as they see fit, and [`crate::Granularity`] provides
-/// fixed-width groupings when a coarser view is wanted.
+/// or trading sessions as they see fit.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Chronon(i64);
 

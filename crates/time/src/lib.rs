@@ -13,16 +13,13 @@
 //! * [`Chronon`] — a point of `T` (an `i64` tick; the paper's `t_i`).
 //! * [`Interval`] — a closed interval `[t1, t2] = { t | t1 <= t <= t2 }`,
 //!   the paper's notational convenience for contiguous subsets of `T`.
-//! * [`AllenRelation`] — the thirteen qualitative relations between closed
-//!   intervals; useful for reasoning about lifespan layout and heavily used
-//!   by tests.
 //! * [`Lifespan`] — a finite union of closed intervals in canonical form with
 //!   the full set algebra the paper requires (`∪`, `∩`, `−`, plus bounded
 //!   complement), iteration over chronons, and convenience constructors.
-//! * [`Granule`] — optional coarse granularities (the paper defers "more
-//!   elaborate structures for the time domain" to future work; we provide the
-//!   simplest useful one: fixed-width granules such as days/months over
-//!   ticks).
+//!
+//! The paper defers "more elaborate structures for the time domain" to future
+//! work, and its algebra never relates intervals qualitatively, so the crate
+//! has no granularities and no interval relations beyond the set algebra.
 //!
 //! Everything is deterministic and allocation-conscious: lifespans are sorted
 //! `Vec<Interval>` in canonical (disjoint, maximal, ordered) form, so equality
@@ -31,14 +28,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod allen;
 mod chronon;
-mod granule;
 mod interval;
 mod lifespan;
 
-pub use allen::AllenRelation;
 pub use chronon::{Chronon, NOW_SYMBOL};
-pub use granule::{Granularity, Granule};
 pub use interval::Interval;
 pub use lifespan::{Lifespan, LifespanIter};

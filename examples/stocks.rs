@@ -26,17 +26,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Fig. 6: evolve the schema ---------------------------------------
     let vol = Attribute::new("DAILY_TRADING_VOLUME");
-    db.catalog_mut().add_attribute(
+    db.add_attribute(
         "stocks",
         vol.clone(),
         HistoricalDomain::int(),
         Chronon::new(0),
         Chronon::new(1000),
     )?;
-    db.catalog_mut()
-        .drop_attribute("stocks", &vol, Chronon::new(200))?;
-    db.catalog_mut()
-        .re_add_attribute("stocks", &vol, Chronon::new(500), Chronon::new(1000))?;
+    db.drop_attribute("stocks", &vol, Chronon::new(200))?;
+    db.re_add_attribute("stocks", &vol, Chronon::new(500), Chronon::new(1000))?;
 
     let als = db.catalog().scheme("stocks").unwrap().als(&vol)?.clone();
     println!("ALS(DAILY_TRADING_VOLUME) after Fig. 6 evolution: {als}");

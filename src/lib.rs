@@ -11,7 +11,7 @@
 //!
 //! | Crate | Level (paper Fig. 9) | Contents |
 //! |---|---|---|
-//! | [`time`] (`hrdm-time`) | substrate | chronons, intervals, Allen relations, lifespans, granularities |
+//! | [`time`] (`hrdm-time`) | substrate | chronons, intervals, lifespans |
 //! | [`core`] (`hrdm-core`) | model level | values, domains, temporal functions, schemes, tuples, relations, the algebra, temporal constraints |
 //! | [`interp`] (`hrdm-interp`) | representation level | interpolation functions, sparse representations, change-point compression |
 //! | [`storage`] (`hrdm-storage`) | physical level | binary codec, slotted pages, heap files, evolving-schema catalog, database persistence |
@@ -20,7 +20,7 @@
 //! | [`net`] (`hrdm-net`) | — | the wire protocol, the `hrdmd` TCP server, the sync `Client`, and the `hrdmq` shell |
 //! | [`baseline`] (`hrdm-baseline`) | comparators | classical snapshot model, tuple-timestamped model, cube model |
 //!
-//! Start with [`prelude`], the `examples/` directory, and `DESIGN.md`.
+//! Start with [`prelude`] and the `examples/` directory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,5 +38,4 @@ pub use hrdm_time as time;
 pub mod prelude {
     pub use hrdm_core::prelude::*;
     pub use hrdm_interp::{change_points, from_change_points, Interpolation, Represented};
-    pub use hrdm_time::{AllenRelation, Granularity, Granule};
 }
