@@ -73,7 +73,7 @@ pub use pvec::PVec;
 pub use relation::Relation;
 pub use scheme::{AttributeDef, Scheme, SchemeBuilder};
 pub use temporal::{ClippedSegments, TemporalValue};
-pub use tuple::{Concat, Projection, Tuple, TupleBuilder};
+pub use tuple::{Concat, Projection, StoredHash, Tuple, TupleBuilder, TupleSet};
 pub use value::{OrderedF64, Value};
 pub use view::{ClippedTuple, TupleView};
 

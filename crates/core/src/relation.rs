@@ -5,11 +5,13 @@ use crate::attribute::Attribute;
 use crate::errors::{HrdmError, Result};
 use crate::pvec::{self, PVec};
 use crate::scheme::Scheme;
-use crate::tuple::Tuple;
+use crate::tuple::{StoredHash, Tuple, TupleSet};
 use crate::value::Value;
 use hrdm_time::{Chronon, Lifespan};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 /// A historical relation `r` on a scheme `R`: a finite set of tuples such
@@ -71,16 +73,45 @@ impl Relation {
     /// This is the constructor algebra operators use; their outputs are
     /// well-formed by construction except that — per the paper — results of
     /// the plain set operators may violate the key constraint.
+    ///
+    /// Rows are filed first by a hash of their constant key value: two rows
+    /// with different key values cannot be equal tuples, so a row whose
+    /// key hash no earlier row has is kept without hashing its content.
+    /// Only rows that share a key hash, and rows with no key value (a
+    /// keyless scheme, or a key function that is not one constant), are
+    /// compared by content, in a [`TupleSet`](crate::TupleSet) over their
+    /// cached content hashes. A keyed result of distinct keys thus
+    /// allocates nothing per row to deduplicate.
     pub fn from_parts_unchecked<I>(scheme: Scheme, tuples: I) -> Relation
     where
         I: IntoIterator<Item = Tuple>,
     {
+        /// A key hash whose first row is in `seen` already.
+        const SHARED: usize = usize::MAX;
         let tuples = tuples.into_iter();
         let expected = tuples.size_hint().0;
-        let mut seen: HashSet<Tuple> = HashSet::with_capacity(expected);
-        let mut out = Vec::with_capacity(expected);
+        let mut by_key: HashMap<u64, usize, BuildHasherDefault<StoredHash>> =
+            HashMap::with_capacity_and_hasher(expected, Default::default());
+        let mut seen = TupleSet::default();
+        let mut out: Vec<Tuple> = Vec::with_capacity(expected);
         for t in tuples {
-            if seen.insert(t.clone()) {
+            let fresh = match t.key_hash(scheme.key()) {
+                Some(hash) => match by_key.entry(hash) {
+                    Entry::Vacant(e) => {
+                        e.insert(out.len());
+                        true
+                    }
+                    Entry::Occupied(mut e) => {
+                        let first = std::mem::replace(e.get_mut(), SHARED);
+                        if let Some(first) = out.get(first) {
+                            seen.insert(first.clone());
+                        }
+                        seen.insert(t.clone())
+                    }
+                },
+                None => seen.insert(t.clone()),
+            };
+            if fresh {
                 out.push(t);
             }
         }
@@ -385,6 +416,26 @@ mod tests {
         let t = emp("John", &[(1, 10)], 25_000);
         let r = Relation::from_parts_unchecked(emp_scheme(), vec![t.clone(), t.clone()]);
         assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn from_parts_compares_rows_sharing_a_key_by_content() {
+        let john = || emp("John", &[(1, 10)], 25_000);
+        let mary = || emp("Mary", &[(5, 15)], 30_000);
+        let rehired = emp("John", &[(20, 30)], 40_000);
+        // Equal rows built apart share no allocation; a row sharing only
+        // its key with another stays.
+        let rows = vec![
+            john(),
+            mary(),
+            john(),
+            rehired.clone(),
+            mary(),
+            rehired.clone(),
+        ];
+        let r = Relation::from_parts_unchecked(emp_scheme(), rows);
+        let kept: Vec<&Tuple> = r.iter().collect();
+        assert_eq!(kept, [&john(), &mary(), &rehired]);
     }
 
     #[test]

@@ -7,9 +7,9 @@ use crate::scheme::Scheme;
 use crate::temporal::TemporalValue;
 use crate::value::Value;
 use hrdm_time::{Chronon, Interval, Lifespan};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasher, Hash, Hasher, RandomState};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
 use std::sync::{Arc, LazyLock, OnceLock};
 
 /// A tuple on a scheme `R`: an ordered pair `t = <v, l>` where `t.l` is the
@@ -94,6 +94,35 @@ impl TupleRepr {
             .get_or_init(|| CONTENT_KEY.hash_one((&self.lifespan, &self.values)))
     }
 }
+
+/// The hasher of a [`TupleSet`]. A tuple hashes as one `u64`, its cached
+/// content hash, which is already random and keyed (crafted collisions
+/// need the key), so this hands it through: a lookup or a growing table
+/// hashes nothing again.
+#[derive(Default)]
+pub struct StoredHash(u64);
+
+impl Hasher for StoredHash {
+    fn write(&mut self, bytes: &[u8]) {
+        // A tuple writes one `u64`; this only keeps the trait total.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A set of tuples filed by their cached content hashes: the `∪ ∩ −`
+/// tables, an aggregate's distinct input, and set assembly
+/// ([`crate::Relation::from_parts_unchecked`]).
+pub type TupleSet = HashSet<Tuple, BuildHasherDefault<StoredHash>>;
 
 impl PartialEq for TupleRepr {
     fn eq(&self, other: &TupleRepr) -> bool {
@@ -314,6 +343,22 @@ impl Tuple {
             .iter()
             .map(|k| self.key_value(k).cloned())
             .collect()
+    }
+
+    /// A hash of the tuple's constant value for the attributes `key`,
+    /// taken under the same secret key as the content hash; `None` when
+    /// `key` is empty or the tuple has no constant value for one of them.
+    /// Tuples with different hashes have different key values, so they
+    /// cannot be equal.
+    pub(crate) fn key_hash(&self, key: &[Attribute]) -> Option<u64> {
+        if key.is_empty() {
+            return None;
+        }
+        let mut h = CONTENT_KEY.build_hasher();
+        for k in key {
+            self.key_value(k).ok()?.hash(&mut h);
+        }
+        Some(h.finish())
     }
 
     /// Is `key` (one value per key attribute, in key order) this tuple's

@@ -39,10 +39,18 @@ enum Key {
 }
 
 impl Key {
-    fn new(values: Vec<Value>) -> Key {
-        match <[Value; 1]>::try_from(values) {
-            Ok(one) => Key::One(one),
-            Err(values) => Key::Many(values.into()),
+    /// `tuple`'s constant values for `attrs`, filed directly: a
+    /// one-attribute key builds no vector on the way. `None` when some
+    /// attribute has no constant value.
+    fn of(attrs: &[Attribute], tuple: &Tuple) -> Option<Key> {
+        let value = |a: &Attribute| tuple.value(a).and_then(|tv| tv.constant_value()).cloned();
+        match attrs {
+            [one] => value(one).map(|v| Key::One([v])),
+            _ => attrs
+                .iter()
+                .map(value)
+                .collect::<Option<Arc<[Value]>>>()
+                .map(Key::Many),
         }
     }
 }
@@ -133,8 +141,8 @@ impl KeyIndex {
         }
         let mut tier: Tier = HashMap::with_capacity(r.len());
         for (pos, t) in r.iter().enumerate() {
-            let key = t.key_values(r.scheme()).ok()?;
-            tier.entry(Key::new(key))
+            let key = Key::of(&attrs, t)?;
+            tier.entry(key)
                 .and_modify(|held| match held {
                     Positions::One(first) => *held = Positions::Many(vec![*first, pos]),
                     Positions::Many(all) => all.push(pos),
@@ -157,17 +165,17 @@ impl KeyIndex {
     /// [`KeyIndex::build`] returning `None` for such relations).
     #[must_use]
     pub fn insert(&mut self, pos: usize, tuple: &Tuple) -> bool {
-        let Some(key) = self.probe_key_of(tuple) else {
+        let Some(key) = Key::of(&self.attrs, tuple) else {
             return false;
         };
-        let entry = match self.lookup(&key) {
+        let entry = match self.lookup(key.borrow()) {
             [] => {
                 self.distinct_keys += 1;
                 Positions::One(pos)
             }
             earlier => Positions::Many(earlier.iter().copied().chain([pos]).collect()),
         };
-        self.writable_tier().insert(Key::new(key), entry);
+        self.writable_tier().insert(key, entry);
         true
     }
 
@@ -294,6 +302,16 @@ mod tests {
     fn keyless_scheme_builds_nothing() {
         let keyless = scheme().project(&[Attribute::new("V")]).unwrap();
         assert!(KeyIndex::build(&Relation::new(keyless)).is_none());
+    }
+
+    impl Key {
+        /// A key holding `values`, filed as the index files a tuple's.
+        fn new(values: Vec<Value>) -> Key {
+            match <[Value; 1]>::try_from(values) {
+                Ok(one) => Key::One(one),
+                Err(values) => Key::Many(values.into()),
+            }
+        }
     }
 
     #[test]

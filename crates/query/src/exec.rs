@@ -85,15 +85,14 @@ use hrdm_core::algebra::{
 };
 use hrdm_core::{
     Attribute, ClippedTuple, Concat, HrdmError, PVec, Projection, Relation, Scheme, TemporalValue,
-    Tuple, TupleView, Value,
+    Tuple, TupleSet, TupleView, Value,
 };
 use hrdm_index::{KeyIndex, LifespanIndex};
 use hrdm_storage::{DbError, Partition, PartitionMap};
 use hrdm_time::{Interval, Lifespan};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -1042,34 +1041,6 @@ fn base_relation<'s>(src: &'s dyn IndexSource, name: &str) -> Result<&'s Relatio
     src.relation(name)
         .ok_or_else(|| HrdmError::UnknownRelation(name.to_string()))
 }
-
-/// The hasher of a [`TupleSet`]. A tuple hashes as one `u64`, its cached
-/// content hash, which is already random and keyed (crafted collisions
-/// need the key), so this hands it through: a lookup or a growing table
-/// hashes nothing again.
-#[derive(Default)]
-struct StoredHash(u64);
-
-impl Hasher for StoredHash {
-    fn write(&mut self, bytes: &[u8]) {
-        // A tuple writes one `u64`; this only keeps the trait total.
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A set of tuples filed by their cached content hashes: the `∪ ∩ −`
-/// tables and an aggregate's distinct input.
-type TupleSet = HashSet<Tuple, BuildHasherDefault<StoredHash>>;
 
 /// What a binary operator builds from its build input.
 enum Table<'a> {

@@ -4,6 +4,16 @@
 //! byte per variant type. The format is self-contained and versioned by the
 //! [`crate::database`] file header; property tests assert exact round trips
 //! for every model object.
+//!
+//! Every decoded byte goes through one inlined cursor that answers
+//! `Option`; [`Decoder`]'s `get_*` methods name the [`CodecError`] where it
+//! fails. A heap record is read by one checked pass,
+//! [`Decoder::get_tuple_checked`], that validates the tuple against its
+//! scheme as it reads and builds only what a clip keeps, each function in
+//! one exact-size slice. Records it refuses (not the canonical encoding of
+//! a valid tuple) are decoded the general way, by [`Decoder::get_tuple_in`],
+//! and conformed by the caller; property tests check that both ways agree
+//! on every record, corrupt ones included.
 
 use hrdm_core::{
     Attribute, AttributeDef, HistoricalDomain, Layout, Relation, Scheme, TemporalValue, Tuple,
@@ -149,13 +159,7 @@ impl Encoder {
 
     /// A value kind.
     pub fn put_kind(&mut self, k: ValueKind) {
-        self.put_u8(match k {
-            ValueKind::Int => 0,
-            ValueKind::Float => 1,
-            ValueKind::Str => 2,
-            ValueKind::Bool => 3,
-            ValueKind::Time => 4,
-        });
+        self.put_u8(kind_tag(k));
     }
 
     /// A historical domain: kind + constancy flag.
@@ -397,10 +401,260 @@ pub struct LifespanProbe {
     pub last: i64,
 }
 
-/// Streaming decoder over a byte slice.
-pub struct Decoder<'a> {
+/// A read position in a byte slice: the one reader of every decoded
+/// byte. Its methods answer `None` where the input ends early or breaks
+/// the format; [`Decoder`]'s `get_*` methods turn that into the
+/// [`CodecError`] that names it, and the checked tuple pass
+/// ([`Decoder::get_tuple_checked`]) into a refusal. Like the encoder's
+/// `Cursor`, its methods are forced inline so that a record is read with
+/// `pos` in a register.
+#[derive(Clone, Copy)]
+struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    #[inline(always)]
+    fn u8(&mut self) -> Option<u8> {
+        let b = *self.buf.get(self.pos)?;
+        self.pos += 1;
+        Some(b)
+    }
+
+    #[inline(always)]
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let end = self.pos.checked_add(n)?;
+        let out = self.buf.get(self.pos..end)?;
+        self.pos = end;
+        Some(out)
+    }
+
+    /// A LEB128 varint of at most ten bytes.
+    #[inline(always)]
+    fn u64(&mut self) -> Option<u64> {
+        let first = self.u8()?;
+        if first < 0x80 {
+            return Some(u64::from(first));
+        }
+        let (mut out, mut shift) = (u64::from(first & 0x7f), 7);
+        loop {
+            let byte = self.u8()?;
+            if shift >= 64 {
+                return None;
+            }
+            out |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Some(out);
+            }
+            shift += 7;
+        }
+    }
+
+    /// Why [`Reader::u64`] failed at this position: past ten bytes that
+    /// all continue, the varint is too long; otherwise the input ended.
+    fn varint_error(self) -> CodecError {
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        let continued = rest.iter().take(VARINT_MAX).filter(|b| *b & 0x80 != 0);
+        if rest.len() > VARINT_MAX && continued.count() == VARINT_MAX {
+            CodecError::VarintOverflow
+        } else {
+            CodecError::UnexpectedEof
+        }
+    }
+
+    #[inline(always)]
+    fn i64(&mut self) -> Option<i64> {
+        let z = self.u64()?;
+        Some(((z >> 1) as i64) ^ -((z & 1) as i64))
+    }
+
+    #[inline(always)]
+    fn bytes(&mut self) -> Option<&'a [u8]> {
+        let len = self.u64()?;
+        self.take(usize::try_from(len).ok()?)
+    }
+
+    /// An interval, as [`Decoder::get_interval`] reads it.
+    #[inline(always)]
+    fn interval(&mut self) -> Option<Interval> {
+        let lo = self.i64()?;
+        let len = self.u64()?;
+        let hi = lo.checked_add(len as i64)?;
+        Interval::new(Chronon::new(lo), Chronon::new(hi))
+    }
+
+    /// See [`Decoder::lifespan_probe`].
+    #[inline(always)]
+    fn probe(&mut self, window: Option<&Lifespan>) -> Option<LifespanProbe> {
+        let n = self.u64()?;
+        let mut probe = LifespanProbe {
+            meets: window.is_none(),
+            first: i64::MAX,
+            last: i64::MIN,
+        };
+        for _ in 0..n {
+            let run = self.interval()?;
+            probe.first = probe.first.min(run.lo().tick());
+            probe.last = probe.last.max(run.hi().tick());
+            probe.meets = probe.meets || window.is_some_and(|w| w.intersects_interval(&run));
+        }
+        Some(probe)
+    }
+
+    /// The value at the cursor, as [`Decoder::get_value`] reads it.
+    #[inline(always)]
+    fn value(&mut self) -> Option<Value> {
+        Some(match self.u8()? {
+            0 => Value::Int(self.i64()?),
+            1 => Value::float(f64::from_le_bytes(self.take(8)?.try_into().ok()?)).ok()?,
+            2 => Value::str(std::str::from_utf8(self.bytes()?).ok()?),
+            3 => Value::Bool(self.u8()? != 0),
+            4 => Value::Time(Chronon::new(self.i64()?)),
+            _ => return None,
+        })
+    }
+
+    /// Reads past a value of the kind `tag` names, written as
+    /// [`Encoder::put_value`] writes it, and lends its bytes; `None` for
+    /// any other tag or for bytes no encoder writes, though they decode
+    /// (a varint or string length longer than it needs to be, a boolean
+    /// byte other than 0 or 1, the float −0.0). So two values read here
+    /// are equal exactly when their bytes are.
+    #[inline(always)]
+    fn canonical_value(&mut self, tag: u8) -> Option<&'a [u8]> {
+        let start = self.pos;
+        if self.u8()? != tag {
+            return None;
+        }
+        let canonical = match tag {
+            0 | 4 => self.minimal_varint()?.1,
+            1 => {
+                let bits = u64::from_le_bytes(self.take(8)?.try_into().ok()?);
+                !f64::from_bits(bits).is_nan() && bits != (-0.0f64).to_bits()
+            }
+            2 => {
+                let (len, minimal) = self.minimal_varint()?;
+                let text = self.take(usize::try_from(len).ok()?)?;
+                minimal && std::str::from_utf8(text).is_ok()
+            }
+            3 => self.u8()? <= 1,
+            _ => false,
+        };
+        canonical.then(|| self.buf.get(start..self.pos)).flatten()
+    }
+
+    /// A varint, and whether it is the shortest encoding of its number:
+    /// one byte, or a last byte that adds bits (the tenth may add only
+    /// the 64th).
+    #[inline(always)]
+    fn minimal_varint(&mut self) -> Option<(u64, bool)> {
+        let start = self.pos;
+        let v = self.u64()?;
+        let (len, last) = (self.pos - start, *self.buf.get(self.pos - 1)?);
+        Some((
+            v,
+            len == 1 || (last != 0 && (len < VARINT_MAX || last == 1)),
+        ))
+    }
+
+    /// One function of [`Decoder::get_tuple_checked`]'s tuple: attribute
+    /// `def`'s, in a tuple living over `life`, whole or restricted to
+    /// `keep`. `None` unless every segment starts past the one before and
+    /// does not abut it with the same value, holds a canonical value of the
+    /// attribute's kind (the same bytes throughout for a constant domain)
+    /// and lies inside `life` and the attribute's lifespan — what
+    /// [`Tuple::validate`] asks of a canonical function.
+    ///
+    /// Whole, each segment is built as it is checked. Restricted, the
+    /// segments are checked first, building nothing, while the pieces
+    /// inside `keep` are counted; then the function is built into one
+    /// vector of exactly that many pieces, by reading again only from the
+    /// first segment that has one. Such a function needs no merging: pieces
+    /// of one segment lie in distinct runs of `keep`, which never abut, and
+    /// pieces of two segments abut only where the segments do, which then
+    /// hold different values.
+    #[inline(always)]
+    fn function(
+        &mut self,
+        def: &AttributeDef,
+        life: &Lifespan,
+        keep: Option<&Lifespan>,
+    ) -> Option<TemporalValue> {
+        let n = self.u64()?;
+        let tag = kind_tag(def.domain().kind());
+        let constant = def.domain().is_constant();
+        // Whole, the segments themselves; each takes at least four bytes.
+        let whole_len = keep.map_or(n as usize, |_| 0);
+        let mut whole = Vec::with_capacity(whole_len.min(self.buf.len() / 4));
+        let mut last: Option<(Interval, &[u8])> = None;
+        let mut first_value: Option<&[u8]> = None;
+        let (mut pieces, mut from) = (0, None);
+        for _ in 0..n {
+            let at = *self;
+            let seg = self.interval()?;
+            let value = self.canonical_value(tag)?;
+            let follows = last.is_none_or(|(prev, prev_value)| {
+                prev.hi() < seg.lo() && (prev_value != value || !prev.adjacent(&seg))
+            });
+            let valid = follows
+                && life.contains_interval(&seg)
+                && def.lifespan().contains_interval(&seg)
+                && (!constant || *first_value.get_or_insert(value) == value);
+            if !valid {
+                return None;
+            }
+            last = Some((seg, value));
+            let Some(keep) = keep else {
+                whole.push((seg, Reader { buf: value, pos: 0 }.value()?));
+                continue;
+            };
+            let inside = pieces_of(seg, keep).count();
+            if inside > 0 {
+                from.get_or_insert(at);
+                pieces += inside;
+            }
+        }
+        let (Some(keep), Some(mut built)) = (keep, from) else {
+            return TemporalValue::from_segments(whole).ok();
+        };
+        let mut segs = Vec::with_capacity(pieces);
+        while segs.len() < pieces {
+            let seg = built.interval()?;
+            if pieces_of(seg, keep).next().is_none() {
+                built.canonical_value(tag)?;
+                continue;
+            }
+            let v = built.value()?;
+            segs.extend(pieces_of(seg, keep).map(|piece| (piece, v.clone())));
+        }
+        TemporalValue::from_segments(segs).ok()
+    }
+}
+
+/// The pieces of `seg` inside `keep`, one per run it meets.
+#[inline(always)]
+fn pieces_of(seg: Interval, keep: &Lifespan) -> impl Iterator<Item = Interval> + '_ {
+    keep.intervals()
+        .iter()
+        .filter_map(move |run| seg.intersect(run))
+}
+
+/// The tag byte of a value kind: a value of that kind starts with it, and
+/// a scheme names the kind with it.
+fn kind_tag(kind: ValueKind) -> u8 {
+    match kind {
+        ValueKind::Int => 0,
+        ValueKind::Float => 1,
+        ValueKind::Str => 2,
+        ValueKind::Bool => 3,
+        ValueKind::Time => 4,
+    }
+}
+
+/// Streaming decoder over a byte slice.
+pub struct Decoder<'a> {
+    cur: Reader<'a>,
     /// The layout of the last tuple decoded: the next one naming the same
     /// attributes shares it.
     layout: Option<Layout>,
@@ -410,15 +664,14 @@ impl<'a> Decoder<'a> {
     /// A decoder over `buf`.
     pub fn new(buf: &'a [u8]) -> Decoder<'a> {
         Decoder {
-            buf,
-            pos: 0,
+            cur: Reader { buf, pos: 0 },
             layout: None,
         }
     }
 
     /// Bytes remaining.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.cur.buf.len() - self.cur.pos
     }
 
     /// Has all input been consumed?
@@ -427,34 +680,18 @@ impl<'a> Decoder<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+        self.cur.take(n).ok_or(CodecError::UnexpectedEof)
     }
 
     /// Raw byte.
     pub fn get_u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        self.cur.u8().ok_or(CodecError::UnexpectedEof)
     }
 
     /// LEB128 varint.
     pub fn get_u64(&mut self) -> Result<u64, CodecError> {
-        let mut out: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.get_u8()?;
-            if shift >= 64 {
-                return Err(CodecError::VarintOverflow);
-            }
-            out |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(out);
-            }
-            shift += 7;
-        }
+        let at = self.cur;
+        self.cur.u64().ok_or_else(|| at.varint_error())
     }
 
     /// Zigzag-decoded signed varint.
@@ -518,19 +755,16 @@ impl<'a> Decoder<'a> {
         &mut self,
         window: Option<&Lifespan>,
     ) -> Result<LifespanProbe, CodecError> {
-        let n = self.get_u64()?;
-        let mut probe = LifespanProbe {
-            meets: window.is_none(),
-            first: i64::MAX,
-            last: i64::MIN,
-        };
-        for _ in 0..n {
-            let run = self.get_interval()?;
-            probe.first = probe.first.min(run.lo().tick());
-            probe.last = probe.last.max(run.hi().tick());
-            probe.meets = probe.meets || window.is_some_and(|w| w.intersects_interval(&run));
+        let at = self.cur;
+        if let Some(probe) = self.cur.probe(window) {
+            return Ok(probe);
         }
-        Ok(probe)
+        // Read again the general way, which names the failure.
+        self.cur = at;
+        Err(self
+            .get_lifespan()
+            .err()
+            .unwrap_or(CodecError::Invariant("lifespan probe")))
     }
 
     /// A value.
@@ -548,22 +782,6 @@ impl<'a> Decoder<'a> {
             2 => Ok(Value::str(self.get_str()?)),
             3 => Ok(Value::Bool(self.get_u8()? != 0)),
             4 => Ok(Value::Time(self.get_chronon()?)),
-            tag => Err(CodecError::BadTag("Value", tag)),
-        }
-    }
-
-    /// Reads past the value at the cursor with [`Decoder::get_value`]'s
-    /// checks, building nothing, and returns its kind.
-    fn skip_value(&mut self) -> Result<ValueKind, CodecError> {
-        match self.get_u8()? {
-            0 => self.get_i64().map(|_| ValueKind::Int),
-            1 => match self.take(8)?.try_into().map(f64::from_le_bytes) {
-                Ok(f) if !f.is_nan() => Ok(ValueKind::Float),
-                _ => Err(CodecError::Invariant("NaN float")),
-            },
-            2 => self.get_str().map(|_| ValueKind::Str),
-            3 => self.get_u8().map(|_| ValueKind::Bool),
-            4 => self.get_i64().map(|_| ValueKind::Time),
             tag => Err(CodecError::BadTag("Value", tag)),
         }
     }
@@ -636,94 +854,52 @@ impl<'a> Decoder<'a> {
         self.get_tuple_on(Some(scheme.layout()))
     }
 
-    /// The tuple at the cursor restricted to `clip`, `τ_clip(t)`, decoded in
-    /// one pass that builds only the pieces inside `t.l ∩ clip` — or `None`
-    /// when the record is not one that a valid tuple of `scheme` encodes
-    /// to.
+    /// The tuple at the cursor as a relation on `scheme` holds it,
+    /// restricted to `clip` when one is given, `τ_clip(t)`: read, checked
+    /// and built in one pass — or `None`, leaving the cursor where it was,
+    /// when the record is not one a valid tuple of `scheme` encodes to.
     ///
-    /// `Some` is exactly [`Decoder::get_tuple_in`], validated and
-    /// restricted to `clip` ([`Tuple::restrict`]). It needs a record that
-    /// names the scheme's attributes in layout order, whose functions'
-    /// segments are sorted and disjoint, and whose every segment passes
-    /// [`Tuple::validate`]'s checks: a value of the attribute's domain, an
-    /// interval inside `t.l` and the attribute's lifespan, one value
-    /// throughout for a constant domain. (Segments that abut with one value
-    /// are merged after they are clipped, as `TemporalValue::from_segments`
-    /// merges pieces, which comes to the same.)
-    /// Every encoder writes such records for valid tuples. Anything else —
-    /// a record written before a schema evolution shrank a lifespan, one
-    /// named out of order, corrupt bytes — is `None`, and the caller
-    /// decodes it the general way, which gives its value or its error. The
-    /// cursor is then unspecified.
-    pub fn get_tuple_clipped(&mut self, scheme: &Scheme, clip: &Lifespan) -> Option<Tuple> {
+    /// `Some` is exactly [`Decoder::get_tuple_in`], validated
+    /// ([`Tuple::validate`]) and restricted to `clip`
+    /// ([`Tuple::restrict`]). It needs a record that names the scheme's
+    /// attributes in layout order, in canonical form (each function's
+    /// segments sorted, disjoint and maximal, each value in the bytes
+    /// [`Encoder::put_value`] writes for it), and whose every segment
+    /// passes [`Tuple::validate`]'s checks: a value of the attribute's
+    /// kind, an interval inside `t.l` and the attribute's lifespan, one
+    /// value throughout for a constant domain. Every encoder writes such
+    /// records for valid tuples. Only the pieces inside `t.l ∩ clip` are
+    /// built, each function into one vector of its exact size. Anything
+    /// else — a record written before a schema evolution shrank a
+    /// lifespan, one named out of order, corrupt bytes — is `None`, and the
+    /// caller decodes it the general way, which gives its value or its
+    /// error.
+    pub fn get_tuple_checked(&mut self, scheme: &Scheme, clip: Option<&Lifespan>) -> Option<Tuple> {
+        let at = self.cur;
+        let tuple = self.read_checked(scheme, clip);
+        if tuple.is_none() {
+            self.cur = at;
+        }
+        tuple
+    }
+
+    /// [`Decoder::get_tuple_checked`], leaving the cursor anywhere on `None`.
+    fn read_checked(&mut self, scheme: &Scheme, clip: Option<&Lifespan>) -> Option<Tuple> {
         let life = self.get_lifespan().ok()?;
-        let keep = life.intersect(clip);
+        let clipped = clip.map(|c| life.intersect(c));
         let layout = scheme.layout();
-        if self.get_u64().ok()? != layout.len() as u64 {
+        let r = &mut self.cur;
+        if r.u64()? != layout.len() as u64 {
             return None;
         }
         let mut values = value_slots(Some(layout));
-        // One buffer for every function's pieces: each function then takes
-        // an exact-size copy of its own.
-        let mut pieces = Vec::new();
         for attr in layout.names() {
-            if self.get_str().ok()? != attr.name() {
+            if r.bytes()? != attr.name().as_bytes() {
                 return None;
             }
-            let def = scheme.attr(attr)?;
-            self.get_clipped_function(def, &life, &keep, &mut pieces)?;
-            values.push(TemporalValue::from_segments(pieces.drain(..)).ok()?);
+            values.push(r.function(scheme.attr(attr)?, &life, clipped.as_ref())?);
         }
-        Tuple::from_layout(keep, layout, values)
-    }
-
-    /// One function of [`Decoder::get_tuple_clipped`]'s tuple, of attribute
-    /// `def` in a tuple living over `life`: each segment checked as
-    /// [`Tuple::validate`] checks it, and only its pieces inside `keep`
-    /// built, into `pieces`. `None` when a check fails or a segment does
-    /// not start past the one before.
-    fn get_clipped_function(
-        &mut self,
-        def: &AttributeDef,
-        life: &Lifespan,
-        keep: &Lifespan,
-        pieces: &mut Vec<(Interval, Value)>,
-    ) -> Option<()> {
-        let n = self.get_u64().ok()?;
-        let mut last: Option<Interval> = None;
-        // The bytes of the first value: a constant domain's every value.
-        let mut first: Option<&[u8]> = None;
-        for _ in 0..n {
-            let seg = self.get_interval().ok()?;
-            if last.replace(seg).is_some_and(|prev| seg.lo() <= prev.hi()) {
-                return None;
-            }
-            let at = self.pos;
-            let value = if keep.intersects_interval(&seg) {
-                Some(self.get_value().ok()?)
-            } else {
-                None
-            };
-            let kind = match &value {
-                Some(v) => v.kind(),
-                None => self.skip_value().ok()?,
-            };
-            let buf = self.buf;
-            let bytes = &buf[at..self.pos];
-            let valid = kind == def.domain().kind()
-                && life.contains_interval(&seg)
-                && def.lifespan().contains_interval(&seg)
-                && (!def.domain().is_constant() || *first.get_or_insert(bytes) == bytes);
-            if !valid {
-                return None;
-            }
-            let Some(v) = value else {
-                continue;
-            };
-            let inside = keep.intervals().iter().filter_map(|run| seg.intersect(run));
-            pieces.extend(inside.map(|piece| (piece, v.clone())));
-        }
-        Some(())
+        Tuple::from_layout(clipped.unwrap_or(life), layout, values)
     }
 
     /// Decodes a tuple, by position against `expected` (or else the

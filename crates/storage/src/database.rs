@@ -1144,7 +1144,8 @@ pub struct PartitionRead {
 /// ([`decode_record`]). The partition is the run of pages `run` names in
 /// `heap`; a run that reaches past the file's end is a
 /// [`DbError::BadFile`] naming the file. A record that misses the window
-/// is dropped after its lifespan, its first field: only hits are decoded.
+/// is dropped after its lifespan, its first field: only hits are decoded,
+/// each in one checked pass ([`Decoder::get_tuple_checked`]).
 ///
 /// `zones` is the run's per-page zone map, if it keeps one. Once it
 /// is set, pages whose zone misses the window are skipped without being
@@ -1250,8 +1251,10 @@ pub(crate) fn read_partition(
 ///
 /// A record that validates as read in canonical form — every record a
 /// checkpoint writes after the relation's last schema evolution — is
-/// decoded clipped in one pass that builds only what the clip keeps
-/// ([`Decoder::get_tuple_clipped`]). Any other record is decoded whole
+/// read, checked and built in one pass that builds only what the clip
+/// keeps, or the whole tuple when there is none
+/// ([`Decoder::get_tuple_checked`]): a full load then never walks a
+/// decoded tuple again to validate it. Any other record is decoded whole
 /// ([`Decoder::get_tuple_in`]), conformed and then restricted
 /// ([`Tuple::restrict`]), so every record yields exactly that value or
 /// that error.
@@ -1267,11 +1270,10 @@ pub fn decode_record(
         ))),
     };
     let mut d = Decoder::new(record);
-    if let Some(tuple) = clip.and_then(|c| d.get_tuple_clipped(scheme, c)) {
+    if let Some(tuple) = d.get_tuple_checked(scheme, clip) {
         whole_record(&d)?;
         return Ok((tuple, false));
     }
-    let mut d = Decoder::new(record);
     let tuple = d.get_tuple_in(scheme)?;
     whole_record(&d)?;
     let (tuple, clipped) = conform_to_scheme(tuple, scheme)?;

@@ -546,12 +546,13 @@ fn non_canonical_record(t: &Tuple, how: u8) -> Vec<u8> {
 }
 
 /// What a heap record means: its tuple conformed to `scheme`, then
-/// restricted to `clip`, and whether conforming clipped it — or the error
-/// of the first step that fails, bytes past the tuple included.
+/// restricted to `clip` when there is one, and whether conforming clipped
+/// it — or the error of the first step that fails, bytes past the tuple
+/// included.
 fn conformed_restriction(
     record: &[u8],
     scheme: &Scheme,
-    clip: &Lifespan,
+    clip: Option<&Lifespan>,
 ) -> Result<(Tuple, bool), String> {
     let mut d = Decoder::new(record);
     let t = d
@@ -565,23 +566,23 @@ fn conformed_restriction(
         return Err(DbError::BadFile(past).to_string());
     }
     let (t, clipped) = conform_to_scheme(t, scheme).map_err(|e| e.to_string())?;
-    Ok((t.restrict(clip), clipped))
+    Ok((clip.map_or_else(|| t.clone(), |c| t.restrict(c)), clipped))
 }
 
-/// `record` decoded clipped agrees with [`conformed_restriction`], and so
-/// does the one-pass decode wherever it takes the record; returns whether
-/// it took it.
-fn decodes_as_conformed(record: &[u8], scheme: &Scheme, clip: &Lifespan) -> bool {
+/// `record` decoded (clipped, when a clip is given) agrees with
+/// [`conformed_restriction`], and so does the one-pass decode wherever it
+/// takes the record; returns whether it took it.
+fn decodes_as_conformed(record: &[u8], scheme: &Scheme, clip: Option<&Lifespan>) -> bool {
     let want = conformed_restriction(record, scheme, clip);
     let mut d = Decoder::new(record);
-    let fast = d.get_tuple_clipped(scheme, clip);
+    let fast = d.get_tuple_checked(scheme, clip);
     let took = fast.is_some();
     // Bytes past the tuple are the caller's to refuse.
     if let Some(fast) = fast.filter(|_| d.is_done()) {
         assert_eq!(Ok((fast, false)), want, "the one-pass decode of {record:?}");
     }
-    let got = decode_record(record, scheme, Some(clip)).map_err(|e| e.to_string());
-    assert_eq!(got, want, "the clipped decode of {record:?}");
+    let got = decode_record(record, scheme, clip).map_err(|e| e.to_string());
+    assert_eq!(got, want, "the decode of {record:?} under {clip:?}");
     took
 }
 
@@ -613,7 +614,7 @@ fn nan_float_outside_the_clip_fails_as_the_whole_decode_does() {
     let record = e.finish();
     let clip = Lifespan::interval(0, 5);
     assert!(
-        decodes_as_conformed(&record, &scheme, &clip),
+        decodes_as_conformed(&record, &scheme, Some(&clip)),
         "a finite float fell back"
     );
 
@@ -625,7 +626,7 @@ fn nan_float_outside_the_clip_fails_as_the_whole_decode_does() {
     let mut nan = record.clone();
     nan[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
     assert!(Decoder::new(&nan)
-        .get_tuple_clipped(&scheme, &clip)
+        .get_tuple_checked(&scheme, Some(&clip))
         .is_none());
     let whole = decode_record(&nan, &scheme, None).map_err(|e| e.to_string());
     let clipped = decode_record(&nan, &scheme, Some(&clip)).map_err(|e| e.to_string());
@@ -663,21 +664,70 @@ proptest! {
         e.put_tuple(&t);
         let record = e.finish();
         match kind {
-            0 => prop_assert!(decodes_as_conformed(&record, &wide, &clip), "a valid record fell back"),
+            0 => prop_assert!(decodes_as_conformed(&record, &wide, Some(&clip)), "a valid record fell back"),
             1 => {
                 let (lo, hi) = (shrunk.0.min(shrunk.1), shrunk.0.max(shrunk.1));
                 let evolved = clip_scheme(Lifespan::interval(lo, hi));
-                decodes_as_conformed(&record, &evolved, &clip);
+                decodes_as_conformed(&record, &evolved, Some(&clip));
             }
             2 => {
-                decodes_as_conformed(&non_canonical_record(&t, how), &wide, &clip);
+                decodes_as_conformed(&non_canonical_record(&t, how), &wide, Some(&clip));
             }
             _ => {
                 for at in 0..record.len() {
                     for mask in [1, 4, mask] {
                         let mut flipped = record.clone();
                         flipped[at] ^= mask;
-                        decodes_as_conformed(&flipped, &wide, &clip);
+                        decodes_as_conformed(&flipped, &wide, Some(&clip));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A heap record decoded whole — the checked pass with no clip, and
+    /// `decode_record` with none — is its tuple read the general way and
+    /// conformed to the scheme, or fails as that does: on valid records,
+    /// records written before `V`'s lifespan shrank, valid but
+    /// non-canonical encodings, and records with one byte flipped. The
+    /// checked pass takes every valid record, and whatever it takes of
+    /// the others it decodes right.
+    #[test]
+    fn whole_decode_is_the_conformed_tuple(
+        life in runs_strategy(),
+        v in striped_strategy(),
+        w in "[a-z]{0,12}",
+        kind in 0u8..4,
+        how in 0u8..4,
+        shrunk in (0i64..300, 0i64..300),
+        mask in 1u8..=255,
+    ) {
+        let wide = clip_scheme(Lifespan::interval(-1_000, 1_000));
+        let mut values = std::collections::BTreeMap::new();
+        values.insert(Attribute::new("K"), TemporalValue::constant(&life, Value::Int(7)));
+        values.insert(Attribute::new("V"), v.restrict(&life));
+        values.insert(Attribute::new("W"), TemporalValue::constant(&life, Value::str(&w)));
+        let t = Tuple::from_parts(life.clone(), values);
+        prop_assert!(t.validate(&wide).is_ok());
+        let mut e = Encoder::new();
+        e.put_tuple(&t);
+        let record = e.finish();
+        match kind {
+            0 => prop_assert!(decodes_as_conformed(&record, &wide, None), "a valid record fell back"),
+            1 => {
+                let (lo, hi) = (shrunk.0.min(shrunk.1), shrunk.0.max(shrunk.1));
+                let evolved = clip_scheme(Lifespan::interval(lo, hi));
+                decodes_as_conformed(&record, &evolved, None);
+            }
+            2 => {
+                decodes_as_conformed(&non_canonical_record(&t, how), &wide, None);
+            }
+            _ => {
+                for at in 0..record.len() {
+                    for mask in [1, 4, mask] {
+                        let mut flipped = record.clone();
+                        flipped[at] ^= mask;
+                        decodes_as_conformed(&flipped, &wide, None);
                     }
                 }
             }
