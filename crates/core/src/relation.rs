@@ -80,8 +80,8 @@ impl Relation {
     /// Only rows that share a key hash, and rows with no key value (a
     /// keyless scheme, or a key function that is not one constant), are
     /// compared by content, in a [`TupleSet`](crate::TupleSet) over their
-    /// cached content hashes. A keyed result of distinct keys thus
-    /// allocates nothing per row to deduplicate.
+    /// cached content hashes. A keyed result of distinct keys thus hashes
+    /// each row's key value, never its functions.
     pub fn from_parts_unchecked<I>(scheme: Scheme, tuples: I) -> Relation
     where
         I: IntoIterator<Item = Tuple>,

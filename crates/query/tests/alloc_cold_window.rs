@@ -1,14 +1,12 @@
 //! Allocation pin for the cold read path. A windowed scan of a saved
 //! relation decodes each hit straight into its restricted tuple: the
 //! tuple's `Arc`, its values slice and one slice per function, nothing
-//! else. Collecting a result with set semantics files each row by its key
-//! value and allocates nothing per row to deduplicate it.
+//! else.
 //!
 //! A counting global allocator makes this its own test binary; it holds
 //! one test, so no other test thread allocates while it counts.
 
 use hrdm_core::prelude::*;
-use hrdm_query::{stream_query_on_snapshot, ExecOptions, StreamedQuery};
 use hrdm_storage::{BufferPool, Database, PagedDatabase, PartitionPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,22 +87,8 @@ fn cold_window(db: &PagedDatabase, window: &Lifespan, out: &mut Vec<Tuple>) -> (
     (allocations() - before, decoded)
 }
 
-/// Allocations made collecting `TIMESLICE [0..100000] (r)` over `db` into
-/// a relation, and the rows collected.
-fn collect(db: &Database) -> (u64, usize) {
-    let before = allocations();
-    let Ok(StreamedQuery::Rows(stream)) =
-        stream_query_on_snapshot("TIMESLICE [0..100000] (r)", db, &ExecOptions::default())
-    else {
-        panic!("a relation-sorted query streams rows");
-    };
-    let r = stream.collect_relation().unwrap();
-    let allocs = allocations() - before;
-    (allocs, r.len())
-}
-
 #[test]
-fn cold_hits_and_keyed_collection_allocate_only_the_rows() {
+fn cold_hits_allocate_only_the_tuples_they_build() {
     let dir = std::env::temp_dir().join(format!("hrdm-alloc-cold-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let saved =
@@ -131,30 +115,4 @@ fn cold_hits_and_keyed_collection_allocate_only_the_rows() {
     );
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
-
-    let mut measured = Vec::new();
-    for n in [100, 2_000] {
-        let resident =
-            Database::with_relations(PartitionPolicy::SpanLog2(10), [("r", relation(n))]).unwrap();
-        collect(&resident); // warm the planner's lazies
-        let (allocs, rows) = collect(&resident);
-        assert_eq!(rows, n as usize);
-        eprintln!(
-            "collect n = {n}: {allocs} allocations ({:.3} per row)",
-            allocs as f64 / rows as f64
-        );
-        measured.push(allocs);
-    }
-    let [small, large] = measured[..] else {
-        unreachable!("two sizes measured");
-    };
-    // The rows stay the stored tuples; what grows with them is per batch
-    // of 1 024 rows, the persistent vector's 64-row leaves and the
-    // doubling of the row vector and the key map.
-    let allowed = small + 1_900 / 32 + 32;
-    assert!(
-        large <= allowed,
-        "{large} allocations collecting 2 000 rows against {small} for 100: \
-         more than per-batch and per-leaf overhead ({allowed} allowed)"
-    );
 }

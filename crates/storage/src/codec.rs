@@ -5,15 +5,16 @@
 //! [`crate::database`] file header; property tests assert exact round trips
 //! for every model object.
 //!
-//! Every decoded byte goes through one inlined cursor that answers
-//! `Option`; [`Decoder`]'s `get_*` methods name the [`CodecError`] where it
-//! fails. A heap record is read by one checked pass,
-//! [`Decoder::get_tuple_checked`], that validates the tuple against its
-//! scheme as it reads and builds only what a clip keeps, each function in
-//! one exact-size slice. Records it refuses (not the canonical encoding of
-//! a valid tuple) are decoded the general way, by [`Decoder::get_tuple_in`],
-//! and conformed by the caller; property tests check that both ways agree
-//! on every record, corrupt ones included.
+//! Every decoded byte goes through one inlined cursor, which holds the
+//! one reader of each format item and names the [`CodecError`] where the
+//! input breaks; [`Decoder`]'s `get_*` methods hand it out. A heap record
+//! is read by one checked pass, [`Decoder::get_tuple_checked`], that
+//! validates the tuple against its scheme as it reads and builds only
+//! what a clip keeps, each function in one exact-size slice. Records it
+//! refuses (not the canonical encoding of a valid tuple) are decoded the
+//! general way, by [`Decoder::get_tuple_in`], and conformed by the caller;
+//! property tests check that both ways agree on every record, corrupt
+//! ones included.
 
 use hrdm_core::{
     Attribute, AttributeDef, HistoricalDomain, Layout, Relation, Scheme, TemporalValue, Tuple,
@@ -402,12 +403,12 @@ pub struct LifespanProbe {
 }
 
 /// A read position in a byte slice: the one reader of every decoded
-/// byte. Its methods answer `None` where the input ends early or breaks
-/// the format; [`Decoder`]'s `get_*` methods turn that into the
-/// [`CodecError`] that names it, and the checked tuple pass
-/// ([`Decoder::get_tuple_checked`]) into a refusal. Like the encoder's
-/// `Cursor`, its methods are forced inline so that a record is read with
-/// `pos` in a register.
+/// byte, and the one body of each format item. Its methods name the
+/// [`CodecError`] where the input ends early or breaks the format;
+/// [`Decoder`]'s `get_*` methods hand that on, and the checked tuple pass
+/// ([`Decoder::get_tuple_checked`]) turns it into a refusal. Like the
+/// encoder's `Cursor`, its methods are forced inline so that a record is
+/// read with `pos` in a register and an error it drops costs nothing.
 #[derive(Clone, Copy)]
 struct Reader<'a> {
     buf: &'a [u8],
@@ -416,77 +417,77 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     #[inline(always)]
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.pos)?;
+    fn u8(&mut self) -> Result<u8, CodecError> {
+        let b = *self.buf.get(self.pos).ok_or(CodecError::UnexpectedEof)?;
         self.pos += 1;
-        Some(b)
+        Ok(b)
     }
 
     #[inline(always)]
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let out = self.buf.get(self.pos..end)?;
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        let end = self.pos.checked_add(n).ok_or(CodecError::UnexpectedEof)?;
+        let out = self
+            .buf
+            .get(self.pos..end)
+            .ok_or(CodecError::UnexpectedEof)?;
         self.pos = end;
-        Some(out)
+        Ok(out)
     }
 
     /// A LEB128 varint of at most ten bytes.
     #[inline(always)]
-    fn u64(&mut self) -> Option<u64> {
+    fn u64(&mut self) -> Result<u64, CodecError> {
         let first = self.u8()?;
         if first < 0x80 {
-            return Some(u64::from(first));
+            return Ok(u64::from(first));
         }
         let (mut out, mut shift) = (u64::from(first & 0x7f), 7);
         loop {
             let byte = self.u8()?;
             if shift >= 64 {
-                return None;
+                return Err(CodecError::VarintOverflow);
             }
             out |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
-                return Some(out);
+                return Ok(out);
             }
             shift += 7;
         }
     }
 
-    /// Why [`Reader::u64`] failed at this position: past ten bytes that
-    /// all continue, the varint is too long; otherwise the input ended.
-    fn varint_error(self) -> CodecError {
-        let rest = self.buf.get(self.pos..).unwrap_or_default();
-        let continued = rest.iter().take(VARINT_MAX).filter(|b| *b & 0x80 != 0);
-        if rest.len() > VARINT_MAX && continued.count() == VARINT_MAX {
-            CodecError::VarintOverflow
-        } else {
-            CodecError::UnexpectedEof
-        }
-    }
-
+    /// A zigzag-encoded signed varint.
     #[inline(always)]
-    fn i64(&mut self) -> Option<i64> {
+    fn i64(&mut self) -> Result<i64, CodecError> {
         let z = self.u64()?;
-        Some(((z >> 1) as i64) ^ -((z & 1) as i64))
+        Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
 
     #[inline(always)]
-    fn bytes(&mut self) -> Option<&'a [u8]> {
+    fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.u64()?;
-        self.take(usize::try_from(len).ok()?)
+        self.take(usize::try_from(len).map_err(|_| CodecError::UnexpectedEof)?)
     }
 
-    /// An interval, as [`Decoder::get_interval`] reads it.
     #[inline(always)]
-    fn interval(&mut self) -> Option<Interval> {
+    fn str(&mut self) -> Result<&'a str, CodecError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| CodecError::BadUtf8)
+    }
+
+    /// An interval: its first chronon, then its length.
+    #[inline(always)]
+    fn interval(&mut self) -> Result<Interval, CodecError> {
         let lo = self.i64()?;
         let len = self.u64()?;
-        let hi = lo.checked_add(len as i64)?;
+        let hi = lo
+            .checked_add(len as i64)
+            .ok_or(CodecError::Invariant("interval length overflow"))?;
         Interval::new(Chronon::new(lo), Chronon::new(hi))
+            .ok_or(CodecError::Invariant("interval lo > hi"))
     }
 
     /// See [`Decoder::lifespan_probe`].
     #[inline(always)]
-    fn probe(&mut self, window: Option<&Lifespan>) -> Option<LifespanProbe> {
+    fn probe(&mut self, window: Option<&Lifespan>) -> Result<LifespanProbe, CodecError> {
         let n = self.u64()?;
         let mut probe = LifespanProbe {
             meets: window.is_none(),
@@ -499,20 +500,38 @@ impl<'a> Reader<'a> {
             probe.last = probe.last.max(run.hi().tick());
             probe.meets = probe.meets || window.is_some_and(|w| w.intersects_interval(&run));
         }
-        Some(probe)
+        Ok(probe)
     }
 
-    /// The value at the cursor, as [`Decoder::get_value`] reads it.
+    /// A value: its kind's tag byte, then its payload.
     #[inline(always)]
-    fn value(&mut self) -> Option<Value> {
-        Some(match self.u8()? {
+    fn value(&mut self) -> Result<Value, CodecError> {
+        Ok(match self.u8()? {
             0 => Value::Int(self.i64()?),
-            1 => Value::float(f64::from_le_bytes(self.take(8)?.try_into().ok()?)).ok()?,
-            2 => Value::str(std::str::from_utf8(self.bytes()?).ok()?),
+            1 => {
+                let bits = u64::from_le_bytes(
+                    self.take(8)?
+                        .try_into()
+                        .map_err(|_| CodecError::Invariant("float width"))?,
+                );
+                Value::float(f64::from_bits(bits))
+                    .map_err(|_| CodecError::Invariant("NaN float"))?
+            }
+            2 => Value::str(self.str()?),
             3 => Value::Bool(self.u8()? != 0),
             4 => Value::Time(Chronon::new(self.i64()?)),
-            _ => return None,
+            tag => return Err(CodecError::BadTag("Value", tag)),
         })
+    }
+
+    /// A value kind, by the tag its values start with.
+    #[inline(always)]
+    fn kind(&mut self) -> Result<ValueKind, CodecError> {
+        let tag = self.u8()?;
+        KINDS
+            .get(usize::from(tag))
+            .copied()
+            .ok_or(CodecError::BadTag("ValueKind", tag))
     }
 
     /// Reads past a value of the kind `tag` names, written as
@@ -524,21 +543,21 @@ impl<'a> Reader<'a> {
     #[inline(always)]
     fn canonical_value(&mut self, tag: u8) -> Option<&'a [u8]> {
         let start = self.pos;
-        if self.u8()? != tag {
+        if self.u8().ok()? != tag {
             return None;
         }
         let canonical = match tag {
             0 | 4 => self.minimal_varint()?.1,
             1 => {
-                let bits = u64::from_le_bytes(self.take(8)?.try_into().ok()?);
+                let bits = u64::from_le_bytes(self.take(8).ok()?.try_into().ok()?);
                 !f64::from_bits(bits).is_nan() && bits != (-0.0f64).to_bits()
             }
             2 => {
                 let (len, minimal) = self.minimal_varint()?;
-                let text = self.take(usize::try_from(len).ok()?)?;
+                let text = self.take(usize::try_from(len).ok()?).ok()?;
                 minimal && std::str::from_utf8(text).is_ok()
             }
-            3 => self.u8()? <= 1,
+            3 => self.u8().ok()? <= 1,
             _ => false,
         };
         canonical.then(|| self.buf.get(start..self.pos)).flatten()
@@ -550,7 +569,7 @@ impl<'a> Reader<'a> {
     #[inline(always)]
     fn minimal_varint(&mut self) -> Option<(u64, bool)> {
         let start = self.pos;
-        let v = self.u64()?;
+        let v = self.u64().ok()?;
         let (len, last) = (self.pos - start, *self.buf.get(self.pos - 1)?);
         Some((
             v,
@@ -581,7 +600,7 @@ impl<'a> Reader<'a> {
         life: &Lifespan,
         keep: Option<&Lifespan>,
     ) -> Option<TemporalValue> {
-        let n = self.u64()?;
+        let n = self.u64().ok()?;
         let tag = kind_tag(def.domain().kind());
         let constant = def.domain().is_constant();
         // Whole, the segments themselves; each takes at least four bytes.
@@ -592,7 +611,7 @@ impl<'a> Reader<'a> {
         let (mut pieces, mut from) = (0, None);
         for _ in 0..n {
             let at = *self;
-            let seg = self.interval()?;
+            let seg = self.interval().ok()?;
             let value = self.canonical_value(tag)?;
             let follows = last.is_none_or(|(prev, prev_value)| {
                 prev.hi() < seg.lo() && (prev_value != value || !prev.adjacent(&seg))
@@ -606,7 +625,7 @@ impl<'a> Reader<'a> {
             }
             last = Some((seg, value));
             let Some(keep) = keep else {
-                whole.push((seg, Reader { buf: value, pos: 0 }.value()?));
+                whole.push((seg, Reader { buf: value, pos: 0 }.value().ok()?));
                 continue;
             };
             let inside = pieces_of(seg, keep).count();
@@ -620,12 +639,12 @@ impl<'a> Reader<'a> {
         };
         let mut segs = Vec::with_capacity(pieces);
         while segs.len() < pieces {
-            let seg = built.interval()?;
+            let seg = built.interval().ok()?;
             if pieces_of(seg, keep).next().is_none() {
                 built.canonical_value(tag)?;
                 continue;
             }
-            let v = built.value()?;
+            let v = built.value().ok()?;
             segs.extend(pieces_of(seg, keep).map(|piece| (piece, v.clone())));
         }
         TemporalValue::from_segments(segs).ok()
@@ -640,16 +659,22 @@ fn pieces_of(seg: Interval, keep: &Lifespan) -> impl Iterator<Item = Interval> +
         .filter_map(move |run| seg.intersect(run))
 }
 
-/// The tag byte of a value kind: a value of that kind starts with it, and
-/// a scheme names the kind with it.
+/// The value kinds by tag byte: a value of a kind starts with its tag,
+/// and a scheme names the kind with it.
+const KINDS: [ValueKind; 5] = [
+    ValueKind::Int,
+    ValueKind::Float,
+    ValueKind::Str,
+    ValueKind::Bool,
+    ValueKind::Time,
+];
+
+/// The tag byte of `kind` in [`KINDS`].
 fn kind_tag(kind: ValueKind) -> u8 {
-    match kind {
-        ValueKind::Int => 0,
-        ValueKind::Float => 1,
-        ValueKind::Str => 2,
-        ValueKind::Bool => 3,
-        ValueKind::Time => 4,
-    }
+    (0..)
+        .zip(KINDS)
+        .find(|(_, k)| *k == kind)
+        .map_or(0, |(tag, _)| tag)
 }
 
 /// Streaming decoder over a byte slice.
@@ -679,52 +704,39 @@ impl<'a> Decoder<'a> {
         self.remaining() == 0
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        self.cur.take(n).ok_or(CodecError::UnexpectedEof)
-    }
-
     /// Raw byte.
     pub fn get_u8(&mut self) -> Result<u8, CodecError> {
-        self.cur.u8().ok_or(CodecError::UnexpectedEof)
+        self.cur.u8()
     }
 
     /// LEB128 varint.
     pub fn get_u64(&mut self) -> Result<u64, CodecError> {
-        let at = self.cur;
-        self.cur.u64().ok_or_else(|| at.varint_error())
+        self.cur.u64()
     }
 
     /// Zigzag-decoded signed varint.
     pub fn get_i64(&mut self) -> Result<i64, CodecError> {
-        let z = self.get_u64()?;
-        Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
+        self.cur.i64()
     }
 
     /// Length-prefixed bytes.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], CodecError> {
-        let len = self.get_u64()? as usize;
-        self.take(len)
+        self.cur.bytes()
     }
 
     /// Length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<&'a str, CodecError> {
-        std::str::from_utf8(self.get_bytes()?).map_err(|_| CodecError::BadUtf8)
+        self.cur.str()
     }
 
     /// A chronon.
     pub fn get_chronon(&mut self) -> Result<Chronon, CodecError> {
-        Ok(Chronon::new(self.get_i64()?))
+        Ok(Chronon::new(self.cur.i64()?))
     }
 
     /// An interval.
     pub fn get_interval(&mut self) -> Result<Interval, CodecError> {
-        let lo = self.get_i64()?;
-        let len = self.get_u64()?;
-        let hi = lo
-            .checked_add(len as i64)
-            .ok_or(CodecError::Invariant("interval length overflow"))?;
-        Interval::new(Chronon::new(lo), Chronon::new(hi))
-            .ok_or(CodecError::Invariant("interval lo > hi"))
+        self.cur.interval()
     }
 
     /// A lifespan.
@@ -746,44 +758,21 @@ impl<'a> Decoder<'a> {
     /// hull?
     ///
     /// The allocation-free probe of [`Decoder::get_lifespan`]: it reads
-    /// every run with the same checks, so bytes that fail one fail the
-    /// other with the same error, and leaves the cursor past the lifespan.
-    /// Every heap record starts with its tuple's lifespan, so a windowed
-    /// scan asks this of each record and decodes only those that meet the
-    /// window; the hulls are what a heap page's zone summarizes.
+    /// every run as that does, so bytes that fail one fail the other with
+    /// the same error, and leaves the cursor past the lifespan. Every heap
+    /// record starts with its tuple's lifespan, so a windowed scan asks
+    /// this of each record and decodes only those that meet the window;
+    /// the hulls are what a heap page's zone summarizes.
     pub fn lifespan_probe(
         &mut self,
         window: Option<&Lifespan>,
     ) -> Result<LifespanProbe, CodecError> {
-        let at = self.cur;
-        if let Some(probe) = self.cur.probe(window) {
-            return Ok(probe);
-        }
-        // Read again the general way, which names the failure.
-        self.cur = at;
-        Err(self
-            .get_lifespan()
-            .err()
-            .unwrap_or(CodecError::Invariant("lifespan probe")))
+        self.cur.probe(window)
     }
 
     /// A value.
     pub fn get_value(&mut self) -> Result<Value, CodecError> {
-        match self.get_u8()? {
-            0 => Ok(Value::Int(self.get_i64()?)),
-            1 => {
-                let raw = self.take(8)?;
-                let bits = u64::from_le_bytes(
-                    raw.try_into()
-                        .map_err(|_| CodecError::Invariant("float width"))?,
-                );
-                Value::float(f64::from_bits(bits)).map_err(|_| CodecError::Invariant("NaN float"))
-            }
-            2 => Ok(Value::str(self.get_str()?)),
-            3 => Ok(Value::Bool(self.get_u8()? != 0)),
-            4 => Ok(Value::Time(self.get_chronon()?)),
-            tag => Err(CodecError::BadTag("Value", tag)),
-        }
+        self.cur.value()
     }
 
     /// A temporal value.
@@ -800,14 +789,7 @@ impl<'a> Decoder<'a> {
 
     /// A value kind.
     pub fn get_kind(&mut self) -> Result<ValueKind, CodecError> {
-        match self.get_u8()? {
-            0 => Ok(ValueKind::Int),
-            1 => Ok(ValueKind::Float),
-            2 => Ok(ValueKind::Str),
-            3 => Ok(ValueKind::Bool),
-            4 => Ok(ValueKind::Time),
-            tag => Err(CodecError::BadTag("ValueKind", tag)),
-        }
+        self.cur.kind()
     }
 
     /// A historical domain.
@@ -889,12 +871,12 @@ impl<'a> Decoder<'a> {
         let clipped = clip.map(|c| life.intersect(c));
         let layout = scheme.layout();
         let r = &mut self.cur;
-        if r.u64()? != layout.len() as u64 {
+        if r.u64().ok()? != layout.len() as u64 {
             return None;
         }
         let mut values = value_slots(Some(layout));
         for attr in layout.names() {
-            if r.bytes()? != attr.name().as_bytes() {
+            if r.bytes().ok()? != attr.name().as_bytes() {
                 return None;
             }
             values.push(r.function(scheme.attr(attr)?, &life, clipped.as_ref())?);

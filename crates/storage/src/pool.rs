@@ -44,9 +44,8 @@ use crate::obs::storage_obs;
 use crate::page::{Page, PAGE_SIZE};
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
-use std::io;
-use std::os::unix::fs::FileExt;
-use std::path::Path;
+use std::io::{self, Read, Seek, SeekFrom};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -67,11 +66,10 @@ struct Frame {
     referenced: AtomicBool,
 }
 
-/// A file registered with the pool. A miss reads through a clone of the
-/// handle after releasing the pool mutex, by position, so reads share it.
+/// A file registered with the pool.
 struct PooledFile {
-    file: Arc<File>,
-    path: Arc<Path>,
+    file: File,
+    path: PathBuf,
     page_count: u32,
     /// Pages faulted in from this file (ever).
     faults: u64,
@@ -115,8 +113,8 @@ struct PoolCounters {
 ///
 /// All methods take `&self`; the pool is shared via `Arc` between every
 /// `HeapFile` / `LifespanBTree` opened over it and is safe to use from
-/// multiple threads (one internal mutex serializes the frame table; a
-/// miss reads its page with the mutex released).
+/// multiple threads (one internal mutex serializes the frame table and
+/// file I/O).
 pub struct BufferPool {
     inner: Mutex<PoolInner>,
     capacity: usize,
@@ -196,8 +194,8 @@ impl BufferPool {
         inner.files.insert(
             id,
             PooledFile {
-                file: Arc::new(file),
-                path: path.into(),
+                file,
+                path: path.to_path_buf(),
                 page_count,
                 faults: 0,
             },
@@ -223,27 +221,23 @@ impl BufferPool {
     }
 
     /// Pins page `page_no` of `file`, faulting it in if non-resident.
-    ///
-    /// A miss reads and verifies the page with the pool mutex released, so
-    /// one thread's fault never blocks another's hits, and then takes the
-    /// mutex again to install the frame. If another thread installed the
-    /// same page meanwhile, the one frame it made is used; if the file was
-    /// closed meanwhile, the read is dropped and the handle is stale.
     pub fn get(&self, file: PoolFileId, page_no: u32) -> io::Result<PageGuard> {
-        let (handle, path) = {
-            let inner = self.lock_inner();
-            if let Some(frame) = inner.frames.get(&(file.0, page_no)) {
-                let frame = Arc::clone(frame);
-                frame.referenced.store(true, Ordering::SeqCst);
-                drop(inner);
-                self.counters.hits.fetch_add(1, Ordering::SeqCst);
-                if hrdm_obs::enabled() {
-                    storage_obs().pool_hits.add(1);
-                    hrdm_obs::window::pool_windows().hits.add(1);
-                }
-                return Ok(PageGuard { frame });
+        let mut inner = self.lock_inner();
+        if let Some(frame) = inner.frames.get(&(file.0, page_no)) {
+            let frame = Arc::clone(frame);
+            frame.referenced.store(true, Ordering::SeqCst);
+            drop(inner);
+            self.counters.hits.fetch_add(1, Ordering::SeqCst);
+            if hrdm_obs::enabled() {
+                storage_obs().pool_hits.add(1);
+                hrdm_obs::window::pool_windows().hits.add(1);
             }
-            let f = inner.files.get(&file.0).ok_or_else(stale_handle)?;
+            return Ok(PageGuard { frame });
+        }
+        // Miss: fault the page in, evicting first if at capacity.
+        self.make_room(&mut inner);
+        let page = {
+            let f = inner.files.get_mut(&file.0).ok_or_else(stale_handle)?;
             if page_no >= f.page_count {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
@@ -254,35 +248,26 @@ impl BufferPool {
                     ),
                 ));
             }
-            (Arc::clone(&f.file), Arc::clone(&f.path))
-        };
-        // Miss: read straight into the frame's own page, no stack copy.
-        let mut page = Page::new();
-        handle.read_exact_at(page.bytes_mut(), u64::from(page_no) * PAGE_SIZE as u64)?;
-        if !page.verify() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: checksum mismatch on page {page_no}", path.display()),
-            ));
-        }
-        let mut inner = self.lock_inner();
-        let f = inner.files.get_mut(&file.0).ok_or_else(stale_handle)?;
-        f.faults += 1;
-        let frame = match inner.frames.get(&(file.0, page_no)) {
-            Some(theirs) => Arc::clone(theirs),
-            None => {
-                // Evict first if at capacity.
-                self.make_room(&mut inner);
-                let frame = Arc::new(Frame {
-                    page,
-                    referenced: AtomicBool::new(true),
-                });
-                inner.frames.insert((file.0, page_no), Arc::clone(&frame));
-                inner.clock.push_back((file.0, page_no));
-                frame
+            f.faults += 1;
+            // Read straight into the frame's own page: no stack copy.
+            let mut page = Page::new();
+            f.file
+                .seek(SeekFrom::Start(u64::from(page_no) * PAGE_SIZE as u64))?;
+            f.file.read_exact(page.bytes_mut())?;
+            if !page.verify() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{}: checksum mismatch on page {page_no}", f.path.display()),
+                ));
             }
+            page
         };
-        frame.referenced.store(true, Ordering::SeqCst);
+        let frame = Arc::new(Frame {
+            page,
+            referenced: AtomicBool::new(true),
+        });
+        inner.frames.insert((file.0, page_no), Arc::clone(&frame));
+        inner.clock.push_back((file.0, page_no));
         drop(inner);
         self.counters.misses.fetch_add(1, Ordering::SeqCst);
         if hrdm_obs::enabled() {
@@ -383,7 +368,6 @@ impl std::fmt::Debug for PageGuard {
 mod tests {
     use super::*;
     use crate::page::PageWriter;
-    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -536,58 +520,5 @@ mod tests {
         pool.close(b);
         std::fs::remove_file(pa).ok();
         std::fs::remove_file(pb).ok();
-    }
-
-    #[test]
-    fn two_threads_faulting_one_page_share_one_frame() {
-        let path = tmp("race");
-        write_pages(&path, 2, 300);
-        for _ in 0..50 {
-            let pool = BufferPool::new(4);
-            let f = pool.open(&path).unwrap();
-            let start = std::sync::Barrier::new(2);
-            let pages: Vec<Vec<u8>> = std::thread::scope(|s| {
-                let fault = || {
-                    start.wait();
-                    let g = pool.get(f, 1).unwrap();
-                    assert!(g.read().verify());
-                    g.read().bytes().to_vec()
-                };
-                let a = s.spawn(fault);
-                let b = s.spawn(fault);
-                vec![a.join().unwrap(), b.join().unwrap()]
-            });
-            assert_eq!(pages[0], pages[1]);
-            assert_eq!(pool.get(f, 1).unwrap().read().get(0), Some(&[1u8; 300][..]));
-            let s = pool.stats();
-            assert_eq!(s.resident, 1, "one frame for the page both threads faulted");
-            assert_eq!(s.misses + s.hits, 3);
-            pool.close(f);
-        }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn a_file_closed_during_faults_keeps_no_frame() {
-        let path = tmp("close-race");
-        write_pages(&path, 8, 100);
-        for _ in 0..20 {
-            let pool = BufferPool::new(16);
-            let f = pool.open(&path).unwrap();
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    for i in 0..8 {
-                        // Past the close every fault fails as stale.
-                        if let Ok(g) = pool.get(f, i) {
-                            assert_eq!(g.read().get(0), Some(&[i as u8; 100][..]));
-                        }
-                    }
-                });
-                s.spawn(|| pool.close(f));
-            });
-            assert_eq!(pool.stats().resident, 0, "a frame outlived its file");
-            assert!(pool.get(f, 0).is_err());
-        }
-        std::fs::remove_file(path).ok();
     }
 }

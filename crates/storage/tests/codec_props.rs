@@ -636,18 +636,21 @@ fn nan_float_outside_the_clip_fails_as_the_whole_decode_does() {
 
 proptest! {
     /// A heap record decoded clipped is the restriction of its conformed
-    /// tuple, or fails as decoding it whole does — on valid records under
-    /// multi-run clips, records written before `V`'s lifespan shrank,
-    /// valid but non-canonical encodings, and records with one byte
-    /// flipped (each byte in turn, by a low bit, a tag-changing bit and an
-    /// arbitrary mask). The one-pass decode takes every valid record, and
-    /// whatever it takes of the others it decodes right.
+    /// tuple, and decoded whole (no clip, as a full load reads it) is its
+    /// conformed tuple, or fails as decoding it whole and conforming does
+    /// — on valid records under multi-run clips, records written before
+    /// `V`'s lifespan shrank, valid but non-canonical encodings, and
+    /// records with one byte flipped (each byte in turn, by a low bit, a
+    /// tag-changing bit and an arbitrary mask). The one-pass decode takes
+    /// every valid record, and whatever it takes of the others it decodes
+    /// right.
     #[test]
     fn clipped_decode_is_the_conformed_restriction(
         life in runs_strategy(),
         v in striped_strategy(),
         w in "[a-z]{0,12}",
         clip in runs_strategy(),
+        whole in any::<bool>(),
         kind in 0u8..4,
         how in 0u8..4,
         shrunk in (0i64..300, 0i64..300),
@@ -663,71 +666,23 @@ proptest! {
         let mut e = Encoder::new();
         e.put_tuple(&t);
         let record = e.finish();
+        let clip = (!whole).then_some(&clip);
         match kind {
-            0 => prop_assert!(decodes_as_conformed(&record, &wide, Some(&clip)), "a valid record fell back"),
+            0 => prop_assert!(decodes_as_conformed(&record, &wide, clip), "a valid record fell back"),
             1 => {
                 let (lo, hi) = (shrunk.0.min(shrunk.1), shrunk.0.max(shrunk.1));
                 let evolved = clip_scheme(Lifespan::interval(lo, hi));
-                decodes_as_conformed(&record, &evolved, Some(&clip));
+                decodes_as_conformed(&record, &evolved, clip);
             }
             2 => {
-                decodes_as_conformed(&non_canonical_record(&t, how), &wide, Some(&clip));
+                decodes_as_conformed(&non_canonical_record(&t, how), &wide, clip);
             }
             _ => {
                 for at in 0..record.len() {
                     for mask in [1, 4, mask] {
                         let mut flipped = record.clone();
                         flipped[at] ^= mask;
-                        decodes_as_conformed(&flipped, &wide, Some(&clip));
-                    }
-                }
-            }
-        }
-    }
-
-    /// A heap record decoded whole — the checked pass with no clip, and
-    /// `decode_record` with none — is its tuple read the general way and
-    /// conformed to the scheme, or fails as that does: on valid records,
-    /// records written before `V`'s lifespan shrank, valid but
-    /// non-canonical encodings, and records with one byte flipped. The
-    /// checked pass takes every valid record, and whatever it takes of
-    /// the others it decodes right.
-    #[test]
-    fn whole_decode_is_the_conformed_tuple(
-        life in runs_strategy(),
-        v in striped_strategy(),
-        w in "[a-z]{0,12}",
-        kind in 0u8..4,
-        how in 0u8..4,
-        shrunk in (0i64..300, 0i64..300),
-        mask in 1u8..=255,
-    ) {
-        let wide = clip_scheme(Lifespan::interval(-1_000, 1_000));
-        let mut values = std::collections::BTreeMap::new();
-        values.insert(Attribute::new("K"), TemporalValue::constant(&life, Value::Int(7)));
-        values.insert(Attribute::new("V"), v.restrict(&life));
-        values.insert(Attribute::new("W"), TemporalValue::constant(&life, Value::str(&w)));
-        let t = Tuple::from_parts(life.clone(), values);
-        prop_assert!(t.validate(&wide).is_ok());
-        let mut e = Encoder::new();
-        e.put_tuple(&t);
-        let record = e.finish();
-        match kind {
-            0 => prop_assert!(decodes_as_conformed(&record, &wide, None), "a valid record fell back"),
-            1 => {
-                let (lo, hi) = (shrunk.0.min(shrunk.1), shrunk.0.max(shrunk.1));
-                let evolved = clip_scheme(Lifespan::interval(lo, hi));
-                decodes_as_conformed(&record, &evolved, None);
-            }
-            2 => {
-                decodes_as_conformed(&non_canonical_record(&t, how), &wide, None);
-            }
-            _ => {
-                for at in 0..record.len() {
-                    for mask in [1, 4, mask] {
-                        let mut flipped = record.clone();
-                        flipped[at] ^= mask;
-                        decodes_as_conformed(&flipped, &wide, None);
+                        decodes_as_conformed(&flipped, &wide, clip);
                     }
                 }
             }
